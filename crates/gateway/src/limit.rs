@@ -68,10 +68,17 @@ impl RateLimiter {
         let mut buckets = lock(&self.buckets);
         // `new_at`, not `new`: a client first seen at now_ms must not be
         // credited refill for the time before it existed.
-        let bucket = buckets
-            .entry(client.to_owned())
-            .or_insert_with(|| TokenBucket::new_at(self.capacity, self.refill_per_sec, now_ms));
-        match bucket.try_take(now_ms) {
+        let fresh = || TokenBucket::new_at(self.capacity, self.refill_per_sec, now_ms);
+        // Look up by `&str` first: only a client's first request pays for
+        // an owned key.
+        let outcome = match buckets.get_mut(client) {
+            Some(bucket) => bucket.try_take(now_ms),
+            None => buckets
+                .entry(client.to_owned())
+                .or_insert_with(fresh)
+                .try_take(now_ms),
+        };
+        match outcome {
             TakeOutcome::Taken => RateDecision::Allowed,
             TakeOutcome::Empty { retry_after_secs } => RateDecision::Limited { retry_after_secs },
         }

@@ -24,6 +24,7 @@ use xdmod::chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
 use xdmod::core::{
     Alert, Federation, FederationConfig, FederationHub, SupervisorPolicy, XdmodInstance,
 };
+use xdmod::gateway::http::read_request;
 use xdmod::gateway::{App, GatewayConfig, Request, SESSION_COOKIE};
 use xdmod::replication::RetryPolicy;
 use xdmod::sim::{ClusterSim, ResourceProfile};
@@ -254,14 +255,7 @@ fn event_fed_families_fire_and_timeout_resolve() {
         Arc::clone(&fed),
         &GatewayConfig::default().with_max_inflight(0),
     );
-    let req = Request {
-        method: "GET".into(),
-        path: "/ops".into(),
-        query: vec![],
-        headers: vec![],
-        body: String::new(),
-    };
-    let resp = app.handle(&req, "10.0.0.1", 1);
+    let resp = app.handle(&request("GET", "/ops", vec![]), "10.0.0.1", 1);
     assert_eq!(resp.status, 503);
 
     let mut fed = fed.write().unwrap();
@@ -293,14 +287,14 @@ fn epoch_secs() -> i64 {
         .as_secs() as i64
 }
 
+/// A bodiless request, parsed from its wire form as the server would.
 fn request(method: &str, path: &str, headers: Vec<(String, String)>) -> Request {
-    Request {
-        method: method.into(),
-        path: path.into(),
-        query: vec![],
-        headers,
-        body: String::new(),
+    let mut raw = format!("{method} {path} HTTP/1.1\r\n");
+    for (name, value) in headers {
+        raw.push_str(&format!("{name}: {value}\r\n"));
     }
+    raw.push_str("\r\n");
+    read_request(&mut raw.as_bytes()).expect("a well-formed request")
 }
 
 fn cookie_header(cookie: &str) -> Vec<(String, String)> {
@@ -318,7 +312,9 @@ fn alerts_endpoint_revalidates_and_gates_ack_by_role() {
     fed.join_tight(&z, FederationConfig::default()).unwrap();
     fed.inject_chaos(
         &FaultPlan::new()
-            .with(FaultSpec::at_ops(FaultPoint::Transport, FaultKind::LinkDown, &[1]).for_target("z"))
+            .with(
+                FaultSpec::at_ops(FaultPoint::Transport, FaultKind::LinkDown, &[1]).for_target("z"),
+            )
             .injector(seed()),
     );
     for _ in 0..4 {
@@ -389,7 +385,11 @@ fn alerts_endpoint_revalidates_and_gates_ack_by_role() {
     let resp = app.handle(&request("POST", &ack_path, cookie_header(&staff)), "c1", 7);
     assert_eq!(resp.status, 409, "{}", resp.body);
     let resp = app.handle(
-        &request("POST", "/alerts/ffffffffffffffff/ack", cookie_header(&staff)),
+        &request(
+            "POST",
+            "/alerts/ffffffffffffffff/ack",
+            cookie_header(&staff),
+        ),
         "c1",
         8,
     );
