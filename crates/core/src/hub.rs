@@ -20,8 +20,8 @@ use xdmod_realms::levels::AggregationLevelsConfig;
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_telemetry::MetricsRegistry;
 use xdmod_warehouse::{
-    shared, AggregationOutputs, Database, LogPosition, PoolConfig, Query, Result, ResultSet,
-    SharedDatabase, Table, WarehouseError,
+    run_sharded, shared, AggregationOutputs, Database, LogPosition, PoolConfig, Query, Result,
+    ResultSet, SharedDatabase, Table, WarehouseError,
 };
 
 /// A memoized federated-query result. Valid only while every satellite's
@@ -368,9 +368,12 @@ impl FederationHub {
         self.telemetry
             .counter("hub_query_cache_misses_total", &[])
             .inc();
+        // A miss scans every satellite's rows: fold them on the warehouse
+        // pool (deterministic for any pool size), not on this one thread.
+        let pool = self.parallelism();
         let out = self
             .union_fact_table(realm)
-            .and_then(|union| query.run(&union));
+            .and_then(|union| run_sharded(query, &union, pool, &self.telemetry, fact));
         span.finish();
         let out = out?;
         self.fed_cache.lock().insert(
@@ -479,9 +482,11 @@ impl FederationHub {
     /// instances" (§II-E4).
     pub fn regeneration_dump(&self, satellite: &str) -> Result<Vec<u8>> {
         let db = self.db.read();
-        xdmod_warehouse::Snapshot::capture_schemas(&db, &[Self::schema_for(satellite)])?
-            .into_renamed(&XdmodInstance::schema_name_of(satellite))?
-            .to_bytes()
+        Ok(
+            xdmod_warehouse::Snapshot::capture_schemas(&db, &[Self::schema_for(satellite)])?
+                .into_renamed(&XdmodInstance::schema_name_of(satellite))?
+                .to_bytes(),
+        )
     }
 
     // ------------------------------------------------------------------

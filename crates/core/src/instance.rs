@@ -226,7 +226,7 @@ impl XdmodInstance {
     pub fn query_reservations(&self, query: &Query) -> Result<ResultSet> {
         self.db
             .read()
-            .query(&self.schema_name(), cloud_realm::RESERVATION_TABLE, query)
+            .query_sharded(&self.schema_name(), cloud_realm::RESERVATION_TABLE, query)
     }
 
     // ------------------------------------------------------------------
@@ -285,7 +285,7 @@ impl XdmodInstance {
     pub fn restore_from_dump(&mut self, dump: &[u8]) -> Result<()> {
         let snapshot = xdmod_warehouse::Snapshot::from_bytes(dump)?;
         let schema = self.schema_name();
-        if !snapshot.schemas.contains_key(&schema) {
+        if !snapshot.has_schema(&schema) {
             return Err(WarehouseError::Snapshot(format!(
                 "dump does not contain schema {schema}"
             )));

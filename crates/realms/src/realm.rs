@@ -65,7 +65,7 @@ impl RealmKind {
 }
 
 /// A metric: something XDMoD can chart, with its aggregate definition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricDef {
     /// Stable identifier (e.g. `total_su`).
     pub id: String,
@@ -78,7 +78,7 @@ pub struct MetricDef {
 }
 
 /// A dimension: something metrics can be grouped or drilled down by.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DimensionDef {
     /// Stable identifier (e.g. `resource`).
     pub id: String,

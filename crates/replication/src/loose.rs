@@ -19,8 +19,7 @@
 
 use crate::filter::ReplicationFilter;
 use crate::replicator::LinkConfig;
-use bytes::Bytes;
-use xdmod_warehouse::binlog::decode_stream;
+use xdmod_warehouse::binlog::{decode_stream, EventPayload};
 use xdmod_warehouse::{
     Database, LogPosition, Result, SharedDatabase, Snapshot, WarehouseError,
 };
@@ -47,7 +46,7 @@ impl LooseShipper {
 
     /// Export everything since the last shipment as a framed byte batch
     /// (the "file" that would be scp'd to the hub). Empty when quiescent.
-    pub fn export_batch(&mut self) -> Result<Bytes> {
+    pub fn export_batch(&mut self) -> Result<Vec<u8>> {
         let src = self.source.read();
         let bytes = src.binlog_export(self.position)?;
         self.position = src.binlog_position();
@@ -76,11 +75,11 @@ impl LooseReceiver {
     /// Decode and apply one shipped batch. Records at or before the
     /// last-applied position are skipped (duplicate shipment tolerance);
     /// gaps are an error, since a skipped file means lost data.
-    pub fn apply_batch(&mut self, batch: &Bytes) -> Result<usize> {
+    pub fn apply_batch(&mut self, batch: &[u8]) -> Result<usize> {
         if batch.is_empty() {
             return Ok(0);
         }
-        let events = decode_stream(batch.clone())?;
+        let events = decode_stream(batch)?;
         let mut applied = 0usize;
         for ev in events {
             if ev.position <= self.applied_to {
@@ -134,27 +133,26 @@ impl LooseReceiver {
 /// Export a full database dump of `schema` from a satellite, renamed for
 /// the hub — the paper's "database dumps ... periodically shipped" mode.
 pub fn ship_dump(source: &Database, schema: &str, rename_to: &str) -> Result<Vec<u8>> {
-    Snapshot::capture_schemas(source, &[schema.to_owned()])?
+    Ok(Snapshot::capture_schemas(source, &[schema.to_owned()])?
         .into_renamed(rename_to)?
-        .to_bytes()
+        .to_bytes())
 }
 
-/// Apply a shipped dump on the hub with replace semantics: the schema's
-/// previous contents are dropped and rebuilt, so repeated shipments don't
+/// Apply a shipped dump on the hub with replace semantics: each table the
+/// dump carries is emptied where its `CreateTable` frame arrives — ahead
+/// of its rows — and the dump is replayed, so repeated shipments don't
 /// duplicate rows.
 pub fn receive_dump(target: &mut Database, dump: &[u8]) -> Result<usize> {
     let snapshot = Snapshot::from_bytes(dump)?;
-    // Drop-and-recreate each schema carried by the dump.
-    for (schema, tables) in &snapshot.schemas {
-        if target.has_schema(schema) {
-            for table in tables.keys() {
-                if target.table(schema, table).is_ok() {
-                    target.truncate(schema, table)?;
-                }
+    for payload in snapshot.events() {
+        let payload = payload?;
+        if let EventPayload::CreateTable { schema, def } = &payload {
+            if target.table(schema, &def.name).is_ok() {
+                target.truncate(schema, &def.name)?;
             }
         }
+        target.apply_event(&payload)?;
     }
-    snapshot.apply(target)?;
     Ok(snapshot.total_rows())
 }
 
@@ -266,12 +264,12 @@ mod tests {
     fn corrupted_shipment_rejected() {
         let src = satellite("xdmod_x", 1);
         let mut shipper = LooseShipper::new(src);
-        let mut bytes = shipper.export_batch().unwrap().to_vec();
+        let mut bytes = shipper.export_batch().unwrap();
         let n = bytes.len();
         bytes[n / 2] ^= 0x40;
         let hub = shared(Database::new());
         let mut receiver = LooseReceiver::new(hub, LinkConfig::passthrough());
-        assert!(receiver.apply_batch(&Bytes::from(bytes)).is_err());
+        assert!(receiver.apply_batch(&bytes).is_err());
     }
 
     #[test]
@@ -286,6 +284,13 @@ mod tests {
         let dump2 = ship_dump(&src.read(), "xdmod_x", "hub_x").unwrap();
         receive_dump(&mut hub, &dump2).unwrap();
         assert_eq!(hub.table("hub_x", "jobfact").unwrap().len(), 4);
+        assert_eq!(
+            hub.table("hub_x", "jobfact").unwrap().content_checksum(),
+            src.read()
+                .table("xdmod_x", "jobfact")
+                .unwrap()
+                .content_checksum()
+        );
     }
 
     #[test]

@@ -223,9 +223,14 @@ impl Replicator {
                 self.source.write().truncate_binlog_tail(bytes as usize);
                 Ok(())
             }
-            Some(kind @ (FaultKind::Transient | FaultKind::LinkDown)) => Err(WarehouseError::Io(
-                format!("injected {kind} on link {}", self.link_name),
-            )),
+            // A dropped fsync means nothing to a link; like the warehouse's
+            // own consultation points, degrade it to a transient failure.
+            Some(kind @ (FaultKind::Transient | FaultKind::LinkDown | FaultKind::DropFsync)) => {
+                Err(WarehouseError::Io(format!(
+                    "injected {kind} on link {}",
+                    self.link_name
+                )))
+            }
         }
     }
 
@@ -1277,8 +1282,9 @@ mod tests {
         assert!(live.last_error().is_some());
         assert!(!reg.events_of_kind("replication.error").is_empty());
         let rep = live.stop().unwrap();
-        // The watermark never advanced past the failing event.
-        assert_eq!(rep.stats().events_applied, 0);
+        // The watermark never advanced past the failing event: only the
+        // (idempotent) CreateSchema ahead of it ever applied.
+        assert_eq!(rep.stats().events_applied, 1);
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! crashed-and-restarted replicators, epoch changes under a live link,
 //! and worker-thread error surfacing.
 
-use bytes::Bytes;
 use std::sync::Arc;
 use std::time::Duration;
 use xdmod_replication::{LinkConfig, LiveReplicator, LooseReceiver, LooseShipper, Replicator};
@@ -75,10 +74,10 @@ fn corrupted_loose_batch_leaves_receiver_consistent() {
         LooseReceiver::new(Arc::clone(&hub), LinkConfig::renaming("xdmod_x", "hub_x"));
     let batch = shipper.export_batch().unwrap();
     // Corrupt the middle of the batch in transit.
-    let mut bytes = batch.to_vec();
+    let mut bytes = batch.clone();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xA5;
-    assert!(receiver.apply_batch(&Bytes::from(bytes)).is_err());
+    assert!(receiver.apply_batch(&bytes).is_err());
     // The intact original still applies from the receiver's watermark —
     // nothing applied from the corrupt copy may be double-applied.
     let applied = receiver.apply_batch(&batch).unwrap();

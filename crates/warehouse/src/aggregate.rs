@@ -20,10 +20,9 @@ use crate::query::{AggFn, Aggregate, GroupKey, Query, ResultSet};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::time::Period;
 use crate::value::{ColumnType, Row, Value};
-use serde::{Deserialize, Serialize};
 
 /// A dimension of an aggregation table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DimSpec {
     /// Group by the raw column value (e.g. `resource`, `user`).
     Column(String),
@@ -63,7 +62,7 @@ impl DimSpec {
 }
 
 /// Declarative description of an aggregation pipeline for one fact table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AggregationSpec {
     /// Fact table to aggregate.
     pub fact_table: String,
@@ -79,7 +78,6 @@ pub struct AggregationSpec {
     /// default tables are named `{fact_table}_by_{period}`; a prefix lets
     /// several pipelines aggregate the same fact table without colliding
     /// (e.g. the SUPReMM *summary* pipeline next to the full one).
-    #[serde(default)]
     pub table_prefix: Option<String>,
 }
 
@@ -743,13 +741,5 @@ mod tests {
         // Content still ends up correct (recomputed from current facts).
         let t = db.table("xdmod_a", "jobfact_by_month").unwrap();
         assert_eq!(t.len(), 4);
-    }
-
-    #[test]
-    fn spec_round_trips_through_json() {
-        let (_, spec) = setup();
-        let json = serde_json::to_string(&spec).unwrap();
-        let back: AggregationSpec = serde_json::from_str(&json).unwrap();
-        assert_eq!(spec, back);
     }
 }

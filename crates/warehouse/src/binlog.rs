@@ -20,23 +20,25 @@
 //!
 //! `len` counts everything after itself (epoch..crc). The CRC covers
 //! epoch, seqno, and payload. Integers are little-endian. The payload is a
-//! tag byte followed by tag-specific fields; see [`EventPayload`].
+//! tag byte followed by tag-specific fields (see [`EventPayload`]) whose
+//! strings, rows and table definitions are laid out by `crate::codec`.
+//!
+//! This frame is the warehouse's only serialized form: WAL segments hold
+//! it verbatim, a snapshot or loose dump ([`crate::persist`]) is a counted
+//! run of it, and replication ships it.
 
 use crate::checksum::crc32;
+use crate::codec;
 use crate::error::{Result, WarehouseError};
-use crate::schema::{ColumnDef, TableSchema};
-use crate::value::{ColumnType, Row, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
+use crate::schema::TableSchema;
+use crate::value::Row;
 use std::fmt;
 
 /// A position in a binlog: `(epoch, seqno)` lexicographic.
 ///
 /// `epoch` increments when a log is truncated/regenerated (e.g. a satellite
 /// database rebuilt from the hub, §II-E4); `seqno` increments per record.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LogPosition {
     /// Log generation.
     pub epoch: u32,
@@ -144,249 +146,111 @@ const TAG_CREATE_TABLE: u8 = 2;
 const TAG_INSERT_BATCH: u8 = 3;
 const TAG_TRUNCATE: u8 = 4;
 
-const VTAG_NULL: u8 = 0;
-const VTAG_INT: u8 = 1;
-const VTAG_FLOAT: u8 = 2;
-const VTAG_STR: u8 = 3;
-const VTAG_TIME: u8 = 4;
-const VTAG_BOOL: u8 = 5;
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+/// Append the `InsertBatch` payload of borrowed rows (no owned batch).
+pub(crate) fn put_insert_batch<'a>(
+    buf: &mut Vec<u8>,
+    schema: &str,
+    table: &str,
+    rows: impl ExactSizeIterator<Item = &'a Row>,
+) {
+    buf.push(TAG_INSERT_BATCH);
+    codec::put_str(buf, schema);
+    codec::put_str(buf, table);
+    codec::put_rows(buf, rows);
 }
 
-fn get_str(buf: &mut Bytes) -> Result<String> {
-    if buf.remaining() < 4 {
-        return Err(WarehouseError::CorruptBinlog("short string length".into()));
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(WarehouseError::CorruptBinlog("short string body".into()));
-    }
-    let bytes = buf.split_to(len);
-    String::from_utf8(bytes.to_vec())
-        .map_err(|_| WarehouseError::CorruptBinlog("invalid utf8".into()))
-}
-
-fn put_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(VTAG_NULL),
-        Value::Int(i) => {
-            buf.put_u8(VTAG_INT);
-            buf.put_i64_le(*i);
-        }
-        Value::Float(f) => {
-            buf.put_u8(VTAG_FLOAT);
-            buf.put_f64_le(*f);
-        }
-        Value::Str(s) => {
-            buf.put_u8(VTAG_STR);
-            put_str(buf, s);
-        }
-        Value::Time(t) => {
-            buf.put_u8(VTAG_TIME);
-            buf.put_i64_le(*t);
-        }
-        Value::Bool(b) => {
-            buf.put_u8(VTAG_BOOL);
-            buf.put_u8(u8::from(*b));
-        }
-    }
-}
-
-fn get_value(buf: &mut Bytes) -> Result<Value> {
-    if !buf.has_remaining() {
-        return Err(WarehouseError::CorruptBinlog("missing value tag".into()));
-    }
-    let tag = buf.get_u8();
-    let need = |buf: &Bytes, n: usize, what: &str| -> Result<()> {
-        if buf.remaining() < n {
-            Err(WarehouseError::CorruptBinlog(format!("short {what}")))
-        } else {
-            Ok(())
-        }
-    };
-    match tag {
-        VTAG_NULL => Ok(Value::Null),
-        VTAG_INT => {
-            need(buf, 8, "int")?;
-            Ok(Value::Int(buf.get_i64_le()))
-        }
-        VTAG_FLOAT => {
-            need(buf, 8, "float")?;
-            Ok(Value::Float(buf.get_f64_le()))
-        }
-        VTAG_STR => Ok(Value::Str(get_str(buf)?)),
-        VTAG_TIME => {
-            need(buf, 8, "time")?;
-            Ok(Value::Time(buf.get_i64_le()))
-        }
-        VTAG_BOOL => {
-            need(buf, 1, "bool")?;
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        other => Err(WarehouseError::CorruptBinlog(format!(
-            "unknown value tag {other}"
-        ))),
-    }
-}
-
-fn column_type_code(ty: ColumnType) -> u8 {
-    match ty {
-        ColumnType::Int => 0,
-        ColumnType::Float => 1,
-        ColumnType::Str => 2,
-        ColumnType::Time => 3,
-        ColumnType::Bool => 4,
-    }
-}
-
-fn column_type_from_code(code: u8) -> Result<ColumnType> {
-    Ok(match code {
-        0 => ColumnType::Int,
-        1 => ColumnType::Float,
-        2 => ColumnType::Str,
-        3 => ColumnType::Time,
-        4 => ColumnType::Bool,
-        other => {
-            return Err(WarehouseError::CorruptBinlog(format!(
-                "unknown column type code {other}"
-            )))
-        }
-    })
-}
-
-fn put_table_schema(buf: &mut BytesMut, def: &TableSchema) {
-    put_str(buf, &def.name);
-    buf.put_u32_le(def.columns.len() as u32);
-    for c in &def.columns {
-        put_str(buf, &c.name);
-        buf.put_u8(column_type_code(c.ty));
-        buf.put_u8(u8::from(c.nullable));
-    }
-}
-
-fn get_table_schema(buf: &mut Bytes) -> Result<TableSchema> {
-    let name = get_str(buf)?;
-    if buf.remaining() < 4 {
-        return Err(WarehouseError::CorruptBinlog("short column count".into()));
-    }
-    let n = buf.get_u32_le() as usize;
-    let mut columns = Vec::with_capacity(n);
-    for _ in 0..n {
-        let cname = get_str(buf)?;
-        if buf.remaining() < 2 {
-            return Err(WarehouseError::CorruptBinlog("short column def".into()));
-        }
-        let ty = column_type_from_code(buf.get_u8())?;
-        let nullable = buf.get_u8() != 0;
-        columns.push(ColumnDef {
-            name: cname,
-            ty,
-            nullable,
-        });
-    }
-    TableSchema::new(&name, columns)
-        .map_err(|e| WarehouseError::CorruptBinlog(format!("bad schema in log: {e}")))
-}
-
-/// Encode a payload to bytes (without framing).
-pub fn encode_payload(payload: &EventPayload) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64);
+pub(crate) fn put_payload(buf: &mut Vec<u8>, payload: &EventPayload) {
     match payload {
         EventPayload::CreateSchema { schema } => {
-            buf.put_u8(TAG_CREATE_SCHEMA);
-            put_str(&mut buf, schema);
+            buf.push(TAG_CREATE_SCHEMA);
+            codec::put_str(buf, schema);
         }
         EventPayload::CreateTable { schema, def } => {
-            buf.put_u8(TAG_CREATE_TABLE);
-            put_str(&mut buf, schema);
-            put_table_schema(&mut buf, def);
+            buf.push(TAG_CREATE_TABLE);
+            codec::put_str(buf, schema);
+            codec::put_table_schema(buf, def);
         }
         EventPayload::InsertBatch {
             schema,
             table,
             rows,
-        } => {
-            buf.put_u8(TAG_INSERT_BATCH);
-            put_str(&mut buf, schema);
-            put_str(&mut buf, table);
-            buf.put_u32_le(rows.len() as u32);
-            for row in rows {
-                buf.put_u32_le(row.len() as u32);
-                for v in row {
-                    put_value(&mut buf, v);
-                }
-            }
-        }
+        } => put_insert_batch(buf, schema, table, rows.iter()),
         EventPayload::Truncate { schema, table } => {
-            buf.put_u8(TAG_TRUNCATE);
-            put_str(&mut buf, schema);
-            put_str(&mut buf, table);
+            buf.push(TAG_TRUNCATE);
+            codec::put_str(buf, schema);
+            codec::put_str(buf, table);
         }
     }
-    buf.freeze()
+}
+
+/// Encode a payload to bytes (without framing).
+pub fn encode_payload(payload: &EventPayload) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64);
+    put_payload(&mut buf, payload);
+    buf
 }
 
 /// Decode a payload from bytes (without framing).
-pub fn decode_payload(mut buf: Bytes) -> Result<EventPayload> {
-    if !buf.has_remaining() {
-        return Err(WarehouseError::CorruptBinlog("empty payload".into()));
-    }
-    let tag = buf.get_u8();
-    let payload = match tag {
+pub fn decode_payload(mut buf: &[u8]) -> Result<EventPayload> {
+    let buf = &mut buf;
+    let payload = match codec::get_u8(buf, "payload tag")? {
         TAG_CREATE_SCHEMA => EventPayload::CreateSchema {
-            schema: get_str(&mut buf)?,
+            schema: codec::get_str(buf)?,
         },
-        TAG_CREATE_TABLE => {
-            let schema = get_str(&mut buf)?;
-            let def = get_table_schema(&mut buf)?;
-            EventPayload::CreateTable { schema, def }
-        }
-        TAG_INSERT_BATCH => {
-            let schema = get_str(&mut buf)?;
-            let table = get_str(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(WarehouseError::CorruptBinlog("short row count".into()));
-            }
-            let n = buf.get_u32_le() as usize;
-            let mut rows = Vec::with_capacity(n.min(1 << 20));
-            for _ in 0..n {
-                if buf.remaining() < 4 {
-                    return Err(WarehouseError::CorruptBinlog("short row arity".into()));
-                }
-                let arity = buf.get_u32_le() as usize;
-                let mut row = Vec::with_capacity(arity.min(1 << 16));
-                for _ in 0..arity {
-                    row.push(get_value(&mut buf)?);
-                }
-                rows.push(row);
-            }
-            EventPayload::InsertBatch {
-                schema,
-                table,
-                rows,
-            }
-        }
-        TAG_TRUNCATE => {
-            let schema = get_str(&mut buf)?;
-            let table = get_str(&mut buf)?;
-            EventPayload::Truncate { schema, table }
-        }
-        other => {
-            return Err(WarehouseError::CorruptBinlog(format!(
-                "unknown event tag {other}"
-            )))
-        }
+        TAG_CREATE_TABLE => EventPayload::CreateTable {
+            schema: codec::get_str(buf)?,
+            def: codec::get_table_schema(buf)?,
+        },
+        TAG_INSERT_BATCH => EventPayload::InsertBatch {
+            schema: codec::get_str(buf)?,
+            table: codec::get_str(buf)?,
+            rows: codec::get_rows(buf)?,
+        },
+        TAG_TRUNCATE => EventPayload::Truncate {
+            schema: codec::get_str(buf)?,
+            table: codec::get_str(buf)?,
+        },
+        other => return Err(codec::corrupt(format!("unknown event tag {other}"))),
     };
-    if buf.has_remaining() {
-        return Err(WarehouseError::CorruptBinlog(format!(
-            "{} trailing bytes after payload",
-            buf.remaining()
-        )));
+    if !buf.is_empty() {
+        let n = buf.len();
+        return Err(codec::corrupt(format!("{n} trailing bytes after payload")));
     }
     Ok(payload)
+}
+
+/// Read off an encoded payload's prefix, decoding no row: the schema a
+/// `CreateSchema` names and the rows an `InsertBatch` counts.
+pub(crate) fn peek_payload(mut buf: &[u8]) -> Result<(Option<String>, u64)> {
+    let buf = &mut buf;
+    let tag = codec::get_u8(buf, "payload tag")?;
+    let schema = codec::get_str(buf)?;
+    let rows = if tag == TAG_INSERT_BATCH {
+        codec::get_str(buf)?;
+        codec::get_u32(buf, "row count")?
+    } else {
+        0
+    };
+    Ok(((tag == TAG_CREATE_SCHEMA).then_some(schema), rows.into()))
+}
+
+/// Append the record at `pos` to `out`: length prefix, position, whatever
+/// payload `write_payload` appends, then the CRC over position and payload.
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    pos: LogPosition,
+    write_payload: impl FnOnce(&mut Vec<u8>),
+) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    codec::put_u32(out, pos.epoch);
+    codec::put_u64(out, pos.seqno);
+    write_payload(out);
+    // `len` counts epoch..crc: what follows the prefix now, plus the CRC.
+    let len = (out.len() - start) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[start + 4..]);
+    codec::put_u32(out, crc);
 }
 
 /// An append-only binary log with framed, checksummed records.
@@ -406,7 +270,7 @@ pub struct Binlog {
     /// Retained records are `base_seqno + 1 ..= last_seqno`.
     base_seqno: u64,
     /// Raw framed bytes of the retained suffix of the current generation.
-    bytes: BytesMut,
+    bytes: Vec<u8>,
     /// Byte offset of each retained record, indexed by
     /// `seqno - base_seqno - 1`.
     offsets: Vec<usize>,
@@ -451,24 +315,14 @@ impl Binlog {
     /// the returned frame first, then [`Binlog::push_frame`] admits it to
     /// the in-memory log — write-ahead ordering, so a crash between the
     /// two never leaves the in-memory state ahead of disk.
-    pub fn encode_next(&self, payload: &EventPayload) -> (LogPosition, Bytes) {
+    pub fn encode_next(&self, payload: &EventPayload) -> (LogPosition, Vec<u8>) {
         let pos = LogPosition {
             epoch: self.epoch,
             seqno: self.last_seqno + 1,
         };
-        let body = encode_payload(payload);
-        let mut framed = BytesMut::with_capacity(body.len() + 20);
-        framed.put_u32_le((body.len() + 16) as u32); // epoch+seqno+payload+crc
-        framed.put_u32_le(pos.epoch);
-        framed.put_u64_le(pos.seqno);
-        framed.put_slice(&body);
-        let crc = {
-            // CRC covers epoch, seqno, payload (bytes after the length).
-            let covered = &framed[4..];
-            crc32(covered)
-        };
-        framed.put_u32_le(crc);
-        (pos, framed.freeze())
+        let mut frame = Vec::new();
+        put_frame(&mut frame, pos, |buf| put_payload(buf, payload));
+        (pos, frame)
     }
 
     /// Admit a frame produced by [`Binlog::encode_next`] to the in-memory
@@ -505,26 +359,22 @@ impl Binlog {
     /// path after it has scanned segments and truncated any torn tail.
     pub fn restore_frames(&mut self, epoch: u32, base_seqno: u64, raw: &[u8]) -> Result<usize> {
         let mut offsets = Vec::new();
-        let mut cursor = 0usize;
         let mut expect = base_seqno + 1;
-        let mut buf = Bytes::copy_from_slice(raw);
-        while buf.has_remaining() {
-            let before = buf.remaining();
-            let event = decode_framed(&mut buf)?;
-            if event.position.epoch != epoch || event.position.seqno != expect {
-                return Err(WarehouseError::CorruptBinlog(format!(
-                    "recovered frame at {} where {}:{expect} was expected",
-                    event.position, epoch
+        let mut buf = raw;
+        while !buf.is_empty() {
+            offsets.push(raw.len() - buf.len());
+            let (found, _) = split_frame(&mut buf)?;
+            if (found.epoch, found.seqno) != (epoch, expect) {
+                return Err(codec::corrupt(format!(
+                    "recovered frame at {found} where {epoch}:{expect} was expected"
                 )));
             }
-            offsets.push(cursor);
-            cursor += before - buf.remaining();
             expect += 1;
         }
         self.epoch = epoch;
         self.base_seqno = base_seqno;
         self.last_seqno = base_seqno + offsets.len() as u64;
-        self.bytes = BytesMut::from(&raw[..cursor]);
+        self.bytes = raw.to_vec();
         self.offsets = offsets;
         Ok(self.offsets.len())
     }
@@ -544,9 +394,7 @@ impl Binlog {
         } else {
             self.bytes.len()
         };
-        let kept = self.bytes.split_off(cut);
-        let dropped_bytes = self.bytes.len();
-        self.bytes = kept;
+        self.bytes.drain(..cut);
         self.offsets.drain(..drop_records);
         for offset in &mut self.offsets {
             *offset -= cut;
@@ -554,7 +402,7 @@ impl Binlog {
         self.base_seqno = upto;
         PrefixCompaction {
             dropped_records: drop_records,
-            dropped_bytes,
+            dropped_bytes: cut,
         }
     }
 
@@ -565,12 +413,15 @@ impl Binlog {
     /// from a *future* epoch yield an error; positions below the
     /// compaction horizon yield [`WarehouseError::CompactedAway`].
     pub fn read_after(&self, after: LogPosition) -> Result<Vec<BinlogEvent>> {
-        let start_seqno = self.replay_start(after)?;
-        let mut out = Vec::new();
-        for seqno in (start_seqno + 1)..=self.last_seqno {
-            out.push(self.record_at(seqno)?);
+        let (frames, expected) = self.frames_after(after)?;
+        let events = decode_stream(frames)?;
+        if events.len() as u64 != expected {
+            let n = events.len();
+            return Err(codec::corrupt(format!(
+                "log ends after {n} of the {expected} records past {after}"
+            )));
         }
-        Ok(out)
+        Ok(events)
     }
 
     /// Decode every record strictly after `after` that touches
@@ -578,10 +429,8 @@ impl Binlog {
     /// advances over exactly the records an incremental aggregation must
     /// fold, skipping mutations of other tables.
     ///
-    /// Epoch and compaction semantics match [`Binlog::read_after`]: an
-    /// older-epoch cursor replays the whole log, a future-epoch cursor is
-    /// an error, and a cursor below the compaction horizon yields
-    /// [`WarehouseError::CompactedAway`] — the caller must fall back to a
+    /// Epoch and compaction semantics match [`Binlog::read_after`]; on
+    /// [`WarehouseError::CompactedAway`] the caller must fall back to a
     /// full rebuild from the live table.
     pub fn read_table_after(
         &self,
@@ -589,15 +438,25 @@ impl Binlog {
         schema: &str,
         table: &str,
     ) -> Result<Vec<BinlogEvent>> {
+        let mut events = self.read_after(after)?;
+        events.retain(|ev| ev.payload.schema() == schema && ev.payload.table() == Some(table));
+        Ok(events)
+    }
+
+    /// The raw frames of every record strictly after `after`, borrowed
+    /// from the log (readers decode them in place, in one pass), and how
+    /// many records they should hold.
+    fn frames_after(&self, after: LogPosition) -> Result<(&[u8], u64)> {
         let start_seqno = self.replay_start(after)?;
-        let mut out = Vec::new();
-        for seqno in (start_seqno + 1)..=self.last_seqno {
-            let ev = self.record_at(seqno)?;
-            if ev.payload.schema() == schema && ev.payload.table() == Some(table) {
-                out.push(ev);
-            }
+        if start_seqno >= self.last_seqno {
+            return Ok((&[], 0));
         }
-        Ok(out)
+        let offset = self.offsets[(start_seqno - self.base_seqno) as usize];
+        // After physical tail damage an offset can point past the end of
+        // the raw log: that is an empty tail, which the record count then
+        // reports as corruption — not a slice panic.
+        let frames = self.bytes.get(offset..).unwrap_or(&[]);
+        Ok((frames, self.last_seqno - start_seqno))
     }
 
     /// Resolve `after` to the seqno replay starts from (exclusive),
@@ -638,18 +497,10 @@ impl Binlog {
         let idx = (seqno as usize)
             .checked_sub(self.base_seqno as usize + 1)
             .filter(|i| *i < self.offsets.len())
-            .ok_or_else(|| WarehouseError::CorruptBinlog(format!("no record {seqno}")))?;
-        let offset = self.offsets[idx];
+            .ok_or_else(|| codec::corrupt(format!("no record {seqno}")))?;
         // After physical tail damage an offset can point past the end of
-        // the raw log; that is corruption to report, not a slice panic.
-        if offset >= self.bytes.len() {
-            return Err(WarehouseError::CorruptBinlog(format!(
-                "record {seqno} offset {offset} beyond log end ({} bytes)",
-                self.bytes.len()
-            )));
-        }
-        let mut slice = Bytes::copy_from_slice(&self.bytes[offset..]);
-        decode_framed(&mut slice)
+        // the raw log: an empty frame to report, not a slice panic.
+        decode_framed(&mut self.bytes.get(self.offsets[idx]..).unwrap_or(&[]))
     }
 
     /// Flip one byte of the raw log (XOR `0xA5`) — simulated disk
@@ -694,18 +545,14 @@ impl Binlog {
     /// valid seqno. A clean log is untouched.
     pub fn repair_tail(&mut self) -> TailRepair {
         let mut valid_offsets = Vec::with_capacity(self.offsets.len());
-        let mut cursor = 0usize;
-        while cursor < self.bytes.len() {
-            let mut slice = Bytes::copy_from_slice(&self.bytes[cursor..]);
-            let before = slice.len();
-            match decode_framed(&mut slice) {
-                Ok(_) => {
-                    valid_offsets.push(cursor);
-                    cursor += before - slice.len();
-                }
-                Err(_) => break,
+        let mut rest = &self.bytes[..];
+        let cursor = loop {
+            let at = self.bytes.len() - rest.len();
+            if rest.is_empty() || decode_framed(&mut rest).is_err() {
+                break at;
             }
-        }
+            valid_offsets.push(at);
+        };
         let repair = TailRepair {
             dropped_records: self.offsets.len().saturating_sub(valid_offsets.len()),
             dropped_bytes: self.bytes.len() - cursor,
@@ -720,13 +567,8 @@ impl Binlog {
 
     /// Export the raw framed bytes of records after `after` — this is what
     /// "loose" federation ships as files (§II-C2).
-    pub fn export_after(&self, after: LogPosition) -> Result<Bytes> {
-        let start_seqno = self.replay_start(after)?;
-        if start_seqno >= self.last_seqno {
-            return Ok(Bytes::new());
-        }
-        let offset = self.offsets[(start_seqno - self.base_seqno) as usize];
-        Ok(Bytes::copy_from_slice(&self.bytes[offset..]))
+    pub fn export_after(&self, after: LogPosition) -> Result<Vec<u8>> {
+        Ok(self.frames_after(after)?.0.to_vec())
     }
 }
 
@@ -772,43 +614,35 @@ impl fmt::Display for TailRepair {
     }
 }
 
-/// Decode one framed record from the front of `buf`, advancing it.
-pub fn decode_framed(buf: &mut Bytes) -> Result<BinlogEvent> {
-    if buf.remaining() < 4 {
-        return Err(WarehouseError::CorruptBinlog("short frame length".into()));
+/// Split one framed record off the front of `buf`, checking length and
+/// CRC: its position and its still-encoded payload.
+pub(crate) fn split_frame<'a>(buf: &mut &'a [u8]) -> Result<(LogPosition, &'a [u8])> {
+    let len = codec::get_u32(buf, "frame length")? as usize;
+    if len < 16 {
+        return Err(codec::corrupt(format!("bad frame length {len}")));
     }
-    let len = buf.get_u32_le() as usize;
-    if len < 16 || buf.remaining() < len {
-        return Err(WarehouseError::CorruptBinlog(format!(
-            "bad frame length {len}"
-        )));
+    let (mut body, stored_crc) = codec::take(buf, len, "frame")?.split_at(len - 4);
+    if crc32(body).to_le_bytes() != stored_crc {
+        return Err(codec::corrupt("crc mismatch"));
     }
-    let frame = buf.split_to(len);
-    let covered = &frame[..len - 4];
-    let stored_crc = u32::from_le_bytes([
-        frame[len - 4],
-        frame[len - 3],
-        frame[len - 2],
-        frame[len - 1],
-    ]);
-    if crc32(covered) != stored_crc {
-        return Err(WarehouseError::CorruptBinlog("crc mismatch".into()));
-    }
-    let mut body = frame.slice(..len - 4);
-    let epoch = body.get_u32_le();
-    let seqno = body.get_u64_le();
-    let payload = decode_payload(body)?;
-    Ok(BinlogEvent {
-        position: LogPosition { epoch, seqno },
-        payload,
-    })
+    let epoch = codec::get_u32(&mut body, "frame epoch")?;
+    let seqno = codec::get_u64(&mut body, "frame seqno")?;
+    Ok((LogPosition { epoch, seqno }, body))
+}
+
+/// Decode one framed record from the front of `buf`, advancing it past
+/// the record.
+pub fn decode_framed(buf: &mut &[u8]) -> Result<BinlogEvent> {
+    let (position, payload) = split_frame(buf)?;
+    let payload = decode_payload(payload)?;
+    Ok(BinlogEvent { position, payload })
 }
 
 /// Decode every framed record in `buf` (e.g. a shipped loose-federation
 /// file).
-pub fn decode_stream(mut buf: Bytes) -> Result<Vec<BinlogEvent>> {
+pub fn decode_stream(mut buf: &[u8]) -> Result<Vec<BinlogEvent>> {
     let mut out = Vec::new();
-    while buf.has_remaining() {
+    while !buf.is_empty() {
         out.push(decode_framed(&mut buf)?);
     }
     Ok(out)
@@ -818,6 +652,7 @@ pub fn decode_stream(mut buf: Bytes) -> Result<Vec<BinlogEvent>> {
 mod tests {
     use super::*;
     use crate::schema::SchemaBuilder;
+    use crate::value::{ColumnType, Value};
 
     fn sample_schema() -> TableSchema {
         SchemaBuilder::new("jobfact")
@@ -861,7 +696,7 @@ mod tests {
         ];
         for p in payloads {
             let enc = encode_payload(&p);
-            let dec = decode_payload(enc).unwrap();
+            let dec = decode_payload(&enc).unwrap();
             assert_eq!(dec, p);
         }
     }
@@ -974,10 +809,10 @@ mod tests {
         log.append(&sample_insert());
 
         let full = log.export_after(LogPosition::START).unwrap();
-        assert_eq!(decode_stream(full).unwrap().len(), 3);
+        assert_eq!(decode_stream(&full).unwrap().len(), 3);
 
         let tail = log.export_after(mid).unwrap();
-        let events = decode_stream(tail).unwrap();
+        let events = decode_stream(&tail).unwrap();
         assert_eq!(events.len(), 2);
         assert_eq!(events[0].position.seqno, 2);
 
@@ -988,11 +823,11 @@ mod tests {
     fn corruption_is_detected() {
         let mut log = Binlog::new();
         log.append(&sample_insert());
-        let mut raw = log.export_after(LogPosition::START).unwrap().to_vec();
+        let mut raw = log.export_after(LogPosition::START).unwrap();
         // Flip a byte in the payload region.
         let mid = raw.len() / 2;
         raw[mid] ^= 0xFF;
-        let err = decode_stream(Bytes::from(raw)).unwrap_err();
+        let err = decode_stream(&raw).unwrap_err();
         assert!(matches!(err, WarehouseError::CorruptBinlog(_)));
     }
 
@@ -1001,8 +836,7 @@ mod tests {
         let mut log = Binlog::new();
         log.append(&sample_insert());
         let raw = log.export_after(LogPosition::START).unwrap();
-        let cut = raw.slice(..raw.len() - 3);
-        assert!(decode_stream(cut).is_err());
+        assert!(decode_stream(&raw[..raw.len() - 3]).is_err());
     }
 
     #[test]
@@ -1076,6 +910,24 @@ mod tests {
         let repair = log.repair_tail();
         assert_eq!(repair.dropped_records, 1);
         assert_eq!(log.position().seqno, 1);
+        assert_eq!(log.read_after(LogPosition::START).unwrap().len(), 1);
+    }
+
+    #[test]
+    fn log_cut_at_a_frame_boundary_is_corruption_not_a_short_read() {
+        let mut log = Binlog::new();
+        log.append(&EventPayload::CreateSchema { schema: "s".into() });
+        let before_last = log.byte_len();
+        log.append(&sample_insert());
+        // Lose exactly the last frame: every remaining frame validates,
+        // only the record count gives the loss away.
+        log.truncate_tail_bytes(log.byte_len() - before_last);
+        assert!(matches!(
+            log.read_after(LogPosition::START),
+            Err(WarehouseError::CorruptBinlog(_))
+        ));
+        assert!(log.read_table_after(LogPosition::START, "s", "t").is_err());
+        assert_eq!(log.repair_tail().dropped_records, 1);
         assert_eq!(log.read_after(LogPosition::START).unwrap().len(), 1);
     }
 

@@ -7,10 +7,8 @@
 //! machinery; `xdmod-realms` layers the JSON-configured aggregation-level
 //! catalogs on top of it.
 
-use serde::{Deserialize, Serialize};
-
 /// A half-open bin `[lo, hi)` with a display label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bin {
     /// Human-readable label, e.g. `"1-5 hours"`.
     pub label: String,
@@ -41,7 +39,7 @@ impl Bin {
 pub const OTHER_BIN_LABEL: &str = "other";
 
 /// An ordered, non-overlapping set of bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Bins {
     bins: Vec<Bin>,
 }

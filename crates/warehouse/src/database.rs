@@ -148,13 +148,18 @@ impl Database {
         Ok(db)
     }
 
-    /// Restore recovered durable state into this (empty) database:
-    /// snapshot first, then the validated binlog tail, then telemetry.
+    /// Restore recovered durable state into this (empty) database: the
+    /// snapshot's events, then the validated binlog tail's, through the
+    /// one replay path ([`Database::apply_unlogged`]); then telemetry.
     fn finish_recovery(&mut self, rec: Recovery, started: Instant) -> Result<()> {
         let mut snapshot_pos = None;
         if let Some((pos, body)) = &rec.snapshot {
-            let snap = Snapshot::from_bytes(body)?;
-            self.restore_snapshot_unlogged(&snap, *pos)?;
+            // Snapshot contents sit *below* the recovered log's base
+            // seqno: every event replays at the snapshot's own position,
+            // its tables' watermark (conservative for cache invalidation).
+            for payload in Snapshot::from_bytes(body)?.events() {
+                self.apply_unlogged(payload?, *pos)?;
+            }
             snapshot_pos = Some(*pos);
             self.last_snapshot_seqno = pos.seqno;
         }
@@ -167,7 +172,7 @@ impl Database {
         let events = self.binlog.read_after(replay_from)?;
         let replayed = events.len();
         for ev in events {
-            self.apply_unlogged(&ev.payload, ev.position)?;
+            self.apply_unlogged(ev.payload, ev.position)?;
         }
         if self.telemetry.is_enabled() {
             let ms = started.elapsed().as_secs_f64() * 1e3;
@@ -202,72 +207,40 @@ impl Database {
         Ok(())
     }
 
-    /// Load snapshot tables directly, bypassing the binlog: the snapshot's
-    /// contents are *below* the recovered log's base seqno, so re-logging
-    /// them would duplicate history. Watermarks land at the snapshot
-    /// position (conservative: every restored table reads as "mutated at
-    /// the snapshot point").
-    fn restore_snapshot_unlogged(&mut self, snap: &Snapshot, pos: LogPosition) -> Result<()> {
-        snap.verify()?;
-        let paging = self.paging_hook();
-        for (schema, tables) in &snap.schemas {
-            let dst = self.schemas.entry(schema.clone()).or_default();
-            for (name, table) in tables {
-                // Snapshot tables deserialize dense; re-page them when
-                // the paging engine is on.
-                let mut table = table.clone();
-                if let Some((manager, pages)) = &paging {
-                    table.enable_paging(manager, *pages);
-                }
-                dst.insert(name.clone(), table);
-                self.watermarks.insert((schema.clone(), name.clone()), pos);
-            }
-        }
-        Ok(())
-    }
-
-    /// The residency manager and page count new/restored tables should be
-    /// paged with, if paging is enabled. Cloned out so callers can hold
-    /// it across mutable borrows of the schema map.
-    fn paging_hook(&self) -> Option<(Arc<ResidencyManager>, u32)> {
-        self.paging
-            .as_ref()
-            .map(|p| (p.manager.clone(), p.config.pages_per_table))
-    }
-
-    /// Apply a recovered binlog event to tables *without* re-logging it —
-    /// the record is already in the restored log. Unknown tables are an
-    /// error: a validated, contiguous tail always creates before it
-    /// inserts.
-    fn apply_unlogged(&mut self, payload: &EventPayload, pos: LogPosition) -> Result<()> {
+    /// Apply the record at `pos` to tables *without* logging it — the
+    /// one place a mutation lands. The live mutators call it once their
+    /// record is durable ([`Database::commit`]); recovery calls it for
+    /// every snapshot and tail event (already logged, or below the log's
+    /// base). Unknown tables are an error: mutators validate first, and a
+    /// snapshot or a contiguous tail creates before it inserts.
+    fn apply_unlogged(&mut self, payload: EventPayload, pos: LogPosition) -> Result<()> {
         match payload {
             EventPayload::CreateSchema { schema } => {
-                self.schemas.entry(schema.clone()).or_default();
+                self.schemas.entry(schema).or_default();
             }
             EventPayload::CreateTable { schema, def } => {
-                let paging = self.paging_hook();
-                let tables = self.schemas.entry(schema.clone()).or_default();
                 let name = def.name.clone();
-                tables.entry(name.clone()).or_insert_with(|| {
-                    let mut t = Table::new(def.clone());
-                    if let Some((manager, pages)) = &paging {
-                        t.enable_paging(manager, *pages);
+                if self.table(&schema, &name).is_err() {
+                    let mut table = Table::new(def);
+                    if let Some(p) = &self.paging {
+                        table.enable_paging(&p.manager, p.config.pages_per_table);
                     }
-                    t
-                });
-                self.watermarks.insert((schema.clone(), name), pos);
+                    let tables = self.schemas.entry(schema.clone()).or_default();
+                    tables.insert(name.clone(), table);
+                }
+                self.watermarks.insert((schema, name), pos);
             }
             EventPayload::InsertBatch {
                 schema,
                 table,
                 rows,
             } => {
-                self.table_mut(schema, table)?.insert_checked(rows.clone());
-                self.watermarks.insert((schema.clone(), table.clone()), pos);
+                self.table_mut(&schema, &table)?.insert_checked(rows);
+                self.watermarks.insert((schema, table), pos);
             }
             EventPayload::Truncate { schema, table } => {
-                self.table_mut(schema, table)?.truncate();
-                self.watermarks.insert((schema.clone(), table.clone()), pos);
+                self.table_mut(&schema, &table)?.truncate();
+                self.watermarks.insert((schema, table), pos);
             }
         }
         Ok(())
@@ -336,12 +309,12 @@ impl Database {
         }
     }
 
-    /// Write-ahead append: frame the record, make it durable through the
-    /// storage backend, and only then admit it to the in-memory binlog.
-    /// On `Err` nothing changed anywhere — the caller must not have
-    /// mutated tables yet (and none of the mutators do).
-    fn log(&mut self, payload: &EventPayload) -> Result<LogPosition> {
-        let (pos, frame) = self.binlog.encode_next(payload);
+    /// Write-ahead commit of an already-validated mutation: frame the
+    /// record, make it durable through the storage backend, admit it to
+    /// the in-memory binlog, and only then apply it to tables. On `Err`
+    /// from the append nothing changed anywhere.
+    fn commit(&mut self, payload: EventPayload) -> Result<LogPosition> {
+        let (pos, frame) = self.binlog.encode_next(&payload);
         self.backend.append(pos, &frame)?;
         let framed_bytes = frame.len() as u64;
         self.binlog.push_frame(&frame);
@@ -353,6 +326,7 @@ impl Database {
                 .counter("warehouse_binlog_bytes_total", &[])
                 .add(framed_bytes);
         }
+        self.apply_unlogged(payload, pos)?;
         Ok(pos)
     }
 
@@ -365,11 +339,9 @@ impl Database {
         if self.schemas.contains_key(name) {
             return Err(WarehouseError::AlreadyExists(format!("schema {name}")));
         }
-        let pos = self.log(&EventPayload::CreateSchema {
+        self.commit(EventPayload::CreateSchema {
             schema: name.to_owned(),
-        })?;
-        self.schemas.insert(name.to_owned(), BTreeMap::new());
-        Ok(pos)
+        })
     }
 
     /// Create a schema if absent; no-op (and no binlog record) otherwise.
@@ -392,23 +364,10 @@ impl Database {
                 def.name
             )));
         }
-        let pos = self.log(&EventPayload::CreateTable {
+        self.commit(EventPayload::CreateTable {
             schema: schema.to_owned(),
-            def: def.clone(),
-        })?;
-        let name = def.name.clone();
-        let paging = self.paging_hook();
-        let tables = self
-            .schemas
-            .get_mut(schema)
-            .ok_or_else(|| WarehouseError::UnknownSchema(schema.to_owned()))?;
-        let mut table = Table::new(def);
-        if let Some((manager, pages)) = &paging {
-            table.enable_paging(manager, *pages);
-        }
-        tables.insert(name.clone(), table);
-        self.watermarks.insert((schema.to_owned(), name), pos);
-        Ok(pos)
+            def,
+        })
     }
 
     /// Create a table if absent, verifying the definition matches when it
@@ -442,18 +401,12 @@ impl Database {
             // empty batch.
             return Ok(self.binlog.position());
         }
-        let checked = self.table(schema, table)?.check_batch(rows)?;
-        let payload = EventPayload::InsertBatch {
+        let rows = self.table(schema, table)?.check_batch(rows)?;
+        let pos = self.commit(EventPayload::InsertBatch {
             schema: schema.to_owned(),
             table: table.to_owned(),
-            rows: checked,
-        };
-        let pos = self.log(&payload)?;
-        if let EventPayload::InsertBatch { rows, .. } = payload {
-            self.table_mut(schema, table)?.insert_checked(rows);
-        }
-        self.watermarks
-            .insert((schema.to_owned(), table.to_owned()), pos);
+            rows,
+        })?;
         self.maybe_snapshot();
         Ok(pos)
     }
@@ -461,13 +414,10 @@ impl Database {
     /// Delete all rows of a table (used when rebuilding aggregates).
     pub fn truncate(&mut self, schema: &str, table: &str) -> Result<LogPosition> {
         self.table(schema, table)?;
-        let pos = self.log(&EventPayload::Truncate {
+        let pos = self.commit(EventPayload::Truncate {
             schema: schema.to_owned(),
             table: table.to_owned(),
         })?;
-        self.table_mut(schema, table)?.truncate();
-        self.watermarks
-            .insert((schema.to_owned(), table.to_owned()), pos);
         self.maybe_snapshot();
         Ok(pos)
     }
@@ -554,34 +504,13 @@ impl Database {
             })
     }
 
-    /// Run a query against one table, timing the execution and counting
-    /// rows scanned.
-    ///
-    /// Equivalent to `query.run(db.table(schema, table)?)` plus the
-    /// `warehouse_query_seconds{table=..}` histogram and
-    /// `warehouse_query_rows_scanned_total{table=..}` counter. Callers on
-    /// hot paths that don't want attribution can keep calling
-    /// [`Query::run`] directly.
-    pub fn query(&self, schema: &str, table: &str, query: &Query) -> Result<ResultSet> {
-        let t = self.table(schema, table)?;
-        let span = self
-            .telemetry
-            .span("warehouse_query_seconds", &[("table", table)]);
-        let result = query.run(t);
-        span.finish();
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter("warehouse_query_rows_scanned_total", &[("table", table)])
-                .add(t.len() as u64);
-        }
-        result
-    }
-
-    /// Run a query through the partitioned parallel engine (see
-    /// [`crate::parallel::run_sharded`]): day-bucket shards folded on a
-    /// scoped worker pool sized by [`Database::set_parallelism`], merged
-    /// in stable shard order. Deterministic for any pool size, and
-    /// instrumented like [`Database::query`] plus per-shard timings.
+    /// Run a query against one table through the partitioned parallel
+    /// engine ([`crate::parallel::run_sharded`]): day-bucket shards folded
+    /// on a scoped worker pool sized by [`Database::set_parallelism`],
+    /// merged in stable shard order — deterministic for any pool size.
+    /// Timed under `warehouse_query_seconds{table=..}` (plus per-shard
+    /// timings), rows counted in `warehouse_query_rows_scanned_total`.
+    /// ([`Query::run`] on [`Database::table`] is the serial, untimed fold.)
     pub fn query_sharded(&self, schema: &str, table: &str, query: &Query) -> Result<ResultSet> {
         let t = self.table(schema, table)?;
         let span = self
@@ -958,7 +887,7 @@ impl Database {
     }
 
     /// Raw framed binlog bytes after `after` (loose-federation export).
-    pub fn binlog_export(&self, after: LogPosition) -> Result<bytes::Bytes> {
+    pub fn binlog_export(&self, after: LogPosition) -> Result<Vec<u8>> {
         self.binlog.export_after(after)
     }
 
@@ -1016,8 +945,7 @@ impl Database {
     /// can never strand recovery.
     pub fn snapshot_now(&mut self) -> Result<CompactionReport> {
         let pos = self.binlog.position();
-        let snap = Snapshot::capture(self)?;
-        let bytes = snap.to_bytes()?;
+        let bytes = Snapshot::capture(self)?.to_bytes();
         let report = self.backend.write_snapshot(pos, &bytes)?;
         self.last_snapshot_seqno = pos.seqno;
         let pruned = self.binlog.compact_before(report.horizon);
@@ -1407,7 +1335,8 @@ mod tests {
         assert_eq!(snap.counter("warehouse_binlog_appends_total", &[]), Some(3));
         assert!(snap.counter("warehouse_binlog_bytes_total", &[]).unwrap() > 0);
 
-        let rs = db.query("xdmod_x", "jobfact", &Query::new()).unwrap();
+        let count = Query::new().aggregate(crate::query::Aggregate::count("n"));
+        let rs = db.query_sharded("xdmod_x", "jobfact", &count).unwrap();
         assert_eq!(rs.len(), 1);
         let snap = reg.snapshot();
         assert_eq!(
@@ -1508,7 +1437,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_query_matches_rayon_query_path() {
+    fn sharded_query_matches_serial_query_path() {
         use crate::parallel::PoolConfig;
         use crate::query::{AggFn, Aggregate, Query};
         let mut db = populated();
@@ -1518,7 +1447,7 @@ mod tests {
             .aggregate(Aggregate::of(AggFn::Sum, "cpu_hours", "total"));
         assert_eq!(
             db.query_sharded("xdmod_x", "jobfact", &q).unwrap(),
-            db.query("xdmod_x", "jobfact", &q).unwrap()
+            q.run(db.table("xdmod_x", "jobfact").unwrap()).unwrap()
         );
     }
 
@@ -1528,7 +1457,8 @@ mod tests {
         let db = populated();
         assert!(!db.telemetry().is_enabled());
         // Instrumented paths still work with telemetry off.
-        db.query("xdmod_x", "jobfact", &Query::new()).unwrap();
+        let count = Query::new().aggregate(crate::query::Aggregate::count("n"));
+        db.query_sharded("xdmod_x", "jobfact", &count).unwrap();
         assert_eq!(db.telemetry().prometheus_text(), "");
     }
 
@@ -1840,6 +1770,115 @@ mod tests {
         .unwrap();
         assert_eq!(db.table("xdmod_x", "jobfact").unwrap().len(), 13);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Snapshot + tail recovery is one replay path: whether the store
+    /// was written dense or paged, and whether it is reopened dense or
+    /// paged, the same events land in the same order. A paged store's
+    /// snapshot is page-major, so against the *source* what survives is
+    /// each day's row order — and with it every day-sharded float sum,
+    /// bit for bit; the serial fold is bit-stable when the store reopens
+    /// the way it was written.
+    #[test]
+    fn dense_and_paged_stores_restore_identically_from_snapshot_plus_tail() {
+        use crate::disk::{DiskBackend, DiskOptions};
+        use crate::query::{AggFn, Aggregate, Query};
+        use crate::time::Period;
+        let total = Query::new().aggregate(Aggregate::of(AggFn::Sum, "v", "total"));
+        let by_day = total.clone().group_by_period("end_time", Period::Day);
+        let of_day = |rows: &[Row], day: i64| -> Vec<Row> {
+            let on = |r: &&Row| r[0].as_i64().map(|t| t / 86_400) == Some(day);
+            rows.iter().filter(on).cloned().collect()
+        };
+        let timed = |name: &str| {
+            SchemaBuilder::new(name)
+                .required("end_time", ColumnType::Time)
+                .required("v", ColumnType::Float)
+                .build()
+                .unwrap()
+        };
+        let rows = |from: i64, n: i64| -> Vec<Row> {
+            (from..from + n)
+                .map(|i| {
+                    vec![
+                        Value::Time((i % 7) * 86_400 + i),
+                        Value::Float(i as f64 * 0.1), // sums depend on fold order
+                    ]
+                })
+                .collect()
+        };
+        for paged_source in [false, true] {
+            let dir = disk_dir(if paged_source {
+                "restore-paged"
+            } else {
+                "restore-dense"
+            });
+            let open = || {
+                Database::open(Box::new(
+                    DiskBackend::open(DiskOptions::new(&dir).fsync(false)).unwrap(),
+                ))
+                .unwrap()
+            };
+            let paging = || {
+                PagingConfig::new(dir.join("paging"))
+                    .budget_bytes(1)
+                    .pages_per_table(4)
+            };
+
+            let mut src = open();
+            if paged_source {
+                src.enable_paging(paging()).unwrap();
+            }
+            src.create_schema("s").unwrap();
+            src.create_table("s", timed("t")).unwrap();
+            src.create_table("s", timed("quiet")).unwrap();
+            src.insert("s", "quiet", rows(500, 9)).unwrap();
+            src.insert("s", "t", rows(0, 40)).unwrap();
+            let snapshot_pos = src.binlog_position();
+            src.snapshot_now().unwrap();
+            src.insert("s", "t", rows(40, 25)).unwrap(); // the tail
+            let head = src.binlog_position();
+            let checksum = src.table("s", "t").unwrap().content_checksum();
+            let source_rows = src.table("s", "t").unwrap().rows().unwrap().to_vec();
+            let source_by_day = src.query_sharded("s", "t", &by_day).unwrap();
+            let source_total = total.run(src.table("s", "t").unwrap()).unwrap();
+            drop(src); // crash
+
+            let dense = open();
+            let mut paged = open();
+            paged.enable_paging(paging()).unwrap();
+            for db in [&dense, &paged] {
+                assert_eq!(db.binlog_position(), head);
+                assert_eq!(db.table("s", "t").unwrap().content_checksum(), checksum);
+                assert_eq!(db.table("s", "t").unwrap().len(), 65);
+                // Touched by the tail: its own record's position. Only in
+                // the snapshot: conservatively, the snapshot's.
+                assert_eq!(db.table_watermark("s", "t"), Some(head));
+                assert_eq!(db.table_watermark("s", "quiet"), Some(snapshot_pos));
+            }
+            let dense_rows = dense.table("s", "t").unwrap().rows().unwrap().to_vec();
+            assert_eq!(
+                paged.table("s", "t").unwrap().rows().unwrap().to_vec(),
+                dense_rows
+            );
+            if !paged_source {
+                // A dense store's snapshot keeps insertion order outright.
+                assert_eq!(dense_rows, source_rows);
+            }
+            for day in 0..7 {
+                assert_eq!(of_day(&dense_rows, day), of_day(&source_rows, day));
+            }
+            for db in [&dense, &paged] {
+                assert_eq!(db.query_sharded("s", "t", &by_day).unwrap(), source_by_day);
+            }
+            let same_mode = if paged_source { &paged } else { &dense };
+            assert_eq!(
+                total.run(same_mode.table("s", "t").unwrap()).unwrap(),
+                source_total
+            );
+            drop((dense, paged));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::binlog::LogPosition;
 use crate::parallel::{CacheKey, ShardedPartials};
-use parking_lot::Mutex;
+use crate::sync::Mutex;
 use std::collections::HashMap;
 
 /// Retained incremental state for one query over one fact table.

@@ -23,7 +23,7 @@
 //! ```text
 //! +----------+-------+--------+----------+----------+---------+------+
 //! | magic 8B | epoch | seqno  | body len | body crc | hdr crc | body |
-//! |"XDWSNAP1"| u32   | u64    | u64 LE   | u32 LE   | u32 LE  | JSON |
+//! |"XDWSNAP1"| u32   | u64    | u64 LE   | u32 LE   | u32 LE  | dump |
 //! +----------+-------+--------+----------+----------+---------+------+
 //! ```
 //!

@@ -1,35 +1,34 @@
 //! CRC-framed per-page spill files for the cold-shard paging engine.
 //!
 //! One file per spilled page, named `<store-id>-<page>-<gen>.spl` inside
-//! the paging spill directory. The format rides the PR 8 snapshot
-//! framing: a fixed CRC'd header followed by a checksummed JSON body.
+//! the paging spill directory: a fixed CRC'd header followed by a
+//! checksummed body.
 //!
 //! ```text
 //! +----------+----------+--------+--------+-----------+----------+----------+---------+------+
 //! | magic 8B | store id | page   | gen    | row count | body len | body crc | hdr crc | body |
-//! |"XDWSPL1\0"| u64 LE  | u32 LE | u64 LE | u64 LE    | u64 LE   | u32 LE   | u32 LE  | JSON |
+//! |"XDWSPL2\0"| u64 LE  | u32 LE | u64 LE | u64 LE    | u64 LE   | u32 LE   | u32 LE  |      |
 //! +----------+----------+--------+--------+-----------+----------+----------+---------+------+
 //! ```
 //!
-//! The body is the page's `Vec<(u64, Row)>` — rows tagged with their
+//! The body is `row count` entries of `seq u64 LE | row`, the row in the
+//! binlog's encoding (`crate::codec`) — rows tagged with their
 //! insertion sequence number so fault-in restores the exact stored
 //! order. Every read validates magic, header CRC, the identity fields
 //! (store id / page / generation), and the body length and CRC; any
-//! mismatch means the page is *lost*, never silently wrong.
+//! mismatch means the page is *lost*, never silently wrong. The `2` in
+//! the magic keeps a file with the earlier JSON body from validating.
 //!
 //! Spill files are caches, not the source of truth: every row they hold
 //! is also durable in the write-ahead log, so a lost page is repaired by
 //! replaying the log ([`crate::database::Database::repair_paging`]).
 //!
 //! The chaos fault points [`FaultPoint::SpillWrite`] and
-//! [`FaultPoint::SpillRead`] fire here, mirroring the segment/snapshot
-//! points: `Transient`/`LinkDown` fail the call loudly (the page simply
-//! stays resident or stays spilled and the operation retries), while
-//! `CorruptTailByte`, `TruncateTail`, and `DropFsync` succeed *silently*
-//! with damaged or vanished bytes — the latent corruption the fault-in
-//! validation and WAL-rebuild fallback are soak-tested against.
+//! [`FaultPoint::SpillRead`] fire here; [`write_page`] and [`read_page`]
+//! say what each fault kind does.
 
 use crate::checksum::crc32;
+use crate::codec;
 use crate::error::{Result, WarehouseError};
 use crate::value::Row;
 use std::fs::{self, File};
@@ -38,7 +37,7 @@ use std::path::{Path, PathBuf};
 use xdmod_chaos::{FaultInjector, FaultKind, FaultPoint};
 
 /// Magic prefix of a spill file.
-pub const SPILL_MAGIC: [u8; 8] = *b"XDWSPL1\0";
+pub const SPILL_MAGIC: [u8; 8] = *b"XDWSPL2\0";
 /// Spill header length: magic + store id + page + gen + rows + body len +
 /// body crc + header crc.
 pub const SPILL_HEADER_LEN: usize = 8 + 8 + 4 + 8 + 8 + 8 + 4 + 4;
@@ -58,66 +57,51 @@ pub struct SpillMeta {
     pub rows: u64,
 }
 
-fn u32_le(data: &[u8]) -> u32 {
-    u32::from_le_bytes([data[0], data[1], data[2], data[3]])
-}
-
-fn u64_le(data: &[u8]) -> u64 {
-    u64::from_le_bytes([
-        data[0], data[1], data[2], data[3], data[4], data[5], data[6], data[7],
-    ])
-}
-
 /// File name of a spill file.
 pub fn spill_file_name(store_id: u64, page: u32, gen: u64) -> String {
     format!("{store_id:016x}-{page:04}-{gen:08}.spl")
 }
 
-fn encode_header(
-    store_id: u64,
-    page: u32,
-    gen: u64,
-    rows: u64,
-    body_len: u64,
-    body_crc: u32,
-) -> [u8; SPILL_HEADER_LEN] {
-    let mut out = [0u8; SPILL_HEADER_LEN];
-    out[..8].copy_from_slice(&SPILL_MAGIC);
-    out[8..16].copy_from_slice(&store_id.to_le_bytes());
-    out[16..20].copy_from_slice(&page.to_le_bytes());
-    out[20..28].copy_from_slice(&gen.to_le_bytes());
-    out[28..36].copy_from_slice(&rows.to_le_bytes());
-    out[36..44].copy_from_slice(&body_len.to_le_bytes());
-    out[44..48].copy_from_slice(&body_crc.to_le_bytes());
-    let crc = crc32(&out[..48]);
-    out[48..52].copy_from_slice(&crc.to_le_bytes());
+/// The header a file holding `body` for the page `meta` names must carry.
+fn encode_header(meta: &SpillMeta, body: &[u8]) -> Vec<u8> {
+    let mut out = SPILL_MAGIC.to_vec();
+    codec::put_u64(&mut out, meta.store_id);
+    codec::put_u32(&mut out, meta.page);
+    codec::put_u64(&mut out, meta.gen);
+    codec::put_u64(&mut out, meta.rows);
+    codec::put_u64(&mut out, body.len() as u64);
+    codec::put_u32(&mut out, crc32(body));
+    let crc = crc32(&out);
+    codec::put_u32(&mut out, crc);
     out
-}
-
-/// Parsed spill header; `None` if short, wrong magic, or CRC-damaged.
-fn parse_header(data: &[u8]) -> Option<(u64, u32, u64, u64, u64, u32)> {
-    if data.len() < SPILL_HEADER_LEN || data[..8] != SPILL_MAGIC {
-        return None;
-    }
-    if crc32(&data[..48]) != u32_le(&data[48..52]) {
-        return None;
-    }
-    Some((
-        u64_le(&data[8..16]),
-        u32_le(&data[16..20]),
-        u64_le(&data[20..28]),
-        u64_le(&data[28..36]),
-        u64_le(&data[36..44]),
-        u32_le(&data[44..48]),
-    ))
 }
 
 fn io_err(what: &str, err: std::io::Error) -> WarehouseError {
     WarehouseError::Io(format!("{what}: {err}"))
 }
 
-fn consult(chaos: Option<&(FaultInjector, String)>, point: FaultPoint) -> Option<FaultKind> {
-    chaos.and_then(|(inj, target)| inj.next_fault(point, target))
+/// Consult the injector at `point`. The loud kinds act here — transient
+/// and offline faults fail the call, a stall sleeps — and the
+/// silent-damage kinds are handed back for the caller to act out.
+fn consult(
+    chaos: Option<&(FaultInjector, String)>,
+    point: FaultPoint,
+    verb: &str,
+) -> Result<Option<FaultKind>> {
+    let fault = chaos.and_then(|(inj, target)| inj.next_fault(point, target));
+    match fault {
+        Some(FaultKind::Transient) => Err(WarehouseError::Io(format!(
+            "injected: transient spill {verb} failure"
+        ))),
+        Some(FaultKind::LinkDown) => {
+            Err(WarehouseError::Io("injected: spill storage offline".into()))
+        }
+        Some(FaultKind::Stall { millis }) => {
+            std::thread::sleep(std::time::Duration::from_millis(millis));
+            Ok(fault)
+        }
+        _ => Ok(fault),
+    }
 }
 
 /// Spill a page's rows to `dir`, returning the file's identity. Consults
@@ -133,33 +117,21 @@ pub fn write_page(
     gen: u64,
     rows: &[(u64, Row)],
 ) -> Result<SpillMeta> {
-    let fault = consult(chaos, FaultPoint::SpillWrite);
-    match fault {
-        Some(FaultKind::Transient) => {
-            return Err(WarehouseError::Io(
-                "injected: transient spill write failure".into(),
-            ));
-        }
-        Some(FaultKind::LinkDown) => {
-            return Err(WarehouseError::Io("injected: spill storage offline".into()));
-        }
-        Some(FaultKind::Stall { millis }) => {
-            std::thread::sleep(std::time::Duration::from_millis(millis));
-        }
-        _ => {}
-    }
+    let fault = consult(chaos, FaultPoint::SpillWrite, "write")?;
     fs::create_dir_all(dir).map_err(|e| io_err("create spill dir", e))?;
-    let body = serde_json::to_vec(rows)
-        .map_err(|e| WarehouseError::Io(format!("encode spill body: {e}")))?;
-    let mut bytes = Vec::with_capacity(SPILL_HEADER_LEN + body.len());
-    bytes.extend_from_slice(&encode_header(
+    let meta = SpillMeta {
+        path: dir.join(spill_file_name(store_id, page, gen)),
         store_id,
         page,
         gen,
-        rows.len() as u64,
-        body.len() as u64,
-        crc32(&body),
-    ));
+        rows: rows.len() as u64,
+    };
+    let mut body = Vec::new();
+    for (seq, row) in rows {
+        codec::put_u64(&mut body, *seq);
+        codec::put_row(&mut body, row);
+    }
+    let mut bytes = encode_header(&meta, &body);
     bytes.extend_from_slice(&body);
     match fault {
         Some(FaultKind::CorruptTailByte) => {
@@ -173,33 +145,18 @@ pub fn write_page(
             let keep = bytes.len().saturating_sub(cut.max(1) as usize);
             bytes.truncate(keep);
         }
-        _ => {}
-    }
-    let path = dir.join(spill_file_name(store_id, page, gen));
-    if fault == Some(FaultKind::DropFsync) {
         // The write "succeeds" but the file never reaches the platter —
         // fault-in finds nothing and declares the page lost.
-        return Ok(SpillMeta {
-            path,
-            store_id,
-            page,
-            gen,
-            rows: rows.len() as u64,
-        });
+        Some(FaultKind::DropFsync) => return Ok(meta),
+        _ => {}
     }
-    let mut file = File::create(&path).map_err(|e| io_err("create spill file", e))?;
+    let mut file = File::create(&meta.path).map_err(|e| io_err("create spill file", e))?;
     file.write_all(&bytes)
         .map_err(|e| io_err("write spill file", e))?;
     if fsync {
         file.sync_data().map_err(|e| io_err("sync spill file", e))?;
     }
-    Ok(SpillMeta {
-        path,
-        store_id,
-        page,
-        gen,
-        rows: rows.len() as u64,
-    })
+    Ok(meta)
 }
 
 /// Read a spilled page back, validating the full frame against the
@@ -213,21 +170,7 @@ pub fn read_page(
     table: &str,
     chaos: Option<&(FaultInjector, String)>,
 ) -> Result<Vec<(u64, Row)>> {
-    let fault = consult(chaos, FaultPoint::SpillRead);
-    match fault {
-        Some(FaultKind::Transient) => {
-            return Err(WarehouseError::Io(
-                "injected: transient spill read failure".into(),
-            ));
-        }
-        Some(FaultKind::LinkDown) => {
-            return Err(WarehouseError::Io("injected: spill storage offline".into()));
-        }
-        Some(FaultKind::Stall { millis }) => {
-            std::thread::sleep(std::time::Duration::from_millis(millis));
-        }
-        _ => {}
-    }
+    let fault = consult(chaos, FaultPoint::SpillRead, "read")?;
     let lost = || WarehouseError::SpillLost {
         table: table.to_owned(),
         page: meta.page,
@@ -246,16 +189,20 @@ pub fn read_page(
         }
         _ => {}
     }
-    let (store_id, page, gen, rows, body_len, body_crc) = parse_header(&data).ok_or_else(lost)?;
-    if store_id != meta.store_id || page != meta.page || gen != meta.gen || rows != meta.rows {
+    // Magic, identity, row count, body length, both CRCs: the header must
+    // be exactly the one the writer seals over this body for this page.
+    let body = data.get(SPILL_HEADER_LEN..).ok_or_else(lost)?;
+    if data[..SPILL_HEADER_LEN] != encode_header(meta, body) {
         return Err(lost());
     }
-    let body = &data[SPILL_HEADER_LEN..];
-    if body.len() as u64 != body_len || crc32(body) != body_crc {
-        return Err(lost());
+    let mut cur = body;
+    // Every entry takes at least its sequence number and an arity prefix.
+    let mut decoded = Vec::with_capacity((meta.rows as usize).min(body.len() / 12));
+    for _ in 0..meta.rows {
+        let seq = codec::get_u64(&mut cur, "spill seq").map_err(|_| lost())?;
+        decoded.push((seq, codec::get_row(&mut cur).map_err(|_| lost())?));
     }
-    let decoded: Vec<(u64, Row)> = serde_json::from_slice(body).map_err(|_| lost())?;
-    if decoded.len() as u64 != rows {
+    if !cur.is_empty() {
         return Err(lost());
     }
     Ok(decoded)
@@ -299,9 +246,12 @@ mod tests {
     #[test]
     fn round_trip_preserves_rows_and_order() {
         let dir = temp_dir("roundtrip");
-        let rows = rows();
+        let mut rows = rows();
+        // NaN, ±inf, -0.0, i64::MIN, "" and non-ASCII: bit-exact (`Value`
+        // compares floats by bit pattern), where a text body could not be.
+        rows.push((u64::MAX, crate::codec::tests::awkward_row()));
         let meta = write_page(&dir, false, None, 7, 3, 1, &rows).unwrap();
-        assert_eq!(meta.rows, 8);
+        assert_eq!(meta.rows, 9);
         assert_eq!(read_page(&meta, "jobfact", None).unwrap(), rows);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -40,11 +40,12 @@ pub enum WarehouseError {
     Io(String),
     /// A query was structurally invalid (e.g. aggregate over a string column).
     InvalidQuery(String),
-    /// A snapshot could not be serialized or deserialized.
+    /// A dump is not a snapshot this build reads (another format or
+    /// version), or holds the wrong number of schemas for a rename.
     Snapshot(String),
-    /// A snapshot decoded cleanly but its content checksum did not match
-    /// the tables it claims to carry — the dump file is damaged and must
-    /// not be restored.
+    /// A snapshot failed validation — header or frame CRC, frame
+    /// numbering, or the counted frames and rows — so the dump file is
+    /// damaged and must not be restored.
     CorruptSnapshot(String),
     /// A calendar computation received an out-of-range field (e.g. month 13).
     InvalidTime(String),

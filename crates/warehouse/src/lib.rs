@@ -14,8 +14,8 @@
 //! - **Materialized aggregation tables** ([`aggregate::AggregationSpec`])
 //!   built per calendar period with configurable numeric bins
 //!   ([`bins::Bins`]) — XDMoD's "aggregation levels".
-//! - A **group-by/filter query engine** ([`query::Query`]) with
-//!   rayon-parallel execution, powering every chart and report.
+//! - A **group-by/filter query engine** ([`query::Query`]) powering
+//!   every chart and report.
 //! - A **partitioned parallel aggregation engine** ([`parallel`]):
 //!   day-bucket shards folded on a scoped worker pool, merged in stable
 //!   shard order (deterministic for any pool size), fronted by an
@@ -27,8 +27,8 @@
 //!   cold rebuild whenever the retained state cannot be trusted
 //!   (resync, compaction past the cursor, fact-table rewrite, reshard).
 //! - **Snapshots** ([`persist::Snapshot`]) for loose-federation dump
-//!   shipping and hub-side backup/restore, content-checksummed against
-//!   in-flight damage.
+//!   shipping and hub-side backup/restore: compacted binlogs — counted
+//!   runs of the same CRC'd frames, restored by the same event replay.
 //! - A **durable storage engine** ([`storage::StorageBackend`]): the
 //!   database writes ahead to a pluggable backend — in-memory no-op
 //!   ([`storage::MemoryBackend`]) or a segmented on-disk WAL
@@ -47,6 +47,7 @@ pub mod aggregate;
 pub mod binlog;
 pub mod bins;
 pub mod checksum;
+mod codec;
 pub mod database;
 pub mod delta;
 pub mod disk;
@@ -57,6 +58,7 @@ pub mod query;
 pub mod resident;
 pub mod schema;
 pub mod storage;
+pub mod sync;
 pub mod table;
 pub mod time;
 pub mod value;
@@ -83,11 +85,22 @@ pub use time::{CivilDate, Period};
 pub use value::{ColumnType, Row, Value};
 
 /// A database shared across threads (ingestors, replicators, query
-/// frontends). `parking_lot::RwLock` follows the workspace's concurrency
-/// guide: many readers (queries, binlog tailers) and one writer (ingest).
-pub type SharedDatabase = std::sync::Arc<parking_lot::RwLock<Database>>;
+/// frontends): many readers (queries, binlog tailers) and one writer
+/// (ingest) behind a [`sync::RwLock`].
+pub type SharedDatabase = std::sync::Arc<sync::RwLock<Database>>;
 
 /// Wrap a database for shared use.
 pub fn shared(db: Database) -> SharedDatabase {
-    std::sync::Arc::new(parking_lot::RwLock::new(db))
+    std::sync::Arc::new(sync::RwLock::new(db))
+}
+
+#[cfg(test)]
+mod tests {
+    /// Replicators and the hub move `SharedDatabase` handles into worker
+    /// threads; every field of `Database` has to allow it.
+    #[test]
+    fn shared_database_crosses_threads() {
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<super::SharedDatabase>();
+    }
 }

@@ -4,8 +4,8 @@
 //! over a time range, with optional filters" — this module executes
 //! exactly that against warehouse tables. Grouping supports plain
 //! columns, calendar periods (timeseries view), and numeric bins
-//! (aggregation levels). Aggregation over rows is data-parallel with
-//! rayon: partitions fold into per-thread hash maps that are then merged.
+//! (aggregation levels). [`Query::run`] is the serial fold; the same plan
+//! and accumulators run sharded on a worker pool in [`crate::parallel`].
 
 use crate::bins::Bins;
 use crate::error::{Result, WarehouseError};
@@ -13,8 +13,6 @@ use crate::schema::TableSchema;
 use crate::table::Table;
 use crate::time::Period;
 use crate::value::{Row, Value};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 use std::collections::{HashMap, HashSet};
 
 /// Row filter applied before grouping.
@@ -126,7 +124,7 @@ impl GroupKey {
 }
 
 /// Aggregate function.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AggFn {
     /// Row count (column ignored).
     Count,
@@ -147,7 +145,7 @@ pub enum AggFn {
 }
 
 /// One aggregate output: function, input column, output alias.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Aggregate {
     /// Function to apply.
     pub func: AggFn,
@@ -193,7 +191,7 @@ impl Aggregate {
 
 /// Per-group accumulator state for one aggregate.
 #[derive(Debug, Clone)]
-enum Acc {
+pub(crate) enum Acc {
     Count(u64),
     Sum(f64),
     Avg { sum: f64, n: u64 },
@@ -391,37 +389,19 @@ impl Query {
         self
     }
 
-    /// Execute against a table.
+    /// Execute against a table: one serial fold over its rows, in stored
+    /// order, so float sums are bit-deterministic run to run (callers that
+    /// want parallelism use [`crate::parallel::run_sharded`]).
     ///
     /// Paged tables are folded one page at a time (pin → fault-in →
     /// fold → release), so the scan's memory footprint stays bounded by
-    /// the residency budget plus the one pinned page. The result is
-    /// identical to the dense path: a fold over any partition of the
-    /// same multiset of rows merges to the same groups.
+    /// the residency budget plus the one pinned page.
     pub fn run(&self, table: &Table) -> Result<ResultSet> {
         let plan = AggPlan::resolve(self, table.schema())?;
-        if table.is_paged() {
-            let mut groups = Groups::new();
-            table.scan_pages(&mut |rows| {
-                for (_, row) in rows {
-                    plan.fold_row(&mut groups, row);
-                }
-                Ok(())
-            })?;
-            return plan.finish(groups);
-        }
-        // Data-parallel fold/reduce over row partitions (rayon idiom).
-        let groups: Groups = table
-            .rows()?
-            .par_iter()
-            .fold(Groups::new, |mut acc, row| {
-                plan.fold_row(&mut acc, row);
-                acc
-            })
-            .reduce(Groups::new, |mut a, b| {
-                AggPlan::merge_groups(&mut a, b);
-                a
-            });
+        let mut groups = Groups::new();
+        table.for_each_chunk(usize::MAX, &mut |rows| {
+            rows.for_each(|row| plan.fold_row(&mut groups, row))
+        })?;
         plan.finish(groups)
     }
 

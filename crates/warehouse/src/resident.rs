@@ -45,24 +45,18 @@
 //!    merge order-exact. This keeps [`crate::table::Table::insert_checked`]
 //!    infallible, which the WAL ordering contract requires.
 
-use crate::binlog::{encode_payload, EventPayload};
-use crate::checksum::crc32;
 use crate::disk::spill::{self, SpillMeta};
 use crate::error::{Result, WarehouseError};
 use crate::schema::TableSchema;
+use crate::sync::Mutex;
+use crate::table::{row_piece, CHECKSUM_SEED};
 use crate::time::Period;
 use crate::value::{ColumnType, Row, Value};
-use parking_lot::Mutex;
-use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Weak};
 use xdmod_chaos::FaultInjector;
 use xdmod_telemetry::MetricsRegistry;
-
-/// Seed of the order-independent content checksum (shared with the dense
-/// path in `table.rs`).
-const CHECKSUM_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Folded into a lost page's checksum piece so replication consistency
 /// checks report MISMATCH (and resync self-heals) instead of vouching
@@ -121,7 +115,7 @@ impl PagingConfig {
 /// Point-in-time residency counters, surfaced through
 /// [`crate::database::Database::residency_stats`] and the hub's
 /// `ops_report`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ResidencyStats {
     /// Configured working-set budget in bytes.
     pub budget_bytes: u64,
@@ -156,20 +150,6 @@ pub fn approx_row_bytes(row: &Row) -> u64 {
     bytes + 16
 }
 
-/// The checksum contribution of one row — the same per-row term the
-/// dense `content_checksum` computes, maintained incrementally here so a
-/// paged table's checksum never needs to fault anything in.
-fn row_piece(row: &Row) -> u64 {
-    let payload = EventPayload::InsertBatch {
-        schema: String::new(),
-        table: String::new(),
-        rows: vec![row.clone()],
-    };
-    let digest = crc32(&encode_payload(&payload)) as u64;
-    let spread = digest.wrapping_mul(0x0100_0000_01B3);
-    spread ^ digest.rotate_left(17)
-}
-
 /// Storage state of one page.
 enum PageState {
     /// All rows in memory, tagged with their insertion sequence.
@@ -198,8 +178,6 @@ enum PageState {
     /// memory. Scans error with [`WarehouseError::SpillLost`] until a
     /// WAL rebuild replaces the store.
     Lost {
-        /// Rows lost with the body.
-        lost_rows: u64,
         /// Checksum pieces of (unreadable) body + tail.
         piece: u64,
         /// Rows inserted after the loss was discovered.
@@ -656,6 +634,8 @@ impl PagedStore {
         for row in rows {
             let seq = self.next_seq.fetch_add(1, Ordering::SeqCst);
             let page = self.page_of(&row, seq);
+            // Maintained per page so the table's checksum never needs to
+            // fault anything in.
             let piece_add = row_piece(&row);
             let row_bytes = approx_row_bytes(&row);
             let slot = &self.slots[page];
@@ -785,13 +765,11 @@ impl PagedStore {
                     }
                     Err(WarehouseError::SpillLost { table, page }) => {
                         span.finish();
-                        let lost_rows = meta.rows;
                         let piece = *piece;
                         let tail = std::mem::take(tail);
                         let tail_bytes = *tail_bytes;
                         spill::remove(meta);
                         *state = PageState::Lost {
-                            lost_rows,
                             piece,
                             tail,
                             tail_bytes,
@@ -848,7 +826,7 @@ impl PagedStore {
     }
 
     /// Materialize every row in insertion order (the unbounded path used
-    /// by snapshots, replication dumps, and whole-table reads). Faults
+    /// by whole-table reads). Faults
     /// in all pages; resident bytes may exceed the budget for the
     /// duration of the returned vector's life.
     pub fn materialize(&self) -> Result<Vec<Row>> {
@@ -1003,7 +981,7 @@ mod tests {
                 "staged tails must be merge-evicted back under the budget"
             );
         }
-        assert_eq!(store.len(), expect.len() as u64);
+        assert_eq!(store.len(), expect.len());
         assert_eq!(store.materialize().unwrap(), expect);
         // The dense twin still agrees through all the merge cycles.
         let mut dense = crate::table::Table::new(schema());

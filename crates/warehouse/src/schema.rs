@@ -2,10 +2,9 @@
 
 use crate::error::{Result, WarehouseError};
 use crate::value::{ColumnType, Row, Value};
-use serde::{Deserialize, Serialize};
 
 /// Definition of a single column.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct ColumnDef {
     /// Column name (unique within the table, case-sensitive).
     pub name: String,
@@ -36,7 +35,7 @@ impl ColumnDef {
 }
 
 /// Schema of a table: an ordered list of column definitions.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TableSchema {
     /// Table name (unique within its schema/namespace).
     pub name: String,

@@ -51,7 +51,7 @@ pub struct Recovery {
     pub epoch: u32,
     /// The newest snapshot that validated, if any: the position its
     /// contents cover, plus its serialized body
-    /// ([`crate::persist::Snapshot`] JSON).
+    /// (a [`crate::persist::Snapshot`] dump).
     pub snapshot: Option<(LogPosition, Vec<u8>)>,
     /// Seqno the tail frames start after — the snapshot's seqno, or 0
     /// when recovery starts from an empty store.
@@ -84,8 +84,9 @@ impl Recovery {
 /// invariant is **write-ahead ordering**: [`StorageBackend::append`] is
 /// called *before* the frame is admitted to the in-memory log, and an
 /// `Err` from it must leave the durable state a valid prefix (the frame
-/// simply never happened).
-pub trait StorageBackend: Send + fmt::Debug {
+/// simply never happened). `Sync` because the database that owns the
+/// backend is shared across threads behind a reader-writer lock.
+pub trait StorageBackend: Send + Sync + fmt::Debug {
     /// Short stable name for diagnostics and config ("memory", "disk").
     fn name(&self) -> &'static str;
 

@@ -10,15 +10,12 @@
 //! spill file surfaces [`crate::error::WarehouseError::SpillLost`]
 //! rather than wrong rows).
 
-use crate::binlog::encode_payload;
-use crate::binlog::EventPayload;
+use crate::binlog::put_insert_batch;
 use crate::checksum::crc32;
 use crate::error::Result;
 use crate::resident::{PagedStore, ResidencyManager};
 use crate::schema::TableSchema;
 use crate::value::{Row, Value};
-use serde::ser::SerializeStruct;
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -29,17 +26,15 @@ enum Store {
     Dense(Vec<Row>),
     /// Rows partitioned into budget-managed pages. The `Arc` makes
     /// clones *share* the store (cloning cannot fault pages in and must
-    /// not fail); the only cloner of live database tables is the
-    /// read-only snapshot capture path.
+    /// not fail).
     Paged(Arc<PagedStore>),
 }
 
 /// A borrowed-or-materialized view of a table's rows, in insertion
 /// order. Dense tables lend their backing slice; paged tables fault
 /// everything in and hand back an owned vector. Derefs to `[Row]`, so
-/// slicing, indexing, iteration, and rayon's `par_iter` all work
-/// unchanged — but `for row in table.rows()?` becomes
-/// `for row in table.rows()?.iter()`.
+/// slicing, indexing and iteration work unchanged — but
+/// `for row in table.rows()?` becomes `for row in table.rows()?.iter()`.
 #[derive(Debug)]
 pub struct RowsRef<'a>(RowsRefInner<'a>);
 
@@ -118,10 +113,10 @@ impl Table {
     /// All rows, in insertion order.
     ///
     /// Dense tables return a borrow and cannot fail. Paged tables fault
-    /// every page in (the unbounded path — used by snapshots, dumps, and
-    /// whole-table viewers; budget-bounded consumers use
-    /// [`Table::scan_pages`] instead) and fail if a spilled page was
-    /// lost to corruption.
+    /// every page in (the unbounded path — used by whole-table viewers
+    /// and cold delta builds; budget-bounded consumers use
+    /// [`Table::scan_pages`] or [`Table::for_each_chunk`] instead) and fail
+    /// if a spilled page was lost to corruption.
     pub fn rows(&self) -> Result<RowsRef<'_>> {
         match &self.store {
             Store::Dense(rows) => Ok(RowsRef(RowsRefInner::Dense(rows))),
@@ -155,6 +150,28 @@ impl Table {
                 "scan_pages on dense table {}",
                 self.schema.name
             ))),
+        }
+    }
+
+    /// Visit every row once, at most `max` (> 0) at a time, within the
+    /// residency budget: a dense table in insertion order, a paged table
+    /// page by page (insertion order within each page) through
+    /// [`Table::scan_pages`].
+    pub fn for_each_chunk(
+        &self,
+        max: usize,
+        f: &mut dyn FnMut(&mut dyn ExactSizeIterator<Item = &Row>),
+    ) -> Result<()> {
+        match &self.store {
+            Store::Dense(rows) => {
+                rows.chunks(max).for_each(|chunk| f(&mut chunk.iter()));
+                Ok(())
+            }
+            Store::Paged(store) => store.scan_pages(&mut |page| {
+                page.chunks(max)
+                    .for_each(|chunk| f(&mut chunk.iter().map(|(_, row)| row)));
+                Ok(())
+            }),
         }
     }
 
@@ -248,61 +265,28 @@ impl Table {
     /// resync instead of vouching for unreadable rows.
     pub fn content_checksum(&self) -> u64 {
         match &self.store {
-            Store::Dense(rows) => {
-                let mut acc: u64 = 0x9E37_79B9_7F4A_7C15 ^ rows.len() as u64;
-                for row in rows {
-                    let payload = EventPayload::InsertBatch {
-                        schema: String::new(),
-                        table: String::new(),
-                        rows: vec![row.clone()],
-                    };
-                    let digest = crc32(&encode_payload(&payload)) as u64;
-                    // Spread the 32-bit CRC over 64 bits before summing so
-                    // collisions require matching both halves.
-                    let spread = digest.wrapping_mul(0x0100_0000_01B3);
-                    acc = acc.wrapping_add(spread ^ digest.rotate_left(17));
-                }
-                acc
-            }
+            Store::Dense(rows) => rows
+                .iter()
+                .fold(CHECKSUM_SEED ^ rows.len() as u64, |acc, row| {
+                    acc.wrapping_add(row_piece(row))
+                }),
             Store::Paged(store) => store.content_checksum(),
         }
     }
 }
 
-/// The serialized form is `{schema, rows}` regardless of the store, so
-/// snapshots and dumps produced before paging existed restore unchanged
-/// (and a paged table's snapshot restores as dense on a reader without
-/// paging enabled). Serializing a paged table materializes it and can
-/// therefore fail on a lost page — the snapshot layer surfaces that as a
-/// serialization error rather than dumping wrong rows.
-impl Serialize for Table {
-    fn serialize<S: Serializer>(&self, serializer: S) -> std::result::Result<S::Ok, S::Error> {
-        let mut st = serializer.serialize_struct("Table", 2)?;
-        st.serialize_field("schema", &self.schema)?;
-        match &self.store {
-            Store::Dense(rows) => st.serialize_field("rows", rows)?,
-            Store::Paged(store) => {
-                let rows = store.materialize().map_err(serde::ser::Error::custom)?;
-                st.serialize_field("rows", &rows)?;
-            }
-        }
-        st.end()
-    }
-}
+/// Seed of the content checksum, mixed with the row count.
+pub(crate) const CHECKSUM_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
-impl<'de> Deserialize<'de> for Table {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> std::result::Result<Self, D::Error> {
-        #[derive(Deserialize)]
-        struct TableRepr {
-            schema: TableSchema,
-            rows: Vec<Row>,
-        }
-        let repr = TableRepr::deserialize(deserializer)?;
-        Ok(Table {
-            schema: repr.schema,
-            store: Store::Dense(repr.rows),
-        })
-    }
+/// One row's term of the content checksum: the CRC of the row as a
+/// single-row binlog batch, spread over 64 bits before summing so a
+/// collision has to match both halves.
+pub(crate) fn row_piece(row: &Row) -> u64 {
+    let mut batch = Vec::new();
+    put_insert_batch(&mut batch, "", "", std::iter::once(row));
+    let digest = crc32(&batch) as u64;
+    let spread = digest.wrapping_mul(0x0100_0000_01B3);
+    spread ^ digest.rotate_left(17)
 }
 
 #[cfg(test)]
@@ -435,22 +419,23 @@ mod tests {
             paged.column_values("resource").unwrap(),
             dense.column_values("resource").unwrap()
         );
-    }
-
-    #[test]
-    fn paged_table_serializes_like_its_dense_twin() {
-        let mut dense = table();
-        dense
-            .insert_batch(vec![row("comet", 1.0), row("stampede", 2.0)])
+        // The budget-bounded visit sees the same rows: in insertion order
+        // when dense, page by page when paged.
+        let visit = |t: &Table| {
+            let mut seen = Vec::new();
+            t.for_each_chunk(3, &mut |rows| {
+                assert!(rows.len() <= 3);
+                seen.extend(rows.cloned());
+            })
             .unwrap();
-        let mut paged = dense.clone();
-        paged.enable_paging(&tiny_manager("serde"), 4);
-        let dense_json = serde_json::to_string(&dense).unwrap();
-        let paged_json = serde_json::to_string(&paged).unwrap();
-        assert_eq!(dense_json, paged_json);
-        let restored: Table = serde_json::from_str(&paged_json).unwrap();
-        assert!(!restored.is_paged());
-        assert_eq!(restored.content_checksum(), dense.content_checksum());
+            seen
+        };
+        assert_eq!(visit(&dense), dense.rows().unwrap().to_vec());
+        let mut by_page = visit(&paged);
+        by_page.sort();
+        let mut want = dense.rows().unwrap().to_vec();
+        want.sort();
+        assert_eq!(by_page, want);
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! using Howard Hinnant's `days_from_civil` algorithm. All arithmetic is
 //! UTC; XDMoD instances are assumed to normalize to UTC at ingest time.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Seconds per day.
 pub const SECS_PER_DAY: i64 = 86_400;
 
 /// A civil (year, month, day) date, UTC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CivilDate {
     /// Gregorian year (may be negative, proleptic).
     pub year: i32,
@@ -136,7 +135,7 @@ pub fn date_of_epoch(epoch_secs: i64) -> CivilDate {
 /// Aggregation periods XDMoD materializes ("every day, aggregation
 /// processes run against newly ingested data ... binning numeric data in
 /// aggregation tables", paper §II-C3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Period {
     /// Calendar day.
     Day,

@@ -5,13 +5,12 @@
 //! dynamically-typed cell used by every table, binlog record, and query
 //! result in this workspace.
 
-use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
 /// The static type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnType {
     /// 64-bit signed integer.
     Int,
@@ -49,7 +48,7 @@ impl fmt::Display for ColumnType {
 /// Floats are compared and hashed **by bit pattern**: `NaN == NaN` holds
 /// and `-0.0 != 0.0`. This is the right semantics for grouping (identical
 /// cells land in the same bucket) even though it differs from IEEE `==`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Absent / unknown.
     Null,
@@ -343,20 +342,5 @@ mod tests {
         assert_eq!(Value::Int(-9).to_string(), "-9");
         assert_eq!(Value::Str("comet".into()).to_string(), "comet");
         assert_eq!(Value::Time(100).to_string(), "@100");
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let vals = vec![
-            Value::Null,
-            Value::Int(42),
-            Value::Float(6.25),
-            Value::Str("gpfs".into()),
-            Value::Time(1_483_228_800),
-            Value::Bool(false),
-        ];
-        let json = serde_json::to_string(&vals).unwrap();
-        let back: Vec<Value> = serde_json::from_str(&json).unwrap();
-        assert_eq!(vals, back);
     }
 }

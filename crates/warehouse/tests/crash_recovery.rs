@@ -101,10 +101,7 @@ fn oracle_log(seed: u64) -> (Vec<u8>, Vec<usize>) {
         apply_step(&mut db, step, seed);
         cum.push(db.binlog_export(LogPosition::START).expect("export").len());
     }
-    let full = db
-        .binlog_export(LogPosition::START)
-        .expect("export")
-        .to_vec();
+    let full = db.binlog_export(LogPosition::START).expect("export");
     (full, cum)
 }
 
@@ -242,8 +239,7 @@ fn every_append_fault_point_recovers_to_durable_prefix() {
             // must never be resurrected.
             let replayed = db
                 .binlog_export(LogPosition::START)
-                .expect("export recovered log")
-                .to_vec();
+                .expect("export recovered log");
             let want = &full_log[..cum[recovered as usize]];
             assert_eq!(replayed, want, "{ctx}: recovered prefix bytes");
             assert_eq!(crc32(&replayed), crc32(want), "{ctx}: prefix checksum");
@@ -317,9 +313,9 @@ fn every_snapshot_fault_point_falls_back_without_data_loss() {
             epoch: 0,
             seqno: db.compaction_horizon(),
         };
-        let replayed = db.binlog_export(base).expect("export tail").to_vec();
+        let replayed = db.binlog_export(base).expect("export tail");
         let oracle = oracle_at(STEPS, seed);
-        let want = oracle.binlog_export(base).expect("oracle tail").to_vec();
+        let want = oracle.binlog_export(base).expect("oracle tail");
         assert_eq!(replayed, want, "{ctx}: tail bytes");
         assert_eq!(crc32(&replayed), crc32(&want), "{ctx}: tail checksum");
 
@@ -343,13 +339,13 @@ fn repeated_crashes_converge_to_a_stable_store() {
     let mut expected_rows = 0u64;
     for round in 0..4u64 {
         // Tear the round's LAST append (a torn record strands everything
-        // after it, so only the final tear loses exactly one record).
-        // Round 0 has two DDL records ahead of its three inserts.
-        let last_op = if round == 0 { 5 } else { 3 };
+        // after it, so only the final tear loses exactly one record). The
+        // injector is attached after round 0's DDL, so in every round the
+        // third append it sees is the third insert.
         let plan = FaultPlan::new().with(FaultSpec::at_ops(
             FaultPoint::SegmentAppend,
             FaultKind::TruncateTail { bytes: 4 },
-            &[last_op],
+            &[3],
         ));
         let mut db = reopen(&dir);
         if round == 0 {
@@ -427,8 +423,7 @@ fn append_fault_matrix_holds_with_paging_enabled() {
             assert_eq!(recovered, op - 1, "{ctx}: durable prefix length");
             let replayed = db
                 .binlog_export(LogPosition::START)
-                .expect("export recovered log")
-                .to_vec();
+                .expect("export recovered log");
             let want = &full_log[..cum[recovered as usize]];
             assert_eq!(replayed, want, "{ctx}: recovered prefix bytes");
             assert_matches_oracle(&db, recovered, seed, &ctx);

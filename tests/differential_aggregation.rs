@@ -1,12 +1,12 @@
 //! Differential-testing oracle for the partitioned parallel aggregation
 //! engine.
 //!
-//! Every seed drives four independent evaluators over the same randomly
-//! generated fact table and query:
+//! Every seed drives four evaluators over the same randomly generated
+//! fact table and query:
 //!
 //! 1. the sharded engine with a multi-worker pool (`run_sharded`),
 //! 2. the sharded engine forced serial (`PoolConfig::serial()`),
-//! 3. the rayon path (`Query::run`),
+//! 3. the serial fold (`Query::run`),
 //! 4. a brute-force `BTreeMap` recompute written against the *spec* of
 //!    the query, sharing no code with the engine.
 //!
@@ -333,7 +333,7 @@ fn divergence(rows: &[Row], spec: &Spec) -> Option<String> {
 
     let reference = match query.run(&table) {
         Ok(rs) => rs,
-        Err(e) => return Some(format!("rayon path errored: {e}")),
+        Err(e) => return Some(format!("Query::run errored: {e}")),
     };
     for pool in pools() {
         match run_sharded(&query, &table, pool, &quiet, "fact") {
@@ -420,7 +420,7 @@ fn seeds_under_test() -> Vec<u64> {
 }
 
 #[test]
-fn parallel_serial_rayon_and_brute_force_agree_across_seeds() {
+fn parallel_serial_and_brute_force_agree_across_seeds() {
     let mut failures = Vec::new();
     for seed in seeds_under_test() {
         if let Err(report) = check_seed(seed) {
@@ -537,7 +537,7 @@ fn oracle_holds_under_concurrent_ingest_and_cache_invalidation() {
     writer.join().expect("writer thread completes");
     reader.join().expect("reader thread completes");
 
-    // Quiescent state: cached, sharded-serial, and rayon answers agree.
+    // Quiescent state: cached, sharded-serial, and Query::run answers agree.
     let db = db.read();
     let cached = db.query_cached("s", "fact", &query).expect("cached query");
     let repeat = db.query_cached("s", "fact", &query).expect("repeat query");
@@ -550,9 +550,9 @@ fn oracle_holds_under_concurrent_ingest_and_cache_invalidation() {
         "fact",
     )
     .expect("serial run");
-    let rayon = query.run(table).expect("rayon run");
+    let folded = query.run(table).expect("Query::run");
     assert_eq!(cached, serial);
-    assert_eq!(cached, rayon);
+    assert_eq!(cached, folded);
     assert_eq!(cached, repeat);
     assert_eq!(table.rows().expect("rows readable").len(), 40 * 8);
 

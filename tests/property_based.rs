@@ -33,7 +33,7 @@ proptest! {
     fn binlog_payload_roundtrip(schema in "[a-z_]{1,12}", table in "[a-z_]{1,12}",
                                 rows in prop::collection::vec(arb_row(), 0..8)) {
         let payload = EventPayload::InsertBatch { schema, table, rows };
-        let decoded = decode_payload(encode_payload(&payload)).unwrap();
+        let decoded = decode_payload(&encode_payload(&payload)).unwrap();
         prop_assert_eq!(decoded, payload);
     }
 
@@ -47,7 +47,7 @@ proptest! {
                 rows: rows.clone(),
             });
         }
-        let events = decode_stream(log.export_after(LogPosition::START).unwrap()).unwrap();
+        let events = decode_stream(&log.export_after(LogPosition::START).unwrap()).unwrap();
         prop_assert_eq!(events.len(), batches.len());
         // Positions are dense and ordered.
         for (i, ev) in events.iter().enumerate() {
@@ -61,9 +61,9 @@ proptest! {
     }
 
     #[test]
-    fn binlog_corruption_never_panics(mut bytes in prop::collection::vec(any::<u8>(), 0..256)) {
+    fn binlog_corruption_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         // Arbitrary bytes must decode to Ok or Err, never panic.
-        let _ = decode_stream(bytes::Bytes::from(std::mem::take(&mut bytes)));
+        let _ = decode_stream(&bytes);
     }
 
     #[test]
@@ -519,7 +519,7 @@ proptest! {
         )
         .unwrap();
         let snap = Snapshot::capture(&db).unwrap();
-        let bytes = snap.to_bytes().unwrap();
+        let bytes = snap.to_bytes();
         let mut restored = xdmod::warehouse::Database::new();
         Snapshot::from_bytes(&bytes).unwrap().restore_into(&mut restored).unwrap();
         prop_assert_eq!(
