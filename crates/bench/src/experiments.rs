@@ -1,7 +1,7 @@
 //! One function per table/figure of the paper: each builds the full
 //! pipeline (simulate → ingest → optionally federate → query → dataset) and
 //! returns structured results. The `fig*`/`table1` binaries print them;
-//! the Criterion benches time them; EXPERIMENTS.md records their output.
+//! EXPERIMENTS.md records their output.
 
 use std::collections::BTreeMap;
 use xdmod_chart::Dataset;
@@ -607,7 +607,7 @@ pub struct ParallelAgg {
     /// Wall seconds of the partitioned parallel rebuild.
     pub parallel_seconds: f64,
     /// Wall seconds of the repeat rebuild with an unchanged binlog
-    /// watermark (the invalidation-aware cache's O(1) path).
+    /// watermark (every period table already installed: the O(1) path).
     pub cached_seconds: f64,
     /// Serial and parallel outputs are byte-identical per period table.
     pub identical: bool,
@@ -638,6 +638,7 @@ pub fn parallel_aggregation(seed: u64, months: u8, workers: usize) -> ParallelAg
     let serial = build();
     let spec = jobs::aggregation_spec(serial.levels());
     let serial_db = serial.database();
+    serial_db.write().set_parallelism(PoolConfig::serial());
     let start = Instant::now();
     spec.materialize(&mut serial_db.write(), &serial.schema_name())
         .expect("serial rebuild");
@@ -649,13 +650,13 @@ pub fn parallel_aggregation(seed: u64, months: u8, workers: usize) -> ParallelAg
         .write()
         .set_parallelism(PoolConfig::new(workers).with_shards(workers.max(1) * 2));
     let start = Instant::now();
-    spec.materialize_parallel(&mut parallel_db.write(), &parallel.schema_name())
+    spec.materialize(&mut parallel_db.write(), &parallel.schema_name())
         .expect("parallel rebuild");
     let parallel_seconds = start.elapsed().as_secs_f64();
 
-    // Repeat with no new ingest: served from the aggregate cache.
+    // Repeat with no new ingest: every period table is already installed.
     let start = Instant::now();
-    spec.materialize_parallel(&mut parallel_db.write(), &parallel.schema_name())
+    spec.materialize(&mut parallel_db.write(), &parallel.schema_name())
         .expect("cached repeat");
     let cached_seconds = start.elapsed().as_secs_f64();
 
@@ -695,7 +696,7 @@ pub struct IncrementalAgg {
     /// the delta-fold engine on: only the new binlog records are folded.
     pub incremental_seconds: f64,
     /// Wall seconds of the same re-materialization on a twin instance
-    /// with incremental maintenance disabled (full recompute).
+    /// whose retained partials were dropped first (full recompute).
     pub full_rebuild_seconds: f64,
     /// Wall seconds of the repeat with an unchanged binlog watermark.
     pub cached_seconds: f64,
@@ -708,8 +709,8 @@ pub struct IncrementalAgg {
 
 /// Measure incremental view maintenance against a from-scratch rebuild:
 /// two identical instances materialize, ingest the same late month, and
-/// re-materialize — one riding the delta-fold cursors, the twin with the
-/// engine disabled. Byte-identical period tables are required, so the
+/// re-materialize — one riding the delta-fold cursors, the twin after
+/// `note_external_rebuild()` dropped them. Byte-identical period tables are required, so the
 /// measurement doubles as an end-to-end correctness check of the
 /// incremental path.
 pub fn incremental_aggregation(seed: u64, months: u8, workers: usize) -> IncrementalAgg {
@@ -746,7 +747,7 @@ pub fn incremental_aggregation(seed: u64, months: u8, workers: usize) -> Increme
         db.set_telemetry(reg.clone());
     }
     let start = Instant::now();
-    spec.materialize_parallel(&mut incr_db.write(), &incr.schema_name())
+    spec.materialize(&mut incr_db.write(), &incr.schema_name())
         .expect("cold rebuild");
     let cold_seconds = start.elapsed().as_secs_f64();
 
@@ -755,9 +756,8 @@ pub fn incremental_aggregation(seed: u64, months: u8, workers: usize) -> Increme
     {
         let mut db = full_db.write();
         db.set_parallelism(PoolConfig::new(workers).with_shards(workers.max(1) * 2));
-        db.set_incremental(false);
     }
-    spec.materialize_parallel(&mut full_db.write(), &full.schema_name())
+    spec.materialize(&mut full_db.write(), &full.schema_name())
         .expect("full-twin rebuild");
 
     incr.ingest_sacct("rush", &late_log).expect("late ingest");
@@ -767,7 +767,7 @@ pub fn incremental_aggregation(seed: u64, months: u8, workers: usize) -> Increme
         .snapshot()
         .counter_total("warehouse_delta_folded_records_total");
     let start = Instant::now();
-    spec.materialize_parallel(&mut incr_db.write(), &incr.schema_name())
+    spec.materialize(&mut incr_db.write(), &incr.schema_name())
         .expect("incremental re-aggregation");
     let incremental_seconds = start.elapsed().as_secs_f64();
     let records_folded = reg
@@ -775,14 +775,17 @@ pub fn incremental_aggregation(seed: u64, months: u8, workers: usize) -> Increme
         .counter_total("warehouse_delta_folded_records_total")
         .saturating_sub(folded_before);
 
+    // The invalidation a resync uses: the twin's retained partials are
+    // dropped, so its re-aggregation scans the whole fact table.
+    full_db.write().note_external_rebuild();
     let start = Instant::now();
-    spec.materialize_parallel(&mut full_db.write(), &full.schema_name())
+    spec.materialize(&mut full_db.write(), &full.schema_name())
         .expect("full re-aggregation");
     let full_rebuild_seconds = start.elapsed().as_secs_f64();
 
-    // Repeat with no new ingest: served from the aggregate cache.
+    // Repeat with no new ingest: every period table is already installed.
     let start = Instant::now();
-    spec.materialize_parallel(&mut incr_db.write(), &incr.schema_name())
+    spec.materialize(&mut incr_db.write(), &incr.schema_name())
         .expect("cached repeat");
     let cached_seconds = start.elapsed().as_secs_f64();
 
@@ -896,7 +899,7 @@ pub fn paged_aggregation(seed: u64, months: u8, workers: usize, budget_bytes: u6
     let start = Instant::now();
     let want = {
         let db = resident_db.read();
-        db.query_sharded(&schema, jobs::FACT_TABLE, &query)
+        db.query(&schema, jobs::FACT_TABLE, &query)
             .expect("resident query")
     };
     let resident_seconds = start.elapsed().as_secs_f64();
@@ -904,7 +907,7 @@ pub fn paged_aggregation(seed: u64, months: u8, workers: usize, budget_bytes: u6
     let before = paged.residency_stats().expect("paging is on");
     let start = Instant::now();
     let got = paged
-        .query_sharded(&schema, jobs::FACT_TABLE, &query)
+        .query(&schema, jobs::FACT_TABLE, &query)
         .expect("paged query");
     let paged_seconds = start.elapsed().as_secs_f64();
     let after = paged.residency_stats().expect("paging is on");

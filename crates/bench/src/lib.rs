@@ -1,24 +1,20 @@
 //! # xdmod-bench
 //!
-//! The benchmark/regeneration harness: one entry point per table and
-//! figure of the paper (see [`experiments`]), shared by the `fig*` /
-//! `table1` binaries and the Criterion benches.
+//! The regeneration harness: one entry point per table and figure of
+//! the paper (see [`experiments`]), shared by the `fig*` / `table1` /
+//! `all_experiments` binaries. (Performance is measured by the
+//! repository benchmark under top-level `bench/`, not here.)
 //!
-//! | Paper artifact | Function | Binary | Criterion bench |
-//! |---|---|---|---|
-//! | Fig. 1 (top resources by XD SU) | [`experiments::fig1`] | `fig1` | `figures/fig1` |
-//! | Table I (aggregation levels)   | [`experiments::table1`] | `table1` | `figures/table1` |
-//! | Fig. 2 (fan-in topology)       | [`experiments::fig2`] | `fig2` | `figures/fig2` |
-//! | Fig. 3 (dataflow + routing)    | [`experiments::fig3`] | `fig3` | `figures/fig3` |
-//! | Fig. 4 (two auth paths)        | [`experiments::fig4`] | `fig4` | `figures/fig4` |
-//! | Fig. 5 (federated auth)        | [`experiments::fig5`] | `fig5` | `figures/fig5` |
-//! | Fig. 6 (storage realm)         | [`experiments::fig6`] | `fig6` | `figures/fig6` |
-//! | Fig. 7 (cloud realm)           | [`experiments::fig7`] | `fig7` | `figures/fig7` |
-//!
-//! Ablation/performance benches live in `benches/`: replication
-//! throughput (tight vs loose), aggregation materialization vs
-//! query-time binning, federated vs per-satellite query, and parallel
-//! aggregation scaling.
+//! | Paper artifact | Function | Binary |
+//! |---|---|---|
+//! | Fig. 1 (top resources by XD SU) | [`experiments::fig1`] | `fig1` |
+//! | Table I (aggregation levels)   | [`experiments::table1`] | `table1` |
+//! | Fig. 2 (fan-in topology)       | [`experiments::fig2`] | `fig2` |
+//! | Fig. 3 (dataflow + routing)    | [`experiments::fig3`] | `fig3` |
+//! | Fig. 4 (two auth paths)        | [`experiments::fig4`] | `fig4` |
+//! | Fig. 5 (federated auth)        | [`experiments::fig5`] | `fig5` |
+//! | Fig. 6 (storage realm)         | [`experiments::fig6`] | `fig6` |
+//! | Fig. 7 (cloud realm)           | [`experiments::fig7`] | `fig7` |
 
 #![warn(missing_docs)]
 

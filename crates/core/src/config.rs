@@ -47,12 +47,12 @@ fn default_realms() -> Vec<RealmKind> {
 }
 
 /// Hub-side aggregation pool sizing:
-/// `"hub_aggregation": {"workers": 4, "shards": 8, "incremental": true}`.
+/// `"hub_aggregation": {"workers": 4, "shards": 8}`.
 ///
 /// Absent fields fall back to the warehouse defaults (workers from
-/// `available_parallelism`, shards matching workers, incremental
-/// maintenance on). A pool sized wider than its shard count is legal but
-/// wasteful — the pre-flight analyzer flags it as XC0011.
+/// `available_parallelism`, shards matching workers). A pool sized wider
+/// than its shard count is legal but wasteful — the pre-flight analyzer
+/// flags it as XC0011.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct HubAggregationEntry {
     /// Worker threads for partitioned parallel aggregation
@@ -62,12 +62,6 @@ pub struct HubAggregationEntry {
     /// Day-bucket shard count (absent = match workers).
     #[serde(default)]
     pub shards: Option<u64>,
-    /// Incremental (delta-fold) maintenance of materialized aggregates
-    /// (absent = enabled). `false` forces every re-aggregation to rebuild
-    /// from the full fact tables — the diagnostics escape hatch; results
-    /// are byte-identical either way.
-    #[serde(default)]
-    pub incremental: Option<bool>,
 }
 
 /// Hub telemetry sizing: `"telemetry": {"event_capacity": 8192}`.
@@ -275,9 +269,6 @@ impl FederationFile {
                 pool = pool.with_shards(s as usize);
             }
             hub.set_parallelism(pool);
-            if let Some(on) = agg.incremental {
-                hub.set_incremental_aggregation(on);
-            }
         }
         if let Some(storage) = &self.storage {
             // Only a well-formed disk entry swaps the backend; malformed
@@ -363,7 +354,6 @@ mod tests {
             hub_aggregation: Some(HubAggregationEntry {
                 workers: Some(2),
                 shards: Some(4),
-                incremental: Some(true),
             }),
             telemetry: Some(TelemetryEntry {
                 event_capacity: Some(128),
@@ -545,27 +535,6 @@ mod tests {
         let pool = fed.hub().parallelism();
         assert_eq!(pool.configured_workers(), 2);
         assert_eq!(pool.configured_shards(), 4);
-        assert!(fed.hub().incremental_aggregation());
-    }
-
-    #[test]
-    fn build_honors_incremental_escape_hatch() {
-        let x = XdmodInstance::new("x");
-        let y = XdmodInstance::new("y");
-        let instances = BTreeMap::from([("x".to_owned(), &x), ("y".to_owned(), &y)]);
-        let mut cfg = sample();
-        if let Some(agg) = &mut cfg.hub_aggregation {
-            agg.incremental = Some(false);
-        }
-        let fed = cfg.build(&instances).unwrap();
-        assert!(!fed.hub().incremental_aggregation());
-        // Absent means the warehouse default: enabled.
-        let mut cfg = sample();
-        if let Some(agg) = &mut cfg.hub_aggregation {
-            agg.incremental = None;
-        }
-        let fed = cfg.build(&instances).unwrap();
-        assert!(fed.hub().incremental_aggregation());
     }
 
     #[test]

@@ -31,6 +31,7 @@ use xdmod_replication::{
     schemas_match, LinkConfig, LiveReplicator, LooseReceiver, LooseShipper, ReplicationError,
     ReplicationFilter, Replicator, RetryPolicy,
 };
+use xdmod_warehouse::sync::Mutex;
 use xdmod_warehouse::{SharedDatabase, Value, WarehouseError};
 
 /// Federation-level errors.
@@ -286,7 +287,7 @@ struct Member {
 /// paused live links and links stopped by [`Federation::quiesce`] whose
 /// backlog has not been drained by a subsequent poll.
 struct DrainState {
-    stale: parking_lot::Mutex<BTreeSet<String>>,
+    stale: Mutex<BTreeSet<String>>,
 }
 
 /// A cheap-clone, `Send + Sync` handle the serving tier holds to decide
@@ -346,7 +347,7 @@ impl Federation {
             hub,
             members: Vec::new(),
             drain: Arc::new(DrainState {
-                stale: parking_lot::Mutex::new(BTreeSet::new()),
+                stale: Mutex::new(BTreeSet::new()),
             }),
             alerts: AlertEngine::new(AlertRules::default()),
             alert_seq: 0,

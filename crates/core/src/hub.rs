@@ -12,13 +12,13 @@
 
 use crate::instance::XdmodInstance;
 use crate::version::XdmodVersion;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use xdmod_auth::{AuthMode, IdentityMap, InstanceAuth};
 use xdmod_realms::levels::AggregationLevelsConfig;
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_telemetry::MetricsRegistry;
+use xdmod_warehouse::sync::Mutex;
 use xdmod_warehouse::{
     run_sharded, shared, AggregationOutputs, Database, LogPosition, PoolConfig, Query, Result,
     ResultSet, SharedDatabase, Table, WarehouseError,
@@ -102,10 +102,8 @@ impl FederationHub {
         let recovered = Database::open_with_telemetry(backend, self.telemetry.clone())?;
         let mut db = self.db.write();
         let pool = db.parallelism();
-        let incremental = db.incremental_enabled();
         *db = recovered;
         db.set_parallelism(pool);
-        db.set_incremental(incremental);
         Ok(())
     }
 
@@ -169,21 +167,6 @@ impl FederationHub {
         self.db.read().parallelism()
     }
 
-    /// Enable or disable incremental (delta-fold) maintenance of the
-    /// hub's materialized aggregates — see
-    /// [`xdmod_warehouse::Database::set_incremental`]. On by default;
-    /// disabling forces every [`aggregate_all`](Self::aggregate_all) to
-    /// rebuild from the full fact tables (the operator escape hatch while
-    /// diagnosing a discrepancy). Results are byte-identical either way.
-    pub fn set_incremental_aggregation(&mut self, enabled: bool) {
-        self.db.write().set_incremental(enabled);
-    }
-
-    /// Whether the hub's aggregates are maintained incrementally.
-    pub fn incremental_aggregation(&self) -> bool {
-        self.db.read().incremental_enabled()
-    }
-
     /// Record a satellite as a member (called by the federation when a
     /// link is established).
     pub fn register_satellite(&mut self, name: &str) {
@@ -233,7 +216,8 @@ impl FederationHub {
     /// *applied* under one write lock in stable satellite × spec order —
     /// so the result is byte-identical to a serial rebuild for any pool
     /// size. Satellites with no ingest since the last rebuild are
-    /// answered from the aggregate cache without re-reading their rows.
+    /// skipped (their period tables are marked installed); the others
+    /// fold only the binlog records replicated since.
     pub fn aggregate_all(&self) -> Result<()> {
         let specs = [
             jobs::aggregation_spec(&self.levels),
@@ -264,7 +248,7 @@ impl FederationHub {
                             // realm's fact table entirely (e.g.
                             // SUPReMM); skip those.
                             if db.table(schema, &spec.fact_table).is_ok() {
-                                outs.push((i, spec.plan_parallel(db, schema)?));
+                                outs.push((i, spec.plan(db, schema)?));
                             }
                         }
                         Ok(outs)
@@ -303,9 +287,10 @@ impl FederationHub {
     /// Run a query against one satellite's replicated fact table.
     ///
     /// Timed as `hub_satellite_query_seconds{satellite=..}` and served
-    /// through the warehouse's watermark-keyed aggregate cache: a repeat
-    /// with no intervening ingest is an O(1) lookup, counted under
-    /// `warehouse_aggcache_hits_total`.
+    /// from the warehouse's retained partials: a repeat with no
+    /// intervening ingest is a hit, counted under
+    /// `warehouse_aggcache_hits_total`; after replication traffic only
+    /// the new records are folded.
     pub fn query_instance(
         &self,
         satellite: &str,
@@ -316,7 +301,7 @@ impl FederationHub {
             .telemetry
             .span("hub_satellite_query_seconds", &[("satellite", satellite)]);
         let db = self.db.read();
-        let out = db.query_cached(
+        let out = db.query(
             &Self::schema_for(satellite),
             XdmodInstance::fact_table(realm),
             query,
@@ -573,14 +558,9 @@ impl FederationHub {
         report = report
             .section(Section::Heading("Incremental aggregation".into()))
             .section(Section::Text(format!(
-                "delta-fold engine {}; {folds} incremental fold(s) covering \
-                 {folded} binlog record(s); {cold} cold/full rebuild(s); \
-                 {fallbacks} fallback(s) to full rebuild.",
-                if self.db.read().incremental_enabled() {
-                    "enabled"
-                } else {
-                    "disabled"
-                },
+                "{folds} incremental fold(s) covering {folded} binlog \
+                 record(s); {cold} cold/full rebuild(s); {fallbacks} \
+                 fallback(s) to full rebuild.",
             )));
 
         // Replication lag over time, one series per link, from the
@@ -901,7 +881,7 @@ mod tests {
         assert!(text.contains("Durability"));
         assert!(text.contains("storage backend `memory`"));
         assert!(text.contains("Incremental aggregation"));
-        assert!(text.contains("delta-fold engine enabled"));
+        assert!(text.contains("incremental fold(s) covering"));
         assert!(text.contains("Replication lag"));
         assert!(text.contains("Operation latency quantiles"));
 
@@ -1018,10 +998,7 @@ mod tests {
     fn incremental_aggregate_all_folds_deltas_and_matches_full_rebuild() {
         let pool = xdmod_warehouse::PoolConfig::new(4).with_shards(8);
         let incr = staged_jobs_hub(pool);
-        let mut full = staged_jobs_hub(pool);
-        full.set_incremental_aggregation(false);
-        assert!(incr.incremental_aggregation());
-        assert!(!full.incremental_aggregation());
+        let full = staged_jobs_hub(pool);
         incr.aggregate_all().unwrap();
         full.aggregate_all().unwrap();
 
@@ -1058,11 +1035,14 @@ mod tests {
             db.insert(&FederationHub::schema_for("x"), "jobfact", late_rows())
                 .unwrap();
         }
+        // The invalidation a resync uses: every retained entry dropped,
+        // so `full` rebuilds from scratch.
+        full.database().write().note_external_rebuild();
         incr.aggregate_all().unwrap();
         full.aggregate_all().unwrap();
 
-        // The incremental hub folded the late rows; the disabled hub
-        // rebuilt from scratch and never touched the delta engine.
+        // The incremental hub folded the late rows; the invalidated hub
+        // rebuilt from scratch and never advanced a retained entry.
         let isnap = incr.telemetry().snapshot();
         assert!(isnap.counter_total("warehouse_delta_folds_total") > 0);
         assert!(isnap.counter_total("warehouse_delta_folded_records_total") > 0);

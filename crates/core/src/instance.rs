@@ -226,7 +226,7 @@ impl XdmodInstance {
     pub fn query_reservations(&self, query: &Query) -> Result<ResultSet> {
         self.db
             .read()
-            .query_sharded(&self.schema_name(), cloud_realm::RESERVATION_TABLE, query)
+            .query(&self.schema_name(), cloud_realm::RESERVATION_TABLE, query)
     }
 
     // ------------------------------------------------------------------
@@ -268,13 +268,13 @@ impl XdmodInstance {
     /// Run a query against one realm's fact table, timed under
     /// `warehouse_query_seconds{table=..}` when telemetry is attached.
     ///
-    /// Served through the warehouse's partitioned parallel engine and its
-    /// watermark-keyed aggregate cache, so chart/explorer repeats with no
-    /// intervening ingest cost an O(1) lookup.
+    /// Served from the warehouse's retained partials: chart/explorer
+    /// repeats with no intervening ingest are a hit, and after ingest only
+    /// the new binlog records are folded.
     pub fn query(&self, realm: RealmKind, query: &Query) -> Result<ResultSet> {
         self.db
             .read()
-            .query_cached(&self.schema_name(), Self::fact_table(realm), query)
+            .query(&self.schema_name(), Self::fact_table(realm), query)
     }
 
     /// Rebuild this instance's database from a federation-hub dump — the

@@ -14,13 +14,13 @@
 
 use crate::error::{panic_detail, ReplicationError};
 use crate::filter::ReplicationFilter;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xdmod_chaos::{DeterministicRng, FaultInjector, FaultKind, FaultPoint};
 use xdmod_telemetry::MetricsRegistry;
+use xdmod_warehouse::sync::Mutex;
 use xdmod_warehouse::{LogPosition, Result, SharedDatabase, WarehouseError};
 
 /// Configuration of one replication link.
@@ -1488,7 +1488,7 @@ mod tests {
 
     #[test]
     fn resync_resets_delta_fold_cursors_never_serving_stale_partials() {
-        use xdmod_warehouse::{AggFn, Aggregate, CacheKey, DeltaOutcome, Query};
+        use xdmod_warehouse::{run_sharded, AggFn, Aggregate, CacheKey, DeltaOutcome, Query};
         let src = satellite("xdmod_x", &["comet", "gordon", "comet"]);
         let dst = shared(Database::new());
         let mut rep = Replicator::new(
@@ -1504,13 +1504,9 @@ mod tests {
             .aggregate(Aggregate::count("jobs"))
             .aggregate(Aggregate::of(AggFn::Sum, "cpu_hours", "total"));
         dst.read()
-            .run_delta_fold("hub_x", "jobfact", &q, "agg")
+            .query_reported("hub_x", "jobfact", &q, "agg")
             .unwrap();
-        let key = CacheKey {
-            schema: "hub_x".into(),
-            table: "jobfact".into(),
-            fingerprint: q.fingerprint(),
-        };
+        let key = CacheKey::of("hub_x", "jobfact", &q);
         assert!(dst.read().delta_cache().cursor_of(&key).is_some());
 
         // Source moves on; a full resync rewrites the target's tables
@@ -1532,9 +1528,11 @@ mod tests {
         assert!(dst.read().delta_cache().is_empty());
 
         let d = dst.read();
-        let (rs, report) = d.run_delta_fold("hub_x", "jobfact", &q, "agg").unwrap();
+        let (rs, report) = d.query_reported("hub_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(report.outcome, DeltaOutcome::Cold);
-        assert_eq!(rs, d.query_sharded("hub_x", "jobfact", &q).unwrap());
+        let fact = d.table("hub_x", "jobfact").unwrap();
+        let recompute = run_sharded(&q, fact, d.parallelism(), d.telemetry(), "jobfact");
+        assert_eq!(rs, recompute.unwrap());
         // 3 original rows at 1.0 cpu-hour each + the resynced 4.0 row;
         // a stale partial would have reported 10.0 (the originals twice).
         assert_eq!(rs.scalar_f64("total"), Some(7.0));
@@ -1602,7 +1600,7 @@ mod tests {
         let q = Query::new().aggregate(Aggregate::of(AggFn::Sum, "cpu_hours", "total"));
         assert_eq!(
             dst.read()
-                .query_sharded("hub_x", "jobfact", &q)
+                .query("hub_x", "jobfact", &q)
                 .unwrap()
                 .scalar_f64("total"),
             Some(2.0)
@@ -1641,9 +1639,7 @@ mod tests {
         // the rewrite would fault old rows back in on the next query.
         let d = dst.read();
         assert_eq!(
-            d.query_sharded("hub_x", "jobfact", &q)
-                .unwrap()
-                .scalar_f64("total"),
+            d.query("hub_x", "jobfact", &q).unwrap().scalar_f64("total"),
             Some(42.0)
         );
         assert_eq!(

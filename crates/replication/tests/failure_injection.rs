@@ -244,7 +244,7 @@ fn resync_takes_the_rebuild_guard_against_parallel_aggregation() {
     // Phase 1 of the hub's parallel rebuild: compute under a read lock.
     let outputs = {
         let db = hub.read();
-        spec.plan_parallel(&db, "hub_x").unwrap()
+        spec.plan(&db, "hub_x").unwrap()
     };
 
     // The source gains a row and the link resyncs before phase 2 runs.
@@ -280,7 +280,7 @@ fn resync_takes_the_rebuild_guard_against_parallel_aggregation() {
     assert_eq!(total, 0.0 + 1.0 + 2.0 + 3.0 + 99.0);
 
     // With no further ingest, the next rebuild is answered by the cache.
-    let again = spec.plan_parallel(&db, "hub_x").unwrap();
+    let again = spec.plan(&db, "hub_x").unwrap();
     assert!(again.is_cached());
 }
 

@@ -14,8 +14,8 @@
 
 use crate::bins::Bins;
 use crate::database::Database;
+use crate::delta::{CacheKey, RebuildTicket};
 use crate::error::{Result, WarehouseError};
-use crate::parallel::{self, CacheKey, RebuildTicket};
 use crate::query::{AggFn, Aggregate, GroupKey, Query, ResultSet};
 use crate::schema::{ColumnDef, TableSchema};
 use crate::time::Period;
@@ -193,54 +193,33 @@ impl AggregationSpec {
         Ok(())
     }
 
-    /// The cache key marking one period's materialized table current.
-    fn period_cache_key(&self, schema: &str, period: Period) -> CacheKey {
-        CacheKey {
-            schema: schema.to_owned(),
-            table: self.table_name(period),
-            fingerprint: self.period_query(period).fingerprint(),
-        }
+    /// The retained entry behind one period's table: the period query
+    /// over the fact table.
+    fn period_key(&self, schema: &str, period: Period) -> CacheKey {
+        CacheKey::of(schema, &self.fact_table, &self.period_query(period))
     }
 
-    /// Build (or rebuild) every period's aggregate table for the fact
-    /// table in `schema`. Existing aggregate tables are truncated and
-    /// repopulated — this is both the daily aggregation run and the
-    /// "re-aggregate after changing levels" administrative action.
-    pub fn materialize(&self, db: &mut Database, schema: &str) -> Result<()> {
-        for &period in &self.periods {
-            let span = db.telemetry().span(
-                "warehouse_aggregation_seconds",
-                &[("table", &self.table_name(period))],
-            );
-            let fact = db.table(schema, &self.fact_table)?;
-            let out_schema = self.output_schema(&fact.schema().clone(), period)?;
-            let rs = self.period_query(period).run(fact)?;
-            let rows = self.transform_rows(period, rs)?;
-            self.write_period_table(db, schema, out_schema, rows)?;
-            span.finish();
-        }
-        Ok(())
-    }
-
-    /// Compute phase of a split rebuild: aggregate the fact table with
-    /// the partitioned parallel engine into staged per-period outputs,
-    /// without writing anything. Runs under a shared borrow, so the hub
-    /// can compute every satellite's aggregates concurrently under one
-    /// read lock.
+    /// Compute phase of a rebuild: answer every period's query through
+    /// [`Database::query_reported`] — retained partials advanced by the
+    /// binlog delta, or built cold on the worker pool — into staged
+    /// per-period outputs, without writing anything. Runs under a shared
+    /// borrow, so the hub can compute every satellite's aggregates
+    /// concurrently under one read lock.
     ///
-    /// When the cache marks every period table current at the fact
-    /// table's [`RebuildTicket`] the outputs come back empty and
-    /// [`AggregationSpec::apply_outputs`] is a no-op — a repeat
-    /// aggregation run after no new ingest costs O(1).
-    pub fn plan_parallel(&self, db: &Database, schema: &str) -> Result<AggregationOutputs> {
+    /// When every period's retained entry still answers for the fact
+    /// table *and* is marked installed in its period table, the outputs
+    /// come back empty and [`AggregationSpec::apply_outputs`] is a no-op
+    /// — a repeat aggregation run after no new ingest costs O(1).
+    pub fn plan(&self, db: &Database, schema: &str) -> Result<AggregationOutputs> {
         let ticket = db.rebuild_ticket(schema, &self.fact_table);
         let telemetry = db.telemetry().clone();
-        if !self.periods.is_empty()
-            && self.periods.iter().all(|&p| {
-                db.aggregate_cache()
-                    .is_fresh(&self.period_cache_key(schema, p), ticket)
-            })
-        {
+        let installed = |period: Period| {
+            let name = self.table_name(period);
+            db.with_current_entry(&self.period_key(schema, period), |e| {
+                e.installed_as.as_deref() == Some(&name)
+            }) == Some(true)
+        };
+        if !self.periods.is_empty() && self.periods.iter().all(|&p| installed(p)) {
             if telemetry.is_enabled() {
                 for &period in &self.periods {
                     telemetry
@@ -261,35 +240,14 @@ impl AggregationSpec {
         let mut tables = Vec::with_capacity(self.periods.len());
         for &period in &self.periods {
             let table_name = self.table_name(period);
-            if telemetry.is_enabled() {
-                telemetry
-                    .counter("warehouse_aggcache_misses_total", &[("table", &table_name)])
-                    .inc();
-            }
             let span = telemetry.span("warehouse_aggregation_seconds", &[("table", &table_name)]);
             let out_schema = self.output_schema(fact.schema(), period)?;
-            // The delta-fold engine reuses retained per-shard partials and
-            // folds only the binlog records appended since the last pass;
-            // byte-identical to `run_sharded` (same per-shard fold order,
-            // same ascending merge), so flipping `incremental` off is a
-            // pure-diagnostics switch, never a results change.
-            let rs = if db.incremental_enabled() {
-                db.run_delta_fold(
-                    schema,
-                    &self.fact_table,
-                    &self.period_query(period),
-                    &table_name,
-                )?
-                .0
-            } else {
-                parallel::run_sharded(
-                    &self.period_query(period),
-                    fact,
-                    db.parallelism(),
-                    &telemetry,
-                    &table_name,
-                )?
-            };
+            let (rs, _) = db.query_reported(
+                schema,
+                &self.fact_table,
+                &self.period_query(period),
+                &table_name,
+            )?;
             let rows = self.transform_rows(period, rs)?;
             span.finish();
             tables.push((out_schema, rows));
@@ -301,15 +259,15 @@ impl AggregationSpec {
         })
     }
 
-    /// Apply phase of a split rebuild, run under the exclusive borrow
-    /// (write lock). Revalidates the outputs' [`RebuildTicket`] first:
-    /// if the fact table was rewritten in between — ingest, or an
-    /// external rebuild such as [`Replicator::resync_target`] bumping the
-    /// rebuild generation — the stale outputs are discarded, the
-    /// conflict is counted (`warehouse_aggregation_rebuild_conflicts_total`),
-    /// and the aggregation is recomputed right here where nothing can
-    /// interleave. On success every period table is marked current so
-    /// the next [`AggregationSpec::plan_parallel`] is a cache hit.
+    /// Apply phase of a rebuild, run under the exclusive borrow (write
+    /// lock). Revalidates the outputs' [`RebuildTicket`] first: if the
+    /// fact table was rewritten in between — ingest, or an external
+    /// rebuild such as [`Replicator::resync_target`] bumping the rebuild
+    /// generation — the stale outputs are discarded, the conflict is
+    /// counted (`warehouse_aggregation_rebuild_conflicts_total`), and the
+    /// aggregation is recomputed right here where nothing can interleave.
+    /// On success every period's retained entry is marked installed so
+    /// the next [`AggregationSpec::plan`] is a cache hit.
     ///
     /// [`Replicator::resync_target`]: ../../xdmod_replication/struct.Replicator.html#method.resync_target
     pub fn apply_outputs(
@@ -329,31 +287,38 @@ impl AggregationSpec {
                     &[("table", &self.fact_table)],
                 )
                 .inc();
-            outputs = self.plan_parallel(db, schema)?;
+            outputs = self.plan(db, schema)?;
             if outputs.cached {
                 return Ok(());
             }
         }
-        let ticket = outputs.ticket;
         for (out_schema, rows) in outputs.tables {
             self.write_period_table(db, schema, out_schema, rows)?;
         }
         for &period in &self.periods {
-            db.aggregate_cache()
-                .put(self.period_cache_key(schema, period), ticket, None);
+            let name = self.table_name(period);
+            db.with_current_entry(&self.period_key(schema, period), |e| {
+                e.installed_as = Some(name)
+            });
         }
         Ok(())
     }
 
-    /// [`AggregationSpec::plan_parallel`] + [`AggregationSpec::apply_outputs`]
-    /// in one call, for callers already holding exclusive access.
-    pub fn materialize_parallel(&self, db: &mut Database, schema: &str) -> Result<()> {
-        let outputs = self.plan_parallel(db, schema)?;
+    /// Build (or rebuild) every period's aggregate table for the fact
+    /// table in `schema`: [`AggregationSpec::plan`] +
+    /// [`AggregationSpec::apply_outputs`] in one call, for callers already
+    /// holding exclusive access. Existing aggregate tables are truncated
+    /// and repopulated — this is both the daily aggregation run and the
+    /// "re-aggregate after changing levels" administrative action. The
+    /// pool is [`Database::set_parallelism`]'s; serial is
+    /// [`PoolConfig::serial`](crate::parallel::PoolConfig::serial).
+    pub fn materialize(&self, db: &mut Database, schema: &str) -> Result<()> {
+        let outputs = self.plan(db, schema)?;
         self.apply_outputs(db, schema, outputs)
     }
 }
 
-/// Staged output of [`AggregationSpec::plan_parallel`]: per-period table
+/// Staged output of [`AggregationSpec::plan`]: per-period table
 /// schemas and rows, stamped with the fact table's data version at
 /// compute time. Opaque by design — the only consumer is
 /// [`AggregationSpec::apply_outputs`], which revalidates the stamp.
@@ -365,7 +330,7 @@ pub struct AggregationOutputs {
 }
 
 impl AggregationOutputs {
-    /// True when the cache already marked every period table current
+    /// True when every period table was already installed and current
     /// (applying is a no-op).
     pub fn is_cached(&self) -> bool {
         self.cached
@@ -572,25 +537,35 @@ mod tests {
     }
 
     #[test]
-    fn materialize_parallel_matches_serial_byte_for_byte() {
-        let (mut db, spec) = setup();
-        spec.materialize(&mut db, "xdmod_a").unwrap();
-        let serial = db
-            .table("xdmod_a", "jobfact_by_month")
-            .unwrap()
-            .content_checksum();
-        let (mut db2, _) = setup();
-        db2.set_parallelism(crate::parallel::PoolConfig::new(4).with_shards(6));
-        spec.materialize_parallel(&mut db2, "xdmod_a").unwrap();
-        let parallel = db2
-            .table("xdmod_a", "jobfact_by_month")
-            .unwrap()
-            .content_checksum();
-        assert_eq!(serial, parallel);
+    fn materialize_is_byte_identical_for_any_pool_and_to_the_serial_fold() {
+        use crate::parallel::PoolConfig;
+        let mut checksums = Vec::new();
+        for pool in [PoolConfig::serial(), PoolConfig::new(4).with_shards(6)] {
+            let (mut db, spec) = setup();
+            db.set_parallelism(pool);
+            spec.materialize(&mut db, "xdmod_a").unwrap();
+            // Both pools against the reference: `Query::run` over the
+            // fact table, laid out as the period table.
+            let fact = db.table("xdmod_a", "jobfact").unwrap();
+            let reference = spec.period_query(Period::Month).run(fact).unwrap();
+            let rows = db
+                .table("xdmod_a", "jobfact_by_month")
+                .unwrap()
+                .rows()
+                .unwrap();
+            assert_eq!(
+                rows.to_vec(),
+                spec.transform_rows(Period::Month, reference).unwrap(),
+                "{pool:?}"
+            );
+            let month = db.table("xdmod_a", "jobfact_by_month").unwrap();
+            checksums.push(month.content_checksum());
+        }
+        assert_eq!(checksums[0], checksums[1]);
     }
 
     #[test]
-    fn incremental_materialization_is_byte_identical_and_rides_the_delta() {
+    fn materialization_after_ingest_rides_the_delta_and_matches_a_rebuild() {
         let extra = || {
             vec![
                 vec![
@@ -609,15 +584,14 @@ mod tests {
         };
         let pool = crate::parallel::PoolConfig::new(3).with_shards(5);
 
-        // Incremental path: cold build, ingest, delta-folded rebuild.
+        // Cold build, ingest, delta-folded rebuild.
         let (mut db, spec) = setup();
         let reg = xdmod_telemetry::MetricsRegistry::new();
         db.set_telemetry(reg.clone());
         db.set_parallelism(pool);
-        assert!(db.incremental_enabled());
-        spec.materialize_parallel(&mut db, "xdmod_a").unwrap();
+        spec.materialize(&mut db, "xdmod_a").unwrap();
         db.insert("xdmod_a", "jobfact", extra()).unwrap();
-        spec.materialize_parallel(&mut db, "xdmod_a").unwrap();
+        spec.materialize(&mut db, "xdmod_a").unwrap();
         let snap = reg.snapshot();
         assert!(
             snap.counter_total("warehouse_delta_folds_total") > 0,
@@ -625,36 +599,42 @@ mod tests {
         );
         assert!(snap.counter_total("warehouse_delta_folded_records_total") > 0);
 
-        // Same workload with the engine disabled: full rebuilds only.
+        // Same workload with every retained entry dropped before the
+        // second run: full rebuilds only.
         let (mut db2, _) = setup();
+        let reg2 = xdmod_telemetry::MetricsRegistry::new();
+        db2.set_telemetry(reg2.clone());
         db2.set_parallelism(pool);
-        db2.set_incremental(false);
-        spec.materialize_parallel(&mut db2, "xdmod_a").unwrap();
+        spec.materialize(&mut db2, "xdmod_a").unwrap();
         db2.insert("xdmod_a", "jobfact", extra()).unwrap();
-        spec.materialize_parallel(&mut db2, "xdmod_a").unwrap();
-        assert!(db2.delta_cache().is_empty());
+        db2.note_external_rebuild();
+        spec.materialize(&mut db2, "xdmod_a").unwrap();
+        assert_eq!(
+            reg2.snapshot().counter_total("warehouse_delta_folds_total"),
+            0
+        );
 
         for table in ["jobfact_by_month", "jobfact_by_year"] {
             assert_eq!(
                 db.table("xdmod_a", table).unwrap().content_checksum(),
                 db2.table("xdmod_a", table).unwrap().content_checksum(),
-                "{table}: incremental and full-rebuild materializations diverged"
+                "{table}: delta-folded and rebuilt materializations diverged"
             );
         }
     }
 
     #[test]
-    fn repeat_parallel_materialization_is_a_cache_hit() {
+    fn repeat_materialization_is_a_cache_hit() {
         let (mut db, spec) = setup();
         let reg = xdmod_telemetry::MetricsRegistry::new();
         db.set_telemetry(reg.clone());
-        spec.materialize_parallel(&mut db, "xdmod_a").unwrap();
+        spec.materialize(&mut db, "xdmod_a").unwrap();
         let before = db
             .table("xdmod_a", "jobfact_by_month")
             .unwrap()
             .content_checksum();
 
-        let outputs = spec.plan_parallel(&db, "xdmod_a").unwrap();
+        let outputs = spec.plan(&db, "xdmod_a").unwrap();
         assert!(outputs.is_cached());
         spec.apply_outputs(&mut db, "xdmod_a", outputs).unwrap();
         assert_eq!(
@@ -685,8 +665,47 @@ mod tests {
             ]],
         )
         .unwrap();
-        let outputs = spec.plan_parallel(&db, "xdmod_a").unwrap();
+        let outputs = spec.plan(&db, "xdmod_a").unwrap();
         assert!(!outputs.is_cached());
+    }
+
+    #[test]
+    fn a_plan_whose_apply_was_dropped_is_replanned_not_reported_cached() {
+        let (mut db, spec) = setup();
+        let reg = xdmod_telemetry::MetricsRegistry::new();
+        db.set_telemetry(reg.clone());
+        // Planned, never applied: the entries are retained but nothing
+        // is installed, so the next plan must stage the tables again —
+        // from the retained results, without re-reading the fact table.
+        drop(spec.plan(&db, "xdmod_a").unwrap());
+        assert!(db.table("xdmod_a", "jobfact_by_month").is_err());
+        let outputs = spec.plan(&db, "xdmod_a").unwrap();
+        assert!(!outputs.is_cached());
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter_total("warehouse_delta_cold_builds_total"), 2);
+        assert_eq!(snap.counter_total("warehouse_aggcache_hits_total"), 2);
+        spec.apply_outputs(&mut db, "xdmod_a", outputs).unwrap();
+        assert_eq!(db.table("xdmod_a", "jobfact_by_month").unwrap().len(), 4);
+        assert!(spec.plan(&db, "xdmod_a").unwrap().is_cached());
+
+        // A fold clears the marker with the entry it was set on: ingest,
+        // plan (dropped), and the following plan is not cached either.
+        db.insert(
+            "xdmod_a",
+            "jobfact",
+            vec![vec![
+                Value::Str("comet".into()),
+                Value::Float(1.0),
+                Value::Float(2.0),
+                Value::Time(CivilDate::new(2017, 4, 1).to_epoch()),
+            ]],
+        )
+        .unwrap();
+        drop(spec.plan(&db, "xdmod_a").unwrap());
+        let outputs = spec.plan(&db, "xdmod_a").unwrap();
+        assert!(!outputs.is_cached());
+        spec.apply_outputs(&mut db, "xdmod_a", outputs).unwrap();
+        assert_eq!(db.table("xdmod_a", "jobfact_by_month").unwrap().len(), 5);
     }
 
     #[test]
@@ -694,7 +713,7 @@ mod tests {
         let (mut db, spec) = setup();
         let reg = xdmod_telemetry::MetricsRegistry::new();
         db.set_telemetry(reg.clone());
-        let outputs = spec.plan_parallel(&db, "xdmod_a").unwrap();
+        let outputs = spec.plan(&db, "xdmod_a").unwrap();
 
         // Facts change between compute and apply (the resync race).
         db.insert(
@@ -726,7 +745,7 @@ mod tests {
         let (mut db, spec) = setup();
         let reg = xdmod_telemetry::MetricsRegistry::new();
         db.set_telemetry(reg.clone());
-        let outputs = spec.plan_parallel(&db, "xdmod_a").unwrap();
+        let outputs = spec.plan(&db, "xdmod_a").unwrap();
         // A resync rewrote the schema wholesale without changing the
         // watermark bookkeeping it bypasses: only the generation moves.
         db.note_external_rebuild();

@@ -6,9 +6,11 @@
 //! rename-on-transfer pattern, §II-C1) plus its own aggregate schemas.
 
 use crate::binlog::{Binlog, BinlogEvent, EventPayload, LogPosition, TailRepair};
-use crate::delta::{DeltaEntry, DeltaFoldCache, DeltaOutcome, DeltaReport, FallbackReason};
+use crate::delta::{
+    CacheKey, DeltaEntry, DeltaFoldCache, DeltaOutcome, DeltaReport, FallbackReason, RebuildTicket,
+};
 use crate::error::{Result, WarehouseError};
-use crate::parallel::{self, AggregateCache, CacheKey, PoolConfig, RebuildTicket, ShardedPartials};
+use crate::parallel::{PoolConfig, ShardedPartials};
 use crate::persist::Snapshot;
 use crate::query::{Query, ResultSet};
 use crate::resident::{PagingConfig, ResidencyManager, ResidencyStats};
@@ -51,7 +53,7 @@ pub struct Database {
     chaos: Option<(FaultInjector, String)>,
     /// Position of the last binlog record that mutated each table —
     /// the per-table cache-invalidation watermark. Granular so aggregate
-    /// rebuilds (which write *other* tables) don't invalidate cached
+    /// rebuilds (which write *other* tables) don't invalidate retained
     /// results over untouched fact tables.
     watermarks: BTreeMap<(String, String), LogPosition>,
     /// Bumped by [`Database::note_external_rebuild`] when table contents
@@ -60,17 +62,11 @@ pub struct Database {
     rebuild_generation: u64,
     /// Worker/shard sizing for the partitioned aggregation engine.
     pool: PoolConfig,
-    /// Invalidation-aware cache over [`Database::query_cached`] results
-    /// and materialized aggregates.
-    agg_cache: AggregateCache,
-    /// Retained per-shard partials for the delta-fold engine
-    /// ([`Database::run_delta_fold`]), keyed by (schema, fact table,
-    /// query fingerprint) with a per-entry binlog cursor.
+    /// The one cache: retained per-shard partials and the result
+    /// finalized from them, keyed by (schema, fact table, query
+    /// fingerprint) with a per-entry binlog cursor
+    /// ([`Database::query_reported`]).
     delta: DeltaFoldCache,
-    /// When false, materialization bypasses the delta-fold engine and
-    /// always rebuilds from the full table (the forced full-rebuild
-    /// escape hatch; see [`Database::set_incremental`]).
-    incremental: bool,
     /// Cold-shard paging runtime ([`Database::enable_paging`]): `None`
     /// keeps every table fully resident (the historical behaviour).
     paging: Option<PagingRuntime>,
@@ -105,9 +101,7 @@ impl Default for Database {
             watermarks: BTreeMap::new(),
             rebuild_generation: 0,
             pool: PoolConfig::default(),
-            agg_cache: AggregateCache::default(),
             delta: DeltaFoldCache::default(),
-            incremental: true,
             paging: None,
         }
     }
@@ -504,55 +498,24 @@ impl Database {
             })
     }
 
-    /// Run a query against one table through the partitioned parallel
-    /// engine ([`crate::parallel::run_sharded`]): day-bucket shards folded
-    /// on a scoped worker pool sized by [`Database::set_parallelism`],
-    /// merged in stable shard order — deterministic for any pool size.
-    /// Timed under `warehouse_query_seconds{table=..}` (plus per-shard
-    /// timings), rows counted in `warehouse_query_rows_scanned_total`.
-    /// ([`Query::run`] on [`Database::table`] is the serial, untimed fold.)
-    pub fn query_sharded(&self, schema: &str, table: &str, query: &Query) -> Result<ResultSet> {
-        let t = self.table(schema, table)?;
+    /// Answer `query` over `schema.table` — the one query entry.
+    /// [`Database::query_reported`] under the table's own name, timed
+    /// under `warehouse_query_seconds{table=..}` with the rows the pass
+    /// actually folded counted in `warehouse_query_rows_scanned_total`.
+    /// ([`Query::run`] on [`Database::table`] is the serial, untimed,
+    /// stateless fold.)
+    pub fn query(&self, schema: &str, table: &str, query: &Query) -> Result<ResultSet> {
         let span = self
             .telemetry
             .span("warehouse_query_seconds", &[("table", table)]);
-        let result = parallel::run_sharded(query, t, self.pool, &self.telemetry, table);
+        let answered = self.query_reported(schema, table, query, table);
         span.finish();
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter("warehouse_query_rows_scanned_total", &[("table", table)])
-                .add(t.len() as u64);
-        }
-        result
-    }
-
-    /// [`Database::query_sharded`] behind the aggregate cache: a result
-    /// computed at the table's current [`RebuildTicket`] is replayed
-    /// verbatim until the table is mutated (or an external rebuild bumps
-    /// the generation), making repeat report/chart queries after no new
-    /// ingest O(1). Counts `warehouse_aggcache_{hits,misses}_total`.
-    pub fn query_cached(&self, schema: &str, table: &str, query: &Query) -> Result<ResultSet> {
-        let key = CacheKey {
-            schema: schema.to_owned(),
-            table: table.to_owned(),
-            fingerprint: query.fingerprint(),
-        };
-        let ticket = self.rebuild_ticket(schema, table);
-        if let Some(hit) = self.agg_cache.get(&key, ticket) {
-            if self.telemetry.is_enabled() {
-                self.telemetry
-                    .counter("warehouse_aggcache_hits_total", &[("table", table)])
-                    .inc();
-            }
-            return Ok(hit);
-        }
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter("warehouse_aggcache_misses_total", &[("table", table)])
-                .inc();
-        }
-        let result = self.query_sharded(schema, table, query)?;
-        self.agg_cache.put(key, ticket, Some(result.clone()));
+        let (result, report) = answered?;
+        self.bump_counter(
+            "warehouse_query_rows_scanned_total",
+            ("table", table),
+            report.rows_folded as u64,
+        );
         Ok(result)
     }
 
@@ -581,27 +544,24 @@ impl Database {
 
     /// Record that table contents were rewritten by an external actor
     /// (replication resync, restore): bumps the rebuild generation so
-    /// every outstanding [`RebuildTicket`] and cache entry goes stale,
-    /// and **drops every delta-fold cursor** — retained partials were
-    /// folded from pre-rewrite records and must never be served or
-    /// advanced again. Returns the new generation.
+    /// every outstanding [`RebuildTicket`] goes stale, and **drops every
+    /// retained entry** — its partials were folded from pre-rewrite
+    /// records and must never be served or advanced again. Also the way
+    /// to force the next queries to rebuild from scratch. Returns the new
+    /// generation.
     pub fn note_external_rebuild(&mut self) -> u64 {
         self.rebuild_generation += 1;
-        self.agg_cache.clear();
         let dropped = self.delta.clear();
-        if dropped > 0 && self.telemetry.is_enabled() {
-            self.telemetry
-                .counter(
-                    "warehouse_delta_fallback_rebuilds_total",
-                    &[("reason", FallbackReason::ExternalRebuild.label())],
-                )
-                .add(dropped as u64);
-        }
+        self.bump_counter(
+            "warehouse_delta_fallback_rebuilds_total",
+            ("reason", FallbackReason::ExternalRebuild.label()),
+            dropped as u64,
+        );
         self.rebuild_generation
     }
 
-    /// Ticket capturing a table's current data version; validates cache
-    /// entries and split compute/apply aggregate rebuilds.
+    /// Ticket capturing a table's current data version; validates
+    /// retained entries and split compute/apply aggregate rebuilds.
     pub fn rebuild_ticket(&self, schema: &str, table: &str) -> RebuildTicket {
         RebuildTicket {
             watermark: self.table_watermark(schema, table),
@@ -609,196 +569,195 @@ impl Database {
         }
     }
 
-    /// The aggregate cache (for direct marking by the materializer).
-    pub fn aggregate_cache(&self) -> &AggregateCache {
-        &self.agg_cache
-    }
-
     // ------------------------------------------------------------------
-    // Incremental aggregation: the delta-fold engine
+    // The query path: hit, delta fold, or cold build
     // ------------------------------------------------------------------
 
-    /// Enable or disable the delta-fold engine. Disabled, the
-    /// materializer always rebuilds aggregates from the full fact table
-    /// — the operator escape hatch (`"incremental": false` in the
-    /// federation config) for ruling incremental maintenance in or out
-    /// while diagnosing a discrepancy.
-    pub fn set_incremental(&mut self, enabled: bool) {
-        self.incremental = enabled;
-        if !enabled {
-            self.delta.clear();
-        }
-    }
-
-    /// True when materialization may ride the delta-fold engine.
-    pub fn incremental_enabled(&self) -> bool {
-        self.incremental
-    }
-
-    /// The retained delta-fold state (introspection: entry counts and
+    /// The retained query state (introspection: entry counts and
     /// cursors; tests prove cursors reset on resync through this).
     pub fn delta_cache(&self) -> &DeltaFoldCache {
         &self.delta
     }
 
-    /// Execute `query` over `schema.table` through the **delta-fold
-    /// engine**: reuse the retained per-shard partials for this (table,
-    /// query) pair, fold only the binlog records appended since the
-    /// retained cursor into their day-bucket shards, and finalize.
+    /// Add `n` to a one-label counter; nothing when `n` is zero or
+    /// telemetry is off.
+    fn bump_counter(&self, name: &str, label: (&str, &str), n: u64) {
+        if n > 0 && self.telemetry.is_enabled() {
+            self.telemetry.counter(name, &[label]).add(n);
+        }
+    }
+
+    /// Run `f` on the retained entry for `key` if it already answers for
+    /// the table as it stands ([`DeltaEntry::covers`]). `f` runs under
+    /// the cache lock.
+    pub(crate) fn with_current_entry<R>(
+        &self,
+        key: &CacheKey,
+        f: impl FnOnce(&mut DeltaEntry) -> R,
+    ) -> Option<R> {
+        let ticket = self.rebuild_ticket(&key.schema, &key.table);
+        let shards = self.pool.shards().max(1);
+        self.delta
+            .with_entry(key, |e| e.covers(ticket, shards).then(|| f(e)))
+            .flatten()
+    }
+
+    /// Fold the binlog records that touched `key`'s table after `cursor`
+    /// into `partials`, resolving the query once for the whole pass.
+    /// `Ok(Err(reason))` when the delta cannot be folded and the state
+    /// must be rebuilt; real log damage is not a fallback condition and
+    /// surfaces as `Err`.
+    fn fold_delta(
+        &self,
+        key: &CacheKey,
+        query: &Query,
+        table_schema: &TableSchema,
+        cursor: LogPosition,
+        partials: &mut ShardedPartials,
+    ) -> Result<std::result::Result<(usize, usize), FallbackReason>> {
+        let events = match self.binlog_for_table_after(cursor, &key.schema, &key.table) {
+            Ok(events) => events,
+            Err(WarehouseError::CompactedAway { .. }) => {
+                return Ok(Err(FallbackReason::CompactedAway))
+            }
+            Err(WarehouseError::Io(_)) => return Ok(Err(FallbackReason::ReadError)),
+            Err(e) => return Err(e),
+        };
+        let batches: Option<Vec<&Vec<Row>>> = events
+            .iter()
+            .map(|ev| match &ev.payload {
+                EventPayload::InsertBatch { rows, .. } => Some(rows),
+                // A truncate or re-create of the fact table is in the
+                // delta: folded state cannot unfold removed rows.
+                _ => None,
+            })
+            .collect();
+        let Some(batches) = batches else {
+            return Ok(Err(FallbackReason::FactRewrite));
+        };
+        let folded = batches.iter().map(|rows| rows.len()).sum();
+        let dirty = partials.fold_batch(query, table_schema, batches.into_iter().flatten())?;
+        Ok(Ok((folded, dirty)))
+    }
+
+    /// Answer `query` over `schema.table` from the retained partials for
+    /// this (table, query) pair, and say which way it went:
     ///
-    /// Falls back to a full rebuild — and says so in the returned
-    /// [`DeltaReport`] — whenever the retained state cannot be trusted:
-    /// the rebuild generation moved (resync/restore), snapshot
-    /// compaction outran the cursor ([`WarehouseError::CompactedAway`]),
-    /// the fact table itself was truncated or re-created, the shard
-    /// geometry changed, or the delta read failed transiently. A cold
-    /// start (no retained state) builds the partials from the live table
-    /// on the worker pool.
+    /// - **hit** — the table has not been mutated since the entry's
+    ///   cursor (same generation, same shard count): the entry's
+    ///   finalized result is cloned in place, so concurrent identical
+    ///   readers all hit. Reported as an incremental pass of zero rows.
+    /// - **delta fold** — after ingest, only the binlog records appended
+    ///   since the cursor are folded into their day-bucket shards.
+    /// - **cold build** — nothing retained, or the retained state cannot
+    ///   be trusted: the rebuild generation moved (resync/restore),
+    ///   snapshot compaction outran the cursor
+    ///   ([`WarehouseError::CompactedAway`]), the fact table itself was
+    ///   truncated or re-created, the shard geometry changed, or the
+    ///   delta read failed transiently. [`ShardedPartials::build`] folds
+    ///   the live table (page by page when it is paged).
     ///
-    /// The result is byte-identical to [`Database::query_sharded`] under
-    /// the same pool geometry whenever float inputs are exactly
-    /// representable, because each shard folds rows in table order in
-    /// both engines and shards merge in ascending order either way.
+    /// The result is byte-identical to [`crate::parallel::run_sharded`]
+    /// under the same pool geometry whenever float inputs are exactly
+    /// representable: each shard folds the same rows and shards merge in
+    /// ascending order either way.
     ///
     /// `label` attributes the telemetry this emits
-    /// (`warehouse_delta_folded_records_total{table=..}`,
-    /// `warehouse_delta_dirty_shards_total{table=..}`,
-    /// `warehouse_delta_folds_total{table=..}`,
-    /// `warehouse_delta_cold_builds_total{table=..}`, and
-    /// `warehouse_delta_fallback_rebuilds_total{reason=..}`).
-    pub fn run_delta_fold(
+    /// (`warehouse_aggcache_{hits,misses}_total{table=..}`,
+    /// `warehouse_delta_{folds,folded_records,dirty_shards,cold_builds}_total{table=..}`
+    /// and `warehouse_delta_fallback_rebuilds_total{reason=..}`).
+    pub fn query_reported(
         &self,
         schema: &str,
         table: &str,
         query: &Query,
         label: &str,
     ) -> Result<(ResultSet, DeltaReport)> {
-        let key = CacheKey {
-            schema: schema.to_owned(),
-            table: table.to_owned(),
-            fingerprint: query.fingerprint(),
-        };
+        let t = self.table(schema, table)?;
+        let key = CacheKey::of(schema, table, query);
+        let by_table = ("table", label);
+        if let Some(result) = self.with_current_entry(&key, |e| e.result.clone()) {
+            self.bump_counter("warehouse_aggcache_hits_total", by_table, 1);
+            let quiet = DeltaReport {
+                outcome: DeltaOutcome::Incremental,
+                rows_folded: 0,
+                dirty_shards: 0,
+            };
+            return Ok((result, quiet));
+        }
+        self.bump_counter("warehouse_aggcache_misses_total", by_table, 1);
+
         let head = self.binlog.position();
         let generation = self.rebuild_generation;
-        let t = self.table(schema, table)?;
-        let table_schema = t.schema();
         let shards_now = self.pool.shards().max(1);
-
-        let mut fallback: Option<FallbackReason> = None;
-        let retained = match self.delta.take(&key) {
+        let mut advanced = None;
+        let mut fallback = None;
+        match self.delta.take(&key) {
             Some(e) if e.generation != generation => {
                 fallback = Some(FallbackReason::ExternalRebuild);
-                None
             }
             Some(e) if e.partials.shard_count() != shards_now => {
                 fallback = Some(FallbackReason::Resharded);
-                None
             }
-            other => other,
-        };
-
-        if let Some(mut entry) = retained {
-            match self.binlog_for_table_after(entry.cursor, schema, table) {
-                Ok(events)
-                    if events
-                        .iter()
-                        .all(|e| matches!(e.payload, EventPayload::InsertBatch { .. })) =>
-                {
-                    let mut folded = 0usize;
-                    let mut dirty = 0usize;
-                    for ev in &events {
-                        if let EventPayload::InsertBatch { rows, .. } = &ev.payload {
-                            dirty += entry.partials.fold_batch(query, table_schema, rows)?;
-                            folded += rows.len();
-                        }
-                    }
-                    entry.cursor = head;
-                    let result = entry.partials.finalize(query, table_schema)?;
-                    self.delta.put(key, entry);
-                    if self.telemetry.is_enabled() {
-                        self.telemetry
-                            .counter("warehouse_delta_folds_total", &[("table", label)])
-                            .inc();
-                        self.telemetry
-                            .counter("warehouse_delta_folded_records_total", &[("table", label)])
-                            .add(folded as u64);
-                        self.telemetry
-                            .counter("warehouse_delta_dirty_shards_total", &[("table", label)])
-                            .add(dirty as u64);
-                    }
-                    return Ok((
-                        result,
-                        DeltaReport {
-                            outcome: DeltaOutcome::Incremental,
-                            rows_folded: folded,
-                            dirty_shards: dirty,
-                        },
-                    ));
+            Some(mut e) => {
+                match self.fold_delta(&key, query, t.schema(), e.cursor, &mut e.partials)? {
+                    Ok(counts) => advanced = Some((e.partials, counts)),
+                    Err(reason) => fallback = Some(reason),
                 }
-                // A truncate or re-create of the fact table is in the
-                // delta: folded state cannot unfold removed rows.
-                Ok(_) => fallback = Some(FallbackReason::FactRewrite),
-                Err(WarehouseError::CompactedAway { .. }) => {
-                    fallback = Some(FallbackReason::CompactedAway);
-                }
-                Err(WarehouseError::Io(_)) => fallback = Some(FallbackReason::ReadError),
-                // Real log damage is not a fallback condition — surface it.
-                Err(e) => return Err(e),
             }
+            None => {}
         }
 
-        // Cold start or fallback: rebuild the retained state from the
-        // live table on the worker pool, then finalize from it. A paged
-        // table materializes here (faulting spilled pages in) so the
-        // cold build folds rows in exact insertion order — the property
-        // the incremental-vs-recompute oracle depends on.
-        let rows = t.rows()?;
-        let partials = ShardedPartials::build(
-            query,
-            table_schema,
-            &rows,
-            self.pool,
-            &self.telemetry,
-            label,
-        )?;
-        drop(rows);
-        let rows_folded = t.len();
-        let result = partials.finalize(query, table_schema)?;
+        let (partials, report) = match advanced {
+            Some((partials, (rows_folded, dirty_shards))) => {
+                self.bump_counter("warehouse_delta_folds_total", by_table, 1);
+                self.bump_counter(
+                    "warehouse_delta_folded_records_total",
+                    by_table,
+                    rows_folded as u64,
+                );
+                self.bump_counter(
+                    "warehouse_delta_dirty_shards_total",
+                    by_table,
+                    dirty_shards as u64,
+                );
+                let report = DeltaReport {
+                    outcome: DeltaOutcome::Incremental,
+                    rows_folded,
+                    dirty_shards,
+                };
+                (partials, report)
+            }
+            None => {
+                let partials = ShardedPartials::build(query, t, self.pool, &self.telemetry, label)?;
+                self.bump_counter("warehouse_delta_cold_builds_total", by_table, 1);
+                if let Some(reason) = fallback {
+                    self.bump_counter(
+                        "warehouse_delta_fallback_rebuilds_total",
+                        ("reason", reason.label()),
+                        1,
+                    );
+                }
+                let report = DeltaReport {
+                    outcome: fallback.map_or(DeltaOutcome::Cold, DeltaOutcome::Fallback),
+                    rows_folded: t.len(),
+                    dirty_shards: shards_now,
+                };
+                (partials, report)
+            }
+        };
+        let result = partials.finalize(query, t.schema())?;
         self.delta.put(
             key,
             DeltaEntry {
                 cursor: head,
                 generation,
                 partials,
+                result: result.clone(),
+                installed_as: None,
             },
         );
-        let outcome = match fallback {
-            Some(reason) => {
-                if self.telemetry.is_enabled() {
-                    self.telemetry
-                        .counter(
-                            "warehouse_delta_fallback_rebuilds_total",
-                            &[("reason", reason.label())],
-                        )
-                        .inc();
-                }
-                DeltaOutcome::Fallback(reason)
-            }
-            None => DeltaOutcome::Cold,
-        };
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .counter("warehouse_delta_cold_builds_total", &[("table", label)])
-                .inc();
-        }
-        Ok((
-            result,
-            DeltaReport {
-                outcome,
-                rows_folded,
-                dirty_shards: shards_now,
-            },
-        ))
+        Ok((result, report))
     }
 
     fn table_mut(&mut self, schema: &str, table: &str) -> Result<&mut Table> {
@@ -905,11 +864,9 @@ impl Database {
         self.binlog.rotate_epoch();
         self.backend.start_epoch(self.binlog.position().epoch)?;
         self.last_snapshot_seqno = 0;
-        // Every cached result, in-flight rebuild ticket, and delta-fold
-        // cursor is now void.
+        // Every retained entry and in-flight rebuild ticket is now void.
         self.watermarks.clear();
         self.rebuild_generation += 1;
-        self.agg_cache.clear();
         self.delta.clear();
         Ok(())
     }
@@ -1115,7 +1072,6 @@ impl Database {
         // their spill files — nothing stale survives the rebuild.
         self.schemas.clear();
         self.watermarks.clear();
-        self.agg_cache.clear();
         self.delta.clear();
         self.rebuild_generation += 1;
         self.binlog = Binlog::default();
@@ -1336,7 +1292,7 @@ mod tests {
         assert!(snap.counter("warehouse_binlog_bytes_total", &[]).unwrap() > 0);
 
         let count = Query::new().aggregate(crate::query::Aggregate::count("n"));
-        let rs = db.query_sharded("xdmod_x", "jobfact", &count).unwrap();
+        let rs = db.query("xdmod_x", "jobfact", &count).unwrap();
         assert_eq!(rs.len(), 1);
         let snap = reg.snapshot();
         assert_eq!(
@@ -1355,7 +1311,7 @@ mod tests {
     }
 
     #[test]
-    fn query_cached_hits_until_table_mutates() {
+    fn query_hits_until_table_mutates() {
         use crate::query::{AggFn, Aggregate, Query};
         use xdmod_telemetry::MetricsRegistry;
 
@@ -1364,8 +1320,8 @@ mod tests {
         db.set_telemetry(reg.clone());
         let q = Query::new().aggregate(Aggregate::of(AggFn::Sum, "cpu_hours", "total"));
 
-        let first = db.query_cached("xdmod_x", "jobfact", &q).unwrap();
-        let second = db.query_cached("xdmod_x", "jobfact", &q).unwrap();
+        let first = db.query("xdmod_x", "jobfact", &q).unwrap();
+        let second = db.query("xdmod_x", "jobfact", &q).unwrap();
         assert_eq!(first, second);
         let snap = reg.snapshot();
         assert_eq!(
@@ -1377,26 +1333,38 @@ mod tests {
             Some(1)
         );
 
-        // Ingest moves the watermark: next call recomputes.
+        // Ingest moves the watermark: the next call misses, and folds
+        // the one new row instead of re-scanning the table.
         db.insert(
             "xdmod_x",
             "jobfact",
             vec![vec![Value::Str("comet".into()), Value::Float(4.0)]],
         )
         .unwrap();
-        let third = db.query_cached("xdmod_x", "jobfact", &q).unwrap();
+        let third = db.query("xdmod_x", "jobfact", &q).unwrap();
         assert_eq!(third.scalar_f64("total"), Some(7.0));
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter("warehouse_aggcache_misses_total", &[("table", "jobfact")]),
             Some(2)
         );
+        assert_eq!(
+            snap.counter(
+                "warehouse_query_rows_scanned_total",
+                &[("table", "jobfact")]
+            ),
+            Some(2),
+            "one row for the cold build, none for the hit, one for the delta"
+        );
     }
 
     #[test]
-    fn cached_queries_survive_unrelated_table_writes() {
+    fn retained_queries_survive_unrelated_table_writes() {
         use crate::query::Query;
+        use xdmod_telemetry::MetricsRegistry;
+        let reg = MetricsRegistry::new();
         let mut db = populated();
+        db.set_telemetry(reg.clone());
         db.create_table(
             "xdmod_x",
             SchemaBuilder::new("storagefact")
@@ -1407,7 +1375,7 @@ mod tests {
         .unwrap();
         let q = Query::new().aggregate(crate::query::Aggregate::count("jobs"));
         let ticket = db.rebuild_ticket("xdmod_x", "jobfact");
-        db.query_cached("xdmod_x", "jobfact", &q).unwrap();
+        db.query("xdmod_x", "jobfact", &q).unwrap();
         // Writing a *different* table leaves the jobfact ticket intact.
         db.insert(
             "xdmod_x",
@@ -1416,14 +1384,16 @@ mod tests {
         )
         .unwrap();
         assert_eq!(db.rebuild_ticket("xdmod_x", "jobfact"), ticket);
-        assert!(db.aggregate_cache().is_fresh(
-            &crate::parallel::CacheKey {
-                schema: "xdmod_x".into(),
-                table: "jobfact".into(),
-                fingerprint: q.fingerprint(),
-            },
-            ticket
-        ));
+        // The log head moved past the entry's cursor, the table's
+        // watermark did not: still a hit.
+        let key = CacheKey::of("xdmod_x", "jobfact", &q);
+        assert!(db.delta_cache().cursor_of(&key).unwrap() < db.binlog_position());
+        db.query("xdmod_x", "jobfact", &q).unwrap();
+        assert_eq!(
+            reg.snapshot()
+                .counter("warehouse_aggcache_hits_total", &[("table", "jobfact")]),
+            Some(1)
+        );
     }
 
     #[test]
@@ -1433,11 +1403,10 @@ mod tests {
         let generation = db.note_external_rebuild();
         assert_eq!(generation, 1);
         assert_ne!(db.rebuild_ticket("xdmod_x", "jobfact"), ticket);
-        assert!(db.aggregate_cache().is_empty());
     }
 
     #[test]
-    fn sharded_query_matches_serial_query_path() {
+    fn query_matches_the_serial_fold() {
         use crate::parallel::PoolConfig;
         use crate::query::{AggFn, Aggregate, Query};
         let mut db = populated();
@@ -1446,7 +1415,7 @@ mod tests {
             .group_by_column("resource")
             .aggregate(Aggregate::of(AggFn::Sum, "cpu_hours", "total"));
         assert_eq!(
-            db.query_sharded("xdmod_x", "jobfact", &q).unwrap(),
+            db.query("xdmod_x", "jobfact", &q).unwrap(),
             q.run(db.table("xdmod_x", "jobfact").unwrap()).unwrap()
         );
     }
@@ -1458,7 +1427,7 @@ mod tests {
         assert!(!db.telemetry().is_enabled());
         // Instrumented paths still work with telemetry off.
         let count = Query::new().aggregate(crate::query::Aggregate::count("n"));
-        db.query_sharded("xdmod_x", "jobfact", &count).unwrap();
+        db.query("xdmod_x", "jobfact", &count).unwrap();
         assert_eq!(db.telemetry().prometheus_text(), "");
     }
 
@@ -1840,7 +1809,7 @@ mod tests {
             let head = src.binlog_position();
             let checksum = src.table("s", "t").unwrap().content_checksum();
             let source_rows = src.table("s", "t").unwrap().rows().unwrap().to_vec();
-            let source_by_day = src.query_sharded("s", "t", &by_day).unwrap();
+            let source_by_day = src.query("s", "t", &by_day).unwrap();
             let source_total = total.run(src.table("s", "t").unwrap()).unwrap();
             drop(src); // crash
 
@@ -1869,7 +1838,7 @@ mod tests {
                 assert_eq!(of_day(&dense_rows, day), of_day(&source_rows, day));
             }
             for db in [&dense, &paged] {
-                assert_eq!(db.query_sharded("s", "t", &by_day).unwrap(), source_by_day);
+                assert_eq!(db.query("s", "t", &by_day).unwrap(), source_by_day);
             }
             let same_mode = if paged_source { &paged } else { &dense };
             assert_eq!(
@@ -1922,6 +1891,13 @@ mod tests {
     // ------------------------------------------------------------------
     // Delta-fold engine
     // ------------------------------------------------------------------
+
+    /// The stateless engine over the live table: what every retained
+    /// answer must equal.
+    fn recompute(db: &Database, q: &Query) -> ResultSet {
+        let t = db.table("xdmod_x", "jobfact").unwrap();
+        crate::parallel::run_sharded(q, t, db.parallelism(), db.telemetry(), "jobfact").unwrap()
+    }
 
     fn delta_db() -> Database {
         let mut db = Database::new();
@@ -1976,33 +1952,25 @@ mod tests {
         let q = delta_query();
         db.insert("xdmod_x", "jobfact", delta_rows(1, 40)).unwrap();
 
-        let (rs, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (rs, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(report.outcome, DeltaOutcome::Cold);
         assert_eq!(report.rows_folded, 40);
-        assert_eq!(rs, db.query_sharded("xdmod_x", "jobfact", &q).unwrap());
+        assert_eq!(rs, recompute(&db, &q));
 
         for (step, batch) in [1usize, 7, 16].into_iter().enumerate() {
             db.insert("xdmod_x", "jobfact", delta_rows(step as u64 + 2, batch))
                 .unwrap();
-            let (rs, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+            let (rs, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
             assert!(report.is_incremental(), "step {step}: {:?}", report.outcome);
             assert_eq!(report.rows_folded, batch, "step {step}");
             assert!(report.dirty_shards <= db.parallelism().shards());
-            assert_eq!(
-                rs,
-                db.query_sharded("xdmod_x", "jobfact", &q).unwrap(),
-                "step {step}"
-            );
+            assert_eq!(rs, recompute(&db, &q), "step {step}");
         }
         // Cursor tracks the log head once folded through.
-        let key = CacheKey {
-            schema: "xdmod_x".into(),
-            table: "jobfact".into(),
-            fingerprint: q.fingerprint(),
-        };
+        let key = CacheKey::of("xdmod_x", "jobfact", &q);
         assert_eq!(db.delta_cache().cursor_of(&key), Some(db.binlog_position()));
-        // No new records: a fold is incremental with nothing to do.
-        let (_, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        // No new records: a hit, reported as a fold of nothing.
+        let (_, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert!(report.is_incremental());
         assert_eq!(report.rows_folded, 0);
         assert_eq!(report.dirty_shards, 0);
@@ -2016,7 +1984,7 @@ mod tests {
         db.set_telemetry(reg.clone());
         let q = delta_query();
         db.insert("xdmod_x", "jobfact", delta_rows(3, 24)).unwrap();
-        db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(db.delta_cache().len(), 1);
 
         // A resync/restore rewrites tables outside DML accounting: every
@@ -2032,9 +2000,9 @@ mod tests {
             Some(1)
         );
         // The next pass rebuilds cold and still matches a recompute.
-        let (rs, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (rs, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(report.outcome, DeltaOutcome::Cold);
-        assert_eq!(rs, db.query_sharded("xdmod_x", "jobfact", &q).unwrap());
+        assert_eq!(rs, recompute(&db, &q));
     }
 
     #[test]
@@ -2042,26 +2010,22 @@ mod tests {
         // Belt and braces: an entry *held out* across a generation bump
         // (the mid-fold resync race) is rejected on put-back... this
         // test drives the read-side guard by reinserting a pre-bump
-        // entry and watching run_delta_fold refuse to advance it.
+        // entry and watching the query refuse to serve or advance it.
         let mut db = delta_db();
         let q = delta_query();
         db.insert("xdmod_x", "jobfact", delta_rows(5, 12)).unwrap();
-        db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
-        let key = CacheKey {
-            schema: "xdmod_x".into(),
-            table: "jobfact".into(),
-            fingerprint: q.fingerprint(),
-        };
+        db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let key = CacheKey::of("xdmod_x", "jobfact", &q);
         let stale = db.delta_cache().take(&key).expect("retained entry");
         db.note_external_rebuild();
         db.delta_cache().put(key, stale);
 
-        let (rs, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (rs, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(
             report.fallback_reason(),
             Some(FallbackReason::ExternalRebuild)
         );
-        assert_eq!(rs, db.query_sharded("xdmod_x", "jobfact", &q).unwrap());
+        assert_eq!(rs, recompute(&db, &q));
     }
 
     #[test]
@@ -2072,7 +2036,7 @@ mod tests {
         db.set_telemetry(reg.clone());
         let q = delta_query();
         db.insert("xdmod_x", "jobfact", delta_rows(8, 20)).unwrap();
-        db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
 
         // More ingest, then snapshots compact the log past the cursor
         // (the horizon trails one snapshot behind, so two are needed).
@@ -2082,13 +2046,13 @@ mod tests {
         db.snapshot_now().unwrap();
         assert!(db.compaction_horizon() > 3, "cursor seqno 3 must be gone");
 
-        let (rs, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (rs, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(
             report.fallback_reason(),
             Some(FallbackReason::CompactedAway)
         );
         assert_eq!(report.rows_folded, 33);
-        assert_eq!(rs, db.query_sharded("xdmod_x", "jobfact", &q).unwrap());
+        assert_eq!(rs, recompute(&db, &q));
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter(
@@ -2099,7 +2063,7 @@ mod tests {
         );
         // The rebuilt entry folds incrementally again.
         db.insert("xdmod_x", "jobfact", delta_rows(10, 5)).unwrap();
-        let (_, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (_, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert!(report.is_incremental());
     }
 
@@ -2108,15 +2072,15 @@ mod tests {
         let mut db = delta_db();
         let q = delta_query();
         db.insert("xdmod_x", "jobfact", delta_rows(11, 16)).unwrap();
-        db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
 
         db.truncate("xdmod_x", "jobfact").unwrap();
         db.insert("xdmod_x", "jobfact", delta_rows(12, 6)).unwrap();
 
-        let (rs, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (rs, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(report.fallback_reason(), Some(FallbackReason::FactRewrite));
         assert_eq!(report.rows_folded, 6);
-        assert_eq!(rs, db.query_sharded("xdmod_x", "jobfact", &q).unwrap());
+        assert_eq!(rs, recompute(&db, &q));
     }
 
     #[test]
@@ -2124,13 +2088,13 @@ mod tests {
         let mut db = delta_db();
         let q = delta_query();
         db.insert("xdmod_x", "jobfact", delta_rows(13, 32)).unwrap();
-        db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
 
         db.set_parallelism(crate::parallel::PoolConfig::new(3).with_shards(7));
-        let (rs, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (rs, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(report.fallback_reason(), Some(FallbackReason::Resharded));
         assert_eq!(report.dirty_shards, 7);
-        assert_eq!(rs, db.query_sharded("xdmod_x", "jobfact", &q).unwrap());
+        assert_eq!(rs, recompute(&db, &q));
     }
 
     #[test]
@@ -2139,7 +2103,7 @@ mod tests {
         let mut db = delta_db();
         let q = delta_query();
         db.insert("xdmod_x", "jobfact", delta_rows(14, 18)).unwrap();
-        db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         db.insert("xdmod_x", "jobfact", delta_rows(15, 4)).unwrap();
 
         let plan = FaultPlan::new().with(FaultSpec::at_ops(
@@ -2148,23 +2112,10 @@ mod tests {
             &[1],
         ));
         db.set_fault_injector(plan.injector(7), "link-x");
-        let (rs, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (rs, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert_eq!(report.fallback_reason(), Some(FallbackReason::ReadError));
         db.clear_fault_injector();
-        assert_eq!(rs, db.query_sharded("xdmod_x", "jobfact", &q).unwrap());
-    }
-
-    #[test]
-    fn disabling_incremental_drops_retained_state() {
-        let mut db = delta_db();
-        let q = delta_query();
-        assert!(db.incremental_enabled());
-        db.insert("xdmod_x", "jobfact", delta_rows(16, 8)).unwrap();
-        db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
-        assert_eq!(db.delta_cache().len(), 1);
-        db.set_incremental(false);
-        assert!(!db.incremental_enabled());
-        assert!(db.delta_cache().is_empty());
+        assert_eq!(rs, recompute(&db, &q));
     }
 
     #[test]
@@ -2175,9 +2126,9 @@ mod tests {
         db.set_telemetry(reg.clone());
         let q = delta_query();
         db.insert("xdmod_x", "jobfact", delta_rows(17, 20)).unwrap();
-        db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         db.insert("xdmod_x", "jobfact", delta_rows(18, 9)).unwrap();
-        let (_, report) = db.run_delta_fold("xdmod_x", "jobfact", &q, "agg").unwrap();
+        let (_, report) = db.query_reported("xdmod_x", "jobfact", &q, "agg").unwrap();
         assert!(report.is_incremental());
 
         let snap = reg.snapshot();

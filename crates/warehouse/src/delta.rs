@@ -1,25 +1,61 @@
-//! Incremental aggregation state: the **delta-fold** engine's retained
-//! partials and the bookkeeping that decides when they can be trusted.
+//! The warehouse's one cache: retained partials per (table, query).
 //!
-//! Materialization used to be all-or-nothing: any ingest moved the fact
-//! table's [`RebuildTicket`](crate::parallel::RebuildTicket) watermark
-//! and every aggregate recomputed from scratch. But the binlog already
-//! carries exactly the delta — this module keys retained
-//! [`ShardedPartials`] by `(schema, fact table, query fingerprint)` and
-//! stamps each entry with a **cursor** (the binlog position through
-//! which records are folded) plus the rebuild generation it was built
-//! under. [`Database::run_delta_fold`](crate::database::Database::run_delta_fold)
-//! advances an entry by folding only the records between its cursor and
-//! the log head, touching only the day-bucket shards those records land
-//! on, and falls back to a full rebuild whenever the retained state can
-//! no longer be trusted (see [`FallbackReason`]).
+//! Every cached answer is a [`DeltaEntry`] keyed by `(schema, fact
+//! table, query fingerprint)`: the per-shard [`ShardedPartials`] folded
+//! through a binlog **cursor**, the result finalized from them, and the
+//! rebuild generation they were built under.
+//! [`Database::query_reported`](crate::database::Database::query_reported)
+//! is the one reader. While the table has not been mutated past the
+//! cursor the entry's result is the answer (a hit); after ingest only
+//! the binlog records between cursor and head are folded, into the
+//! day-bucket shards they land on; and whenever the retained state can
+//! no longer be trusted (see [`FallbackReason`]) it is rebuilt from the
+//! table.
 
 use crate::binlog::LogPosition;
-use crate::parallel::{CacheKey, ShardedPartials};
+use crate::parallel::ShardedPartials;
+use crate::query::{Query, ResultSet};
 use crate::sync::Mutex;
 use std::collections::HashMap;
 
-/// Retained incremental state for one query over one fact table.
+/// Identity of a retained entry: which table was read and what was
+/// asked of it.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct CacheKey {
+    /// Schema of the source table.
+    pub schema: String,
+    /// Source table.
+    pub table: String,
+    /// [`Query::fingerprint`] of the query.
+    pub fingerprint: u64,
+}
+
+impl CacheKey {
+    /// The key of `query` over `schema.table`.
+    pub fn of(schema: &str, table: &str, query: &Query) -> Self {
+        CacheKey {
+            schema: schema.to_owned(),
+            table: table.to_owned(),
+            fingerprint: query.fingerprint(),
+        }
+    }
+}
+
+/// Snapshot of a table's data version: its binlog watermark (position of
+/// its last mutation) and the database's rebuild generation. A retained
+/// entry or an in-flight rebuild is valid only against the ticket it was
+/// computed at — ingest moves the watermark; external rebuilds
+/// (replication resync, restore) bump the generation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct RebuildTicket {
+    /// Position of the last binlog record that touched the table
+    /// (`None` until its first mutation is recorded).
+    pub watermark: Option<LogPosition>,
+    /// [`crate::database::Database::rebuild_generation`] at issue time.
+    pub generation: u64,
+}
+
+/// Retained state for one query over one fact table.
 #[derive(Debug, Clone)]
 pub(crate) struct DeltaEntry {
     /// Binlog position through which every record touching the fact
@@ -32,6 +68,26 @@ pub(crate) struct DeltaEntry {
     pub generation: u64,
     /// The per-shard retained partials.
     pub partials: ShardedPartials,
+    /// `partials` finalized at `cursor` — what a hit clones.
+    pub result: ResultSet,
+    /// Name of the period table `result` is currently installed in.
+    /// Set by [`AggregationSpec::apply_outputs`], and gone with the entry
+    /// it was set on whenever that entry folds a record or is rebuilt —
+    /// so a plan whose apply never ran is not mistaken for installed.
+    ///
+    /// [`AggregationSpec::apply_outputs`]: crate::aggregate::AggregationSpec::apply_outputs
+    pub installed_as: Option<String>,
+}
+
+impl DeltaEntry {
+    /// True when the entry already answers for the table at `ticket`
+    /// under a pool of `shards` shards: same generation, same geometry,
+    /// and no mutation of the table past the cursor.
+    pub fn covers(&self, ticket: RebuildTicket, shards: usize) -> bool {
+        self.generation == ticket.generation
+            && self.partials.shard_count() == shards
+            && ticket.watermark.is_none_or(|w| w <= self.cursor)
+    }
 }
 
 /// Why a delta fold abandoned its retained partials and rebuilt cold.
@@ -39,8 +95,8 @@ pub(crate) struct DeltaEntry {
 pub enum FallbackReason {
     /// The rebuild generation moved: a replication resync or restore
     /// rewrote table contents outside normal DML accounting. (Belt and
-    /// braces — [`note_external_rebuild`] also clears the delta cache,
-    /// so this fires only for an entry held out across the bump.)
+    /// braces — [`note_external_rebuild`] also clears the cache, so this
+    /// fires only for an entry held out across the bump.)
     ///
     /// [`note_external_rebuild`]: crate::database::Database::note_external_rebuild
     ExternalRebuild,
@@ -72,31 +128,32 @@ impl FallbackReason {
     }
 }
 
-/// How one delta-fold pass obtained its result.
+/// How one query pass obtained its result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeltaOutcome {
     /// No retained partials existed; built from the full table.
     Cold,
-    /// Retained partials advanced by folding only the binlog delta.
+    /// Retained partials answered, advanced by folding only the binlog
+    /// delta — zero records of it on a hit.
     Incremental,
     /// Retained partials were discarded as untrustworthy and the state
     /// was rebuilt from the full table.
     Fallback(FallbackReason),
 }
 
-/// What one [`Database::run_delta_fold`] pass did, for callers (and
+/// What one [`Database::query_reported`] pass did, for callers (and
 /// tests) that assert on the path taken rather than just the bytes.
 ///
-/// [`Database::run_delta_fold`]: crate::database::Database::run_delta_fold
+/// [`Database::query_reported`]: crate::database::Database::query_reported
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeltaReport {
     /// The path taken.
     pub outcome: DeltaOutcome,
-    /// Rows folded during this pass: the delta rows on an incremental
-    /// pass, the whole table on a cold or fallback build.
+    /// Rows folded during this pass: none on a hit, the delta rows on an
+    /// advancing pass, the whole table on a cold or fallback build.
     pub rows_folded: usize,
-    /// Shards that received rows this pass (incremental passes only;
-    /// cold/fallback builds report the full shard count).
+    /// Shards that received rows this pass (cold/fallback builds report
+    /// the full shard count).
     pub dirty_shards: usize,
 }
 
@@ -115,14 +172,16 @@ impl DeltaReport {
     }
 }
 
-/// Keyed store of retained delta-fold state, interior-mutable so the
-/// fold path runs under a shared borrow (the hub plans every satellite's
+/// Keyed store of retained entries, interior-mutable so the query path
+/// runs under a shared borrow (the hub plans every satellite's
 /// aggregation concurrently under one read lock).
 ///
-/// Entries are **taken** for the duration of a fold and put back
-/// advanced — two concurrent folds of the same key degrade gracefully:
-/// one gets the entry, the other cold-builds, and whichever finishes
-/// last leaves a valid entry (both describe "all rows through cursor").
+/// A hit inspects its entry in place, so any number of identical
+/// readers hit together. Only an advancing fold **takes** the entry and
+/// puts it back advanced — two concurrent folds of the same key degrade
+/// gracefully: one gets the entry, the other cold-builds, and whichever
+/// finishes last leaves a valid entry (both describe "all rows through
+/// cursor").
 #[derive(Debug, Default)]
 pub struct DeltaFoldCache {
     entries: Mutex<HashMap<CacheKey, DeltaEntry>>,
@@ -132,6 +191,16 @@ impl DeltaFoldCache {
     /// Empty cache.
     pub fn new() -> Self {
         DeltaFoldCache::default()
+    }
+
+    /// Run `f` on the entry for `key`, in place and under the cache
+    /// lock — `f` must not reach for another lock (telemetry included).
+    pub(crate) fn with_entry<R>(
+        &self,
+        key: &CacheKey,
+        f: impl FnOnce(&mut DeltaEntry) -> R,
+    ) -> Option<R> {
+        self.entries.lock().get_mut(key).map(f)
     }
 
     /// Remove and return the retained state for `key`, if any.
@@ -147,7 +216,7 @@ impl DeltaFoldCache {
     /// The retained cursor for `key` — the introspection surface tests
     /// use to prove cursors reset on resync/restore.
     pub fn cursor_of(&self, key: &CacheKey) -> Option<LogPosition> {
-        self.entries.lock().get(key).map(|e| e.cursor)
+        self.with_entry(key, |e| e.cursor)
     }
 
     /// Drop every entry; returns how many were discarded. Called by
@@ -186,21 +255,29 @@ mod tests {
         }
     }
 
+    fn entry(seqno: u64, generation: u64, shards: usize) -> DeltaEntry {
+        DeltaEntry {
+            cursor: LogPosition { epoch: 0, seqno },
+            generation,
+            partials: ShardedPartials::new(shards),
+            result: ResultSet {
+                columns: vec!["n".into()],
+                rows: vec![vec![crate::value::Value::Int(seqno as i64)]],
+            },
+            installed_as: None,
+        }
+    }
+
     #[test]
     fn take_put_cycle_round_trips() {
         let cache = DeltaFoldCache::new();
         assert!(cache.is_empty());
-        let cursor = LogPosition { epoch: 0, seqno: 9 };
-        cache.put(
-            key(1),
-            DeltaEntry {
-                cursor,
-                generation: 2,
-                partials: ShardedPartials::new(4),
-            },
-        );
+        cache.put(key(1), entry(9, 2, 4));
         assert_eq!(cache.len(), 1);
-        assert_eq!(cache.cursor_of(&key(1)), Some(cursor));
+        assert_eq!(
+            cache.cursor_of(&key(1)),
+            Some(LogPosition { epoch: 0, seqno: 9 })
+        );
         assert_eq!(cache.cursor_of(&key(2)), None);
 
         let taken = cache.take(&key(1)).expect("entry present");
@@ -212,17 +289,52 @@ mod tests {
     }
 
     #[test]
+    fn an_entry_covers_a_ticket_until_the_table_or_the_geometry_moves() {
+        let e = entry(3, 0, 4);
+        let at = |seqno, generation| RebuildTicket {
+            watermark: Some(LogPosition { epoch: 0, seqno }),
+            generation,
+        };
+        // The table's last mutation is at or before the cursor — other
+        // tables may have moved the log head since.
+        assert!(e.covers(at(3, 0), 4));
+        assert!(e.covers(at(2, 0), 4));
+        assert!(e.covers(RebuildTicket::default(), 4));
+        // Ingest moved the watermark past the cursor: stale.
+        assert!(!e.covers(at(4, 0), 4));
+        // External rebuild bumped the generation: stale.
+        assert!(!e.covers(at(3, 1), 4));
+        // The pool was resharded: stale.
+        assert!(!e.covers(at(3, 0), 5));
+    }
+
+    #[test]
+    fn entries_are_inspected_and_marked_in_place() {
+        let cache = DeltaFoldCache::new();
+        cache.put(key(1), entry(5, 0, 2));
+        // Any number of readers clone the result without taking it.
+        for _ in 0..3 {
+            let rs = cache.with_entry(&key(1), |e| e.result.clone()).unwrap();
+            assert_eq!(rs.rows[0][0], crate::value::Value::Int(5));
+        }
+        assert_eq!(cache.len(), 1);
+        cache.with_entry(&key(1), |e| e.installed_as = Some("by_month".into()));
+        let marked = cache.with_entry(&key(1), |e| e.installed_as.clone());
+        assert_eq!(marked, Some(Some("by_month".to_owned())));
+        // Superseding the entry supersedes the marker with it.
+        cache.put(key(1), entry(6, 0, 2));
+        assert_eq!(
+            cache.with_entry(&key(1), |e| e.installed_as.clone()),
+            Some(None)
+        );
+        assert_eq!(cache.with_entry(&key(2), |e| e.cursor), None);
+    }
+
+    #[test]
     fn clear_reports_dropped_entries() {
         let cache = DeltaFoldCache::new();
         for fp in 0..3 {
-            cache.put(
-                key(fp),
-                DeltaEntry {
-                    cursor: LogPosition::START,
-                    generation: 0,
-                    partials: ShardedPartials::new(1),
-                },
-            );
+            cache.put(key(fp), entry(0, 0, 1));
         }
         assert_eq!(cache.clear(), 3);
         assert!(cache.is_empty());

@@ -18,14 +18,15 @@
 //!   every chart and report.
 //! - A **partitioned parallel aggregation engine** ([`parallel`]):
 //!   day-bucket shards folded on a scoped worker pool, merged in stable
-//!   shard order (deterministic for any pool size), fronted by an
-//!   invalidation-aware aggregate cache keyed on binlog watermarks.
-//! - **Incremental aggregation** ([`delta`]): materialized aggregates
-//!   maintained by folding only the binlog records appended since a
-//!   per-(table, query) cursor into their day-bucket shards —
-//!   byte-identical to a full recompute, with automatic fallback to a
-//!   cold rebuild whenever the retained state cannot be trusted
-//!   (resync, compaction past the cursor, fact-table rewrite, reshard).
+//!   shard order (deterministic for any pool size).
+//! - **One cached query path** ([`database::Database::query`] over
+//!   [`delta`]): the per-shard partials of every (table, query) pair are
+//!   retained behind a binlog cursor — a repeat with no ingest is a
+//!   hit, after ingest only the records appended since the cursor are
+//!   folded into their day-bucket shards, byte-identical to a full
+//!   recompute, with automatic fallback to a cold rebuild whenever the
+//!   retained state cannot be trusted (resync, compaction past the
+//!   cursor, fact-table rewrite, reshard).
 //! - **Snapshots** ([`persist::Snapshot`]) for loose-federation dump
 //!   shipping and hub-side backup/restore: compacted binlogs — counted
 //!   runs of the same CRC'd frames, restored by the same event replay.
@@ -67,16 +68,14 @@ pub use aggregate::{AggregationOutputs, AggregationSpec, DimSpec};
 pub use binlog::{BinlogEvent, EventPayload, LogPosition, PrefixCompaction, TailRepair};
 pub use bins::{Bin, Bins};
 pub use database::Database;
-pub use delta::{DeltaFoldCache, DeltaOutcome, DeltaReport, FallbackReason};
+pub use delta::{
+    CacheKey, DeltaFoldCache, DeltaOutcome, DeltaReport, FallbackReason, RebuildTicket,
+};
 pub use disk::{DiskBackend, DiskOptions};
 pub use error::{Result, WarehouseError};
-pub use parallel::{
-    run_sharded, AggregateCache, CacheKey, PoolConfig, RebuildTicket, ShardedPartials,
-};
+pub use parallel::{run_sharded, PoolConfig, ShardedPartials};
 pub use persist::Snapshot;
-pub use query::{
-    AggFn, Aggregate, GroupKey, OrderBy, PartialAggregation, Predicate, Query, ResultSet,
-};
+pub use query::{AggFn, Aggregate, GroupKey, OrderBy, Predicate, Query, ResultSet};
 pub use resident::{PagingConfig, ResidencyManager, ResidencyStats};
 pub use schema::{ColumnDef, RowBuilder, SchemaBuilder, TableSchema};
 pub use storage::{CompactionReport, MemoryBackend, Recovery, StorageBackend};

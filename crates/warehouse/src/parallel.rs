@@ -1,32 +1,25 @@
 //! Parallel partitioned aggregation: day-bucket sharding, a scoped
-//! worker pool, deterministic shard-order merging, and an
-//! invalidation-aware aggregate cache.
+//! worker pool, and deterministic shard-order merging.
 //!
 //! The engine partitions a fact table's rows into shards — by calendar
 //! day bucket when the query names a time column, round-robin otherwise —
-//! folds each shard into a [`PartialAggregation`]-style group map on a
-//! pool of `std::thread::scope` workers, and merges the partials in
-//! ascending shard order. Workers only *race for shards*, never for
-//! merge position, so the result is identical for any worker count:
-//! `run_sharded` with one worker is the serial reference the
-//! differential oracle compares against.
+//! folds each shard into its own group map on a pool of
+//! `std::thread::scope` workers, and merges the shards in ascending
+//! order. Workers only *race for shards*, never for merge position, so
+//! the result is identical for any worker count: `run_sharded` with one
+//! worker is the serial reference the differential oracle compares
+//! against.
 //!
-//! The cache keys results by (schema, table, query fingerprint) and
-//! stamps each entry with a [`RebuildTicket`] — the source table's
-//! binlog watermark plus the database's rebuild generation. An entry is
-//! served only while both still match, so any ingest into the table (or
-//! an external rebuild such as a replication resync) invalidates it
-//! implicitly.
+//! The per-shard state is a value, [`ShardedPartials`]: [`run_sharded`]
+//! builds one and consumes it, [`crate::delta`] retains one per (table,
+//! query) and keeps folding the binlog's delta into it.
 
-use crate::binlog::LogPosition;
 use crate::error::{Result, WarehouseError};
-use crate::query::{AggPlan, Groups, PartialAggregation, Query, ResultSet};
+use crate::query::{AggPlan, Groups, Query, ResultSet};
 use crate::schema::TableSchema;
-use crate::sync::Mutex;
 use crate::table::Table;
 use crate::time::Period;
 use crate::value::Row;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xdmod_telemetry::MetricsRegistry;
 
@@ -117,8 +110,15 @@ fn shard_of(row: &Row, time_idx: Option<usize>, index: usize, shards: usize) -> 
     }
 }
 
-/// Execute a query with the partitioned engine: shard, fold each shard
-/// on the worker pool, merge partials in ascending shard order, finish.
+/// The column index a query's rows are sharded on, if it names a time
+/// column the table has.
+fn time_index(query: &Query, schema: &TableSchema) -> Option<usize> {
+    query.shard_hint().and_then(|c| schema.column_index(c).ok())
+}
+
+/// Execute a query with the partitioned engine, statelessly: shard, fold
+/// each shard ([`ShardedPartials::build`]), merge in ascending shard
+/// order, finish.
 ///
 /// `label` attributes the per-shard timing histogram
 /// (`warehouse_shard_aggregation_seconds{table=..}`) and the
@@ -130,43 +130,7 @@ pub fn run_sharded(
     telemetry: &MetricsRegistry,
     label: &str,
 ) -> Result<ResultSet> {
-    let plan = AggPlan::resolve(query, table.schema())?;
-    let time_idx = query
-        .shard_hint()
-        .and_then(|c| table.schema().column_index(c).ok());
-    if table.is_paged() {
-        // Paged tables fold one page at a time — pin, fault in, route
-        // the page's rows to their day-bucket shards, release — so the
-        // scan stays inside the residency budget plus one pinned page.
-        // Shard routing uses the row's insertion sequence, matching the
-        // dense path's enumeration index.
-        let n_shards = pool.shards().max(1);
-        let mut per_shard: Vec<Groups> = vec![Groups::new(); n_shards];
-        table.scan_pages(&mut |rows| {
-            let span = telemetry.span("warehouse_shard_aggregation_seconds", &[("table", label)]);
-            for (seq, row) in rows {
-                let s = shard_of(row, time_idx, *seq as usize, n_shards);
-                plan.fold_row(&mut per_shard[s], row);
-            }
-            span.finish();
-            Ok(())
-        })?;
-        let mut merged = Groups::new();
-        for groups in per_shard {
-            AggPlan::merge_groups(&mut merged, groups);
-        }
-        return plan.finish(merged);
-    }
-    let rows = table.rows()?;
-    let per_shard = fold_shards_pooled(&plan, &rows, time_idx, pool, telemetry, label)?;
-
-    // Deterministic merge: ascending shard order, independent of which
-    // worker folded which shard.
-    let mut merged = Groups::new();
-    for groups in per_shard {
-        AggPlan::merge_groups(&mut merged, groups);
-    }
-    plan.finish(merged)
+    ShardedPartials::build(query, table, pool, telemetry, label)?.finish(query, table.schema())
 }
 
 /// Partition `rows` into day-bucket shards and fold each shard on the
@@ -248,22 +212,22 @@ fn fold_shards_pooled(
     Ok(partials.into_iter().map(|(_, groups)| groups).collect())
 }
 
-/// Retained per-shard partial state for one query over one fact table —
-/// the delta-fold engine's working set.
+/// Per-shard partial state for one query over one fact table: what
+/// [`run_sharded`] folds and what the delta-fold engine retains.
 ///
-/// A cold [`ShardedPartials::build`] folds every live row on the worker
-/// pool, leaving each shard exactly the accumulator state a serial fold
-/// of that shard would produce. [`ShardedPartials::fold_batch`] then
-/// routes appended rows to the same day-bucket shards and continues each
-/// shard's accumulator sequence in arrival order, so finalizing after
-/// any number of delta folds yields the same bytes as a full recompute
-/// over the grown table (exactly for counts/min/max/distinct; for float
-/// sums because the per-shard addition *sequence* matches, not merely
-/// the operand set). Only shards that receive delta rows are touched —
-/// quiet shards carry their state forward untouched.
+/// A cold [`ShardedPartials::build`] folds every live row, leaving each
+/// shard exactly the accumulator state a serial fold of that shard would
+/// produce. [`ShardedPartials::fold_batch`] then routes appended rows to
+/// the same day-bucket shards and continues each shard's accumulator
+/// sequence in arrival order, so finalizing after any number of delta
+/// folds yields the same bytes as a full recompute over the grown table
+/// (exactly for counts/min/max/distinct, and for float sums whenever the
+/// inputs are exactly representable; over a dense table the per-shard
+/// addition *sequence* matches too). Only shards that receive delta rows
+/// are touched — quiet shards carry their state forward untouched.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedPartials {
-    partials: Vec<PartialAggregation>,
+    shards: Vec<Groups>,
     rows_folded: usize,
 }
 
@@ -272,37 +236,54 @@ impl ShardedPartials {
     /// to at least one).
     pub fn new(shards: usize) -> Self {
         ShardedPartials {
-            partials: vec![PartialAggregation::default(); shards.max(1)],
+            shards: vec![Groups::new(); shards.max(1)],
             rows_folded: 0,
         }
     }
 
-    /// Cold build: fold every row of a table on the worker pool. The
-    /// resulting per-shard state is bitwise identical to what
-    /// [`run_sharded`] folds internally for the same pool geometry.
+    /// Cold build: fold every row of `table`. A dense table is
+    /// partitioned and folded on the worker pool, each shard in table
+    /// order. A paged table folds one page at a time — pin, fault in,
+    /// route the page's rows to their shards, release — so the scan
+    /// stays inside the residency budget plus one pinned page and no row
+    /// is copied out; a shard then sees its rows page-major, each page in
+    /// insertion order. Shard routing uses the row's insertion sequence
+    /// either way.
     pub fn build(
         query: &Query,
-        schema: &TableSchema,
-        rows: &[Row],
+        table: &Table,
         pool: PoolConfig,
         telemetry: &MetricsRegistry,
         label: &str,
     ) -> Result<Self> {
-        let plan = AggPlan::resolve(query, schema)?;
-        let time_idx = query.shard_hint().and_then(|c| schema.column_index(c).ok());
-        let per_shard = fold_shards_pooled(&plan, rows, time_idx, pool, telemetry, label)?;
+        let plan = AggPlan::resolve(query, table.schema())?;
+        let time_idx = time_index(query, table.schema());
+        let shards = if table.is_paged() {
+            let n_shards = pool.shards().max(1);
+            let mut shards = vec![Groups::new(); n_shards];
+            table.scan_pages(&mut |rows| {
+                let span =
+                    telemetry.span("warehouse_shard_aggregation_seconds", &[("table", label)]);
+                for (seq, row) in rows {
+                    let s = shard_of(row, time_idx, *seq as usize, n_shards);
+                    plan.fold_row(&mut shards[s], row);
+                }
+                span.finish();
+                Ok(())
+            })?;
+            shards
+        } else {
+            fold_shards_pooled(&plan, &table.rows()?, time_idx, pool, telemetry, label)?
+        };
         Ok(ShardedPartials {
-            partials: per_shard
-                .into_iter()
-                .map(PartialAggregation::from_groups)
-                .collect(),
-            rows_folded: rows.len(),
+            shards,
+            rows_folded: table.len(),
         })
     }
 
     /// Number of shards the state is partitioned into.
     pub fn shard_count(&self) -> usize {
-        self.partials.len()
+        self.shards.len()
     }
 
     /// Total rows folded so far (cold build plus every delta batch);
@@ -311,133 +292,53 @@ impl ShardedPartials {
         self.rows_folded
     }
 
-    /// Fold a batch of rows appended to the fact table since the last
-    /// fold, routing each to its day-bucket shard. Returns the number of
-    /// distinct shards dirtied by this batch.
-    pub fn fold_batch(
+    /// Fold rows appended to the fact table since the last fold, in
+    /// arrival order, routing each to its day-bucket shard. Returns the
+    /// number of distinct shards dirtied.
+    pub fn fold_batch<'a>(
         &mut self,
         query: &Query,
         schema: &TableSchema,
-        rows: &[Row],
+        rows: impl IntoIterator<Item = &'a Row>,
     ) -> Result<usize> {
         let plan = AggPlan::resolve(query, schema)?;
-        let time_idx = query.shard_hint().and_then(|c| schema.column_index(c).ok());
-        let n = self.partials.len();
+        let time_idx = time_index(query, schema);
+        let n = self.shards.len();
         let mut dirty = vec![false; n];
-        for (i, row) in rows.iter().enumerate() {
-            let s = shard_of(row, time_idx, self.rows_folded + i, n);
-            self.partials[s].fold_row_with(&plan, row);
+        for row in rows {
+            let s = shard_of(row, time_idx, self.rows_folded, n);
+            plan.fold_row(&mut self.shards[s], row);
             dirty[s] = true;
+            self.rows_folded += 1;
         }
-        self.rows_folded += rows.len();
         Ok(dirty.into_iter().filter(|d| *d).count())
     }
 
-    /// Finalize: merge shard clones in ascending shard order and finish.
-    /// The retained state is untouched, ready for the next delta.
+    /// Finalize from copies, one shard at a time: the retained state is
+    /// untouched, ready for the next delta.
     pub fn finalize(&self, query: &Query, schema: &TableSchema) -> Result<ResultSet> {
-        let plan = AggPlan::resolve(query, schema)?;
-        let mut merged = Groups::new();
-        for partial in &self.partials {
-            AggPlan::merge_groups(&mut merged, partial.groups_clone());
-        }
-        plan.finish(merged)
+        merge_and_finish(self.shards.iter().cloned(), query, schema)
+    }
+
+    /// Finalize by consuming the state (the stateless engine's last step).
+    pub fn finish(self, query: &Query, schema: &TableSchema) -> Result<ResultSet> {
+        merge_and_finish(self.shards.into_iter(), query, schema)
     }
 }
 
-/// Identity of a cached aggregate result: which table was read and what
-/// was asked of it. Paired with a [`RebuildTicket`] stating *which data*
-/// answered.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
-    /// Schema of the source table.
-    pub schema: String,
-    /// Source table (for materializations: the output table).
-    pub table: String,
-    /// [`Query::fingerprint`] of the query that produced the result.
-    pub fingerprint: u64,
-}
-
-/// Snapshot of a table's data version: its binlog watermark (position of
-/// its last mutation) and the database's rebuild generation. A cache
-/// entry or in-flight rebuild is valid only while both still match —
-/// ingest moves the watermark; external rebuilds (replication resync,
-/// restore) bump the generation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RebuildTicket {
-    /// Position of the last binlog record that touched the table
-    /// (`None` until its first mutation is recorded).
-    pub watermark: Option<LogPosition>,
-    /// [`crate::database::Database::rebuild_generation`] at issue time.
-    pub generation: u64,
-}
-
-#[derive(Debug, Clone)]
-struct CacheEntry {
-    ticket: RebuildTicket,
-    /// `Some` for query results; `None` marks "materialized tables are
-    /// current" without retaining rows.
-    result: Option<ResultSet>,
-}
-
-/// Invalidation-aware aggregate cache. Entries never expire by time —
-/// they are superseded on store and ignored once their ticket goes
-/// stale, so the cache can only serve results identical to a fresh
-/// recompute.
-#[derive(Debug, Default)]
-pub struct AggregateCache {
-    entries: Mutex<HashMap<CacheKey, CacheEntry>>,
-}
-
-impl AggregateCache {
-    /// Empty cache.
-    pub fn new() -> Self {
-        AggregateCache::default()
+/// Merge shards in ascending order — deterministic, independent of which
+/// worker folded which shard — and finish.
+fn merge_and_finish(
+    shards: impl Iterator<Item = Groups>,
+    query: &Query,
+    schema: &TableSchema,
+) -> Result<ResultSet> {
+    let plan = AggPlan::resolve(query, schema)?;
+    let mut merged = Groups::new();
+    for groups in shards {
+        AggPlan::merge_groups(&mut merged, groups);
     }
-
-    /// Cached result for `key`, if present and still at `current`.
-    pub fn get(&self, key: &CacheKey, current: RebuildTicket) -> Option<ResultSet> {
-        let entries = self.entries.lock();
-        entries
-            .get(key)
-            .filter(|e| e.ticket == current)
-            .and_then(|e| e.result.clone())
-    }
-
-    /// True if `key` is marked fresh at `current` (used to skip
-    /// re-materialization; the entry may carry no result rows).
-    pub fn is_fresh(&self, key: &CacheKey, current: RebuildTicket) -> bool {
-        let entries = self.entries.lock();
-        entries.get(key).is_some_and(|e| e.ticket == current)
-    }
-
-    /// Store (or supersede) an entry.
-    pub fn put(&self, key: CacheKey, ticket: RebuildTicket, result: Option<ResultSet>) {
-        self.entries
-            .lock()
-            .insert(key, CacheEntry { ticket, result });
-    }
-
-    /// Drop every entry touching `schema` (used on destructive schema
-    /// operations that bypass watermark tracking).
-    pub fn invalidate_schema(&self, schema: &str) {
-        self.entries.lock().retain(|k, _| k.schema != schema);
-    }
-
-    /// Drop everything.
-    pub fn clear(&self) {
-        self.entries.lock().clear();
-    }
-
-    /// Number of entries (fresh or stale).
-    pub fn len(&self) -> usize {
-        self.entries.lock().len()
-    }
-
-    /// True if the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    plan.finish(merged)
 }
 
 #[cfg(test)]
@@ -543,50 +444,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_serves_only_matching_tickets() {
-        let cache = AggregateCache::new();
-        let key = CacheKey {
-            schema: "s".into(),
-            table: "t".into(),
-            fingerprint: 7,
-        };
-        let t0 = RebuildTicket {
-            watermark: Some(LogPosition { epoch: 0, seqno: 3 }),
-            generation: 0,
-        };
-        let rs = ResultSet {
-            columns: vec!["n".into()],
-            rows: vec![vec![Value::Int(1)]],
-        };
-        cache.put(key.clone(), t0, Some(rs.clone()));
-        assert_eq!(cache.get(&key, t0), Some(rs));
-        // Ingest moved the watermark: stale.
-        let t1 = RebuildTicket {
-            watermark: Some(LogPosition { epoch: 0, seqno: 4 }),
-            ..t0
-        };
-        assert_eq!(cache.get(&key, t1), None);
-        // External rebuild bumped the generation: stale.
-        let t2 = RebuildTicket {
-            generation: 1,
-            ..t0
-        };
-        assert_eq!(cache.get(&key, t2), None);
-        assert!(cache.is_fresh(&key, t0));
-        cache.invalidate_schema("s");
-        assert!(!cache.is_fresh(&key, t0));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
     fn sharded_partials_cold_build_matches_run_sharded() {
         let t = facts(300);
         let reg = MetricsRegistry::disabled();
         let pool = PoolConfig::new(3).with_shards(8);
         let reference = run_sharded(&q(), &t, pool, &reg, "jobfact").unwrap();
-        let partials =
-            ShardedPartials::build(&q(), t.schema(), &t.rows().unwrap(), pool, &reg, "jobfact")
-                .unwrap();
+        let partials = ShardedPartials::build(&q(), &t, pool, &reg, "jobfact").unwrap();
         assert_eq!(partials.shard_count(), 8);
         assert_eq!(partials.rows_folded(), 300);
         assert_eq!(partials.finalize(&q(), t.schema()).unwrap(), reference);
@@ -602,15 +465,7 @@ mod tests {
         // Cold-build over a prefix, then fold the rest in uneven batches,
         // checking against a from-scratch recompute after every batch.
         let mut grown = facts(64);
-        let mut partials = ShardedPartials::build(
-            &q(),
-            grown.schema(),
-            &grown.rows().unwrap(),
-            pool,
-            &reg,
-            "jobfact",
-        )
-        .unwrap();
+        let mut partials = ShardedPartials::build(&q(), &grown, pool, &reg, "jobfact").unwrap();
         let mut upto = 64;
         for batch in [1usize, 7, 40, 144] {
             let delta: Vec<_> = rows[upto..upto + batch].to_vec();
@@ -632,17 +487,11 @@ mod tests {
     fn empty_delta_batch_dirties_nothing() {
         let t = facts(32);
         let reg = MetricsRegistry::disabled();
-        let mut partials = ShardedPartials::build(
-            &q(),
-            t.schema(),
-            &t.rows().unwrap(),
-            PoolConfig::serial(),
-            &reg,
-            "jobfact",
-        )
-        .unwrap();
+        let mut partials =
+            ShardedPartials::build(&q(), &t, PoolConfig::serial(), &reg, "jobfact").unwrap();
         let before = partials.finalize(&q(), t.schema()).unwrap();
-        assert_eq!(partials.fold_batch(&q(), t.schema(), &[]).unwrap(), 0);
+        let nothing: &[Row] = &[];
+        assert_eq!(partials.fold_batch(&q(), t.schema(), nothing).unwrap(), 0);
         assert_eq!(partials.finalize(&q(), t.schema()).unwrap(), before);
     }
 

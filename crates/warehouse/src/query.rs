@@ -405,67 +405,10 @@ impl Query {
         plan.finish(groups)
     }
 
-    /// Fold a subset ("shard") of a table's rows into an opaque partial
-    /// state. Combine shards with [`PartialAggregation::merge`] and
-    /// finish with [`Query::finalize_partials`]. Folding every row of a
-    /// table through one partial and finalizing is exactly [`Query::run`].
-    pub fn partial_aggregate<'a, I>(
-        &self,
-        schema: &TableSchema,
-        rows: I,
-    ) -> Result<PartialAggregation>
-    where
-        I: IntoIterator<Item = &'a Row>,
-    {
-        let plan = AggPlan::resolve(self, schema)?;
-        let mut groups = Groups::new();
-        for row in rows {
-            plan.fold_row(&mut groups, row);
-        }
-        Ok(PartialAggregation { groups })
-    }
-
-    /// Fold additional rows into an existing partial — the
-    /// incremental-maintenance primitive behind the delta-fold engine.
-    ///
-    /// Folding batch `a` and then batch `b` into a partial leaves exactly
-    /// the accumulator state of folding `a ++ b` in one pass: each row is
-    /// applied to its group's accumulator in arrival order, so
-    /// `fold(fold(P, a), b) == recompute(a ++ b)` holds bitwise — counts,
-    /// min/max, and distinct sets always; float sums because the
-    /// *sequence* of additions is identical, not merely the operand set.
-    pub fn fold_partial<'a, I>(
-        &self,
-        schema: &TableSchema,
-        partial: &mut PartialAggregation,
-        rows: I,
-    ) -> Result<()>
-    where
-        I: IntoIterator<Item = &'a Row>,
-    {
-        let plan = AggPlan::resolve(self, schema)?;
-        for row in rows {
-            plan.fold_row(&mut partial.groups, row);
-        }
-        Ok(())
-    }
-
-    /// Turn a (merged) partial state into the final result set: SQL
-    /// one-row semantics for ungrouped aggregates, deterministic key
-    /// sort, then ordering and limit.
-    pub fn finalize_partials(
-        &self,
-        schema: &TableSchema,
-        partial: PartialAggregation,
-    ) -> Result<ResultSet> {
-        let plan = AggPlan::resolve(self, schema)?;
-        plan.finish(partial.groups)
-    }
-
     /// Stable in-process fingerprint over the query's full shape
     /// (filters, grouping, aggregates, ordering, limit). Together with a
-    /// binlog watermark this identifies a cached result: the fingerprint
-    /// says *what* was asked, the watermark says *of which data*.
+    /// binlog cursor this identifies a retained result: the fingerprint
+    /// says *what* was asked, the cursor says *of which data*.
     pub fn fingerprint(&self) -> u64 {
         // FNV-1a over the Debug representation; the derived Debug output
         // covers every field and is stable within a build.
@@ -500,8 +443,8 @@ impl Query {
 pub(crate) type Groups = HashMap<Vec<Value>, Vec<Acc>>;
 
 /// A query with every column reference resolved against one schema —
-/// the shared machinery behind [`Query::run`], the public partial
-/// surface, and the sharded engine in [`crate::parallel`].
+/// the shared machinery behind [`Query::run`] and the sharded engine in
+/// [`crate::parallel`].
 pub(crate) struct AggPlan<'q> {
     query: &'q Query,
     filter_idx: Vec<usize>,
@@ -648,48 +591,6 @@ impl<'q> AggPlan<'q> {
             rows.truncate(n);
         }
         Ok(ResultSet { columns, rows })
-    }
-}
-
-/// Opaque partial-aggregation state over a subset of a table's rows.
-///
-/// Merging is associative and commutative at the accumulator level
-/// (counts, min/max, distinct sets — exactly; float sums up to IEEE
-/// rounding, and exactly whenever the inputs are exactly representable),
-/// which is what lets the sharded engine combine shards in any grouping
-/// as long as the *order of row folds within a shard* is preserved.
-#[derive(Debug, Clone, Default)]
-pub struct PartialAggregation {
-    groups: Groups,
-}
-
-impl PartialAggregation {
-    /// Merge another shard's state into this one.
-    pub fn merge(&mut self, other: PartialAggregation) {
-        AggPlan::merge_groups(&mut self.groups, other.groups);
-    }
-
-    /// Number of distinct group keys folded so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Wrap an already-folded group map (the sharded engine's per-shard
-    /// state) as a retainable partial.
-    pub(crate) fn from_groups(groups: Groups) -> Self {
-        PartialAggregation { groups }
-    }
-
-    /// Fold one more row through a resolved plan — the delta-fold hot
-    /// path, continuing the accumulator sequence a cold build started.
-    pub(crate) fn fold_row_with(&mut self, plan: &AggPlan<'_>, row: &Row) {
-        plan.fold_row(&mut self.groups, row);
-    }
-
-    /// Clone the group map (finalization merges clones so the retained
-    /// state survives for the next delta).
-    pub(crate) fn groups_clone(&self) -> Groups {
-        self.groups.clone()
     }
 }
 
@@ -1017,7 +918,8 @@ mod tests {
     }
 
     #[test]
-    fn fold_partial_matches_single_pass_recompute() {
+    fn folding_in_two_passes_matches_single_pass_recompute() {
+        use crate::parallel::ShardedPartials;
         let t = jobs_table();
         let query = Query::new()
             .group_by_column("resource")
@@ -1027,14 +929,14 @@ mod tests {
             .aggregate(Aggregate::of(AggFn::CountDistinct, "user", "users"));
         let rows = t.rows().unwrap();
         for split in 0..=rows.len() {
-            let mut partial = PartialAggregation::default();
-            query
-                .fold_partial(t.schema(), &mut partial, &rows[..split])
+            let mut partial = ShardedPartials::new(1);
+            partial
+                .fold_batch(&query, t.schema(), &rows[..split])
                 .unwrap();
-            query
-                .fold_partial(t.schema(), &mut partial, &rows[split..])
+            partial
+                .fold_batch(&query, t.schema(), &rows[split..])
                 .unwrap();
-            let folded = query.finalize_partials(t.schema(), partial).unwrap();
+            let folded = partial.finalize(&query, t.schema()).unwrap();
             assert_eq!(folded, query.run(&t).unwrap(), "split at {split}");
         }
     }

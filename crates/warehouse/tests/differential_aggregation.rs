@@ -17,27 +17,28 @@
 //! minimal reproducing row set and panics with a replayable report.
 //!
 //! A fifth arm proves **incremental aggregation**: ingest-heavy seeded
-//! schedules drive `Database::run_delta_fold` batch by batch, and after
+//! schedules drive `Database::query_reported` batch by batch, and after
 //! every batch the delta-folded answer must be byte-identical to a full
-//! sharded recompute and semantically equal to the brute-force oracle —
+//! stateless recompute (`run_sharded` over the live table) and
+//! semantically equal to the brute-force oracle —
 //! while the engine stays on the incremental path (any silent fallback
 //! is itself a failure). Divergences shrink to a minimal reproducing
 //! *ingest schedule*. When `INCR_ORACLE_REPORT` names a path, the sweep
 //! writes a JSON report (including any shrunk reproducer) there for the
 //! CI artifact.
 //!
-//! Run one seed with `DIFF_SEED=<n> cargo test --test
+//! Run one seed with `DIFF_SEED=<n> cargo test -p xdmod-warehouse --test
 //! differential_aggregation`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
-use xdmod::chaos::DeterministicRng;
-use xdmod::telemetry::MetricsRegistry;
-use xdmod::warehouse::{
+use xdmod_chaos::DeterministicRng;
+use xdmod_telemetry::MetricsRegistry;
+use xdmod_warehouse::{
     run_sharded, shared, AggFn, Aggregate, CacheKey, CivilDate, ColumnType, Database, DeltaOutcome,
-    DiskBackend, DiskOptions, FallbackReason, GroupKey, Period, PoolConfig, Predicate, Query, Row,
-    SchemaBuilder, Table, Value,
+    DiskBackend, DiskOptions, FallbackReason, GroupKey, Period, PoolConfig, Predicate, Query,
+    ResultSet, Row, SchemaBuilder, Table, Value,
 };
 
 /// Seeds swept by default; `DIFF_SEED` narrows the run to one seed.
@@ -54,7 +55,7 @@ fn base_epoch() -> i64 {
 // Random workload generation
 // ---------------------------------------------------------------------------
 
-fn fact_schema() -> xdmod::warehouse::TableSchema {
+fn fact_schema() -> xdmod_warehouse::TableSchema {
     SchemaBuilder::new("fact")
         .required("resource", ColumnType::Str)
         .required("queue", ColumnType::Str)
@@ -388,7 +389,7 @@ fn shrink_report(seed: u64, rows: &[Row], spec: &Spec, first: String) -> String 
     let last =
         divergence(&rows, spec).unwrap_or_else(|| "(not reproducible after shrink)".to_owned());
     format!(
-        "seed {seed}: {first}\n\nminimal reproducer ({} row(s)):\n{}\nquery spec: {spec:?}\nfinal divergence: {last}\nreplay with: DIFF_SEED={seed} cargo test --test differential_aggregation",
+        "seed {seed}: {first}\n\nminimal reproducer ({} row(s)):\n{}\nquery spec: {spec:?}\nfinal divergence: {last}\nreplay with: DIFF_SEED={seed} cargo test -p xdmod-warehouse --test differential_aggregation",
         rows.len(),
         rows.iter()
             .map(|r| format!("  {r:?}\n"))
@@ -529,7 +530,7 @@ fn oracle_holds_under_concurrent_ingest_and_cache_invalidation() {
                 // Any interleaving must produce an internally consistent
                 // snapshot; an error or panic here is the failure mode.
                 db.read()
-                    .query_cached("s", "fact", &query)
+                    .query("s", "fact", &query)
                     .expect("cached query under concurrent ingest succeeds");
             }
         })
@@ -539,8 +540,8 @@ fn oracle_holds_under_concurrent_ingest_and_cache_invalidation() {
 
     // Quiescent state: cached, sharded-serial, and Query::run answers agree.
     let db = db.read();
-    let cached = db.query_cached("s", "fact", &query).expect("cached query");
-    let repeat = db.query_cached("s", "fact", &query).expect("repeat query");
+    let cached = db.query("s", "fact", &query).expect("cached query");
+    let repeat = db.query("s", "fact", &query).expect("repeat query");
     let table = db.table("s", "fact").expect("fact table exists");
     let serial = run_sharded(
         &query,
@@ -593,6 +594,14 @@ fn random_schedule(rng: &mut DeterministicRng) -> IngestSchedule {
         .collect()
 }
 
+/// The stateless recompute every retained answer is held to: the
+/// sharded engine over the live table under the database's own pool,
+/// sharing no state with the query path.
+fn recompute(db: &Database, query: &Query) -> xdmod_warehouse::Result<ResultSet> {
+    let table = db.table("s", "fact")?;
+    run_sharded(query, table, db.parallelism(), db.telemetry(), "fact")
+}
+
 fn fresh_incremental_db(pool: PoolConfig) -> Database {
     let mut db = Database::new();
     db.set_parallelism(pool);
@@ -615,7 +624,7 @@ fn incremental_divergence(schedule: &[Vec<Row>], spec: &Spec, pool: PoolConfig) 
             return Some(format!("step {step}: ingest errored: {e}"));
         }
         accumulated.extend(batch.iter().cloned());
-        let (incr, report) = match db.run_delta_fold("s", "fact", &query, "fact") {
+        let (incr, report) = match db.query_reported("s", "fact", &query, "fact") {
             Ok(r) => r,
             Err(e) => return Some(format!("step {step}: delta fold errored: {e}")),
         };
@@ -640,7 +649,7 @@ fn incremental_divergence(schedule: &[Vec<Row>], spec: &Spec, pool: PoolConfig) 
                 batch.len()
             ));
         }
-        let recompute = match db.query_sharded("s", "fact", &query) {
+        let recompute = match recompute(&db, &query) {
             Ok(rs) => rs,
             Err(e) => return Some(format!("step {step}: recompute errored: {e}")),
         };
@@ -707,7 +716,7 @@ fn shrink_schedule(
     let last = incremental_divergence(&schedule, spec, pool)
         .unwrap_or_else(|| "(not reproducible after shrink)".to_owned());
     format!(
-        "seed {seed}: {first}\n\nminimal reproducing ingest schedule ({} batch(es), {} row(s)):\n{}\nquery spec: {spec:?}\npool: workers={} shards={}\nfinal divergence: {last}\nreplay with: DIFF_SEED={seed} cargo test --test differential_aggregation incremental",
+        "seed {seed}: {first}\n\nminimal reproducing ingest schedule ({} batch(es), {} row(s)):\n{}\nquery spec: {spec:?}\npool: workers={} shards={}\nfinal divergence: {last}\nreplay with: DIFF_SEED={seed} cargo test -p xdmod-warehouse --test differential_aggregation incremental",
         schedule.len(),
         schedule.iter().map(Vec::len).sum::<usize>(),
         schedule
@@ -807,14 +816,14 @@ fn incremental_fallback_triggers_rebuild_not_stale_results() {
     let mut db = fresh_incremental_db(PoolConfig::new(3).with_shards(6));
     let first: Vec<Row> = (0..50).map(|_| random_row(&mut rng)).collect();
     db.insert("s", "fact", first.clone()).expect("ingest");
-    db.run_delta_fold("s", "fact", &query, "fact")
+    db.query_reported("s", "fact", &query, "fact")
         .expect("cold fold");
 
     let second: Vec<Row> = (0..20).map(|_| random_row(&mut rng)).collect();
     db.insert("s", "fact", second.clone()).expect("ingest");
     db.note_external_rebuild();
     let (rs, report) = db
-        .run_delta_fold("s", "fact", &query, "fact")
+        .query_reported("s", "fact", &query, "fact")
         .expect("fold");
     assert_eq!(
         report.outcome,
@@ -826,10 +835,7 @@ fn incremental_fallback_triggers_rebuild_not_stale_results() {
     all.extend(second);
     oracle_table.insert_batch(all).expect("rows fit");
     assert_eq!(rs.rows, brute_force(&oracle_table, &spec));
-    assert_eq!(
-        rs,
-        db.query_sharded("s", "fact", &query).expect("recompute")
-    );
+    assert_eq!(rs, recompute(&db, &query).expect("recompute"));
 
     // Fact-table truncate arriving in the delta: fold cannot unfold
     // removed rows and must rebuild.
@@ -837,7 +843,7 @@ fn incremental_fallback_triggers_rebuild_not_stale_results() {
     let third: Vec<Row> = (0..10).map(|_| random_row(&mut rng)).collect();
     db.insert("s", "fact", third.clone()).expect("ingest");
     let (rs, report) = db
-        .run_delta_fold("s", "fact", &query, "fact")
+        .query_reported("s", "fact", &query, "fact")
         .expect("fold");
     assert_eq!(
         report.fallback_reason(),
@@ -877,7 +883,7 @@ fn incremental_compaction_fallback_against_disk_backend() {
     let mut all: Vec<Row> = (0..40).map(|_| random_row(&mut rng)).collect();
     db.insert("s", "fact", all.clone()).expect("ingest");
     let (_, report) = db
-        .run_delta_fold("s", "fact", &query, "fact")
+        .query_reported("s", "fact", &query, "fact")
         .expect("fold");
     assert_eq!(report.outcome, DeltaOutcome::Cold);
     let cursor = db.binlog_position();
@@ -896,7 +902,7 @@ fn incremental_compaction_fallback_against_disk_backend() {
     );
 
     let (rs, report) = db
-        .run_delta_fold("s", "fact", &query, "fact")
+        .query_reported("s", "fact", &query, "fact")
         .expect("fold");
     assert_eq!(
         report.fallback_reason(),
@@ -906,16 +912,13 @@ fn incremental_compaction_fallback_against_disk_backend() {
     let mut oracle_table = Table::new(fact_schema());
     oracle_table.insert_batch(all).expect("rows fit");
     assert_eq!(rs.rows, brute_force(&oracle_table, &spec));
-    assert_eq!(
-        rs,
-        db.query_sharded("s", "fact", &query).expect("recompute")
-    );
+    assert_eq!(rs, recompute(&db, &query).expect("recompute"));
 
     // The rebuilt cursor folds incrementally again.
     db.insert("s", "fact", vec![random_row(&mut rng)])
         .expect("ingest");
     let (_, report) = db
-        .run_delta_fold("s", "fact", &query, "fact")
+        .query_reported("s", "fact", &query, "fact")
         .expect("fold");
     assert!(report.is_incremental());
     drop(db);
@@ -961,10 +964,10 @@ fn incremental_folds_race_cached_reads_without_serving_stale_state() {
                 // instant it ran.
                 let d = db.read();
                 let (rs, report) = d
-                    .run_delta_fold("s", "fact", &query, "fact")
+                    .query_reported("s", "fact", &query, "fact")
                     .expect("fold succeeds");
-                let recompute = d.query_sharded("s", "fact", &query).expect("recompute");
-                assert_eq!(rs, recompute, "mid-race fold diverged from recompute");
+                let fresh = recompute(&d, &query).expect("recompute");
+                assert_eq!(rs, fresh, "mid-race fold diverged from recompute");
                 if report.is_incremental() {
                     incremental_passes += 1;
                 }
@@ -978,7 +981,7 @@ fn incremental_folds_race_cached_reads_without_serving_stale_state() {
         std::thread::spawn(move || {
             for _ in 0..30 {
                 db.read()
-                    .query_cached("s", "fact", &query)
+                    .query("s", "fact", &query)
                     .expect("cached query under racing folds succeeds");
             }
         })
@@ -992,16 +995,13 @@ fn incremental_folds_race_cached_reads_without_serving_stale_state() {
     );
 
     // Quiescent: the retained cursor has caught up with the fact table's
-    // rebuild ticket — a cache entry is only valid at exactly this pair.
+    // rebuild ticket — an entry answers only from a cursor at or past
+    // the table's watermark, and nothing else writes to this log.
     let d = db.read();
     let (rs, _) = d
-        .run_delta_fold("s", "fact", &query, "fact")
+        .query_reported("s", "fact", &query, "fact")
         .expect("final fold");
-    let key = CacheKey {
-        schema: "s".to_owned(),
-        table: "fact".to_owned(),
-        fingerprint: query.fingerprint(),
-    };
+    let key = CacheKey::of("s", "fact", &query);
     let cursor = d.delta_cache().cursor_of(&key).expect("retained entry");
     assert_eq!(
         cursor,
@@ -1014,13 +1014,74 @@ fn incremental_folds_race_cached_reads_without_serving_stale_state() {
         Some(cursor),
         "fact watermark and delta cursor must agree at quiescence"
     );
-    let cached = d.query_cached("s", "fact", &query).expect("cached query");
+    let cached = d.query("s", "fact", &query).expect("cached query");
     assert_eq!(
         rs, cached,
         "cached entry served at a ticket the cursor does not match"
     );
-    assert_eq!(rs, d.query_sharded("s", "fact", &query).expect("recompute"));
+    assert_eq!(rs, recompute(&d, &query).expect("recompute"));
     assert_eq!(d.table("s", "fact").expect("fact").len(), 30 * 8);
+}
+
+/// On a quiescent table a repeat is a hit, not a cold build — for every
+/// one of any number of identical concurrent readers: the first of N
+/// threads misses alone, the other N−1 are released together and all
+/// hit, because a hit reads its entry in place instead of taking it.
+#[test]
+fn concurrent_identical_readers_on_a_quiescent_table_all_hit() {
+    const READERS: usize = 8;
+    const REPEATS: usize = 50;
+    let registry = MetricsRegistry::new();
+    let mut db = fresh_incremental_db(PoolConfig::new(2).with_shards(5));
+    db.set_telemetry(registry.clone());
+    let mut rng = DeterministicRng::new(311);
+    let rows: Vec<Row> = (0..200).map(|_| random_row(&mut rng)).collect();
+    db.insert("s", "fact", rows).expect("ingest");
+    let query = Query::new()
+        .group_by_column("resource")
+        .group_by_period("end_time", Period::Month)
+        .aggregate(Aggregate::count("n"))
+        .aggregate(Aggregate::of(AggFn::Sum, "cpu_hours", "total"));
+    let reference = recompute(&db, &query).expect("recompute");
+
+    let db = shared(db);
+    let first_done = Barrier::new(READERS);
+    std::thread::scope(|scope| {
+        for reader in 0..READERS {
+            let (db, query, reference, first_done) = (&db, &query, &reference, &first_done);
+            scope.spawn(move || {
+                if reader == 0 {
+                    let d = db.read();
+                    let (rs, report) = d
+                        .query_reported("s", "fact", query, "fact")
+                        .expect("first query");
+                    assert_eq!(report.outcome, DeltaOutcome::Cold);
+                    assert_eq!(&rs, reference);
+                }
+                first_done.wait();
+                if reader == 0 {
+                    return;
+                }
+                for _ in 0..REPEATS {
+                    let d = db.read();
+                    let (rs, report) = d
+                        .query_reported("s", "fact", query, "fact")
+                        .expect("repeat query");
+                    assert!(report.is_incremental() && report.rows_folded == 0);
+                    assert_eq!(&rs, reference);
+                }
+            });
+        }
+    });
+
+    let snap = registry.snapshot();
+    let count = |name: &str| snap.counter(name, &[("table", "fact")]).unwrap_or(0);
+    assert_eq!(count("warehouse_aggcache_misses_total"), 1);
+    assert_eq!(
+        count("warehouse_aggcache_hits_total"),
+        ((READERS - 1) * REPEATS) as u64
+    );
+    assert_eq!(count("warehouse_delta_cold_builds_total"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -1035,7 +1096,7 @@ fn fresh_paged_db(pool: PoolConfig, dir: &std::path::Path, budget: u64) -> Datab
     let mut db = Database::new();
     db.set_parallelism(pool);
     db.enable_paging(
-        xdmod::warehouse::PagingConfig::new(dir)
+        xdmod_warehouse::PagingConfig::new(dir)
             .budget_bytes(budget)
             .pages_per_table(8),
     )
@@ -1138,10 +1199,10 @@ fn paged_incremental_folds_agree_with_unbounded_twin() {
                 .insert("s", "fact", batch.clone())
                 .expect("paged ingest");
             let (want, want_report) = unbounded
-                .run_delta_fold("s", "fact", &query, "fact")
+                .query_reported("s", "fact", &query, "fact")
                 .expect("unbounded fold");
             let (got, got_report) = paged
-                .run_delta_fold("s", "fact", &query, "fact")
+                .query_reported("s", "fact", &query, "fact")
                 .expect("paged fold");
             assert_eq!(
                 got, want,

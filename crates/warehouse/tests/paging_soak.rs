@@ -16,9 +16,18 @@
 //!    wrong rows — and [`Database::repair_paging`] must rebuild the
 //!    exact pre-damage state from the write-ahead log.
 //!
+//! 3. **Cold build** — [`Database::query`] over a paged table builds its
+//!    retained partials page by page: within the budget at the
+//!    boundary, never holding a copy of the table, byte-identical to the
+//!    unpaged twin; the repeat after ingest folds the binlog delta and
+//!    touches no page at all.
+//!
 //! The run is parameterized by `CHAOS_SEED` and, when
 //! `PAGING_SOAK_REPORT` names a path, writes a JSON report of every
 //! case (same shape as the crash-recovery soak) for CI to archive.
+
+#[path = "support/largest_alloc.rs"]
+mod largest_alloc;
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,8 +35,8 @@ use std::sync::Mutex;
 use xdmod_chaos::{DeterministicRng, FaultKind, FaultPlan, FaultPoint, FaultSpec};
 use xdmod_telemetry::MetricsRegistry;
 use xdmod_warehouse::{
-    AggFn, Aggregate, ColumnType, Database, DiskBackend, DiskOptions, PagingConfig, Period, Query,
-    Row, SchemaBuilder, TableSchema, Value, WarehouseError,
+    run_sharded, AggFn, Aggregate, ColumnType, Database, DiskBackend, DiskOptions, PagingConfig,
+    Period, Query, ResultSet, Row, SchemaBuilder, TableSchema, Value, WarehouseError,
 };
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -82,6 +91,15 @@ fn by_day() -> Query {
         .group_by_period("end_time", Period::Day)
         .aggregate(Aggregate::count("n"))
         .aggregate(Aggregate::of(AggFn::Max, "cpu_hours", "peak"))
+}
+
+/// A stateless scan of the whole fact table — every page pinned and
+/// faulted in, nothing retained — so the soak keeps crossing the spill
+/// machinery however often it asks the same question.
+/// ([`Database::query`] would answer repeats from retained partials.)
+fn scan(db: &Database, query: &Query) -> Result<ResultSet, WarehouseError> {
+    let table = db.table("s", "jobfact")?;
+    run_sharded(query, table, db.parallelism(), db.telemetry(), "jobfact")
 }
 
 struct CaseReport {
@@ -165,12 +183,8 @@ fn eviction_storm_stays_within_budget_and_serves_exact_results() {
             } else {
                 by_day()
             };
-            let got = paged
-                .query_sharded("s", "jobfact", &query)
-                .expect("paged query");
-            let want = twin
-                .query_sharded("s", "jobfact", &query)
-                .expect("twin query");
+            let got = scan(&paged, &query).expect("paged query");
+            let want = scan(&twin, &query).expect("twin query");
             assert_eq!(got, want, "op {op} (seed {seed}): paged result diverged");
         }
         let stats = paged.residency_stats().expect("paging is on");
@@ -297,11 +311,9 @@ fn spill_chaos_surfaces_loudly_and_repairs_from_the_log() {
         } else {
             by_day()
         };
-        match paged.query_sharded("s", "jobfact", &query) {
+        match scan(&paged, &query) {
             Ok(got) => {
-                let want = twin
-                    .query_sharded("s", "jobfact", &query)
-                    .expect("twin query");
+                let want = scan(&twin, &query).expect("twin query");
                 assert_eq!(
                     got, want,
                     "op {op} (seed {seed}): damaged store served wrong rows"
@@ -337,7 +349,7 @@ fn spill_chaos_surfaces_loudly_and_repairs_from_the_log() {
     // The bit flip at write consultation 2 corrupted a real spill file,
     // and nothing short of a WAL rebuild may heal it — a full scan must
     // refuse with SpillLost rather than serve damaged bytes.
-    let pre_repair = paged.query_sharded("s", "jobfact", &by_resource());
+    let pre_repair = scan(&paged, &by_resource());
     assert!(
         matches!(pre_repair, Err(WarehouseError::SpillLost { .. })),
         "seed {seed}: injected corruption must surface as SpillLost, got {pre_repair:?}"
@@ -350,12 +362,8 @@ fn spill_chaos_surfaces_loudly_and_repairs_from_the_log() {
         "repair must re-enable paging"
     );
     for query in [by_resource(), by_day()] {
-        let got = paged
-            .query_sharded("s", "jobfact", &query)
-            .expect("post-repair query");
-        let want = twin
-            .query_sharded("s", "jobfact", &query)
-            .expect("twin query");
+        let got = scan(&paged, &query).expect("post-repair query");
+        let want = scan(&twin, &query).expect("twin query");
         assert_eq!(got, want, "seed {seed}: post-repair result diverged");
     }
     let got = paged.table("s", "jobfact").expect("paged table");
@@ -375,6 +383,98 @@ fn spill_chaos_surfaces_loudly_and_repairs_from_the_log() {
         0,
         format!(
             "repaired from WAL after {lost_seen} lost + {transient_seen} transient observations"
+        ),
+    );
+    flush_report();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn cold_build_of_a_paged_table_stays_within_budget_and_one_pinned_page() {
+    const BUDGET: u64 = 2048;
+    const PAGES: u32 = 16;
+    let seed = seed();
+    let mut rng = DeterministicRng::new(seed ^ 0xC01D_B01D);
+    let dir = temp_dir("cold");
+
+    let mut paged = Database::new();
+    paged
+        .enable_paging(
+            PagingConfig::new(&dir)
+                .budget_bytes(BUDGET)
+                .pages_per_table(PAGES),
+        )
+        .expect("enable paging");
+    let mut twin = Database::new();
+    for db in [&mut paged, &mut twin] {
+        db.create_schema("s").expect("create schema");
+        db.create_table("s", fact()).expect("create table");
+    }
+    let mut rows = 0usize;
+    while rows < 4_000 {
+        let batch = random_batch(&mut rng, 64);
+        rows += batch.len();
+        paged.insert("s", "jobfact", batch.clone()).expect("insert");
+        twin.insert("s", "jobfact", batch).expect("twin insert");
+    }
+    let before = paged.residency_stats().expect("paging is on");
+    assert!(before.spilled_pages > 0, "nothing spilled: {before:?}");
+
+    for query in [by_resource(), by_day()] {
+        let (got, largest) = largest_alloc::largest_during(|| paged.query("s", "jobfact", &query));
+        let got = got.expect("cold build");
+        assert_eq!(
+            got,
+            twin.query("s", "jobfact", &query).expect("twin query"),
+            "seed {seed}: paged cold build diverged from the unpaged twin"
+        );
+        let stats = paged.residency_stats().expect("paging is on");
+        assert!(
+            stats.resident_bytes <= BUDGET,
+            "seed {seed}: {} resident bytes after the cold build ({stats:?})",
+            stats.resident_bytes,
+        );
+        // Copying the table out (what `Table::rows` does for a paged
+        // table) is one allocation of a sequence-tagged row per row. The
+        // page-by-page fold's largest is one page faulted in.
+        let copy = rows * std::mem::size_of::<(u64, Row)>();
+        assert!(
+            largest < copy / 2,
+            "seed {seed}: the cold build allocated {largest} bytes at once; \
+             a copy of the {rows}-row table is {copy}"
+        );
+    }
+    let cold = paged.residency_stats().expect("paging is on");
+    assert!(
+        cold.fault_ins > before.fault_ins,
+        "cold builds read no page"
+    );
+
+    // After ingest the repeat folds the binlog's delta: no page is read.
+    let batch = random_batch(&mut rng, 64);
+    paged.insert("s", "jobfact", batch.clone()).expect("insert");
+    twin.insert("s", "jobfact", batch.clone())
+        .expect("twin insert");
+    let (got, report) = paged
+        .query_reported("s", "jobfact", &by_resource(), "jobfact")
+        .expect("delta fold");
+    assert!(report.is_incremental(), "seed {seed}: {:?}", report.outcome);
+    assert_eq!(report.rows_folded, batch.len());
+    assert_eq!(got, scan(&twin, &by_resource()).expect("twin scan"));
+    let after = paged.residency_stats().expect("paging is on");
+    assert_eq!(
+        after.fault_ins, cold.fault_ins,
+        "a delta fold faulted a page in"
+    );
+    assert!(after.resident_bytes <= BUDGET);
+
+    record_case(
+        "cold-build",
+        "none",
+        0,
+        format!(
+            "{rows} rows; resident<= {BUDGET}B after each build; {} fault-ins; delta fold read no page",
+            cold.fault_ins - before.fault_ins
         ),
     );
     flush_report();

@@ -6,8 +6,9 @@
 //! whole run to another stream. Each case prints its seed first, so the
 //! captured output of a failing test ends with the case to replay.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+#[path = "support/largest_alloc.rs"]
+mod largest_alloc;
+
 use xdmod_chaos::DeterministicRng;
 use xdmod_warehouse::binlog::{decode_payload, decode_stream, encode_payload};
 use xdmod_warehouse::checksum::crc32;
@@ -235,53 +236,11 @@ fn binlog_replay_and_snapshot_reproduce_database() {
 // Bytes in, typed error out: every decoder of stored bytes
 // ----------------------------------------------------------------------
 
-/// Records the largest single allocation each thread makes, so the decoder
-/// loop can assert that hostile length prefixes reserve nothing.
-struct LargestAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading it from inside
-    // the allocator neither allocates nor runs after teardown.
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
-}
-
-fn note_alloc(size: usize) {
-    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the bookkeeping touches only a
-// thread-local `Cell` and never allocates or unwinds.
-unsafe impl GlobalAlloc for LargestAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc(layout.size());
-        // SAFETY: `layout` is the caller's, passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc(new_size);
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: LargestAlloc = LargestAlloc;
-
 /// Run a decoder over `input`: it may accept or refuse, but it must
 /// return (a panic fails the test) and must not reserve more than a
 /// small multiple of what it was given.
 fn bounded<T>(what: &str, input_len: usize, decode: impl FnOnce() -> T) -> T {
-    LARGEST.with(|m| m.set(0));
-    let out = decode();
-    let largest = LARGEST.with(Cell::get);
+    let (out, largest) = largest_alloc::largest_during(decode);
     // Decoding can turn one input byte into a 24-byte `Value`.
     assert!(
         largest <= 64 * input_len + 4096,

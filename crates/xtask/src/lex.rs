@@ -21,7 +21,7 @@
 /// What a token is. Literal contents are deliberately dropped.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Tok {
-    /// Identifier or keyword (`self`, `fn`, `query_cached`, ...).
+    /// Identifier or keyword (`self`, `fn`, `query_reported`, ...).
     Ident(String),
     /// One punctuation character (`{`, `.`, `:`, `#`, ...).
     Punct(char),

@@ -99,7 +99,9 @@ fn lock_order_inversion_reports_both_witness_chains() {
     assert_eq!(d.line, line_of(INVERTED, "let b = self.beta.lock();"));
     assert_eq!(d.notes.len(), 2, "both witness chains: {:?}", d.notes);
     assert!(
-        d.notes[0].contains("refresh") && d.notes[0].contains("alpha") && d.notes[0].contains("beta"),
+        d.notes[0].contains("refresh")
+            && d.notes[0].contains("alpha")
+            && d.notes[0].contains("beta"),
         "AB witness chain: {}",
         d.notes[0]
     );
@@ -245,7 +247,10 @@ fn json_rendering_has_check_parity_shape() {
     let json = a.render_json();
     assert!(json.starts_with('[') && json.ends_with(']'), "{json}");
     assert!(json.contains("\"code\":\"XL0001\""), "{json}");
-    assert!(json.contains("\"path\":\"crates/core/src/hub.rs\""), "{json}");
+    assert!(
+        json.contains("\"path\":\"crates/core/src/hub.rs\""),
+        "{json}"
+    );
     assert!(json.contains("\"notes\":["), "{json}");
     let _ = fs::remove_dir_all(&root);
 }
@@ -267,5 +272,11 @@ fn the_real_workspace_is_analyzer_clean() {
             .map(|d| d.render_text())
             .collect::<Vec<_>>()
             .join("")
+    );
+    // The ratchet: a literal a change may only lower.
+    assert!(
+        a.suppressed <= 8,
+        "{} suppressed findings; the ceiling is 8",
+        a.suppressed
     );
 }

@@ -274,7 +274,7 @@ proptest! {
     // ---------------- parallel aggregation & caching ----------------
 
     #[test]
-    fn shard_merge_is_split_and_order_invariant(
+    fn shard_folds_are_split_invariant(
         raw in prop::collection::vec((0u32..4096, 0u8..5), 0..200),
         cuts in prop::collection::vec(0usize..200, 0..6),
     ) {
@@ -311,30 +311,20 @@ proptest! {
         cuts.sort_unstable();
         cuts.dedup();
         let chunks: Vec<&[Row]> = cuts.windows(2).map(|w| &rows[w[0]..w[1]]).collect();
-        let partials: Vec<_> = chunks
-            .iter()
-            .map(|c| query.partial_aggregate(schema, c.iter()).unwrap())
-            .collect();
 
-        // Folding shards forward and backward must finalize identically
-        // to the unsplit whole: merge is associative and commutative.
-        let fold = |order: Vec<xdmod::warehouse::PartialAggregation>| {
-            let mut acc = xdmod::warehouse::PartialAggregation::default();
-            for p in order {
-                acc.merge(p);
+        // Folding the chunks one after another must finalize identically
+        // to the unsplit whole — into one shard (a pure continuation of
+        // the accumulator sequence) and into one round-robin shard per
+        // chunk (the ascending-shard merge of that many partials).
+        let whole = query.run(&table).unwrap();
+        for shards in [1, chunks.len()] {
+            let mut partials = ShardedPartials::new(shards);
+            for chunk in &chunks {
+                partials.fold_batch(&query, schema, *chunk).unwrap();
             }
-            query.finalize_partials(schema, acc).unwrap()
-        };
-        let forward = fold(partials.clone());
-        let mut reversed = partials;
-        reversed.reverse();
-        let backward = fold(reversed);
-        let whole = query
-            .finalize_partials(schema, query.partial_aggregate(schema, rows.iter()).unwrap())
-            .unwrap();
-        prop_assert_eq!(&forward, &backward);
-        prop_assert_eq!(&forward, &whole);
-        prop_assert_eq!(&forward, &query.run(&table).unwrap());
+            prop_assert_eq!(partials.rows_folded(), rows.len());
+            prop_assert_eq!(&partials.finalize(&query, schema).unwrap(), &whole);
+        }
     }
 
     #[test]
@@ -429,18 +419,20 @@ proptest! {
         let (a, b) = rows.split_at(split);
         let whole = query.run(&table).unwrap();
 
-        // fold(fold(P, a), b) == recompute(a ++ b), serial primitive.
-        let mut partial = xdmod::warehouse::PartialAggregation::default();
-        query.fold_partial(schema, &mut partial, a.iter()).unwrap();
-        query.fold_partial(schema, &mut partial, b.iter()).unwrap();
-        prop_assert_eq!(&query.finalize_partials(schema, partial).unwrap(), &whole);
+        // fold(fold(P, a), b) == recompute(a ++ b), one serial shard.
+        let mut partial = ShardedPartials::new(1);
+        partial.fold_batch(&query, schema, a).unwrap();
+        partial.fold_batch(&query, schema, b).unwrap();
+        prop_assert_eq!(&partial.finalize(&query, schema).unwrap(), &whole);
 
         // The same algebra through the sharded retained state the delta
         // engine actually keeps: cold build over the prefix, one delta
         // batch for the suffix, finalize.
         let pool = PoolConfig::new(workers).with_shards(shards);
         let telemetry = xdmod::telemetry::MetricsRegistry::disabled();
-        let mut sp = ShardedPartials::build(&query, schema, a, pool, &telemetry, "t").unwrap();
+        let mut prefix = Table::new(schema.clone());
+        prefix.insert_batch(a.to_vec()).unwrap();
+        let mut sp = ShardedPartials::build(&query, &prefix, pool, &telemetry, "t").unwrap();
         let dirty = sp.fold_batch(&query, schema, b).unwrap();
         prop_assert!(dirty <= sp.shard_count());
         prop_assert_eq!(sp.rows_folded(), rows.len());
@@ -735,8 +727,13 @@ proptest! {
                         .aggregate(Aggregate::count("n"))
                         .aggregate(Aggregate::of(AggFn::Min, "cpu_hours", "low")),
                 };
-                let got = paged.query_sharded("s", "jobfact", &query).unwrap();
-                let want = resident.query_sharded("s", "jobfact", &query).unwrap();
+                // Stateless scans, so every query crosses the pages.
+                let scan = |db: &xdmod::warehouse::Database| {
+                    let table = db.table("s", "jobfact").unwrap();
+                    run_sharded(&query, table, db.parallelism(), db.telemetry(), "jobfact").unwrap()
+                };
+                let got = scan(&paged);
+                let want = scan(&resident);
                 prop_assert_eq!(got, want, "paged result diverged (budget {})", budget);
             }
             let stats = paged.residency_stats().unwrap();
