@@ -398,7 +398,9 @@ impl FaultInjector {
             }
             let hit = match &spec.trigger {
                 Trigger::AtOps(ops) => ops.contains(&op),
-                Trigger::EveryNth(n) => *n > 0 && op % *n == 0,
+                // `0.is_multiple_of(0)` holds: without the guard `EveryNth(0)`
+                // would fire at op 0.
+                Trigger::EveryNth(n) => *n > 0 && op.is_multiple_of(*n),
                 Trigger::WithProbability(p) => {
                     let p = *p;
                     state.rng.next_f64() < p

@@ -189,8 +189,9 @@ mod tests {
             }];
             let text = to_json(&ds);
             let doc = xdmod_check::json::parse(&text).unwrap();
-            let series = doc.get("series").and_then(|s| s.as_array()).unwrap();
-            let back = series[0].get("values").and_then(|v| v.as_array()).unwrap();
+            let mut series = doc.get("series").and_then(|s| s.as_array()).unwrap();
+            let first = series.next().unwrap();
+            let back = first.get("values").and_then(|v| v.as_array()).unwrap();
             assert_eq!(back.len(), chunk.len());
             for (want, got) in chunk.iter().zip(back) {
                 let got = got.as_f64().unwrap();
@@ -202,7 +203,9 @@ mod tests {
             }
             assert_eq!(doc.get("title").and_then(|t| t.as_str()), Some("t"));
             assert_eq!(
-                doc.get("labels").and_then(|l| l.as_array()).map(<[_]>::len),
+                doc.get("labels")
+                    .and_then(|l| l.as_array())
+                    .map(|l| l.len()),
                 Some(chunk.len())
             );
         }

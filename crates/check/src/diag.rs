@@ -492,7 +492,11 @@ mod tests {
         ));
         let json = diags.render_json();
         let value = crate::json::parse(&json).expect("valid json");
-        let list = value.get("diagnostics").and_then(|v| v.as_array()).unwrap();
+        let list: Vec<_> = value
+            .get("diagnostics")
+            .and_then(|v| v.as_array())
+            .unwrap()
+            .collect();
         assert_eq!(list.len(), 1);
         assert_eq!(
             list[0].get("code").and_then(|v| v.as_str()),

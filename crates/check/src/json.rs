@@ -11,99 +11,231 @@
 //! [`MAX_DEPTH`] deep, so hostile input cannot exhaust the stack. Parsing
 //! is linear in the input.
 //!
-//! The tree borrows from the input: a number, and a string (value or key)
-//! without an escape, is a slice of the document; only an escaped string
-//! is copied out. An object keeps its members in document order;
-//! [`JsonValue::get`] returns the last member of a duplicated key.
+//! [`parse`] fills a flat [`Document`]: one vector of 12-byte nodes in
+//! document order (simdjson's "tape"), so a document costs one growing
+//! allocation however many containers it has, and dropping it frees that
+//! one vector. A number, and a string (value or key) without an escape,
+//! is a byte range of the input; only an escaped string is decoded into
+//! a side list. A container node holds its element count and the index
+//! one past its subtree, so stepping over a sibling is O(1).
+//!
+//! [`JsonValue`] is a `Copy` handle to one node. An object keeps its
+//! members in document order; [`JsonValue::get`] returns the last member
+//! of a duplicated key.
 
-use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
-/// A parsed JSON value, borrowing its strings from the input text.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue<'a> {
-    /// `null`
+/// A parsed JSON document, borrowing its strings from the input text.
+/// Read it through [`Document::root`] (or [`Document::get`] for a
+/// top-level member).
+pub struct Document<'a> {
+    text: &'a str,
+    /// Every value and object key, in document order; the root is first.
+    nodes: Vec<Node>,
+    /// The decoded text of each escaped string, in document order.
+    strings: Vec<String>,
+}
+
+/// One value or object key. Offsets and indices are `u32`, which
+/// [`parse`] guarantees by refusing longer input ([`check_len`]): every
+/// node starts at its own input byte, so there are never more nodes
+/// than bytes.
+#[derive(Debug, Clone, Copy)]
+enum Node {
     Null,
-    /// `true` / `false`
     Bool(bool),
-    /// A number, as its source text. A number token holds no escape, so
-    /// it is always a slice of the input.
-    Number(&'a str),
-    /// A string; borrowed unless it contained an escape.
-    String(Cow<'a, str>),
-    /// An array.
-    Array(Vec<JsonValue<'a>>),
-    /// An object's members, in document order.
-    Object(Vec<(Cow<'a, str>, JsonValue<'a>)>),
+    /// A number's source text, as a byte range of the input.
+    Number {
+        start: u32,
+        end: u32,
+    },
+    /// A string without an escape: its body's byte range in the input.
+    Str {
+        start: u32,
+        end: u32,
+    },
+    /// A string with an escape: its index in `Document::strings`.
+    Escaped(u32),
+    /// `len` elements follow; `end` is the node index past the last.
+    Array {
+        len: u32,
+        end: u32,
+    },
+    /// `len` members follow, each a key node and then its value;
+    /// `end` is the node index past the last.
+    Object {
+        len: u32,
+        end: u32,
+    },
+}
+
+impl Document<'_> {
+    /// The document's top-level value.
+    pub fn root(&self) -> JsonValue<'_> {
+        JsonValue { doc: self, at: 0 }
+    }
+
+    /// Member `key` of the top-level object: `self.root().get(key)`.
+    pub fn get(&self, key: &str) -> Option<JsonValue<'_>> {
+        self.root().get(key)
+    }
+
+    /// The input between two node offsets.
+    fn slice(&self, start: u32, end: u32) -> &str {
+        &self.text[start as usize..end as usize]
+    }
+
+    /// The text of a string node.
+    fn text_of(&self, node: Node) -> Option<&str> {
+        match node {
+            Node::Str { start, end } => Some(self.slice(start, end)),
+            Node::Escaped(i) => Some(&self.strings[i as usize]),
+            _ => None,
+        }
+    }
+
+    /// Whether a key node spells `key`. An unescaped key is compared as
+    /// bytes, with no char-boundary checks.
+    fn is_key(&self, node: Node, key: &str) -> bool {
+        match node {
+            Node::Str { start, end } => {
+                (end - start) as usize == key.len()
+                    && self.text.as_bytes()[start as usize..end as usize] == *key.as_bytes()
+            }
+            Node::Escaped(i) => self.strings[i as usize] == key,
+            _ => false,
+        }
+    }
+
+    /// The node index just past the subtree rooted at `at`.
+    fn skip(&self, at: usize) -> usize {
+        match self.nodes[at] {
+            Node::Array { end, .. } | Node::Object { end, .. } => end as usize,
+            _ => at + 1,
+        }
+    }
+}
+
+/// Compact JSON text of the root value, as [`JsonValue`] writes it.
+impl fmt::Display for Document<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.root().fmt(f)
+    }
+}
+
+/// The document's compact JSON text.
+impl fmt::Debug for Document<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.root().fmt(f)
+    }
+}
+
+/// One value of a parsed [`Document`]: a copyable handle that reads its
+/// node on demand. Strings it returns live as long as the document.
+#[derive(Clone, Copy)]
+pub struct JsonValue<'a> {
+    doc: &'a Document<'a>,
+    at: usize,
 }
 
 impl<'a> JsonValue<'a> {
+    fn node(self) -> Node {
+        self.doc.nodes[self.at]
+    }
+
     /// Member of an object, if this is an object. A duplicated key
     /// resolves to its last value.
-    pub fn get(&self, key: &str) -> Option<&JsonValue<'a>> {
-        match self {
-            JsonValue::Object(members) => {
-                members.iter().rev().find(|(k, _)| k == key).map(|(_, v)| v)
+    pub fn get(self, key: &str) -> Option<JsonValue<'a>> {
+        let Node::Object { len, .. } = self.node() else {
+            return None;
+        };
+        let doc = self.doc;
+        let (mut at, mut found) = (self.at + 1, None);
+        for _ in 0..len {
+            if doc.is_key(doc.nodes[at], key) {
+                found = Some(at + 1);
             }
+            at = doc.skip(at + 1);
+        }
+        found.map(|at| JsonValue { doc, at })
+    }
+
+    /// The members of an object in document order, if this is an object.
+    pub fn members(self) -> Option<Members<'a>> {
+        match self.node() {
+            Node::Object { len, .. } => Some(Members {
+                doc: self.doc,
+                at: self.at + 1,
+                left: len as usize,
+            }),
+            _ => None,
+        }
+    }
+
+    /// The elements of an array in document order, if this is an array.
+    pub fn as_array(self) -> Option<Elements<'a>> {
+        match self.node() {
+            Node::Array { len, .. } => Some(Elements {
+                doc: self.doc,
+                at: self.at + 1,
+                left: len as usize,
+            }),
             _ => None,
         }
     }
 
     /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::String(s) => Some(s),
+    pub fn as_str(self) -> Option<&'a str> {
+        self.doc.text_of(self.node())
+    }
+
+    /// A number's source text, if this is a number.
+    fn number(self) -> Option<&'a str> {
+        match self.node() {
+            Node::Number { start, end } => Some(self.doc.slice(start, end)),
             _ => None,
         }
     }
 
     /// The numeric payload, if this is a number: the nearest `f64` to its
     /// text (`str::parse` rounds correctly), infinite past `f64::MAX`.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            JsonValue::Number(n) => n.parse().ok(),
-            _ => None,
-        }
+    pub fn as_f64(self) -> Option<f64> {
+        self.number()?.parse().ok()
     }
 
     /// The integer payload, if this is an integer token (no fraction, no
     /// exponent) that fits an `i64`. `-0` is not one: serde's JSON reader,
     /// whose reading the storage schema keeps, makes it the float `-0.0`.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            JsonValue::Number(n) if *n != "-0" && !n.contains(['.', 'e', 'E']) => n.parse().ok(),
-            _ => None,
+    pub fn as_i64(self) -> Option<i64> {
+        let n = self.number()?;
+        if n == "-0" || n.contains(['.', 'e', 'E']) {
+            return None;
         }
+        n.parse().ok()
     }
 
     /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
+    pub fn as_bool(self) -> Option<bool> {
+        match self.node() {
+            Node::Bool(b) => Some(b),
             _ => None,
         }
     }
 
-    /// The element list, if this is an array.
-    pub fn as_array(&self) -> Option<&[JsonValue<'a>]> {
-        match self {
-            JsonValue::Array(items) => Some(items),
-            _ => None,
-        }
+    /// Whether this is `null`.
+    pub fn is_null(self) -> bool {
+        matches!(self.node(), Node::Null)
     }
 
     /// Convenience: an array of strings under `key`, empty when absent.
-    pub fn string_list(&self, key: &str) -> Vec<String> {
-        self.get(key)
-            .and_then(JsonValue::as_array)
-            .map(|items| {
-                items
-                    .iter()
-                    .filter_map(JsonValue::as_str)
-                    .map(str::to_owned)
-                    .collect()
-            })
-            .unwrap_or_default()
+    /// Elements that are not strings are skipped.
+    pub fn string_list(self, key: &str) -> Vec<String> {
+        let Some(items) = self.get(key).and_then(JsonValue::as_array) else {
+            return Vec::new();
+        };
+        let mut out = Vec::with_capacity(items.len());
+        out.extend(items.filter_map(JsonValue::as_str).map(str::to_owned));
+        out
     }
 }
 
@@ -111,22 +243,24 @@ impl<'a> JsonValue<'a> {
 /// members in document order.
 impl fmt::Display for JsonValue<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            JsonValue::Null => f.write_str("null"),
-            JsonValue::Bool(b) => write!(f, "{b}"),
-            JsonValue::Number(n) => f.write_str(n),
-            JsonValue::String(s) => f.write_str(&escape(s)),
-            JsonValue::Array(items) => {
+        match self.node() {
+            Node::Null => f.write_str("null"),
+            Node::Bool(b) => write!(f, "{b}"),
+            Node::Number { start, end } => f.write_str(self.doc.slice(start, end)),
+            node @ (Node::Str { .. } | Node::Escaped(_)) => {
+                f.write_str(&escape(self.doc.text_of(node).unwrap_or_default()))
+            }
+            Node::Array { .. } => {
                 f.write_str("[")?;
-                for (i, item) in items.iter().enumerate() {
+                for (i, item) in self.as_array().into_iter().flatten().enumerate() {
                     let sep = if i == 0 { "" } else { "," };
                     write!(f, "{sep}{item}")?;
                 }
                 f.write_str("]")
             }
-            JsonValue::Object(members) => {
+            Node::Object { .. } => {
                 f.write_str("{")?;
-                for (i, (key, value)) in members.iter().enumerate() {
+                for (i, (key, value)) in self.members().into_iter().flatten().enumerate() {
                     let sep = if i == 0 { "" } else { "," };
                     write!(f, "{sep}{}:{value}", escape(key))?;
                 }
@@ -135,6 +269,74 @@ impl fmt::Display for JsonValue<'_> {
         }
     }
 }
+
+/// The value's compact JSON text.
+impl fmt::Debug for JsonValue<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self, f)
+    }
+}
+
+/// The elements of an array, from [`JsonValue::as_array`].
+#[derive(Clone)]
+pub struct Elements<'a> {
+    doc: &'a Document<'a>,
+    at: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for Elements<'a> {
+    type Item = JsonValue<'a>;
+
+    fn next(&mut self) -> Option<JsonValue<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        let item = JsonValue {
+            doc: self.doc,
+            at: self.at,
+        };
+        self.at = self.doc.skip(self.at);
+        Some(item)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Elements<'_> {}
+
+/// The `(key, value)` members of an object, from [`JsonValue::members`].
+#[derive(Clone)]
+pub struct Members<'a> {
+    doc: &'a Document<'a>,
+    /// The next member's key node.
+    at: usize,
+    left: usize,
+}
+
+impl<'a> Iterator for Members<'a> {
+    type Item = (&'a str, JsonValue<'a>);
+
+    fn next(&mut self) -> Option<(&'a str, JsonValue<'a>)> {
+        self.left = self.left.checked_sub(1)?;
+        let key = self
+            .doc
+            .text_of(self.doc.nodes[self.at])
+            .unwrap_or_default();
+        let value = JsonValue {
+            doc: self.doc,
+            at: self.at + 1,
+        };
+        self.at = self.doc.skip(self.at + 1);
+        Some((key, value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Members<'_> {}
 
 /// A parse failure with byte offset context.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -155,15 +357,37 @@ impl std::error::Error for JsonError {}
 
 /// Parse a complete JSON document (trailing whitespace allowed, trailing
 /// garbage rejected).
-pub fn parse(input: &str) -> Result<JsonValue<'_>, JsonError> {
+pub fn parse(input: &str) -> Result<Document<'_>, JsonError> {
+    check_len(input.len())?;
     let mut p = Parser::new(input);
     p.skip_ws();
-    let value = p.value()?;
+    p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
     }
-    Ok(value)
+    Ok(Document {
+        text: input,
+        nodes: p.nodes,
+        strings: p.strings,
+    })
+}
+
+/// Refuse input whose byte offsets do not fit the nodes' `u32`s.
+fn check_len(len: usize) -> Result<(), JsonError> {
+    match u32::try_from(len) {
+        Ok(_) => Ok(()),
+        Err(_) => Err(JsonError {
+            message: format!("document longer than {} bytes", u32::MAX),
+            offset: 0,
+        }),
+    }
+}
+
+/// An offset or node index as a node field: [`check_len`] has bounded
+/// both by the input length.
+fn narrow(at: usize) -> u32 {
+    at as u32
 }
 
 /// Escape a string into a quoted JSON string literal.
@@ -206,6 +430,8 @@ struct Parser<'a> {
     pos: usize,
     /// Containers open around `pos`.
     depth: usize,
+    nodes: Vec<Node>,
+    strings: Vec<String>,
 }
 
 impl<'a> Parser<'a> {
@@ -215,6 +441,8 @@ impl<'a> Parser<'a> {
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
+            nodes: Vec::new(),
+            strings: Vec::new(),
         }
     }
 
@@ -246,88 +474,82 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: JsonValue<'a>) -> Result<JsonValue<'a>, JsonError> {
+    fn literal(&mut self, word: &str, node: Node) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            self.nodes.push(node);
+            Ok(())
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue<'a>, JsonError> {
+    /// One value at `pos`, appended to `nodes` with its subtree.
+    fn value(&mut self) -> Result<(), JsonError> {
         match self.peek() {
             Some(open @ (b'{' | b'[')) => {
                 if self.depth == MAX_DEPTH {
                     return Err(self.err("containers nest too deep"));
                 }
                 self.depth += 1;
-                let container = if open == b'{' {
-                    self.object()
-                } else {
-                    self.array()
-                };
+                let container = self.container(open == b'{');
                 self.depth -= 1;
                 container
             }
-            Some(b'"') => self.string().map(JsonValue::String),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
+            Some(b'"') => {
+                let node = self.string()?;
+                self.nodes.push(node);
+                Ok(())
+            }
+            Some(b't') => self.literal("true", Node::Bool(true)),
+            Some(b'f') => self.literal("false", Node::Bool(false)),
+            Some(b'n') => self.literal("null", Node::Null),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue<'a>, JsonError> {
-        self.consume(b'{')?;
-        let mut members = Vec::new();
+    /// An object (each member a key node, then its value) or an array.
+    /// Its node is pushed first and filled in once its end is known.
+    fn container(&mut self, object: bool) -> Result<(), JsonError> {
+        let (open, close, expected) = if object {
+            (b'{', b'}', "expected ',' or '}' in object")
+        } else {
+            (b'[', b']', "expected ',' or ']' in array")
+        };
+        self.consume(open)?;
+        let at = self.nodes.len();
+        self.nodes.push(Node::Null);
+        let mut len = 0;
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.consume(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            members.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
+        if self.peek() != Some(close) {
+            loop {
+                self.skip_ws();
+                if object {
+                    let key = self.string()?;
+                    self.nodes.push(key);
+                    self.skip_ws();
+                    self.consume(b':')?;
+                    self.skip_ws();
                 }
-                _ => return Err(self.err("expected ',' or '}' in object")),
+                self.value()?;
+                len += 1;
+                self.skip_ws();
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b) if b == close => break,
+                    _ => return Err(self.err(expected)),
+                }
             }
         }
-    }
-
-    fn array(&mut self) -> Result<JsonValue<'a>, JsonError> {
-        self.consume(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+        self.pos += 1;
+        let (len, end) = (narrow(len), narrow(self.nodes.len()));
+        self.nodes[at] = if object {
+            Node::Object { len, end }
+        } else {
+            Node::Array { len, end }
+        };
+        Ok(())
     }
 
     /// The run from `pos` up to the next `"` or `\` (or the end of
@@ -343,13 +565,18 @@ impl<'a> Parser<'a> {
         &self.text[start..self.pos]
     }
 
-    /// A string literal; borrowed from the input unless it has an escape.
-    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
+    /// A string literal's node: a range of the input unless it has an
+    /// escape, else its decoded text appended to `strings`.
+    fn string(&mut self) -> Result<Node, JsonError> {
         self.consume(b'"')?;
+        let start = self.pos;
         let head = self.plain_run();
         if self.peek() == Some(b'"') {
             self.pos += 1;
-            return Ok(Cow::Borrowed(head));
+            return Ok(Node::Str {
+                start: narrow(start),
+                end: narrow(self.pos - 1),
+            });
         }
         let mut out = String::from(head);
         loop {
@@ -357,7 +584,8 @@ impl<'a> Parser<'a> {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
-                    return Ok(Cow::Owned(out));
+                    self.strings.push(out);
+                    return Ok(Node::Escaped(narrow(self.strings.len() - 1)));
                 }
                 Some(_) => {
                     self.pos += 1;
@@ -418,7 +646,7 @@ impl<'a> Parser<'a> {
 
     /// A number: the longest run of number bytes, which must be one
     /// token of RFC 8259's grammar.
-    fn number(&mut self) -> Result<JsonValue<'a>, JsonError> {
+    fn number(&mut self) -> Result<(), JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -429,13 +657,17 @@ impl<'a> Parser<'a> {
         ) {
             self.pos += 1;
         }
-        // Every byte of the run is ASCII, so the slice is on char boundaries.
-        let text = &self.text[start..self.pos];
-        if is_number(text.as_bytes()) {
-            Ok(JsonValue::Number(text))
+        if is_number(&self.bytes[start..self.pos]) {
+            self.nodes.push(Node::Number {
+                start: narrow(start),
+                end: narrow(self.pos),
+            });
+            Ok(())
         } else {
+            // Every byte of the run is ASCII, so the slice is on char
+            // boundaries.
             Err(JsonError {
-                message: format!("invalid number '{text}'"),
+                message: format!("invalid number '{}'", &self.text[start..self.pos]),
                 offset: start,
             })
         }
@@ -478,31 +710,58 @@ mod tests {
 
     #[test]
     fn parses_nested_document() {
-        let v = parse(
+        let doc = parse(
             r#"{"hub": "h", "n": -2.5e1, "ok": true, "none": null,
                "list": [1, "two", {"three": 3}]}"#,
         )
         .unwrap();
-        assert_eq!(v.get("hub").and_then(JsonValue::as_str), Some("h"));
-        assert_eq!(v.get("n").and_then(JsonValue::as_f64), Some(-25.0));
-        assert_eq!(v.get("ok").and_then(JsonValue::as_bool), Some(true));
-        assert_eq!(v.get("none"), Some(&JsonValue::Null));
-        let list = v.get("list").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(doc.get("hub").and_then(JsonValue::as_str), Some("h"));
+        assert_eq!(doc.get("n").and_then(JsonValue::as_f64), Some(-25.0));
+        assert_eq!(doc.get("ok").and_then(JsonValue::as_bool), Some(true));
+        assert!(doc.get("none").is_some_and(JsonValue::is_null));
+        assert!(!doc.get("ok").is_some_and(JsonValue::is_null));
+        let list: Vec<_> = doc
+            .get("list")
+            .and_then(JsonValue::as_array)
+            .unwrap()
+            .collect();
         assert_eq!(list.len(), 3);
+        assert_eq!(list[1].as_str(), Some("two"));
         assert_eq!(list[2].get("three").and_then(JsonValue::as_f64), Some(3.0));
+        let keys: Vec<&str> = doc.root().members().unwrap().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["hub", "n", "ok", "none", "list"]);
+        assert!(doc.root().as_array().is_none());
+        assert!(list[0].members().is_none());
+    }
+
+    #[test]
+    fn iterators_know_their_length() {
+        let doc = parse(r#"[[1, [2, 3], {"a": [4]}], {"x": {}, "y": [], "z": 5}]"#).unwrap();
+        let mut items = doc.root().as_array().unwrap();
+        assert_eq!(items.len(), 2);
+        let first = items.next().unwrap();
+        assert_eq!(items.len(), 1);
+        assert_eq!(first.as_array().unwrap().len(), 3);
+        let second = items.next().unwrap();
+        assert!(items.next().is_none());
+        assert_eq!(items.len(), 0);
+        let members = second.members().unwrap();
+        assert_eq!(members.len(), 3);
+        let texts: Vec<String> = members.map(|(k, v)| format!("{k}={v}")).collect();
+        assert_eq!(texts, ["x={}", "y=[]", "z=5"]);
     }
 
     #[test]
     fn parses_escapes() {
-        let v = parse(r#""a\"b\\c\ndA""#).unwrap();
-        assert_eq!(v.as_str(), Some("a\"b\\c\ndA"));
+        let doc = parse(r#""a\"b\\c\ndA""#).unwrap();
+        assert_eq!(doc.root().as_str(), Some("a\"b\\c\ndA"));
     }
 
     #[test]
     fn escape_round_trips() {
         let original = "quote \" slash \\ newline \n tab \t unicode é";
         let escaped = escape(original);
-        assert_eq!(parse(&escaped).unwrap().as_str(), Some(original));
+        assert_eq!(parse(&escaped).unwrap().root().as_str(), Some(original));
     }
 
     #[test]
@@ -517,7 +776,8 @@ mod tests {
 
     #[test]
     fn string_list_helper() {
-        let v = parse(r#"{"xs": ["a", "b"], "mixed": ["a", 1]}"#).unwrap();
+        let doc = parse(r#"{"xs": ["a", "b"], "mixed": ["a", 1]}"#).unwrap();
+        let v = doc.root();
         assert_eq!(v.string_list("xs"), vec!["a", "b"]);
         assert_eq!(v.string_list("mixed"), vec!["a"]); // non-strings skipped
         assert!(v.string_list("missing").is_empty());
@@ -525,18 +785,22 @@ mod tests {
 
     #[test]
     fn empty_containers() {
-        assert_eq!(parse("{}").unwrap(), JsonValue::Object(Vec::new()));
-        assert_eq!(parse("[]").unwrap(), JsonValue::Array(vec![]));
+        let object = parse("{}").unwrap();
+        assert_eq!(object.root().members().map(|m| m.len()), Some(0));
+        assert_eq!(object.to_string(), "{}");
+        let array = parse("[]").unwrap();
+        assert_eq!(array.root().as_array().map(|a| a.len()), Some(0));
+        assert_eq!(array.to_string(), "[]");
     }
 
     #[test]
     fn duplicated_key_resolves_to_its_last_value() {
-        let v = parse(r#"{"a": 1, "b": "x", "a": 2, "c": {"d": true, "d": false}}"#).unwrap();
-        assert_eq!(v.get("a").and_then(JsonValue::as_f64), Some(2.0));
-        assert_eq!(v.get("b").and_then(JsonValue::as_str), Some("x"));
-        let c = v.get("c").unwrap();
+        let doc = parse(r#"{"a": 1, "b": "x", "a": 2, "c": {"d": true, "d": false}}"#).unwrap();
+        assert_eq!(doc.get("a").and_then(JsonValue::as_f64), Some(2.0));
+        assert_eq!(doc.get("b").and_then(JsonValue::as_str), Some("x"));
+        let c = doc.get("c").unwrap();
         assert_eq!(c.get("d").and_then(JsonValue::as_bool), Some(false));
-        assert_eq!(v.get("missing"), None);
+        assert!(doc.get("missing").is_none());
     }
 
     #[test]
@@ -549,26 +813,20 @@ mod tests {
         ];
         for (plain, escaped) in pairs {
             assert_eq!(
-                parse(plain).unwrap(),
-                parse(escaped).unwrap(),
+                parse(plain).unwrap().to_string(),
+                parse(escaped).unwrap().to_string(),
                 "{plain} vs {escaped}"
             );
         }
-        let v = parse(r#"{"k\u0065y": "\u0076"}"#).unwrap();
-        assert_eq!(v.get("key").and_then(JsonValue::as_str), Some("v"));
+        let doc = parse(r#"{"k\u0065y": "\u0076"}"#).unwrap();
+        assert_eq!(doc.get("key").and_then(JsonValue::as_str), Some("v"));
     }
 
     #[test]
     fn numbers_keep_their_text() {
-        let v = parse("[0, -0, 12.50, 1E+3, 9007199254740993, 1e400]").unwrap();
-        let items = v.as_array().unwrap();
-        let text: Vec<&str> = items
-            .iter()
-            .map(|n| match n {
-                JsonValue::Number(t) => *t,
-                other => panic!("{other:?}"),
-            })
-            .collect();
+        let doc = parse("[0, -0, 12.50, 1E+3, 9007199254740993, 1e400]").unwrap();
+        let items: Vec<JsonValue> = doc.root().as_array().unwrap().collect();
+        let text: Vec<&str> = items.iter().filter_map(|n| n.number()).collect();
         assert_eq!(
             text,
             ["0", "-0", "12.50", "1E+3", "9007199254740993", "1e400"]
@@ -580,12 +838,13 @@ mod tests {
         assert_eq!(items[3].as_f64(), Some(1000.0));
         assert_eq!(items[4].as_f64(), Some(9007199254740992.0));
         assert_eq!(items[5].as_f64(), Some(f64::INFINITY));
-        assert_eq!(parse("true").unwrap().as_f64(), None);
+        assert_eq!(parse("true").unwrap().root().as_f64(), None);
+        assert_eq!(parse("\"1\"").unwrap().root().as_f64(), None);
     }
 
     #[test]
     fn as_i64_takes_integer_tokens_only() {
-        let int = |text: &str| parse(text).unwrap().as_i64();
+        let int = |text: &str| parse(text).unwrap().root().as_i64();
         assert_eq!(int("0"), Some(0));
         assert_eq!(int("-12"), Some(-12));
         assert_eq!(int("9223372036854775807"), Some(i64::MAX));
@@ -638,9 +897,36 @@ mod tests {
     #[test]
     fn display_writes_compact_json() {
         let text = r#"{"n":-1.50E2,"s":"a\"b\u0001","list":[true,null,{}],"e":[]}"#;
-        let v = parse(text).unwrap();
-        assert_eq!(v.to_string(), text);
-        assert_eq!(parse(&v.to_string()).unwrap(), v);
+        let doc = parse(text).unwrap();
+        assert_eq!(doc.to_string(), text);
+        assert_eq!(format!("{doc:?}"), text);
+        assert_eq!(parse(&doc.to_string()).unwrap().to_string(), text);
+        let list = doc.get("list").unwrap();
+        assert_eq!(list.to_string(), "[true,null,{}]");
+    }
+
+    #[test]
+    fn nodes_stay_small() {
+        assert_eq!(std::mem::size_of::<Node>(), 12);
+        // A container, its keys and its values: one node each, no more.
+        let doc = parse(r#"{"a": [1, "x\n", {}], "b": null}"#).unwrap();
+        assert_eq!(doc.nodes.len(), 8);
+        assert_eq!(doc.strings, ["x\n"]);
+    }
+
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn input_past_u32_offsets_is_a_typed_error() {
+        let max = u32::MAX as usize;
+        assert_eq!(check_len(0), Ok(()));
+        assert_eq!(check_len(max), Ok(()));
+        for len in [max + 1, usize::MAX] {
+            let err = check_len(len).unwrap_err();
+            assert_eq!(
+                err.to_string(),
+                "document longer than 4294967295 bytes at byte 0"
+            );
+        }
     }
 
     impl Parser<'_> {
@@ -737,16 +1023,21 @@ mod tests {
             }
             let (mut new, mut old) = (Parser::new(&input), Parser::new(&input));
             let (got, want) = (new.string(), old.reference_string());
-            // A string is copied exactly when it has an escape.
-            if let Ok(s) = &got {
+            // A string is decoded aside exactly when it has an escape.
+            let got = got.map(|node| {
                 let escaped = input[..new.pos].contains('\\');
                 assert_eq!(
-                    matches!(s, Cow::Owned(_)),
+                    matches!(node, Node::Escaped(_)),
                     escaped,
                     "case {case}: {input:?}"
                 );
-            }
-            assert_eq!(got.map(Cow::into_owned), want, "case {case}: {input:?}");
+                match node {
+                    Node::Str { start, end } => input[start as usize..end as usize].to_owned(),
+                    Node::Escaped(i) => new.strings[i as usize].clone(),
+                    other => panic!("case {case}: {other:?}"),
+                }
+            });
+            assert_eq!(got, want, "case {case}: {input:?}");
             assert_eq!(new.pos, old.pos, "case {case}: {input:?}");
         }
     }
@@ -772,7 +1063,11 @@ mod tests {
             ("\"\\ud83d\u{1f600}\"".to_owned(), "\u{fffd}\u{1f600}"),
         ];
         for (input, want) in cases {
-            assert_eq!(parse(&input).unwrap().as_str(), Some(want), "{input}");
+            assert_eq!(
+                parse(&input).unwrap().root().as_str(),
+                Some(want),
+                "{input}"
+            );
         }
         // A malformed escape after a high surrogate is reported where it is.
         let bad = parse(r#""\ud83d\u12G4""#).unwrap_err();

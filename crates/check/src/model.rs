@@ -302,13 +302,24 @@ pub fn sanitize(name: &str) -> String {
 /// Default satellite-side schema for an instance name (`xdmod_<name>`),
 /// mirroring `XdmodInstance::schema_name_of`.
 pub fn default_source_schema(name: &str) -> String {
-    format!("xdmod_{}", sanitize(name))
+    sanitized_with_prefix("xdmod_", name)
 }
 
 /// Default hub-side schema for an instance name (`inst_<name>`),
 /// mirroring `FederationHub::schema_for`.
 pub fn default_hub_schema(name: &str) -> String {
-    format!("inst_{}", sanitize(name))
+    sanitized_with_prefix("inst_", name)
+}
+
+/// `prefix` then `sanitize(name)`, in one allocation.
+fn sanitized_with_prefix(prefix: &str, name: &str) -> String {
+    let mut out = String::with_capacity(prefix.len() + name.len());
+    out.push_str(prefix);
+    out.extend(
+        name.chars()
+            .map(|c| if matches!(c, '-' | '.') { '_' } else { c }),
+    );
+    out
 }
 
 /// The tables a declared realm requires on the hub, keyed by canonical
@@ -360,14 +371,14 @@ impl From<JsonError> for ModelError {
 }
 
 /// `ctx` names where `v` sits; it is formatted only when `key` is missing.
-fn required_str(v: &JsonValue, key: &str, ctx: impl fmt::Display) -> Result<String, ModelError> {
+fn required_str(v: JsonValue, key: &str, ctx: impl fmt::Display) -> Result<String, ModelError> {
     v.get(key)
         .and_then(JsonValue::as_str)
         .map(str::to_owned)
         .ok_or_else(|| ModelError(format!("{ctx}: missing string field \"{key}\"")))
 }
 
-fn opt_str(v: &JsonValue, key: &str) -> Option<String> {
+fn opt_str(v: JsonValue, key: &str) -> Option<String> {
     v.get(key).and_then(JsonValue::as_str).map(str::to_owned)
 }
 
@@ -379,9 +390,9 @@ const MAX_COUNT: f64 = (1u64 << 53) as f64;
 /// be an integer in `0..=2^53`, or the load fails naming `key` (a `-1`
 /// or `1.5` is not silently saturated into a value nobody wrote). `ctx`
 /// is formatted only on failure.
-fn opt_u64(v: &JsonValue, key: &str, ctx: impl fmt::Display) -> Result<Option<u64>, ModelError> {
-    match v.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
+fn opt_u64(v: JsonValue, key: &str, ctx: impl fmt::Display) -> Result<Option<u64>, ModelError> {
+    match v.get(key).filter(|value| !value.is_null()) {
+        None => Ok(None),
         Some(value) => match value.as_f64() {
             Some(n) if (0.0..=MAX_COUNT).contains(&n) && n.fract() == 0.0 => Ok(Some(n as u64)),
             _ => Err(ModelError(format!(
@@ -391,58 +402,60 @@ fn opt_u64(v: &JsonValue, key: &str, ctx: impl fmt::Display) -> Result<Option<u6
     }
 }
 
+/// Each element of the array under `key` through `build`, in order;
+/// empty when `key` is absent or not an array. The first error stops
+/// the walk.
+fn list_of<T>(
+    v: JsonValue,
+    key: &str,
+    mut build: impl FnMut(JsonValue) -> Result<T, ModelError>,
+) -> Result<Vec<T>, ModelError> {
+    let Some(items) = v.get(key).and_then(JsonValue::as_array) else {
+        return Ok(Vec::new());
+    };
+    let mut out = Vec::with_capacity(items.len());
+    for item in items {
+        out.push(build(item)?);
+    }
+    Ok(out)
+}
+
 impl FederationModel {
     /// Load from the federation document's JSON text: parse, then
     /// [`FederationModel::from_value`]. See `examples/configs/` for worked
     /// documents.
     pub fn from_json(text: &str) -> Result<Self, ModelError> {
-        Self::from_value(&crate::json::parse(text)?)
+        Self::from_value(crate::json::parse(text)?.root())
     }
 
     /// Load from a parsed federation document. Unknown realm names,
     /// structurally missing fields and counts that are not integers in
     /// `0..=2^53` are errors; everything else defaults to the workspace
     /// conventions. Unknown keys are ignored.
-    pub fn from_value(doc: &JsonValue) -> Result<Self, ModelError> {
+    pub fn from_value(doc: JsonValue) -> Result<Self, ModelError> {
         let hub = required_str(doc, "hub", "config")?;
 
-        let mut satellites = Vec::new();
-        if let Some(list) = doc.get("satellites").and_then(JsonValue::as_array) {
-            for entry in list {
-                satellites.push(Self::satellite_from_json(entry)?);
-            }
-        }
+        let satellites = list_of(doc, "satellites", Self::satellite_from_json)?;
 
-        let mut aggregates = Vec::new();
-        if let Some(list) = doc.get("aggregates").and_then(JsonValue::as_array) {
-            for entry in list {
-                let name = required_str(entry, "name", "aggregate")?;
-                aggregates.push(AggregateModel {
-                    fact_table: required_str(
-                        entry,
-                        "fact_table",
-                        format_args!("aggregate {name}"),
-                    )?,
-                    time_column: opt_str(entry, "time_column")
-                        .unwrap_or_else(|| "end_time".to_owned()),
-                    dimensions: entry.string_list("dimensions"),
-                    measures: entry.string_list("measures"),
-                    name,
-                });
-            }
-        }
+        let aggregates = list_of(doc, "aggregates", |entry| {
+            let name = required_str(entry, "name", "aggregate")?;
+            Ok(AggregateModel {
+                fact_table: required_str(entry, "fact_table", format_args!("aggregate {name}"))?,
+                time_column: opt_str(entry, "time_column").unwrap_or_else(|| "end_time".to_owned()),
+                dimensions: entry.string_list("dimensions"),
+                measures: entry.string_list("measures"),
+                name,
+            })
+        })?;
 
-        let mut group_bys = Vec::new();
-        if let Some(list) = doc.get("group_bys").and_then(JsonValue::as_array) {
-            for entry in list {
-                let name = required_str(entry, "name", "group_by")?;
-                group_bys.push(GroupByModel {
-                    fact_table: required_str(entry, "fact_table", format_args!("group_by {name}"))?,
-                    columns: entry.string_list("columns"),
-                    name,
-                });
-            }
-        }
+        let group_bys = list_of(doc, "group_bys", |entry| {
+            let name = required_str(entry, "name", "group_by")?;
+            Ok(GroupByModel {
+                fact_table: required_str(entry, "fact_table", format_args!("group_by {name}"))?,
+                columns: entry.string_list("columns"),
+                name,
+            })
+        })?;
 
         let aggregation = match doc.get("aggregation") {
             Some(entry) => Some(AggregationPoolModel {
@@ -506,12 +519,13 @@ impl FederationModel {
     }
 
     /// The `alerts` stanza. A rule without a string `family` is skipped.
-    fn alerts_from_json(entry: &JsonValue) -> Result<AlertsModel, ModelError> {
+    fn alerts_from_json(entry: JsonValue) -> Result<AlertsModel, ModelError> {
         let mut rules = Vec::new();
         for rule in entry
             .get("rules")
             .and_then(JsonValue::as_array)
-            .unwrap_or_default()
+            .into_iter()
+            .flatten()
         {
             let Some(family) = rule.get("family").and_then(JsonValue::as_str) else {
                 continue;
@@ -532,21 +546,21 @@ impl FederationModel {
         })
     }
 
-    fn satellite_from_json(entry: &JsonValue) -> Result<SatelliteModel, ModelError> {
+    fn satellite_from_json(entry: JsonValue) -> Result<SatelliteModel, ModelError> {
         let name = required_str(entry, "name", "satellite")?;
-        let ctx = format!("satellite {name}");
 
         let mut realms = Vec::new();
         let mut expected_tables: Vec<String> = Vec::new();
         for realm in entry
             .get("realms")
             .and_then(JsonValue::as_array)
-            .unwrap_or_default()
-            .iter()
+            .into_iter()
+            .flatten()
             .filter_map(JsonValue::as_str)
         {
-            let (ident, tables) = realm_entry(realm)
-                .ok_or_else(|| ModelError(format!("{ctx}: unknown realm \"{realm}\"")))?;
+            let (ident, tables) = realm_entry(realm).ok_or_else(|| {
+                ModelError(format!("satellite {name}: unknown realm \"{realm}\""))
+            })?;
             realms.push(ident);
             expected_tables.extend(tables.iter().map(|t| (*t).to_owned()));
         }
@@ -560,44 +574,35 @@ impl FederationModel {
             .get("replicated_tables")
             .and_then(JsonValue::as_array)
             .map(|items| {
-                items
-                    .iter()
-                    .filter_map(JsonValue::as_str)
-                    .map(str::to_owned)
-                    .collect::<Vec<_>>()
+                let mut list = Vec::with_capacity(items.len());
+                list.extend(items.filter_map(JsonValue::as_str).map(str::to_owned));
+                list
             });
 
-        let mut tables = Vec::new();
-        if let Some(list) = entry.get("tables").and_then(JsonValue::as_array) {
-            for table in list {
-                let table_name = required_str(table, "name", &ctx)?;
-                let cols = table.get("columns").and_then(JsonValue::as_array);
-                let mut columns = Vec::with_capacity(cols.map_or(0, <[_]>::len));
-                if let Some(cols) = cols {
-                    for col in cols {
-                        columns.push(ColumnModel {
-                            name: required_str(
-                                col,
-                                "name",
-                                format_args!("{ctx} table {table_name}"),
-                            )?,
-                            ty: col
-                                .get("type")
-                                .and_then(JsonValue::as_str)
-                                .map_or_else(|| "str".to_owned(), str::to_ascii_lowercase),
-                            nullable: col
-                                .get("nullable")
-                                .and_then(JsonValue::as_bool)
-                                .unwrap_or(false),
-                        });
-                    }
-                }
-                tables.push(TableModel {
-                    name: table_name,
-                    columns,
-                });
-            }
-        }
+        let tables = list_of(entry, "tables", |table| {
+            let table_name = required_str(table, "name", format_args!("satellite {name}"))?;
+            let columns = list_of(table, "columns", |col| {
+                Ok(ColumnModel {
+                    name: required_str(
+                        col,
+                        "name",
+                        format_args!("satellite {name} table {table_name}"),
+                    )?,
+                    ty: col
+                        .get("type")
+                        .and_then(JsonValue::as_str)
+                        .map_or_else(|| "str".to_owned(), str::to_ascii_lowercase),
+                    nullable: col
+                        .get("nullable")
+                        .and_then(JsonValue::as_bool)
+                        .unwrap_or(false),
+                })
+            })?;
+            Ok(TableModel {
+                name: table_name,
+                columns,
+            })
+        })?;
 
         Ok(SatelliteModel {
             link: LinkModel {
@@ -610,7 +615,7 @@ impl FederationModel {
                     .get("mode")
                     .and_then(JsonValue::as_str)
                     .map(str::to_ascii_lowercase),
-                retries: opt_u64(entry, "retries", &ctx)?,
+                retries: opt_u64(entry, "retries", format_args!("satellite {name}"))?,
             },
             replicated_tables,
             expected_tables,
@@ -827,7 +832,7 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(families, &sorted[..]);
         assert!(families.contains(&"link_down"));
-        assert!(DEFAULT_ALERT_RESOLVE_TIMEOUT_MS > DEFAULT_ALERT_DEBOUNCE_MS);
+        const { assert!(DEFAULT_ALERT_RESOLVE_TIMEOUT_MS > DEFAULT_ALERT_DEBOUNCE_MS) };
     }
 
     #[test]

@@ -320,12 +320,12 @@ fn json_rendering_round_trips_through_the_parser() {
         let diags = run(&fixture.config);
         let rendered = diags.render_json();
         let doc = xdmod_check::json::parse(&rendered).expect("render_json emits valid JSON");
-        let items = doc
+        let mut items = doc
             .get("diagnostics")
             .and_then(|v| v.as_array())
             .expect("diagnostics array");
         assert_eq!(items.len(), diags.len());
-        assert!(items.iter().any(|item| {
+        assert!(items.any(|item| {
             item.get("code").and_then(|c| c.as_str()) == Some(fixture.code.ident())
         }));
     }

@@ -43,7 +43,7 @@ impl Federation {
         instances: &BTreeMap<String, &XdmodInstance>,
     ) -> Result<Federation, FederationError> {
         let doc = json::parse(text).map_err(ModelError::from)?;
-        let model = FederationModel::from_value(&doc)?;
+        let model = FederationModel::from_value(doc.root())?;
         let levels = match doc.get("hub_levels") {
             Some(v) => AggregationLevelsConfig::from_value(v).map_err(FederationError::Config)?,
             None => AggregationLevelsConfig::new(),

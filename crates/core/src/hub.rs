@@ -384,34 +384,36 @@ impl FederationHub {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
-        let mut fold = |byte: u8| h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        let fact = XdmodInstance::fact_table(realm);
-        for b in fact.bytes() {
-            fold(b);
-        }
-        let db = self.db.read();
-        for sat in &self.satellites {
-            for b in sat.bytes() {
+        // The fold borrows `h` mutably until its scope ends.
+        {
+            let mut fold = |byte: u8| h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+            let fact = XdmodInstance::fact_table(realm);
+            for b in fact.bytes() {
                 fold(b);
             }
-            match db.table_watermark(&Self::schema_for(sat), fact) {
-                None => fold(0xff),
-                Some(pos) => {
-                    fold(0x01);
-                    for b in u64::from(pos.epoch)
-                        .to_le_bytes()
-                        .iter()
-                        .chain(pos.seqno.to_le_bytes().iter())
-                    {
-                        fold(*b);
+            let db = self.db.read();
+            for sat in &self.satellites {
+                for b in sat.bytes() {
+                    fold(b);
+                }
+                match db.table_watermark(&Self::schema_for(sat), fact) {
+                    None => fold(0xff),
+                    Some(pos) => {
+                        fold(0x01);
+                        for b in u64::from(pos.epoch)
+                            .to_le_bytes()
+                            .iter()
+                            .chain(pos.seqno.to_le_bytes().iter())
+                        {
+                            fold(*b);
+                        }
                     }
                 }
             }
+            for b in db.rebuild_generation().to_le_bytes() {
+                fold(b);
+            }
         }
-        for b in db.rebuild_generation().to_le_bytes() {
-            fold(b);
-        }
-        drop(fold);
         h
     }
 
@@ -889,8 +891,8 @@ mod tests {
 
         let db = hub.database();
         let db = db.read();
-        assert!(db.table("xdmod_meta", "ops_counters").unwrap().len() > 0);
-        assert!(db.table("xdmod_meta", "ops_histograms").unwrap().len() > 0);
+        assert!(!db.table("xdmod_meta", "ops_counters").unwrap().is_empty());
+        assert!(!db.table("xdmod_meta", "ops_histograms").unwrap().is_empty());
         assert_eq!(db.table("xdmod_meta", "ops_lag_samples").unwrap().len(), 1);
         drop(db);
 

@@ -59,15 +59,16 @@ pub const STORAGE_SCHEMA: [FieldSpec; 12] = [
 /// Validate a single sample object against [`STORAGE_SCHEMA`]. Returns
 /// its fields as warehouse values in schema order (`Null` for an absent
 /// optional field), or the first violation.
-pub fn validate_sample(obj: &JsonValue, record: usize) -> Result<Row> {
-    let JsonValue::Object(members) = obj else {
+pub fn validate_sample(obj: JsonValue, record: usize) -> Result<Row> {
+    let Some(members) = obj.members() else {
         return Err(IngestError::at(record, "sample is not a JSON object"));
     };
     // One spare slot: `shred` appends the derived quota utilization.
     let mut fields = Vec::with_capacity(STORAGE_SCHEMA.len() + 1);
     for spec in &STORAGE_SCHEMA {
         let value = match obj.get(spec.name) {
-            Some(JsonValue::Null) | None => {
+            Some(v) if !v.is_null() => v,
+            _ => {
                 if spec.required {
                     return Err(IngestError::at(
                         record,
@@ -77,7 +78,6 @@ pub fn validate_sample(obj: &JsonValue, record: usize) -> Result<Row> {
                 fields.push(Value::Null);
                 continue;
             }
-            Some(v) => v,
         };
         let field = match spec.kind {
             FieldKind::Str => value
@@ -107,9 +107,8 @@ pub fn validate_sample(obj: &JsonValue, record: usize) -> Result<Row> {
     // indicate a collector/schema version skew. Of several, the
     // alphabetically first is named.
     let unknown = members
-        .iter()
         .map(|(key, _)| key)
-        .filter(|key| !STORAGE_SCHEMA.iter().any(|s| s.name == key.as_ref()))
+        .filter(|key| !STORAGE_SCHEMA.iter().any(|s| s.name == *key))
         .min();
     if let Some(key) = unknown {
         return Err(IngestError::at(record, format!("unknown field {key}")));
@@ -143,10 +142,11 @@ pub fn shred(document: &str) -> Result<(Vec<Row>, IngestReport)> {
     let json =
         json::parse(document).map_err(|e| IngestError::whole(format!("invalid JSON: {e}")))?;
     let samples = json
+        .root()
         .as_array()
         .ok_or_else(|| IngestError::whole("document must be a JSON array of samples"))?;
     let mut rows = Vec::with_capacity(samples.len());
-    for (i, sample) in samples.iter().enumerate() {
+    for (i, sample) in samples.enumerate() {
         let mut row = validate_sample(sample, i + 1)?;
         let utilization = match (
             gauge(&row, "logical_usage_gb"),

@@ -103,7 +103,7 @@ fn mutated_documents_shred_or_fail_typed_never_panic() {
     for (seed, month) in [(SEED, 1), (SEED + 1, 6), (SEED + 2, 12)] {
         let doc = StorageSim::ccr(seed).json_document(2017, month);
         let parsed = json::parse(&doc).unwrap();
-        samples.extend(parsed.as_array().unwrap().iter().map(|s| s.to_string()));
+        samples.extend(parsed.root().as_array().unwrap().map(|s| s.to_string()));
     }
     let (mut cases, mut mutations, mut accepted) = (0u64, 0u64, 0u64);
     while mutations < 100_000 {

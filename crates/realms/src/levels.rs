@@ -85,13 +85,13 @@ impl AggregationLevelsConfig {
     /// Parse a JSON configuration file, validating every dimension's bins.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = json::parse(text).map_err(|e| format!("bad levels config: {e}"))?;
-        Self::from_value(&doc)
+        Self::from_value(doc.root())
     }
 
     /// Read a parsed levels document (the file's shape, or the federation
     /// document's `hub_levels` stanza), validating every dimension's bins.
-    pub fn from_value(doc: &JsonValue) -> Result<Self, String> {
-        let Some(JsonValue::Object(dims)) = doc.get("dimensions") else {
+    pub fn from_value(doc: JsonValue) -> Result<Self, String> {
+        let Some(dims) = doc.get("dimensions").and_then(JsonValue::members) else {
             return Err("bad levels config: \"dimensions\" must be an object".to_owned());
         };
         let mut cfg = Self::new();

@@ -234,15 +234,15 @@ mod tests {
     use super::*;
     use xdmod_check::json::{self, JsonValue};
 
-    /// A month's document, parsed into its samples.
-    fn samples_of(text: &str) -> Vec<JsonValue<'_>> {
-        match json::parse(text).unwrap() {
-            JsonValue::Array(samples) => samples,
-            other => panic!("not an array: {other}"),
+    /// A month's samples.
+    fn samples_of<'d>(doc: &'d json::Document) -> Vec<JsonValue<'d>> {
+        match doc.root().as_array() {
+            Some(samples) => samples.collect(),
+            None => panic!("not an array: {doc}"),
         }
     }
 
-    fn str_field<'v>(sample: &'v JsonValue, key: &str) -> &'v str {
+    fn str_field<'v>(sample: JsonValue<'v>, key: &str) -> &'v str {
         sample.get(key).and_then(JsonValue::as_str).unwrap()
     }
 
@@ -273,6 +273,7 @@ mod tests {
         let mut prev_physical = 0.0f64;
         for month in 1..=12u8 {
             let doc = sim.json_document(2017, month);
+            let doc = json::parse(&doc).unwrap();
             let samples = samples_of(&doc);
             let files: i64 = samples
                 .iter()
@@ -296,14 +297,15 @@ mod tests {
     #[test]
     fn scratch_has_no_quota_home_does() {
         let doc = StorageSim::ccr(5).json_document(2017, 1);
+        let doc = json::parse(&doc).unwrap();
         let samples = samples_of(&doc);
         let home = samples
             .iter()
-            .find(|s| str_field(s, "filesystem") == "isilon-home")
+            .find(|s| str_field(**s, "filesystem") == "isilon-home")
             .unwrap();
         let scratch = samples
             .iter()
-            .find(|s| str_field(s, "filesystem") == "gpfs-scratch")
+            .find(|s| str_field(**s, "filesystem") == "gpfs-scratch")
             .unwrap();
         assert!(home.get("soft_quota_gb").is_some());
         assert!(scratch.get("soft_quota_gb").is_none());
@@ -348,11 +350,13 @@ mod tests {
         let sim = StorageSim::ccr(8);
         let get_user = |month: u8| -> f64 {
             let doc = sim.json_document(2017, month);
+            let doc = json::parse(&doc).unwrap();
             let samples = samples_of(&doc);
             samples
                 .iter()
                 .find(|s| {
-                    str_field(s, "filesystem") == "isilon-home" && str_field(s, "user") == "user007"
+                    str_field(**s, "filesystem") == "isilon-home"
+                        && str_field(**s, "user") == "user007"
                 })
                 .and_then(|s| s.get("logical_usage_gb"))
                 .and_then(JsonValue::as_f64)

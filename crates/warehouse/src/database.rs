@@ -1920,8 +1920,8 @@ mod tests {
         (0..n)
             .map(|i| {
                 let k = seed.wrapping_mul(31).wrapping_add(i as u64);
-                let resource = if k % 3 == 0 { "comet" } else { "rush" };
-                let time = if k % 11 == 0 {
+                let resource = if k.is_multiple_of(3) { "comet" } else { "rush" };
+                let time = if k.is_multiple_of(11) {
                     Value::Null
                 } else {
                     Value::Time(86_400 * ((k % 9) as i64) + (k % 7_000) as i64)

@@ -507,6 +507,10 @@ impl ResidencyManager {
     }
 }
 
+/// The callback of a page scan ([`PagedStore::scan_pages`]): one
+/// page's `(sequence, row)` pairs at a time; an error stops the scan.
+pub type PageVisitor<'a> = dyn FnMut(&[(u64, Row)]) -> Result<()> + 'a;
+
 /// Paged row storage for one table: a fixed vector of page slots routed
 /// by day bucket, sharing a [`ResidencyManager`].
 pub struct PagedStore {
@@ -797,7 +801,7 @@ impl PagedStore {
     /// pull rows out from under the fold; the budget is re-enforced
     /// after each page, so a full scan keeps at most *budget + one
     /// pinned page* resident.
-    pub fn scan_pages(&self, f: &mut dyn FnMut(&[(u64, Row)]) -> Result<()>) -> Result<()> {
+    pub fn scan_pages(&self, f: &mut PageVisitor<'_>) -> Result<()> {
         for slot in &self.slots {
             slot.pins.fetch_add(1, Ordering::SeqCst);
             self.manager.pin_events.fetch_add(1, Ordering::SeqCst);

@@ -13,7 +13,7 @@
 use crate::binlog::put_insert_batch;
 use crate::checksum::crc32;
 use crate::error::Result;
-use crate::resident::{PagedStore, ResidencyManager};
+use crate::resident::{PageVisitor, PagedStore, ResidencyManager};
 use crate::schema::TableSchema;
 use crate::value::{Row, Value};
 use std::ops::Deref;
@@ -143,7 +143,7 @@ impl Table {
     /// residency manager can re-enforce the budget before the next page.
     /// Returns an error (and stops) on a dense table — callers branch on
     /// [`Table::is_paged`].
-    pub fn scan_pages(&self, f: &mut dyn FnMut(&[(u64, Row)]) -> Result<()>) -> Result<()> {
+    pub fn scan_pages(&self, f: &mut PageVisitor<'_>) -> Result<()> {
         match &self.store {
             Store::Paged(store) => store.scan_pages(f),
             Store::Dense(_) => Err(crate::error::WarehouseError::InvalidQuery(format!(

@@ -136,7 +136,6 @@ fn gateway_serves_a_three_satellite_federation_end_to_end() {
         .and_then(|d| d.get("labels"))
         .and_then(|l| l.as_array())
         .unwrap()
-        .iter()
         .filter_map(|v| v.as_str())
         .collect();
     assert_eq!(labels.len(), 3, "one bar per resource: {labels:?}");

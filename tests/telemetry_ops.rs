@@ -118,7 +118,10 @@ fn federation_self_monitoring_end_to_end() {
     assert!(text.contains("Operation latency quantiles"));
     let hub_db = fed.hub().database();
     let db = hub_db.read();
-    assert!(db.table("xdmod_meta", "ops_lag_samples").unwrap().len() > 0);
+    assert!(!db
+        .table("xdmod_meta", "ops_lag_samples")
+        .unwrap()
+        .is_empty());
     drop(db);
 
     // Prometheus text carries the per-link counters; JSON exposition is
