@@ -6,20 +6,19 @@
 //! catalogs, the hub's registered aggregation pipelines, and the group-by
 //! query surface of the hub's canned reports.
 //!
-//! Two producers build it:
-//!
-//! - `xdmod-core`'s `Federation::check_model()`, from live instances
-//!   (join-time state plus warehouse catalog introspection);
-//! - [`FederationModel::from_json`] / [`FederationModel::from_value`],
-//!   from the federation document, so `xdmod-check` can vet a topology
-//!   before any instance exists.
-//!
-//! The document model is also what the federation is built from:
-//! `xdmod-core`'s `Federation::from_config` parses the document once and
-//! builds from this model, so the topology `xdmod-check` vets is the one
-//! that runs. The few fields only construction reads (declared realms,
-//! SUPReMM summaries, alert severities and stale ages, the telemetry
-//! event capacity) ride along here for that reason.
+//! [`FederationModel::from_json`] / [`FederationModel::from_value`] read
+//! it from the federation document, so `xdmod-check` can vet a topology
+//! before any instance exists. The model is also what a federation runs
+//! from: `xdmod-core` stores one [`SatelliteModel`] per member — the
+//! document's own for `Federation::from_config`, one converted from the
+//! join intent for `join_tight`/`join_loose` — and refuses a declared
+//! link id, schema or table selection it would not run. Its
+//! `Federation::check_model()` clones those records, overlays each
+//! satellite's live table catalog and job resources, and adds the hub's
+//! live aggregates, group-bys, pool and alert rules and the document's
+//! storage stanza. The few fields only construction reads (declared
+//! realms, SUPReMM summaries, alert severities and stale ages, the
+//! telemetry event capacity) ride along here for that reason.
 
 use std::fmt;
 

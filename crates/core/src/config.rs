@@ -12,10 +12,12 @@
 //! It is the document `xdmod-check` vets. [`Federation::from_config`]
 //! parses it once with `xdmod_check::json`, reads the analyzer's
 //! [`FederationModel`] and the hub's `hub_levels` from that one tree, and
-//! builds from the model, so the topology pre-flight checks is the one
-//! that runs.
+//! builds from the model: each satellite's `SatelliteModel` becomes its
+//! member's record, so the topology pre-flight checks is the one that
+//! runs, and `go_live` checks the document the federation was built
+//! from.
 
-use crate::federation::{Federation, FederationConfig, FederationError, FederationMode};
+use crate::federation::{Federation, FederationError};
 use crate::hub::FederationHub;
 use crate::instance::XdmodInstance;
 use std::collections::BTreeMap;
@@ -23,21 +25,27 @@ use xdmod_alerts::{AlertRule, AlertRules, AlertSeverity};
 use xdmod_check::json;
 use xdmod_check::{AlertsModel, FederationModel, ModelError};
 use xdmod_realms::levels::AggregationLevelsConfig;
-use xdmod_realms::RealmKind;
 use xdmod_telemetry::MetricsRegistry;
 
 impl Federation {
     /// Build the federation the document describes, joining every listed
-    /// satellite from `instances` (keyed by name). Unlisted instances are
-    /// ignored. A listed-but-missing instance, a satellite whose `"mode"`
-    /// is missing or neither `"tight"` nor `"loose"`, and a document the
-    /// model or the hub levels refuse are errors, raised before the hub
-    /// opens any storage.
+    /// satellite from `instances` (keyed by name); unlisted instances are
+    /// ignored. The document is parsed once with `xdmod_check::json`; the
+    /// analyzer's [`FederationModel`] and the hub's `hub_levels` are read
+    /// from that one tree, and each satellite's model becomes its
+    /// member's record. A document the model or the hub levels refuse is
+    /// an error, and so is, before the hub opens any storage, a
+    /// listed-but-missing instance or a satellite build cannot run: a bad
+    /// `"mode"` or `"retries"`, or a declared `"link_id"`,
+    /// `"source_schema"`, `"hub_schema"` or `"replicated_tables"`
+    /// (compared as a set) other than what build runs.
     ///
     /// Build never edits operator intent: values the pre-flight analyzer
     /// refuses (unknown alert families, a disk backend without a dir,
     /// paging over memory) are kept or left unapplied here, so a forced
-    /// build still works and [`Federation::preflight`] reports them.
+    /// build still works, and the federation keeps the `storage` stanza
+    /// so [`Federation::preflight`] — and with it
+    /// [`Federation::go_live`] — reports them.
     pub fn from_config(
         text: &str,
         instances: &BTreeMap<String, &XdmodInstance>,
@@ -48,45 +56,25 @@ impl Federation {
             Some(v) => AggregationLevelsConfig::from_value(v).map_err(FederationError::Config)?,
             None => AggregationLevelsConfig::new(),
         };
+        Federation::from_model(model, levels, instances)
+    }
 
+    /// The build half of [`Federation::from_config`].
+    pub(crate) fn from_model(
+        model: FederationModel,
+        levels: AggregationLevelsConfig,
+        instances: &BTreeMap<String, &XdmodInstance>,
+    ) -> Result<Federation, FederationError> {
         let mut members = Vec::with_capacity(model.satellites.len());
-        for sat in &model.satellites {
+        for sat in model.satellites {
             let inst = instances.get(&sat.name).ok_or_else(|| {
                 FederationError::UnknownMember(format!(
                     "{} listed in config but no such instance was provided",
                     sat.name
                 ))
             })?;
-            let mode = match sat.link.mode.as_deref() {
-                Some("tight") => FederationMode::Tight,
-                Some("loose") => FederationMode::Loose,
-                _ => {
-                    return Err(FederationError::Config(format!(
-                        "satellite {}: \"mode\" must be \"tight\" or \"loose\"",
-                        sat.name
-                    )))
-                }
-            };
-            let retries = match sat.link.retries {
-                Some(n) => Some(u32::try_from(n).map_err(|_| {
-                    FederationError::Config(format!(
-                        "satellite {}: \"retries\" exceeds {}",
-                        sat.name,
-                        u32::MAX
-                    ))
-                })?),
-                None => None,
-            };
-            let config = FederationConfig {
-                realms: RealmKind::ALL
-                    .into_iter()
-                    .filter(|r| sat.realms.contains(&r.ident()))
-                    .collect(),
-                excluded_resources: sat.excluded_resources.clone(),
-                supremm_summaries: sat.supremm_summaries,
-                retries,
-            };
-            members.push((*inst, mode, config));
+            Federation::link_for(inst, &sat)?;
+            members.push((*inst, sat));
         }
 
         let mut hub = FederationHub::new(&model.hub);
@@ -148,14 +136,12 @@ impl Federation {
             }
         }
         let mut fed = Federation::new(hub);
+        fed.storage = model.storage;
         if let Some(alerts) = &model.alerts {
             fed.set_alert_rules(alert_rules(alerts));
         }
-        for (inst, mode, config) in members {
-            match mode {
-                FederationMode::Tight => fed.join_tight(inst, config)?,
-                FederationMode::Loose => fed.join_loose(inst, config)?,
-            }
+        for (inst, sat) in members {
+            fed.join(inst, sat)?;
         }
         Ok(fed)
     }
@@ -199,6 +185,8 @@ fn alert_rules(alerts: &AlertsModel) -> AlertRules {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::federation::FederationMode;
+    use std::time::Duration;
 
     /// The sample document's keys, without the braces.
     const SAMPLE: &str = r#"
@@ -244,39 +232,53 @@ mod tests {
         dir
     }
 
-    /// `check_model()` of the built federation agrees with the document's
-    /// model on what the document states: one parse, one topology.
-    fn assert_builds_what_check_reads(text: &str) -> (Federation, FederationModel) {
+    /// `check_model()` of the built federation is the document's model
+    /// for every satellite, but for what build reads off the instances —
+    /// the live catalog, job resources and SU factors — and carries the
+    /// document's storage stanza: one parse, one topology.
+    fn assert_builds_what_check_reads(text: &str) -> Federation {
         let model = FederationModel::from_json(text).unwrap();
         let names: Vec<&str> = model.satellites.iter().map(|s| s.name.as_str()).collect();
         let fed = build(text, &names).unwrap();
         let built = fed.check_model();
         assert_eq!(built.hub, model.hub);
-        assert_eq!(built.satellites.len(), model.satellites.len());
-        for (b, d) in built.satellites.iter().zip(&model.satellites) {
-            assert_eq!(b.name, d.name);
-            assert_eq!(b.link.mode, d.link.mode, "{}", d.name);
-            assert_eq!(b.link.retries, d.link.retries, "{}", d.name);
-            assert_eq!(b.link.hub_schema, d.link.hub_schema, "{}", d.name);
-            assert_eq!(b.realms, d.realms, "{}", d.name);
-            assert_eq!(b.excluded_resources, d.excluded_resources, "{}", d.name);
-            assert_eq!(b.expected_tables, d.expected_tables, "{}", d.name);
-            assert_eq!(b.supremm_summaries, d.supremm_summaries, "{}", d.name);
-        }
+        let instance_fields_cleared = |sats: &[xdmod_check::SatelliteModel]| {
+            let mut sats = sats.to_vec();
+            for s in &mut sats {
+                s.tables.clear();
+                s.job_resources.clear();
+                s.su_factors.clear();
+            }
+            sats
+        };
+        assert_eq!(
+            instance_fields_cleared(&built.satellites),
+            instance_fields_cleared(&model.satellites)
+        );
+        assert_eq!(built.storage, model.storage);
         if let Some(pool) = model.aggregation {
             assert_eq!(built.aggregation, Some(pool));
         }
-        (fed, model)
+        fed
+    }
+
+    /// `go_live` on `text`'s federation is refused by pre-flight with
+    /// `code`.
+    fn assert_go_live_refused(text: &str, code: &str) {
+        let mut fed = build(text, &["x", "y"]).unwrap();
+        match fed.go_live(Duration::from_millis(1)) {
+            Err(FederationError::Preflight { errors, report }) => {
+                assert!(errors >= 1);
+                assert!(report.contains(code), "{text}: {report}");
+            }
+            other => panic!("{text}: expected a {code} refusal, got {other:?}"),
+        }
     }
 
     #[test]
     fn three_site_clean_builds_the_topology_xdmod_check_vets() {
         let text = include_str!("../../../examples/configs/three_site_clean.json");
-        let (fed, model) = assert_builds_what_check_reads(text);
-        // The document's table filters are the ones its realms imply.
-        for (b, d) in fed.check_model().satellites.iter().zip(&model.satellites) {
-            assert_eq!(b.replicated_tables, d.replicated_tables, "{}", d.name);
-        }
+        let fed = assert_builds_what_check_reads(text);
         assert!(
             fed.preflight().is_empty(),
             "{}",
@@ -287,6 +289,20 @@ mod tests {
     #[test]
     fn sample_builds_what_check_reads() {
         assert_builds_what_check_reads(&doc(""));
+    }
+
+    #[test]
+    fn declared_fields_that_build_runs_are_kept() {
+        // The defaults spelled out, and the realm selection as a set in
+        // another order: accepted, and `check_model` reports them as
+        // written.
+        assert_builds_what_check_reads(
+            r#"{"hub": "h", "satellites": [{"name": "site-x", "mode": "tight",
+                "link_id": "site-x", "source_schema": "xdmod_site_x",
+                "hub_schema": "inst_site_x", "realms": ["cloud", "jobs"],
+                "supremm_summaries": true, "replicated_tables":
+                ["supremm_summary_by_month", "jobfact", "cloud_reservation", "cloudfact"]}]}"#,
+        );
     }
 
     #[test]
@@ -363,23 +379,26 @@ mod tests {
     fn paging_without_disk_backend_is_ignored_at_build() {
         // Build never edits operator intent: XC0015 refuses the stanza at
         // preflight, but a forced build still works — unpaged, on the
-        // memory backend.
-        let stanza = r#", "storage": {"backend": "memory", "paging": {"budget_mb": 16}}"#;
-        let fed = build(&doc(stanza), &["x", "y"]).unwrap();
+        // memory backend — and `go_live` refuses it.
+        let text = doc(r#", "storage": {"backend": "memory", "paging": {"budget_mb": 16}}"#);
+        let fed = build(&text, &["x", "y"]).unwrap();
         let db = fed.hub().database();
         let db = db.read();
         assert_eq!(db.storage_name(), "memory");
         assert!(!db.paging_enabled());
+        assert_go_live_refused(&text, "XC0015");
     }
 
     #[test]
     fn malformed_storage_stanza_stays_on_memory_backend() {
         // Disk without a dir, and an unknown backend name: build leaves
-        // the memory backend (XC0014 refuses these at preflight).
+        // the memory backend, and `go_live` refuses the stanza (XC0014) —
+        // the operator believes the hub is durable when it is not.
         for backend in ["disk", "papyrus"] {
-            let stanza = format!(r#", "storage": {{"backend": "{backend}"}}"#);
-            let fed = build(&doc(&stanza), &["x", "y"]).unwrap();
+            let text = doc(&format!(r#", "storage": {{"backend": "{backend}"}}"#));
+            let fed = build(&text, &["x", "y"]).unwrap();
             assert_eq!(fed.hub().database().read().storage_name(), "memory");
+            assert_go_live_refused(&text, "XC0014");
         }
     }
 
@@ -465,6 +484,27 @@ mod tests {
             (
                 r#"{"hub": "h", "satellites": [{"name": "x", "mode": "tight", "retries": 4294967296}]}"#,
                 r#"bad federation config: satellite x: "retries" exceeds 4294967295"#,
+            ),
+            (
+                r#"{"hub": "h", "satellites": [{"name": "x", "mode": "tight", "link_id": "lx"}]}"#,
+                r#"bad federation config: satellite x: "link_id" is "lx", but build runs "x""#,
+            ),
+            (
+                r#"{"hub": "h", "satellites": [{"name": "x", "mode": "tight", "source_schema": "src"}]}"#,
+                r#"bad federation config: satellite x: "source_schema" is "src", but build runs "xdmod_x""#,
+            ),
+            (
+                r#"{"hub": "h", "satellites": [{"name": "x", "mode": "loose", "hub_schema": "dst"}]}"#,
+                r#"bad federation config: satellite x: "hub_schema" is "dst", but build runs "inst_x""#,
+            ),
+            (
+                r#"{"hub": "h", "satellites": [{"name": "x", "mode": "tight", "realms": ["jobs"],
+                    "replicated_tables": ["jobfact", "cloudfact"]}]}"#,
+                r#"bad federation config: satellite x: "replicated_tables" is ["jobfact", "cloudfact"], but build replicates jobfact "#,
+            ),
+            (
+                r#"{"hub": "h", "satellites": [{"name": "x", "mode": "tight", "replicated_tables": []}]}"#,
+                r#"bad federation config: satellite x: "replicated_tables" is [], but build replicates every table "#,
             ),
             (
                 r#"{"hub": "h", "hub_levels": {"dimensions": {"cores": [

@@ -7,7 +7,9 @@
 //! A [`Federation`] owns the hub plus one replication link per satellite
 //! — **tight** (live binlog tailing) or **loose** (batched shipments),
 //! freely mixed (§II-C2's heterogeneous model). Joining enforces the
-//! version gate; per-satellite [`FederationConfig`] chooses which realms
+//! version gate and stores the member's `xdmod_check::SatelliteModel`,
+//! the one record its link is compiled from and pre-flight vets; a
+//! programmatic join's [`FederationConfig`] chooses which realms
 //! replicate (the initial release federates only HPC Jobs) and which
 //! resources are excluded from federation (§II-C4).
 
@@ -25,6 +27,7 @@ use xdmod_alerts::{
     FAMILY_PREFLIGHT_REFUSED, FAMILY_QUARANTINE, FAMILY_REPLICATION_LAG,
 };
 use xdmod_chaos::FaultInjector;
+use xdmod_check::{LinkModel, SatelliteModel};
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_replication::{
     schemas_match, LinkConfig, LiveReplicator, LooseReceiver, LooseShipper, ReplicationError,
@@ -114,7 +117,9 @@ impl From<xdmod_check::ModelError> for FederationError {
     }
 }
 
-/// Per-satellite federation configuration.
+/// Per-satellite intent for a programmatic join: which realms replicate
+/// and which resources stay local. Joining turns it into the member's
+/// [`SatelliteModel`], the record its link runs from and pre-flight vets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FederationConfig {
     /// Realms whose raw data replicates to the hub.
@@ -128,11 +133,6 @@ pub struct FederationConfig {
     /// performance data to the federated hub database in a subsequent
     /// release" (§II-C5), implemented.
     pub supremm_summaries: bool,
-    /// Fast-retry attempts a live link's worker makes after a failed poll
-    /// before falling back to interval polling. `None` uses the
-    /// [`RetryPolicy`] default; an explicit `Some(0)` disables retries —
-    /// which the pre-flight analyzer flags (`XC0010`) on tight links.
-    pub retries: Option<u32>,
 }
 
 impl Default for FederationConfig {
@@ -143,7 +143,6 @@ impl Default for FederationConfig {
             realms: vec![RealmKind::Jobs],
             excluded_resources: Vec::new(),
             supremm_summaries: false,
-            retries: None,
         }
     }
 }
@@ -157,9 +156,7 @@ impl FederationConfig {
                 .into_iter()
                 .filter(|r| r.federated_by_default())
                 .collect(),
-            excluded_resources: Vec::new(),
-            supremm_summaries: false,
-            retries: None,
+            ..FederationConfig::default()
         }
     }
 
@@ -169,58 +166,94 @@ impl FederationConfig {
         self
     }
 
-    /// Set the live link's fast-retry budget (0 disables retries).
-    pub fn with_retries(mut self, retries: u32) -> Self {
-        self.retries = Some(retries);
-        self
-    }
-
-    /// The retry policy a live link for this member should run with.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        match self.retries {
-            None => RetryPolicy::default(),
-            Some(0) => RetryPolicy::no_retries(),
-            Some(n) => RetryPolicy {
-                max_attempts: n,
-                ..RetryPolicy::default()
-            },
-        }
-    }
-
     /// Also replicate monthly SUPReMM summaries (not the raw realm).
     pub fn with_supremm_summaries(mut self) -> Self {
         self.supremm_summaries = true;
         self
     }
 
-    /// Tables this config's declared realms expect to reach the hub.
-    pub fn expected_tables(&self) -> Vec<String> {
-        self.realms
-            .iter()
-            .flat_map(|r| r.tables().iter().map(|t| (*t).to_owned()))
-            .collect()
+    /// The member record a join with this intent stores: the instance's
+    /// own schemas and name, and the table selection the realms imply.
+    fn into_model(self, instance: &XdmodInstance, mode: &str) -> SatelliteModel {
+        let name = instance.name().to_owned();
+        let realms: Vec<_> = self.realms.iter().map(|r| r.ident()).collect();
+        let mut model = SatelliteModel {
+            link: LinkModel {
+                id: name.clone(),
+                source_schema: instance.schema_name(),
+                hub_schema: FederationHub::schema_for(&name),
+                mode: Some(mode.to_owned()),
+                retries: None,
+            },
+            replicated_tables: None,
+            expected_tables: sorted(realm_tables(&realms).collect()),
+            realms,
+            excluded_resources: self.excluded_resources,
+            tables: Vec::new(),
+            job_resources: Vec::new(),
+            su_factors: Vec::new(),
+            supremm_summaries: self.supremm_summaries,
+            name,
+        };
+        model.replicated_tables = replicated_tables(&model);
+        model
     }
+}
 
-    /// Compile into a replication filter. The filter also carries the
-    /// declared realms' tables as *required*, so the replicator can
-    /// count any drop of a downstream-needed table
-    /// (`replication_filtered_required_tables_total`).
-    pub fn filter(&self) -> ReplicationFilter {
-        let mut tables: Vec<String> = self.expected_tables();
-        if self.supremm_summaries {
-            tables.push(supremm::summary_spec().table_name(xdmod_warehouse::Period::Month));
-        }
-        let mut filter = ReplicationFilter::all()
-            .with_tables(tables)
-            .with_required_tables(self.expected_tables())
-            .with_resource_column(jobs::FACT_TABLE, "resource")
-            .with_resource_column(supremm::FACT_TABLE, "resource")
-            .with_resource_column(storage::FACT_TABLE, "filesystem")
-            .with_resource_column(cloud_realm::FACT_TABLE, "resource");
-        for r in &self.excluded_resources {
-            filter = filter.exclude_resource(r);
-        }
-        filter
+/// The tables the declared `realms` (canonical idents) hold.
+fn realm_tables<'a>(realms: &'a [&str]) -> impl Iterator<Item = String> + 'a {
+    RealmKind::ALL
+        .into_iter()
+        .filter(|kind| realms.contains(&kind.ident()))
+        .flat_map(|kind| kind.tables().iter().map(|t| (*t).to_owned()))
+}
+
+fn sorted(mut tables: Vec<String>) -> Vec<String> {
+    tables.sort_unstable();
+    tables.dedup();
+    tables
+}
+
+/// The table selection build runs for a member: its realms' tables plus
+/// the monthly SUPReMM summary when asked for, sorted. `None` when that
+/// is empty — an empty selection lets every table through.
+fn replicated_tables(model: &SatelliteModel) -> Option<Vec<String>> {
+    let mut tables: Vec<String> = realm_tables(&model.realms).collect();
+    if model.supremm_summaries {
+        tables.push(supremm::summary_spec().table_name(xdmod_warehouse::Period::Month));
+    }
+    (!tables.is_empty()).then(|| sorted(tables))
+}
+
+/// Compile a member's record into its replication filter. The filter
+/// also carries the member's expected tables as *required*, so the
+/// replicator can count any drop of a downstream-needed table
+/// (`replication_filtered_required_tables_total`).
+fn filter(model: &SatelliteModel) -> ReplicationFilter {
+    let mut filter = ReplicationFilter::all()
+        .with_tables(replicated_tables(model).unwrap_or_default())
+        .with_required_tables(model.expected_tables.iter().cloned())
+        .with_resource_column(jobs::FACT_TABLE, "resource")
+        .with_resource_column(supremm::FACT_TABLE, "resource")
+        .with_resource_column(storage::FACT_TABLE, "filesystem")
+        .with_resource_column(cloud_realm::FACT_TABLE, "resource");
+    for r in &model.excluded_resources {
+        filter = filter.exclude_resource(r);
+    }
+    filter
+}
+
+/// The retry policy a member's live link runs with: the [`RetryPolicy`]
+/// default when `retries` is unset, none for an explicit 0 (`XC0010` on
+/// tight links). Joining refuses counts above `u32::MAX`.
+fn retry_policy(model: &SatelliteModel) -> RetryPolicy {
+    match model.link.retries {
+        None => RetryPolicy::default(),
+        Some(0) => RetryPolicy::no_retries(),
+        Some(n) => RetryPolicy {
+            max_attempts: u32::try_from(n).unwrap_or(u32::MAX),
+            ..RetryPolicy::default()
+        },
     }
 }
 
@@ -234,42 +267,99 @@ pub enum FederationMode {
 }
 
 /// A tight link is either hand-polled (`sync` drives it) or live (a
-/// background thread tails the binlog; `sync` leaves it alone).
-/// `Swapping` is a transient placeholder while ownership moves between
-/// the two — never observable between `&mut self` calls.
-enum TightLink {
+/// background thread tails the binlog; `sync` leaves it alone); a loose
+/// link ships batches. `Swapping` is a transient placeholder while a
+/// tight link moves between polled and live — never observable between
+/// `&mut self` calls.
+enum Link {
     Polled(Replicator),
     Live(LiveReplicator),
-    Swapping,
-}
-
-enum Link {
-    Tight(TightLink),
     Loose {
         shipper: LooseShipper,
         receiver: LooseReceiver,
     },
+    Swapping,
 }
 
+/// One federated satellite: the record its link runs from, and the link.
 struct Member {
-    name: String,
-    mode: FederationMode,
-    config: FederationConfig,
+    /// The member's topology, join-time SU factors included, as
+    /// [`Federation::preflight`] vets it (plus the live catalog).
+    model: SatelliteModel,
+    /// The rename and filter compiled from `model` at join (a panicked
+    /// live link is rebuilt from it).
+    link_config: LinkConfig,
     link: Link,
     /// The satellite's database handle, captured at join so pre-flight
     /// can introspect the source catalog (and a panicked live link can
     /// be rebuilt) without the `XdmodInstance` in hand.
     source_db: SharedDatabase,
-    /// The satellite's instance schema name, captured at join.
-    source_schema: String,
-    /// Resources with an SU conversion factor registered at join time
-    /// (a snapshot: factors added afterwards are not visible here).
-    su_factors: Vec<String>,
     /// Supervision bookkeeping (failure streak, quarantine flag).
     supervision: SupervisionState,
     /// The polling interval handed to `go_live*`, remembered so the
     /// supervisor can relaunch a dead live worker at the same cadence.
     live_interval: Option<Duration>,
+}
+
+impl Member {
+    fn name(&self) -> &str {
+        &self.model.name
+    }
+
+    fn mode(&self) -> FederationMode {
+        match self.link {
+            Link::Loose { .. } => FederationMode::Loose,
+            _ => FederationMode::Tight,
+        }
+    }
+
+    /// Switch a polled tight link to a live worker tailing the binlog at
+    /// `interval`. Returns whether it switched (loose and already-live
+    /// links are left alone).
+    fn start_live(&mut self, interval: Duration) -> bool {
+        match std::mem::replace(&mut self.link, Link::Swapping) {
+            Link::Polled(rep) => {
+                let policy = retry_policy(&self.model);
+                self.link = Link::Live(LiveReplicator::start_with_policy(rep, interval, policy));
+                self.live_interval = Some(interval);
+                true
+            }
+            other => {
+                self.link = other;
+                false
+            }
+        }
+    }
+
+    /// Stop a live link and go back to polling, absorbing a panicked
+    /// worker: the member gets a fresh polled replicator seeked to the
+    /// source binlog head (the dead worker applied an unknown prefix of
+    /// history; restarting from zero would replay it into the hub), and
+    /// the panic is returned as data. Other links are left alone.
+    fn stop_live(&mut self, hub: &FederationHub) -> Option<ReplicationError> {
+        let live = match std::mem::replace(&mut self.link, Link::Swapping) {
+            Link::Live(live) => live,
+            other => {
+                self.link = other;
+                return None;
+            }
+        };
+        let (rep, err) = match live.stop() {
+            Ok(rep) => (rep, None),
+            Err(e) => {
+                let config = self.link_config.clone();
+                let mut rebuilt = Replicator::new(self.source_db.clone(), hub.database(), config)
+                    .with_telemetry(hub.telemetry().clone(), &self.model.name);
+                let head = self.source_db.read().binlog_position();
+                rebuilt
+                    .seek(head)
+                    .expect("seek to the source's own head is never beyond-tail"); // xc-allow: head read from the same binlog one line above
+                (rebuilt, Some(e))
+            }
+        };
+        self.link = Link::Polled(rep);
+        err
+    }
 }
 
 /// Shared record of which members are currently serving *stale* data:
@@ -327,6 +417,9 @@ pub struct Federation {
     /// Last telemetry event sequence folded into the alert engine, so
     /// each pump only mines events it has not yet seen.
     alert_seq: u64,
+    /// The document's `storage` stanza the hub was built from, which
+    /// pre-flight vets (XC0014, XC0015); `None` when built in code.
+    pub(crate) storage: Option<xdmod_check::model::StorageModel>,
 }
 
 impl Federation {
@@ -340,6 +433,7 @@ impl Federation {
             }),
             alerts: AlertEngine::new(AlertRules::default()),
             alert_seq: 0,
+            storage: None,
         }
     }
 
@@ -363,31 +457,7 @@ impl Federation {
 
     /// Member names with their coupling modes.
     pub fn members(&self) -> Vec<(&str, FederationMode)> {
-        self.members
-            .iter()
-            .map(|m| (m.name.as_str(), m.mode))
-            .collect()
-    }
-
-    fn check_joinable(&self, instance: &XdmodInstance) -> Result<(), FederationError> {
-        if !instance.version().federates_with(self.hub.version()) {
-            return Err(FederationError::VersionMismatch {
-                satellite: instance.version().to_string(),
-                hub: self.hub.version().to_string(),
-            });
-        }
-        if self.members.iter().any(|m| m.name == instance.name()) {
-            return Err(FederationError::DuplicateMember(instance.name().to_owned()));
-        }
-        Ok(())
-    }
-
-    fn link_config(instance: &XdmodInstance, config: &FederationConfig) -> LinkConfig {
-        LinkConfig::renaming(
-            &instance.schema_name(),
-            &FederationHub::schema_for(instance.name()),
-        )
-        .with_filter(config.filter())
+        self.members.iter().map(|m| (m.name(), m.mode())).collect()
     }
 
     /// Join a satellite with live ("tight") replication.
@@ -396,30 +466,7 @@ impl Federation {
         instance: &XdmodInstance,
         config: FederationConfig,
     ) -> Result<(), FederationError> {
-        self.check_joinable(instance)?;
-        let link = Replicator::new(
-            instance.database(),
-            self.hub.database(),
-            Self::link_config(instance, &config),
-        )
-        .with_telemetry(self.hub.telemetry().clone(), instance.name());
-        self.hub.register_satellite(instance.name());
-        self.members.push(Member {
-            name: instance.name().to_owned(),
-            mode: FederationMode::Tight,
-            config,
-            link: Link::Tight(TightLink::Polled(link)),
-            source_db: instance.database(),
-            source_schema: instance.schema_name(),
-            su_factors: instance
-                .su_converter()
-                .resources()
-                .map(|(r, _)| r.to_owned())
-                .collect(),
-            supervision: SupervisionState::default(),
-            live_interval: None,
-        });
-        Ok(())
+        self.join(instance, config.into_model(instance, "tight"))
     }
 
     /// Join a satellite with batched ("loose") replication.
@@ -428,27 +475,107 @@ impl Federation {
         instance: &XdmodInstance,
         config: FederationConfig,
     ) -> Result<(), FederationError> {
-        self.check_joinable(instance)?;
-        let shipper = LooseShipper::new(instance.database());
-        let receiver =
-            LooseReceiver::new(self.hub.database(), Self::link_config(instance, &config));
+        self.join(instance, config.into_model(instance, "loose"))
+    }
+
+    /// Join `instance` as the member `model` describes, after the version
+    /// gate and duplicate check. The instance's SU factors are captured
+    /// into the record (factors added afterwards are not seen).
+    pub(crate) fn join(
+        &mut self,
+        instance: &XdmodInstance,
+        mut model: SatelliteModel,
+    ) -> Result<(), FederationError> {
+        if !instance.version().federates_with(self.hub.version()) {
+            return Err(FederationError::VersionMismatch {
+                satellite: instance.version().to_string(),
+                hub: self.hub.version().to_string(),
+            });
+        }
+        if self.members.iter().any(|m| m.name() == instance.name()) {
+            return Err(FederationError::DuplicateMember(instance.name().to_owned()));
+        }
+        let (mode, link_config) = Self::link_for(instance, &model)?;
+        let link = match mode {
+            FederationMode::Tight => Link::Polled(
+                Replicator::new(
+                    instance.database(),
+                    self.hub.database(),
+                    link_config.clone(),
+                )
+                .with_telemetry(self.hub.telemetry().clone(), instance.name()),
+            ),
+            FederationMode::Loose => Link::Loose {
+                shipper: LooseShipper::new(instance.database()),
+                receiver: LooseReceiver::new(self.hub.database(), link_config.clone()),
+            },
+        };
+        model.su_factors = instance
+            .su_converter()
+            .resources()
+            .map(|(r, _)| r.to_owned())
+            .collect();
         self.hub.register_satellite(instance.name());
         self.members.push(Member {
-            name: instance.name().to_owned(),
-            mode: FederationMode::Loose,
-            config,
-            link: Link::Loose { shipper, receiver },
+            model,
+            link_config,
+            link,
             source_db: instance.database(),
-            source_schema: instance.schema_name(),
-            su_factors: instance
-                .su_converter()
-                .resources()
-                .map(|(r, _)| r.to_owned())
-                .collect(),
             supervision: SupervisionState::default(),
             live_interval: None,
         });
         Ok(())
+    }
+
+    /// The coupling mode and link `model` runs with over `instance`: its
+    /// schema renamed into its hub schema through the filter the model
+    /// compiles to. A model build cannot run is refused with
+    /// [`FederationError::Config`] naming the satellite and the field
+    /// (see [`Federation::from_config`]).
+    pub(crate) fn link_for(
+        instance: &XdmodInstance,
+        model: &SatelliteModel,
+    ) -> Result<(FederationMode, LinkConfig), FederationError> {
+        let refuse = |what: String| {
+            Err(FederationError::Config(format!(
+                "satellite {}: {what}",
+                model.name
+            )))
+        };
+        let mode = match model.link.mode.as_deref() {
+            Some("tight") => FederationMode::Tight,
+            Some("loose") => FederationMode::Loose,
+            _ => return refuse("\"mode\" must be \"tight\" or \"loose\"".to_owned()),
+        };
+        if model.link.retries.is_some_and(|n| n > u64::from(u32::MAX)) {
+            return refuse(format!("\"retries\" exceeds {}", u32::MAX));
+        }
+        let source_schema = instance.schema_name();
+        let hub_schema = FederationHub::schema_for(instance.name());
+        for (field, declared, runs) in [
+            ("name", &model.name, instance.name()),
+            ("link_id", &model.link.id, instance.name()),
+            ("source_schema", &model.link.source_schema, &source_schema),
+            ("hub_schema", &model.link.hub_schema, &hub_schema),
+        ] {
+            if declared != runs {
+                return refuse(format!(
+                    "\"{field}\" is {declared:?}, but build runs {runs:?}"
+                ));
+            }
+        }
+        if let Some(declared) = &model.replicated_tables {
+            let runs = replicated_tables(model);
+            if runs.as_ref() != Some(&sorted(declared.clone())) {
+                let runs = runs.map_or_else(|| "every table".to_owned(), |t| t.join(", "));
+                return refuse(format!(
+                    "\"replicated_tables\" is {declared:?}, but build replicates {runs} \
+                     (the tables its realms and supremm_summaries select)"
+                ));
+            }
+        }
+        let link = LinkConfig::renaming(&source_schema, &hub_schema).with_filter(filter(model));
+        Ok((mode, link))
     }
 
     /// Drive every link once: poll tight links, ship+apply loose batches.
@@ -463,13 +590,13 @@ impl Federation {
                 continue;
             }
             match &mut member.link {
-                Link::Tight(TightLink::Polled(rep)) => {
+                Link::Polled(rep) => {
                     applied += rep.poll()?;
                     // A successful poll drains the backlog a quiesce left
                     // behind — the member's view is current again.
-                    self.drain.stale.lock().remove(&member.name);
+                    self.drain.stale.lock().remove(member.name());
                 }
-                Link::Tight(_) => {}
+                Link::Live(_) | Link::Swapping => {}
                 Link::Loose { shipper, receiver } => {
                     let batch = shipper.export_batch()?;
                     applied += receiver.apply_batch(&batch)?;
@@ -479,27 +606,24 @@ impl Federation {
         Ok(applied)
     }
 
-    /// Project the federation into the analyzer's model: link topology
-    /// and filters from each member's join-time config, table catalogs
-    /// from live warehouse introspection ([`Database::describe_schema`]),
-    /// and the hub's registered aggregates plus its canned-report
-    /// group-by surface (`freport`). A hub group-by enters the model only
-    /// when some member declares its realm — a jobs-only federation must
-    /// not fail pre-flight over the storage report section it will never
-    /// render.
+    /// The analyzer's model of this federation: each member's stored
+    /// record with its live table catalog ([`Database::describe_schema`])
+    /// and job resources overlaid, the storage stanza the hub was built
+    /// from, and the hub's registered aggregates, canned-report group-by
+    /// surface (`freport`), pool sizing and alert rules. A hub group-by
+    /// enters the model only when some member declares its realm — a
+    /// jobs-only federation must not fail pre-flight over the storage
+    /// report section it will never render.
     ///
     /// [`Database::describe_schema`]: xdmod_warehouse::Database::describe_schema
     pub fn check_model(&self) -> xdmod_check::FederationModel {
-        let mut satellites = Vec::new();
+        let mut satellites = Vec::with_capacity(self.members.len());
         for member in &self.members {
-            let filter = member.config.filter();
-            let selected: Vec<String> = filter.selected_tables().map(str::to_owned).collect();
-            let mut expected_tables = member.config.expected_tables();
-            expected_tables.sort_unstable();
-            expected_tables.dedup();
+            let mut sat = member.model.clone();
+            let schema = &sat.link.source_schema;
             let db = member.source_db.read();
-            let tables = db
-                .describe_schema(&member.source_schema)
+            sat.tables = db
+                .describe_schema(schema)
                 .unwrap_or_default()
                 .into_iter()
                 .map(|t| xdmod_check::TableModel {
@@ -515,46 +639,18 @@ impl Federation {
                         .collect(),
                 })
                 .collect();
-            let job_resources: Vec<String> = db
-                .table(&member.source_schema, jobs::FACT_TABLE)
-                .ok()
-                .and_then(|t| t.column_values("resource").ok())
-                .map(|values| {
-                    values
-                        .into_iter()
-                        .filter_map(|v| match v {
-                            Value::Str(s) => Some(s),
-                            _ => None,
-                        })
-                        .collect::<BTreeSet<_>>()
-                        .into_iter()
-                        .collect()
+            let resources: BTreeSet<String> = db
+                .table(schema, jobs::FACT_TABLE)
+                .and_then(|t| t.column_values("resource"))
+                .into_iter()
+                .flatten()
+                .filter_map(|v| match v {
+                    Value::Str(s) => Some(s),
+                    _ => None,
                 })
-                .unwrap_or_default();
-            satellites.push(xdmod_check::SatelliteModel {
-                name: member.name.clone(),
-                link: xdmod_check::LinkModel {
-                    id: member.name.clone(),
-                    source_schema: member.source_schema.clone(),
-                    hub_schema: FederationHub::schema_for(&member.name),
-                    mode: Some(
-                        match member.mode {
-                            FederationMode::Tight => "tight",
-                            FederationMode::Loose => "loose",
-                        }
-                        .to_owned(),
-                    ),
-                    retries: member.config.retries.map(u64::from),
-                },
-                replicated_tables: (!selected.is_empty()).then_some(selected),
-                expected_tables,
-                excluded_resources: member.config.excluded_resources.clone(),
-                tables,
-                job_resources,
-                su_factors: member.su_factors.clone(),
-                realms: member.config.realms.iter().map(|r| r.ident()).collect(),
-                supremm_summaries: member.config.supremm_summaries,
-            });
+                .collect();
+            sat.job_resources = resources.into_iter().collect();
+            satellites.push(sat);
         }
 
         let levels = self.hub.levels();
@@ -582,7 +678,7 @@ impl Federation {
         let declares = |realm: RealmKind| {
             self.members
                 .iter()
-                .any(|m| m.config.realms.contains(&realm))
+                .any(|m| m.model.realms.contains(&realm.ident()))
         };
         let mut group_bys = Vec::new();
         if declares(RealmKind::Jobs) {
@@ -645,10 +741,7 @@ impl Federation {
             // no gateway to describe.
             gateway: None,
             alerts,
-            // A live hub already opened (and recovered) its storage
-            // backend — a stanza it could not honor was caught at config
-            // time by XC0014, so there is nothing left to validate here.
-            storage: None,
+            storage: self.storage.clone(),
             // The registry does not report its ring size; nothing reads it.
             event_capacity: None,
         }
@@ -699,85 +792,35 @@ impl Federation {
     pub fn go_live_forced(&mut self, interval: Duration) -> usize {
         let mut switched = 0;
         for member in &mut self.members {
-            if member.supervision.quarantined {
-                continue;
-            }
-            let policy = member.config.retry_policy();
-            let Link::Tight(tight) = &mut member.link else {
-                continue;
-            };
-            if matches!(tight, TightLink::Polled(_)) {
-                let TightLink::Polled(rep) = std::mem::replace(tight, TightLink::Swapping) else {
-                    unreachable!()
-                };
-                *tight = TightLink::Live(LiveReplicator::start_with_policy(rep, interval, policy));
-                member.live_interval = Some(interval);
+            if !member.supervision.quarantined && member.start_live(interval) {
                 switched += 1;
                 // The fresh worker tails from the link's position; any
                 // quiesce-era backlog drains in the background.
-                self.drain.stale.lock().remove(&member.name);
+                self.drain.stale.lock().remove(member.name());
             }
         }
         switched
-    }
-
-    /// Stop one live link, absorbing a panicked worker: the member gets a
-    /// fresh polled replicator seeked to the source binlog head (the dead
-    /// worker applied an unknown prefix of history; restarting from zero
-    /// would replay it into the hub), and the panic is reported as data.
-    fn stop_link(
-        hub: &FederationHub,
-        member: &Member,
-        live: LiveReplicator,
-    ) -> (Replicator, Option<ReplicationError>) {
-        match live.stop() {
-            Ok(rep) => (rep, None),
-            Err(e) => {
-                let mut rebuilt = Replicator::new(
-                    member.source_db.clone(),
-                    hub.database(),
-                    LinkConfig::renaming(
-                        &member.source_schema,
-                        &FederationHub::schema_for(&member.name),
-                    )
-                    .with_filter(member.config.filter()),
-                )
-                .with_telemetry(hub.telemetry().clone(), &member.name);
-                let head = member.source_db.read().binlog_position();
-                rebuilt
-                    .seek(head)
-                    .expect("seek to the source's own head is never beyond-tail"); // xc-allow: head read from the same binlog one line above
-                (rebuilt, Some(e))
-            }
-        }
     }
 
     /// Stop every live link: each background thread drains any remaining
     /// events, takes a final lag sample (the gauges settle to 0), and
     /// hands its replicator back for polled operation. Returns how many
     /// links were stopped. A link whose worker panicked is rebuilt in
-    /// polled mode (see `stop_link`) and the first such panic is returned
-    /// as [`FederationError::Replication`] — after stopping the rest.
+    /// polled mode (see `Member::stop_live`) and the first such panic is
+    /// returned as [`FederationError::Replication`] — after stopping the
+    /// rest.
     pub fn quiesce(&mut self) -> Result<usize, FederationError> {
         let mut stopped = 0;
         let mut first_err: Option<ReplicationError> = None;
         for member in &mut self.members {
-            if !matches!(&member.link, Link::Tight(TightLink::Live(_))) {
+            if !matches!(member.link, Link::Live(_)) {
                 continue;
             }
-            let Link::Tight(tight) = &mut member.link else {
-                unreachable!()
-            };
-            let TightLink::Live(live) = std::mem::replace(tight, TightLink::Swapping) else {
-                unreachable!()
-            };
-            let (rep, err) = Self::stop_link(&self.hub, member, live);
-            member.link = Link::Tight(TightLink::Polled(rep));
-            self.drain.stale.lock().insert(member.name.clone());
-            stopped += 1;
-            if let Some(e) = err {
+            if let Some(e) = member.stop_live(&self.hub) {
                 first_err.get_or_insert(e);
             }
+            self.drain.stale.lock().insert(member.name().to_owned());
+            stopped += 1;
         }
         match first_err {
             None => Ok(stopped),
@@ -789,10 +832,10 @@ impl Federation {
         let member = self
             .members
             .iter()
-            .find(|m| m.name == name)
+            .find(|m| m.name() == name)
             .ok_or_else(|| FederationError::UnknownMember(name.to_owned()))?;
         match &member.link {
-            Link::Tight(TightLink::Live(live)) => Ok(live),
+            Link::Live(live) => Ok(live),
             _ => Err(FederationError::LinkNotLive(name.to_owned())),
         }
     }
@@ -835,9 +878,9 @@ impl Federation {
         let member = self
             .members
             .iter()
-            .find(|m| m.name == instance.name())
+            .find(|m| m.name() == instance.name())
             .ok_or_else(|| FederationError::UnknownMember(instance.name().to_owned()))?;
-        if !member.config.excluded_resources.is_empty() {
+        if !member.model.excluded_resources.is_empty() {
             // Row-level exclusions make checksums legitimately differ;
             // verification is only meaningful for full replication.
             return Ok(true);
@@ -848,9 +891,8 @@ impl Federation {
         let hub = hub_db.read();
         let sat_schema = instance.schema_name();
         let hub_schema = FederationHub::schema_for(instance.name());
-        let filter = member.config.filter();
         for check in xdmod_replication::verify_schemas(&sat, &sat_schema, &hub, &hub_schema)? {
-            if !filter.table_passes(&check.table) {
+            if !member.link_config.filter.table_passes(&check.table) {
                 continue; // excluded realm, expected absent
             }
             // Aggregate tables built satellite-side aren't replicated.
@@ -871,45 +913,32 @@ impl Federation {
         let idx = self
             .members
             .iter()
-            .position(|m| m.name == instance.name())
+            .position(|m| m.name() == instance.name())
             .ok_or_else(|| FederationError::UnknownMember(instance.name().to_owned()))?;
         // A live thread must not race the restore (it could replay the
         // restored history into the hub): stop it first — it drains, then
         // the link stays polled; the caller may `go_live` again. A
         // panicked worker still leaves a usable polled link behind, but
         // aborts the restore so the operator sees the failure.
-        let member = &mut self.members[idx];
-        if matches!(&member.link, Link::Tight(TightLink::Live(_))) {
-            let Link::Tight(tight) = &mut member.link else {
-                unreachable!()
-            };
-            let TightLink::Live(live) = std::mem::replace(tight, TightLink::Swapping) else {
-                unreachable!()
-            };
-            let (rep, err) = Self::stop_link(&self.hub, member, live);
-            member.link = Link::Tight(TightLink::Polled(rep));
-            if let Some(e) = err {
-                return Err(e.into());
-            }
+        if let Some(e) = self.members[idx].stop_live(&self.hub) {
+            return Err(e.into());
         }
         let dump = self.hub.regeneration_dump(instance.name())?;
         instance.restore_from_dump(&dump)?;
         let position = instance.database().read().binlog_position();
         match &mut self.members[idx].link {
-            Link::Tight(tight) => {
-                let TightLink::Polled(rep) = tight else {
-                    unreachable!("live links were stopped above")
-                };
+            Link::Polled(rep) => {
                 rep.seek(position)
                     // xc-allow: position read from the link's source binlog above
                     .expect("seek to the restored instance's own head is never beyond-tail");
             }
+            // Live links were stopped above.
+            Link::Live(_) | Link::Swapping => {}
             Link::Loose { shipper, .. } => {
                 // Recreate the shipper at the new epoch; the hub-side
                 // receiver keeps its state (the hub data is unchanged).
                 *shipper = LooseShipper::new(instance.database());
-                let mut drained = shipper.export_batch()?; // skip restore replay
-                let _ = &mut drained;
+                shipper.export_batch()?; // skip restore replay
             }
         }
         Ok(())
@@ -1061,7 +1090,7 @@ impl Federation {
         policy: &SupervisorPolicy,
     ) -> MemberReport {
         let mut report = MemberReport {
-            name: member.name.clone(),
+            name: member.name().to_owned(),
             health: MemberHealth::Live,
             restarted: false,
             resynced: false,
@@ -1072,31 +1101,19 @@ impl Federation {
             report.health = MemberHealth::Quarantined;
             return report;
         }
-        if let Link::Tight(TightLink::Live(live)) = &member.link {
-            if live.is_dead() {
-                let Link::Tight(tight) = &mut member.link else {
-                    unreachable!()
-                };
-                let TightLink::Live(live) = std::mem::replace(tight, TightLink::Swapping) else {
-                    unreachable!()
-                };
-                let (rep, err) = Self::stop_link(hub, member, live);
-                member.link = Link::Tight(TightLink::Polled(rep));
-                report.restarted = true;
-                if let Some(e) = &err {
-                    report.error = Some(e.to_string());
-                }
-                hub.telemetry().event(
-                    "federation.link_restarted",
-                    &format!(
-                        "{}: live worker died; link rebuilt from its resumable position",
-                        member.name
-                    ),
-                );
-            }
+        if matches!(&member.link, Link::Live(live) if live.is_dead()) {
+            report.restarted = true;
+            report.error = member.stop_live(hub).map(|e| e.to_string());
+            hub.telemetry().event(
+                "federation.link_restarted",
+                &format!(
+                    "{}: live worker died; link rebuilt from its resumable position",
+                    member.name()
+                ),
+            );
         }
         let outcome: Result<(), String> = match &mut member.link {
-            Link::Tight(TightLink::Polled(rep)) => {
+            Link::Polled(rep) => {
                 let needs_resync = rep.is_diverged()
                     || rep.stats().source_repairs > member.supervision.repairs_seen;
                 let drive = if needs_resync {
@@ -1117,11 +1134,11 @@ impl Federation {
                 }
                 drive
             }
-            Link::Tight(TightLink::Live(live)) => match live.last_error() {
+            Link::Live(live) => match live.last_error() {
                 None => Ok(()),
                 Some(e) => Err(e.to_string()),
             },
-            Link::Tight(TightLink::Swapping) => Err("link mid-swap".to_owned()),
+            Link::Swapping => Err("link mid-swap".to_owned()),
             Link::Loose { shipper, receiver } => shipper
                 .export_batch()
                 .and_then(|batch| receiver.apply_batch(&batch))
@@ -1143,20 +1160,7 @@ impl Federation {
                         return report;
                     }
                     if let Some(interval) = member.live_interval {
-                        let retry = member.config.retry_policy();
-                        let Link::Tight(tight) = &mut member.link else {
-                            unreachable!()
-                        };
-                        if matches!(tight, TightLink::Polled(_)) {
-                            let TightLink::Polled(rep) =
-                                std::mem::replace(tight, TightLink::Swapping)
-                            else {
-                                unreachable!()
-                            };
-                            *tight = TightLink::Live(LiveReplicator::start_with_policy(
-                                rep, interval, retry,
-                            ));
-                        }
+                        member.start_live(interval);
                     }
                 } else {
                     member.supervision.failures = 0;
@@ -1183,29 +1187,17 @@ impl Federation {
     /// Park a member: stop any live worker, flag it quarantined, and
     /// record the decision in the hub's telemetry.
     fn quarantine(hub: &FederationHub, member: &mut Member) {
-        if matches!(&member.link, Link::Tight(TightLink::Live(_))) {
-            let Link::Tight(tight) = &mut member.link else {
-                unreachable!()
-            };
-            let TightLink::Live(live) = std::mem::replace(tight, TightLink::Swapping) else {
-                unreachable!()
-            };
-            let (rep, _) = Self::stop_link(hub, member, live);
-            member.link = Link::Tight(TightLink::Polled(rep));
-        }
+        member.stop_live(hub);
         member.supervision.quarantined = true;
         hub.telemetry()
-            .counter(
-                "federation_quarantines_total",
-                &[("link", member.name.as_str())],
-            )
+            .counter("federation_quarantines_total", &[("link", member.name())])
             .inc();
         hub.telemetry().event(
             "federation.quarantine",
             &format!(
                 "{}: quarantined after repeated link failures; sync/supervise skip it \
                  until reinstate_member",
-                member.name
+                member.name()
             ),
         );
     }
@@ -1240,7 +1232,7 @@ impl Federation {
             }
         }
         match &member.link {
-            Link::Tight(TightLink::Polled(rep)) => {
+            Link::Polled(rep) => {
                 let behind = rep.lag_events();
                 if behind > policy.lag_threshold {
                     MemberHealth::Lagging { behind }
@@ -1248,14 +1240,14 @@ impl Federation {
                     MemberHealth::Live
                 }
             }
-            Link::Tight(TightLink::Live(live)) => {
+            Link::Live(live) => {
                 if live.is_dead() || live.last_error().is_some() {
                     return stale();
                 }
                 let behind = hub
                     .telemetry()
                     .snapshot()
-                    .gauge("replication_lag_events", &[("link", member.name.as_str())])
+                    .gauge("replication_lag_events", &[("link", member.name())])
                     .map(|v| v as u64)
                     .unwrap_or(0);
                 if behind > policy.lag_threshold {
@@ -1264,7 +1256,7 @@ impl Federation {
                     MemberHealth::Live
                 }
             }
-            Link::Tight(TightLink::Swapping) => stale(),
+            Link::Swapping => stale(),
             Link::Loose { .. } => MemberHealth::Live,
         }
     }
@@ -1275,7 +1267,12 @@ impl Federation {
         let policy = SupervisorPolicy::default();
         self.members
             .iter()
-            .map(|m| (m.name.clone(), Self::observed_health(&self.hub, m, &policy)))
+            .map(|m| {
+                (
+                    m.name().to_owned(),
+                    Self::observed_health(&self.hub, m, &policy),
+                )
+            })
             .collect()
     }
 
@@ -1284,7 +1281,7 @@ impl Federation {
         self.members
             .iter()
             .filter(|m| m.supervision.quarantined)
-            .map(|m| m.name.as_str())
+            .map(Member::name)
             .collect()
     }
 
@@ -1320,9 +1317,11 @@ impl Federation {
         &self.alerts
     }
 
-    /// Replace the alert rule table. Rules also flow into
-    /// [`Federation::check_model`], so a misconfigured table is refused
-    /// at [`Federation::go_live`] by `xdmod-check`'s XC0013.
+    /// Replace the alert rule table. The table flows into
+    /// [`Federation::check_model`], so [`Federation::go_live`] refuses a
+    /// rule for an unknown family, a resolve timeout within its debounce
+    /// window, or a zero-capacity notification bucket (`xdmod-check`'s
+    /// XC0013).
     pub fn set_alert_rules(&mut self, rules: AlertRules) {
         self.alerts.set_rules(rules);
     }
@@ -1367,11 +1366,11 @@ impl Federation {
         let Federation { hub, members, .. } = self;
         let member = members
             .iter_mut()
-            .find(|m| m.name == name)
+            .find(|m| m.name() == name)
             .ok_or_else(|| FederationError::UnknownMember(name.to_owned()))?;
         member.supervision.quarantined = false;
         member.supervision.failures = 0;
-        if let Link::Tight(TightLink::Polled(rep)) = &mut member.link {
+        if let Link::Polled(rep) = &mut member.link {
             rep.resync_target()?;
             member.supervision.repairs_seen = rep.stats().source_repairs;
         }
@@ -1392,8 +1391,8 @@ impl Federation {
             member
                 .source_db
                 .write()
-                .set_fault_injector(injector.clone(), member.name.as_str());
-            if let Link::Tight(TightLink::Polled(rep)) = &mut member.link {
+                .set_fault_injector(injector.clone(), &member.model.name);
+            if let Link::Polled(rep) = &mut member.link {
                 rep.set_chaos(injector.clone());
             }
         }
