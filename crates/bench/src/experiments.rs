@@ -934,8 +934,8 @@ pub struct GatewayThroughput {
     /// Wall seconds for the first (cold) federated query: full compute
     /// through the hub plus serialization.
     pub cold_seconds: f64,
-    /// Requests/sec for repeated 200s where the hub's memoized query
-    /// cache absorbs the compute and only serialization remains.
+    /// Requests/sec for repeated 200s where every satellite's retained
+    /// partials are hits and only their merge and serialization remain.
     pub cache_hit_rps: f64,
     /// Requests/sec for `If-None-Match` revalidations answered 304 —
     /// the watermark-derived version check alone, no body at all.
@@ -947,7 +947,7 @@ pub struct GatewayThroughput {
 }
 
 /// Measure gateway requests/sec on the loopback interface for the three
-/// serving regimes: a cold federated query, memoized-cache hits, and
+/// serving regimes: a cold federated query, retained-partials hits, and
 /// ETag revalidation 304s. One sequential client so the numbers compare
 /// per-request cost, not connection concurrency.
 pub fn gateway_throughput(seed: u64, requests: usize) -> GatewayThroughput {

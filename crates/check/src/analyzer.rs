@@ -206,10 +206,11 @@ fn check_group_by_replication(model: &FederationModel, diags: &mut Diagnostics) 
 
 /// XC0006 — cross-satellite schema drift.
 ///
-/// Runtime symptom: `FederationHub::federated_query` unions per-satellite
-/// fact tables and errors with "incompatible layout" the moment the
-/// second satellite's rows are reached — at query time, long after both
-/// links replicated "successfully".
+/// Runtime symptom: `FederationHub::federated_query` merges per-satellite
+/// partials only over one fact-table layout, so every federated query of
+/// the realm errors with "satellite .. has an incompatible .. layout"
+/// before anything folds — at query time, long after both links
+/// replicated "successfully".
 fn check_schema_drift(model: &FederationModel, diags: &mut Diagnostics) {
     // A column layout's id: the exact `(name, ty, nullable)` sequence.
     // `layouts[id]` is one table with it.

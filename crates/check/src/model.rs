@@ -79,7 +79,8 @@ pub struct SatelliteModel {
     /// Its replication link.
     pub link: LinkModel,
     /// Tables the replication filter passes. `None` = no table
-    /// selection (everything replicates).
+    /// selection (everything replicates). A document without
+    /// `"replicated_tables"` reads as its [`realm_selection`].
     pub replicated_tables: Option<Vec<String>>,
     /// Declared realms, as canonical idents (`"jobs"`, `"supremm"`,
     /// `"storage"`, `"cloud"`), in document order.
@@ -336,6 +337,11 @@ const REALM_TABLES: [(&str, &[&str]); 4] = [
     ("cloud", &["cloudfact", "cloud_reservation"]),
 ];
 
+/// The table `"supremm_summaries"` adds to a satellite's replication:
+/// the monthly SUPReMM summary (§II-C5). Pinned against the realms crate
+/// like the realm tables above.
+pub const SUPREMM_SUMMARY_TABLE: &str = "supremm_summary_by_month";
+
 /// A realm name's canonical ident and tables (names match ASCII
 /// case-insensitively).
 fn realm_entry(realm: &str) -> Option<(&'static str, &'static [&'static str])> {
@@ -349,6 +355,24 @@ fn realm_entry(realm: &str) -> Option<(&'static str, &'static [&'static str])> {
 /// realm).
 pub fn realm_tables(realm: &str) -> Option<&'static [&'static str]> {
     realm_entry(realm).map(|(_, tables)| tables)
+}
+
+/// The table selection build replicates for a satellite with `realms`
+/// (canonical idents): the realms' tables, plus
+/// [`SUPREMM_SUMMARY_TABLE`] when `supremm_summaries` is set, sorted.
+/// `None` — no selection, every table replicates — when that is empty.
+/// What an absent `"replicated_tables"` means.
+pub fn realm_selection(realms: &[&str], supremm_summaries: bool) -> Option<Vec<String>> {
+    let mut tables: Vec<String> = realms
+        .iter()
+        .filter_map(|realm| realm_tables(realm))
+        .flatten()
+        .chain(supremm_summaries.then_some(&SUPREMM_SUMMARY_TABLE))
+        .map(|t| (*t).to_owned())
+        .collect();
+    tables.sort_unstable();
+    tables.dedup();
+    (!tables.is_empty()).then_some(tables)
 }
 
 /// A config-file loading failure.
@@ -569,6 +593,11 @@ impl FederationModel {
         expected_tables.sort_unstable();
         expected_tables.dedup();
 
+        let supremm_summaries = entry
+            .get("supremm_summaries")
+            .and_then(JsonValue::as_bool)
+            .unwrap_or(false);
+        // An absent list is the selection build derives, not "every table".
         let replicated_tables = entry
             .get("replicated_tables")
             .and_then(JsonValue::as_array)
@@ -576,7 +605,8 @@ impl FederationModel {
                 let mut list = Vec::with_capacity(items.len());
                 list.extend(items.filter_map(JsonValue::as_str).map(str::to_owned));
                 list
-            });
+            })
+            .or_else(|| realm_selection(&realms, supremm_summaries));
 
         let tables = list_of(entry, "tables", |table| {
             let table_name = required_str(table, "name", format_args!("satellite {name}"))?;
@@ -622,10 +652,7 @@ impl FederationModel {
             tables,
             job_resources: entry.string_list("job_resources"),
             su_factors: entry.string_list("su_factors"),
-            supremm_summaries: entry
-                .get("supremm_summaries")
-                .and_then(JsonValue::as_bool)
-                .unwrap_or(false),
+            supremm_summaries,
             realms,
             name,
         })
@@ -656,8 +683,41 @@ mod tests {
         assert_eq!(s.link.mode, None);
         assert_eq!(s.link.retries, None);
         assert_eq!(s.expected_tables, vec!["jobfact"]);
-        assert_eq!(s.replicated_tables, None);
-        assert!(s.replicates("anything"));
+        // No list: the realms' selection, as build replicates it.
+        assert_eq!(s.replicated_tables, Some(vec!["jobfact".to_owned()]));
+        assert!(s.replicates("jobfact"));
+        assert!(!s.replicates("anything"));
+    }
+
+    #[test]
+    fn an_absent_table_list_reads_as_the_realm_selection() {
+        let tables = |realms: &str, summaries: bool| {
+            let doc = format!(
+                r#"{{"hub": "h", "satellites": [{{"name": "x", "realms": [{realms}],
+                    "supremm_summaries": {summaries}}}]}}"#
+            );
+            FederationModel::from_json(&doc).unwrap().satellites[0]
+                .replicated_tables
+                .clone()
+        };
+        assert_eq!(tables("", false), None);
+        assert_eq!(
+            tables("", true),
+            Some(vec![SUPREMM_SUMMARY_TABLE.to_owned()])
+        );
+        assert_eq!(
+            tables(r#""cloud", "jobs", "Jobs""#, true),
+            Some(vec![
+                "cloud_reservation".to_owned(),
+                "cloudfact".to_owned(),
+                "jobfact".to_owned(),
+                "supremm_summary_by_month".to_owned(),
+            ])
+        );
+        assert_eq!(
+            realm_selection(&["storage"], false),
+            Some(vec!["storagefact".to_owned()])
+        );
     }
 
     #[test]

@@ -99,6 +99,14 @@ fn fixtures() -> Vec<Fixture> {
                 .replace(r#""replicated_tables": ["jobfact"],"#, "")]),
             span_contains: "table:jobfact",
         },
+        // XC0004 again, with no table list: build replicates only the
+        // jobs realm's tables, not the storagefact the satellite expects.
+        Fixture {
+            code: Code::FilteredRequiredTable,
+            config: include_str!("../../../examples/configs/known_bad_realm_selection.json")
+                .to_owned(),
+            span_contains: "table:storagefact",
+        },
         // XC0005: the hub group-by reads a table nobody replicates.
         Fixture {
             code: Code::GroupByFactTableUnreplicated,

@@ -27,6 +27,7 @@ use xdmod_alerts::{
     FAMILY_PREFLIGHT_REFUSED, FAMILY_QUARANTINE, FAMILY_REPLICATION_LAG,
 };
 use xdmod_chaos::FaultInjector;
+use xdmod_check::model::realm_selection;
 use xdmod_check::{LinkModel, SatelliteModel};
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_replication::{
@@ -177,7 +178,7 @@ impl FederationConfig {
     fn into_model(self, instance: &XdmodInstance, mode: &str) -> SatelliteModel {
         let name = instance.name().to_owned();
         let realms: Vec<_> = self.realms.iter().map(|r| r.ident()).collect();
-        let mut model = SatelliteModel {
+        SatelliteModel {
             link: LinkModel {
                 id: name.clone(),
                 source_schema: instance.schema_name(),
@@ -185,8 +186,8 @@ impl FederationConfig {
                 mode: Some(mode.to_owned()),
                 retries: None,
             },
-            replicated_tables: None,
-            expected_tables: sorted(realm_tables(&realms).collect()),
+            replicated_tables: realm_selection(&realms, self.supremm_summaries),
+            expected_tables: realm_selection(&realms, false).unwrap_or_default(),
             realms,
             excluded_resources: self.excluded_resources,
             tables: Vec::new(),
@@ -194,35 +195,8 @@ impl FederationConfig {
             su_factors: Vec::new(),
             supremm_summaries: self.supremm_summaries,
             name,
-        };
-        model.replicated_tables = replicated_tables(&model);
-        model
+        }
     }
-}
-
-/// The tables the declared `realms` (canonical idents) hold.
-fn realm_tables<'a>(realms: &'a [&str]) -> impl Iterator<Item = String> + 'a {
-    RealmKind::ALL
-        .into_iter()
-        .filter(|kind| realms.contains(&kind.ident()))
-        .flat_map(|kind| kind.tables().iter().map(|t| (*t).to_owned()))
-}
-
-fn sorted(mut tables: Vec<String>) -> Vec<String> {
-    tables.sort_unstable();
-    tables.dedup();
-    tables
-}
-
-/// The table selection build runs for a member: its realms' tables plus
-/// the monthly SUPReMM summary when asked for, sorted. `None` when that
-/// is empty — an empty selection lets every table through.
-fn replicated_tables(model: &SatelliteModel) -> Option<Vec<String>> {
-    let mut tables: Vec<String> = realm_tables(&model.realms).collect();
-    if model.supremm_summaries {
-        tables.push(supremm::summary_spec().table_name(xdmod_warehouse::Period::Month));
-    }
-    (!tables.is_empty()).then(|| sorted(tables))
 }
 
 /// Compile a member's record into its replication filter. The filter
@@ -231,7 +205,7 @@ fn replicated_tables(model: &SatelliteModel) -> Option<Vec<String>> {
 /// (`replication_filtered_required_tables_total`).
 fn filter(model: &SatelliteModel) -> ReplicationFilter {
     let mut filter = ReplicationFilter::all()
-        .with_tables(replicated_tables(model).unwrap_or_default())
+        .with_tables(realm_selection(&model.realms, model.supremm_summaries).unwrap_or_default())
         .with_required_tables(model.expected_tables.iter().cloned())
         .with_resource_column(jobs::FACT_TABLE, "resource")
         .with_resource_column(supremm::FACT_TABLE, "resource")
@@ -565,8 +539,11 @@ impl Federation {
             }
         }
         if let Some(declared) = &model.replicated_tables {
-            let runs = replicated_tables(model);
-            if runs.as_ref() != Some(&sorted(declared.clone())) {
+            let runs = realm_selection(&model.realms, model.supremm_summaries);
+            let same = |r: &Vec<String>| {
+                declared.iter().all(|t| r.contains(t)) && r.iter().all(|t| declared.contains(t))
+            };
+            if !runs.as_ref().is_some_and(same) {
                 let runs = runs.map_or_else(|| "every table".to_owned(), |t| t.join(", "));
                 return refuse(format!(
                     "\"replicated_tables\" is {declared:?}, but build replicates {runs} \

@@ -12,27 +12,15 @@
 
 use crate::instance::XdmodInstance;
 use crate::version::XdmodVersion;
-use std::collections::HashMap;
 use std::sync::Arc;
 use xdmod_auth::{AuthMode, IdentityMap, InstanceAuth};
 use xdmod_realms::levels::AggregationLevelsConfig;
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_telemetry::MetricsRegistry;
-use xdmod_warehouse::sync::Mutex;
 use xdmod_warehouse::{
-    run_sharded, shared, AggregationOutputs, Database, LogPosition, PoolConfig, Query, Result,
-    ResultSet, SharedDatabase, Table, WarehouseError,
+    shared, AggregationOutputs, Database, PoolConfig, Query, Result, ResultSet, ShardedPartials,
+    SharedDatabase, Table, WarehouseError,
 };
-
-/// A memoized federated-query result. Valid only while every satellite's
-/// fact-table watermark and the hub's rebuild generation are unchanged;
-/// any ingest, resync, or restore shifts the vector and forces a
-/// recompute.
-struct FedCacheEntry {
-    watermarks: Vec<Option<LogPosition>>,
-    generation: u64,
-    result: ResultSet,
-}
 
 /// The central federation hub.
 pub struct FederationHub {
@@ -44,7 +32,6 @@ pub struct FederationHub {
     identity: IdentityMap,
     auth: InstanceAuth,
     telemetry: MetricsRegistry,
-    fed_cache: Mutex<HashMap<(String, u64), FedCacheEntry>>,
 }
 
 impl FederationHub {
@@ -76,7 +63,6 @@ impl FederationHub {
             // (§II-D3).
             auth: InstanceAuth::new(name, AuthMode::ServiceProvider, true),
             telemetry,
-            fed_cache: Mutex::new(HashMap::new()),
         }
     }
 
@@ -314,153 +300,98 @@ impl FederationHub {
     /// — "an integrated view of job and performance data collected from
     /// entirely independent XDMoD instances".
     ///
-    /// Timed end-to-end as `hub_federated_query_seconds`; the per-satellite
-    /// fan-out inside the union is broken out under
-    /// `hub_satellite_query_seconds{satellite=..}`.
+    /// No row is copied: each satellite that holds the realm's fact
+    /// table, in join order, brings its own retained entry up to date
+    /// ([`Database::partials`] — a hit, a delta fold of what replicated
+    /// since, or a cold build), and the per-satellite partials merge
+    /// satellite by satellite, shards ascending, into one answer. A
+    /// satellite whose layout differs from the first one's is refused
+    /// before anything folds.
     ///
-    /// Results are memoized against the vector of per-satellite fact
-    /// watermarks plus the hub's rebuild generation: a repeat with no new
-    /// replication traffic skips the union entirely (counted under
-    /// `hub_query_cache_hits_total` / `hub_query_cache_misses_total`).
+    /// Timed end-to-end as `hub_federated_query_seconds`, each satellite's
+    /// pass as `hub_satellite_query_seconds{satellite=..}`.
     pub fn federated_query(&self, realm: RealmKind, query: &Query) -> Result<ResultSet> {
         let span = self.telemetry.span("hub_federated_query_seconds", &[]);
         let fact = XdmodInstance::fact_table(realm);
-        let key = (fact.to_owned(), query.fingerprint());
-        let (watermarks, generation) = {
-            let db = self.db.read();
-            let marks = self
-                .satellites
-                .iter()
-                .map(|s| db.table_watermark(&Self::schema_for(s), fact))
-                .collect::<Vec<_>>();
-            (marks, db.rebuild_generation())
+        let db = self.db.read();
+        let members: Vec<_> = self.fact_tables(&db, fact).collect();
+        let Some((_, first)) = members.first() else {
+            return Err(WarehouseError::InvalidQuery(format!(
+                "no satellite has replicated {} data",
+                realm.display_name()
+            )));
         };
-        // Clone the hit inside one statement so the cache guard drops at
-        // the `;` — an `if let` scrutinee would hold it across the
-        // telemetry counter (a cross-crate lock) until the end of the
-        // whole construct.
-        let hit = self.fed_cache.lock().get(&key).and_then(|entry| {
-            (entry.watermarks == watermarks && entry.generation == generation)
-                .then(|| entry.result.clone())
-        });
-        if let Some(result) = hit {
-            self.telemetry
-                .counter("hub_query_cache_hits_total", &[])
-                .inc();
-            span.finish();
-            return Ok(result);
+        if let Some((sat, _)) = members.iter().find(|(_, t)| t.schema() != first.schema()) {
+            return Err(WarehouseError::SchemaMismatch(format!(
+                "satellite {sat} has an incompatible {fact} layout"
+            )));
         }
-        self.telemetry
-            .counter("hub_query_cache_misses_total", &[])
-            .inc();
-        // A miss scans every satellite's rows: fold them on the warehouse
-        // pool (deterministic for any pool size), not on this one thread.
-        let pool = self.parallelism();
-        let out = self
-            .union_fact_table(realm)
-            .and_then(|union| run_sharded(query, &union, pool, &self.telemetry, fact));
+        let mut parts = Vec::with_capacity(members.len());
+        for (sat, _) in &members {
+            let pass = self
+                .telemetry
+                .span("hub_satellite_query_seconds", &[("satellite", sat)]);
+            parts.push(db.partials(&Self::schema_for(sat), fact, query)?);
+            pass.finish();
+        }
+        let out = ShardedPartials::finish_all(parts, query, first.schema());
         span.finish();
-        let out = out?;
-        self.fed_cache.lock().insert(
-            key,
-            FedCacheEntry {
-                watermarks,
-                generation,
-                result: out.clone(),
-            },
-        );
-        Ok(out)
+        out
     }
 
     /// A version stamp for a realm's federated answers: an FNV-1a fold of
     /// every satellite's fact-table watermark plus the hub's rebuild
-    /// generation — exactly the vector [`FederationHub::federated_query`]
-    /// memoizes against. Two calls return the same stamp iff no
-    /// replication traffic, resync, or restore touched the realm in
-    /// between, so the serving tier can derive an `ETag` from it and
-    /// answer `If-None-Match` revalidations with 304 without running the
-    /// query.
+    /// generation — the same data versions each satellite's retained
+    /// entry is validated against when [`FederationHub::federated_query`]
+    /// runs. Two calls return the same stamp iff no replication traffic,
+    /// resync, or restore touched the realm in between, so the serving
+    /// tier can derive an `ETag` from it and answer `If-None-Match`
+    /// revalidations with 304 without running the query.
     pub fn result_version(&self, realm: RealmKind) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
         let mut h = FNV_OFFSET;
-        // The fold borrows `h` mutably until its scope ends.
-        {
-            let mut fold = |byte: u8| h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-            let fact = XdmodInstance::fact_table(realm);
-            for b in fact.bytes() {
-                fold(b);
+        let mut fold = |bytes: &[u8]| {
+            for b in bytes {
+                h = (h ^ u64::from(*b)).wrapping_mul(FNV_PRIME);
             }
-            let db = self.db.read();
-            for sat in &self.satellites {
-                for b in sat.bytes() {
-                    fold(b);
+        };
+        let fact = XdmodInstance::fact_table(realm);
+        fold(fact.as_bytes());
+        let db = self.db.read();
+        for sat in &self.satellites {
+            fold(sat.as_bytes());
+            match db.table_watermark(&Self::schema_for(sat), fact) {
+                None => fold(&[0xff]),
+                Some(pos) => {
+                    fold(&[0x01]);
+                    fold(&u64::from(pos.epoch).to_le_bytes());
+                    fold(&pos.seqno.to_le_bytes());
                 }
-                match db.table_watermark(&Self::schema_for(sat), fact) {
-                    None => fold(0xff),
-                    Some(pos) => {
-                        fold(0x01);
-                        for b in u64::from(pos.epoch)
-                            .to_le_bytes()
-                            .iter()
-                            .chain(pos.seqno.to_le_bytes().iter())
-                        {
-                            fold(*b);
-                        }
-                    }
-                }
-            }
-            for b in db.rebuild_generation().to_le_bytes() {
-                fold(b);
             }
         }
+        fold(&db.rebuild_generation().to_le_bytes());
         h
     }
 
-    /// Materialize the union of a realm's fact rows across satellites.
-    fn union_fact_table(&self, realm: RealmKind) -> Result<Table> {
-        let fact = XdmodInstance::fact_table(realm);
-        let db = self.db.read();
-        let mut union: Option<Table> = None;
-        for sat in &self.satellites {
-            let schema = Self::schema_for(sat);
-            if !db.has_schema(&schema) {
-                continue;
-            }
-            let Ok(table) = db.table(&schema, fact) else {
-                continue; // realm not federated from this satellite
-            };
-            let span = self
-                .telemetry
-                .span("hub_satellite_query_seconds", &[("satellite", sat)]);
-            match &mut union {
-                None => {
-                    let mut t = Table::new(table.schema().clone());
-                    t.insert_checked(table.rows()?.into_vec());
-                    union = Some(t);
-                }
-                Some(u) => {
-                    if u.schema() != table.schema() {
-                        return Err(WarehouseError::SchemaMismatch(format!(
-                            "satellite {sat} has an incompatible {fact} layout"
-                        )));
-                    }
-                    u.insert_checked(table.rows()?.into_vec());
-                }
-            }
-            span.finish();
-        }
-        union.ok_or_else(|| {
-            WarehouseError::InvalidQuery(format!(
-                "no satellite has replicated {} data",
-                realm.display_name()
-            ))
+    /// Each satellite holding a realm's fact table, in join order.
+    fn fact_tables<'a>(
+        &'a self,
+        db: &'a Database,
+        fact: &'a str,
+    ) -> impl Iterator<Item = (&'a str, &'a Table)> + 'a {
+        self.satellites.iter().filter_map(move |sat| {
+            let table = db.table(&Self::schema_for(sat), fact).ok()?;
+            Some((sat.as_str(), table))
         })
     }
 
     /// Total replicated fact rows of a realm across the federation.
     pub fn federated_fact_rows(&self, realm: RealmKind) -> usize {
-        self.union_fact_table(realm).map(|t| t.len()).unwrap_or(0)
+        let db = self.db.read();
+        self.fact_tables(&db, XdmodInstance::fact_table(realm))
+            .map(|(_, t)| t.len())
+            .sum()
     }
 
     /// Export a satellite's replicated data as a dump renamed back to the
@@ -836,7 +767,13 @@ mod tests {
                 &Query::new().aggregate(Aggregate::count("n")),
             )
             .unwrap_err();
-        assert!(err.to_string().contains("incompatible"));
+        assert!(matches!(err, WarehouseError::SchemaMismatch(_)), "{err}");
+        assert!(err
+            .to_string()
+            .contains("satellite z has an incompatible jobfact layout"));
+        // Refused before any satellite's partials were built.
+        let snap = hub.telemetry().snapshot();
+        assert_eq!(snap.counter_total("warehouse_delta_cold_builds_total"), 0);
     }
 
     #[test]
@@ -1072,33 +1009,42 @@ mod tests {
     }
 
     #[test]
-    fn federated_query_cache_invalidates_on_ingest() {
+    fn federated_query_folds_only_what_replicated_since() {
         let hub = hub_with_two_satellites();
         let q = Query::new().aggregate(Aggregate::of(AggFn::Sum, "cpu_hours", "total"));
-        for _ in 0..2 {
-            let rs = hub.federated_query(RealmKind::Jobs, &q).unwrap();
-            assert_eq!(rs.scalar_f64("total"), Some(30.0));
-        }
-        let snap = hub.telemetry().snapshot();
-        assert_eq!(snap.counter_total("hub_query_cache_hits_total"), 1);
-        assert_eq!(snap.counter_total("hub_query_cache_misses_total"), 1);
+        let count = |name: &str| hub.telemetry().snapshot().counter_total(name);
+        let total = || {
+            hub.federated_query(RealmKind::Jobs, &q)
+                .unwrap()
+                .scalar_f64("total")
+        };
+        assert_eq!(total(), Some(30.0));
+        let (hits, misses) = (
+            count("warehouse_aggcache_hits_total"),
+            count("warehouse_aggcache_misses_total"),
+        );
+        let folded = count("warehouse_delta_folded_records_total");
 
-        // New replicated rows move satellite x's watermark: recompute.
-        {
-            let db = hub.database();
-            let mut db = db.write();
-            db.insert(
+        // A repeat folds nothing: each satellite's pass is a hit.
+        assert_eq!(total(), Some(30.0));
+        assert_eq!(count("warehouse_aggcache_hits_total"), hits + 2);
+        assert_eq!(count("warehouse_aggcache_misses_total"), misses);
+        assert_eq!(count("warehouse_delta_folded_records_total"), folded);
+
+        // One replicated row on x: x folds exactly that row, y still hits.
+        hub.database()
+            .write()
+            .insert(
                 &FederationHub::schema_for("x"),
                 "jobfact",
                 vec![vec![Value::Str("res-x".into()), Value::Float(5.0)]],
             )
             .unwrap();
-        }
-        let rs = hub.federated_query(RealmKind::Jobs, &q).unwrap();
-        assert_eq!(rs.scalar_f64("total"), Some(35.0));
-        let snap = hub.telemetry().snapshot();
-        assert_eq!(snap.counter_total("hub_query_cache_hits_total"), 1);
-        assert_eq!(snap.counter_total("hub_query_cache_misses_total"), 2);
+        assert_eq!(total(), Some(35.0));
+        assert_eq!(count("warehouse_aggcache_hits_total"), hits + 3);
+        assert_eq!(count("warehouse_aggcache_misses_total"), misses + 1);
+        assert_eq!(count("warehouse_delta_folded_records_total"), folded + 1);
+        assert_eq!(hub.federated_fact_rows(RealmKind::Jobs), 3);
     }
 
     #[test]
@@ -1107,6 +1053,12 @@ mod tests {
         let v1 = hub.result_version(RealmKind::Jobs);
         assert_eq!(hub.result_version(RealmKind::Jobs), v1); // stable at rest
         assert_ne!(hub.result_version(RealmKind::Storage), v1);
+        // The stamp is a wire value (the gateway's ETag): pinned.
+        assert_eq!(v1, 0x9536_1eef_fbb4_c6b2);
+        assert_eq!(
+            hub.result_version(RealmKind::Storage),
+            0x0bdf_f8bc_89a7_ef4d
+        );
 
         // New replicated rows move a watermark: the stamp must change.
         {

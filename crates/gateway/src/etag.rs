@@ -3,10 +3,10 @@
 //! The hub's `result_version` (see
 //! `xdmod_core::FederationHub::result_version`) folds every satellite's
 //! replication watermark plus the warehouse rebuild generation into one
-//! `u64` — the exact vector its federated-query cache is keyed on. The
-//! gateway renders that stamp as a strong `ETag`, so a dashboard's
-//! `If-None-Match` revalidation costs a watermark read, not a federated
-//! union: unchanged data is a 304 with an empty body.
+//! `u64` — the data versions every satellite's retained query entry is
+//! validated against. The gateway renders that stamp as a strong `ETag`,
+//! so a dashboard's `If-None-Match` revalidation costs a watermark read,
+//! not a federated query: unchanged data is a 304 with an empty body.
 
 /// The `i`-th of the sixteen lower-case hex digits of `version`.
 fn hex_digit(version: u64, i: usize) -> Option<char> {

@@ -163,9 +163,10 @@ mod tests {
         assert!(RealmKind::Cloud.federated_by_default());
     }
 
-    /// Pins the analyzer's std-only realm→tables data against the realm
-    /// constants: if a realm gains a table, `xdmod-check` must learn it
-    /// too or pre-flight would pass configs that starve the hub.
+    /// Pins the analyzer's std-only realm→tables data, and the summary
+    /// table `supremm_summaries` adds, against the realm constants: if a
+    /// realm gains a table, `xdmod-check` must learn it too or pre-flight
+    /// would pass configs that starve the hub.
     #[test]
     fn realm_tables_in_sync_with_check_model() {
         for realm in RealmKind::ALL {
@@ -173,6 +174,10 @@ mod tests {
                 .unwrap_or_else(|| panic!("xdmod-check lacks realm {}", realm.ident()));
             assert_eq!(realm.tables(), theirs, "realm {}", realm.ident());
         }
+        assert_eq!(
+            supremm::summary_spec().table_name(xdmod_warehouse::Period::Month),
+            xdmod_check::model::SUPREMM_SUMMARY_TABLE
+        );
     }
 
     #[test]

@@ -641,26 +641,11 @@ impl Database {
     }
 
     /// Answer `query` over `schema.table` from the retained partials for
-    /// this (table, query) pair, and say which way it went:
-    ///
-    /// - **hit** — the table has not been mutated since the entry's
-    ///   cursor (same generation, same shard count): the entry's
-    ///   finalized result is cloned in place, so concurrent identical
-    ///   readers all hit. Reported as an incremental pass of zero rows.
-    /// - **delta fold** — after ingest, only the binlog records appended
-    ///   since the cursor are folded into their day-bucket shards.
-    /// - **cold build** — nothing retained, or the retained state cannot
-    ///   be trusted: the rebuild generation moved (resync/restore),
-    ///   snapshot compaction outran the cursor
-    ///   ([`WarehouseError::CompactedAway`]), the fact table itself was
-    ///   truncated or re-created, the shard geometry changed, or the
-    ///   delta read failed transiently. [`ShardedPartials::build`] folds
-    ///   the live table (page by page when it is paged).
-    ///
-    /// The result is byte-identical to [`crate::parallel::run_sharded`]
-    /// under the same pool geometry whenever float inputs are exactly
-    /// representable: each shard folds the same rows and shards merge in
-    /// ascending order either way.
+    /// this (table, query) pair — a hit, a delta fold or a cold build —
+    /// and say which way it went. The result is byte-identical to
+    /// [`crate::parallel::run_sharded`] under the same pool geometry
+    /// whenever float inputs are exactly representable: each shard folds
+    /// the same rows and shards merge in ascending order either way.
     ///
     /// `label` attributes the telemetry this emits
     /// (`warehouse_aggcache_{hits,misses}_total{table=..}`,
@@ -673,17 +658,57 @@ impl Database {
         query: &Query,
         label: &str,
     ) -> Result<(ResultSet, DeltaReport)> {
+        // `retained` bumps the cache and delta counters under `label`.
+        self.retained(schema, table, query, label, |e| e.result.clone())
+    }
+
+    /// The retained per-shard partials behind `query` over
+    /// `schema.table`, brought up to date by the same hit / delta fold /
+    /// cold build as [`Database::query_reported`] (counted under the
+    /// table's own name) and left retained for the next pass. Merging
+    /// several tables' partials with [`ShardedPartials::finish_all`]
+    /// answers the query over their union without copying a row.
+    pub fn partials(&self, schema: &str, table: &str, query: &Query) -> Result<ShardedPartials> {
+        Ok(self
+            .retained(schema, table, query, table, |e| e.partials.clone())?
+            .0)
+    }
+
+    /// The one retained-entry step: bring the entry for this (table,
+    /// query) pair up to date and `read` it.
+    ///
+    /// - **hit** — the table has not been mutated since the entry's
+    ///   cursor (same generation, same shard count): `read` runs on the
+    ///   entry in place, so concurrent identical readers all hit.
+    ///   Reported as an incremental pass of zero rows.
+    /// - **delta fold** — after ingest, only the binlog records appended
+    ///   since the cursor are folded into their day-bucket shards.
+    /// - **cold build** — nothing retained, or the retained state cannot
+    ///   be trusted: the rebuild generation moved (resync/restore),
+    ///   snapshot compaction outran the cursor
+    ///   ([`WarehouseError::CompactedAway`]), the fact table itself was
+    ///   truncated or re-created, the shard geometry changed, or the
+    ///   delta read failed transiently. [`ShardedPartials::build`] folds
+    ///   the live table (page by page when it is paged).
+    fn retained<R>(
+        &self,
+        schema: &str,
+        table: &str,
+        query: &Query,
+        label: &str,
+        read: impl Fn(&DeltaEntry) -> R,
+    ) -> Result<(R, DeltaReport)> {
         let t = self.table(schema, table)?;
         let key = CacheKey::of(schema, table, query);
         let by_table = ("table", label);
-        if let Some(result) = self.with_current_entry(&key, |e| e.result.clone()) {
+        if let Some(out) = self.with_current_entry(&key, |e| read(e)) {
             self.bump_counter("warehouse_aggcache_hits_total", by_table, 1);
             let quiet = DeltaReport {
                 outcome: DeltaOutcome::Incremental,
                 rows_folded: 0,
                 dirty_shards: 0,
             };
-            return Ok((result, quiet));
+            return Ok((out, quiet));
         }
         self.bump_counter("warehouse_aggcache_misses_total", by_table, 1);
 
@@ -747,17 +772,16 @@ impl Database {
             }
         };
         let result = partials.finalize(query, t.schema())?;
-        self.delta.put(
-            key,
-            DeltaEntry {
-                cursor: head,
-                generation,
-                partials,
-                result: result.clone(),
-                installed_as: None,
-            },
-        );
-        Ok((result, report))
+        let entry = DeltaEntry {
+            cursor: head,
+            generation,
+            partials,
+            result,
+            installed_as: None,
+        };
+        let out = read(&entry);
+        self.delta.put(key, entry);
+        Ok((out, report))
     }
 
     fn table_mut(&mut self, schema: &str, table: &str) -> Result<&mut Table> {

@@ -4,8 +4,10 @@
 //! table, query fingerprint)`: the per-shard [`ShardedPartials`] folded
 //! through a binlog **cursor**, the result finalized from them, and the
 //! rebuild generation they were built under.
-//! [`Database::query_reported`](crate::database::Database::query_reported)
-//! is the one reader. While the table has not been mutated past the
+//! One step of the database reads it, for
+//! [`Database::query_reported`](crate::database::Database::query_reported)'s
+//! result and [`Database::partials`](crate::database::Database::partials)'
+//! shards alike. While the table has not been mutated past the
 //! cursor the entry's result is the answer (a hit); after ingest only
 //! the binlog records between cursor and head are folded, into the
 //! day-bucket shards they land on; and whenever the retained state can

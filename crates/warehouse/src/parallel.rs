@@ -10,9 +10,11 @@
 //! worker is the serial reference the differential oracle compares
 //! against.
 //!
-//! The per-shard state is a value, [`ShardedPartials`]: [`run_sharded`]
-//! builds one and consumes it, [`crate::delta`] retains one per (table,
-//! query) and keeps folding the binlog's delta into it.
+//! The per-shard state is a value, [`ShardedPartials`]: [`crate::delta`]
+//! retains one per (table, query) and keeps folding the binlog's delta
+//! into it, and [`ShardedPartials::finish_all`] merges several tables'
+//! into one answer. [`run_sharded`] builds one and consumes it — the
+//! stateless reference the oracles hold the retained path to.
 
 use crate::error::{Result, WarehouseError};
 use crate::query::{AggPlan, Groups, Query, ResultSet};
@@ -118,7 +120,8 @@ fn time_index(query: &Query, schema: &TableSchema) -> Option<usize> {
 
 /// Execute a query with the partitioned engine, statelessly: shard, fold
 /// each shard ([`ShardedPartials::build`]), merge in ascending shard
-/// order, finish.
+/// order, finish. No production path calls it; it is the reference the
+/// differential oracles and soaks compare retained answers against.
 ///
 /// `label` attributes the per-shard timing histogram
 /// (`warehouse_shard_aggregation_seconds{table=..}`) and the
@@ -323,6 +326,18 @@ impl ShardedPartials {
     /// Finalize by consuming the state (the stateless engine's last step).
     pub fn finish(self, query: &Query, schema: &TableSchema) -> Result<ResultSet> {
         merge_and_finish(self.shards.into_iter(), query, schema)
+    }
+
+    /// Finalize several tables' partials of one query, all of `schema`'s
+    /// layout, as one answer over their union: merged in the order given,
+    /// each one's shards in ascending order, and finished once. The
+    /// federation hub's answer over its satellites, in join order.
+    pub fn finish_all(
+        parts: impl IntoIterator<Item = ShardedPartials>,
+        query: &Query,
+        schema: &TableSchema,
+    ) -> Result<ResultSet> {
+        merge_and_finish(parts.into_iter().flat_map(|p| p.shards), query, schema)
     }
 }
 

@@ -1,22 +1,27 @@
 //! Differential-testing oracle for the partitioned parallel aggregation
 //! engine.
 //!
-//! Every seed drives four evaluators over the same randomly generated
+//! Every seed drives five evaluators over the same randomly generated
 //! fact table and query:
 //!
 //! 1. the sharded engine with a multi-worker pool (`run_sharded`),
 //! 2. the sharded engine forced serial (`PoolConfig::serial()`),
 //! 3. the serial fold (`Query::run`),
 //! 4. a brute-force `BTreeMap` recompute written against the *spec* of
-//!    the query, sharing no code with the engine.
+//!    the query, sharing no code with the engine,
+//! 5. the per-schema merge: the rows split in order across 1–4 schemas
+//!    of one `Database`, each schema's retained partials
+//!    (`Database::partials`) merged by `ShardedPartials::finish_all` —
+//!    the federation hub's answer over its satellites — built cold and
+//!    then served again as hits.
 //!
-//! All four must agree byte-for-byte. Generated values are dyadic
+//! All five must agree byte-for-byte. Generated values are dyadic
 //! rationals (`n / 64.0`), so float sums are exact regardless of the
 //! order partials merge in — any divergence is a real bug, not float
 //! noise. On mismatch the harness greedily shrinks the table to a
 //! minimal reproducing row set and panics with a replayable report.
 //!
-//! A fifth arm proves **incremental aggregation**: ingest-heavy seeded
+//! A further arm proves **incremental aggregation**: ingest-heavy seeded
 //! schedules drive `Database::query_reported` batch by batch, and after
 //! every batch the delta-folded answer must be byte-identical to a full
 //! stateless recompute (`run_sharded` over the live table) and
@@ -38,7 +43,7 @@ use xdmod_telemetry::MetricsRegistry;
 use xdmod_warehouse::{
     run_sharded, shared, AggFn, Aggregate, CacheKey, CivilDate, ColumnType, Database, DeltaOutcome,
     DiskBackend, DiskOptions, FallbackReason, GroupKey, Period, PoolConfig, Predicate, Query,
-    ResultSet, Row, SchemaBuilder, Table, Value,
+    ResultSet, Row, SchemaBuilder, ShardedPartials, Table, Value,
 };
 
 /// Seeds swept by default; `DIFF_SEED` narrows the run to one seed.
@@ -356,6 +361,21 @@ fn divergence(rows: &[Row], spec: &Spec) -> Option<String> {
                 ))
             }
         }
+        for schemas in 1..=4 {
+            match merged_across_schemas(rows, schemas, pool, &query) {
+                Ok(got) if got == reference => {}
+                Ok(got) => {
+                    return Some(format!(
+                        "merge over {schemas} schema(s) (workers={}, shards={}) diverged from Query::run\n  merged:    {:?}\n  reference: {:?}",
+                        pool.workers(),
+                        pool.shards(),
+                        got.rows,
+                        reference.rows
+                    ))
+                }
+                Err(e) => return Some(format!("merge over {schemas} schema(s) errored: {e}")),
+            }
+        }
     }
     let brute = brute_force(&table, spec);
     if reference.rows != brute {
@@ -365,6 +385,46 @@ fn divergence(rows: &[Row], spec: &Spec) -> Option<String> {
         ));
     }
     None
+}
+
+/// Evaluator 5: `rows` split in order into `schemas` contiguous runs, one
+/// per schema of one `Database` under `pool`, and answered by merging
+/// each schema's retained partials — twice, so the second answer is
+/// served from hits. Both answers must agree.
+fn merged_across_schemas(
+    rows: &[Row],
+    schemas: usize,
+    pool: PoolConfig,
+    query: &Query,
+) -> Result<ResultSet, String> {
+    let mut db = Database::new();
+    db.set_parallelism(pool);
+    let names: Vec<String> = (0..schemas).map(|i| format!("s{i}")).collect();
+    for (i, name) in names.iter().enumerate() {
+        let run = rows[i * rows.len() / schemas..(i + 1) * rows.len() / schemas].to_vec();
+        db.create_schema(name).map_err(|e| e.to_string())?;
+        db.create_table(name, fact_schema())
+            .map_err(|e| e.to_string())?;
+        if !run.is_empty() {
+            db.insert(name, "fact", run).map_err(|e| e.to_string())?;
+        }
+    }
+    let answer = || {
+        let parts = names
+            .iter()
+            .map(|name| db.partials(name, "fact", query))
+            .collect::<xdmod_warehouse::Result<Vec<_>>>()?;
+        ShardedPartials::finish_all(parts, query, &fact_schema())
+    };
+    let cold = answer().map_err(|e| e.to_string())?;
+    let hit = answer().map_err(|e| e.to_string())?;
+    if hit != cold {
+        return Err(format!(
+            "a repeat answered {:?} after {:?}",
+            hit.rows, cold.rows
+        ));
+    }
+    Ok(cold)
 }
 
 /// Greedily drop rows while the divergence persists, then report the

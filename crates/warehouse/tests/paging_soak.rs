@@ -20,7 +20,9 @@
 //!    retained partials page by page: within the budget at the
 //!    boundary, never holding a copy of the table, byte-identical to the
 //!    unpaged twin; the repeat after ingest folds the binlog delta and
-//!    touches no page at all.
+//!    touches no page at all. The same holds for the federation hub's
+//!    shape — rows spread over several paged schemas and answered by
+//!    merging each one's partials ([`ShardedPartials::finish_all`]).
 //!
 //! The run is parameterized by `CHAOS_SEED` and, when
 //! `PAGING_SOAK_REPORT` names a path, writes a JSON report of every
@@ -36,7 +38,8 @@ use xdmod_chaos::{DeterministicRng, FaultKind, FaultPlan, FaultPoint, FaultSpec}
 use xdmod_telemetry::MetricsRegistry;
 use xdmod_warehouse::{
     run_sharded, AggFn, Aggregate, ColumnType, Database, DiskBackend, DiskOptions, PagingConfig,
-    Period, Query, ResultSet, Row, SchemaBuilder, TableSchema, Value, WarehouseError,
+    Period, Query, ResultSet, Row, SchemaBuilder, ShardedPartials, TableSchema, Value,
+    WarehouseError,
 };
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -391,6 +394,28 @@ fn spill_chaos_surfaces_loudly_and_repairs_from_the_log() {
 
 #[test]
 fn cold_build_of_a_paged_table_stays_within_budget_and_one_pinned_page() {
+    // One table, then the hub's shape: the rows spread over three
+    // schemas and answered by merging each one's partials.
+    for schemas in [1, 3] {
+        cold_build_case(schemas);
+    }
+    flush_report();
+}
+
+/// `query` over the union of `names`' fact tables: the one table's own
+/// answer, or each table's retained partials merged in order.
+fn answer(db: &Database, names: &[String], query: &Query) -> Result<ResultSet, WarehouseError> {
+    if let [only] = names {
+        return db.query(only, "jobfact", query);
+    }
+    let parts = names
+        .iter()
+        .map(|name| db.partials(name, "jobfact", query))
+        .collect::<Result<Vec<_>, _>>()?;
+    ShardedPartials::finish_all(parts, query, &fact())
+}
+
+fn cold_build_case(schemas: usize) {
     const BUDGET: u64 = 2048;
     const PAGES: u32 = 16;
     let seed = seed();
@@ -405,43 +430,65 @@ fn cold_build_of_a_paged_table_stays_within_budget_and_one_pinned_page() {
                 .pages_per_table(PAGES),
         )
         .expect("enable paging");
-    let mut twin = Database::new();
-    for db in [&mut paged, &mut twin] {
-        db.create_schema("s").expect("create schema");
-        db.create_table("s", fact()).expect("create table");
+    let names: Vec<String> = (0..schemas)
+        .map(|i| {
+            if i == 0 {
+                "s".to_owned()
+            } else {
+                format!("s{i}")
+            }
+        })
+        .collect();
+    for name in &names {
+        paged.create_schema(name).expect("create schema");
+        paged.create_table(name, fact()).expect("create table");
     }
+    // The twin holds every row in one table: the union the merge answers.
+    let mut twin = Database::new();
+    twin.create_schema("s").expect("create schema");
+    twin.create_table("s", fact()).expect("create table");
     let mut rows = 0usize;
-    while rows < 4_000 {
+    let mut schema_rows = vec![0usize; schemas];
+    // Batches go round-robin over the schemas.
+    for to in (0..schemas).cycle() {
+        if rows >= 4_000 {
+            break;
+        }
         let batch = random_batch(&mut rng, 64);
         rows += batch.len();
-        paged.insert("s", "jobfact", batch.clone()).expect("insert");
+        schema_rows[to] += batch.len();
+        paged
+            .insert(&names[to], "jobfact", batch.clone())
+            .expect("insert");
         twin.insert("s", "jobfact", batch).expect("twin insert");
     }
     let before = paged.residency_stats().expect("paging is on");
     assert!(before.spilled_pages > 0, "nothing spilled: {before:?}");
-
     for query in [by_resource(), by_day()] {
-        let (got, largest) = largest_alloc::largest_during(|| paged.query("s", "jobfact", &query));
+        let (got, largest) = largest_alloc::largest_during(|| answer(&paged, &names, &query));
         let got = got.expect("cold build");
         assert_eq!(
             got,
             twin.query("s", "jobfact", &query).expect("twin query"),
-            "seed {seed}: paged cold build diverged from the unpaged twin"
+            "seed {seed}: paged cold build over {schemas} schema(s) diverged from the unpaged twin"
         );
         let stats = paged.residency_stats().expect("paging is on");
         assert!(
             stats.resident_bytes <= BUDGET,
-            "seed {seed}: {} resident bytes after the cold build ({stats:?})",
+            "seed {seed}: {} resident bytes after the cold build over {schemas} schema(s) \
+             ({stats:?})",
             stats.resident_bytes,
         );
-        // Copying the table out (what `Table::rows` does for a paged
+        // Copying a table out (what `Table::rows` does for a paged
         // table) is one allocation of a sequence-tagged row per row. The
-        // page-by-page fold's largest is one page faulted in.
-        let copy = rows * std::mem::size_of::<(u64, Row)>();
+        // page-by-page fold's largest is one page faulted in, however
+        // many rows the schemas hold together.
+        let smallest = schema_rows.iter().min().copied().unwrap_or(rows);
+        let copy = smallest * std::mem::size_of::<(u64, Row)>();
         assert!(
             largest < copy / 2,
-            "seed {seed}: the cold build allocated {largest} bytes at once; \
-             a copy of the {rows}-row table is {copy}"
+            "seed {seed}: the cold build over {schemas} schema(s) allocated {largest} bytes \
+             at once; a copy of the smallest ({smallest}-row) table is {copy}"
         );
     }
     let cold = paged.residency_stats().expect("paging is on");
@@ -455,12 +502,15 @@ fn cold_build_of_a_paged_table_stays_within_budget_and_one_pinned_page() {
     paged.insert("s", "jobfact", batch.clone()).expect("insert");
     twin.insert("s", "jobfact", batch.clone())
         .expect("twin insert");
-    let (got, report) = paged
+    let (_, report) = paged
         .query_reported("s", "jobfact", &by_resource(), "jobfact")
         .expect("delta fold");
     assert!(report.is_incremental(), "seed {seed}: {:?}", report.outcome);
     assert_eq!(report.rows_folded, batch.len());
-    assert_eq!(got, scan(&twin, &by_resource()).expect("twin scan"));
+    assert_eq!(
+        answer(&paged, &names, &by_resource()).expect("repeat"),
+        scan(&twin, &by_resource()).expect("twin scan")
+    );
     let after = paged.residency_stats().expect("paging is on");
     assert_eq!(
         after.fault_ins, cold.fault_ins,
@@ -473,10 +523,9 @@ fn cold_build_of_a_paged_table_stays_within_budget_and_one_pinned_page() {
         "none",
         0,
         format!(
-            "{rows} rows; resident<= {BUDGET}B after each build; {} fault-ins; delta fold read no page",
+            "{rows} rows over {schemas} schema(s); resident<= {BUDGET}B after each build; {} fault-ins; delta fold read no page",
             cold.fault_ins - before.fault_ins
         ),
     );
-    flush_report();
     let _ = std::fs::remove_dir_all(&dir);
 }
