@@ -4,14 +4,16 @@
 //! providing the ability for multiple disparate XDMoD installations to
 //! replicate their raw data to a central, federated hub server." (§I-E)
 //!
-//! A [`Federation`] owns the hub plus one replication link per satellite
-//! — **tight** (live binlog tailing) or **loose** (batched shipments),
-//! freely mixed (§II-C2's heterogeneous model). Joining enforces the
-//! version gate and stores the member's `xdmod_check::SatelliteModel`,
-//! the one record its link is compiled from and pre-flight vets; a
-//! programmatic join's [`FederationConfig`] chooses which realms
-//! replicate (the initial release federates only HPC Jobs) and which
-//! resources are excluded from federation (§II-C4).
+//! A [`Federation`] owns the hub plus one [`Replicator`] per satellite,
+//! pulling into the hub from a position the hub keeps — **tight** (tailed
+//! live once [`Federation::go_live`] runs) or **loose** (a batch per
+//! [`Federation::sync`] or supervision tick), freely mixed (§II-C2's
+//! heterogeneous model). Joining enforces the version gate and stores the
+//! member's `xdmod_check::SatelliteModel`, the one record its link is
+//! compiled from and pre-flight vets; a programmatic join's
+//! [`FederationConfig`] chooses which realms replicate (the initial
+//! release federates only HPC Jobs) and which resources are excluded from
+//! federation (§II-C4).
 
 use crate::hub::FederationHub;
 use crate::instance::XdmodInstance;
@@ -31,8 +33,8 @@ use xdmod_check::model::realm_selection;
 use xdmod_check::{LinkModel, SatelliteModel};
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_replication::{
-    schemas_match, LinkConfig, LiveReplicator, LooseReceiver, LooseShipper, ReplicationError,
-    ReplicationFilter, Replicator, RetryPolicy,
+    schemas_match, LinkConfig, LiveReplicator, ReplicationError, ReplicationFilter, Replicator,
+    RetryPolicy,
 };
 use xdmod_warehouse::sync::Mutex;
 use xdmod_warehouse::{SharedDatabase, Value, WarehouseError};
@@ -52,7 +54,7 @@ pub enum FederationError {
     /// No member with this name.
     UnknownMember(String),
     /// The operation needs a live (background-threaded) tight link, but
-    /// this member's link is polled or loose.
+    /// this member's link is polled (a loose member's always is).
     LinkNotLive(String),
     /// Static pre-flight analysis found Error-severity diagnostics;
     /// `go_live` refuses to start replication threads over a topology
@@ -236,22 +238,18 @@ fn retry_policy(model: &SatelliteModel) -> RetryPolicy {
 pub enum FederationMode {
     /// Live binlog replication.
     Tight,
-    /// Periodic batch shipping.
+    /// Periodic batches: `sync` and `supervise` drive the link, which
+    /// never goes live.
     Loose,
 }
 
-/// A tight link is either hand-polled (`sync` drives it) or live (a
-/// background thread tails the binlog; `sync` leaves it alone); a loose
-/// link ships batches. `Swapping` is a transient placeholder while a
-/// tight link moves between polled and live — never observable between
-/// `&mut self` calls.
+/// A link is either hand-polled (`sync` drives it) or, for a tight
+/// member, live (a background thread tails the binlog; `sync` leaves it
+/// alone). `Swapping` is a transient placeholder while a link moves
+/// between polled and live — never observable between `&mut self` calls.
 enum Link {
     Polled(Replicator),
     Live(LiveReplicator),
-    Loose {
-        shipper: LooseShipper,
-        receiver: LooseReceiver,
-    },
     Swapping,
 }
 
@@ -281,8 +279,8 @@ impl Member {
     }
 
     fn mode(&self) -> FederationMode {
-        match self.link {
-            Link::Loose { .. } => FederationMode::Loose,
+        match self.model.link.mode.as_deref() {
+            Some("loose") => FederationMode::Loose,
             _ => FederationMode::Tight,
         }
     }
@@ -291,6 +289,9 @@ impl Member {
     /// `interval`. Returns whether it switched (loose and already-live
     /// links are left alone).
     fn start_live(&mut self, interval: Duration) -> bool {
+        if self.mode() == FederationMode::Loose {
+            return false;
+        }
         match std::mem::replace(&mut self.link, Link::Swapping) {
             Link::Polled(rep) => {
                 let policy = retry_policy(&self.model);
@@ -443,7 +444,8 @@ impl Federation {
         self.join(instance, config.into_model(instance, "tight"))
     }
 
-    /// Join a satellite with batched ("loose") replication.
+    /// Join a satellite with batched ("loose") replication: its link is
+    /// polled by `sync` and `supervise` and never goes live.
     pub fn join_loose(
         &mut self,
         instance: &XdmodInstance,
@@ -469,21 +471,15 @@ impl Federation {
         if self.members.iter().any(|m| m.name() == instance.name()) {
             return Err(FederationError::DuplicateMember(instance.name().to_owned()));
         }
-        let (mode, link_config) = Self::link_for(instance, &model)?;
-        let link = match mode {
-            FederationMode::Tight => Link::Polled(
-                Replicator::new(
-                    instance.database(),
-                    self.hub.database(),
-                    link_config.clone(),
-                )
-                .with_telemetry(self.hub.telemetry().clone(), instance.name()),
-            ),
-            FederationMode::Loose => Link::Loose {
-                shipper: LooseShipper::new(instance.database()),
-                receiver: LooseReceiver::new(self.hub.database(), link_config.clone()),
-            },
-        };
+        let link_config = Self::link_for(instance, &model)?;
+        let link = Link::Polled(
+            Replicator::new(
+                instance.database(),
+                self.hub.database(),
+                link_config.clone(),
+            )
+            .with_telemetry(self.hub.telemetry().clone(), instance.name()),
+        );
         model.su_factors = instance
             .su_converter()
             .resources()
@@ -501,26 +497,23 @@ impl Federation {
         Ok(())
     }
 
-    /// The coupling mode and link `model` runs with over `instance`: its
-    /// schema renamed into its hub schema through the filter the model
-    /// compiles to. A model build cannot run is refused with
-    /// [`FederationError::Config`] naming the satellite and the field
-    /// (see [`Federation::from_config`]).
+    /// The link `model` runs with over `instance`: its schema renamed into
+    /// its hub schema through the filter the model compiles to. A model
+    /// build cannot run is refused with [`FederationError::Config`] naming
+    /// the satellite and the field (see [`Federation::from_config`]).
     pub(crate) fn link_for(
         instance: &XdmodInstance,
         model: &SatelliteModel,
-    ) -> Result<(FederationMode, LinkConfig), FederationError> {
+    ) -> Result<LinkConfig, FederationError> {
         let refuse = |what: String| {
             Err(FederationError::Config(format!(
                 "satellite {}: {what}",
                 model.name
             )))
         };
-        let mode = match model.link.mode.as_deref() {
-            Some("tight") => FederationMode::Tight,
-            Some("loose") => FederationMode::Loose,
-            _ => return refuse("\"mode\" must be \"tight\" or \"loose\"".to_owned()),
-        };
+        if !matches!(model.link.mode.as_deref(), Some("tight" | "loose")) {
+            return refuse("\"mode\" must be \"tight\" or \"loose\"".to_owned());
+        }
         if model.link.retries.is_some_and(|n| n > u64::from(u32::MAX)) {
             return refuse(format!("\"retries\" exceeds {}", u32::MAX));
         }
@@ -551,36 +544,43 @@ impl Federation {
                 ));
             }
         }
-        let link = LinkConfig::renaming(&source_schema, &hub_schema).with_filter(filter(model));
-        Ok((mode, link))
+        Ok(LinkConfig::renaming(&source_schema, &hub_schema).with_filter(filter(model)))
     }
 
-    /// Drive every link once: poll tight links, ship+apply loose batches.
-    /// Live links are skipped — their background threads are already
-    /// draining the binlog — and so are quarantined members (see
-    /// [`Federation::supervise`]). Returns total events applied at the
-    /// hub by **this** call.
+    /// Poll every polled link once: each loose member's, and each tight
+    /// member's that is not live. Live links are skipped — their
+    /// background threads are already draining the binlog — and so are
+    /// quarantined members (see [`Federation::supervise`]). A link stops
+    /// at its first failing event and retries it on the next call; the
+    /// other members are still polled, and the first error is returned
+    /// after them. Returns total events applied at the hub by **this**
+    /// call.
     pub fn sync(&mut self) -> Result<usize, FederationError> {
         let mut applied = 0;
+        let mut first_err = None;
         for member in &mut self.members {
             if member.supervision.quarantined {
                 continue;
             }
-            match &mut member.link {
-                Link::Polled(rep) => {
-                    applied += rep.poll()?;
+            let Link::Polled(rep) = &mut member.link else {
+                continue;
+            };
+            match rep.poll() {
+                Ok(n) => {
+                    applied += n;
                     // A successful poll drains the backlog a quiesce left
                     // behind — the member's view is current again.
                     self.drain.stale.lock().remove(member.name());
                 }
-                Link::Live(_) | Link::Swapping => {}
-                Link::Loose { shipper, receiver } => {
-                    let batch = shipper.export_batch()?;
-                    applied += receiver.apply_batch(&batch)?;
+                Err(e) => {
+                    first_err.get_or_insert(e);
                 }
             }
         }
-        Ok(applied)
+        match first_err {
+            None => Ok(applied),
+            Some(e) => Err(e.into()),
+        }
     }
 
     /// The analyzer's model of this federation: each member's stored
@@ -735,8 +735,9 @@ impl Federation {
     /// Switch every polled tight link to **live** replication: each gets a
     /// background thread tailing its satellite's binlog at `interval` —
     /// the paper's "live replication to the central federation hub
-    /// database". Returns how many links switched. Loose and
-    /// already-live links are untouched.
+    /// database". Returns how many links switched. Already-live links are
+    /// untouched, and so are loose members: their links stay polled, a
+    /// batch per [`Federation::sync`] or [`Federation::supervise`].
     ///
     /// Runs [`Federation::preflight`] first and refuses with
     /// [`FederationError::Preflight`] when it reports any Error-severity
@@ -902,21 +903,11 @@ impl Federation {
         }
         let dump = self.hub.regeneration_dump(instance.name())?;
         instance.restore_from_dump(&dump)?;
+        // Skip the restore's replay: the hub already holds that data. Live
+        // links were stopped above, so the link is polled.
         let position = instance.database().read().binlog_position();
-        match &mut self.members[idx].link {
-            Link::Polled(rep) => {
-                rep.seek(position)
-                    // xc-allow: position read from the link's source binlog above
-                    .expect("seek to the restored instance's own head is never beyond-tail");
-            }
-            // Live links were stopped above.
-            Link::Live(_) | Link::Swapping => {}
-            Link::Loose { shipper, .. } => {
-                // Recreate the shipper at the new epoch; the hub-side
-                // receiver keeps its state (the hub data is unchanged).
-                *shipper = LooseShipper::new(instance.database());
-                shipper.export_batch()?; // skip restore replay
-            }
+        if let Link::Polled(rep) = &mut self.members[idx].link {
+            rep.seek(position)?;
         }
         Ok(())
     }
@@ -952,8 +943,8 @@ impl Federation {
     ///    since the last tick is resynced from the source tables
     ///    ([`Replicator::resync_target`] — checksum-grade, filter-aware);
     /// 3. otherwise the link is driven once (poll with up to
-    ///    `policy.retry.max_attempts` synchronous retries / loose
-    ///    ship+apply / live error inspection);
+    ///    `policy.retry.max_attempts` synchronous retries / live error
+    ///    inspection);
     /// 4. `policy.max_failures` consecutive failed ticks **quarantine**
     ///    the member: its link is parked, `sync`/`supervise`/`go_live*`
     ///    skip it, and `federation_quarantines_total{link=..}` plus a
@@ -1116,11 +1107,6 @@ impl Federation {
                 Some(e) => Err(e.to_string()),
             },
             Link::Swapping => Err("link mid-swap".to_owned()),
-            Link::Loose { shipper, receiver } => shipper
-                .export_batch()
-                .and_then(|batch| receiver.apply_batch(&batch))
-                .map(|_| ())
-                .map_err(|e| e.to_string()),
         };
         match outcome {
             Ok(()) => {
@@ -1234,7 +1220,6 @@ impl Federation {
                 }
             }
             Link::Swapping => stale(),
-            Link::Loose { .. } => MemberHealth::Live,
         }
     }
 
@@ -1360,9 +1345,9 @@ impl Federation {
 
     /// Thread a seeded fault injector through the federation: every
     /// member's satellite database (binlog-read and apply points) and
-    /// every polled tight link's transport. Live links pick the injector
-    /// up when (re)built from a polled link; simplest is to inject
-    /// before `go_live*`.
+    /// every polled link's transport, loose members' included. Live links
+    /// pick the injector up when (re)built from a polled link; simplest is
+    /// to inject before `go_live*`.
     pub fn inject_chaos(&mut self, injector: &FaultInjector) {
         for member in &mut self.members {
             member
@@ -1457,6 +1442,50 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             fed.members(),
             vec![("x", FederationMode::Tight), ("y", FederationMode::Loose)]
         );
+        // Only the tight member goes live; the loose one stays polled.
+        assert_eq!(fed.go_live_forced(Duration::from_millis(1)), 1);
+        assert!(matches!(
+            fed.pause_member("y"),
+            Err(FederationError::LinkNotLive(_))
+        ));
+        fed.quiesce().unwrap();
+    }
+
+    /// Arm `spec` on the hub database's fault points, as target `hub`.
+    fn fail_hub_applies(fed: &Federation, spec: xdmod_chaos::FaultSpec) {
+        let injector = xdmod_chaos::FaultPlan::new()
+            .with(spec.for_target("hub"))
+            .injector(1);
+        fed.hub()
+            .database()
+            .write()
+            .set_fault_injector(injector, "hub");
+    }
+
+    #[test]
+    fn sync_polls_every_member_past_a_failing_one() {
+        use xdmod_chaos::{FaultKind, FaultPoint, FaultSpec};
+        let x = instance("x", SACCT_X, "r-x");
+        let y = instance("y", SACCT_Y, "r-y");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        fed.join_tight(&y, FederationConfig::default()).unwrap();
+        // The hub's first apply is x's first event.
+        fail_hub_applies(
+            &fed,
+            FaultSpec::at_ops(FaultPoint::Apply, FaultKind::Transient, &[1]),
+        );
+        let err = fed.sync().unwrap_err();
+        assert!(
+            matches!(err, FederationError::Warehouse(WarehouseError::Io(_))),
+            "{err:?}"
+        );
+        // y's two jobs landed in the same call; x's one follows next call.
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
+        assert!(fed.sync().unwrap() > 0);
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
+        assert!(fed.is_consistent_with(&x).unwrap());
+        assert!(fed.is_consistent_with(&y).unwrap());
     }
 
     #[test]
@@ -1956,5 +1985,81 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let text = report.render();
         assert!(text.contains("Satellite health"), "report: {text}");
         assert!(text.contains("x: live"), "report: {text}");
+    }
+
+    #[test]
+    fn loose_member_retries_a_failed_batch_on_the_next_sync() {
+        use xdmod_chaos::{FaultKind, FaultPoint, FaultSpec};
+        let y = instance("y", SACCT_Y, "r-y");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_loose(&y, FederationConfig::default()).unwrap();
+        // The hub's third apply is y's first batch of job rows.
+        fail_hub_applies(
+            &fed,
+            FaultSpec::at_ops(FaultPoint::Apply, FaultKind::Transient, &[3]),
+        );
+        assert!(fed.sync().is_err());
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 0);
+        assert!(fed.sync().unwrap() > 0);
+        assert_eq!(
+            fed.hub().federated_fact_rows(RealmKind::Jobs),
+            y.fact_rows(RealmKind::Jobs).unwrap()
+        );
+        assert!(fed.is_consistent_with(&y).unwrap());
+    }
+
+    #[test]
+    fn reinstating_a_quarantined_loose_member_resyncs_it() {
+        use xdmod_chaos::{FaultKind, FaultPoint, FaultSpec};
+        let mut y = instance("y", SACCT_Y, "r-y");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_loose(&y, FederationConfig::default()).unwrap();
+        fail_hub_applies(
+            &fed,
+            FaultSpec::every(FaultPoint::Apply, FaultKind::Transient, 1).with_budget(2),
+        );
+        let policy = SupervisorPolicy::default()
+            .with_max_failures(2)
+            .with_retry(RetryPolicy::no_retries());
+        fed.supervise(&policy);
+        let second = fed.supervise(&policy);
+        assert_eq!(second.health_of("y"), Some(MemberHealth::Quarantined));
+        // Parked: the satellite moves on and sync leaves it alone.
+        y.ingest_sacct("r-y", SACCT_X).unwrap();
+        fed.sync().unwrap();
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 0);
+
+        fed.reinstate_member("y").unwrap();
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
+        assert!(fed.is_consistent_with(&y).unwrap());
+        assert_eq!(fed.health()[0].1, MemberHealth::Live);
+        assert_eq!(
+            fed.hub()
+                .telemetry()
+                .snapshot()
+                .counter("replication_resyncs_total", &[("link", "y")]),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn loose_member_backlog_is_lag_and_moves_the_link_counters() {
+        let y = instance("y", SACCT_Y, "r-y");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_loose(&y, FederationConfig::default()).unwrap();
+        assert!(matches!(
+            fed.health()[0].1,
+            MemberHealth::Lagging { behind } if behind > 0
+        ));
+        fed.sync().unwrap();
+        assert_eq!(fed.health()[0].1, MemberHealth::Live);
+        let snap = fed.hub().telemetry().snapshot();
+        assert!(snap
+            .counter("replication_events_applied_total", &[("link", "y")])
+            .is_some_and(|n| n > 0));
+        assert_eq!(
+            snap.gauge("replication_lag_events", &[("link", "y")]),
+            Some(0.0)
+        );
     }
 }

@@ -10,8 +10,8 @@
 //!   per XDMoD instance";
 //! - **selective replication** ([`filter::ReplicationFilter`]): realm
 //!   /table selection and per-resource routing (§II-C4);
-//! - **loose federation** ([`loose`]): periodically shipped binlog
-//!   batches or database dumps, batch-processed at the hub (§II-C2);
+//! - **loose federation** (§II-C2): a batch-polled
+//!   [`replicator::Replicator`], or shipped database dumps ([`loose`]);
 //! - **consistency verification** ([`consistency`]): checksum proof that
 //!   "no data are lost or changed" in transit.
 
@@ -26,7 +26,7 @@ pub mod replicator;
 pub use consistency::{schemas_match, verify_schemas, TableCheck};
 pub use error::ReplicationError;
 pub use filter::ReplicationFilter;
-pub use loose::{receive_dump, ship_dump, LooseReceiver, LooseShipper};
+pub use loose::{receive_dump, ship_dump};
 pub use replicator::{
     LinkConfig, LinkStats, LiveReplicator, Replicator, ResyncReport, RetryPolicy,
 };

@@ -9,103 +9,20 @@
 //! from some member instances and tight federation from others."
 //! (§II-C2)
 //!
-//! Two mechanisms are provided, matching the paper's two options:
+//! Only the "database dumps" option lives here: [`ship_dump`] captures
+//! the satellite schema, and [`receive_dump`] applies it on the hub with
+//! replace semantics through [`LinkConfig::route`], the replay step a
+//! resync also takes.
 //!
-//! - [`LooseShipper`] — exports the satellite's framed **binlog bytes**
-//!   since the last shipment (the "log files" option); the hub side
-//!   decodes them and batch-applies them.
-//! - [`ship_dump`] / [`receive_dump`] — full **database dumps** of the
-//!   satellite schema under its own name, applied with replace semantics
-//!   on the hub.
-//!
-//! Both receivers rename, select tables and route resources on the hub
-//! through [`LinkConfig::route`], the same step the tight link takes.
+//! The "log files" option is a [`Replicator`](crate::Replicator) that is
+//! driven only by `Federation::sync` and `Federation::supervise`, never
+//! live: it reads the framed binlog after a position the hub keeps and
+//! advances that position only past applied events, so a batch that
+//! fails to apply is read again on the next call.
 
 use crate::replicator::{LinkConfig, ResyncReport};
-use xdmod_warehouse::binlog::{decode_stream, EventPayload};
-use xdmod_warehouse::{Database, LogPosition, Result, SharedDatabase, Snapshot, WarehouseError};
-
-/// Satellite-side exporter of binlog batches.
-pub struct LooseShipper {
-    source: SharedDatabase,
-    position: LogPosition,
-}
-
-impl LooseShipper {
-    /// Start shipping from the beginning of the source's log.
-    pub fn new(source: SharedDatabase) -> Self {
-        LooseShipper {
-            source,
-            position: LogPosition::START,
-        }
-    }
-
-    /// Watermark of the last exported record.
-    pub fn position(&self) -> LogPosition {
-        self.position
-    }
-
-    /// Export everything since the last shipment as a framed byte batch
-    /// (the "file" that would be scp'd to the hub). Empty when quiescent.
-    pub fn export_batch(&mut self) -> Result<Vec<u8>> {
-        let src = self.source.read();
-        let bytes = src.binlog_export(self.position)?;
-        self.position = src.binlog_position();
-        Ok(bytes)
-    }
-}
-
-/// Hub-side batch processor for shipped binlog files.
-pub struct LooseReceiver {
-    target: SharedDatabase,
-    config: LinkConfig,
-    /// Position of the last applied record, for replay detection.
-    applied_to: LogPosition,
-}
-
-impl LooseReceiver {
-    /// Create a receiver applying into `target` under `config`.
-    pub fn new(target: SharedDatabase, config: LinkConfig) -> Self {
-        LooseReceiver {
-            target,
-            config,
-            applied_to: LogPosition::START,
-        }
-    }
-
-    /// Decode and apply one shipped batch. Records at or before the
-    /// last-applied position are skipped (duplicate shipment tolerance);
-    /// gaps are an error, since a skipped file means lost data.
-    pub fn apply_batch(&mut self, batch: &[u8]) -> Result<usize> {
-        if batch.is_empty() {
-            return Ok(0);
-        }
-        let events = decode_stream(batch)?;
-        let mut applied = 0usize;
-        for ev in events {
-            if ev.position <= self.applied_to {
-                continue; // duplicate shipment
-            }
-            let expected = LogPosition {
-                epoch: self.applied_to.epoch,
-                seqno: self.applied_to.seqno + 1,
-            };
-            if ev.position.epoch == self.applied_to.epoch && ev.position != expected {
-                return Err(WarehouseError::CorruptBinlog(format!(
-                    "shipment gap: expected {expected}, got {}",
-                    ev.position
-                )));
-            }
-            let mut target = self.target.write();
-            if let Some(payload) = self.config.route(ev.payload, &target) {
-                target.apply_event(payload)?;
-                applied += 1;
-            }
-            self.applied_to = ev.position;
-        }
-        Ok(applied)
-    }
-}
+use xdmod_warehouse::binlog::EventPayload;
+use xdmod_warehouse::{Database, Result, Snapshot};
 
 /// Export a full database dump of the satellite's `schema` — the paper's
 /// "database dumps ... periodically shipped" mode.
@@ -159,7 +76,7 @@ mod tests {
     use super::*;
     use crate::filter::ReplicationFilter;
     use std::sync::Arc;
-    use xdmod_warehouse::{shared, ColumnType, SchemaBuilder, Value};
+    use xdmod_warehouse::{shared, ColumnType, SchemaBuilder, SharedDatabase, Value};
 
     fn satellite(schema: &str, n_rows: usize) -> SharedDatabase {
         let mut db = Database::new();
@@ -178,141 +95,6 @@ mod tests {
             .collect();
         db.insert(schema, "jobfact", rows).unwrap();
         shared(db)
-    }
-
-    #[test]
-    fn binlog_shipping_round_trip() {
-        let src = satellite("xdmod_x", 3);
-        let hub = shared(Database::new());
-        let mut shipper = LooseShipper::new(Arc::clone(&src));
-        let mut receiver =
-            LooseReceiver::new(Arc::clone(&hub), LinkConfig::renaming("xdmod_x", "hub_x"));
-        let batch = shipper.export_batch().unwrap();
-        assert!(!batch.is_empty());
-        receiver.apply_batch(&batch).unwrap();
-        assert_eq!(hub.read().table("hub_x", "jobfact").unwrap().len(), 3);
-        // Quiescent second shipment is empty and harmless.
-        let batch2 = shipper.export_batch().unwrap();
-        assert!(batch2.is_empty());
-        assert_eq!(receiver.apply_batch(&batch2).unwrap(), 0);
-    }
-
-    #[test]
-    fn incremental_batches_carry_only_new_data() {
-        let src = satellite("xdmod_x", 1);
-        let hub = shared(Database::new());
-        let mut shipper = LooseShipper::new(Arc::clone(&src));
-        let mut receiver =
-            LooseReceiver::new(Arc::clone(&hub), LinkConfig::renaming("xdmod_x", "hub_x"));
-        receiver
-            .apply_batch(&shipper.export_batch().unwrap())
-            .unwrap();
-        src.write()
-            .insert(
-                "xdmod_x",
-                "jobfact",
-                vec![vec![Value::Str("comet".into()), Value::Float(9.0)]],
-            )
-            .unwrap();
-        let applied = receiver
-            .apply_batch(&shipper.export_batch().unwrap())
-            .unwrap();
-        assert_eq!(applied, 1);
-        assert_eq!(hub.read().table("hub_x", "jobfact").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn duplicate_shipment_is_skipped() {
-        let src = satellite("xdmod_x", 2);
-        let hub = shared(Database::new());
-        let mut shipper = LooseShipper::new(Arc::clone(&src));
-        let batch = shipper.export_batch().unwrap();
-        let mut receiver =
-            LooseReceiver::new(Arc::clone(&hub), LinkConfig::renaming("xdmod_x", "hub_x"));
-        receiver.apply_batch(&batch).unwrap();
-        let applied_again = receiver.apply_batch(&batch).unwrap();
-        assert_eq!(applied_again, 0);
-        assert_eq!(hub.read().table("hub_x", "jobfact").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn shipment_gap_is_detected() {
-        let src = satellite("xdmod_x", 1);
-        let mut shipper = LooseShipper::new(Arc::clone(&src));
-        let _skipped = shipper.export_batch().unwrap(); // batch 1 lost in transit
-        src.write()
-            .insert(
-                "xdmod_x",
-                "jobfact",
-                vec![vec![Value::Str("comet".into()), Value::Float(9.0)]],
-            )
-            .unwrap();
-        let batch2 = shipper.export_batch().unwrap();
-        let hub = shared(Database::new());
-        let mut receiver = LooseReceiver::new(hub, LinkConfig::renaming("xdmod_x", "hub_x"));
-        let err = receiver.apply_batch(&batch2).unwrap_err();
-        assert!(err.to_string().contains("gap"));
-    }
-
-    #[test]
-    fn corrupted_shipment_rejected() {
-        let src = satellite("xdmod_x", 1);
-        let mut shipper = LooseShipper::new(src);
-        let mut bytes = shipper.export_batch().unwrap();
-        let n = bytes.len();
-        bytes[n / 2] ^= 0x40;
-        let hub = shared(Database::new());
-        let mut receiver = LooseReceiver::new(hub, LinkConfig::passthrough());
-        assert!(receiver.apply_batch(&bytes).is_err());
-    }
-
-    #[test]
-    fn rows_too_short_for_the_resource_column_are_rejected_not_a_panic() {
-        let one_table = |columns: &[(&str, ColumnType)], row: Vec<Value>| {
-            let mut db = Database::new();
-            db.create_schema("xdmod_x").unwrap();
-            let def = columns
-                .iter()
-                .fold(SchemaBuilder::new("jobfact"), |b, (name, ty)| {
-                    b.required(name, *ty)
-                });
-            db.create_table("xdmod_x", def.build().unwrap()).unwrap();
-            db.insert("xdmod_x", "jobfact", vec![row]).unwrap();
-            shared(db)
-        };
-        let a = one_table(
-            &[
-                ("cpu_hours", ColumnType::Float),
-                ("resource", ColumnType::Str),
-            ],
-            vec![Value::Float(1.0), Value::Str("open".into())],
-        );
-        let b = one_table(&[("cpu_hours", ColumnType::Float)], vec![Value::Float(2.0)]);
-        let link = LinkConfig::renaming("xdmod_x", "hub_x").with_filter(
-            ReplicationFilter::all()
-                .with_resource_column("jobfact", "resource")
-                .exclude_resource("secret"),
-        );
-        let hub = shared(Database::new());
-        let mut receiver = LooseReceiver::new(Arc::clone(&hub), link);
-        receiver
-            .apply_batch(&LooseShipper::new(a).export_batch().unwrap())
-            .unwrap();
-        // B's next record continues A's numbering, so the receiver takes
-        // it: a one-column row routed against the hub's two-column table.
-        let mut shipper = LooseShipper::new(Arc::clone(&b));
-        shipper.export_batch().unwrap();
-        b.write()
-            .insert("xdmod_x", "jobfact", vec![vec![Value::Float(3.0)]])
-            .unwrap();
-        let err = receiver
-            .apply_batch(&shipper.export_batch().unwrap())
-            .unwrap_err();
-        assert_eq!(
-            err.to_string(),
-            "schema mismatch: table jobfact expects 2 columns, row has 1"
-        );
-        assert_eq!(hub.read().table("hub_x", "jobfact").unwrap().len(), 1);
     }
 
     #[test]

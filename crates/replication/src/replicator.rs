@@ -65,8 +65,8 @@ impl LinkConfig {
         self
     }
 
-    /// The one link step every path takes — tight polls, loose batches,
-    /// dumps and resync. Drops events of other schemas, renames, then
+    /// The one link step every path takes — polls (tight and loose
+    /// members alike), dumps and resync. Drops events of other schemas, renames, then
     /// applies the filter, resolving resource columns on the `target`
     /// table the rows land in. `None` means the link drops the event.
     pub fn route(&self, payload: EventPayload, target: &Database) -> Option<EventPayload> {
@@ -1804,8 +1804,8 @@ mod tests {
     }
 
     #[test]
-    fn the_four_link_paths_agree() {
-        use crate::loose::{receive_dump, ship_dump, LooseReceiver, LooseShipper};
+    fn the_link_paths_agree() {
+        use crate::loose::{receive_dump, ship_dump};
         use xdmod_warehouse::PagingConfig;
         // One history: both realms, a resource mix, and a truncate the
         // log replays but a capture never sees.
@@ -1858,12 +1858,6 @@ mod tests {
                 .unwrap();
             None
         };
-        let loose: Path = |src, hub, link| {
-            let batch = LooseShipper::new(Arc::clone(src)).export_batch().unwrap();
-            let mut receiver = LooseReceiver::new(Arc::clone(hub), link);
-            receiver.apply_batch(&batch).unwrap();
-            None
-        };
         let dump: Path = |src, hub, link| {
             let bytes = ship_dump(&src.read(), "xdmod_x").unwrap();
             Some(receive_dump(&mut hub.write(), &bytes, &link).unwrap())
@@ -1874,7 +1868,6 @@ mod tests {
         };
         let arms = [
             ("poll", &dense, poll),
-            ("loose", &dense, loose),
             ("dump", &dense, dump),
             ("resync", &dense, resync),
             ("paged dump", &paged, dump),
@@ -1900,6 +1893,52 @@ mod tests {
         }
         drop(paged);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rows_too_short_for_the_resource_column_are_rejected_not_a_panic() {
+        let one_table = |columns: &[(&str, ColumnType)], row: Vec<Value>| {
+            let mut db = Database::new();
+            db.create_schema("xdmod_x").unwrap();
+            let def = columns
+                .iter()
+                .fold(SchemaBuilder::new("jobfact"), |b, (name, ty)| {
+                    b.required(name, *ty)
+                });
+            db.create_table("xdmod_x", def.build().unwrap()).unwrap();
+            db.insert("xdmod_x", "jobfact", vec![row]).unwrap();
+            shared(db)
+        };
+        let a = one_table(
+            &[
+                ("cpu_hours", ColumnType::Float),
+                ("resource", ColumnType::Str),
+            ],
+            vec![Value::Float(1.0), Value::Str("open".into())],
+        );
+        let b = one_table(&[("cpu_hours", ColumnType::Float)], vec![Value::Float(2.0)]);
+        let link = LinkConfig::renaming("xdmod_x", "hub_x").with_filter(
+            ReplicationFilter::all()
+                .with_resource_column("jobfact", "resource")
+                .exclude_resource("secret"),
+        );
+        let hub = shared(Database::new());
+        Replicator::new(a, Arc::clone(&hub), link.clone())
+            .poll()
+            .unwrap();
+        // B's link starts past B's own DDL, so its next record — a
+        // one-column row — is routed against the hub's two-column table.
+        let mut from_b = Replicator::new(Arc::clone(&b), Arc::clone(&hub), link);
+        from_b.seek(b.read().binlog_position()).unwrap();
+        b.write()
+            .insert("xdmod_x", "jobfact", vec![vec![Value::Float(3.0)]])
+            .unwrap();
+        let err = from_b.poll().unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "schema mismatch: table jobfact expects 2 columns, row has 1"
+        );
+        assert_eq!(hub.read().table("hub_x", "jobfact").unwrap().len(), 1);
     }
 
     #[test]

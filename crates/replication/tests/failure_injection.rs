@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use xdmod_replication::{LinkConfig, LiveReplicator, LooseReceiver, LooseShipper, Replicator};
+use xdmod_replication::{LinkConfig, LiveReplicator, Replicator};
 use xdmod_warehouse::{
     shared, AggFn, Aggregate, AggregationSpec, CivilDate, ColumnType, Database, DimSpec,
     LogPosition, Period, SchemaBuilder, SharedDatabase, Value,
@@ -66,33 +66,40 @@ fn replicator_restart_resumes_from_watermark() {
 }
 
 #[test]
-fn corrupted_loose_batch_leaves_receiver_consistent() {
+fn source_tail_damaged_mid_stream_lands_every_row_exactly_once() {
     let src = satellite(3);
     let hub = shared(Database::new());
-    let mut shipper = LooseShipper::new(Arc::clone(&src));
-    let mut receiver =
-        LooseReceiver::new(Arc::clone(&hub), LinkConfig::renaming("xdmod_x", "hub_x"));
-    let batch = shipper.export_batch().unwrap();
-    // Corrupt the middle of the batch in transit.
-    let mut bytes = batch.clone();
-    let mid = bytes.len() / 2;
-    bytes[mid] ^= 0xA5;
-    assert!(receiver.apply_batch(&bytes).is_err());
-    // The intact original still applies from the receiver's watermark —
-    // nothing applied from the corrupt copy may be double-applied.
-    let applied = receiver.apply_batch(&batch).unwrap();
-    assert!(applied > 0);
-    assert_eq!(hub.read().table("hub_x", "jobfact").unwrap().len(), 3);
-    assert_eq!(
-        src.read()
-            .table("xdmod_x", "jobfact")
-            .unwrap()
-            .content_checksum(),
-        hub.read()
-            .table("hub_x", "jobfact")
-            .unwrap()
-            .content_checksum()
+    let mut rep = Replicator::new(
+        Arc::clone(&src),
+        Arc::clone(&hub),
+        LinkConfig::renaming("xdmod_x", "hub_x"),
     );
+    rep.poll().unwrap();
+    // Two more rows, then a crash damages the record of the second one.
+    let row = |v: f64| vec![vec![Value::Str("r".into()), Value::Float(v)]];
+    {
+        let mut s = src.write();
+        s.insert("xdmod_x", "jobfact", row(3.0)).unwrap();
+        s.insert("xdmod_x", "jobfact", row(4.0)).unwrap();
+        assert!(s.corrupt_binlog_tail_byte());
+    }
+    // The poll repairs the source log past the damage and applies the
+    // surviving record; the dropped one's row exists only in the table.
+    assert_eq!(rep.poll().unwrap(), 1);
+    assert_eq!(rep.stats().source_repairs, 1);
+    assert_eq!(hub.read().table("hub_x", "jobfact").unwrap().len(), 4);
+    // The repair is the cue to resync; later rows land once on top of it.
+    rep.resync_target().unwrap();
+    src.write().insert("xdmod_x", "jobfact", row(5.0)).unwrap();
+    assert_eq!(rep.poll().unwrap(), 1);
+    assert_eq!(rep.poll().unwrap(), 0);
+    let (src, hub) = (src.read(), hub.read());
+    let (ours, theirs) = (
+        src.table("xdmod_x", "jobfact").unwrap(),
+        hub.table("hub_x", "jobfact").unwrap(),
+    );
+    assert_eq!((ours.len(), theirs.len()), (6, 6));
+    assert_eq!(ours.content_checksum(), theirs.content_checksum());
 }
 
 #[test]

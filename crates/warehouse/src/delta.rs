@@ -1,6 +1,6 @@
 //! The warehouse's one cache: retained partials per (table, query).
 //!
-//! Every cached answer is a [`DeltaEntry`] keyed by `(schema, fact
+//! Every cached answer is a `DeltaEntry` keyed by `(schema, fact
 //! table, query fingerprint)`: the per-shard [`ShardedPartials`] folded
 //! through a binlog **cursor**, the result finalized from them, and the
 //! rebuild generation they were built under.

@@ -702,7 +702,7 @@ impl PagedStore {
     /// Order-independent content checksum, identical to the dense
     /// algorithm for the same rows. Pure arithmetic over incrementally
     /// maintained per-page pieces — spilled pages are *not* faulted in.
-    /// Lost pages fold [`LOST_MARKER`] so the checksum visibly diverges
+    /// Lost pages fold `LOST_MARKER` so the checksum visibly diverges
     /// and replication consistency checks trigger a healing resync.
     pub fn content_checksum(&self) -> u64 {
         let mut acc = CHECKSUM_SEED ^ self.total_rows.load(Ordering::SeqCst);
