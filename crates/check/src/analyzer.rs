@@ -479,8 +479,9 @@ fn check_excluded_resources(model: &FederationModel, diags: &mut Diagnostics) {
 /// transient fault straight to `member_last_error` instead of fast
 /// retrying, so a single dropped packet marks the member failing and
 /// burns one of the supervisor's quarantine strikes. `retries: 0` is
-/// only sensible on loose links, where the batch export is re-run by an
-/// operator anyway.
+/// harmless on loose links, which never run a worker: `sync` and each
+/// supervision tick poll them, and a failed batch is retried on the
+/// next call.
 fn check_zero_retry_tight_links(model: &FederationModel, diags: &mut Diagnostics) {
     for sat in &model.satellites {
         if sat.link.mode.as_deref() == Some("tight") && sat.link.retries == Some(0) {

@@ -4,13 +4,14 @@
 //! providing the ability for multiple disparate XDMoD installations to
 //! replicate their raw data to a central, federated hub server." (§I-E)
 //!
-//! A [`Federation`] owns the hub plus one [`Replicator`] per satellite,
+//! A [`Federation`] owns the hub plus one link per satellite — a
+//! [`LiveReplicator`] holding the member's [`Replicator`] for life,
 //! pulling into the hub from a position the hub keeps — **tight** (tailed
-//! live once [`Federation::go_live`] runs) or **loose** (a batch per
-//! [`Federation::sync`] or supervision tick), freely mixed (§II-C2's
-//! heterogeneous model). Joining enforces the version gate and stores the
-//! member's `xdmod_check::SatelliteModel`, the one record its link is
-//! compiled from and pre-flight vets; a programmatic join's
+//! by a worker thread once [`Federation::go_live`] runs) or **loose** (a
+//! batch per [`Federation::sync`] or supervision tick), freely mixed
+//! (§II-C2's heterogeneous model). Joining enforces the version gate and
+//! stores the member's `xdmod_check::SatelliteModel`, the one record its
+//! link is compiled from and pre-flight vets; a programmatic join's
 //! [`FederationConfig`] chooses which realms replicate (the initial
 //! release federates only HPC Jobs) and which resources are excluded from
 //! federation (§II-C4).
@@ -243,28 +244,18 @@ pub enum FederationMode {
     Loose,
 }
 
-/// A link is either hand-polled (`sync` drives it) or, for a tight
-/// member, live (a background thread tails the binlog; `sync` leaves it
-/// alone). `Swapping` is a transient placeholder while a link moves
-/// between polled and live — never observable between `&mut self` calls.
-enum Link {
-    Polled(Replicator),
-    Live(LiveReplicator),
-    Swapping,
-}
-
 /// One federated satellite: the record its link runs from, and the link.
 struct Member {
     /// The member's topology, join-time SU factors included, as
     /// [`Federation::preflight`] vets it (plus the live catalog).
     model: SatelliteModel,
-    /// The rename and filter compiled from `model` at join (a panicked
-    /// live link is rebuilt from it).
-    link_config: LinkConfig,
-    link: Link,
+    /// The member's one link: hand-polled (`sync` drives it) or, for a
+    /// tight member after `go_live*`, tailed by a worker thread (`sync`
+    /// leaves it alone).
+    link: LiveReplicator,
     /// The satellite's database handle, captured at join so pre-flight
-    /// can introspect the source catalog (and a panicked live link can
-    /// be rebuilt) without the `XdmodInstance` in hand.
+    /// can introspect the source catalog and chaos can be wired into it
+    /// without the `XdmodInstance` in hand.
     source_db: SharedDatabase,
     /// Supervision bookkeeping (failure streak, quarantine flag).
     supervision: SupervisionState,
@@ -285,55 +276,17 @@ impl Member {
         }
     }
 
-    /// Switch a polled tight link to a live worker tailing the binlog at
-    /// `interval`. Returns whether it switched (loose and already-live
-    /// links are left alone).
+    /// Start a worker tailing a tight member's binlog at `interval`, with
+    /// the member's own retry policy. Returns whether it started (loose
+    /// and already-live links are left alone).
     fn start_live(&mut self, interval: Duration) -> bool {
-        if self.mode() == FederationMode::Loose {
+        if self.mode() == FederationMode::Loose
+            || !self.link.start_live(interval, retry_policy(&self.model))
+        {
             return false;
         }
-        match std::mem::replace(&mut self.link, Link::Swapping) {
-            Link::Polled(rep) => {
-                let policy = retry_policy(&self.model);
-                self.link = Link::Live(LiveReplicator::start_with_policy(rep, interval, policy));
-                self.live_interval = Some(interval);
-                true
-            }
-            other => {
-                self.link = other;
-                false
-            }
-        }
-    }
-
-    /// Stop a live link and go back to polling, absorbing a panicked
-    /// worker: the member gets a fresh polled replicator seeked to the
-    /// source binlog head (the dead worker applied an unknown prefix of
-    /// history; restarting from zero would replay it into the hub), and
-    /// the panic is returned as data. Other links are left alone.
-    fn stop_live(&mut self, hub: &FederationHub) -> Option<ReplicationError> {
-        let live = match std::mem::replace(&mut self.link, Link::Swapping) {
-            Link::Live(live) => live,
-            other => {
-                self.link = other;
-                return None;
-            }
-        };
-        let (rep, err) = match live.stop() {
-            Ok(rep) => (rep, None),
-            Err(e) => {
-                let config = self.link_config.clone();
-                let mut rebuilt = Replicator::new(self.source_db.clone(), hub.database(), config)
-                    .with_telemetry(hub.telemetry().clone(), &self.model.name);
-                let head = self.source_db.read().binlog_position();
-                rebuilt
-                    .seek(head)
-                    .expect("seek to the source's own head is never beyond-tail"); // xc-allow: head read from the same binlog one line above
-                (rebuilt, Some(e))
-            }
-        };
-        self.link = Link::Polled(rep);
-        err
+        self.live_interval = Some(interval);
+        true
     }
 }
 
@@ -471,12 +424,11 @@ impl Federation {
         if self.members.iter().any(|m| m.name() == instance.name()) {
             return Err(FederationError::DuplicateMember(instance.name().to_owned()));
         }
-        let link_config = Self::link_for(instance, &model)?;
-        let link = Link::Polled(
+        let link = LiveReplicator::new(
             Replicator::new(
                 instance.database(),
                 self.hub.database(),
-                link_config.clone(),
+                Self::link_for(instance, &model)?,
             )
             .with_telemetry(self.hub.telemetry().clone(), instance.name()),
         );
@@ -488,7 +440,6 @@ impl Federation {
         self.hub.register_satellite(instance.name());
         self.members.push(Member {
             model,
-            link_config,
             link,
             source_db: instance.database(),
             supervision: SupervisionState::default(),
@@ -547,9 +498,9 @@ impl Federation {
         Ok(LinkConfig::renaming(&source_schema, &hub_schema).with_filter(filter(model)))
     }
 
-    /// Poll every polled link once: each loose member's, and each tight
-    /// member's that is not live. Live links are skipped — their
-    /// background threads are already draining the binlog — and so are
+    /// Poll once every link with no worker running: each loose member's,
+    /// and each tight member's that is not live. Live links are skipped —
+    /// their workers are already draining the binlog — and so are
     /// quarantined members (see [`Federation::supervise`]). A link stops
     /// at its first failing event and retries it on the next call; the
     /// other members are still polled, and the first error is returned
@@ -559,13 +510,10 @@ impl Federation {
         let mut applied = 0;
         let mut first_err = None;
         for member in &mut self.members {
-            if member.supervision.quarantined {
+            if member.supervision.quarantined || member.link.is_live() {
                 continue;
             }
-            let Link::Polled(rep) = &mut member.link else {
-                continue;
-            };
-            match rep.poll() {
+            match member.link.poll() {
                 Ok(n) => {
                     applied += n;
                     // A successful poll drains the backlog a quiesce left
@@ -780,22 +728,22 @@ impl Federation {
         switched
     }
 
-    /// Stop every live link: each background thread drains any remaining
-    /// events, takes a final lag sample (the gauges settle to 0), and
-    /// hands its replicator back for polled operation. Returns how many
-    /// links were stopped. A link whose worker panicked is rebuilt in
-    /// polled mode (see `Member::stop_live`) and the first such panic is
-    /// returned as [`FederationError::Replication`] — after stopping the
-    /// rest.
+    /// Stop every live link's worker: each drains any remaining events
+    /// and takes a final lag sample (the gauges settle to 0), and the
+    /// link stays in place, polled from its own watermark. Returns how
+    /// many links were stopped. The first panicked worker is returned as
+    /// [`FederationError::Replication`] — after stopping the rest; its
+    /// link polls on like any other.
     pub fn quiesce(&mut self) -> Result<usize, FederationError> {
         let mut stopped = 0;
         let mut first_err: Option<ReplicationError> = None;
         for member in &mut self.members {
-            if !matches!(member.link, Link::Live(_)) {
-                continue;
-            }
-            if let Some(e) = member.stop_live(&self.hub) {
-                first_err.get_or_insert(e);
+            match member.link.stop_live() {
+                Ok(false) => continue,
+                Ok(true) => {}
+                Err(e) => {
+                    first_err.get_or_insert(e);
+                }
             }
             self.drain.stale.lock().insert(member.name().to_owned());
             stopped += 1;
@@ -812,10 +760,10 @@ impl Federation {
             .iter()
             .find(|m| m.name() == name)
             .ok_or_else(|| FederationError::UnknownMember(name.to_owned()))?;
-        match &member.link {
-            Link::Live(live) => Ok(live),
-            _ => Err(FederationError::LinkNotLive(name.to_owned())),
+        if !member.link.is_live() {
+            return Err(FederationError::LinkNotLive(name.to_owned()));
         }
+        Ok(&member.link)
     }
 
     /// Pause a live member's replication thread (maintenance window). The
@@ -863,6 +811,7 @@ impl Federation {
             // verification is only meaningful for full replication.
             return Ok(true);
         }
+        let filter = filter(&member.model);
         let sat_db = instance.database();
         let hub_db = self.hub.database();
         let sat = sat_db.read();
@@ -870,7 +819,7 @@ impl Federation {
         let sat_schema = instance.schema_name();
         let hub_schema = FederationHub::schema_for(instance.name());
         for check in xdmod_replication::verify_schemas(&sat, &sat_schema, &hub, &hub_schema)? {
-            if !member.link_config.filter.table_passes(&check.table) {
+            if !filter.table_passes(&check.table) {
                 continue; // excluded realm, expected absent
             }
             // Aggregate tables built satellite-side aren't replicated.
@@ -893,22 +842,17 @@ impl Federation {
             .iter()
             .position(|m| m.name() == instance.name())
             .ok_or_else(|| FederationError::UnknownMember(instance.name().to_owned()))?;
-        // A live thread must not race the restore (it could replay the
+        // A live worker must not race the restore (it could replay the
         // restored history into the hub): stop it first — it drains, then
         // the link stays polled; the caller may `go_live` again. A
-        // panicked worker still leaves a usable polled link behind, but
-        // aborts the restore so the operator sees the failure.
-        if let Some(e) = self.members[idx].stop_live(&self.hub) {
-            return Err(e.into());
-        }
+        // panicked worker still leaves a usable link behind, but aborts
+        // the restore so the operator sees the failure.
+        self.members[idx].link.stop_live()?;
         let dump = self.hub.regeneration_dump(instance.name())?;
         instance.restore_from_dump(&dump)?;
-        // Skip the restore's replay: the hub already holds that data. Live
-        // links were stopped above, so the link is polled.
+        // Skip the restore's replay: the hub already holds that data.
         let position = instance.database().read().binlog_position();
-        if let Link::Polled(rep) = &mut self.members[idx].link {
-            rep.seek(position)?;
-        }
+        self.members[idx].link.seek(position)?;
         Ok(())
     }
 
@@ -935,16 +879,17 @@ impl Federation {
     /// Per non-quarantined member, in join order:
     ///
     /// 1. a **dead live worker** (panicked thread) is detected via
-    ///    [`LiveReplicator::is_dead`], the link is rebuilt in polled form
-    ///    from its resumable watermark, and — if the tick's drive then
-    ///    succeeds — relaunched live at its original interval;
-    /// 2. a polled link that has **diverged** (watermark beyond the
-    ///    source tail) or whose source **repaired a damaged binlog tail**
-    ///    since the last tick is resynced from the source tables
-    ///    ([`Replicator::resync_target`] — checksum-grade, filter-aware);
-    /// 3. otherwise the link is driven once (poll with up to
-    ///    `policy.retry.max_attempts` synchronous retries / live error
-    ///    inspection);
+    ///    [`LiveReplicator::is_dead`] and stopped — the link keeps its
+    ///    watermark — and, if the tick's drive then succeeds, relaunched
+    ///    at its original interval;
+    /// 2. a link, live or polled, that has **diverged** (watermark beyond
+    ///    the source tail) or whose source **repaired a damaged binlog
+    ///    tail** since the last tick is resynced from the source tables
+    ///    through the link ([`Replicator::resync_target`] —
+    ///    checksum-grade, filter-aware);
+    /// 3. otherwise a polled link is driven once (poll with up to
+    ///    `policy.retry.max_attempts` synchronous retries), and a live
+    ///    one reports its worker's [`LiveReplicator::last_error`];
     /// 4. `policy.max_failures` consecutive failed ticks **quarantine**
     ///    the member: its link is parked, `sync`/`supervise`/`go_live*`
     ///    skip it, and `federation_quarantines_total{link=..}` plus a
@@ -1069,51 +1014,41 @@ impl Federation {
             report.health = MemberHealth::Quarantined;
             return report;
         }
-        if matches!(&member.link, Link::Live(live) if live.is_dead()) {
+        let link = &mut member.link;
+        if link.is_dead() {
             report.restarted = true;
-            report.error = member.stop_live(hub).map(|e| e.to_string());
+            report.error = link.stop_live().err().map(|e| e.to_string());
             hub.telemetry().event(
                 "federation.link_restarted",
                 &format!(
-                    "{}: live worker died; link rebuilt from its resumable position",
-                    member.name()
+                    "{}: live worker died; link resumes from its own watermark",
+                    member.model.name
                 ),
             );
         }
-        let outcome: Result<(), String> = match &mut member.link {
-            Link::Polled(rep) => {
-                let needs_resync = rep.is_diverged()
-                    || rep.stats().source_repairs > member.supervision.repairs_seen;
-                let drive = if needs_resync {
-                    report.resynced = true;
-                    rep.resync_target().map(|_| ()).map_err(|e| e.to_string())
-                } else {
-                    let mut left = policy.retry.max_attempts;
-                    loop {
-                        match rep.poll() {
-                            Ok(_) => break Ok(()),
-                            Err(_) if left > 0 => left -= 1,
-                            Err(e) => break Err(e.to_string()),
-                        }
-                    }
-                };
-                if report.resynced {
-                    member.supervision.repairs_seen = rep.stats().source_repairs;
+        let source_repairs = link.stats().source_repairs;
+        let outcome = if link.is_diverged() || source_repairs > member.supervision.repairs_seen {
+            report.resynced = true;
+            member.supervision.repairs_seen = source_repairs;
+            link.resync_target().map(|_| ())
+        } else if link.is_live() {
+            link.last_error().map_or(Ok(()), Err)
+        } else {
+            let mut left = policy.retry.max_attempts;
+            loop {
+                match link.poll() {
+                    Ok(_) => break Ok(()),
+                    Err(_) if left > 0 => left -= 1,
+                    Err(e) => break Err(e),
                 }
-                drive
             }
-            Link::Live(live) => match live.last_error() {
-                None => Ok(()),
-                Some(e) => Err(e.to_string()),
-            },
-            Link::Swapping => Err("link mid-swap".to_owned()),
         };
         match outcome {
             Ok(()) => {
                 member.supervision.last_ok = Some(Instant::now());
                 if report.restarted {
-                    // A panic is a strike even though the rebuilt link
-                    // polls fine — a crash-looping worker must
+                    // A panic is a strike even though the link polls
+                    // fine — a crash-looping worker must
                     // eventually park instead of thrashing forever.
                     member.supervision.failures += 1;
                     if member.supervision.failures >= policy.max_failures {
@@ -1128,11 +1063,11 @@ impl Federation {
                 } else {
                     member.supervision.failures = 0;
                 }
-                report.health = Self::observed_health(hub, member, policy);
+                report.health = Self::observed_health(member, policy);
             }
             Err(e) => {
                 member.supervision.failures += 1;
-                report.error.get_or_insert(e);
+                report.error.get_or_insert(e.to_string());
                 if member.supervision.failures >= policy.max_failures {
                     Self::quarantine(hub, member);
                     report.quarantined_now = true;
@@ -1150,7 +1085,8 @@ impl Federation {
     /// Park a member: stop any live worker, flag it quarantined, and
     /// record the decision in the hub's telemetry.
     fn quarantine(hub: &FederationHub, member: &mut Member) {
-        member.stop_live(hub);
+        // A panicked worker is moot here: the member is parked either way.
+        let _ = member.link.stop_live();
         member.supervision.quarantined = true;
         hub.telemetry()
             .counter("federation_quarantines_total", &[("link", member.name())])
@@ -1175,18 +1111,15 @@ impl Federation {
 
     /// Health of one member as observable *right now*, without driving
     /// anything.
-    fn observed_health(
-        hub: &FederationHub,
-        member: &Member,
-        policy: &SupervisorPolicy,
-    ) -> MemberHealth {
+    fn observed_health(member: &Member, policy: &SupervisorPolicy) -> MemberHealth {
         if member.supervision.quarantined {
             return MemberHealth::Quarantined;
         }
         let stale = || MemberHealth::Stale {
             age_secs: Self::age_secs(member),
         };
-        if member.supervision.failures > 0 {
+        let link = &member.link;
+        if member.supervision.failures > 0 || link.is_dead() || link.last_error().is_some() {
             return stale();
         }
         if let Some(last) = member.supervision.last_ok {
@@ -1194,32 +1127,11 @@ impl Federation {
                 return stale();
             }
         }
-        match &member.link {
-            Link::Polled(rep) => {
-                let behind = rep.lag_events();
-                if behind > policy.lag_threshold {
-                    MemberHealth::Lagging { behind }
-                } else {
-                    MemberHealth::Live
-                }
-            }
-            Link::Live(live) => {
-                if live.is_dead() || live.last_error().is_some() {
-                    return stale();
-                }
-                let behind = hub
-                    .telemetry()
-                    .snapshot()
-                    .gauge("replication_lag_events", &[("link", member.name())])
-                    .map(|v| v as u64)
-                    .unwrap_or(0);
-                if behind > policy.lag_threshold {
-                    MemberHealth::Lagging { behind }
-                } else {
-                    MemberHealth::Live
-                }
-            }
-            Link::Swapping => stale(),
+        let behind = link.lag_events();
+        if behind > policy.lag_threshold {
+            MemberHealth::Lagging { behind }
+        } else {
+            MemberHealth::Live
         }
     }
 
@@ -1229,12 +1141,7 @@ impl Federation {
         let policy = SupervisorPolicy::default();
         self.members
             .iter()
-            .map(|m| {
-                (
-                    m.name().to_owned(),
-                    Self::observed_health(&self.hub, m, &policy),
-                )
-            })
+            .map(|m| (m.name().to_owned(), Self::observed_health(m, &policy)))
             .collect()
     }
 
@@ -1332,10 +1239,8 @@ impl Federation {
             .ok_or_else(|| FederationError::UnknownMember(name.to_owned()))?;
         member.supervision.quarantined = false;
         member.supervision.failures = 0;
-        if let Link::Polled(rep) = &mut member.link {
-            rep.resync_target()?;
-            member.supervision.repairs_seen = rep.stats().source_repairs;
-        }
+        member.link.resync_target()?;
+        member.supervision.repairs_seen = member.link.stats().source_repairs;
         hub.telemetry().event(
             "federation.reinstated",
             &format!("{name}: reinstated into the federation"),
@@ -1345,18 +1250,14 @@ impl Federation {
 
     /// Thread a seeded fault injector through the federation: every
     /// member's satellite database (binlog-read and apply points) and
-    /// every polled link's transport, loose members' included. Live links
-    /// pick the injector up when (re)built from a polled link; simplest is
-    /// to inject before `go_live*`.
+    /// every link's transport, live or polled, loose members' included.
     pub fn inject_chaos(&mut self, injector: &FaultInjector) {
         for member in &mut self.members {
             member
                 .source_db
                 .write()
                 .set_fault_injector(injector.clone(), &member.model.name);
-            if let Link::Polled(rep) = &mut member.link {
-                rep.set_chaos(injector.clone());
-            }
+            member.link.set_chaos(injector.clone());
         }
     }
 }
@@ -1799,7 +1700,9 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         assert_eq!(s.job_resources, vec!["r".to_owned()]);
         assert_eq!(s.su_factors, vec!["r".to_owned()]);
         // Catalog came from warehouse introspection.
-        let jobfact = s.table("jobfact").expect("jobfact in catalog");
+        let Some(jobfact) = s.table("jobfact") else {
+            panic!("jobfact missing from the catalog");
+        };
         assert!(jobfact.column("resource").is_some());
         // Aggregates cover all realms; group-bys only declared ones.
         assert_eq!(m.aggregates.len(), 4);
@@ -1967,6 +1870,89 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             .telemetry()
             .events_of_kind("replication.resync")
             .is_empty());
+    }
+
+    #[test]
+    fn supervise_resyncs_a_live_link_past_crash_damaged_source_binlog() {
+        let x = instance("x", SACCT_X, "r-x");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        fed.sync().unwrap();
+        fed.go_live_forced(Duration::from_millis(1));
+
+        // The same crash as above, under a running worker: the record
+        // lands in x's table, its binlog event does not survive.
+        {
+            let db = x.database();
+            let mut db = db.write();
+            let row = db
+                .table(&x.schema_name(), "jobfact")
+                .unwrap()
+                .rows()
+                .unwrap()[0]
+                .clone();
+            db.insert(&x.schema_name(), "jobfact", vec![row]).unwrap();
+            db.truncate_binlog_tail(6);
+        }
+        eventually("the live worker to repair the source tail", || {
+            !fed.hub()
+                .telemetry()
+                .events_of_kind("replication.source_repaired")
+                .is_empty()
+        });
+        // The worker polls on, one row behind; supervision resyncs the
+        // live link through the link itself.
+        let policy = SupervisorPolicy::default();
+        eventually("a tick to resync the live link", || {
+            fed.supervise(&policy).members[0].resynced
+        });
+        assert!(fed.is_consistent_with(&x).unwrap());
+        assert_eq!(fed.quiesce().unwrap(), 1);
+        assert!(fed.is_consistent_with(&x).unwrap());
+    }
+
+    #[test]
+    fn inject_chaos_reaches_a_running_live_worker() {
+        use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
+        let x = instance("x", SACCT_X, "r-x");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        fed.go_live_forced(Duration::from_millis(1));
+        assert_eq!(fed.member_last_error("x").unwrap(), None);
+        let plan = FaultPlan::new().with(
+            FaultSpec::at_ops(FaultPoint::Transport, FaultKind::LinkDown, &[1]).for_target("x"),
+        );
+        fed.inject_chaos(&plan.injector(42));
+        eventually("the injected link-down to reach the worker", || {
+            fed.member_last_error("x").unwrap().is_some()
+        });
+        fed.quiesce().unwrap();
+    }
+
+    #[test]
+    fn health_reads_a_live_links_own_lag_with_telemetry_off() {
+        let mut x = instance("x", SACCT_X, "r");
+        let mut hub = FederationHub::new("hub");
+        hub.set_telemetry(xdmod_telemetry::MetricsRegistry::disabled());
+        let mut fed = Federation::new(hub);
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        // A long interval: after its first iteration the worker sleeps
+        // until resumed, so the backlog below stays put.
+        fed.go_live_forced(Duration::from_secs(600));
+        fed.pause_member("x").unwrap();
+        x.ingest_sacct("r", SACCT_Y).unwrap();
+        // No gauge is sampled anywhere, yet the backlog is visible.
+        assert!(
+            matches!(fed.health()[0].1, MemberHealth::Lagging { behind } if behind > 0),
+            "{:?}",
+            fed.health()
+        );
+        fed.resume_member("x").unwrap();
+        eventually("the resumed worker to drain the backlog", || {
+            fed.health()[0].1 == MemberHealth::Live
+        });
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
+        fed.quiesce().unwrap();
     }
 
     #[test]

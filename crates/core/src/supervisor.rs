@@ -26,7 +26,7 @@
 //!    │     source repair  Quarantined ── reinstate_member ──┘
 //!    │                      (parked: sync/supervise skip it)
 //!    ▼
-//!   Lagging(behind)   (healthy but behind; tight links only)
+//!   Lagging(behind)   (healthy but behind the source binlog head)
 //! ```
 
 use std::fmt;
@@ -78,12 +78,13 @@ impl fmt::Display for MemberHealth {
 /// Knobs of the supervision loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
-    /// Retry behaviour for one tick's drive of a polled link, and the
-    /// policy handed to relaunched live workers.
+    /// Retry behaviour for one tick's drive of a polled link. Live
+    /// workers, relaunched ones included, run with their member's own
+    /// `retries` instead.
     pub retry: RetryPolicy,
     /// Consecutive failed ticks before a member is quarantined.
     pub max_failures: u32,
-    /// Events of lag a tight link may carry and still count as
+    /// Events of lag a link may carry and still count as
     /// [`MemberHealth::Live`]; beyond it the member reads as `Lagging`.
     pub lag_threshold: u64,
     /// A member whose last success is older than this reads as `Stale`

@@ -4,14 +4,15 @@
 //! (§II-C1). Provides the exact feature set the paper relies on:
 //!
 //! - **binlog tailing** with resumable `(epoch, seqno)` watermarks
-//!   ([`replicator::Replicator`]), plus a threaded live mode
-//!   ([`replicator::LiveReplicator`]) — "tight" federation;
+//!   ([`replicator::Replicator`]), held for a link's whole life by a
+//!   [`replicator::LiveReplicator`] that can run it on a worker thread —
+//!   "tight" federation's live mode;
 //! - **schema renaming during transfer**, so the hub holds "one schema
 //!   per XDMoD instance";
 //! - **selective replication** ([`filter::ReplicationFilter`]): realm
 //!   /table selection and per-resource routing (§II-C4);
-//! - **loose federation** (§II-C2): a batch-polled
-//!   [`replicator::Replicator`], or shipped database dumps ([`loose`]);
+//! - **loose federation** (§II-C2): the same link polled in batches and
+//!   never run live, or shipped database dumps ([`loose`]);
 //! - **consistency verification** ([`consistency`]): checksum proof that
 //!   "no data are lost or changed" in transit.
 

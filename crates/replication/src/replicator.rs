@@ -10,8 +10,9 @@
 //! A [`Replicator`] tails one source database's binlog from a saved
 //! watermark, passes each event through [`LinkConfig::route`] (schema
 //! selection, rename, [`ReplicationFilter`]), and applies the survivors
-//! to the target. [`LiveReplicator`] runs the same loop on a background
-//! thread — the paper's "live replication".
+//! to the target. [`LiveReplicator`] holds one for the link's whole life
+//! and can run the same poll on a background thread — the paper's "live
+//! replication".
 
 use crate::error::{panic_detail, ReplicationError};
 use crate::filter::ReplicationFilter;
@@ -618,26 +619,40 @@ impl RetryState {
     }
 }
 
-/// A replicator running on a background thread, polling at an interval —
+/// One replication link for its whole life: the [`Replicator`] behind a
+/// lock, plus an optional worker thread that polls it at an interval —
 /// "live replication to the central federation hub database".
 ///
-/// Each iteration polls (unless paused), then samples replication lag in
-/// both units into the link's registry: `replication_lag_events` (binlog
-/// positions behind) and `replication_lag_seconds` (wall-clock time since
-/// the link first fell behind). Apply errors are surfaced — counted,
-/// recorded as `replication.error` events, and kept in
+/// Every operation locks the replicator for its own duration, whether or
+/// not a worker runs, so a caller never holds the guard and never needs
+/// to know which mode the link is in. [`LiveReplicator::start_live`]
+/// spawns the worker; [`LiveReplicator::stop_live`] joins it and leaves
+/// the replicator — watermark, stats, chaos and telemetry — where it was,
+/// so a relaunched worker resumes from the link's own position.
+///
+/// Each worker iteration polls (unless paused), then samples replication
+/// lag in both units into the link's registry: `replication_lag_events`
+/// (binlog positions behind) and `replication_lag_seconds` (wall-clock
+/// time since the link first fell behind). Apply errors are surfaced —
+/// counted, recorded as `replication.error` events, and kept in
 /// [`LiveReplicator::last_error`] — and the loop keeps polling: the
 /// watermark only advances past applied events, so a transient failure
 /// retries on the next iteration instead of killing the link.
 pub struct LiveReplicator {
-    stop: Arc<AtomicBool>,
+    replicator: Arc<Mutex<Replicator>>,
     paused: Arc<AtomicBool>,
-    handle: Option<JoinHandle<Replicator>>,
-    /// Link label, kept on this side of the thread boundary so a panicked
-    /// worker can still be named in the resulting [`ReplicationError`].
-    link_name: String,
     /// Last error observed by the worker, if any.
     last_error: Arc<Mutex<Option<WarehouseError>>>,
+    /// Link label, kept outside the lock so a panicked worker can be
+    /// named in the resulting [`ReplicationError`].
+    link_name: String,
+    worker: Option<Worker>,
+}
+
+/// A running worker thread and its stop flag.
+struct Worker {
+    stop: Arc<AtomicBool>,
+    handle: JoinHandle<()>,
 }
 
 /// Per-iteration lag sampling state, local to the worker thread.
@@ -691,13 +706,93 @@ impl LagSampler {
     }
 }
 
+fn record_err(rep: &Replicator, e: &WarehouseError) {
+    let telemetry = rep.telemetry();
+    if telemetry.is_enabled() {
+        telemetry
+            .counter(
+                "replication_apply_errors_total",
+                &[("link", rep.link_name())],
+            )
+            .inc();
+        telemetry.event("replication.error", &format!("{}: {e}", rep.link_name()));
+    }
+}
+
+fn record_retry(rep: &Replicator, attempt: u32, backoff: Duration) {
+    let telemetry = rep.telemetry();
+    if telemetry.is_enabled() {
+        let link: &[(&str, &str)] = &[("link", rep.link_name())];
+        telemetry.counter("replication_retries_total", link).inc();
+        telemetry
+            .gauge("replication_backoff_ms", link)
+            .set(backoff.as_millis() as f64);
+        telemetry.event_with(
+            "replication.retry",
+            &format!(
+                "{}: retry {attempt} after {}ms backoff",
+                rep.link_name(),
+                backoff.as_millis()
+            ),
+            &[
+                ("attempt", f64::from(attempt)),
+                ("backoff_ms", backoff.as_millis() as f64),
+            ],
+        );
+    }
+}
+
 impl LiveReplicator {
-    /// Spawn the polling loop with the default [`RetryPolicy`].
-    pub fn start(replicator: Replicator, interval: Duration) -> Self {
-        LiveReplicator::start_with_policy(replicator, interval, RetryPolicy::default())
+    /// Hold `replicator` as a link with no worker running.
+    pub fn new(replicator: Replicator) -> Self {
+        LiveReplicator {
+            link_name: replicator.link_name().to_owned(),
+            replicator: Arc::new(Mutex::new(replicator)),
+            paused: Arc::new(AtomicBool::new(false)),
+            last_error: Arc::new(Mutex::new(None)),
+            worker: None,
+        }
     }
 
-    /// Spawn the polling loop with an explicit retry policy.
+    /// [`Replicator::poll`], whether or not a worker runs.
+    pub fn poll(&self) -> Result<usize> {
+        self.replicator.lock().poll()
+    }
+
+    /// [`Replicator::resync_target`]; a running worker waits for it.
+    pub fn resync_target(&self) -> Result<ResyncReport> {
+        self.replicator.lock().resync_target()
+    }
+
+    /// [`Replicator::seek`].
+    pub fn seek(&self, position: LogPosition) -> std::result::Result<(), ReplicationError> {
+        self.replicator.lock().seek(position)
+    }
+
+    /// [`Replicator::is_diverged`].
+    pub fn is_diverged(&self) -> bool {
+        self.replicator.lock().is_diverged()
+    }
+
+    /// [`Replicator::lag_events`]: the link's own backlog, read whether
+    /// or not telemetry is enabled.
+    pub fn lag_events(&self) -> u64 {
+        self.replicator.lock().lag_events()
+    }
+
+    /// [`Replicator::stats`].
+    pub fn stats(&self) -> LinkStats {
+        self.replicator.lock().stats()
+    }
+
+    /// [`Replicator::set_chaos`]; a running worker meets the injector on
+    /// its next poll.
+    pub fn set_chaos(&self, injector: FaultInjector) {
+        self.replicator.lock().set_chaos(injector);
+    }
+
+    /// Spawn a worker polling at `interval` under `policy`, unpaused.
+    /// Returns `false`, changing nothing, when a worker already runs.
     ///
     /// A failed poll starts a retry burst per `policy` (see
     /// [`RetryPolicy`]): the worker sleeps the backoff and re-polls
@@ -707,101 +802,93 @@ impl LiveReplicator {
     /// records a `replication.retry` event. A successful poll clears
     /// [`LiveReplicator::last_error`] — an error is a *current*
     /// condition, not a historical one — and resets the burst.
-    pub fn start_with_policy(
-        mut replicator: Replicator,
-        interval: Duration,
-        policy: RetryPolicy,
-    ) -> Self {
+    pub fn start_live(&mut self, interval: Duration, policy: RetryPolicy) -> bool {
+        if self.worker.is_some() {
+            return false;
+        }
+        self.paused.store(false, Ordering::Release);
         let stop = Arc::new(AtomicBool::new(false));
-        let paused = Arc::new(AtomicBool::new(false));
-        let link_name = replicator.link_name().to_owned();
-        let last_error: Arc<Mutex<Option<WarehouseError>>> = Arc::new(Mutex::new(None));
+        let replicator = Arc::clone(&self.replicator);
+        let paused = Arc::clone(&self.paused);
+        let last_error = Arc::clone(&self.last_error);
         let stop2 = Arc::clone(&stop);
-        let paused2 = Arc::clone(&paused);
-        let err2 = Arc::clone(&last_error);
+        let mut retry = RetryState::new(policy, &self.link_name);
         let handle = std::thread::spawn(move || {
             let mut lag = LagSampler::new();
-            let mut retry = RetryState::new(policy, replicator.link_name());
-            let record_err = |rep: &Replicator, e: &WarehouseError| {
-                let telemetry = rep.telemetry();
-                if telemetry.is_enabled() {
-                    telemetry
-                        .counter(
-                            "replication_apply_errors_total",
-                            &[("link", rep.link_name())],
-                        )
-                        .inc();
-                    telemetry.event("replication.error", &format!("{}: {e}", rep.link_name()));
-                }
-            };
-            let record_retry = |rep: &Replicator, attempt: u32, backoff: Duration| {
-                let telemetry = rep.telemetry();
-                if telemetry.is_enabled() {
-                    let link: &[(&str, &str)] = &[("link", rep.link_name())];
-                    telemetry.counter("replication_retries_total", link).inc();
-                    telemetry
-                        .gauge("replication_backoff_ms", link)
-                        .set(backoff.as_millis() as f64);
-                    telemetry.event_with(
-                        "replication.retry",
-                        &format!(
-                            "{}: retry {attempt} after {}ms backoff",
-                            rep.link_name(),
-                            backoff.as_millis()
-                        ),
-                        &[
-                            ("attempt", f64::from(attempt)),
-                            ("backoff_ms", backoff.as_millis() as f64),
-                        ],
-                    );
-                }
-            };
             while !stop2.load(Ordering::Acquire) {
-                if !paused2.load(Ordering::Acquire) {
-                    match replicator.poll() {
-                        Ok(_) => {
-                            // The sticky-error fix: a link that has
-                            // recovered must read as healthy.
-                            *err2.lock() = None;
-                            retry.reset();
-                        }
-                        Err(e) => {
-                            record_err(&replicator, &e);
-                            *err2.lock() = Some(e);
-                            if let Some(backoff) = retry.next_backoff() {
-                                record_retry(&replicator, retry.attempts, backoff);
-                                lag.sample(&replicator);
-                                std::thread::park_timeout(backoff);
-                                continue; // fast retry, skip the interval
+                let mut wait = interval;
+                {
+                    let rep = &mut *replicator.lock();
+                    if !paused.load(Ordering::Acquire) {
+                        match rep.poll() {
+                            Ok(_) => {
+                                // The sticky-error fix: a link that has
+                                // recovered must read as healthy.
+                                *last_error.lock() = None;
+                                retry.reset();
+                            }
+                            Err(e) => {
+                                record_err(rep, &e);
+                                *last_error.lock() = Some(e);
+                                if let Some(backoff) = retry.next_backoff() {
+                                    record_retry(rep, retry.attempts, backoff);
+                                    wait = backoff; // fast retry, skip the interval
+                                }
                             }
                         }
                     }
+                    lag.sample(rep);
                 }
-                lag.sample(&replicator);
-                std::thread::park_timeout(interval);
+                std::thread::park_timeout(wait);
             }
-            // Final drain so a stop() immediately after a write loses
+            // Final drain so a stop immediately after a write loses
             // nothing (even if the link was paused when stopped).
-            match replicator.poll() {
-                Ok(_) => *err2.lock() = None,
+            let rep = &mut *replicator.lock();
+            match rep.poll() {
+                Ok(_) => *last_error.lock() = None,
                 Err(e) => {
-                    record_err(&replicator, &e);
-                    *err2.lock() = Some(e);
+                    record_err(rep, &e);
+                    *last_error.lock() = Some(e);
                 }
             }
-            lag.sample(&replicator);
-            replicator
+            lag.sample(rep);
         });
-        LiveReplicator {
-            stop,
-            paused,
-            handle: Some(handle),
-            link_name,
-            last_error,
-        }
+        self.worker = Some(Worker { stop, handle });
+        true
     }
 
-    /// Suspend polling without tearing the link down. Lag keeps being
+    /// Stop the worker: it drains outstanding events, takes a final lag
+    /// sample and exits; the replicator stays in place, and
+    /// [`LiveReplicator::last_error`] reads `None` until a worker runs
+    /// again. Returns whether a worker was running.
+    ///
+    /// A panicked worker surfaces as
+    /// [`ReplicationError::LinkPanicked`] instead of propagating the
+    /// panic into the caller: the hub must be able to note one dead link
+    /// and keep operating the rest of the federation. The link stays
+    /// usable — its watermark only ever advanced past applied events.
+    pub fn stop_live(&mut self) -> std::result::Result<bool, ReplicationError> {
+        let Some(Worker { stop, handle }) = self.worker.take() else {
+            return Ok(false);
+        };
+        stop.store(true, Ordering::Release);
+        handle.thread().unpark();
+        let joined = handle.join();
+        *self.last_error.lock() = None;
+        joined
+            .map(|()| true)
+            .map_err(|payload| ReplicationError::LinkPanicked {
+                link: self.link_name.clone(),
+                detail: panic_detail(payload.as_ref()),
+            })
+    }
+
+    /// True while a worker runs (or has died without being stopped).
+    pub fn is_live(&self) -> bool {
+        self.worker.is_some()
+    }
+
+    /// Suspend the worker's polling without stopping it. Lag keeps being
     /// sampled, so a paused link under writes shows a growing
     /// `replication_lag_events` gauge — the scenario an operator dashboard
     /// must make visible.
@@ -812,8 +899,8 @@ impl LiveReplicator {
     /// Resume polling after [`LiveReplicator::pause`].
     pub fn resume(&self) {
         self.paused.store(false, Ordering::Release);
-        if let Some(handle) = &self.handle {
-            handle.thread().unpark();
+        if let Some(worker) = &self.worker {
+            worker.handle.thread().unpark();
         }
     }
 
@@ -822,54 +909,25 @@ impl LiveReplicator {
         self.paused.load(Ordering::Acquire)
     }
 
-    /// Any error the worker hit.
+    /// Any error the worker hit on its latest poll.
     pub fn last_error(&self) -> Option<WarehouseError> {
         self.last_error.lock().clone()
     }
 
-    /// True when the worker thread has exited while the link is still
-    /// nominally running. The loop only returns cleanly after `stop()`
-    /// raises the flag, so a finished thread here means the worker
-    /// *panicked* — the supervisor's cue to rebuild the link.
+    /// True when the worker thread has exited without being stopped. The
+    /// loop only returns cleanly after `stop_live` raises the flag, so a
+    /// finished thread here means the worker *panicked* — the
+    /// supervisor's cue to stop and relaunch it.
     pub fn is_dead(&self) -> bool {
-        self.handle.as_ref().is_some_and(JoinHandle::is_finished)
-    }
-
-    /// Stop the loop, drain outstanding events, and return the link (with
-    /// its watermark and stats) for inspection or restart.
-    ///
-    /// A panicked worker surfaces as
-    /// [`ReplicationError::LinkPanicked`] instead of propagating the
-    /// panic into the caller: the hub must be able to note one dead link
-    /// and keep operating the rest of the federation.
-    pub fn stop(mut self) -> std::result::Result<Replicator, ReplicationError> {
-        self.stop.store(true, Ordering::Release);
-        let Some(handle) = self.handle.take() else {
-            // Unreachable by construction (`stop` consumes `self` and the
-            // handle is only vacated here or in Drop), but kept typed
-            // rather than panicking per the workspace invariant.
-            return Err(ReplicationError::LinkPanicked {
-                link: self.link_name.clone(),
-                detail: "link already stopped".to_owned(),
-            });
-        };
-        handle.thread().unpark();
-        handle
-            .join()
-            .map_err(|payload| ReplicationError::LinkPanicked {
-                link: self.link_name.clone(),
-                detail: panic_detail(payload.as_ref()),
-            })
+        self.worker
+            .as_ref()
+            .is_some_and(|worker| worker.handle.is_finished())
     }
 }
 
 impl Drop for LiveReplicator {
     fn drop(&mut self) {
-        if let Some(handle) = self.handle.take() {
-            self.stop.store(true, Ordering::Release);
-            handle.thread().unpark();
-            let _ = handle.join();
-        }
+        let _ = self.stop_live();
     }
 }
 
@@ -1086,7 +1144,8 @@ mod tests {
             Arc::clone(&dst),
             LinkConfig::renaming("xdmod_x", "hub_x"),
         );
-        let live = LiveReplicator::start(rep, Duration::from_millis(1));
+        let mut live = LiveReplicator::new(rep);
+        assert!(live.start_live(Duration::from_millis(1), RetryPolicy::default()));
         for i in 0..50 {
             src.write()
                 .insert(
@@ -1096,8 +1155,8 @@ mod tests {
                 )
                 .unwrap();
         }
-        let rep = live.stop().unwrap();
-        assert!(rep.stats().events_applied >= 52); // 50 inserts + DDL
+        assert_eq!(live.stop_live(), Ok(true));
+        assert!(live.stats().events_applied >= 52); // 50 inserts + DDL
         assert_eq!(dst.read().table("hub_x", "jobfact").unwrap().len(), 51);
         assert_eq!(
             src.read()
@@ -1162,7 +1221,8 @@ mod tests {
             LinkConfig::renaming("xdmod_x", "hub_x"),
         )
         .with_telemetry(reg.clone(), "site-x");
-        let live = LiveReplicator::start(rep, Duration::from_millis(1));
+        let mut live = LiveReplicator::new(rep);
+        live.start_live(Duration::from_millis(1), RetryPolicy::default());
         let link = &[("link", "site-x")];
 
         // Let the link catch up, then pause it.
@@ -1206,8 +1266,8 @@ mod tests {
             snap.gauge("replication_lag_events", link) == Some(0.0)
                 && snap.gauge("replication_lag_seconds", link) == Some(0.0)
         }));
-        let rep = live.stop().unwrap();
-        assert!(rep.stats().events_applied >= 5);
+        live.stop_live().unwrap();
+        assert!(live.stats().events_applied >= 5);
         assert_eq!(dst.read().table("hub_x", "jobfact").unwrap().len(), 6);
     }
 
@@ -1232,7 +1292,8 @@ mod tests {
         let reg = MetricsRegistry::new();
         let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"))
             .with_telemetry(reg.clone(), "site-x");
-        let live = LiveReplicator::start(rep, Duration::from_millis(1));
+        let mut live = LiveReplicator::new(rep);
+        live.start_live(Duration::from_millis(1), RetryPolicy::default());
         // The loop keeps retrying (counter grows past 1) instead of dying
         // on the first failure, and the error is inspectable live.
         assert!(eventually(|| reg
@@ -1242,10 +1303,10 @@ mod tests {
             > 1));
         assert!(live.last_error().is_some());
         assert!(!reg.events_of_kind("replication.error").is_empty());
-        let rep = live.stop().unwrap();
+        live.stop_live().unwrap();
         // The watermark never advanced past the failing event: only the
         // (idempotent) CreateSchema ahead of it ever applied.
-        assert_eq!(rep.stats().events_applied, 1);
+        assert_eq!(live.stats().events_applied, 1);
     }
 
     #[test]
@@ -1297,10 +1358,52 @@ mod tests {
         let src = satellite("xdmod_x", &["comet"]);
         let dst = shared(Database::new());
         let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"));
-        let live = LiveReplicator::start(rep, Duration::from_millis(1));
-        let stopped = live.stop();
-        assert!(stopped.is_ok());
-        assert_eq!(stopped.unwrap().link_name(), "hub_x");
+        let mut live = LiveReplicator::new(rep);
+        live.start_live(Duration::from_millis(1), RetryPolicy::default());
+        assert!(live.is_live() && !live.is_dead());
+        assert_eq!(live.stop_live(), Ok(true));
+        // Nothing runs any more: a second stop is a no-op.
+        assert!(!live.is_live());
+        assert_eq!(live.stop_live(), Ok(false));
+    }
+
+    #[test]
+    fn live_worker_restarts_from_the_links_watermark() {
+        let src = satellite("xdmod_x", &["comet"]);
+        let dst = shared(Database::new());
+        let rep = Replicator::new(
+            Arc::clone(&src),
+            Arc::clone(&dst),
+            LinkConfig::renaming("xdmod_x", "hub_x"),
+        );
+        let mut live = LiveReplicator::new(rep);
+        let insert = |v: f64| {
+            src.write()
+                .insert(
+                    "xdmod_x",
+                    "jobfact",
+                    vec![vec![Value::Str("comet".into()), Value::Float(v)]],
+                )
+                .unwrap();
+        };
+        for round in 0..3 {
+            assert!(live.start_live(Duration::from_millis(1), RetryPolicy::default()));
+            // A second start while the worker runs changes nothing.
+            assert!(!live.start_live(Duration::from_millis(1), RetryPolicy::default()));
+            insert(f64::from(round));
+            assert_eq!(live.stop_live(), Ok(true));
+            // Between workers the link is still there to poll by hand.
+            insert(f64::from(round) + 0.5);
+            assert_eq!(live.poll().unwrap(), 1);
+        }
+        // Each restart resumed from the watermark: no row replayed twice.
+        assert_eq!(dst.read().table("hub_x", "jobfact").unwrap().len(), 7);
+        let stats = live.stats();
+        assert_eq!(
+            stats.events_read,
+            stats.events_applied + stats.events_filtered
+        );
+        assert_eq!(live.lag_events(), 0);
     }
 
     #[test]
@@ -1656,13 +1759,14 @@ mod tests {
             max_backoff: Duration::from_millis(5),
             deadline: None,
         };
-        let live = LiveReplicator::start_with_policy(rep, Duration::from_millis(1), policy);
+        let mut live = LiveReplicator::new(rep);
+        live.start_live(Duration::from_millis(1), policy);
         // The faults were retried through, the data arrived, and — the
         // sticky-error fix — the recovered link reads as healthy again.
         assert!(eventually(|| dst.read().has_schema("hub_x")));
         assert!(eventually(|| live.last_error().is_none()));
-        let rep = live.stop().unwrap();
-        assert!(rep.stats().events_applied >= 4);
+        live.stop_live().unwrap();
+        assert!(live.stats().events_applied >= 4);
         let snap = reg.snapshot();
         let retries = snap
             .counter("replication_retries_total", &[("link", "site-x")])

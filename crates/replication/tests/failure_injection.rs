@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use xdmod_replication::{LinkConfig, LiveReplicator, Replicator};
+use xdmod_replication::{LinkConfig, LiveReplicator, Replicator, RetryPolicy};
 use xdmod_warehouse::{
     shared, AggFn, Aggregate, AggregationSpec, CivilDate, ColumnType, Database, DimSpec,
     LogPosition, Period, SchemaBuilder, SharedDatabase, Value,
@@ -176,7 +176,8 @@ fn live_replicator_surfaces_worker_errors() {
         db
     });
     let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"));
-    let live = LiveReplicator::start(rep, Duration::from_millis(1));
+    let mut live = LiveReplicator::new(rep);
+    live.start_live(Duration::from_millis(1), RetryPolicy::default());
     // Give the worker a moment to hit the conflict.
     for _ in 0..100 {
         if live.last_error().is_some() {
@@ -189,7 +190,7 @@ fn live_replicator_surfaces_worker_errors() {
         err.to_string().contains("different definition"),
         "actual: {err}"
     );
-    let _ = live.stop();
+    let _ = live.stop_live();
 }
 
 #[test]

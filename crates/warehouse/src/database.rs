@@ -869,7 +869,8 @@ impl Database {
         repair
     }
 
-    /// Raw framed binlog bytes after `after` (loose-federation export).
+    /// Raw framed binlog bytes after `after`, the byte stream the crash
+    /// and property tests compare a recovered log against.
     pub fn binlog_export(&self, after: LogPosition) -> Result<Vec<u8>> {
         self.binlog.export_after(after)
     }

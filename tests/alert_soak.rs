@@ -4,7 +4,7 @@
 //! occurrence count instead of multiplying — and every alert must
 //! auto-resolve once the supervisor heals (or the operator reinstates)
 //! the link. The same engine is then exercised over its full surface:
-//! replication lag following the sampled gauge, preflight refusals and
+//! replication lag following a link's real backlog, preflight refusals and
 //! gateway admission saturation raising (and timeout-resolving) alerts,
 //! and the `/alerts` HTTP surface with `ETag` revalidation and the
 //! operator-role acknowledgement gate.
@@ -163,49 +163,47 @@ fn injected_faults_fire_exactly_one_alert_each_and_auto_resolve() {
 }
 
 /// Replication lag: the supervisor classifies a live link as lagging
-/// from the `replication_lag_events` gauge its worker samples; the alert
-/// engine follows that classification up and back down.
+/// from the link's own backlog; the alert engine follows that
+/// classification up and back down.
 #[test]
-fn replication_lag_alert_follows_the_sampled_gauge() {
-    let x = satellite("lagx", "res-lx", 11);
+fn replication_lag_alert_follows_the_link_backlog() {
+    let mut x = satellite("lagx", "res-lx", 11);
     let mut fed = Federation::new(FederationHub::new("hub"));
     fed.join_tight(&x, FederationConfig::default()).unwrap();
     fed.sync().unwrap();
     // A long interval keeps the live worker asleep after its first
-    // iteration, so the gauge is ours to script deterministically.
+    // iteration, so the backlog below stays until quiesce drains it.
     fed.go_live_forced(Duration::from_secs(600));
     std::thread::sleep(Duration::from_millis(30));
 
-    // The worker's sampler would write exactly this on a backlogged
-    // link (see LiveReplicator's lag sampling); scripted here so the
-    // soak does not race a real backlog drain.
-    fed.hub()
-        .telemetry()
-        .gauge("replication_lag_events", &[("link", "lagx")])
-        .set(42.0);
+    let satellite_db = x.database();
+    let head = || satellite_db.read().binlog_position().seqno;
+    let before = head();
+    let sim = ClusterSim::new(ResourceProfile::generic("res-lx", 128, 48.0, 1.0), 11);
+    x.ingest_sacct("res-lx", &sim.sacct_log(2017, 3..=3))
+        .unwrap();
+    let behind = head() - before;
+    assert!(behind > 0);
     fed.supervise(&SupervisorPolicy::default());
     let alerts = fed.alerts();
     let lag = find(&alerts, FAMILY_REPLICATION_LAG, "lagx");
     assert_eq!(lag.len(), 1, "alerts: {alerts:?}");
     assert_eq!(lag[0].state, AlertState::Firing);
     assert!(
-        lag[0].detail.contains("42"),
+        lag[0].detail.contains(&format!("{behind} events behind")),
         "detail carries the backlog: {:?}",
         lag[0]
     );
 
-    // Lag drains: the next tick observes a healthy link and resolves.
-    fed.hub()
-        .telemetry()
-        .gauge("replication_lag_events", &[("link", "lagx")])
-        .set(0.0);
+    // Quiesce drains the backlog: the next tick observes a healthy link
+    // and resolves.
+    fed.quiesce().unwrap();
     fed.supervise(&SupervisorPolicy::default());
     let alerts = fed.alerts();
     assert_eq!(
         find(&alerts, FAMILY_REPLICATION_LAG, "lagx")[0].state,
         AlertState::Resolved
     );
-    fed.quiesce().unwrap();
 }
 
 /// Event-fed families: a preflight refusal and gateway admission

@@ -95,7 +95,7 @@ fn hub_aggregates_with_its_own_levels_losslessly() {
 #[test]
 fn live_threaded_replication_matches_polled() {
     use std::time::Duration;
-    use xdmod::replication::{LinkConfig, LiveReplicator, Replicator};
+    use xdmod::replication::{LinkConfig, LiveReplicator, Replicator, RetryPolicy};
 
     let mut inst = hpc_instance("x", "res-x", 4, 1..=1);
     let hub = xdmod::warehouse::shared(xdmod::warehouse::Database::new());
@@ -104,7 +104,8 @@ fn live_threaded_replication_matches_polled() {
         std::sync::Arc::clone(&hub),
         LinkConfig::renaming(&inst.schema_name(), "inst_x"),
     );
-    let live = LiveReplicator::start(rep, Duration::from_millis(1));
+    let mut live = LiveReplicator::new(rep);
+    live.start_live(Duration::from_millis(1), RetryPolicy::default());
 
     // Keep ingesting while the replicator streams.
     let sim = ClusterSim::new(ResourceProfile::generic("res-x", 256, 48.0, 1.5), 5);
@@ -113,8 +114,8 @@ fn live_threaded_replication_matches_polled() {
     inst.ingest_sacct("res-x", &sim.sacct_log(2017, 3..=3))
         .unwrap();
 
-    let rep = live.stop().unwrap();
-    assert!(rep.stats().events_applied > 0);
+    live.stop_live().unwrap();
+    assert!(live.stats().events_applied > 0);
     let expected = inst.fact_rows(RealmKind::Jobs).unwrap();
     assert_eq!(
         hub.read().table("inst_x", "jobfact").unwrap().len(),
