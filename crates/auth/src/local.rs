@@ -54,11 +54,6 @@ impl LocalAuthenticator {
         }
     }
 
-    /// Whether a user has a local credential.
-    pub fn has_user(&self, username: &str) -> bool {
-        self.credentials.contains_key(username)
-    }
-
     /// Remove a user's credential.
     pub fn remove(&mut self, username: &str) -> bool {
         self.credentials.remove(username).is_some()

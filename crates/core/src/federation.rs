@@ -1956,6 +1956,44 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
     }
 
     #[test]
+    fn health_does_not_wait_for_a_live_poll_stalled_in_transport() {
+        use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
+        let mut x = instance("x", SACCT_X, "r");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        // A long interval: the worker polls once, then sleeps until resumed.
+        fed.go_live_forced(Duration::from_secs(600));
+        eventually("the first poll to drain the join", || {
+            fed.health()[0].1 == MemberHealth::Live
+        });
+        fed.pause_member("x").unwrap();
+        x.ingest_sacct("r", SACCT_Y).unwrap();
+        let stall = FaultKind::Stall { millis: 300 };
+        let plan = FaultPlan::new()
+            .with(FaultSpec::at_ops(FaultPoint::Transport, stall, &[1]).for_target("x"));
+        let injector = plan.injector(7);
+        fed.inject_chaos(&injector);
+        fed.resume_member("x").unwrap();
+        // The stall is logged as it fires, just before the worker sleeps
+        // in it with its replicator locked.
+        eventually("the resumed worker to enter the stall", || {
+            !injector.schedule().is_empty()
+        });
+        let started = std::time::Instant::now();
+        let health = fed.health();
+        let took = started.elapsed();
+        assert!(took < Duration::from_millis(100), "health() took {took:?}");
+        assert!(
+            matches!(health[0].1, MemberHealth::Lagging { behind } if behind > 0),
+            "{health:?}"
+        );
+        eventually("the stalled poll to drain the backlog", || {
+            fed.health()[0].1 == MemberHealth::Live
+        });
+        fed.quiesce().unwrap();
+    }
+
+    #[test]
     fn health_reflects_lag_and_ops_report_carries_satellite_section() {
         let x = instance("x", SACCT_X, "r-x");
         let mut fed = Federation::new(FederationHub::new("hub"));

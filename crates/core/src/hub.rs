@@ -166,12 +166,8 @@ impl FederationHub {
         &self.satellites
     }
 
-    /// The federated identity map (§II-D4's future work, implemented).
-    pub fn identity_map(&self) -> &IdentityMap {
-        &self.identity
-    }
-
-    /// Mutable identity map access.
+    /// The federated identity map (§II-D4's future work, implemented),
+    /// for registering and resolving identities.
     pub fn identity_map_mut(&mut self) -> &mut IdentityMap {
         &mut self.identity
     }

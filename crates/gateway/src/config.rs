@@ -47,12 +47,6 @@ impl GatewayConfig {
         self
     }
 
-    /// Set the accept-queue depth.
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth;
-        self
-    }
-
     /// Set the global in-flight cap.
     pub fn with_max_inflight(mut self, max: usize) -> Self {
         self.max_inflight = max;

@@ -114,7 +114,9 @@ pub struct Replicator {
     source: SharedDatabase,
     target: SharedDatabase,
     config: LinkConfig,
-    position: LogPosition,
+    /// The watermark, shared with the link's [`LiveReplicator`] so its
+    /// lag reads never wait for this replicator's lock.
+    watermark: Arc<Mutex<LogPosition>>,
     stats: LinkStats,
     telemetry: MetricsRegistry,
     link_name: String,
@@ -136,7 +138,7 @@ impl Replicator {
             source,
             target,
             config,
-            position: LogPosition::START,
+            watermark: Arc::new(Mutex::new(LogPosition::START)),
             stats: LinkStats::default(),
             telemetry: MetricsRegistry::disabled(),
             link_name,
@@ -183,7 +185,11 @@ impl Replicator {
 
     /// Current watermark (position of the last replicated source event).
     pub fn position(&self) -> LogPosition {
-        self.position
+        *self.watermark.lock()
+    }
+
+    fn set_position(&self, position: LogPosition) {
+        *self.watermark.lock() = position;
     }
 
     /// Lifetime statistics.
@@ -195,12 +201,7 @@ impl Replicator {
     /// ahead of this link's watermark. After an epoch rotation on the
     /// source (restore), the whole new generation counts as backlog.
     pub fn lag_events(&self) -> u64 {
-        let head = self.source.read().binlog_position();
-        if head.epoch == self.position.epoch {
-            head.seqno.saturating_sub(self.position.seqno)
-        } else {
-            head.seqno
-        }
+        lag_events(&self.source, &self.watermark)
     }
 
     /// Read, filter, rename, and apply everything new. Returns how many
@@ -273,7 +274,7 @@ impl Replicator {
     fn read_source_events(&mut self) -> Result<Vec<xdmod_warehouse::BinlogEvent>> {
         let first = {
             let src = self.source.read();
-            src.binlog_after(self.position)
+            src.binlog_after(self.position())
         };
         let detail = match first {
             Ok(events) => return Ok(events),
@@ -298,7 +299,8 @@ impl Replicator {
                         &format!(
                             "{}: watermark {} fell below the source's compaction \
                              horizon — resync required",
-                            self.link_name, self.position
+                            self.link_name,
+                            self.position()
                         ),
                     );
                 }
@@ -331,7 +333,7 @@ impl Replicator {
             );
         }
         let src = self.source.read();
-        src.binlog_after(self.position)
+        src.binlog_after(self.position())
     }
 
     fn poll_inner(&mut self) -> Result<usize> {
@@ -386,7 +388,7 @@ impl Replicator {
                     );
                 }
             }
-            self.position = ev.position;
+            self.set_position(ev.position);
         }
         Ok(applied)
     }
@@ -413,7 +415,7 @@ impl Replicator {
                 tail,
             });
         }
-        self.position = position;
+        self.set_position(position);
         Ok(())
     }
 
@@ -425,8 +427,8 @@ impl Replicator {
     /// *silent*. The supervisor uses it to decide on a resync.
     pub fn is_diverged(&self) -> bool {
         let tail = self.source.read().binlog_position();
-        self.position.epoch > tail.epoch
-            || (self.position.epoch == tail.epoch && self.position.seqno > tail.seqno)
+        let position = self.position();
+        position.epoch > tail.epoch || (position.epoch == tail.epoch && position.seqno > tail.seqno)
     }
 
     /// True when the watermark points *below* the source's binlog
@@ -444,8 +446,8 @@ impl Replicator {
             return false;
         }
         let head = src.binlog_position();
-        self.position.epoch < head.epoch
-            || (self.position.epoch == head.epoch && self.position.seqno < horizon)
+        let position = self.position();
+        position.epoch < head.epoch || (position.epoch == head.epoch && position.seqno < horizon)
     }
 
     /// Checksum-grade resync: rebuild the target schema from the source's
@@ -480,7 +482,7 @@ impl Replicator {
         };
         // The target now mirrors the source's present state; polling
         // resumes from the head so nothing just copied is replayed.
-        self.position = head;
+        self.set_position(head);
         if self.telemetry.is_enabled() {
             self.telemetry
                 .counter("replication_resyncs_total", &[("link", &self.link_name)])
@@ -518,10 +520,10 @@ pub struct ResyncReport {
 /// (`sleep = min(max_backoff, rand(base_backoff ..= prev * 3))`, the
 /// AWS-architecture-blog variant) instead of waiting the full poll
 /// interval. The burst ends on the first success — which also clears
-/// [`LiveReplicator::last_error`] — or once `max_attempts` retries (or
-/// the `deadline`, if set) are spent, after which the link falls back to
-/// ordinary interval polling with the error left visible for the
-/// supervisor. The link is never torn down by a failed poll.
+/// [`LiveReplicator::last_error`] — or once `max_attempts` retries are
+/// spent, after which the link falls back to ordinary interval polling
+/// with the error left visible for the supervisor. The link is never
+/// torn down by a failed poll.
 ///
 /// Jitter is drawn from a [`DeterministicRng`] seeded from the link
 /// name, so a chaos run's retry schedule is reproducible.
@@ -533,9 +535,6 @@ pub struct RetryPolicy {
     pub base_backoff: Duration,
     /// Upper bound any single backoff is clamped to.
     pub max_backoff: Duration,
-    /// Optional wall-clock cap on one burst, ending it even if attempts
-    /// remain.
-    pub deadline: Option<Duration>,
 }
 
 impl Default for RetryPolicy {
@@ -544,7 +543,6 @@ impl Default for RetryPolicy {
             max_attempts: 5,
             base_backoff: Duration::from_millis(10),
             max_backoff: Duration::from_secs(1),
-            deadline: None,
         }
     }
 }
@@ -567,7 +565,6 @@ struct RetryState {
     rng: DeterministicRng,
     attempts: u32,
     prev_backoff: Duration,
-    burst_start: Option<Instant>,
 }
 
 impl RetryState {
@@ -584,7 +581,6 @@ impl RetryState {
             rng: DeterministicRng::new(seed),
             attempts: 0,
             prev_backoff: Duration::ZERO,
-            burst_start: None,
         }
     }
 
@@ -592,20 +588,13 @@ impl RetryState {
     fn reset(&mut self) {
         self.attempts = 0;
         self.prev_backoff = Duration::ZERO;
-        self.burst_start = None;
     }
 
     /// A poll failed: the next backoff to sleep, or `None` once the
-    /// burst's attempts or deadline are exhausted.
+    /// burst's attempts are exhausted.
     fn next_backoff(&mut self) -> Option<Duration> {
         if self.attempts >= self.policy.max_attempts {
             return None;
-        }
-        let start = *self.burst_start.get_or_insert_with(Instant::now);
-        if let Some(deadline) = self.policy.deadline {
-            if start.elapsed() >= deadline {
-                return None;
-            }
         }
         self.attempts += 1;
         let base = self.policy.base_backoff.as_millis() as u64;
@@ -640,6 +629,10 @@ impl RetryState {
 /// retries on the next iteration instead of killing the link.
 pub struct LiveReplicator {
     replicator: Arc<Mutex<Replicator>>,
+    /// The replicator's source and watermark, for lag reads that do not
+    /// wait out a running poll.
+    source: SharedDatabase,
+    watermark: Arc<Mutex<LogPosition>>,
     paused: Arc<AtomicBool>,
     /// Last error observed by the worker, if any.
     last_error: Arc<Mutex<Option<WarehouseError>>>,
@@ -706,6 +699,19 @@ impl LagSampler {
     }
 }
 
+/// Events between `watermark` and the head of `source`'s binlog; after
+/// an epoch rotation on the source (restore), the whole new generation.
+/// The two locks are taken one after the other, never together.
+fn lag_events(source: &SharedDatabase, watermark: &Mutex<LogPosition>) -> u64 {
+    let position = *watermark.lock();
+    let head = source.read().binlog_position();
+    if head.epoch == position.epoch {
+        head.seqno.saturating_sub(position.seqno)
+    } else {
+        head.seqno
+    }
+}
+
 fn record_err(rep: &Replicator, e: &WarehouseError) {
     let telemetry = rep.telemetry();
     if telemetry.is_enabled() {
@@ -747,6 +753,8 @@ impl LiveReplicator {
     pub fn new(replicator: Replicator) -> Self {
         LiveReplicator {
             link_name: replicator.link_name().to_owned(),
+            source: Arc::clone(&replicator.source),
+            watermark: Arc::clone(&replicator.watermark),
             replicator: Arc::new(Mutex::new(replicator)),
             paused: Arc::new(AtomicBool::new(false)),
             last_error: Arc::new(Mutex::new(None)),
@@ -775,9 +783,12 @@ impl LiveReplicator {
     }
 
     /// [`Replicator::lag_events`]: the link's own backlog, read whether
-    /// or not telemetry is enabled.
+    /// or not telemetry is enabled. It takes no replicator lock, so it
+    /// never waits for a running worker's poll, chaos stalls included;
+    /// the watermark it reads advances event by event as the poll
+    /// applies them.
     pub fn lag_events(&self) -> u64 {
-        self.replicator.lock().lag_events()
+        lag_events(&self.source, &self.watermark)
     }
 
     /// [`Replicator::stats`].
@@ -1757,7 +1768,6 @@ mod tests {
             max_attempts: 10,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(5),
-            deadline: None,
         };
         let mut live = LiveReplicator::new(rep);
         live.start_live(Duration::from_millis(1), policy);

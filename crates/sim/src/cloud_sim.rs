@@ -98,13 +98,6 @@ impl CloudSim {
         }
     }
 
-    /// Override the flavor set.
-    pub fn with_flavors(mut self, flavors: Vec<FlavorProfile>) -> Self {
-        assert!(!flavors.is_empty());
-        self.flavors = flavors;
-        self
-    }
-
     /// The flavor catalog.
     pub fn flavors(&self) -> &[FlavorProfile] {
         &self.flavors

@@ -658,8 +658,11 @@ impl Database {
         query: &Query,
         label: &str,
     ) -> Result<(ResultSet, DeltaReport)> {
+        let layout = self.table(schema, table)?.schema();
         // `retained` bumps the cache and delta counters under `label`.
-        self.retained(schema, table, query, label, |e| e.result.clone())
+        let (result, report) =
+            self.retained(schema, table, query, label, |e| e.result(query, layout))?;
+        Ok((result?, report))
     }
 
     /// The retained per-shard partials behind `query` over
@@ -667,10 +670,17 @@ impl Database {
     /// cold build as [`Database::query_reported`] (counted under the
     /// table's own name) and left retained for the next pass. Merging
     /// several tables' partials with [`ShardedPartials::finish_all`]
-    /// answers the query over their union without copying a row.
-    pub fn partials(&self, schema: &str, table: &str, query: &Query) -> Result<ShardedPartials> {
+    /// answers the query over their union without copying a row. A hit
+    /// hands out the retained partials themselves, and a miss finalizes
+    /// nothing.
+    pub fn partials(
+        &self,
+        schema: &str,
+        table: &str,
+        query: &Query,
+    ) -> Result<Arc<ShardedPartials>> {
         Ok(self
-            .retained(schema, table, query, table, |e| e.partials.clone())?
+            .retained(schema, table, query, table, |e| Arc::clone(&e.partials))?
             .0)
     }
 
@@ -690,18 +700,21 @@ impl Database {
     ///   truncated or re-created, the shard geometry changed, or the
     ///   delta read failed transiently. [`ShardedPartials::build`] folds
     ///   the live table (page by page when it is paged).
+    ///
+    /// On a hit `read` runs under the cache lock, so it must not reach
+    /// for another lock; on a miss it runs before the entry is stored.
     fn retained<R>(
         &self,
         schema: &str,
         table: &str,
         query: &Query,
         label: &str,
-        read: impl Fn(&DeltaEntry) -> R,
+        mut read: impl FnMut(&mut DeltaEntry) -> R,
     ) -> Result<(R, DeltaReport)> {
         let t = self.table(schema, table)?;
         let key = CacheKey::of(schema, table, query);
         let by_table = ("table", label);
-        if let Some(out) = self.with_current_entry(&key, |e| read(e)) {
+        if let Some(out) = self.with_current_entry(&key, &mut read) {
             self.bump_counter("warehouse_aggcache_hits_total", by_table, 1);
             let quiet = DeltaReport {
                 outcome: DeltaOutcome::Incremental,
@@ -725,7 +738,8 @@ impl Database {
                 fallback = Some(FallbackReason::Resharded);
             }
             Some(mut e) => {
-                match self.fold_delta(&key, query, t.schema(), e.cursor, &mut e.partials)? {
+                let partials = Arc::make_mut(&mut e.partials);
+                match self.fold_delta(&key, query, t.schema(), e.cursor, partials)? {
                     Ok(counts) => advanced = Some((e.partials, counts)),
                     Err(reason) => fallback = Some(reason),
                 }
@@ -755,6 +769,7 @@ impl Database {
             }
             None => {
                 let partials = ShardedPartials::build(query, t, self.pool, &self.telemetry, label)?;
+                let partials = Arc::new(partials);
                 self.bump_counter("warehouse_delta_cold_builds_total", by_table, 1);
                 if let Some(reason) = fallback {
                     self.bump_counter(
@@ -771,15 +786,14 @@ impl Database {
                 (partials, report)
             }
         };
-        let result = partials.finalize(query, t.schema())?;
-        let entry = DeltaEntry {
+        let mut entry = DeltaEntry {
             cursor: head,
             generation,
             partials,
-            result,
+            result: None,
             installed_as: None,
         };
-        let out = read(&entry);
+        let out = read(&mut entry);
         self.delta.put(key, entry);
         Ok((out, report))
     }
@@ -1041,16 +1055,6 @@ impl Database {
     /// The active paging configuration, if paging is enabled.
     pub fn paging_config(&self) -> Option<&PagingConfig> {
         self.paging.as_ref().map(|p| &p.config)
-    }
-
-    /// Replace the working-set byte budget at runtime and immediately
-    /// enforce it (shrinking spills cold pages in-line). No-op when
-    /// paging is disabled.
-    pub fn set_memory_budget(&mut self, bytes: u64) {
-        if let Some(p) = &mut self.paging {
-            p.config.budget_bytes = bytes;
-            p.manager.set_budget(bytes);
-        }
     }
 
     /// Point-in-time residency counters (budget, resident bytes, page
@@ -1419,6 +1423,35 @@ mod tests {
                 .counter("warehouse_aggcache_hits_total", &[("table", "jobfact")]),
             Some(1)
         );
+    }
+
+    #[test]
+    fn a_repeat_partials_hands_out_the_retained_shards() {
+        let db = populated();
+        let q = Query::new().aggregate(crate::query::Aggregate::count("jobs"));
+        let key = CacheKey::of("xdmod_x", "jobfact", &q);
+        let first = db.partials("xdmod_x", "jobfact", &q).unwrap();
+        let repeat = db.partials("xdmod_x", "jobfact", &q).unwrap();
+        let retained = db.with_current_entry(&key, |e| Arc::clone(&e.partials));
+        assert!(Arc::ptr_eq(&first, &repeat));
+        assert!(Arc::ptr_eq(&repeat, &retained.unwrap()));
+    }
+
+    #[test]
+    fn a_partials_miss_finalizes_nothing() {
+        let db = populated();
+        let q = Query::new().aggregate(crate::query::Aggregate::count("jobs"));
+        let key = CacheKey::of("xdmod_x", "jobfact", &q);
+        db.partials("xdmod_x", "jobfact", &q).unwrap();
+        let finalized = |db: &Database| db.with_current_entry(&key, |e| e.result.is_some());
+        assert_eq!(finalized(&db), Some(false));
+        // The first query over the same entry finalizes it, once.
+        let (rs, report) = db
+            .query_reported("xdmod_x", "jobfact", &q, "jobfact")
+            .unwrap();
+        assert_eq!(report.rows_folded, 0);
+        assert_eq!(finalized(&db), Some(true));
+        assert_eq!(db.query("xdmod_x", "jobfact", &q).unwrap(), rs);
     }
 
     #[test]

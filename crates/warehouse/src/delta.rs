@@ -2,8 +2,8 @@
 //!
 //! Every cached answer is a `DeltaEntry` keyed by `(schema, fact
 //! table, query fingerprint)`: the per-shard [`ShardedPartials`] folded
-//! through a binlog **cursor**, the result finalized from them, and the
-//! rebuild generation they were built under.
+//! through a binlog **cursor**, the result finalized from them once a
+//! caller asks for it, and the rebuild generation they were built under.
 //! One step of the database reads it, for
 //! [`Database::query_reported`](crate::database::Database::query_reported)'s
 //! result and [`Database::partials`](crate::database::Database::partials)'
@@ -15,10 +15,13 @@
 //! table.
 
 use crate::binlog::LogPosition;
+use crate::error::Result;
 use crate::parallel::ShardedPartials;
 use crate::query::{Query, ResultSet};
+use crate::schema::TableSchema;
 use crate::sync::Mutex;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identity of a retained entry: which table was read and what was
 /// asked of it.
@@ -68,10 +71,12 @@ pub(crate) struct DeltaEntry {
     /// mismatch means an external actor rewrote tables wholesale
     /// (replication resync, restore) and the partials are garbage.
     pub generation: u64,
-    /// The per-shard retained partials.
-    pub partials: ShardedPartials,
-    /// `partials` finalized at `cursor` — what a hit clones.
-    pub result: ResultSet,
+    /// The per-shard retained partials. A hit hands out this handle; a
+    /// delta fold advances them in place unless a handle is still out.
+    pub partials: Arc<ShardedPartials>,
+    /// `partials` finalized at `cursor`, once [`DeltaEntry::result`] has
+    /// been asked for it — what a later hit clones.
+    pub result: Option<ResultSet>,
     /// Name of the period table `result` is currently installed in.
     /// Set by [`AggregationSpec::apply_outputs`], and gone with the entry
     /// it was set on whenever that entry folds a record or is rebuilt —
@@ -89,6 +94,17 @@ impl DeltaEntry {
         self.generation == ticket.generation
             && self.partials.shard_count() == shards
             && ticket.watermark.is_none_or(|w| w <= self.cursor)
+    }
+
+    /// The partials finalized for `query` over a table of `schema`'s
+    /// layout, finalized on the first call and kept for the next.
+    pub fn result(&mut self, query: &Query, schema: &TableSchema) -> Result<ResultSet> {
+        if let Some(result) = &self.result {
+            return Ok(result.clone());
+        }
+        let result = self.partials.finalize(query, schema)?;
+        self.result = Some(result.clone());
+        Ok(result)
     }
 }
 
@@ -261,11 +277,11 @@ mod tests {
         DeltaEntry {
             cursor: LogPosition { epoch: 0, seqno },
             generation,
-            partials: ShardedPartials::new(shards),
-            result: ResultSet {
+            partials: Arc::new(ShardedPartials::new(shards)),
+            result: Some(ResultSet {
                 columns: vec!["n".into()],
                 rows: vec![vec![crate::value::Value::Int(seqno as i64)]],
-            },
+            }),
             installed_as: None,
         }
     }
@@ -316,7 +332,10 @@ mod tests {
         cache.put(key(1), entry(5, 0, 2));
         // Any number of readers clone the result without taking it.
         for _ in 0..3 {
-            let rs = cache.with_entry(&key(1), |e| e.result.clone()).unwrap();
+            let rs = cache
+                .with_entry(&key(1), |e| e.result.clone())
+                .unwrap()
+                .unwrap();
             assert_eq!(rs.rows[0][0], crate::value::Value::Int(5));
         }
         assert_eq!(cache.len(), 1);

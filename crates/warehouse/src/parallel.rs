@@ -13,7 +13,7 @@
 //! The per-shard state is a value, [`ShardedPartials`]: [`crate::delta`]
 //! retains one per (table, query) and keeps folding the binlog's delta
 //! into it, and [`ShardedPartials::finish_all`] merges several tables'
-//! into one answer. [`run_sharded`] builds one and consumes it — the
+//! into one answer. [`run_sharded`] builds one and finalizes it — the
 //! stateless reference the oracles hold the retained path to.
 
 use crate::error::{Result, WarehouseError};
@@ -22,6 +22,7 @@ use crate::schema::TableSchema;
 use crate::table::Table;
 use crate::time::Period;
 use crate::value::Row;
+use std::borrow::Borrow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xdmod_telemetry::MetricsRegistry;
 
@@ -133,7 +134,7 @@ pub fn run_sharded(
     telemetry: &MetricsRegistry,
     label: &str,
 ) -> Result<ResultSet> {
-    ShardedPartials::build(query, table, pool, telemetry, label)?.finish(query, table.schema())
+    ShardedPartials::build(query, table, pool, telemetry, label)?.finalize(query, table.schema())
 }
 
 /// Partition `rows` into day-bucket shards and fold each shard on the
@@ -317,34 +318,32 @@ impl ShardedPartials {
         Ok(dirty.into_iter().filter(|d| *d).count())
     }
 
-    /// Finalize from copies, one shard at a time: the retained state is
+    /// Merge the shards into a new answer: the state itself is
     /// untouched, ready for the next delta.
     pub fn finalize(&self, query: &Query, schema: &TableSchema) -> Result<ResultSet> {
-        merge_and_finish(self.shards.iter().cloned(), query, schema)
-    }
-
-    /// Finalize by consuming the state (the stateless engine's last step).
-    pub fn finish(self, query: &Query, schema: &TableSchema) -> Result<ResultSet> {
-        merge_and_finish(self.shards.into_iter(), query, schema)
+        merge_and_finish(self.shards.iter(), query, schema)
     }
 
     /// Finalize several tables' partials of one query, all of `schema`'s
     /// layout, as one answer over their union: merged in the order given,
     /// each one's shards in ascending order, and finished once. The
-    /// federation hub's answer over its satellites, in join order.
-    pub fn finish_all(
-        parts: impl IntoIterator<Item = ShardedPartials>,
+    /// partials are only borrowed. The federation hub's answer over its
+    /// satellites, in join order.
+    pub fn finish_all<P: Borrow<ShardedPartials>>(
+        parts: impl IntoIterator<Item = P>,
         query: &Query,
         schema: &TableSchema,
     ) -> Result<ResultSet> {
-        merge_and_finish(parts.into_iter().flat_map(|p| p.shards), query, schema)
+        let parts: Vec<P> = parts.into_iter().collect();
+        let shards = parts.iter().flat_map(|p| &p.borrow().shards);
+        merge_and_finish(shards, query, schema)
     }
 }
 
 /// Merge shards in ascending order — deterministic, independent of which
 /// worker folded which shard — and finish.
-fn merge_and_finish(
-    shards: impl Iterator<Item = Groups>,
+fn merge_and_finish<'a>(
+    shards: impl Iterator<Item = &'a Groups>,
     query: &Query,
     schema: &TableSchema,
 ) -> Result<ResultSet> {

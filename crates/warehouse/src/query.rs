@@ -257,7 +257,7 @@ impl Acc {
         }
     }
 
-    fn merge(&mut self, other: Acc) {
+    fn merge(&mut self, other: &Acc) {
         match (self, other) {
             (Acc::Count(a), Acc::Count(b)) => *a += b,
             (Acc::Sum(a), Acc::Sum(b)) => *a += b,
@@ -266,18 +266,18 @@ impl Acc {
                 *n += n2;
             }
             (Acc::Min(a), Acc::Min(b)) => {
-                *a = match (*a, b) {
+                *a = match (*a, *b) {
                     (Some(x), Some(y)) => Some(x.min(y)),
                     (x, y) => x.or(y),
                 }
             }
             (Acc::Max(a), Acc::Max(b)) => {
-                *a = match (*a, b) {
+                *a = match (*a, *b) {
                     (Some(x), Some(y)) => Some(x.max(y)),
                     (x, y) => x.or(y),
                 }
             }
-            (Acc::Distinct(a), Acc::Distinct(b)) => a.extend(b),
+            (Acc::Distinct(a), Acc::Distinct(b)) => a.extend(b.iter().cloned()),
             (Acc::Weighted { num, den }, Acc::Weighted { num: n2, den: d2 }) => {
                 *num += n2;
                 *den += d2;
@@ -533,16 +533,16 @@ impl<'q> AggPlan<'q> {
     /// Merge `src` into `dst`. Per key, `dst`'s accumulator absorbs
     /// `src`'s; the map iteration order does not affect the outcome
     /// because keys are disjoint state.
-    pub(crate) fn merge_groups(dst: &mut Groups, src: Groups) {
+    pub(crate) fn merge_groups(dst: &mut Groups, src: &Groups) {
         for (key, accs) in src {
-            match dst.entry(key) {
+            match dst.entry(key.clone()) {
                 std::collections::hash_map::Entry::Occupied(mut e) => {
                     for (d, s) in e.get_mut().iter_mut().zip(accs) {
                         d.merge(s);
                     }
                 }
                 std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(accs);
+                    e.insert(accs.clone());
                 }
             }
         }

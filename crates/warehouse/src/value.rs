@@ -65,18 +65,6 @@ pub enum Value {
 }
 
 impl Value {
-    /// The [`ColumnType`] this value inhabits, or `None` for `Null`.
-    pub fn column_type(&self) -> Option<ColumnType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(ColumnType::Int),
-            Value::Float(_) => Some(ColumnType::Float),
-            Value::Str(_) => Some(ColumnType::Str),
-            Value::Time(_) => Some(ColumnType::Time),
-            Value::Bool(_) => Some(ColumnType::Bool),
-        }
-    }
-
     /// True if the value is `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, Value::Null)

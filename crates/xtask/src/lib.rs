@@ -52,6 +52,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use lex::{Tok, Token};
+use xdmod_check::json::escape;
 
 /// Which invariant a finding violates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,9 +114,9 @@ impl Finding {
         format!(
             "{{\"rule\":\"{}\",\"path\":{},\"line\":{},\"message\":{}}}",
             self.rule.ident(),
-            locks::json_escape(&self.path),
+            escape(&self.path),
             self.line,
-            locks::json_escape(&self.message)
+            escape(&self.message)
         )
     }
 }

@@ -35,6 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::model::{self, Event, FnSummary, Mode, Workspace};
+use xdmod_check::json::escape;
 
 /// Stable diagnostic codes for the concurrency analyzer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,35 +101,16 @@ impl Diag {
 
     /// Render as a JSON object (parity with `xdmod-check --json`).
     pub fn render_json(&self) -> String {
-        let notes: Vec<String> = self.notes.iter().map(|n| json_escape(n)).collect();
+        let notes: Vec<String> = self.notes.iter().map(|n| escape(n)).collect();
         format!(
             "{{\"code\":\"{}\",\"path\":{},\"line\":{},\"message\":{},\"notes\":[{}]}}",
             self.code.ident(),
-            json_escape(&self.path),
+            escape(&self.path),
             self.line,
-            json_escape(&self.message),
+            escape(&self.message),
             notes.join(",")
         )
     }
-}
-
-/// Escape a string as a JSON string literal (quotes included).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Result of an analysis run.

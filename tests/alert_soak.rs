@@ -52,7 +52,6 @@ fn policy() -> SupervisorPolicy {
             max_attempts: 2,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(4),
-            deadline: None,
         })
 }
 

@@ -77,7 +77,6 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
             max_attempts: 2,
             base_backoff: std::time::Duration::from_millis(1),
             max_backoff: std::time::Duration::from_millis(4),
-            deadline: None,
         });
     for _ in 0..4 {
         fed.supervise(&policy);
@@ -154,7 +153,6 @@ fn transient_only_chaos_is_fully_absorbed_by_retries() {
         max_attempts: 2,
         base_backoff: std::time::Duration::from_millis(1),
         max_backoff: std::time::Duration::from_millis(4),
-        deadline: None,
     });
     for _ in 0..4 {
         let tick = fed.supervise(&policy);
