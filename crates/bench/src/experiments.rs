@@ -13,7 +13,9 @@ use xdmod_realms::levels::{
 };
 use xdmod_realms::RealmKind;
 use xdmod_sim::{CloudSim, ClusterSim, ResourceProfile, StorageSim};
-use xdmod_warehouse::{AggFn, Aggregate, CivilDate, GroupKey, OrderBy, Period, Predicate, Query};
+use xdmod_warehouse::{
+    AggFn, Aggregate, CivilDate, GroupKey, OrderBy, Period, Predicate, Query, Row,
+};
 
 /// Default deterministic seed for every experiment.
 pub const SEED: u64 = 20180923; // CLUSTER'18 week
@@ -146,40 +148,37 @@ pub fn table1(seed: u64, scale: f64) -> Table1 {
     fed.sync_and_aggregate().expect("sync");
 
     let mut views = BTreeMap::new();
-    let count_bins = |db: &xdmod_warehouse::Database, schema: &str| -> BTreeMap<String, i64> {
-        let t = db
-            .table(schema, "jobfact_by_year")
-            .expect("aggregate exists");
-        let bin_idx = t.schema().column_index("wall_hours_bin").expect("bin col");
-        let cnt_idx = t.schema().column_index("job_count").expect("count col");
+    let count_bins = |rows: &[Row], bin_idx: usize, cnt_idx: usize| -> BTreeMap<String, i64> {
         let mut out: BTreeMap<String, i64> = BTreeMap::new();
-        for row in t.rows().expect("paged rows readable").iter() {
+        for row in rows {
             let label = row[bin_idx].as_str().unwrap_or("NULL").to_owned();
             *out.entry(label).or_default() += row[cnt_idx].as_i64().unwrap_or(0);
         }
         out
     };
-    {
-        let db = a.database();
-        views.insert(
-            "Instance A".to_owned(),
-            count_bins(&db.read(), &a.schema_name()),
-        );
-        let db = b.database();
-        views.insert(
-            "Instance B".to_owned(),
-            count_bins(&db.read(), &b.schema_name()),
-        );
-        let db = fed.hub().database();
+    // Each satellite reads its own year table; the hub's view is its
+    // federated year answer under the hub's levels.
+    for (view, inst) in [("Instance A", &a), ("Instance B", &b)] {
+        let db = inst.database();
         let db = db.read();
-        let mut hub_view: BTreeMap<String, i64> = BTreeMap::new();
-        for sat in ["instance-a", "instance-b"] {
-            for (label, n) in count_bins(&db, &FederationHub::schema_for(sat)) {
-                *hub_view.entry(label).or_default() += n;
-            }
-        }
-        views.insert("Federation Hub".to_owned(), hub_view);
+        let t = db
+            .table(&inst.schema_name(), "jobfact_by_year")
+            .expect("aggregate exists");
+        let bin_idx = t.schema().column_index("wall_hours_bin").expect("bin col");
+        let cnt_idx = t.schema().column_index("job_count").expect("count col");
+        let rows = t.rows().expect("paged rows readable");
+        views.insert(view.to_owned(), count_bins(&rows, bin_idx, cnt_idx));
     }
+    let year = fed
+        .hub()
+        .aggregate(RealmKind::Jobs, Period::Year)
+        .expect("hub year answer");
+    let bin_idx = year.column_index("wall_hours_bin").expect("bin col");
+    let cnt_idx = year.column_index("job_count").expect("count col");
+    views.insert(
+        "Federation Hub".to_owned(),
+        count_bins(&year.rows, bin_idx, cnt_idx),
+    );
     let raw_total_jobs = fed
         .hub()
         .federated_query(

@@ -819,11 +819,9 @@ impl Federation {
         let sat_schema = instance.schema_name();
         let hub_schema = FederationHub::schema_for(instance.name());
         for check in xdmod_replication::verify_schemas(&sat, &sat_schema, &hub, &hub_schema)? {
+            // Excluded realms, and the satellite's own aggregate tables
+            // outside the selection, are expected absent.
             if !filter.table_passes(&check.table) {
-                continue; // excluded realm, expected absent
-            }
-            // Aggregate tables built satellite-side aren't replicated.
-            if check.table.contains("_by_") {
                 continue;
             }
             if !check.matches {
@@ -1266,7 +1264,7 @@ impl Federation {
 mod tests {
     use super::*;
     use crate::version::XdmodVersion;
-    use xdmod_warehouse::{Aggregate, Query};
+    use xdmod_warehouse::{Aggregate, Period, Query};
 
     const SACCT_X: &str = "\
 JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
@@ -1450,6 +1448,30 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
     }
 
     #[test]
+    fn verify_member_checks_the_replicated_supremm_summary() {
+        let mut x = instance("x", SACCT_X, "r");
+        x.ingest_pcp("job 1 r alice 1483700000\nts 1483690000 cpu_user 0.9\nend\n")
+            .unwrap();
+        x.aggregate().unwrap();
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default().with_supremm_summaries())
+            .unwrap();
+        fed.sync_and_aggregate().unwrap();
+        assert!(fed.verify_member(&x).unwrap());
+
+        // The hub's copy of the summary drifts from the satellite's.
+        let hub_db = fed.hub().database();
+        let mut hub = hub_db.write();
+        let schema = FederationHub::schema_for("x");
+        let summary = hub.table(&schema, "supremm_summary_by_month").unwrap();
+        let row = summary.rows().unwrap()[0].clone();
+        hub.insert(&schema, "supremm_summary_by_month", vec![row])
+            .unwrap();
+        drop(hub);
+        assert!(!fed.verify_member(&x).unwrap());
+    }
+
+    #[test]
     fn resource_exclusion_keeps_sensitive_rows_local() {
         let mut x = XdmodInstance::new("x");
         x.ingest_sacct("open", SACCT_X).unwrap();
@@ -1489,12 +1511,13 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
         fed.sync_and_aggregate().unwrap();
+        let month = fed.hub().aggregate(RealmKind::Jobs, Period::Month).unwrap();
+        assert_eq!(month.len(), 1);
+        // The aggregates are answers: no period table on the hub.
         let hub_db = fed.hub().database();
         let hub = hub_db.read();
-        let t = hub
-            .table(&FederationHub::schema_for("x"), "jobfact_by_month")
-            .unwrap();
-        assert_eq!(t.len(), 1);
+        let tables = hub.table_names(&FederationHub::schema_for("x")).unwrap();
+        assert!(!tables.contains(&"jobfact_by_month"), "{tables:?}");
     }
 
     #[test]

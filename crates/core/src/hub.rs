@@ -18,8 +18,8 @@ use xdmod_realms::levels::AggregationLevelsConfig;
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_telemetry::MetricsRegistry;
 use xdmod_warehouse::{
-    shared, AggregationOutputs, Database, PoolConfig, Query, Result, ResultSet, ShardedPartials,
-    SharedDatabase, Table, WarehouseError,
+    shared, AggregationSpec, Database, Period, PoolConfig, Query, Result, ResultSet,
+    ShardedPartials, SharedDatabase, Table, WarehouseError,
 };
 
 /// The central federation hub.
@@ -133,9 +133,11 @@ impl FederationHub {
         &self.levels
     }
 
-    /// Replace the hub's aggregation levels. Follow with
-    /// [`aggregate_all`](Self::aggregate_all) to "re-aggregate all raw
-    /// federation data" (§II-C3).
+    /// Replace the hub's aggregation levels: the next
+    /// [`aggregate`](Self::aggregate) re-bins all raw federation data
+    /// under them ("re-aggregate all raw federation data", §II-C3).
+    /// [`aggregate_all`](Self::aggregate_all) builds those answers ahead
+    /// of the first read.
     pub fn set_levels(&mut self, levels: AggregationLevelsConfig) {
         self.levels = levels;
     }
@@ -186,80 +188,77 @@ impl FederationHub {
     // Aggregation
     // ------------------------------------------------------------------
 
-    /// Aggregate every satellite's replicated data under the **hub's**
-    /// levels. Raw replicated rows are left untouched ("no data are lost
-    /// or changed"); only `{fact}_by_{period}` tables are written into
-    /// each satellite schema on the hub.
+    /// The aggregation pipeline of a realm under the **hub's** levels
+    /// (Table I's "Federation Hub" column).
+    pub fn aggregation_spec(&self, realm: RealmKind) -> AggregationSpec {
+        match realm {
+            RealmKind::Jobs => jobs::aggregation_spec(&self.levels),
+            RealmKind::Supremm => supremm::aggregation_spec(),
+            RealmKind::Storage => storage::aggregation_spec(),
+            RealmKind::Cloud => cloud_realm::aggregation_spec(&self.levels),
+        }
+    }
+
+    /// A realm's aggregate for one period under the hub's levels: the
+    /// spec's [`AggregationSpec::period_query`] answered over every
+    /// satellite's replicated facts by
+    /// [`federated_query`](Self::federated_query). Nothing is written;
+    /// after [`aggregate_all`](Self::aggregate_all) each satellite's pass
+    /// is a hit.
+    pub fn aggregate(&self, realm: RealmKind, period: Period) -> Result<ResultSet> {
+        self.federated_query(realm, &self.aggregation_spec(realm).period_query(period))
+    }
+
+    /// The paper's aggregation cycle on the hub: bring every satellite ×
+    /// realm × period entry behind [`aggregate`](Self::aggregate) up to
+    /// date with [`Database::partials`] — a hit, a fold of the records
+    /// replicated since, or a cold build — under the hub's levels. Raw
+    /// replicated rows are left untouched ("no data are lost or
+    /// changed"), and nothing is written: no period table, no binlog
+    /// record, no write lock.
     ///
-    /// Runs in two phases on the partitioned parallel engine: every
-    /// satellite's rebuild is *planned* concurrently under a single read
-    /// lock (one scoped worker per satellite, each folding its fact
-    /// shards on the warehouse pool), then the planned outputs are
-    /// *applied* under one write lock in stable satellite × spec order —
-    /// so the result is byte-identical to a serial rebuild for any pool
-    /// size. Satellites with no ingest since the last rebuild are
-    /// skipped (their period tables are marked installed); the others
-    /// fold only the binlog records replicated since.
+    /// Runs under one read lock on the partitioned parallel engine: one
+    /// scoped worker per satellite, each folding its fact shards on the
+    /// warehouse pool. Each period is timed as
+    /// `warehouse_aggregation_seconds{table=..}` under its
+    /// `{fact}_by_{period}` name.
     pub fn aggregate_all(&self) -> Result<()> {
-        let specs = [
-            jobs::aggregation_spec(&self.levels),
-            supremm::aggregation_spec(),
-            storage::aggregation_spec(),
-            cloud_realm::aggregation_spec(&self.levels),
-        ];
-        // Phase 1: plan concurrently. Nothing is written, so readers
-        // (charts, federated queries) stay unblocked during the fold.
+        let specs = RealmKind::ALL.map(|realm| self.aggregation_spec(realm));
+        let telemetry = &self.telemetry;
         let db = self.db.read();
-        let schemas: Vec<String> = self
-            .satellites
-            .iter()
-            .map(|s| Self::schema_for(s))
-            // Link established but nothing replicated yet: skip.
-            .filter(|schema| db.has_schema(schema))
-            .collect();
-        let planned: Vec<Result<Vec<(usize, AggregationOutputs)>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = schemas
+        std::thread::scope(|scope| {
+            let workers: Vec<_> = self
+                .satellites
                 .iter()
-                .map(|schema| {
-                    let db = &db;
-                    let specs = &specs;
-                    scope.spawn(move || -> Result<Vec<(usize, AggregationOutputs)>> {
-                        let mut outs = Vec::new();
-                        for (i, spec) in specs.iter().enumerate() {
-                            // A replication filter may have excluded a
-                            // realm's fact table entirely (e.g.
-                            // SUPReMM); skip those.
-                            if db.table(schema, &spec.fact_table).is_ok() {
-                                outs.push((i, spec.plan(db, schema)?));
+                .map(|sat| {
+                    let (db, specs, schema) = (&db, &specs, Self::schema_for(sat));
+                    scope.spawn(move || -> Result<()> {
+                        // Nothing replicated yet, or a realm a replication
+                        // filter excluded (e.g. SUPReMM): no fact table.
+                        let present = specs
+                            .iter()
+                            .filter(|spec| db.table(&schema, &spec.fact_table).is_ok());
+                        for spec in present {
+                            for &period in &spec.periods {
+                                let table = spec.table_name(period);
+                                let span = telemetry
+                                    .span("warehouse_aggregation_seconds", &[("table", &table)]);
+                                db.partials(&schema, &spec.fact_table, &spec.period_query(period))?;
+                                span.finish();
                             }
                         }
-                        Ok(outs)
+                        Ok(())
                     })
                 })
                 .collect();
-            handles
+            // Join every worker before reporting the first error.
+            let panicked = || Err(WarehouseError::Io("aggregation worker panicked".to_owned()));
+            let joined: Vec<Result<()>> = workers
                 .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|_| {
-                        Err(WarehouseError::Io(
-                            "satellite aggregation planner panicked".to_owned(),
-                        ))
-                    })
-                })
-                .collect()
-        });
-        drop(db);
-        // Phase 2: install under one write lock, in stable order. A
-        // ticket gone stale between the phases (concurrent ingest or
-        // resync) recomputes under the lock instead of installing the
-        // stale view.
-        let mut db = self.db.write();
-        for (schema, outs) in schemas.iter().zip(planned) {
-            for (i, outputs) in outs? {
-                specs[i].apply_outputs(&mut db, schema, outputs)?;
-            }
-        }
-        Ok(())
+                .map(|worker| worker.join().unwrap_or_else(|_| panicked()))
+                .collect();
+            joined.into_iter().collect()
+        })
     }
 
     // ------------------------------------------------------------------
@@ -902,33 +901,72 @@ mod tests {
         hub
     }
 
+    /// A late day of jobs on one satellite, as its next sync applies it.
+    fn replicate_late_jobs(hub: &FederationHub) {
+        let base = xdmod_warehouse::CivilDate::new(2017, 2, 10).to_epoch();
+        let rows = (0..4i64)
+            .map(|i| {
+                let t = base + i * 3_600;
+                vec![
+                    Value::Int(100 + i),
+                    Value::Str(format!("res-{}", i % 3)),
+                    Value::Str("u".into()),
+                    Value::Str("pi".into()),
+                    Value::Str("q1".into()),
+                    Value::Int(2),
+                    Value::Int(8),
+                    Value::Time(t),
+                    Value::Time(t),
+                    Value::Time(t + 1_800),
+                    Value::Float(i as f64 / 64.0),
+                    Value::Float(0.0),
+                    Value::Float(i as f64 / 32.0),
+                    Value::Float(i as f64 / 16.0),
+                    Value::Str("0".into()),
+                    Value::Null,
+                ]
+            })
+            .collect();
+        hub.database()
+            .write()
+            .insert(&FederationHub::schema_for("x"), "jobfact", rows)
+            .unwrap();
+    }
+
+    /// Every period's Jobs aggregate under the hub's levels.
+    fn job_aggregates(hub: &FederationHub) -> Vec<ResultSet> {
+        let spec = hub.aggregation_spec(RealmKind::Jobs);
+        spec.periods
+            .iter()
+            .map(|&period| hub.aggregate(RealmKind::Jobs, period).unwrap())
+            .collect()
+    }
+
     #[test]
     fn parallel_aggregate_all_matches_serial_and_caches() {
         let parallel = staged_jobs_hub(xdmod_warehouse::PoolConfig::new(4).with_shards(8));
         let serial = staged_jobs_hub(xdmod_warehouse::PoolConfig::serial());
         parallel.aggregate_all().unwrap();
         serial.aggregate_all().unwrap();
+        let count = |name: &str| parallel.telemetry().snapshot().counter_total(name);
+        let (hits, misses) = (
+            count("warehouse_aggcache_hits_total"),
+            count("warehouse_aggcache_misses_total"),
+        );
 
-        let spec = jobs::aggregation_spec(parallel.levels());
-        for sat in ["x", "y"] {
-            let schema = FederationHub::schema_for(sat);
-            for &period in &spec.periods {
-                let name = spec.table_name(period);
-                let pdb = parallel.database();
-                let sdb = serial.database();
-                let (pdb, sdb) = (pdb.read(), sdb.read());
-                assert_eq!(
-                    pdb.table(&schema, &name).unwrap().content_checksum(),
-                    sdb.table(&schema, &name).unwrap().content_checksum(),
-                    "{schema}.{name} must be byte-identical across pool sizes"
-                );
-            }
-        }
+        let answers = job_aggregates(&parallel);
+        assert_eq!(answers, job_aggregates(&serial), "pool sizes diverged");
+        assert!(answers.iter().all(|rs| !rs.is_empty()));
+        // Each answer read the entries the cycle built: every satellite's
+        // pass of every period is a hit, counted under the fact table.
+        let passes = 2 * answers.len() as u64;
+        assert_eq!(count("warehouse_aggcache_hits_total"), hits + passes);
+        assert_eq!(count("warehouse_aggcache_misses_total"), misses);
 
-        // No new ingest: the repeat rebuild is answered from the cache.
+        // No new ingest: the repeat cycle is answered from the cache.
         parallel.aggregate_all().unwrap();
-        let snap = parallel.telemetry().snapshot();
-        assert!(snap.counter_total("warehouse_aggcache_hits_total") > 0);
+        assert_eq!(count("warehouse_aggcache_hits_total"), hits + 2 * passes);
+        assert_eq!(count("warehouse_aggcache_misses_total"), misses);
     }
 
     #[test]
@@ -940,38 +978,8 @@ mod tests {
         full.aggregate_all().unwrap();
 
         // A late day of jobs lands on satellite x; re-aggregate.
-        let base = xdmod_warehouse::CivilDate::new(2017, 2, 10).to_epoch();
-        let late_rows = || {
-            (0..4i64)
-                .map(|i| {
-                    let t = base + i * 3_600;
-                    vec![
-                        Value::Int(100 + i),
-                        Value::Str(format!("res-{}", i % 3)),
-                        Value::Str("u".into()),
-                        Value::Str("pi".into()),
-                        Value::Str("q1".into()),
-                        Value::Int(2),
-                        Value::Int(8),
-                        Value::Time(t),
-                        Value::Time(t),
-                        Value::Time(t + 1_800),
-                        Value::Float(i as f64 / 64.0),
-                        Value::Float(0.0),
-                        Value::Float(i as f64 / 32.0),
-                        Value::Float(i as f64 / 16.0),
-                        Value::Str("0".into()),
-                        Value::Null,
-                    ]
-                })
-                .collect::<Vec<_>>()
-        };
-        for hub in [&incr, &full] {
-            let db = hub.database();
-            let mut db = db.write();
-            db.insert(&FederationHub::schema_for("x"), "jobfact", late_rows())
-                .unwrap();
-        }
+        replicate_late_jobs(&incr);
+        replicate_late_jobs(&full);
         // The invalidation a resync uses: every retained entry dropped,
         // so `full` rebuilds from scratch.
         full.database().write().note_external_rebuild();
@@ -986,21 +994,37 @@ mod tests {
         let fsnap = full.telemetry().snapshot();
         assert_eq!(fsnap.counter_total("warehouse_delta_folds_total"), 0);
 
-        // Either way the materialized aggregates are byte-identical.
-        let spec = jobs::aggregation_spec(incr.levels());
+        // Either way every period's answer is the same.
+        assert_eq!(
+            job_aggregates(&incr),
+            job_aggregates(&full),
+            "incremental and full rebuild diverged"
+        );
+    }
+
+    #[test]
+    fn aggregate_all_appends_nothing_to_the_hub_binlog() {
+        let hub = staged_jobs_hub(xdmod_warehouse::PoolConfig::new(2).with_shards(4));
+        let head = || hub.database().read().binlog_position();
+        // Right after the facts replicated, then on a repeat.
+        let synced = head();
+        hub.aggregate_all().unwrap();
+        assert_eq!(head(), synced);
+        hub.aggregate_all().unwrap();
+        assert_eq!(head(), synced);
+
+        // New facts: the cycle folds them and still writes nothing.
+        replicate_late_jobs(&hub);
+        let synced = head();
+        hub.aggregate_all().unwrap();
+        assert_eq!(head(), synced);
+        let snap = hub.telemetry().snapshot();
+        assert!(snap.counter_total("warehouse_delta_folded_records_total") >= 4);
+        let db = hub.database();
+        let db = db.read();
         for sat in ["x", "y"] {
-            let schema = FederationHub::schema_for(sat);
-            for &period in &spec.periods {
-                let name = spec.table_name(period);
-                let idb = incr.database();
-                let fdb = full.database();
-                let (idb, fdb) = (idb.read(), fdb.read());
-                assert_eq!(
-                    idb.table(&schema, &name).unwrap().content_checksum(),
-                    fdb.table(&schema, &name).unwrap().content_checksum(),
-                    "{schema}.{name} diverged between incremental and full rebuild"
-                );
-            }
+            let tables = db.table_names(&FederationHub::schema_for(sat)).unwrap();
+            assert_eq!(tables, ["jobfact"], "{sat}");
         }
     }
 

@@ -12,7 +12,7 @@
 //! - **selective replication** ([`filter::ReplicationFilter`]): realm
 //!   /table selection and per-resource routing (§II-C4);
 //! - **loose federation** (§II-C2): the same link polled in batches and
-//!   never run live, or shipped database dumps ([`loose`]);
+//!   never run live;
 //! - **consistency verification** ([`consistency`]): checksum proof that
 //!   "no data are lost or changed" in transit.
 
@@ -21,13 +21,11 @@
 pub mod consistency;
 pub mod error;
 pub mod filter;
-pub mod loose;
 pub mod replicator;
 
 pub use consistency::{schemas_match, verify_schemas, TableCheck};
 pub use error::ReplicationError;
 pub use filter::ReplicationFilter;
-pub use loose::{receive_dump, ship_dump};
 pub use replicator::{
     LinkConfig, LinkStats, LiveReplicator, Replicator, ResyncReport, RetryPolicy,
 };

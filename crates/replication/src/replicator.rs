@@ -13,10 +13,24 @@
 //! to the target. [`LiveReplicator`] holds one for the link's whole life
 //! and can run the same poll on a background thread — the paper's "live
 //! replication".
+//!
+//! "Instead, log files or database dumps could be periodically shipped to
+//! the federation hub, and batch processed there to make their data
+//! available to the federation. This latter method would be considered
+//! 'loose' federation. A heterogeneous model could also be employed, in
+//! which a federation hub is provided with data using loose federation
+//! from some member instances and tight federation from others."
+//! (§II-C2)
+//!
+//! A loose link is the same [`Replicator`], polled in batches and never
+//! run live: it reads the framed binlog (the shipped "log files") after a
+//! position the hub keeps and advances that position only past applied
+//! events, so a batch that fails to apply is read again on the next
+//! call. A captured schema (the "database dump") is what
+//! [`Replicator::resync_target`] replays.
 
 use crate::error::{panic_detail, ReplicationError};
 use crate::filter::ReplicationFilter;
-use crate::loose::replace;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -67,8 +81,8 @@ impl LinkConfig {
     }
 
     /// The one link step every path takes — polls (tight and loose
-    /// members alike), dumps and resync. Drops events of other schemas, renames, then
-    /// applies the filter, resolving resource columns on the `target`
+    /// members alike) and resync. Drops events of other schemas, renames,
+    /// then applies the filter, resolving resource columns on the `target`
     /// table the rows land in. `None` means the link drops the event.
     pub fn route(&self, payload: EventPayload, target: &Database) -> Option<EventPayload> {
         if self
@@ -503,8 +517,40 @@ impl Replicator {
     }
 }
 
-/// What a [`Replicator::resync_target`] pass or a
-/// [`receive_dump`](crate::loose::receive_dump) rebuilt.
+/// Replay a captured image through `link`, replacing what it carries:
+/// each table that passes is emptied where its `CreateTable` arrives —
+/// ahead of its rows, after its definition is checked against the
+/// target's — and then every retained partial is dropped
+/// ([`Database::note_external_rebuild`]), since each was folded from rows
+/// the image just replaced.
+fn replace(
+    target: &mut Database,
+    events: impl Iterator<Item = Result<EventPayload>>,
+    link: &LinkConfig,
+) -> Result<ResyncReport> {
+    let mut report = ResyncReport::default();
+    for payload in events {
+        let Some(payload) = link.route(payload?, target) else {
+            continue;
+        };
+        match &payload {
+            EventPayload::CreateTable { schema, def } => {
+                report.tables += 1;
+                if target.table(schema, &def.name).is_ok() {
+                    target.ensure_table(schema, def.clone())?;
+                    target.truncate(schema, &def.name)?;
+                }
+            }
+            EventPayload::InsertBatch { rows, .. } => report.rows += rows.len(),
+            _ => {}
+        }
+        target.apply_event(payload)?;
+    }
+    target.note_external_rebuild();
+    Ok(report)
+}
+
+/// What a [`Replicator::resync_target`] pass rebuilt.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResyncReport {
     /// Tables rebuilt on the target (after table selection).
@@ -975,6 +1021,82 @@ mod tests {
         db.insert(schema, "jobfact", rows.clone()).unwrap();
         db.insert(schema, "supremm_jobfact", rows).unwrap();
         shared(db)
+    }
+
+    /// Capture the link's source schema and replay it on `hub` with
+    /// replace semantics — a shipped database dump (§II-C2).
+    fn replay_dump(src: &SharedDatabase, hub: &mut Database, link: &LinkConfig) -> ResyncReport {
+        let schema = link.source_schema.clone().unwrap();
+        let image = Snapshot::capture_schemas(&src.read(), &[schema]).unwrap();
+        replace(hub, image.events(), link).unwrap()
+    }
+
+    #[test]
+    fn dump_honours_table_selection_and_resource_routing() {
+        let src = satellite("xdmod_x", &["open", "secret", "open"]);
+        let link = LinkConfig::renaming("xdmod_x", "hub_x").with_filter(
+            ReplicationFilter::all()
+                .with_tables(["jobfact"])
+                .with_resource_column("jobfact", "resource")
+                .exclude_resource("secret"),
+        );
+        let mut hub = Database::new();
+        let report = replay_dump(&src, &mut hub, &link);
+        // Rows after routing, not the image's 6.
+        assert_eq!(report, ResyncReport { tables: 1, rows: 2 });
+        assert!(hub.table("hub_x", "supremm_jobfact").is_err());
+        let jobs = hub.table("hub_x", "jobfact").unwrap();
+        assert_eq!(jobs.len(), 2);
+        assert!(jobs
+            .rows()
+            .unwrap()
+            .iter()
+            .all(|r| r[0] != Value::Str("secret".into())));
+    }
+
+    #[test]
+    fn dump_shipping_replaces_not_duplicates() {
+        let src = satellite("xdmod_x", &["comet"; 4]);
+        let mut hub = Database::new();
+        let link = LinkConfig::renaming("xdmod_x", "hub_x");
+        assert_eq!(
+            replay_dump(&src, &mut hub, &link),
+            ResyncReport { tables: 2, rows: 8 }
+        );
+        assert_eq!(hub.table("hub_x", "jobfact").unwrap().len(), 4);
+        // Second periodic shipment (same data) replaces rather than
+        // appending.
+        replay_dump(&src, &mut hub, &link);
+        assert_eq!(hub.table("hub_x", "jobfact").unwrap().len(), 4);
+        assert_eq!(
+            hub.table("hub_x", "jobfact").unwrap().content_checksum(),
+            src.read()
+                .table("xdmod_x", "jobfact")
+                .unwrap()
+                .content_checksum()
+        );
+    }
+
+    #[test]
+    fn heterogeneous_federation_tight_plus_loose() {
+        // Satellite X federates tight, satellite Y by shipped dumps, same
+        // hub.
+        let x = satellite("xdmod_x", &["comet"; 2]);
+        let y = satellite("xdmod_y", &["gordon"; 3]);
+        let hub = shared(Database::new());
+
+        let mut tight = Replicator::new(
+            x,
+            Arc::clone(&hub),
+            LinkConfig::renaming("xdmod_x", "hub_x"),
+        );
+        tight.poll().unwrap();
+        let link = LinkConfig::renaming("xdmod_y", "hub_y");
+        replay_dump(&y, &mut hub.write(), &link);
+
+        let hub = hub.read();
+        assert_eq!(hub.table("hub_x", "jobfact").unwrap().len(), 2);
+        assert_eq!(hub.table("hub_y", "jobfact").unwrap().len(), 3);
     }
 
     #[test]
@@ -1919,7 +2041,6 @@ mod tests {
 
     #[test]
     fn the_link_paths_agree() {
-        use crate::loose::{receive_dump, ship_dump};
         use xdmod_warehouse::PagingConfig;
         // One history: both realms, a resource mix, and a truncate the
         // log replays but a capture never sees.
@@ -1972,10 +2093,7 @@ mod tests {
                 .unwrap();
             None
         };
-        let dump: Path = |src, hub, link| {
-            let bytes = ship_dump(&src.read(), "xdmod_x").unwrap();
-            Some(receive_dump(&mut hub.write(), &bytes, &link).unwrap())
-        };
+        let dump: Path = |src, hub, link| Some(replay_dump(src, &mut hub.write(), &link));
         let resync: Path = |src, hub, link| {
             let mut rep = Replicator::new(Arc::clone(src), Arc::clone(hub), link);
             Some(rep.resync_target().unwrap())

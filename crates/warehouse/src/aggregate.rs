@@ -8,13 +8,15 @@
 //!
 //! An [`AggregationSpec`] declares, for one fact table: the time column,
 //! the dimensions (raw or binned), and the measures. Materializing a spec
-//! builds one table per [`Period`] named `{fact}_by_{period}`; rebuilding
-//! after a config change is the paper's "re-aggregate all raw federation
-//! data" operation.
+//! builds one table per [`Period`] named `{fact}_by_{period}` — a
+//! satellite's own aggregation run, and its re-aggregation after a level
+//! change. The federation hub writes no such table: its aggregates are
+//! each spec's [`AggregationSpec::period_query`] answered over the union
+//! of its satellites' fact tables.
 
 use crate::bins::Bins;
 use crate::database::Database;
-use crate::delta::{CacheKey, RebuildTicket};
+use crate::delta::CacheKey;
 use crate::error::{Result, WarehouseError};
 use crate::query::{AggFn, Aggregate, GroupKey, Query, ResultSet};
 use crate::schema::{ColumnDef, TableSchema};
@@ -193,152 +195,42 @@ impl AggregationSpec {
         Ok(())
     }
 
-    /// The retained entry behind one period's table: the period query
-    /// over the fact table.
-    fn period_key(&self, schema: &str, period: Period) -> CacheKey {
-        CacheKey::of(schema, &self.fact_table, &self.period_query(period))
-    }
-
-    /// Compute phase of a rebuild: answer every period's query through
-    /// [`Database::query_reported`] — retained partials advanced by the
-    /// binlog delta, or built cold on the worker pool — into staged
-    /// per-period outputs, without writing anything. Runs under a shared
-    /// borrow, so the hub can compute every satellite's aggregates
-    /// concurrently under one read lock.
+    /// Build (or rebuild) every period's aggregate table for the fact
+    /// table in `schema` — both the daily aggregation run and the
+    /// "re-aggregate after changing levels" administrative action.
     ///
-    /// When every period's retained entry still answers for the fact
-    /// table *and* is marked installed in its period table, the outputs
-    /// come back empty and [`AggregationSpec::apply_outputs`] is a no-op
-    /// — a repeat aggregation run after no new ingest costs O(1).
-    pub fn plan(&self, db: &Database, schema: &str) -> Result<AggregationOutputs> {
-        let ticket = db.rebuild_ticket(schema, &self.fact_table);
+    /// A period whose retained entry still answers for the fact table and
+    /// is marked installed in its period table is a hit and costs O(1).
+    /// Any other period is answered through [`Database::query_reported`]
+    /// — retained partials advanced by the binlog delta, or built cold on
+    /// the [`Database::set_parallelism`] pool — and its table truncated
+    /// and repopulated, then marked installed.
+    pub fn materialize(&self, db: &mut Database, schema: &str) -> Result<()> {
+        let fact = db.table(schema, &self.fact_table)?.schema().clone();
         let telemetry = db.telemetry().clone();
-        let installed = |period: Period| {
-            let name = self.table_name(period);
-            db.with_current_entry(&self.period_key(schema, period), |e| {
-                e.installed_as.as_deref() == Some(&name)
-            }) == Some(true)
-        };
-        if !self.periods.is_empty() && self.periods.iter().all(|&p| installed(p)) {
-            if telemetry.is_enabled() {
-                for &period in &self.periods {
-                    telemetry
-                        .counter(
-                            "warehouse_aggcache_hits_total",
-                            &[("table", &self.table_name(period))],
-                        )
-                        .inc();
-                }
-            }
-            return Ok(AggregationOutputs {
-                ticket,
-                tables: Vec::new(),
-                cached: true,
-            });
-        }
-        let fact = db.table(schema, &self.fact_table)?;
-        let mut tables = Vec::with_capacity(self.periods.len());
         for &period in &self.periods {
             let table_name = self.table_name(period);
+            let query = self.period_query(period);
+            let key = CacheKey::of(schema, &self.fact_table, &query);
+            let installed =
+                db.with_current_entry(&key, |e| e.installed_as.as_deref() == Some(&table_name));
+            if installed == Some(true) {
+                if telemetry.is_enabled() {
+                    telemetry
+                        .counter("warehouse_aggcache_hits_total", &[("table", &table_name)])
+                        .inc();
+                }
+                continue;
+            }
             let span = telemetry.span("warehouse_aggregation_seconds", &[("table", &table_name)]);
-            let out_schema = self.output_schema(fact.schema(), period)?;
-            let (rs, _) = db.query_reported(
-                schema,
-                &self.fact_table,
-                &self.period_query(period),
-                &table_name,
-            )?;
+            let out_schema = self.output_schema(&fact, period)?;
+            let (rs, _) = db.query_reported(schema, &self.fact_table, &query, &table_name)?;
             let rows = self.transform_rows(period, rs)?;
             span.finish();
-            tables.push((out_schema, rows));
-        }
-        Ok(AggregationOutputs {
-            ticket,
-            tables,
-            cached: false,
-        })
-    }
-
-    /// Apply phase of a rebuild, run under the exclusive borrow (write
-    /// lock). Revalidates the outputs' [`RebuildTicket`] first: if the
-    /// fact table was rewritten in between — ingest, or an external
-    /// rebuild such as [`Replicator::resync_target`] bumping the rebuild
-    /// generation — the stale outputs are discarded, the conflict is
-    /// counted (`warehouse_aggregation_rebuild_conflicts_total`), and the
-    /// aggregation is recomputed right here where nothing can interleave.
-    /// On success every period's retained entry is marked installed so
-    /// the next [`AggregationSpec::plan`] is a cache hit.
-    ///
-    /// [`Replicator::resync_target`]: ../../xdmod_replication/struct.Replicator.html#method.resync_target
-    pub fn apply_outputs(
-        &self,
-        db: &mut Database,
-        schema: &str,
-        outputs: AggregationOutputs,
-    ) -> Result<()> {
-        if outputs.cached {
-            return Ok(());
-        }
-        let mut outputs = outputs;
-        if db.rebuild_ticket(schema, &self.fact_table) != outputs.ticket {
-            db.telemetry()
-                .counter(
-                    "warehouse_aggregation_rebuild_conflicts_total",
-                    &[("table", &self.fact_table)],
-                )
-                .inc();
-            outputs = self.plan(db, schema)?;
-            if outputs.cached {
-                return Ok(());
-            }
-        }
-        for (out_schema, rows) in outputs.tables {
             self.write_period_table(db, schema, out_schema, rows)?;
-        }
-        for &period in &self.periods {
-            let name = self.table_name(period);
-            db.with_current_entry(&self.period_key(schema, period), |e| {
-                e.installed_as = Some(name)
-            });
+            db.with_current_entry(&key, |e| e.installed_as = Some(table_name));
         }
         Ok(())
-    }
-
-    /// Build (or rebuild) every period's aggregate table for the fact
-    /// table in `schema`: [`AggregationSpec::plan`] +
-    /// [`AggregationSpec::apply_outputs`] in one call, for callers already
-    /// holding exclusive access. Existing aggregate tables are truncated
-    /// and repopulated — this is both the daily aggregation run and the
-    /// "re-aggregate after changing levels" administrative action. The
-    /// pool is [`Database::set_parallelism`]'s; serial is
-    /// [`PoolConfig::serial`](crate::parallel::PoolConfig::serial).
-    pub fn materialize(&self, db: &mut Database, schema: &str) -> Result<()> {
-        let outputs = self.plan(db, schema)?;
-        self.apply_outputs(db, schema, outputs)
-    }
-}
-
-/// Staged output of [`AggregationSpec::plan`]: per-period table
-/// schemas and rows, stamped with the fact table's data version at
-/// compute time. Opaque by design — the only consumer is
-/// [`AggregationSpec::apply_outputs`], which revalidates the stamp.
-#[derive(Debug)]
-pub struct AggregationOutputs {
-    ticket: RebuildTicket,
-    tables: Vec<(TableSchema, Vec<Row>)>,
-    cached: bool,
-}
-
-impl AggregationOutputs {
-    /// True when every period table was already installed and current
-    /// (applying is a no-op).
-    pub fn is_cached(&self) -> bool {
-        self.cached
-    }
-
-    /// The fact-table data version these outputs were computed from.
-    pub fn ticket(&self) -> RebuildTicket {
-        self.ticket
     }
 }
 
@@ -629,31 +521,25 @@ mod tests {
         let reg = xdmod_telemetry::MetricsRegistry::new();
         db.set_telemetry(reg.clone());
         spec.materialize(&mut db, "xdmod_a").unwrap();
-        let before = db
-            .table("xdmod_a", "jobfact_by_month")
-            .unwrap()
-            .content_checksum();
-
-        let outputs = spec.plan(&db, "xdmod_a").unwrap();
-        assert!(outputs.is_cached());
-        spec.apply_outputs(&mut db, "xdmod_a", outputs).unwrap();
-        assert_eq!(
+        let checksum = |db: &Database| {
             db.table("xdmod_a", "jobfact_by_month")
                 .unwrap()
-                .content_checksum(),
-            before
-        );
-        let snap = reg.snapshot();
-        assert!(
-            snap.counter(
-                "warehouse_aggcache_hits_total",
-                &[("table", "jobfact_by_month")]
-            )
-            .unwrap()
-                > 0
-        );
+                .content_checksum()
+        };
+        let (before, head) = (checksum(&db), db.binlog_position());
 
-        // New ingest invalidates: the next plan recomputes.
+        // Nothing ingested: every period is a hit and nothing is written.
+        spec.materialize(&mut db, "xdmod_a").unwrap();
+        assert_eq!(checksum(&db), before);
+        assert_eq!(db.binlog_position(), head);
+        let snap = reg.snapshot();
+        for period in [Period::Month, Period::Year] {
+            let label = spec.table_name(period);
+            let hits = snap.counter("warehouse_aggcache_hits_total", &[("table", &label)]);
+            assert_eq!(hits, Some(1), "{label}");
+        }
+
+        // New ingest invalidates: the next run rewrites the tables.
         db.insert(
             "xdmod_a",
             "jobfact",
@@ -665,100 +551,9 @@ mod tests {
             ]],
         )
         .unwrap();
-        let outputs = spec.plan(&db, "xdmod_a").unwrap();
-        assert!(!outputs.is_cached());
-    }
-
-    #[test]
-    fn a_plan_whose_apply_was_dropped_is_replanned_not_reported_cached() {
-        let (mut db, spec) = setup();
-        let reg = xdmod_telemetry::MetricsRegistry::new();
-        db.set_telemetry(reg.clone());
-        // Planned, never applied: the entries are retained but nothing
-        // is installed, so the next plan must stage the tables again —
-        // from the retained results, without re-reading the fact table.
-        drop(spec.plan(&db, "xdmod_a").unwrap());
-        assert!(db.table("xdmod_a", "jobfact_by_month").is_err());
-        let outputs = spec.plan(&db, "xdmod_a").unwrap();
-        assert!(!outputs.is_cached());
-        let snap = reg.snapshot();
-        assert_eq!(snap.counter_total("warehouse_delta_cold_builds_total"), 2);
-        assert_eq!(snap.counter_total("warehouse_aggcache_hits_total"), 2);
-        spec.apply_outputs(&mut db, "xdmod_a", outputs).unwrap();
-        assert_eq!(db.table("xdmod_a", "jobfact_by_month").unwrap().len(), 4);
-        assert!(spec.plan(&db, "xdmod_a").unwrap().is_cached());
-
-        // A fold clears the marker with the entry it was set on: ingest,
-        // plan (dropped), and the following plan is not cached either.
-        db.insert(
-            "xdmod_a",
-            "jobfact",
-            vec![vec![
-                Value::Str("comet".into()),
-                Value::Float(1.0),
-                Value::Float(2.0),
-                Value::Time(CivilDate::new(2017, 4, 1).to_epoch()),
-            ]],
-        )
-        .unwrap();
-        drop(spec.plan(&db, "xdmod_a").unwrap());
-        let outputs = spec.plan(&db, "xdmod_a").unwrap();
-        assert!(!outputs.is_cached());
-        spec.apply_outputs(&mut db, "xdmod_a", outputs).unwrap();
+        let head = db.binlog_position();
+        spec.materialize(&mut db, "xdmod_a").unwrap();
+        assert_ne!(db.binlog_position(), head);
         assert_eq!(db.table("xdmod_a", "jobfact_by_month").unwrap().len(), 5);
-    }
-
-    #[test]
-    fn stale_outputs_trigger_guarded_recompute_on_apply() {
-        let (mut db, spec) = setup();
-        let reg = xdmod_telemetry::MetricsRegistry::new();
-        db.set_telemetry(reg.clone());
-        let outputs = spec.plan(&db, "xdmod_a").unwrap();
-
-        // Facts change between compute and apply (the resync race).
-        db.insert(
-            "xdmod_a",
-            "jobfact",
-            vec![vec![
-                Value::Str("gordon".into()),
-                Value::Float(0.5),
-                Value::Float(64.0),
-                Value::Time(CivilDate::new(2017, 3, 15).to_epoch()),
-            ]],
-        )
-        .unwrap();
-        spec.apply_outputs(&mut db, "xdmod_a", outputs).unwrap();
-        assert_eq!(
-            reg.snapshot().counter(
-                "warehouse_aggregation_rebuild_conflicts_total",
-                &[("table", "jobfact")]
-            ),
-            Some(1)
-        );
-        // The applied aggregates include the late row, not the stale view.
-        let t = db.table("xdmod_a", "jobfact_by_month").unwrap();
-        assert_eq!(t.len(), 5);
-    }
-
-    #[test]
-    fn external_rebuild_generation_staleness_is_guarded_too() {
-        let (mut db, spec) = setup();
-        let reg = xdmod_telemetry::MetricsRegistry::new();
-        db.set_telemetry(reg.clone());
-        let outputs = spec.plan(&db, "xdmod_a").unwrap();
-        // A resync rewrote the schema wholesale without changing the
-        // watermark bookkeeping it bypasses: only the generation moves.
-        db.note_external_rebuild();
-        spec.apply_outputs(&mut db, "xdmod_a", outputs).unwrap();
-        assert_eq!(
-            reg.snapshot().counter(
-                "warehouse_aggregation_rebuild_conflicts_total",
-                &[("table", "jobfact")]
-            ),
-            Some(1)
-        );
-        // Content still ends up correct (recomputed from current facts).
-        let t = db.table("xdmod_a", "jobfact_by_month").unwrap();
-        assert_eq!(t.len(), 4);
     }
 }

@@ -544,7 +544,7 @@ impl Database {
 
     /// Record that table contents were rewritten by an external actor
     /// (replication resync, restore): bumps the rebuild generation so
-    /// every outstanding [`RebuildTicket`] goes stale, and **drops every
+    /// every [`RebuildTicket`] issued before goes stale, and **drops every
     /// retained entry** — its partials were folded from pre-rewrite
     /// records and must never be served or advanced again. Also the way
     /// to force the next queries to rebuild from scratch. Returns the new
@@ -560,8 +560,8 @@ impl Database {
         self.rebuild_generation
     }
 
-    /// Ticket capturing a table's current data version; validates
-    /// retained entries and split compute/apply aggregate rebuilds.
+    /// Ticket capturing a table's current data version; what a retained
+    /// entry is validated against.
     pub fn rebuild_ticket(&self, schema: &str, table: &str) -> RebuildTicket {
         RebuildTicket {
             watermark: self.table_watermark(schema, table),

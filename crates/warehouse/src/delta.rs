@@ -48,8 +48,7 @@ impl CacheKey {
 
 /// Snapshot of a table's data version: its binlog watermark (position of
 /// its last mutation) and the database's rebuild generation. A retained
-/// entry or an in-flight rebuild is valid only against the ticket it was
-/// computed at — ingest moves the watermark; external rebuilds
+/// entry is valid only against the ticket it was computed at — ingest moves the watermark; external rebuilds
 /// (replication resync, restore) bump the generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RebuildTicket {
@@ -78,11 +77,11 @@ pub(crate) struct DeltaEntry {
     /// been asked for it — what a later hit clones.
     pub result: Option<ResultSet>,
     /// Name of the period table `result` is currently installed in.
-    /// Set by [`AggregationSpec::apply_outputs`], and gone with the entry
-    /// it was set on whenever that entry folds a record or is rebuilt —
-    /// so a plan whose apply never ran is not mistaken for installed.
+    /// Set by [`AggregationSpec::materialize`] once it has written that
+    /// table, and gone with the entry it was set on whenever that entry
+    /// folds a record or is rebuilt — so the next run rewrites the table.
     ///
-    /// [`AggregationSpec::apply_outputs`]: crate::aggregate::AggregationSpec::apply_outputs
+    /// [`AggregationSpec::materialize`]: crate::aggregate::AggregationSpec::materialize
     pub installed_as: Option<String>,
 }
 
@@ -191,8 +190,8 @@ impl DeltaReport {
 }
 
 /// Keyed store of retained entries, interior-mutable so the query path
-/// runs under a shared borrow (the hub plans every satellite's
-/// aggregation concurrently under one read lock).
+/// runs under a shared borrow (the hub brings every satellite's
+/// aggregates up to date concurrently under one read lock).
 ///
 /// A hit inspects its entry in place, so any number of identical
 /// readers hit together. Only an advancing fold **takes** the entry and

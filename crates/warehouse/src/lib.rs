@@ -65,7 +65,7 @@ pub mod table;
 pub mod time;
 pub mod value;
 
-pub use aggregate::{AggregationOutputs, AggregationSpec, DimSpec};
+pub use aggregate::{AggregationSpec, DimSpec};
 pub use binlog::{BinlogEvent, EventPayload, LogPosition, PrefixCompaction, TailRepair};
 pub use bins::{Bin, Bins};
 pub use database::Database;

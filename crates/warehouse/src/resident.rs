@@ -214,7 +214,7 @@ impl PageSlot {
 /// Process-wide working-set accountant: owns the byte budget, the clock
 /// ring of page slots, the spill directory, and the paging telemetry.
 pub struct ResidencyManager {
-    budget: AtomicU64,
+    budget: u64,
     resident: AtomicU64,
     ring: Mutex<ClockRing>,
     dir: PathBuf,
@@ -238,7 +238,7 @@ impl ResidencyManager {
     /// A manager enforcing `config`'s budget over `config.spill_path()`.
     pub fn new(config: &PagingConfig, telemetry: MetricsRegistry) -> Arc<Self> {
         Arc::new(ResidencyManager {
-            budget: AtomicU64::new(config.budget_bytes),
+            budget: config.budget_bytes,
             resident: AtomicU64::new(0),
             ring: Mutex::new(ClockRing {
                 slots: Vec::new(),
@@ -257,15 +257,9 @@ impl ResidencyManager {
         })
     }
 
-    /// Replace the working-set budget and immediately enforce it.
-    pub fn set_budget(&self, bytes: u64) {
-        self.budget.store(bytes, Ordering::SeqCst);
-        self.enforce();
-    }
-
     /// The configured budget in bytes.
     pub fn budget(&self) -> u64 {
-        self.budget.load(Ordering::SeqCst)
+        self.budget
     }
 
     /// Bytes currently resident across every paged store.
@@ -1027,21 +1021,6 @@ mod tests {
             .map(|d| d.count())
             .unwrap_or(0);
         assert_eq!(leftover, 0);
-        cleanup(&cfg);
-    }
-
-    #[test]
-    fn raising_the_budget_stops_eviction() {
-        let cfg = temp_cfg("budget").budget_bytes(1 << 30);
-        let mgr = ResidencyManager::new(&cfg, MetricsRegistry::disabled());
-        let store = PagedStore::from_rows(mgr.clone(), &schema(), sample_rows(40), 4);
-        assert_eq!(mgr.stats().spilled_pages, 0);
-        // Shrink: pages spill. Re-raise: they stay spilled until touched.
-        mgr.set_budget(1);
-        assert!(mgr.stats().spilled_pages > 0);
-        mgr.set_budget(1 << 30);
-        store.materialize().unwrap();
-        assert_eq!(mgr.stats().spilled_pages, 0);
         cleanup(&cfg);
     }
 

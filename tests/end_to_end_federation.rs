@@ -63,22 +63,12 @@ fn hub_aggregates_with_its_own_levels_losslessly() {
     fed.join_tight(&x, FederationConfig::default()).unwrap();
     fed.sync_and_aggregate().unwrap();
 
-    // Sum of the hub's binned aggregate equals the raw federated sum:
+    // Sum of the hub's binned year answer equals the raw federated sum:
     // "all raw instance data are fully replicated to the master, then
     // aggregated there ... so no data are lost or changed".
-    let hub_db = fed.hub().database();
-    let hub = hub_db.read();
-    let agg = hub
-        .table(&FederationHub::schema_for("x"), "jobfact_by_year")
-        .unwrap();
-    let cpu_idx = agg.schema().column_index("total_cpu_hours").unwrap();
-    let agg_sum: f64 = agg
-        .rows()
-        .expect("rows readable")
-        .iter()
-        .map(|r| r[cpu_idx].as_f64().unwrap())
-        .sum();
-    drop(hub);
+    let year = fed.hub().aggregate(RealmKind::Jobs, Period::Year).unwrap();
+    let cpu_idx = year.column_index("total_cpu_hours").unwrap();
+    let agg_sum: f64 = year.rows.iter().map(|r| r[cpu_idx].as_f64().unwrap()).sum();
 
     let raw_sum = fed
         .hub()

@@ -1,7 +1,8 @@
 //! Integration test reproducing **Table I** of the paper: different
 //! wall-time aggregation levels on Instance A (5-hour limit), Instance B
 //! (50-hour limit), and the federation hub — with the guarantee that
-//! re-binning on the hub is lossless.
+//! re-binning on the hub is lossless. Satellites read their own period
+//! tables; the hub's aggregates are answers over the replicated facts.
 
 use xdmod::core::{Federation, FederationConfig, FederationHub, XdmodInstance};
 use xdmod::realms::levels::{
@@ -9,7 +10,7 @@ use xdmod::realms::levels::{
 };
 use xdmod::realms::RealmKind;
 use xdmod::sim::{ClusterSim, ResourceProfile};
-use xdmod::warehouse::{AggFn, Aggregate, Query, Value};
+use xdmod::warehouse::{AggFn, Aggregate, Period, Query, Value};
 
 /// Instance A monitors resources with a 5-hour wall limit; Instance B,
 /// 50 hours — exactly Table I's setup.
@@ -44,19 +45,34 @@ fn build_federation() -> (XdmodInstance, XdmodInstance, Federation) {
     (a, b, fed)
 }
 
-/// Wall-time bin labels present in an instance's monthly aggregate.
-fn bins_used(db: &xdmod::warehouse::Database, schema: &str) -> Vec<String> {
-    let t = db.table(schema, "jobfact_by_month").unwrap();
-    let idx = t.schema().column_index("wall_hours_bin").unwrap();
-    let mut labels: Vec<String> = t
-        .rows()
-        .expect("rows readable")
-        .iter()
-        .map(|r| r[idx].as_str().unwrap_or("NULL").to_owned())
+/// Distinct wall-time bin labels in a column of aggregate rows.
+fn distinct_labels<'a>(bins: impl Iterator<Item = &'a Value>) -> Vec<String> {
+    let mut labels: Vec<String> = bins
+        .map(|v| v.as_str().unwrap_or("NULL").to_owned())
         .collect();
     labels.sort();
     labels.dedup();
     labels
+}
+
+/// Wall-time bin labels present in an instance's monthly aggregate table.
+fn bins_used(db: &xdmod::warehouse::Database, schema: &str) -> Vec<String> {
+    let t = db.table(schema, "jobfact_by_month").unwrap();
+    let idx = t.schema().column_index("wall_hours_bin").unwrap();
+    let rows = t.rows().expect("rows readable");
+    distinct_labels(rows.iter().map(|r| &r[idx]))
+}
+
+/// Wall-time bin labels of one satellite's data in the hub's monthly
+/// answer, under the hub's levels.
+fn hub_bins_used(fed: &Federation, sat: &str) -> Vec<String> {
+    let hub = fed.hub();
+    let month = hub
+        .aggregation_spec(RealmKind::Jobs)
+        .period_query(Period::Month);
+    let rs = hub.query_instance(sat, RealmKind::Jobs, &month).unwrap();
+    let idx = rs.column_index("wall_hours_bin").unwrap();
+    distinct_labels(rs.rows.iter().map(|r| &r[idx]))
 }
 
 #[test]
@@ -94,10 +110,8 @@ fn satellite_b_uses_coarser_levels() {
 #[test]
 fn hub_rebins_all_raw_data_under_its_own_levels() {
     let (_, _, fed) = build_federation();
-    let hub_db = fed.hub().database();
-    let db = hub_db.read();
     for sat in ["instance-a", "instance-b"] {
-        let labels = bins_used(&db, &FederationHub::schema_for(sat));
+        let labels = hub_bins_used(&fed, sat);
         for l in &labels {
             assert!(
                 [
@@ -115,9 +129,9 @@ fn hub_rebins_all_raw_data_under_its_own_levels() {
     }
     // Instance A's data never reaches B's long bins, and vice versa: the
     // hub's 20-50 hour bin contains only instance-b jobs.
-    let a_labels = bins_used(&db, &FederationHub::schema_for("instance-a"));
+    let a_labels = hub_bins_used(&fed, "instance-a");
     assert!(!a_labels.contains(&"20-50 hours".to_owned()));
-    let b_labels = bins_used(&db, &FederationHub::schema_for("instance-b"));
+    let b_labels = hub_bins_used(&fed, "instance-b");
     assert!(b_labels.contains(&"20-50 hours".to_owned()));
 }
 
@@ -141,22 +155,10 @@ fn rebinning_is_lossless() {
     let sat_cpu = rs_a.scalar_f64("cpu").unwrap() + rs_b.scalar_f64("cpu").unwrap();
     assert!((hub_cpu - sat_cpu).abs() < 1e-6);
 
-    // And the binned aggregate on the hub sums to the same totals.
-    let hub_db = fed.hub().database();
-    let db = hub_db.read();
-    let mut agg_jobs = 0i64;
-    for sat in ["instance-a", "instance-b"] {
-        let t = db
-            .table(&FederationHub::schema_for(sat), "jobfact_by_year")
-            .unwrap();
-        let idx = t.schema().column_index("job_count").unwrap();
-        agg_jobs += t
-            .rows()
-            .expect("rows readable")
-            .iter()
-            .map(|r| r[idx].as_i64().unwrap())
-            .sum::<i64>();
-    }
+    // And the hub's binned year answer sums to the same job count.
+    let year = fed.hub().aggregate(RealmKind::Jobs, Period::Year).unwrap();
+    let idx = year.column_index("job_count").unwrap();
+    let agg_jobs: i64 = year.rows.iter().map(|r| r[idx].as_i64().unwrap()).sum();
     assert_eq!(agg_jobs as f64, rs_hub.scalar_f64("jobs").unwrap());
 }
 
@@ -187,13 +189,10 @@ fn changing_hub_levels_and_reaggregating() {
     fed.hub_mut().set_levels(new_levels);
     fed.hub().aggregate_all().unwrap();
 
-    let hub_db = fed.hub().database();
-    let db = hub_db.read();
-    let labels = bins_used(&db, &FederationHub::schema_for("instance-a"));
+    let labels = hub_bins_used(&fed, "instance-a");
     assert!(labels
         .iter()
         .all(|l| l == "0-24 hours" || l == "24-100 hours" || l == "other"));
-    drop(db);
 
     let total_after: f64 = fed
         .hub()
