@@ -227,7 +227,13 @@ impl AlertEngine {
     /// observation (occurrence count, no new notification); a resolved
     /// alert re-firing within its debounce window reopens as a flap; a
     /// resolved-past-debounce or stale alert starts a fresh episode.
-    pub fn observe_fault(&mut self, family: &str, target: &str, detail: &str, now_ms: u64) -> String {
+    pub fn observe_fault(
+        &mut self,
+        family: &str,
+        target: &str,
+        detail: &str,
+        now_ms: u64,
+    ) -> String {
         let key = fingerprint(family, target);
         let rule = self.rules.rule_for(family);
         let mut fired = false;
@@ -338,8 +344,7 @@ impl AlertEngine {
             let rule = rules.rule_for(&alert.family);
             match alert.state {
                 AlertState::Firing | AlertState::Acknowledged
-                    if now_ms.saturating_sub(alert.last_observed_ms)
-                        >= rule.resolve_timeout_ms =>
+                    if now_ms.saturating_sub(alert.last_observed_ms) >= rule.resolve_timeout_ms =>
                 {
                     alert.state = AlertState::Resolved;
                     alert.acked_by = None;

@@ -52,8 +52,8 @@ mod rules;
 pub use bucket::{TakeOutcome, TokenBucket};
 pub use engine::{fingerprint, format_alert_id, AckError, Alert, AlertEngine, AlertState};
 pub use rules::{
-    AlertRule, AlertRules, AlertSeverity, RuleIssue, DEFAULT_DEBOUNCE_MS,
-    DEFAULT_NOTIFY_CAPACITY, DEFAULT_NOTIFY_REFILL_PER_SEC, DEFAULT_RESOLVE_TIMEOUT_MS,
-    DEFAULT_STALE_MS, FAMILIES, FAMILY_GATEWAY_SATURATION, FAMILY_LINK_DOWN,
-    FAMILY_PREFLIGHT_REFUSED, FAMILY_QUARANTINE, FAMILY_REPLICATION_LAG,
+    AlertRule, AlertRules, AlertSeverity, RuleIssue, DEFAULT_DEBOUNCE_MS, DEFAULT_NOTIFY_CAPACITY,
+    DEFAULT_NOTIFY_REFILL_PER_SEC, DEFAULT_RESOLVE_TIMEOUT_MS, DEFAULT_STALE_MS, FAMILIES,
+    FAMILY_GATEWAY_SATURATION, FAMILY_LINK_DOWN, FAMILY_PREFLIGHT_REFUSED, FAMILY_QUARANTINE,
+    FAMILY_REPLICATION_LAG,
 };

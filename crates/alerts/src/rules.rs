@@ -280,8 +280,14 @@ mod tests {
             );
         }
         assert!(rules.validate().is_empty());
-        assert_eq!(rules.rule_for(FAMILY_LINK_DOWN).severity, AlertSeverity::Critical);
-        assert_eq!(rules.rule_for(FAMILY_QUARANTINE).severity, AlertSeverity::Critical);
+        assert_eq!(
+            rules.rule_for(FAMILY_LINK_DOWN).severity,
+            AlertSeverity::Critical
+        );
+        assert_eq!(
+            rules.rule_for(FAMILY_QUARANTINE).severity,
+            AlertSeverity::Critical
+        );
     }
 
     #[test]
@@ -327,7 +333,11 @@ mod tests {
 
     #[test]
     fn severity_round_trips_and_orders() {
-        for sev in [AlertSeverity::Info, AlertSeverity::Warning, AlertSeverity::Critical] {
+        for sev in [
+            AlertSeverity::Info,
+            AlertSeverity::Warning,
+            AlertSeverity::Critical,
+        ] {
             assert_eq!(AlertSeverity::parse(sev.as_str()), Some(sev));
         }
         assert_eq!(AlertSeverity::parse("CRITICAL"), None);

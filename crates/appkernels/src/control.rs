@@ -105,7 +105,10 @@ pub fn analyze(kernel: &AppKernel, values: &[f64], config: ControlConfig) -> Con
     let mut mean;
     let mut sd;
     let compute_baseline = |start: usize, values: &[f64], n: usize| -> (f64, f64) {
-        let window: Vec<f64> = values[start..start + n].iter().map(|&v| orient(v)).collect();
+        let window: Vec<f64> = values[start..start + n]
+            .iter()
+            .map(|&v| orient(v))
+            .collect();
         let m = window.iter().sum::<f64>() / window.len() as f64;
         let var = window.iter().map(|v| (v - m).powi(2)).sum::<f64>() / window.len() as f64;
         (m, var.sqrt().max(m.abs() * 1e-6).max(1e-12))
@@ -156,7 +159,10 @@ pub fn analyze(kernel: &AppKernel, values: &[f64], config: ControlConfig) -> Con
             streak_len = 0;
         }
         if streak_len == config.streak {
-            let observed: Vec<f64> = values[streak_start..=i].iter().map(|&v| orient(v)).collect();
+            let observed: Vec<f64> = values[streak_start..=i]
+                .iter()
+                .map(|&v| orient(v))
+                .collect();
             let observed_mean = observed.iter().sum::<f64>() / observed.len() as f64;
             events.push(QosEvent {
                 start_index: streak_start,
@@ -242,7 +248,10 @@ mod tests {
         let report = analyze(&dgemm(), &values, ControlConfig::default());
         assert!(report.events.len() >= 2, "{:?}", report.events);
         assert!(report.events[0].regression);
-        assert!(!report.events[1].regression, "recovery should be flagged as improvement");
+        assert!(
+            !report.events[1].regression,
+            "recovery should be flagged as improvement"
+        );
     }
 
     #[test]

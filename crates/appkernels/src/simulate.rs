@@ -129,8 +129,14 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        assert_eq!(campaign_log("rush", 5, None, 7), campaign_log("rush", 5, None, 7));
-        assert_ne!(campaign_log("rush", 5, None, 7), campaign_log("rush", 5, None, 8));
+        assert_eq!(
+            campaign_log("rush", 5, None, 7),
+            campaign_log("rush", 5, None, 7)
+        );
+        assert_ne!(
+            campaign_log("rush", 5, None, 7),
+            campaign_log("rush", 5, None, 8)
+        );
     }
 
     #[test]
@@ -152,7 +158,10 @@ mod tests {
         let values = series(&db, "ak", "hpcc_dgemm", "rush", 4).unwrap();
         let report = analyze(dgemm, &values, ControlConfig::default());
         assert!(
-            report.events.iter().any(|e| e.regression && e.start_index >= 19),
+            report
+                .events
+                .iter()
+                .any(|e| e.regression && e.start_index >= 19),
             "regression not detected: {:?}",
             report.events
         );

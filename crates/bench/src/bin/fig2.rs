@@ -13,6 +13,9 @@ fn main() {
     }
     println!("\nchecksum verification per member:");
     for (member, ok) in &t.members_verified {
-        println!("  {member:<14} {}", if *ok { "identical ✓" } else { "MISMATCH ✗" });
+        println!(
+            "  {member:<14} {}",
+            if *ok { "identical ✓" } else { "MISMATCH ✗" }
+        );
     }
 }

@@ -109,7 +109,9 @@ pub fn svg_chart(ds: &Dataset, width: u32, height: u32) -> String {
     let margin = 50.0;
     let plot_w = f64::from(width) - 2.0 * margin;
     let plot_h = f64::from(height) - 2.0 * margin;
-    let colors = ["#4477AA", "#EE6677", "#888888", "#CCBB44", "#66CCEE", "#AA3377"];
+    let colors = [
+        "#4477AA", "#EE6677", "#888888", "#CCBB44", "#66CCEE", "#AA3377",
+    ];
     let max = ds.max_value().max(f64::MIN_POSITIVE);
     let n = ds.width().max(1);
 
@@ -167,21 +169,23 @@ pub fn svg_chart(ds: &Dataset, width: u32, height: u32) -> String {
                     .expect("non-empty") // xc-allow: segments is seeded with one element
                     .push((x_of(i), y_of(*v))),
                 None => {
-                    if !segments.last().expect("non-empty").is_empty() { // xc-allow: segments is seeded with one element
+                    // xc-allow: segments is seeded with one element
+                    if !segments.last().expect("non-empty").is_empty() {
                         segments.push(Vec::new());
                     }
                 }
             }
         }
         for seg in segments.iter().filter(|s| !s.is_empty()) {
-            let points: Vec<String> =
-                seg.iter().map(|(x, y)| format!("{x:.1},{y:.1}")).collect();
+            let points: Vec<String> = seg.iter().map(|(x, y)| format!("{x:.1},{y:.1}")).collect();
             svg.push_str(&format!(
                 r#"<polyline fill="none" stroke="{color}" stroke-width="2" points="{}"/>"#,
                 points.join(" ")
             ));
             for (x, y) in seg {
-                svg.push_str(&format!(r#"<circle cx="{x:.1}" cy="{y:.1}" r="3" fill="{color}"/>"#));
+                svg.push_str(&format!(
+                    r#"<circle cx="{x:.1}" cy="{y:.1}" r="3" fill="{color}"/>"#
+                ));
             }
         }
         // Legend entry.

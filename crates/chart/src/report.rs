@@ -62,7 +62,11 @@ impl Report {
     /// Render to plain text.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!("{}\n{}\n\n", self.title, "=".repeat(self.title.len())));
+        out.push_str(&format!(
+            "{}\n{}\n\n",
+            self.title,
+            "=".repeat(self.title.len())
+        ));
         for s in &self.sections {
             match s {
                 Section::Heading(h) => {

@@ -196,9 +196,7 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xdmod_warehouse::{
-        AggFn, Aggregate, ColumnType, Query, SchemaBuilder, Table, CivilDate,
-    };
+    use xdmod_warehouse::{AggFn, Aggregate, CivilDate, ColumnType, Query, SchemaBuilder, Table};
 
     fn monthly_result() -> ResultSet {
         let mut t = Table::new(
@@ -284,8 +282,9 @@ mod tests {
     #[test]
     fn missing_columns_are_reported() {
         let rs = monthly_result();
-        assert!(Dataset::timeseries("t", "u", &rs, Period::Month, "nope", None, "total_su")
-            .is_err());
+        assert!(
+            Dataset::timeseries("t", "u", &rs, Period::Month, "nope", None, "total_su").is_err()
+        );
         assert!(Dataset::aggregate("t", "u", &rs, "resource", "nope").is_err());
     }
 

@@ -51,4 +51,6 @@ pub use version::XdmodVersion;
 pub use viewer::{AccessError, JobDetail};
 // The alert types appearing in `Federation`'s public signatures, so
 // downstream crates need not depend on `xdmod-alerts` directly.
-pub use xdmod_alerts::{AckError, Alert, AlertEngine, AlertRule, AlertRules, AlertSeverity, AlertState};
+pub use xdmod_alerts::{
+    AckError, Alert, AlertEngine, AlertRule, AlertRules, AlertSeverity, AlertState,
+};

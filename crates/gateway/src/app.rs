@@ -340,10 +340,7 @@ impl App {
             .map(|u| u.role)
             .unwrap_or(Role::User);
         if matches!(role, Role::User | Role::Pi) {
-            return Response::error(
-                403,
-                &format!("role {role:?} may not acknowledge alerts"),
-            );
+            return Response::error(403, &format!("role {role:?} may not acknowledge alerts"));
         }
         match fed.ack_alert(id, &session.username) {
             Ok(()) => {

@@ -125,9 +125,17 @@ pub fn parse_line(line: &str, lineno: usize) -> Result<VmEvent> {
         if cores < 1 || memory_gb <= 0.0 || disk_gb < 0.0 {
             return Err(IngestError::at(lineno, "non-positive VM configuration"));
         }
-        for (idx, name) in [(3, "user"), (4, "project"), (5, "instance_type"), (10, "resource")] {
+        for (idx, name) in [
+            (3, "user"),
+            (4, "project"),
+            (5, "instance_type"),
+            (10, "resource"),
+        ] {
             if fields[idx].is_empty() {
-                return Err(IngestError::at(lineno, format!("empty {name} on config event")));
+                return Err(IngestError::at(
+                    lineno,
+                    format!("empty {name} on config event"),
+                ));
             }
         }
         Some(VmConfig {
@@ -412,7 +420,12 @@ pub fn shred_reservations(feed: &str) -> Result<(Vec<Row>, IngestReport)> {
         if end <= start {
             return Err(IngestError::at(lineno, "reservation ends before it starts"));
         }
-        for (idx, name) in [(0, "reservation_id"), (1, "resource"), (2, "project"), (3, "user")] {
+        for (idx, name) in [
+            (0, "reservation_id"),
+            (1, "resource"),
+            (2, "project"),
+            (3, "user"),
+        ] {
             if fields[idx].is_empty() {
                 return Err(IngestError::at(lineno, format!("empty {name}")));
             }
@@ -539,9 +552,15 @@ mod tests {
         let (rows, report) = shred(&feed, 100_000).unwrap();
         assert_eq!(rows.len(), 1);
         assert_eq!(report.skipped, 3);
-        assert!(report.warnings.iter().any(|w| w.contains("START while Running")));
+        assert!(report
+            .warnings
+            .iter()
+            .any(|w| w.contains("START while Running")));
         assert!(report.warnings.iter().any(|w| w.contains("before CREATE")));
-        assert!(report.warnings.iter().any(|w| w.contains("after TERMINATE")));
+        assert!(report
+            .warnings
+            .iter()
+            .any(|w| w.contains("after TERMINATE")));
     }
 
     #[test]
@@ -581,11 +600,11 @@ mod tests {
     #[test]
     fn malformed_reservations_are_errors() {
         for bad in [
-            "rsv,r,p,u,0,4,100,200",        // zero cores
-            "rsv,r,p,u,2,4,200,100",        // ends before start
-            "rsv,r,p,,2,4,100,200",         // empty user
-            "rsv,r,p,u,2,4,100",            // missing field
-            "rsv,r,p,u,two,4,100,200",      // bad number
+            "rsv,r,p,u,0,4,100,200",   // zero cores
+            "rsv,r,p,u,2,4,200,100",   // ends before start
+            "rsv,r,p,,2,4,100,200",    // empty user
+            "rsv,r,p,u,2,4,100",       // missing field
+            "rsv,r,p,u,two,4,100,200", // bad number
         ] {
             assert!(shred_reservations(bad).is_err(), "{bad} accepted");
         }

@@ -177,7 +177,10 @@ pub fn parse_archive(text: &str) -> Result<(Vec<SupremmJob>, IngestReport)> {
                 jobs.push(job);
             }
             other => {
-                return Err(IngestError::at(lineno, format!("unknown directive {other}")));
+                return Err(IngestError::at(
+                    lineno,
+                    format!("unknown directive {other}"),
+                ));
             }
         }
     }

@@ -21,7 +21,8 @@ use xdmod_warehouse::time::parse_iso_datetime;
 use xdmod_warehouse::{Row, Value};
 
 /// Expected header of a sacct export, pipe-delimited.
-pub const HEADER: &str = "JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs";
+pub const HEADER: &str =
+    "JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs";
 
 /// Job states that mean the job has ended and should be ingested.
 pub const ENDED_STATES: [&str; 5] = ["COMPLETED", "FAILED", "TIMEOUT", "CANCELLED", "NODE_FAIL"];
@@ -232,10 +233,7 @@ mod tests {
     fn malformed_lines_error_with_line_numbers() {
         let cases = [
             ("101|alice|physics", "expected 11 fields"),
-            (
-                &GOOD.replace("56", "many") as &str,
-                "bad NCPUS",
-            ),
+            (&GOOD.replace("56", "many") as &str, "bad NCPUS"),
             (
                 &GOOD.replace("2017-01-05T09:00:00", "notatime") as &str,
                 "bad Start",

@@ -42,18 +42,66 @@ pub struct FieldSpec {
 
 /// The provided storage-sample schema.
 pub const STORAGE_SCHEMA: [FieldSpec; 12] = [
-    FieldSpec { name: "ts", kind: FieldKind::Timestamp, required: true },
-    FieldSpec { name: "filesystem", kind: FieldKind::Str, required: true },
-    FieldSpec { name: "mountpoint", kind: FieldKind::Str, required: true },
-    FieldSpec { name: "resource_type", kind: FieldKind::Str, required: true },
-    FieldSpec { name: "user", kind: FieldKind::Str, required: true },
-    FieldSpec { name: "pi", kind: FieldKind::Str, required: true },
-    FieldSpec { name: "system_username", kind: FieldKind::Str, required: true },
-    FieldSpec { name: "file_count", kind: FieldKind::Count, required: true },
-    FieldSpec { name: "logical_usage_gb", kind: FieldKind::Gauge, required: true },
-    FieldSpec { name: "physical_usage_gb", kind: FieldKind::Gauge, required: true },
-    FieldSpec { name: "soft_quota_gb", kind: FieldKind::Gauge, required: false },
-    FieldSpec { name: "hard_quota_gb", kind: FieldKind::Gauge, required: false },
+    FieldSpec {
+        name: "ts",
+        kind: FieldKind::Timestamp,
+        required: true,
+    },
+    FieldSpec {
+        name: "filesystem",
+        kind: FieldKind::Str,
+        required: true,
+    },
+    FieldSpec {
+        name: "mountpoint",
+        kind: FieldKind::Str,
+        required: true,
+    },
+    FieldSpec {
+        name: "resource_type",
+        kind: FieldKind::Str,
+        required: true,
+    },
+    FieldSpec {
+        name: "user",
+        kind: FieldKind::Str,
+        required: true,
+    },
+    FieldSpec {
+        name: "pi",
+        kind: FieldKind::Str,
+        required: true,
+    },
+    FieldSpec {
+        name: "system_username",
+        kind: FieldKind::Str,
+        required: true,
+    },
+    FieldSpec {
+        name: "file_count",
+        kind: FieldKind::Count,
+        required: true,
+    },
+    FieldSpec {
+        name: "logical_usage_gb",
+        kind: FieldKind::Gauge,
+        required: true,
+    },
+    FieldSpec {
+        name: "physical_usage_gb",
+        kind: FieldKind::Gauge,
+        required: true,
+    },
+    FieldSpec {
+        name: "soft_quota_gb",
+        kind: FieldKind::Gauge,
+        required: false,
+    },
+    FieldSpec {
+        name: "hard_quota_gb",
+        kind: FieldKind::Gauge,
+        required: false,
+    },
 ];
 
 /// Validate a single sample object against [`STORAGE_SCHEMA`]. Returns

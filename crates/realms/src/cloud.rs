@@ -367,7 +367,11 @@ mod tests {
 
     #[test]
     fn weighted_metrics_use_wall_hours() {
-        for id in ["avg_cores_per_vm", "avg_memory_reserved", "avg_disk_reserved"] {
+        for id in [
+            "avg_cores_per_vm",
+            "avg_memory_reserved",
+            "avg_disk_reserved",
+        ] {
             let m = metrics().into_iter().find(|m| m.id == id).unwrap();
             assert_eq!(m.aggregate.weight.as_deref(), Some("wall_hours"));
         }
@@ -393,8 +397,16 @@ mod tests {
                 "num_vms".into(),
             ],
             rows: vec![
-                vec![Value::Str("<1 GB".into()), Value::Float(100.0), Value::Int(4)],
-                vec![Value::Str("1-2 GB".into()), Value::Float(90.0), Value::Int(3)],
+                vec![
+                    Value::Str("<1 GB".into()),
+                    Value::Float(100.0),
+                    Value::Int(4),
+                ],
+                vec![
+                    Value::Str("1-2 GB".into()),
+                    Value::Float(90.0),
+                    Value::Int(3),
+                ],
                 vec![Value::Str("empty".into()), Value::Float(0.0), Value::Int(0)],
             ],
         };

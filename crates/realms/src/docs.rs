@@ -75,7 +75,11 @@ mod tests {
         for realm in all_realms(&levels) {
             assert!(doc.contains(realm.kind.display_name()));
             for m in &realm.metrics {
-                assert!(doc.contains(&format!("`{}`", m.id)), "missing metric {}", m.id);
+                assert!(
+                    doc.contains(&format!("`{}`", m.id)),
+                    "missing metric {}",
+                    m.id
+                );
             }
             for d in &realm.dimensions {
                 assert!(doc.contains(&d.label), "missing dimension {}", d.id);

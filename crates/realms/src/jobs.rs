@@ -230,7 +230,11 @@ mod tests {
         let s = fact_schema();
         for m in metrics() {
             if let Some(c) = &m.aggregate.column {
-                assert!(s.column_index(c).is_ok(), "metric {} reads missing {c}", m.id);
+                assert!(
+                    s.column_index(c).is_ok(),
+                    "metric {} reads missing {c}",
+                    m.id
+                );
             }
         }
     }
@@ -246,10 +250,7 @@ mod tests {
     #[test]
     fn spec_without_levels_has_no_binned_dims() {
         let spec = aggregation_spec(&AggregationLevelsConfig::new());
-        assert!(spec
-            .dims
-            .iter()
-            .all(|d| matches!(d, DimSpec::Column(_))));
+        assert!(spec.dims.iter().all(|d| matches!(d, DimSpec::Column(_))));
     }
 
     #[test]

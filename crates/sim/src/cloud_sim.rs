@@ -114,9 +114,8 @@ impl CloudSim {
         let weights: Vec<f64> = self.flavors.iter().map(|f| f.popularity).collect();
 
         for month in 1..=12u8 {
-            let mut rng = SimRng::new(
-                self.seed ^ (u64::from(month) << 16) ^ (year as u64).rotate_left(7),
-            );
+            let mut rng =
+                SimRng::new(self.seed ^ (u64::from(month) << 16) ^ (year as u64).rotate_left(7));
             let month_start = CivilDate::new(year, month, 1).to_epoch();
             let count = (f64::from(self.vms_per_month) * (0.85 + 0.3 * rng.uniform())) as u32;
             for _ in 0..count {
@@ -125,7 +124,8 @@ impl CloudSim {
                 let flavor = &self.flavors[rng.weighted(&weights)];
                 let user = format!("cloud_u{:02}", rng.zipf(self.n_users, 1.0));
                 let project = self.projects[rng.weighted(&[3.0, 2.0, 1.5, 1.0])].clone();
-                let venue = ["api", "dashboard", "cli", "gateway"][rng.weighted(&[3.0, 3.0, 2.0, 1.0])];
+                let venue =
+                    ["api", "dashboard", "cli", "gateway"][rng.weighted(&[3.0, 3.0, 2.0, 1.0])];
                 let config = |f: &FlavorProfile| {
                     format!(
                         "{user},{project},{},{},{},{},{venue},{}",
@@ -215,9 +215,8 @@ impl CloudSim {
     /// reservation tracking is meant to expose.
     pub fn reservation_feed(&self, year: i32) -> String {
         let mut rng = SimRng::new(self.seed ^ 0x5E_5E11);
-        let mut out = String::from(
-            "reservation_id,resource,project,user,cores,memory_gb,start,end\n",
-        );
+        let mut out =
+            String::from("reservation_id,resource,project,user,cores,memory_gb,start,end\n");
         let mut counter = 0;
         for quarter in 0..4u8 {
             let start = CivilDate::new(year, quarter * 3 + 1, 1).to_epoch();
@@ -262,7 +261,12 @@ mod tests {
         let (rows, report) = shred(&feed, CloudSim::horizon(2017)).unwrap();
         assert!(!rows.is_empty());
         // A well-formed feed should produce no transition warnings.
-        assert_eq!(report.skipped, 0, "warnings: {:?}", &report.warnings[..report.warnings.len().min(5)]);
+        assert_eq!(
+            report.skipped,
+            0,
+            "warnings: {:?}",
+            &report.warnings[..report.warnings.len().min(5)]
+        );
         let schema = xdmod_realms::cloud::fact_schema();
         for row in &rows {
             schema.check_row(row.clone()).unwrap();
@@ -337,15 +341,17 @@ mod tests {
     fn reservation_feed_parses_and_over_provisions() {
         let sim = CloudSim::new("ccr-cloud", 20, 3);
         let feed = sim.reservation_feed(2017);
-        let (rows, report) =
-            xdmod_ingest::cloud::shred_reservations(&feed).unwrap();
+        let (rows, report) = xdmod_ingest::cloud::shred_reservations(&feed).unwrap();
         assert_eq!(report.ingested, 16); // 4 quarters x 4 projects
         let schema = xdmod_realms::cloud::reservation_schema();
         for row in &rows {
             schema.check_row(row.clone()).unwrap();
         }
         // Deterministic.
-        assert_eq!(feed, CloudSim::new("ccr-cloud", 20, 3).reservation_feed(2017));
+        assert_eq!(
+            feed,
+            CloudSim::new("ccr-cloud", 20, 3).reservation_feed(2017)
+        );
     }
 
     #[test]

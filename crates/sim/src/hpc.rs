@@ -185,8 +185,7 @@ impl ClusterSim {
         for month in 1..=12u8 {
             // Job ids are deterministic per (year, month) so a trace for
             // one month is a strict subset of the full-year trace.
-            let mut job_id: i64 =
-                i64::from(year) * 1_000_000 + i64::from(month) * 10_000;
+            let mut job_id: i64 = i64::from(year) * 1_000_000 + i64::from(month) * 10_000;
             // Fork per month unconditionally so the trace for June is the
             // same whether January was requested or not.
             let mut rng = root.fork(u64::from(month));
@@ -394,7 +393,11 @@ mod tests {
             assert_eq!(job.cores, job.nodes * 24);
             assert!(job.submit <= job.start);
             assert!(job.start < job.end);
-            assert!(job.wall_hours() <= wall_limit + 1e-9, "{}", job.wall_hours());
+            assert!(
+                job.wall_hours() <= wall_limit + 1e-9,
+                "{}",
+                job.wall_hours()
+            );
             assert!(job.gpus >= 0);
         }
     }
@@ -447,6 +450,9 @@ mod tests {
         let stampede = su(ResourceProfile::stampede(), 2);
         let stampede2 = su(ResourceProfile::stampede2(), 3);
         assert!(comet > stampede2, "comet {comet} vs stampede2 {stampede2}");
-        assert!(stampede2 > stampede, "stampede2 {stampede2} vs stampede {stampede}");
+        assert!(
+            stampede2 > stampede,
+            "stampede2 {stampede2} vs stampede {stampede}"
+        );
     }
 }

@@ -177,11 +177,11 @@ impl StorageSim {
             for user_idx in 0..fs.n_users {
                 // Heavy-tailed per-user scale, stable across months for
                 // the same user.
-                let mut user_rng = SimRng::new(self.seed ^ ((fs_idx as u64) << 48) ^ user_idx as u64);
+                let mut user_rng =
+                    SimRng::new(self.seed ^ ((fs_idx as u64) << 48) ^ user_idx as u64);
                 let user_scale = user_rng.lognormal(1.0, 0.9);
                 let wobble = 0.97 + 0.06 * rng.uniform();
-                let files =
-                    (fs.base_files_per_user * user_scale * growth * wobble).round() as i64;
+                let files = (fs.base_files_per_user * user_scale * growth * wobble).round() as i64;
                 let logical = fs.base_usage_gb_per_user * user_scale * growth * wobble;
                 let physical = logical * fs.physical_overhead;
                 samples.push(StorageSample {

@@ -45,10 +45,7 @@ impl PartialEq for Event {
 impl Event {
     /// Value of a named field, if present.
     pub fn field(&self, name: &str) -> Option<f64> {
-        self.fields
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| *v)
+        self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
     }
 }
 
@@ -89,10 +86,7 @@ impl EventRing {
             elapsed_ms,
             kind: kind.to_owned(),
             message: message.to_owned(),
-            fields: fields
-                .iter()
-                .map(|(k, v)| ((*k).to_owned(), *v))
-                .collect(),
+            fields: fields.iter().map(|(k, v)| ((*k).to_owned(), *v)).collect(),
             json: OnceLock::new(),
         }));
         seq

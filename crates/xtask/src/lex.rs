@@ -354,7 +354,10 @@ mod tests {
     #[test]
     fn strings_are_opaque() {
         let toks = lex("let s = \"a.lock() // not code\"; done");
-        assert_eq!(idents("let s = \"a.lock()\"; done"), vec!["let", "s", "done"]);
+        assert_eq!(
+            idents("let s = \"a.lock()\"; done"),
+            vec!["let", "s", "done"]
+        );
         assert!(toks.iter().any(|t| t.kind == Tok::Str));
         assert!(!toks.iter().any(|t| t.is_ident("lock")));
     }

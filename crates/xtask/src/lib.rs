@@ -438,10 +438,8 @@ mod tests {
     fn rwlock_unwrap_on_hot_path_flagged() {
         let read = "fn f() { fed.read().unwrap(); }\n";
         let write = "fn f() { fed.write().expect(\"poisoned\"); }\n";
-        assert!(rules(&lint_source("crates/gateway/src/a.rs", read))
-            .contains(&Rule::HotPathLock));
-        assert!(rules(&lint_source("crates/gateway/src/a.rs", write))
-            .contains(&Rule::HotPathLock));
+        assert!(rules(&lint_source("crates/gateway/src/a.rs", read)).contains(&Rule::HotPathLock));
+        assert!(rules(&lint_source("crates/gateway/src/a.rs", write)).contains(&Rule::HotPathLock));
         // Recovered form stays clean.
         let ok = "fn f() { fed.read().unwrap_or_else(PoisonError::into_inner); }\n";
         assert!(lint_source("crates/gateway/src/a.rs", ok).is_empty());
@@ -460,7 +458,8 @@ mod tests {
 
     #[test]
     fn untraced_query_in_scope_file_flagged() {
-        let src = "pub fn query_instance(&self) -> u32 {\n    let rows = self.scan();\n    rows\n}\n";
+        let src =
+            "pub fn query_instance(&self) -> u32 {\n    let rows = self.scan();\n    rows\n}\n";
         let f = lint_source("crates/core/src/hub.rs", src);
         assert_eq!(rules(&f), vec![Rule::UntracedQuery]);
         // Same function outside the traced files: not R3 scope.

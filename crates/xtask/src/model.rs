@@ -1297,7 +1297,10 @@ fn free() {}
             .iter()
             .position(|e| matches!(e, Event::Call { callee, .. } if callee == "other"))
             .unwrap();
-        assert!(rel < other, "temp guard must die before the next stmt: {ev:?}");
+        assert!(
+            rel < other,
+            "temp guard must die before the next stmt: {ev:?}"
+        );
     }
 
     #[test]
@@ -1361,7 +1364,8 @@ fn f(&self) {
 
     #[test]
     fn zero_arg_read_write_only() {
-        let src = "fn f(&self, buf: &mut [u8]) {\n    self.db.read();\n    self.stream.read(buf);\n}\n";
+        let src =
+            "fn f(&self, buf: &mut [u8]) {\n    self.db.read();\n    self.stream.read(buf);\n}\n";
         let ev = events_of(src, "f");
         assert_eq!(acquire_paths(&ev), vec!["self.db"]);
     }
@@ -1433,7 +1437,12 @@ fn worker(receiver: &Mutex<Receiver<Job>>) {
 }
 "#;
         let fns = summaries(src);
-        let ev = fns.iter().find(|f| f.name == "worker").unwrap().events.clone();
+        let ev = fns
+            .iter()
+            .find(|f| f.name == "worker")
+            .unwrap()
+            .events
+            .clone();
         let acq = ev
             .iter()
             .position(|e| matches!(e, Event::Acquire { .. }))

@@ -10,14 +10,18 @@
 
 use xdmod::core::{Federation, FederationConfig, FederationHub, XdmodInstance};
 use xdmod::realms::levels::{
-    hub_walltime, instance_a_walltime, instance_b_walltime, AggregationLevelsConfig,
-    DIM_WALL_TIME,
+    hub_walltime, instance_a_walltime, instance_b_walltime, AggregationLevelsConfig, DIM_WALL_TIME,
 };
 use xdmod::realms::RealmKind;
 use xdmod::sim::hpc::{ClusterSim, ResourceProfile};
 use xdmod::warehouse::{AggFn, Aggregate, Query};
 
-fn satellite(name: &str, resource: &str, seed: u64, walltime: Vec<xdmod::realms::LevelSpec>) -> XdmodInstance {
+fn satellite(
+    name: &str,
+    resource: &str,
+    seed: u64,
+    walltime: Vec<xdmod::realms::LevelSpec>,
+) -> XdmodInstance {
     let mut inst = XdmodInstance::new(name);
     let sim = ClusterSim::new(ResourceProfile::generic(resource, 256, 48.0, 1.0), seed);
     inst.ingest_sacct(resource, &sim.sacct_log(2017, 1..=2))
@@ -37,7 +41,10 @@ fn main() {
 
     // Figure 3: instance Y also monitors a sensitive resource that must
     // never reach the hub.
-    let sim = ClusterSim::new(ResourceProfile::generic("resource-secret", 64, 48.0, 1.0), 9);
+    let sim = ClusterSim::new(
+        ResourceProfile::generic("resource-secret", 64, 48.0, 1.0),
+        9,
+    );
     y.ingest_sacct("resource-secret", &sim.sacct_log(2017, 1..=1))
         .expect("simulated log parses");
 
@@ -84,10 +91,15 @@ fn main() {
         .expect("federated query");
     println!("\nFederated view (jobs by resource):");
     for row in &rs.rows {
-        println!("  {:<16} {:>6} jobs  {:>12.0} CPU hours", row[0], row[1], row[2]);
+        println!(
+            "  {:<16} {:>6} jobs  {:>12.0} CPU hours",
+            row[0], row[1], row[2]
+        );
     }
     assert!(
-        !rs.rows.iter().any(|r| r[0].to_string() == "resource-secret"),
+        !rs.rows
+            .iter()
+            .any(|r| r[0].to_string() == "resource-secret"),
         "routing filter must keep the sensitive resource local"
     );
     println!("\n(resource-secret stayed on instance-y, as configured)");

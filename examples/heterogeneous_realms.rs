@@ -104,11 +104,7 @@ fn main() {
         "Average core hours per VM, by VM memory size (federated clouds)",
         "core hours",
     );
-    ds.labels = rs
-        .rows
-        .iter()
-        .map(|r| r[0].to_string())
-        .collect();
+    ds.labels = rs.rows.iter().map(|r| r[0].to_string()).collect();
     ds.push_series("avg core hours / VM", avg.into_iter().map(Some).collect())
         .expect("series");
     println!("{}", ascii_bars(&ds, 40));

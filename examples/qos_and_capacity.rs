@@ -14,9 +14,9 @@
 //! cargo run --example qos_and_capacity
 //! ```
 
-use xdmod::appkernels::{analyze, default_suite, ControlConfig};
-use xdmod::appkernels::simulate::{campaign_log, InjectedRegression};
 use xdmod::appkernels::ingest::{load_runs, parse_log, series};
+use xdmod::appkernels::simulate::{campaign_log, InjectedRegression};
+use xdmod::appkernels::{analyze, default_suite, ControlConfig};
 use xdmod::core::{Federation, FederationConfig, FederationHub, XdmodInstance};
 use xdmod::realms::cloud::capacity_utilization;
 use xdmod::realms::RealmKind;
@@ -85,7 +85,11 @@ fn main() {
             row.purchased,
             row.used,
             row.fraction() * 100.0,
-            if row.over_provisioned() { "  (over-provisioned)" } else { "" }
+            if row.over_provisioned() {
+                "  (over-provisioned)"
+            } else {
+                ""
+            }
         );
     }
 

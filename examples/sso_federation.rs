@@ -44,7 +44,10 @@ fn main() {
     let r_session = ccr
         .login_local("ruth", "ruths-password", now)
         .expect("local sign-on");
-    println!("Group R: {} signed on via {:?}", r_session.username, r_session.method);
+    println!(
+        "Group R: {} signed on via {:?}",
+        r_session.username, r_session.method
+    );
 
     let assertion = shib
         .authenticate("sam", "sams-password", "ccr-xdmod", now)
@@ -82,7 +85,10 @@ fn main() {
 
     // A satellite in delegated mode honors the hub's session.
     let mut delegated = InstanceAuth::new("ucsb-xdmod", AuthMode::IdentityProviderDelegated, false);
-    delegated.enroll(User::member("xsede_sam", "sam@buffalo.edu", "buffalo.edu"), None);
+    delegated.enroll(
+        User::member("xsede_sam", "sam@buffalo.edu", "buffalo.edu"),
+        None,
+    );
     let sat_session = delegated
         .login_delegated(&hub_session, now + 10)
         .expect("delegated sign-on");
@@ -95,7 +101,10 @@ fn main() {
     // The same human holds accounts on CCR and XSEDE; without mapping the
     // federation sees two users.
     let ids = hub.identity_map_mut();
-    ids.register("ccr-xdmod", &User::member("sam", "sam@buffalo.edu", "buffalo.edu"));
+    ids.register(
+        "ccr-xdmod",
+        &User::member("sam", "sam@buffalo.edu", "buffalo.edu"),
+    );
     ids.register(
         "xsede-xdmod",
         &User::member("xsede_sam", "sam@buffalo.edu", "buffalo.edu"),
@@ -106,7 +115,10 @@ fn main() {
     );
     let proposals = ids.propose_merges();
     for p in &proposals {
-        println!("  merge proposal: {:?} <- {:?} ({})", p.keep, p.merge, p.evidence);
+        println!(
+            "  merge proposal: {:?} <- {:?} ({})",
+            p.keep, p.merge, p.evidence
+        );
     }
     let merged = ids.auto_deduplicate();
     println!(

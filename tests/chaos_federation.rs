@@ -27,7 +27,8 @@ fn satellite(name: &str, resource: &str, sim_seed: u64) -> XdmodInstance {
     let mut inst = XdmodInstance::new(name);
     inst.set_su_factor(resource, 1.0);
     let sim = ClusterSim::new(ResourceProfile::generic(resource, 128, 48.0, 1.0), sim_seed);
-    inst.ingest_sacct(resource, &sim.sacct_log(2017, 1..=2)).unwrap();
+    inst.ingest_sacct(resource, &sim.sacct_log(2017, 1..=2))
+        .unwrap();
     inst
 }
 
@@ -65,9 +66,7 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
                 .for_target("y"),
         )
         // z: the link drops on its first op and never comes back.
-        .with(
-            FaultSpec::at_ops(FaultPoint::Transport, FaultKind::LinkDown, &[1]).for_target("z"),
-        );
+        .with(FaultSpec::at_ops(FaultPoint::Transport, FaultKind::LinkDown, &[1]).for_target("z"));
     let injector = plan.injector(seed);
     fed.inject_chaos(&injector);
 
@@ -129,9 +128,15 @@ fn seeded_chaos_run_converges_and_is_deterministic() {
     let (schedule_b, sums_b) = run_scenario(seed);
     // Same seed ⇒ byte-identical fault schedule and identical
     // post-recovery hub state.
-    assert_eq!(schedule_a, schedule_b, "fault schedule must be reproducible");
+    assert_eq!(
+        schedule_a, schedule_b,
+        "fault schedule must be reproducible"
+    );
     assert!(!schedule_a.is_empty(), "the plan must actually have fired");
-    assert_eq!(sums_a, sums_b, "post-recovery hub state must be reproducible");
+    assert_eq!(
+        sums_a, sums_b,
+        "post-recovery hub state must be reproducible"
+    );
 }
 
 #[test]

@@ -16,7 +16,8 @@ fn federation() -> (Vec<XdmodInstance>, Federation) {
         let mut inst = XdmodInstance::new(name);
         inst.set_su_factor(resource, 1.4);
         let sim = ClusterSim::new(ResourceProfile::generic(resource, 128, 24.0, 1.4), seed);
-        inst.ingest_sacct(resource, &sim.sacct_log(2017, 1..=4)).unwrap();
+        inst.ingest_sacct(resource, &sim.sacct_log(2017, 1..=4))
+            .unwrap();
         instances.push(inst);
     }
     // CCR also carries storage + cloud.
@@ -34,7 +35,8 @@ fn federation() -> (Vec<XdmodInstance>, Federation) {
     hub.set_levels(levels);
     let mut fed = Federation::new(hub);
     for inst in &instances {
-        fed.join_tight(inst, FederationConfig::default_realms()).unwrap();
+        fed.join_tight(inst, FederationConfig::default_realms())
+            .unwrap();
     }
     fed.sync().unwrap();
     (instances, fed)
@@ -87,9 +89,11 @@ fn explorer_drilldown_matches_direct_filter_total() {
     let (instances, fed) = federation();
     let ds_all = fed
         .hub()
-        .explore_federated(
-            &ChartRequest::timeseries(RealmKind::Jobs, "total_cpu_hours", Period::Year),
-        )
+        .explore_federated(&ChartRequest::timeseries(
+            RealmKind::Jobs,
+            "total_cpu_hours",
+            Period::Year,
+        ))
         .unwrap();
     let ds_rush = fed
         .hub()

@@ -22,7 +22,8 @@ fn xsede_instance() -> XdmodInstance {
         inst.set_su_factor(&profile.name, profile.hpl_gflops_per_core);
         let name = profile.name.clone();
         let sim = ClusterSim::new(profile, seed);
-        inst.ingest_sacct(&name, &sim.sacct_log(2017, 1..=12)).unwrap();
+        inst.ingest_sacct(&name, &sim.sacct_log(2017, 1..=12))
+            .unwrap();
     }
     inst
 }
@@ -83,14 +84,20 @@ fn fig1_monthly_series_shapes() {
 
     // Stampede2 is absent early in the year and strong late.
     let s2 = ds.series_named("stampede2").unwrap();
-    assert!(s2.values[0].is_none(), "stampede2 should be dark in January");
+    assert!(
+        s2.values[0].is_none(),
+        "stampede2 should be dark in January"
+    );
     assert!(s2.values[11].unwrap_or(0.0) > 0.0);
 
     // Stampede declines: December well below January.
     let s1 = ds.series_named("stampede").unwrap();
     let jan = s1.values[0].unwrap();
     let dec = s1.values[11].unwrap_or(0.0);
-    assert!(dec < jan * 0.3, "stampede should ramp down (jan {jan}, dec {dec})");
+    assert!(
+        dec < jan * 0.3,
+        "stampede should ramp down (jan {jan}, dec {dec})"
+    );
 
     // Comet is comparatively steady: every month within 3x of its mean.
     let comet = ds.series_named("comet").unwrap();
@@ -159,9 +166,10 @@ fn fig7_avg_core_hours_per_vm_increase_with_memory_bin() {
     let want = ["<1 GB", "1-2 GB", "2-4 GB", "4-8 GB"];
     let mut ordered = Vec::new();
     for w in want {
-        let idx = labels.iter().position(|l| l == w).unwrap_or_else(|| {
-            panic!("bin {w} missing from result ({labels:?})")
-        });
+        let idx = labels
+            .iter()
+            .position(|l| l == w)
+            .unwrap_or_else(|| panic!("bin {w} missing from result ({labels:?})"));
         ordered.push(avg[idx]);
     }
     for pair in ordered.windows(2) {

@@ -23,7 +23,8 @@ fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
 fn satellite(name: &str, resource: &str, seed: u64) -> XdmodInstance {
     let mut inst = XdmodInstance::new(name);
     let sim = ClusterSim::new(ResourceProfile::generic(resource, 128, 24.0, 1.0), seed);
-    inst.ingest_sacct(resource, &sim.sacct_log(2017, 1..=2)).unwrap();
+    inst.ingest_sacct(resource, &sim.sacct_log(2017, 1..=2))
+        .unwrap();
     inst
 }
 
@@ -47,7 +48,8 @@ fn federation_self_monitoring_end_to_end() {
     // while y keeps replicating.
     fed.pause_member("x").unwrap();
     let sim = ClusterSim::new(ResourceProfile::generic("res-x", 128, 24.0, 1.0), 33);
-    x.ingest_sacct("res-x", &sim.sacct_log(2017, 3..=3)).unwrap();
+    x.ingest_sacct("res-x", &sim.sacct_log(2017, 3..=3))
+        .unwrap();
     let backlog = x.fact_rows(RealmKind::Jobs).unwrap() - x_jobs;
     eventually("lag gauge to expose the backlog", || {
         fed.hub()
@@ -73,8 +75,14 @@ fn federation_self_monitoring_end_to_end() {
 
     let snap = fed.hub().telemetry().snapshot();
     // Lag settled back to zero after quiescence.
-    assert_eq!(snap.gauge("replication_lag_events", &[("link", "x")]), Some(0.0));
-    assert_eq!(snap.gauge("replication_lag_seconds", &[("link", "x")]), Some(0.0));
+    assert_eq!(
+        snap.gauge("replication_lag_events", &[("link", "x")]),
+        Some(0.0)
+    );
+    assert_eq!(
+        snap.gauge("replication_lag_seconds", &[("link", "x")]),
+        Some(0.0)
+    );
     // Per-link applied counts match what each satellite shipped.
     assert_eq!(
         snap.counter("replication_events_applied_total", &[("link", "x")])
@@ -114,7 +122,10 @@ fn federation_self_monitoring_end_to_end() {
     // the latency table, and the meta schema is queryable like any realm.
     let report = fed.hub().ops_report().unwrap();
     let text = report.render();
-    assert!(text.contains("Replication lag"), "no lag series in:\n{text}");
+    assert!(
+        text.contains("Replication lag"),
+        "no lag series in:\n{text}"
+    );
     assert!(text.contains("Operation latency quantiles"));
     let hub_db = fed.hub().database();
     let db = hub_db.read();
