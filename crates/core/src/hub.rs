@@ -138,8 +138,14 @@ impl FederationHub {
     /// under them ("re-aggregate all raw federation data", §II-C3).
     /// [`aggregate_all`](Self::aggregate_all) builds those answers ahead
     /// of the first read.
+    ///
+    /// Answers under the old levels are superseded, so this counts as an
+    /// external rebuild ([`Database::note_external_rebuild`]): the
+    /// [`result_version`](Self::result_version) of every realm moves and
+    /// every retained entry is dropped.
     pub fn set_levels(&mut self, levels: AggregationLevelsConfig) {
         self.levels = levels;
+        self.db.write().note_external_rebuild();
     }
 
     /// Configure the worker pool the hub's warehouse uses for partitioned
@@ -404,26 +410,24 @@ impl FederationHub {
 
     // ------------------------------------------------------------------
     // Self-monitoring: the hub watches the federation watching the
-    // satellites. Telemetry is materialized into an internal warehouse
-    // schema and rendered through the same report pipeline as any other
-    // XDMoD realm — the monitoring system eats its own dog food.
+    // satellites.
     // ------------------------------------------------------------------
 
-    /// Snapshot the hub's telemetry into the internal `xdmod_meta` schema
-    /// (`ops_counters`, `ops_gauges`, `ops_histograms`, `ops_lag_samples`)
-    /// and render the operations dashboard: replication-lag timeseries per
-    /// link plus query/aggregation latency quantiles.
+    /// Render the operations dashboard from one snapshot of the hub's
+    /// registry: federation health, durability and residency posture,
+    /// incremental aggregation, replication-lag timeseries per link and
+    /// query/aggregation latency quantiles.
     ///
-    /// The meta tables are rebuilt from scratch on every call, so the
-    /// dashboard and the queryable tables always agree. Writing them does
-    /// bump the hub's own binlog counters — by design: self-monitoring
-    /// traffic is traffic — but the snapshot is taken *before* the write,
-    /// so a report never counts its own materialization.
-    pub fn ops_report(&self) -> Result<xdmod_chart::Report> {
-        let snap = self.telemetry.snapshot();
-        self.materialize_meta(&snap)?;
-
+    /// A plain read: the storage backend and residency stats come from
+    /// one read guard on the hub database, and nothing is written, so
+    /// dashboard traffic appends no binlog record and forces no snapshot.
+    pub fn ops_report(&self) -> xdmod_chart::Report {
         use xdmod_chart::{Dataset, Report, Section};
+        let snap = self.telemetry.snapshot();
+        let (storage, residency) = {
+            let db = self.db.read();
+            (db.storage_name(), db.residency_stats())
+        };
         let applied = snap.counter_total("replication_events_applied_total");
         let appends = snap.counter_total("warehouse_binlog_appends_total");
         let errors = snap.counter_total("replication_apply_errors_total");
@@ -445,17 +449,16 @@ impl FederationHub {
         report = report
             .section(Section::Heading("Durability".into()))
             .section(Section::Text(format!(
-                "storage backend `{}`; {compactions} binlog compaction(s); \
+                "storage backend `{storage}`; {compactions} binlog compaction(s); \
                  {truncated} torn record(s) truncated during recovery; \
                  {snap_failures} auto-snapshot failure(s).",
-                self.db.read().storage_name(),
             )));
 
         // Residency posture: only rendered when cold-shard paging is on.
         // The point-in-time stats come from the residency manager (budget,
         // resident/spilled/lost pages); the motion counters (fault-ins,
         // evictions, spill writes) from the telemetry registry.
-        if let Some(stats) = self.db.read().residency_stats() {
+        if let Some(stats) = residency {
             let fault_ins = snap.counter_total("warehouse_page_faultins_total");
             let evictions = snap.counter_total("warehouse_page_evictions_total");
             let spill_writes = snap.counter_total("warehouse_page_spill_writes_total");
@@ -540,116 +543,7 @@ impl FederationHub {
                 .section(Section::Heading("Operation latency quantiles".into()))
                 .section(Section::Table(ds));
         }
-        Ok(report)
-    }
-
-    /// Rebuild `xdmod_meta` from a registry snapshot so telemetry is
-    /// queryable through the ordinary warehouse `Query` machinery.
-    fn materialize_meta(&self, snap: &xdmod_telemetry::RegistrySnapshot) -> Result<()> {
-        use xdmod_warehouse::{ColumnType, SchemaBuilder, Value};
-        const SCHEMA: &str = "xdmod_meta";
-        let mut db = self.db.write();
-        if !db.has_schema(SCHEMA) {
-            db.create_schema(SCHEMA)?;
-            db.create_table(
-                SCHEMA,
-                SchemaBuilder::new("ops_counters")
-                    .required("metric", ColumnType::Str)
-                    .required("value", ColumnType::Int)
-                    .build()?,
-            )?;
-            db.create_table(
-                SCHEMA,
-                SchemaBuilder::new("ops_gauges")
-                    .required("metric", ColumnType::Str)
-                    .required("value", ColumnType::Float)
-                    .build()?,
-            )?;
-            db.create_table(
-                SCHEMA,
-                SchemaBuilder::new("ops_histograms")
-                    .required("metric", ColumnType::Str)
-                    .required("count", ColumnType::Int)
-                    .required("sum", ColumnType::Float)
-                    .required("max", ColumnType::Float)
-                    .required("p50", ColumnType::Float)
-                    .required("p95", ColumnType::Float)
-                    .required("p99", ColumnType::Float)
-                    .build()?,
-            )?;
-            db.create_table(
-                SCHEMA,
-                SchemaBuilder::new("ops_lag_samples")
-                    .required("seq", ColumnType::Int)
-                    .required("elapsed_ms", ColumnType::Int)
-                    .required("link", ColumnType::Str)
-                    .required("lag_events", ColumnType::Float)
-                    .required("lag_seconds", ColumnType::Float)
-                    .build()?,
-            )?;
-        } else {
-            for t in [
-                "ops_counters",
-                "ops_gauges",
-                "ops_histograms",
-                "ops_lag_samples",
-            ] {
-                db.truncate(SCHEMA, t)?; // xc-allow: truncate's page-slot mutexes are leaves under the db write lock held here
-            }
-        }
-
-        let counter_rows: Vec<_> = snap
-            .counters
-            .iter()
-            .map(|(id, v)| vec![Value::Str(id.render()), Value::Int(*v as i64)])
-            .collect();
-        if !counter_rows.is_empty() {
-            db.insert(SCHEMA, "ops_counters", counter_rows)?;
-        }
-        let gauge_rows: Vec<_> = snap
-            .gauges
-            .iter()
-            .map(|(id, v)| vec![Value::Str(id.render()), Value::Float(*v)])
-            .collect();
-        if !gauge_rows.is_empty() {
-            db.insert(SCHEMA, "ops_gauges", gauge_rows)?;
-        }
-        let hist_rows: Vec<_> = snap
-            .histograms
-            .iter()
-            .map(|(id, h)| {
-                vec![
-                    Value::Str(id.render()),
-                    Value::Int(h.count as i64),
-                    Value::Float(h.sum),
-                    Value::Float(h.max),
-                    Value::Float(h.p50().unwrap_or(0.0)),
-                    Value::Float(h.p95().unwrap_or(0.0)),
-                    Value::Float(h.p99().unwrap_or(0.0)),
-                ]
-            })
-            .collect();
-        if !hist_rows.is_empty() {
-            db.insert(SCHEMA, "ops_histograms", hist_rows)?;
-        }
-        let lag_rows: Vec<_> = snap
-            .events
-            .iter()
-            .filter(|e| e.kind == "replication.lag")
-            .map(|e| {
-                vec![
-                    Value::Int(e.seq as i64),
-                    Value::Int(e.elapsed_ms as i64),
-                    Value::Str(e.message.clone()),
-                    Value::Float(e.field("lag_events").unwrap_or(0.0)),
-                    Value::Float(e.field("lag_seconds").unwrap_or(0.0)),
-                ]
-            })
-            .collect();
-        if !lag_rows.is_empty() {
-            db.insert(SCHEMA, "ops_lag_samples", lag_rows)?;
-        }
-        Ok(())
+        report
     }
 }
 
@@ -801,7 +695,7 @@ mod tests {
     }
 
     #[test]
-    fn ops_report_materializes_meta_and_renders() {
+    fn ops_report_renders_the_registry_snapshot() {
         let hub = hub_with_two_satellites();
         let q = Query::new().aggregate(Aggregate::count("n"));
         hub.federated_query(RealmKind::Jobs, &q).unwrap();
@@ -811,7 +705,7 @@ mod tests {
             "x",
             &[("lag_events", 3.0), ("lag_seconds", 0.25)],
         );
-        let report = hub.ops_report().unwrap();
+        let report = hub.ops_report();
         let text = report.render();
         assert!(text.contains("federation-hub operations"));
         assert!(text.contains("Durability"));
@@ -821,18 +715,32 @@ mod tests {
         assert!(text.contains("Replication lag"));
         assert!(text.contains("Operation latency quantiles"));
 
-        let db = hub.database();
-        let db = db.read();
-        assert!(!db.table("xdmod_meta", "ops_counters").unwrap().is_empty());
-        assert!(!db.table("xdmod_meta", "ops_histograms").unwrap().is_empty());
-        assert_eq!(db.table("xdmod_meta", "ops_lag_samples").unwrap().len(), 1);
-        drop(db);
+        // Everything the dashboard renders is in the registry snapshot.
+        let snap = hub.telemetry().snapshot();
+        assert!(!snap.counters.is_empty());
+        assert!(!snap.histograms.is_empty());
+        assert_eq!(hub.telemetry().events_of_kind("replication.lag").len(), 1);
 
-        // Second call rebuilds the meta schema instead of duplicating rows.
-        hub.ops_report().unwrap();
+        // A second report reads the same sample: rendering adds nothing.
+        hub.ops_report();
+        assert_eq!(hub.telemetry().events_of_kind("replication.lag").len(), 1);
+    }
+
+    #[test]
+    fn ops_report_writes_nothing_to_the_hub_database() {
+        let hub = hub_with_two_satellites();
         let db = hub.database();
-        let db = db.read();
-        assert_eq!(db.table("xdmod_meta", "ops_lag_samples").unwrap().len(), 1);
+        let state = || {
+            let db = db.read();
+            let schemas: Vec<String> = db.schema_names().into_iter().map(str::to_owned).collect();
+            (db.binlog_position(), schemas)
+        };
+        let before = state();
+        for _ in 0..3 {
+            hub.ops_report();
+        }
+        assert_eq!(state(), before);
+        assert_eq!(before.1, ["inst_x", "inst_y"]);
     }
 
     #[test]
@@ -841,14 +749,14 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let mut hub = hub_with_two_satellites();
         // Unpaged hub: no Residency section.
-        assert!(!hub.ops_report().unwrap().render().contains("Residency"));
+        assert!(!hub.ops_report().render().contains("Residency"));
         hub.enable_paging(xdmod_warehouse::PagingConfig::new(&dir).budget_bytes(1))
             .unwrap();
         // Force page motion: a federated query scans (and, at a one-byte
         // budget, immediately evicts) every satellite fact page.
         let q = Query::new().aggregate(Aggregate::count("n"));
         hub.federated_query(RealmKind::Jobs, &q).unwrap();
-        let text = hub.ops_report().unwrap().render();
+        let text = hub.ops_report().render();
         assert!(text.contains("Residency"), "got: {text}");
         assert!(text.contains("paging enabled"));
         assert!(text.contains("fault-in(s)"));
@@ -1025,6 +933,37 @@ mod tests {
         for sat in ["x", "y"] {
             let tables = db.table_names(&FederationHub::schema_for(sat)).unwrap();
             assert_eq!(tables, ["jobfact"], "{sat}");
+        }
+    }
+
+    #[test]
+    fn set_levels_moves_the_result_version_and_drops_retained_entries() {
+        use xdmod_realms::levels::{
+            hub_walltime, instance_a_walltime, instance_b_walltime, DIM_WALL_TIME,
+        };
+        let mut hub = staged_jobs_hub(xdmod_warehouse::PoolConfig::serial());
+        let levels = |walltime| {
+            let mut levels = AggregationLevelsConfig::new();
+            levels.set(DIM_WALL_TIME, walltime);
+            levels
+        };
+        hub.set_levels(levels(hub_walltime()));
+        hub.aggregate(RealmKind::Jobs, Period::Month).unwrap();
+        let db = hub.database();
+        let retained = || db.read().delta_cache().len();
+        let mut version = hub.result_version(RealmKind::Jobs);
+        let entries = retained();
+        assert_eq!(entries, 2, "one entry per satellite");
+
+        // An unchanged stamp would let a client revalidate an answer
+        // binned under the old levels.
+        for walltime in [instance_a_walltime(), instance_b_walltime(), hub_walltime()] {
+            hub.set_levels(levels(walltime));
+            let next = hub.result_version(RealmKind::Jobs);
+            assert_ne!(next, version);
+            version = next;
+            hub.aggregate(RealmKind::Jobs, Period::Month).unwrap();
+            assert_eq!(retained(), entries);
         }
     }
 

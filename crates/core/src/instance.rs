@@ -41,21 +41,21 @@ impl XdmodInstance {
     pub fn with_version(name: &str, version: XdmodVersion) -> Self {
         let mut db = Database::new();
         let schema = Self::schema_name_of(name);
-        db.create_schema(&schema).expect("fresh database"); // xc-allow: fresh in-memory database, schema cannot pre-exist
-        db.create_table(&schema, jobs::fact_schema())
-            .expect("fresh schema"); // xc-allow: fresh in-memory database, schema cannot pre-exist
-        db.create_table(&schema, supremm::fact_schema())
-            .expect("fresh schema"); // xc-allow: fresh in-memory database, schema cannot pre-exist
-        db.create_table(&schema, supremm::timeseries_schema())
-            .expect("fresh schema"); // xc-allow: fresh in-memory database, schema cannot pre-exist
-        db.create_table(&schema, supremm::jobscript_schema())
-            .expect("fresh schema"); // xc-allow: fresh in-memory database, schema cannot pre-exist
-        db.create_table(&schema, storage::fact_schema())
-            .expect("fresh schema"); // xc-allow: fresh in-memory database, schema cannot pre-exist
-        db.create_table(&schema, cloud_realm::fact_schema())
-            .expect("fresh schema"); // xc-allow: fresh in-memory database, schema cannot pre-exist
-        db.create_table(&schema, cloud_realm::reservation_schema())
-            .expect("fresh schema"); // xc-allow: fresh in-memory database, schema cannot pre-exist
+        let tables = [
+            jobs::fact_schema(),
+            supremm::fact_schema(),
+            supremm::timeseries_schema(),
+            supremm::jobscript_schema(),
+            storage::fact_schema(),
+            cloud_realm::fact_schema(),
+            cloud_realm::reservation_schema(),
+        ];
+        let created = db.create_schema(&schema).and_then(|_| {
+            tables
+                .into_iter()
+                .try_for_each(|table| db.create_table(&schema, table).map(drop))
+        });
+        created.expect("fresh database"); // xc-allow: fresh in-memory database, schema and tables cannot pre-exist
         XdmodInstance {
             name: name.to_owned(),
             version,

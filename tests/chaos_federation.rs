@@ -93,7 +93,7 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
     assert_eq!(health[0], ("x".to_owned(), MemberHealth::Live));
     assert_eq!(health[1], ("y".to_owned(), MemberHealth::Live));
     assert_eq!(health[2], ("z".to_owned(), MemberHealth::Quarantined));
-    let report = fed.ops_report().unwrap().render();
+    let report = fed.ops_report().render();
     assert!(report.contains("Satellite health"), "report: {report}");
     assert!(report.contains("x: live"), "report: {report}");
     assert!(report.contains("y: live"), "report: {report}");

@@ -7,7 +7,7 @@ use std::time::Duration;
 use xdmod::core::{Federation, FederationConfig, FederationHub, XdmodInstance};
 use xdmod::realms::RealmKind;
 use xdmod::sim::{ClusterSim, ResourceProfile};
-use xdmod::warehouse::{AggFn, Aggregate, Query};
+use xdmod::warehouse::{AggFn, Aggregate, DiskBackend, DiskOptions, Query};
 
 /// Poll `cond` for up to ~5 s; panic with `what` if it never holds.
 fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
@@ -119,21 +119,18 @@ fn federation_self_monitoring_end_to_end() {
     assert!(snap.histogram("hub_federated_query_seconds", &[]).is_some());
 
     // The ops dashboard renders the maintenance window's lag series and
-    // the latency table, and the meta schema is queryable like any realm.
-    let report = fed.hub().ops_report().unwrap();
-    let text = report.render();
+    // the latency table, both read from the registry snapshot.
+    let text = fed.hub().ops_report().render();
     assert!(
         text.contains("Replication lag"),
         "no lag series in:\n{text}"
     );
     assert!(text.contains("Operation latency quantiles"));
-    let hub_db = fed.hub().database();
-    let db = hub_db.read();
-    assert!(!db
-        .table("xdmod_meta", "ops_lag_samples")
-        .unwrap()
+    assert!(!fed
+        .hub()
+        .telemetry()
+        .events_of_kind("replication.lag")
         .is_empty());
-    drop(db);
 
     // Prometheus text carries the per-link counters; JSON exposition is
     // well-formed.
@@ -144,6 +141,48 @@ fn federation_self_monitoring_end_to_end() {
     let json = xdmod_check::json::parse(&exposition).expect("exposition JSON parses");
     assert!(json.get("counters").and_then(|v| v.as_array()).is_some());
     assert!(json.get("histograms").and_then(|v| v.as_array()).is_some());
+}
+
+#[test]
+fn dashboard_reads_leave_the_durable_hub_log_alone() {
+    let dir = std::env::temp_dir().join(format!("xdmod-ops-durable-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut hub = FederationHub::new("hub");
+    let backend = DiskBackend::open(DiskOptions::new(&dir).fsync(false)).unwrap();
+    hub.set_storage(Box::new(backend)).unwrap();
+    hub.set_snapshot_policy(Some(100));
+    let mut x = satellite("x", "res-x", 11);
+    let mut fed = Federation::new(hub);
+    fed.join_tight(&x, FederationConfig::default()).unwrap();
+    fed.sync().unwrap();
+    let chart = Query::new()
+        .group_by_column("resource")
+        .aggregate(Aggregate::of(AggFn::Sum, "cpu_hours", "total"));
+    fed.hub().federated_query(RealmKind::Jobs, &chart).unwrap();
+    let registry = fed.hub().telemetry().clone();
+    let count = |name: &str| registry.snapshot().counter_total(name);
+
+    // Sixty dashboard renders: no binlog record, so no snapshot and no
+    // compaction of the hub log.
+    let compactions = count("warehouse_compactions_total");
+    for _ in 0..60 {
+        fed.ops_report();
+    }
+    assert_eq!(count("warehouse_compactions_total"), compactions);
+
+    // One more month replicates: the next chart folds it into the
+    // retained entry instead of rebuilding.
+    let sim = ClusterSim::new(ResourceProfile::generic("res-x", 128, 24.0, 1.0), 33);
+    x.ingest_sacct("res-x", &sim.sacct_log(2017, 3..=3))
+        .unwrap();
+    fed.sync().unwrap();
+    let folds = count("warehouse_delta_folds_total");
+    let fallbacks = count("warehouse_delta_fallback_rebuilds_total");
+    fed.hub().federated_query(RealmKind::Jobs, &chart).unwrap();
+    assert_eq!(count("warehouse_delta_folds_total"), folds + 1);
+    assert_eq!(count("warehouse_delta_fallback_rebuilds_total"), fallbacks);
+    drop(fed);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
