@@ -34,8 +34,7 @@ use xdmod_check::model::realm_selection;
 use xdmod_check::{LinkModel, SatelliteModel};
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_replication::{
-    schemas_match, LinkConfig, LiveReplicator, ReplicationError, ReplicationFilter, Replicator,
-    RetryPolicy,
+    LinkConfig, LiveReplicator, ReplicationError, ReplicationFilter, Replicator, RetryPolicy,
 };
 use xdmod_warehouse::sync::Mutex;
 use xdmod_warehouse::{SharedDatabase, Value, WarehouseError};
@@ -832,42 +831,38 @@ impl Federation {
     }
 
     /// Regenerate a member instance's database from the hub (backup use
-    /// case, §II-E4), and re-seed its replication link so already-
-    /// restored data is not re-replicated.
+    /// case, §II-E4) — a resync in reverse. It refuses, touching nothing,
+    /// when the hub holds no copy of the member. Otherwise it stops a live
+    /// worker, empties the satellite (its binlog epoch rotates), rebuilds
+    /// the instance schema from the member's hub schema through a link
+    /// running the other way ([`Replicator::resync_target`]), recreates
+    /// the realm tables the federation never replicated, and re-seeds the
+    /// member's link at the satellite's new head so restored data is not
+    /// replicated again.
     pub fn restore_member(&mut self, instance: &mut XdmodInstance) -> Result<(), FederationError> {
         let idx = self
             .members
             .iter()
             .position(|m| m.name() == instance.name())
             .ok_or_else(|| FederationError::UnknownMember(instance.name().to_owned()))?;
+        let hub_db = self.hub.database();
+        let hub_schema = FederationHub::schema_for(instance.name());
+        hub_db.read().table_names(&hub_schema)?;
         // A live worker must not race the restore (it could replay the
         // restored history into the hub): stop it first — it drains, then
         // the link stays polled; the caller may `go_live` again. A
         // panicked worker still leaves a usable link behind, but aborts
         // the restore so the operator sees the failure.
         self.members[idx].link.stop_live()?;
-        let dump = self.hub.regeneration_dump(instance.name())?;
-        instance.restore_from_dump(&dump)?;
+        let sat_db = instance.database();
+        sat_db.write().reset_for_restore()?;
+        let back = LinkConfig::renaming(&hub_schema, &instance.schema_name());
+        Replicator::new(hub_db, Arc::clone(&sat_db), back).resync_target()?;
+        instance.ensure_realm_tables()?;
         // Skip the restore's replay: the hub already holds that data.
-        let position = instance.database().read().binlog_position();
+        let position = sat_db.read().binlog_position();
         self.members[idx].link.seek(position)?;
         Ok(())
-    }
-
-    /// Convenience: are satellite and hub fully consistent right now
-    /// (all links drained, checksums equal)? Used in tests and examples.
-    pub fn is_consistent_with(&self, instance: &XdmodInstance) -> Result<bool, FederationError> {
-        let sat_db = instance.database();
-        let hub_db = self.hub.database();
-        let sat = sat_db.read();
-        let hub = hub_db.read();
-        Ok(schemas_match(
-            &sat,
-            &instance.schema_name(),
-            &hub,
-            &FederationHub::schema_for(instance.name()),
-        )
-        .unwrap_or(false))
     }
 
     // ----- supervision: retry, restart, resync, quarantine -------------
@@ -880,11 +875,12 @@ impl Federation {
     ///    [`LiveReplicator::is_dead`] and stopped — the link keeps its
     ///    watermark — and, if the tick's drive then succeeds, relaunched
     ///    at its original interval;
-    /// 2. a link, live or polled, that has **diverged** (watermark beyond
-    ///    the source tail) or whose source **repaired a damaged binlog
-    ///    tail** since the last tick is resynced from the source tables
-    ///    through the link ([`Replicator::resync_target`] —
-    ///    checksum-grade, filter-aware);
+    /// 2. a link, live or polled, that polling cannot bring level with
+    ///    its source ([`LiveReplicator::needs_resync`]: watermark beyond
+    ///    the source tail or below its compaction horizon, or records lost
+    ///    to a source tail repair since the last resync) is resynced from
+    ///    the source tables through the link
+    ///    ([`Replicator::resync_target`] — checksum-grade, filter-aware);
     /// 3. otherwise a polled link is driven once (poll with up to
     ///    `policy.retry.max_attempts` synchronous retries), and a live
     ///    one reports its worker's [`LiveReplicator::last_error`];
@@ -1024,10 +1020,8 @@ impl Federation {
                 ),
             );
         }
-        let source_repairs = link.stats().source_repairs;
-        let outcome = if link.is_diverged() || source_repairs > member.supervision.repairs_seen {
+        let outcome = if link.needs_resync() {
             report.resynced = true;
-            member.supervision.repairs_seen = source_repairs;
             link.resync_target().map(|_| ())
         } else if link.is_live() {
             link.last_error().map_or(Ok(()), Err)
@@ -1238,7 +1232,6 @@ impl Federation {
         member.supervision.quarantined = false;
         member.supervision.failures = 0;
         member.link.resync_target()?;
-        member.supervision.repairs_seen = member.link.stats().source_repairs;
         hub.telemetry().event(
             "federation.reinstated",
             &format!("{name}: reinstated into the federation"),
@@ -1383,8 +1376,8 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
         assert!(fed.sync().unwrap() > 0);
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
-        assert!(fed.is_consistent_with(&x).unwrap());
-        assert!(fed.is_consistent_with(&y).unwrap());
+        assert!(fed.verify_member(&x).unwrap());
+        assert!(fed.verify_member(&y).unwrap());
     }
 
     #[test]
@@ -1689,6 +1682,27 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
     }
 
     #[test]
+    fn restore_refuses_a_member_the_hub_holds_no_copy_of() {
+        // Joined, never synced: the hub has no schema to restore from.
+        let mut x = instance("x", SACCT_X, "r-x");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        let state = |x: &XdmodInstance| {
+            (
+                x.fact_rows(RealmKind::Jobs).unwrap(),
+                x.database().read().binlog_position(),
+            )
+        };
+        let before = state(&x);
+        assert!(matches!(
+            fed.restore_member(&mut x),
+            Err(FederationError::Warehouse(WarehouseError::UnknownSchema(_)))
+        ));
+        // Refused before anything was reset: no rows lost, no epoch rotated.
+        assert_eq!(state(&x), before);
+    }
+
+    #[test]
     fn preflight_is_clean_for_a_healthy_federation() {
         let mut x = instance("x", SACCT_X, "r");
         x.set_su_factor("r", 1.5);
@@ -1851,7 +1865,7 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
         fed.sync().unwrap();
-        assert!(fed.is_consistent_with(&x).unwrap());
+        assert!(fed.verify_member(&x).unwrap());
 
         // A write lands in x's tables, then a crash mangles the binlog
         // tail: the record exists in the table but its event is
@@ -1875,13 +1889,13 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         // hub behind the source tables.
         let t1 = fed.supervise(&policy);
         assert!(!t1.members[0].resynced);
-        assert!(!fed.is_consistent_with(&x).unwrap());
+        assert!(!fed.verify_member(&x).unwrap());
         // Tick 2: the supervisor notices the repair (lost records) and
         // resyncs the hub schema from the source tables.
         let t2 = fed.supervise(&policy);
         assert!(t2.members[0].resynced);
         assert!(t2.all_healthy());
-        assert!(fed.is_consistent_with(&x).unwrap());
+        assert!(fed.verify_member(&x).unwrap());
         // Both the repair and the resync left telemetry trails.
         assert!(!fed
             .hub()
@@ -1929,9 +1943,72 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         eventually("a tick to resync the live link", || {
             fed.supervise(&policy).members[0].resynced
         });
-        assert!(fed.is_consistent_with(&x).unwrap());
+        assert!(fed.verify_member(&x).unwrap());
         assert_eq!(fed.quiesce().unwrap(), 1);
-        assert!(fed.is_consistent_with(&x).unwrap());
+        assert!(fed.verify_member(&x).unwrap());
+    }
+
+    /// A satellite with history that snapshotted twice before joining: the
+    /// trailing compaction horizon (0:9, its first snapshot) lies past a
+    /// fresh link's watermark, so no poll can read what the hub needs.
+    fn compacted_instance() -> XdmodInstance {
+        let mut x = instance("x", SACCT_X, "r-x");
+        x.database().write().snapshot_now().unwrap();
+        x.ingest_sacct("r-x", SACCT_X).unwrap();
+        x.database().write().snapshot_now().unwrap();
+        assert_eq!(x.database().read().compaction_horizon(), 9);
+        x
+    }
+
+    #[test]
+    fn supervise_resyncs_a_link_whose_source_compacted_past_it() {
+        let x = compacted_instance();
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        assert!(matches!(
+            fed.sync(),
+            Err(FederationError::Warehouse(
+                WarehouseError::CompactedAway { .. }
+            ))
+        ));
+        let tick = fed.supervise(&SupervisorPolicy::default());
+        assert!(tick.members[0].resynced, "{tick}");
+        assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
+        assert!(fed.verify_member(&x).unwrap());
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
+        assert_eq!(
+            fed.hub()
+                .telemetry()
+                .snapshot()
+                .counter("replication_resyncs_total", &[("link", "x")]),
+            Some(1)
+        );
+    }
+
+    #[test]
+    fn supervise_resyncs_a_live_link_whose_source_compacted_past_it() {
+        let x = compacted_instance();
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        fed.go_live_forced(Duration::from_millis(1));
+        eventually("the live worker to meet the compacted source", || {
+            fed.member_last_error("x").unwrap().is_some()
+        });
+        // The resync stands the link at the source head and clears the
+        // worker's error, so the member is live on the same tick.
+        let policy = SupervisorPolicy::default();
+        let tick = fed.supervise(&policy);
+        assert!(tick.members[0].resynced, "{tick}");
+        assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
+        assert!(fed.verify_member(&x).unwrap());
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
+        for _ in 0..3 {
+            let tick = fed.supervise(&policy);
+            assert!(!tick.members[0].resynced, "{tick}");
+            assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
+        }
+        assert_eq!(fed.quiesce().unwrap(), 1);
+        assert!(fed.verify_member(&x).unwrap());
     }
 
     #[test]
@@ -2051,7 +2128,7 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             fed.hub().federated_fact_rows(RealmKind::Jobs),
             y.fact_rows(RealmKind::Jobs).unwrap()
         );
-        assert!(fed.is_consistent_with(&y).unwrap());
+        assert!(fed.verify_member(&y).unwrap());
     }
 
     #[test]
@@ -2077,7 +2154,7 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
 
         fed.reinstate_member("y").unwrap();
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
-        assert!(fed.is_consistent_with(&y).unwrap());
+        assert!(fed.verify_member(&y).unwrap());
         assert_eq!(fed.health()[0].1, MemberHealth::Live);
         assert_eq!(
             fed.hub()

@@ -395,19 +395,6 @@ impl FederationHub {
             .sum()
     }
 
-    /// Export a satellite's replicated data as a dump renamed back to the
-    /// satellite's own schema — the backup use case: "the hub itself
-    /// could be used to regenerate the databases for the member
-    /// instances" (§II-E4).
-    pub fn regeneration_dump(&self, satellite: &str) -> Result<Vec<u8>> {
-        let db = self.db.read();
-        Ok(
-            xdmod_warehouse::Snapshot::capture_schemas(&db, &[Self::schema_for(satellite)])?
-                .into_renamed(&XdmodInstance::schema_name_of(satellite))?
-                .to_bytes(),
-        )
-    }
-
     // ------------------------------------------------------------------
     // Self-monitoring: the hub watches the federation watching the
     // satellites.

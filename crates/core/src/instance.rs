@@ -39,27 +39,10 @@ impl XdmodInstance {
     /// Stand up an instance at a specific XDMoD version (for testing the
     /// federation version gate).
     pub fn with_version(name: &str, version: XdmodVersion) -> Self {
-        let mut db = Database::new();
-        let schema = Self::schema_name_of(name);
-        let tables = [
-            jobs::fact_schema(),
-            supremm::fact_schema(),
-            supremm::timeseries_schema(),
-            supremm::jobscript_schema(),
-            storage::fact_schema(),
-            cloud_realm::fact_schema(),
-            cloud_realm::reservation_schema(),
-        ];
-        let created = db.create_schema(&schema).and_then(|_| {
-            tables
-                .into_iter()
-                .try_for_each(|table| db.create_table(&schema, table).map(drop))
-        });
-        created.expect("fresh database"); // xc-allow: fresh in-memory database, schema and tables cannot pre-exist
-        XdmodInstance {
+        let instance = XdmodInstance {
             name: name.to_owned(),
             version,
-            db: shared(db),
+            db: shared(Database::new()),
             levels: AggregationLevelsConfig::new(),
             su: SuConverter::new(),
             auth: InstanceAuth::new(name, AuthMode::ServiceProvider, false),
@@ -67,7 +50,31 @@ impl XdmodInstance {
             // operator attaches a registry (their own, or the hub's for a
             // federation-wide view) via `set_telemetry`.
             telemetry: MetricsRegistry::disabled(),
-        }
+        };
+        let created = instance.db.write().create_schema(&instance.schema_name());
+        let created = created.and_then(|_| instance.ensure_realm_tables());
+        created.expect("fresh database"); // xc-allow: fresh in-memory database, schema and tables cannot pre-exist
+        instance
+    }
+
+    /// Create, in one fixed order, every realm table the instance schema
+    /// lacks: all of them for a new instance, and after a restore from the
+    /// hub the realms the federation never replicated, which come back
+    /// empty so the instance stays fully functional.
+    pub(crate) fn ensure_realm_tables(&self) -> Result<()> {
+        let schema = self.schema_name();
+        let mut db = self.db.write();
+        [
+            jobs::fact_schema(),
+            supremm::fact_schema(),
+            supremm::timeseries_schema(),
+            supremm::jobscript_schema(),
+            storage::fact_schema(),
+            cloud_realm::fact_schema(),
+            cloud_realm::reservation_schema(),
+        ]
+        .into_iter()
+        .try_for_each(|def| db.ensure_table(&schema, def))
     }
 
     /// This instance's metrics registry (disabled unless attached).
@@ -275,36 +282,6 @@ impl XdmodInstance {
         self.db
             .read()
             .query(&self.schema_name(), Self::fact_table(realm), query)
-    }
-
-    /// Rebuild this instance's database from a federation-hub dump — the
-    /// backup/regeneration use case (§II-E4). The previous contents are
-    /// discarded (binlog epoch rotates), the dump is applied, and any
-    /// realm tables the federation filter had excluded from replication
-    /// are recreated empty so the instance stays fully functional.
-    pub fn restore_from_dump(&mut self, dump: &[u8]) -> Result<()> {
-        let snapshot = xdmod_warehouse::Snapshot::from_bytes(dump)?;
-        let schema = self.schema_name();
-        if !snapshot.has_schema(&schema) {
-            return Err(WarehouseError::Snapshot(format!(
-                "dump does not contain schema {schema}"
-            )));
-        }
-        let mut db = self.db.write();
-        db.reset_for_restore()?;
-        snapshot.apply(&mut db)?;
-        for def in [
-            jobs::fact_schema(),
-            supremm::fact_schema(),
-            supremm::timeseries_schema(),
-            supremm::jobscript_schema(),
-            storage::fact_schema(),
-            cloud_realm::fact_schema(),
-            cloud_realm::reservation_schema(),
-        ] {
-            db.ensure_table(&schema, def)?;
-        }
-        Ok(())
     }
 
     /// Rows currently in a realm's fact table (diagnostics).

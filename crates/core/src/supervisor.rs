@@ -22,8 +22,8 @@
 //!   Live  ◀───────────  Stale(age)  ◀──────────────────────┐
 //!    │ ▲                    │                               │
 //!    │ └── resync on        │ failures reaches              │
-//!    │     divergence /     ▼ max_failures                  │
-//!    │     source repair  Quarantined ── reinstate_member ──┘
+//!    │     needs_resync     ▼ max_failures                  │
+//!    │                    Quarantined ── reinstate_member ──┘
 //!    │                      (parked: sync/supervise skip it)
 //!    ▼
 //!   Lagging(behind)   (healthy but behind the source binlog head)
@@ -127,8 +127,9 @@ pub struct MemberReport {
     /// A dead live worker was detected and the link was rebuilt from its
     /// resumable watermark.
     pub restarted: bool,
-    /// The link had diverged (or its source repaired a damaged binlog
-    /// tail) and the hub schema was resynced from the source tables.
+    /// Polling could not bring the link level with its source (see
+    /// [`LiveReplicator::needs_resync`](xdmod_replication::LiveReplicator::needs_resync)),
+    /// so the hub schema was resynced from the source tables.
     pub resynced: bool,
     /// This tick is the one that moved the member into quarantine.
     pub quarantined_now: bool,
@@ -196,9 +197,6 @@ pub(crate) struct SupervisionState {
     pub(crate) quarantined: bool,
     /// When a tick last succeeded for this member.
     pub(crate) last_ok: Option<Instant>,
-    /// `LinkStats::source_repairs` at the last tick, to detect a source
-    /// binlog tail repair (lost records) since then.
-    pub(crate) repairs_seen: u64,
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ pub mod error;
 pub mod filter;
 pub mod replicator;
 
-pub use consistency::{schemas_match, verify_schemas, TableCheck};
+pub use consistency::{verify_schemas, TableCheck};
 pub use error::ReplicationError;
 pub use filter::ReplicationFilter;
 pub use replicator::{

@@ -46,30 +46,21 @@ use xdmod_warehouse::{
 #[derive(Debug, Clone)]
 pub struct LinkConfig {
     /// Only events touching this source schema replicate (a satellite's
-    /// instance schema). `None` replicates all schemas.
-    pub source_schema: Option<String>,
+    /// instance schema).
+    pub source_schema: String,
     /// Schema name on the target ("one schema per XDMoD instance" on the
-    /// hub). `None` keeps the source name.
-    pub rename_to: Option<String>,
+    /// hub).
+    pub rename_to: String,
     /// Table/resource selection.
     pub filter: ReplicationFilter,
 }
 
 impl LinkConfig {
-    /// Replicate everything verbatim.
-    pub fn passthrough() -> Self {
-        LinkConfig {
-            source_schema: None,
-            rename_to: None,
-            filter: ReplicationFilter::all(),
-        }
-    }
-
-    /// Replicate `source_schema`, renamed on the hub to `rename_to`.
+    /// Replicate `source_schema`, renamed on the target to `rename_to`.
     pub fn renaming(source_schema: &str, rename_to: &str) -> Self {
         LinkConfig {
-            source_schema: Some(source_schema.to_owned()),
-            rename_to: Some(rename_to.to_owned()),
+            source_schema: source_schema.to_owned(),
+            rename_to: rename_to.to_owned(),
             filter: ReplicationFilter::all(),
         }
     }
@@ -85,17 +76,10 @@ impl LinkConfig {
     /// then applies the filter, resolving resource columns on the `target`
     /// table the rows land in. `None` means the link drops the event.
     pub fn route(&self, payload: EventPayload, target: &Database) -> Option<EventPayload> {
-        if self
-            .source_schema
-            .as_ref()
-            .is_some_and(|s| s != payload.schema())
-        {
+        if payload.schema() != self.source_schema {
             return None;
         }
-        let payload = match &self.rename_to {
-            Some(schema) => payload.with_schema(schema),
-            None => payload,
-        };
+        let payload = payload.with_schema(&self.rename_to);
         self.filter.apply(payload, |schema, table, column| {
             target
                 .table(schema, table)
@@ -117,9 +101,7 @@ pub struct LinkStats {
     /// Events dropped by the filter.
     pub events_filtered: u64,
     /// Times the link repaired the *source* binlog's damaged tail (crash
-    /// recovery) before resuming its read. A nonzero delta between polls
-    /// tells the supervisor the source lost records and the hub may need
-    /// a checksum resync.
+    /// recovery) before resuming its read.
     pub source_repairs: u64,
 }
 
@@ -136,18 +118,16 @@ pub struct Replicator {
     link_name: String,
     /// Fault injector consulted at the transport point of every poll.
     chaos: Option<FaultInjector>,
+    /// A source tail repair dropped records since the last resync: the
+    /// source tables hold rows whose events no poll can deliver.
+    lost_records: bool,
 }
 
 impl Replicator {
     /// Create a link starting at the beginning of the source's binlog.
     pub fn new(source: SharedDatabase, target: SharedDatabase, config: LinkConfig) -> Self {
-        // Default link label: the hub-side schema, else the source schema,
-        // else "all" for a passthrough link.
-        let link_name = config
-            .rename_to
-            .clone()
-            .or_else(|| config.source_schema.clone())
-            .unwrap_or_else(|| "all".to_owned());
+        // Default link label: the target-side schema.
+        let link_name = config.rename_to.clone();
         Replicator {
             source,
             target,
@@ -157,6 +137,7 @@ impl Replicator {
             telemetry: MetricsRegistry::disabled(),
             link_name,
             chaos: None,
+            lost_records: false,
         }
     }
 
@@ -299,8 +280,8 @@ impl Replicator {
                 // back — the link must be rebuilt from the source's present
                 // state (snapshot + surviving tail), which is exactly what
                 // [`Replicator::resync_target`] does. Make the condition
-                // loudly visible and surface the typed error so the
-                // supervisor resyncs instead of hot-looping the poll.
+                // loudly visible and surface the typed error; the
+                // supervisor sees [`Replicator::needs_resync`] and resyncs.
                 if self.telemetry.is_enabled() {
                     self.telemetry
                         .counter(
@@ -330,6 +311,7 @@ impl Replicator {
             return Err(WarehouseError::CorruptBinlog(detail));
         }
         self.stats.source_repairs += 1;
+        self.lost_records = true;
         if self.telemetry.is_enabled() {
             self.telemetry
                 .counter(
@@ -433,35 +415,24 @@ impl Replicator {
         Ok(())
     }
 
-    /// True when the watermark points beyond the source binlog's current
-    /// tail. A diverged link can never make progress by polling — the
-    /// source either lost its tail to a crash repair or was rebuilt —
-    /// and `binlog_after` returns an empty batch for a same-epoch
-    /// beyond-tail watermark, so without this check the stall is
-    /// *silent*. The supervisor uses it to decide on a resync.
-    pub fn is_diverged(&self) -> bool {
-        let tail = self.source.read().binlog_position();
-        let position = self.position();
-        position.epoch > tail.epoch || (position.epoch == tail.epoch && position.seqno > tail.seqno)
-    }
-
-    /// True when the watermark points *below* the source's binlog
-    /// compaction horizon (or into an older epoch while the source has
-    /// compacted): the records this link still needs were deleted by
-    /// snapshot-triggered compaction, so polling returns
-    /// [`WarehouseError::CompactedAway`] forever. Like
-    /// [`Replicator::is_diverged`], the cure is
-    /// [`Replicator::resync_target`], which rebuilds the target from the
-    /// source's live tables — the source's snapshot-plus-tail state.
-    pub fn is_compacted_away(&self) -> bool {
-        let src = self.source.read();
-        let horizon = src.compaction_horizon();
-        if horizon == 0 {
-            return false;
-        }
-        let head = src.binlog_position();
-        let position = self.position();
-        position.epoch < head.epoch || (position.epoch == head.epoch && position.seqno < horizon)
+    /// True when polling cannot bring the target level with the source,
+    /// so the link must [`Replicator::resync_target`]: the watermark is
+    /// past the source binlog's tail (the source lost its tail to a crash
+    /// repair or was rebuilt; such a read is a *silent* empty batch), it
+    /// is below the source's compaction horizon (the read is
+    /// [`WarehouseError::CompactedAway`] forever), or a source tail repair
+    /// dropped records since the last resync. The supervisor resyncs on
+    /// it.
+    pub fn needs_resync(&self) -> bool {
+        let (tail, horizon) = {
+            let src = self.source.read();
+            (src.binlog_position(), src.compaction_horizon())
+        };
+        let at = self.position();
+        // Where a read would resume in the source's current epoch: an
+        // older epoch's watermark replays the whole generation.
+        let resume = if at.epoch < tail.epoch { 0 } else { at.seqno };
+        self.lost_records || at.epoch > tail.epoch || !(horizon..=tail.seqno).contains(&resume)
     }
 
     /// Checksum-grade resync: rebuild the target schema from the source's
@@ -477,17 +448,13 @@ impl Replicator {
     /// selection still hold — is the only operation that restores the
     /// invariant the consistency checker verifies.
     pub fn resync_target(&mut self) -> Result<ResyncReport> {
-        let Some(source_schema) = &self.config.source_schema else {
-            return Err(WarehouseError::InvalidQuery(
-                "resync requires a link with a declared source schema".into(),
-            ));
-        };
         // Capture the schema and the binlog head under one source read
         // lock, then release it before writing the target (same
         // lock-ordering rule as poll_inner).
         let (image, head) = {
             let src = self.source.read();
-            let image = Snapshot::capture_schemas(&src, std::slice::from_ref(source_schema))?;
+            let image =
+                Snapshot::capture_schemas(&src, std::slice::from_ref(&self.config.source_schema))?;
             (image, src.binlog_position())
         };
         let report = {
@@ -497,6 +464,7 @@ impl Replicator {
         // The target now mirrors the source's present state; polling
         // resumes from the head so nothing just copied is replayed.
         self.set_position(head);
+        self.lost_records = false;
         if self.telemetry.is_enabled() {
             self.telemetry
                 .counter("replication_resyncs_total", &[("link", &self.link_name)])
@@ -813,9 +781,16 @@ impl LiveReplicator {
         self.replicator.lock().poll()
     }
 
-    /// [`Replicator::resync_target`]; a running worker waits for it.
+    /// [`Replicator::resync_target`]; a running worker waits for it. A
+    /// resync that succeeds clears [`LiveReplicator::last_error`], as a
+    /// successful poll does: the link now stands at the source head.
     pub fn resync_target(&self) -> Result<ResyncReport> {
-        self.replicator.lock().resync_target()
+        // Cleared under the replicator lock, so an error the worker meets
+        // after the resync is kept.
+        let mut rep = self.replicator.lock();
+        let report = rep.resync_target()?;
+        *self.last_error.lock() = None;
+        Ok(report)
     }
 
     /// [`Replicator::seek`].
@@ -823,9 +798,9 @@ impl LiveReplicator {
         self.replicator.lock().seek(position)
     }
 
-    /// [`Replicator::is_diverged`].
-    pub fn is_diverged(&self) -> bool {
-        self.replicator.lock().is_diverged()
+    /// [`Replicator::needs_resync`].
+    pub fn needs_resync(&self) -> bool {
+        self.replicator.lock().needs_resync()
     }
 
     /// [`Replicator::lag_events`]: the link's own backlog, read whether
@@ -1026,7 +1001,7 @@ mod tests {
     /// Capture the link's source schema and replay it on `hub` with
     /// replace semantics — a shipped database dump (§II-C2).
     fn replay_dump(src: &SharedDatabase, hub: &mut Database, link: &LinkConfig) -> ResyncReport {
-        let schema = link.source_schema.clone().unwrap();
+        let schema = link.source_schema.clone();
         let image = Snapshot::capture_schemas(&src.read(), &[schema]).unwrap();
         replace(hub, image.events(), link).unwrap()
     }
@@ -1646,6 +1621,11 @@ mod tests {
             .unwrap();
         assert_eq!(rep.poll().unwrap(), 1);
         assert_eq!(rep.stats().source_repairs, 1); // no further repairs
+                                                   // The dropped record's row is still in the source table: polling
+                                                   // cannot deliver it, so the link asks for a resync until one runs.
+        assert!(rep.needs_resync());
+        rep.resync_target().unwrap();
+        assert!(!rep.needs_resync());
     }
 
     #[test]
@@ -1658,7 +1638,7 @@ mod tests {
             LinkConfig::renaming("xdmod_x", "hub_x"),
         );
         rep.poll().unwrap();
-        assert!(!rep.is_diverged());
+        assert!(!rep.needs_resync());
         // Lose the source binlog's tail record to a crash repair: the
         // watermark now points past the surviving log.
         {
@@ -1666,12 +1646,12 @@ mod tests {
             s.truncate_binlog_tail(5);
             assert!(!s.repair_binlog().is_clean());
         }
-        assert!(rep.is_diverged());
+        assert!(rep.needs_resync());
         // Polling cannot help a diverged link (a same-epoch beyond-tail
         // read is a silent empty batch); a table-copy resync can.
         let report = rep.resync_target().unwrap();
         assert_eq!(report.tables, 2);
-        assert!(!rep.is_diverged());
+        assert!(!rep.needs_resync());
         let src = src.read();
         let dst = dst.read();
         for table in ["jobfact", "supremm_jobfact"] {
@@ -1963,7 +1943,7 @@ mod tests {
         )
         .with_telemetry(reg.clone(), "site-x");
         // A fresh link's watermark (START) is below the horizon.
-        assert!(rep.is_compacted_away());
+        assert!(rep.needs_resync());
         let err = rep.poll().unwrap_err();
         assert!(
             matches!(err, WarehouseError::CompactedAway { .. }),
@@ -1978,7 +1958,7 @@ mod tests {
         // Resync rebuilds the target from the source's snapshot+tail
         // state (its live tables) and the link is healthy again.
         rep.resync_target().unwrap();
-        assert!(!rep.is_compacted_away());
+        assert!(!rep.needs_resync());
         assert_eq!(rep.poll().unwrap(), 0);
         assert_eq!(
             src.read()

@@ -218,19 +218,19 @@ pub fn decode_payload(mut buf: &[u8]) -> Result<EventPayload> {
     Ok(payload)
 }
 
-/// Read off an encoded payload's prefix, decoding no row: the schema a
-/// `CreateSchema` names and the rows an `InsertBatch` counts.
-pub(crate) fn peek_payload(mut buf: &[u8]) -> Result<(Option<String>, u64)> {
+/// Read off an encoded payload's prefix, decoding no row: the rows an
+/// `InsertBatch` counts.
+pub(crate) fn peek_payload(mut buf: &[u8]) -> Result<u64> {
     let buf = &mut buf;
     let tag = codec::get_u8(buf, "payload tag")?;
-    let schema = codec::get_str(buf)?;
+    codec::get_str(buf)?;
     let rows = if tag == TAG_INSERT_BATCH {
         codec::get_str(buf)?;
         codec::get_u32(buf, "row count")?
     } else {
         0
     };
-    Ok(((tag == TAG_CREATE_SCHEMA).then_some(schema), rows.into()))
+    Ok(rows.into())
 }
 
 /// Append the record at `pos` to `out`: length prefix, position, whatever

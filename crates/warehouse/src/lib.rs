@@ -27,9 +27,11 @@
 //!   recompute, with automatic fallback to a cold rebuild whenever the
 //!   retained state cannot be trusted (resync, compaction past the
 //!   cursor, fact-table rewrite, reshard).
-//! - **Snapshots** ([`persist::Snapshot`]) for loose-federation dump
-//!   shipping and hub-side backup/restore: compacted binlogs — counted
-//!   runs of the same CRC'd frames, restored by the same event replay.
+//! - **Snapshots** ([`persist::Snapshot`]): the image a replication
+//!   resync replays (into the hub, or back into a satellite restored from
+//!   it) and the body of the storage engine's snapshot files — compacted
+//!   binlogs, counted runs of the same CRC'd frames, restored by the same
+//!   event replay.
 //! - A **durable storage engine** ([`storage::StorageBackend`]): the
 //!   database writes ahead to a pluggable backend — in-memory no-op
 //!   ([`storage::MemoryBackend`]) or a segmented on-disk WAL

@@ -59,8 +59,6 @@ pub struct Snapshot<'a> {
     frames: Cow<'a, [u8]>,
     frame_count: u64,
     total_rows: u64,
-    /// Schemas the frames create, in frame order.
-    schemas: Vec<String>,
 }
 
 impl Snapshot<'_> {
@@ -77,7 +75,6 @@ impl Snapshot<'_> {
         let mut snap = Snapshot::default();
         for schema in schema_names.iter().collect::<BTreeSet<_>>() {
             let tables = db.table_names(schema)?;
-            snap.schemas.push(schema.clone());
             snap.push(&EventPayload::CreateSchema {
                 schema: schema.clone(),
             });
@@ -145,14 +142,6 @@ impl Snapshot<'_> {
         Ok(())
     }
 
-    /// Replace the entire contents of `db` with this snapshot, rotating
-    /// the binlog epoch — the "regenerate a member instance from the hub"
-    /// restore path.
-    pub fn restore_into(&self, db: &mut Database) -> Result<()> {
-        db.reset_for_restore()?;
-        self.apply(db)
-    }
-
     /// Serialize to the shipped dump file: counted header, then frames.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = header(SNAPSHOT_VERSION, self.frame_count, self.total_rows);
@@ -193,7 +182,7 @@ impl Snapshot<'_> {
         let mut cur = frames;
         while !cur.is_empty() {
             let expect = snap.next_position();
-            let (found, (schema, rows)) = split_frame(&mut cur)
+            let (found, rows) = split_frame(&mut cur)
                 .and_then(|(found, payload)| Ok((found, peek_payload(payload)?)))
                 .map_err(|e| corrupt(format!("frame {expect}: {e}")))?;
             if found != expect {
@@ -203,7 +192,6 @@ impl Snapshot<'_> {
             }
             snap.frame_count += 1;
             snap.total_rows += rows;
-            snap.schemas.extend(schema);
         }
         if (snap.frame_count, snap.total_rows) != (claimed_frames, claimed_rows) {
             return Err(corrupt(format!(
@@ -212,32 +200,6 @@ impl Snapshot<'_> {
             )));
         }
         Ok(snap)
-    }
-
-    /// Rename the single schema in this snapshot (loose-federation
-    /// equivalent of Tungsten's rename-on-transfer,
-    /// [`EventPayload::with_schema`] per frame). Errors unless the
-    /// snapshot holds exactly one schema.
-    pub fn into_renamed(self, new_schema: &str) -> Result<Snapshot<'static>> {
-        if self.schemas.len() != 1 {
-            return Err(WarehouseError::Snapshot(format!(
-                "rename requires exactly one schema, snapshot has {}",
-                self.schemas.len()
-            )));
-        }
-        let mut renamed = Snapshot {
-            schemas: vec![new_schema.to_owned()],
-            ..Snapshot::default()
-        };
-        for payload in self.events() {
-            renamed.push(&payload?.with_schema(new_schema));
-        }
-        Ok(renamed)
-    }
-
-    /// True if the snapshot carries a schema of this name.
-    pub fn has_schema(&self, schema: &str) -> bool {
-        self.schemas.iter().any(|s| s == schema)
     }
 
     /// Total rows in the snapshot.
@@ -303,7 +265,8 @@ mod tests {
         let parsed = Snapshot::from_bytes(&bytes).unwrap();
 
         let mut dst = Database::new();
-        parsed.restore_into(&mut dst).unwrap();
+        dst.reset_for_restore().unwrap();
+        parsed.apply(&mut dst).unwrap();
         for schema in ["xdmod_x", "xdmod_y"] {
             assert_eq!(
                 src.table(schema, "jobfact").unwrap().content_checksum(),
@@ -316,8 +279,9 @@ mod tests {
     fn capture_subset_of_schemas() {
         let src = populated();
         let snap = Snapshot::capture_schemas(&src, &["xdmod_x".to_owned()]).unwrap();
-        assert!(snap.has_schema("xdmod_x"));
-        assert!(!snap.has_schema("xdmod_y"));
+        let mut dst = Database::new();
+        snap.apply(&mut dst).unwrap();
+        assert_eq!(dst.schema_names(), vec!["xdmod_x"]);
         assert_eq!(snap.total_rows(), 1);
         // Naming a schema twice captures it once.
         let twice =
@@ -346,32 +310,10 @@ mod tests {
         let mut db = populated();
         let snap = Snapshot::capture_schemas(&db, &["xdmod_x".to_owned()]).unwrap();
         let epoch_before = db.binlog_position().epoch;
-        snap.restore_into(&mut db).unwrap();
+        db.reset_for_restore().unwrap();
+        snap.apply(&mut db).unwrap();
         assert_eq!(db.binlog_position().epoch, epoch_before + 1);
         assert_eq!(db.schema_names(), vec!["xdmod_x"]); // xdmod_y gone
-    }
-
-    #[test]
-    fn rename_single_schema() {
-        let src = populated();
-        let snap = Snapshot::capture_schemas(&src, &["xdmod_x".to_owned()])
-            .unwrap()
-            .into_renamed("hub_x")
-            .unwrap();
-        assert!(snap.has_schema("hub_x"));
-        assert!(!snap.has_schema("xdmod_x"));
-        // The renamed dump is a valid dump in its own right.
-        let bytes = snap.to_bytes();
-        let parsed = Snapshot::from_bytes(&bytes).unwrap();
-        let mut hub = Database::new();
-        parsed.apply(&mut hub).unwrap();
-        assert_eq!(
-            hub.table("hub_x", "jobfact").unwrap().content_checksum(),
-            src.table("xdmod_x", "jobfact").unwrap().content_checksum()
-        );
-
-        let full = Snapshot::capture(&src).unwrap();
-        assert!(full.into_renamed("hub").is_err()); // two schemas
     }
 
     #[test]
@@ -414,7 +356,7 @@ mod tests {
         let parsed = Snapshot::from_bytes(&bytes).unwrap();
         assert!(matches!(parsed.frames, Cow::Borrowed(_)));
         assert_eq!(parsed.total_rows(), snap.total_rows());
-        assert_eq!(parsed.schemas, snap.schemas);
+        assert_eq!(parsed.frame_count, snap.frame_count);
 
         // An `InsertBatch` of one row whose arity overruns the payload.
         let mut bad = Snapshot::default();
@@ -546,9 +488,10 @@ mod tests {
         let src = awkward_db();
         let bytes = Snapshot::capture(&src).unwrap().to_bytes();
         let mut dst = Database::new();
+        dst.reset_for_restore().unwrap();
         Snapshot::from_bytes(&bytes)
             .unwrap()
-            .restore_into(&mut dst)
+            .apply(&mut dst)
             .unwrap();
         let want = src.table("s", "t").unwrap();
         let got = dst.table("s", "t").unwrap();

@@ -262,9 +262,10 @@ fn binlog_replay_and_snapshot_reproduce_database() {
             replica.apply_event(ev.payload).unwrap();
         }
         let mut restored = Database::new();
+        restored.reset_for_restore().unwrap();
         Snapshot::from_bytes(&Snapshot::capture(&db).unwrap().to_bytes())
             .unwrap()
-            .restore_into(&mut restored)
+            .apply(&mut restored)
             .unwrap();
         let want = db.table("s", "t").unwrap();
         for copy in [&replica, &restored] {
@@ -284,9 +285,10 @@ fn snapshot_round_trip_keeps_the_recorded_float_case() {
     db.insert("s", "t", vec![vec![Value::Int(0), Value::Float(float)]])
         .unwrap();
     let mut restored = Database::new();
+    restored.reset_for_restore().unwrap();
     Snapshot::from_bytes(&Snapshot::capture(&db).unwrap().to_bytes())
         .unwrap()
-        .restore_into(&mut restored)
+        .apply(&mut restored)
         .unwrap();
     let (want, got) = (
         db.table("s", "t").unwrap(),

@@ -1,6 +1,7 @@
-//! End-to-end chaos: a three-satellite federation driven through a
+//! End-to-end chaos: a four-satellite federation driven through a
 //! seeded [`FaultPlan`] — transient transport faults, a corrupted binlog
-//! tail, and one permanently dead link — must self-heal to checksum
+//! tail, one permanently dead link, and a member whose satellite
+//! compacted its binlog before joining — must self-heal to checksum
 //! consistency for the survivors, quarantine the dead member, and do
 //! all of it **deterministically**: the same seed produces a
 //! byte-identical fault schedule and identical hub contents on every
@@ -34,7 +35,9 @@ fn satellite(name: &str, resource: &str, sim_seed: u64) -> XdmodInstance {
 
 /// The scenario under test, as one deterministic function of the seed:
 /// faults fire against x (transient bursts), y (tail corruption), and z
-/// (permanent link loss) while the supervisor drives the federation.
+/// (permanent link loss) while the supervisor drives the federation; no
+/// fault targets w, whose satellite snapshotted twice before joining, so
+/// its compaction horizon is past the fresh link's watermark.
 /// Returns the artifacts the determinism assertion compares across
 /// runs: the injector's fired-fault schedule and the hub's table
 /// checksums.
@@ -45,11 +48,20 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
     let x = satellite("x", "res-x", 7);
     let y = satellite("y", "res-y", 8);
     let z = satellite("z", "res-z", 9);
+    let w = satellite("w", "res-w", 10);
+    {
+        let db = w.database();
+        let mut db = db.write();
+        db.snapshot_now().unwrap();
+        db.snapshot_now().unwrap();
+        assert!(db.compaction_horizon() > 0);
+    }
 
     let mut fed = Federation::new(FederationHub::new("hub"));
     fed.join_tight(&x, FederationConfig::default()).unwrap();
     fed.join_tight(&y, FederationConfig::default()).unwrap();
     fed.join_tight(&z, FederationConfig::default()).unwrap();
+    fed.join_tight(&w, FederationConfig::default()).unwrap();
 
     let plan = FaultPlan::new()
         // x: a budgeted burst of transient faults on every other
@@ -81,23 +93,27 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
         fed.supervise(&policy);
     }
 
-    // The two survivors converged to checksum consistency; the dead
-    // link was quarantined, not retried forever.
+    // The three survivors converged to checksum consistency — w by a
+    // resync, since no poll can read below its source's horizon; the
+    // dead link was quarantined, not retried forever.
     assert!(fed.verify_member(&x).unwrap(), "x converged");
     assert!(fed.verify_member(&y).unwrap(), "y converged");
+    assert!(fed.verify_member(&w).unwrap(), "w converged");
     assert_eq!(fed.quarantined_members(), vec!["z"]);
 
     // health() and the degraded-mode ops report say exactly that.
     let health: Vec<(String, MemberHealth)> = fed.health();
-    assert_eq!(health.len(), 3);
+    assert_eq!(health.len(), 4);
     assert_eq!(health[0], ("x".to_owned(), MemberHealth::Live));
     assert_eq!(health[1], ("y".to_owned(), MemberHealth::Live));
     assert_eq!(health[2], ("z".to_owned(), MemberHealth::Quarantined));
+    assert_eq!(health[3], ("w".to_owned(), MemberHealth::Live));
     let report = fed.ops_report().render();
     assert!(report.contains("Satellite health"), "report: {report}");
     assert!(report.contains("x: live"), "report: {report}");
     assert!(report.contains("y: live"), "report: {report}");
     assert!(report.contains("z: quarantined"), "report: {report}");
+    assert!(report.contains("w: live"), "report: {report}");
 
     // The quarantine decision reached the dashboard's counters too.
     assert_eq!(
@@ -110,7 +126,7 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
 
     let hub_db = fed.hub().database();
     let hub = hub_db.read();
-    let checksums = ["x", "y"]
+    let checksums = ["x", "y", "w"]
         .iter()
         .map(|name| {
             let schema = FederationHub::schema_for(name);
