@@ -9,7 +9,9 @@
 //! pulling into the hub from a position the hub keeps — **tight** (tailed
 //! by a worker thread once [`Federation::go_live`] runs) or **loose** (a
 //! batch per [`Federation::sync`] or supervision tick), freely mixed
-//! (§II-C2's heterogeneous model). Joining enforces the version gate and
+//! (§II-C2's heterogeneous model). Its worker, `sync` and `supervise`
+//! all drive a link through the one [`Replicator::step`], under the retry
+//! policy the member joined with. Joining enforces the version gate and
 //! stores the member's `xdmod_check::SatelliteModel`, the one record its
 //! link is compiled from and pre-flight vets; a programmatic join's
 //! [`FederationConfig`] chooses which realms replicate (the initial
@@ -219,18 +221,16 @@ fn filter(model: &SatelliteModel) -> ReplicationFilter {
     filter
 }
 
-/// The retry policy a member's live link runs with: the [`RetryPolicy`]
-/// default when `retries` is unset, none for an explicit 0 (`XC0010` on
-/// tight links). Joining refuses counts above `u32::MAX`.
+/// The retry policy a member's link runs with, whoever steps it: the
+/// [`RetryPolicy`] default with `retries` attempts when set — none for an
+/// explicit 0 (`XC0010` on tight links). Joining refuses counts above
+/// `u32::MAX`.
 fn retry_policy(model: &SatelliteModel) -> RetryPolicy {
-    match model.link.retries {
-        None => RetryPolicy::default(),
-        Some(0) => RetryPolicy::no_retries(),
-        Some(n) => RetryPolicy {
-            max_attempts: u32::try_from(n).unwrap_or(u32::MAX),
-            ..RetryPolicy::default()
-        },
+    let mut policy = RetryPolicy::default();
+    if let Some(n) = model.link.retries {
+        policy.max_attempts = u32::try_from(n).unwrap_or(u32::MAX);
     }
+    policy
 }
 
 /// How a satellite is coupled to the hub.
@@ -238,8 +238,8 @@ fn retry_policy(model: &SatelliteModel) -> RetryPolicy {
 pub enum FederationMode {
     /// Live binlog replication.
     Tight,
-    /// Periodic batches: `sync` and `supervise` drive the link, which
-    /// never goes live.
+    /// Periodic batches: each `sync` and supervision tick steps the
+    /// link, which never goes live.
     Loose,
 }
 
@@ -248,9 +248,9 @@ struct Member {
     /// The member's topology, join-time SU factors included, as
     /// [`Federation::preflight`] vets it (plus the live catalog).
     model: SatelliteModel,
-    /// The member's one link: hand-polled (`sync` drives it) or, for a
-    /// tight member after `go_live*`, tailed by a worker thread (`sync`
-    /// leaves it alone).
+    /// The member's one link: stepped by `sync` and `supervise` or, for
+    /// a tight member after `go_live*`, by a worker thread (`sync` leaves
+    /// it alone).
     link: LiveReplicator,
     /// The satellite's database handle, captured at join so pre-flight
     /// can introspect the source catalog and chaos can be wired into it
@@ -275,13 +275,11 @@ impl Member {
         }
     }
 
-    /// Start a worker tailing a tight member's binlog at `interval`, with
-    /// the member's own retry policy. Returns whether it started (loose
-    /// and already-live links are left alone).
+    /// Start a worker tailing a tight member's binlog at `interval`.
+    /// Returns whether it started (loose and already-live links are left
+    /// alone).
     fn start_live(&mut self, interval: Duration) -> bool {
-        if self.mode() == FederationMode::Loose
-            || !self.link.start_live(interval, retry_policy(&self.model))
-        {
+        if self.mode() == FederationMode::Loose || !self.link.start_live(interval) {
             return false;
         }
         self.live_interval = Some(interval);
@@ -429,7 +427,8 @@ impl Federation {
                 self.hub.database(),
                 Self::link_for(instance, &model)?,
             )
-            .with_telemetry(self.hub.telemetry().clone(), instance.name()),
+            .with_telemetry(self.hub.telemetry().clone(), instance.name())
+            .with_retries(retry_policy(&model)),
         );
         model.su_factors = instance
             .su_converter()
@@ -497,25 +496,27 @@ impl Federation {
         Ok(LinkConfig::renaming(&source_schema, &hub_schema).with_filter(filter(model)))
     }
 
-    /// Poll once every link with no worker running: each loose member's,
+    /// Step once every link with no worker running: each loose member's,
     /// and each tight member's that is not live. Live links are skipped —
     /// their workers are already draining the binlog — and so are
-    /// quarantined members (see [`Federation::supervise`]). A link stops
-    /// at its first failing event and retries it on the next call; the
-    /// other members are still polled, and the first error is returned
-    /// after them. Returns total events applied at the hub by **this**
-    /// call.
+    /// quarantined members (see [`Federation::supervise`]). A step
+    /// resyncs a link that polling cannot bring level with its source and
+    /// polls the rest ([`Replicator::step`]); a poll stops at its first
+    /// failing event, which the next call retries. The other members are
+    /// still stepped, and the first error is returned after them. Returns
+    /// total events the polls of **this** call applied at the hub.
     pub fn sync(&mut self) -> Result<usize, FederationError> {
         let mut applied = 0;
         let mut first_err = None;
+        let now = Instant::now();
         for member in &mut self.members {
             if member.supervision.quarantined || member.link.is_live() {
                 continue;
             }
-            match member.link.poll() {
+            match member.link.step(now).outcome {
                 Ok(n) => {
                     applied += n;
-                    // A successful poll drains the backlog a quiesce left
+                    // A successful step drains the backlog a quiesce left
                     // behind — the member's view is current again.
                     self.drain.stale.lock().remove(member.name());
                 }
@@ -728,11 +729,11 @@ impl Federation {
     }
 
     /// Stop every live link's worker: each drains any remaining events
-    /// and takes a final lag sample (the gauges settle to 0), and the
-    /// link stays in place, polled from its own watermark. Returns how
-    /// many links were stopped. The first panicked worker is returned as
+    /// with a final step (the lag gauges settle to 0), and the link stays
+    /// in place, stepped from its own watermark. Returns how many links
+    /// were stopped. The first panicked worker is returned as
     /// [`FederationError::Replication`] — after stopping the rest; its
-    /// link polls on like any other.
+    /// link is stepped on like any other.
     pub fn quiesce(&mut self) -> Result<usize, FederationError> {
         let mut stopped = 0;
         let mut first_err: Option<ReplicationError> = None;
@@ -781,7 +782,7 @@ impl Federation {
         Ok(())
     }
 
-    /// The most recent apply error on a live member's link, if any — live
+    /// The error of a live member's latest step, if it failed — live
     /// links keep running through errors and surface them here and in the
     /// hub's `replication_apply_errors_total{link=..}` counter.
     pub fn member_last_error(&self, name: &str) -> Result<Option<WarehouseError>, FederationError> {
@@ -865,7 +866,7 @@ impl Federation {
         Ok(())
     }
 
-    // ----- supervision: retry, restart, resync, quarantine -------------
+    // ----- supervision: restart, step, quarantine -----------------------
 
     /// One supervision tick: drive and police every link.
     ///
@@ -873,17 +874,16 @@ impl Federation {
     ///
     /// 1. a **dead live worker** (panicked thread) is detected via
     ///    [`LiveReplicator::is_dead`] and stopped — the link keeps its
-    ///    watermark — and, if the tick's drive then succeeds, relaunched
+    ///    watermark — and, if the tick's step then succeeds, relaunched
     ///    at its original interval;
-    /// 2. a link, live or polled, that polling cannot bring level with
-    ///    its source ([`LiveReplicator::needs_resync`]: watermark beyond
-    ///    the source tail or below its compaction horizon, or records lost
-    ///    to a source tail repair since the last resync) is resynced from
-    ///    the source tables through the link
-    ///    ([`Replicator::resync_target`] — checksum-grade, filter-aware);
-    /// 3. otherwise a polled link is driven once (poll with up to
-    ///    `policy.retry.max_attempts` synchronous retries), and a live
-    ///    one reports its worker's [`LiveReplicator::last_error`];
+    /// 2. a link with no worker is **stepped** ([`Replicator::step`]): it
+    ///    resyncs when polling cannot bring it level with its source
+    ///    (watermark beyond the source tail or below its compaction
+    ///    horizon, or records lost to a source tail repair since the last
+    ///    resync) and polls otherwise, and is stepped again at once, with
+    ///    no sleep, while the step reports a retry of the link's burst;
+    /// 3. a live link, which its worker steps, reports the worker's
+    ///    [`LiveReplicator::last_error`];
     /// 4. `policy.max_failures` consecutive failed ticks **quarantine**
     ///    the member: its link is parked, `sync`/`supervise`/`go_live*`
     ///    skip it, and `federation_quarantines_total{link=..}` plus a
@@ -1020,57 +1020,46 @@ impl Federation {
                 ),
             );
         }
-        let outcome = if link.needs_resync() {
-            report.resynced = true;
-            link.resync_target().map(|_| ())
-        } else if link.is_live() {
+        let outcome = if link.is_live() {
             link.last_error().map_or(Ok(()), Err)
         } else {
-            let mut left = policy.retry.max_attempts;
-            loop {
-                match link.poll() {
-                    Ok(_) => break Ok(()),
-                    Err(_) if left > 0 => left -= 1,
-                    Err(e) => break Err(e),
-                }
+            let now = Instant::now();
+            let mut step = link.step(now);
+            report.resynced = step.resynced;
+            while step.retry_at.is_some() {
+                step = link.step(now);
+                report.resynced |= step.resynced;
             }
+            step.outcome.map(|_| ())
         };
-        match outcome {
+        let ok = match outcome {
             Ok(()) => {
                 member.supervision.last_ok = Some(Instant::now());
-                if report.restarted {
-                    // A panic is a strike even though the link polls
-                    // fine — a crash-looping worker must
-                    // eventually park instead of thrashing forever.
-                    member.supervision.failures += 1;
-                    if member.supervision.failures >= policy.max_failures {
-                        Self::quarantine(hub, member);
-                        report.quarantined_now = true;
-                        report.health = MemberHealth::Quarantined;
-                        return report;
-                    }
-                    if let Some(interval) = member.live_interval {
-                        member.start_live(interval);
-                    }
-                } else {
-                    member.supervision.failures = 0;
-                }
-                report.health = Self::observed_health(member, policy);
+                true
             }
             Err(e) => {
-                member.supervision.failures += 1;
                 report.error.get_or_insert(e.to_string());
-                if member.supervision.failures >= policy.max_failures {
-                    Self::quarantine(hub, member);
-                    report.quarantined_now = true;
-                    report.health = MemberHealth::Quarantined;
-                } else {
-                    report.health = MemberHealth::Stale {
-                        age_secs: Self::age_secs(member),
-                    };
-                }
+                false
+            }
+        };
+        // A panic is a strike even though the link steps fine — a
+        // crash-looping worker must eventually park instead of thrashing
+        // forever.
+        if ok && !report.restarted {
+            member.supervision.failures = 0;
+        } else {
+            member.supervision.failures += 1;
+            if member.supervision.failures >= policy.max_failures {
+                Self::quarantine(hub, member);
+                report.quarantined_now = true;
+                report.health = MemberHealth::Quarantined;
+                return report;
             }
         }
+        if let (true, Some(interval)) = (ok && report.restarted, member.live_interval) {
+            member.start_live(interval);
+        }
+        report.health = Self::observed_health(member, policy);
         report
     }
 
@@ -1222,7 +1211,7 @@ impl Federation {
 
     /// Lift a quarantined member back into the federation. The member
     /// may have drifted arbitrarily while parked, so its hub schema is
-    /// resynced from the source tables before polling resumes.
+    /// resynced from the source tables before stepping resumes.
     pub fn reinstate_member(&mut self, name: &str) -> Result<(), FederationError> {
         let Federation { hub, members, .. } = self;
         let member = members
@@ -1794,6 +1783,14 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         fed.quiesce().unwrap();
     }
 
+    /// Join `instance` in `mode` ("tight" or "loose") with no retries on
+    /// its link: every failed step waits out the interval.
+    fn join_without_retries(fed: &mut Federation, instance: &XdmodInstance, mode: &str) {
+        let mut model = FederationConfig::default().into_model(instance, mode);
+        model.link.retries = Some(0);
+        fed.join(instance, model).unwrap();
+    }
+
     #[test]
     fn supervise_quarantines_after_repeated_failures_and_reinstates() {
         use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
@@ -1801,8 +1798,8 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let x = instance("x", SACCT_X, "r-x");
         let y = instance("y", SACCT_Y, "r-y");
         let mut fed = Federation::new(FederationHub::new("hub"));
-        fed.join_tight(&x, FederationConfig::default()).unwrap();
-        fed.join_tight(&y, FederationConfig::default()).unwrap();
+        join_without_retries(&mut fed, &x, "tight");
+        join_without_retries(&mut fed, &y, "tight");
 
         // x's transport dies permanently; y is untouched.
         let plan = FaultPlan::new().with(
@@ -1811,9 +1808,7 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let injector = plan.injector(42);
         fed.inject_chaos(&injector);
 
-        let policy = SupervisorPolicy::default()
-            .with_max_failures(2)
-            .with_retry(xdmod_replication::RetryPolicy::no_retries());
+        let policy = SupervisorPolicy::default().with_max_failures(2);
         let first = fed.supervise(&policy);
         assert_eq!(
             first.health_of("x"),
@@ -1931,21 +1926,32 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             db.insert(&x.schema_name(), "jobfact", vec![row]).unwrap();
             db.truncate_binlog_tail(6);
         }
-        eventually("the live worker to repair the source tail", || {
-            !fed.hub()
-                .telemetry()
-                .events_of_kind("replication.source_repaired")
-                .is_empty()
+        // The worker's next step repairs the source tail and leaves the
+        // link one row behind; the step after resyncs it. No tick runs.
+        eventually("the live worker to resync its own link", || {
+            resyncs_of(&fed, "x") == Some(1)
         });
-        // The worker polls on, one row behind; supervision resyncs the
-        // live link through the link itself.
-        let policy = SupervisorPolicy::default();
-        eventually("a tick to resync the live link", || {
-            fed.supervise(&policy).members[0].resynced
-        });
+        assert!(!fed
+            .hub()
+            .telemetry()
+            .events_of_kind("replication.source_repaired")
+            .is_empty());
         assert!(fed.verify_member(&x).unwrap());
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
+        let tick = fed.supervise(&SupervisorPolicy::default());
+        assert!(!tick.members[0].resynced, "{tick}");
+        assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
         assert_eq!(fed.quiesce().unwrap(), 1);
         assert!(fed.verify_member(&x).unwrap());
+        assert_eq!(resyncs_of(&fed, "x"), Some(1));
+    }
+
+    /// `replication_resyncs_total{link=..}` on the hub.
+    fn resyncs_of(fed: &Federation, link: &str) -> Option<u64> {
+        fed.hub()
+            .telemetry()
+            .snapshot()
+            .counter("replication_resyncs_total", &[("link", link)])
     }
 
     /// A satellite with history that snapshotted twice before joining: the
@@ -1965,24 +1971,24 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let x = compacted_instance();
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
-        assert!(matches!(
-            fed.sync(),
-            Err(FederationError::Warehouse(
-                WarehouseError::CompactedAway { .. }
-            ))
-        ));
         let tick = fed.supervise(&SupervisorPolicy::default());
         assert!(tick.members[0].resynced, "{tick}");
         assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
         assert!(fed.verify_member(&x).unwrap());
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
-        assert_eq!(
-            fed.hub()
-                .telemetry()
-                .snapshot()
-                .counter("replication_resyncs_total", &[("link", "x")]),
-            Some(1)
-        );
+        assert_eq!(resyncs_of(&fed, "x"), Some(1));
+    }
+
+    #[test]
+    fn sync_resyncs_a_member_whose_source_compacted_past_it() {
+        let x = compacted_instance();
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        assert_eq!(fed.sync(), Ok(0));
+        assert!(fed.sync_and_aggregate().is_ok());
+        assert!(fed.verify_member(&x).unwrap());
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
+        assert_eq!(resyncs_of(&fed, "x"), Some(1));
     }
 
     #[test]
@@ -1991,24 +1997,20 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
         fed.go_live_forced(Duration::from_millis(1));
-        eventually("the live worker to meet the compacted source", || {
-            fed.member_last_error("x").unwrap().is_some()
+        // The worker's first step meets a watermark below the source's
+        // horizon and resyncs the link itself. No tick runs.
+        eventually("the live worker to resync its own link", || {
+            resyncs_of(&fed, "x") == Some(1)
         });
-        // The resync stands the link at the source head and clears the
-        // worker's error, so the member is live on the same tick.
-        let policy = SupervisorPolicy::default();
-        let tick = fed.supervise(&policy);
-        assert!(tick.members[0].resynced, "{tick}");
-        assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
         assert!(fed.verify_member(&x).unwrap());
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
-        for _ in 0..3 {
-            let tick = fed.supervise(&policy);
-            assert!(!tick.members[0].resynced, "{tick}");
-            assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
-        }
+        let tick = fed.supervise(&SupervisorPolicy::default());
+        assert!(!tick.members[0].resynced, "{tick}");
+        assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
+        assert_eq!(fed.member_last_error("x").unwrap(), None);
         assert_eq!(fed.quiesce().unwrap(), 1);
         assert!(fed.verify_member(&x).unwrap());
+        assert_eq!(resyncs_of(&fed, "x"), Some(1));
     }
 
     #[test]
@@ -2136,14 +2138,12 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         use xdmod_chaos::{FaultKind, FaultPoint, FaultSpec};
         let mut y = instance("y", SACCT_Y, "r-y");
         let mut fed = Federation::new(FederationHub::new("hub"));
-        fed.join_loose(&y, FederationConfig::default()).unwrap();
+        join_without_retries(&mut fed, &y, "loose");
         fail_hub_applies(
             &fed,
             FaultSpec::every(FaultPoint::Apply, FaultKind::Transient, 1).with_budget(2),
         );
-        let policy = SupervisorPolicy::default()
-            .with_max_failures(2)
-            .with_retry(RetryPolicy::no_retries());
+        let policy = SupervisorPolicy::default().with_max_failures(2);
         fed.supervise(&policy);
         let second = fed.supervise(&policy);
         assert_eq!(second.health_of("y"), Some(MemberHealth::Quarantined));

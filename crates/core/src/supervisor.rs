@@ -9,20 +9,24 @@
 //! which owns the links.
 //!
 //! Supervision is **tick-driven**, not threaded: each call to
-//! `supervise` drives every non-quarantined link once, applying the
-//! retry policy synchronously. That keeps fault-injection runs fully
-//! deterministic — the same seeded
+//! `supervise` steps every non-quarantined link that has no worker
+//! through [`Replicator::step`](xdmod_replication::Replicator::step) —
+//! the step a live worker runs too — stepping again at once, with no
+//! sleep, while the step reports a retry of the link's own burst, and
+//! reads a live link's latest error. That keeps fault-injection runs
+//! fully deterministic — the same seeded
 //! [`FaultPlan`](xdmod_chaos::FaultPlan) always meets the same sequence
 //! of link operations.
 //!
-//! The state machine per member:
+//! The state machine per member (a step resyncs instead of polling when
+//! polling cannot bring the link level with its source):
 //!
 //! ```text
-//!            poll ok                      poll err (failures < max)
+//!            step ok                      step err (failures < max)
 //!   Live  ◀───────────  Stale(age)  ◀──────────────────────┐
-//!    │ ▲                    │                               │
-//!    │ └── resync on        │ failures reaches              │
-//!    │     needs_resync     ▼ max_failures                  │
+//!    │                      │                               │
+//!    │                      │ failures reaches              │
+//!    │                      ▼ max_failures                  │
 //!    │                    Quarantined ── reinstate_member ──┘
 //!    │                      (parked: sync/supervise skip it)
 //!    ▼
@@ -31,7 +35,6 @@
 
 use std::fmt;
 use std::time::{Duration, Instant};
-use xdmod_replication::RetryPolicy;
 
 /// Health of one federation member's link, as reported by
 /// [`Federation::health`](crate::federation::Federation::health) and
@@ -75,13 +78,10 @@ impl fmt::Display for MemberHealth {
     }
 }
 
-/// Knobs of the supervision loop.
+/// Knobs of the supervision loop. How a link retries is its own: each
+/// link retries under the policy its member joined with (`retries`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
-    /// Retry behaviour for one tick's drive of a polled link. Live
-    /// workers, relaunched ones included, run with their member's own
-    /// `retries` instead.
-    pub retry: RetryPolicy,
     /// Consecutive failed ticks before a member is quarantined.
     pub max_failures: u32,
     /// Events of lag a link may carry and still count as
@@ -95,7 +95,6 @@ pub struct SupervisorPolicy {
 impl Default for SupervisorPolicy {
     fn default() -> Self {
         SupervisorPolicy {
-            retry: RetryPolicy::default(),
             max_failures: 3,
             lag_threshold: 0,
             stale_after: Duration::from_secs(300),
@@ -109,12 +108,6 @@ impl SupervisorPolicy {
         self.max_failures = n;
         self
     }
-
-    /// Use `retry` when driving links.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
 }
 
 /// What one supervision tick did to (and observed about) one member.
@@ -124,12 +117,15 @@ pub struct MemberReport {
     pub name: String,
     /// Health after this tick.
     pub health: MemberHealth,
-    /// A dead live worker was detected and the link was rebuilt from its
-    /// resumable watermark.
+    /// A dead live worker was detected and stopped; the link keeps its
+    /// watermark and, once this tick's step succeeds, a fresh worker
+    /// resumes from it.
     pub restarted: bool,
-    /// Polling could not bring the link level with its source (see
-    /// [`LiveReplicator::needs_resync`](xdmod_replication::LiveReplicator::needs_resync)),
-    /// so the hub schema was resynced from the source tables.
+    /// This tick's step found that polling could not bring the link level
+    /// with its source (see
+    /// [`Replicator::needs_resync`](xdmod_replication::Replicator::needs_resync)),
+    /// so it resynced the hub schema from the source tables. A live link's
+    /// worker resyncs on its own, so a live member never reports it.
     pub resynced: bool,
     /// This tick is the one that moved the member into quarantine.
     pub quarantined_now: bool,
@@ -263,8 +259,6 @@ mod tests {
         assert_eq!(p.max_failures, 3);
         assert_eq!(p.lag_threshold, 0);
         assert!(p.stale_after > Duration::ZERO);
-        let p = p.with_max_failures(1).with_retry(RetryPolicy::no_retries());
-        assert_eq!(p.max_failures, 1);
-        assert_eq!(p.retry.max_attempts, 0);
+        assert_eq!(p.with_max_failures(1).max_failures, 1);
     }
 }

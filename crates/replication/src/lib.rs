@@ -4,14 +4,16 @@
 //! (§II-C1). Provides the exact feature set the paper relies on:
 //!
 //! - **binlog tailing** with resumable `(epoch, seqno)` watermarks
-//!   ([`replicator::Replicator`]), held for a link's whole life by a
-//!   [`replicator::LiveReplicator`] that can run it on a worker thread —
-//!   "tight" federation's live mode;
+//!   ([`replicator::Replicator`]), driven by one step that polls or
+//!   resyncs, records the outcome and retries under the link's own
+//!   policy, and held for a link's whole life by a
+//!   [`replicator::LiveReplicator`] that can run that step on a worker
+//!   thread — "tight" federation's live mode;
 //! - **schema renaming during transfer**, so the hub holds "one schema
 //!   per XDMoD instance";
 //! - **selective replication** ([`filter::ReplicationFilter`]): realm
 //!   /table selection and per-resource routing (§II-C4);
-//! - **loose federation** (§II-C2): the same link polled in batches and
+//! - **loose federation** (§II-C2): the same link stepped in batches and
 //!   never run live;
 //! - **consistency verification** ([`consistency`]): checksum proof that
 //!   "no data are lost or changed" in transit.
@@ -27,5 +29,5 @@ pub use consistency::{verify_schemas, TableCheck};
 pub use error::ReplicationError;
 pub use filter::ReplicationFilter;
 pub use replicator::{
-    LinkConfig, LinkStats, LiveReplicator, Replicator, ResyncReport, RetryPolicy,
+    LinkConfig, LinkStats, LiveReplicator, Replicator, ResyncReport, RetryPolicy, Step,
 };

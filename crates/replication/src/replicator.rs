@@ -10,9 +10,11 @@
 //! A [`Replicator`] tails one source database's binlog from a saved
 //! watermark, passes each event through [`LinkConfig::route`] (schema
 //! selection, rename, [`ReplicationFilter`]), and applies the survivors
-//! to the target. [`LiveReplicator`] holds one for the link's whole life
-//! and can run the same poll on a background thread — the paper's "live
-//! replication".
+//! to the target. [`Replicator::step`] is the one way a link is driven:
+//! it polls (or resyncs, when polling cannot help), records the outcome
+//! and says when to run next. [`LiveReplicator`] holds the replicator for
+//! the link's whole life and can run the same step on a background
+//! thread — the paper's "live replication".
 //!
 //! "Instead, log files or database dumps could be periodically shipped to
 //! the federation hub, and batch processed there to make their data
@@ -22,7 +24,7 @@
 //! from some member instances and tight federation from others."
 //! (§II-C2)
 //!
-//! A loose link is the same [`Replicator`], polled in batches and never
+//! A loose link is the same [`Replicator`], stepped in batches and never
 //! run live: it reads the framed binlog (the shipped "log files") after a
 //! position the hub keeps and advances that position only past applied
 //! events, so a batch that fails to apply is read again on the next
@@ -71,8 +73,8 @@ impl LinkConfig {
         self
     }
 
-    /// The one link step every path takes — polls (tight and loose
-    /// members alike) and resync. Drops events of other schemas, renames,
+    /// The one route every path takes — polls (tight and loose members
+    /// alike) and resync. Drops events of other schemas, renames,
     /// then applies the filter, resolving resource columns on the `target`
     /// table the rows land in. `None` means the link drops the event.
     pub fn route(&self, payload: EventPayload, target: &Database) -> Option<EventPayload> {
@@ -105,7 +107,8 @@ pub struct LinkStats {
     pub source_repairs: u64,
 }
 
-/// A poll-driven replication link between two databases.
+/// A replication link between two databases, driven by
+/// [`Replicator::step`].
 pub struct Replicator {
     source: SharedDatabase,
     target: SharedDatabase,
@@ -121,6 +124,30 @@ pub struct Replicator {
     /// A source tail repair dropped records since the last resync: the
     /// source tables hold rows whose events no poll can deliver.
     lost_records: bool,
+    /// The error of the latest step, shared with the link's
+    /// [`LiveReplicator`] so reading it never waits for this lock.
+    last_error: Arc<Mutex<Option<WarehouseError>>>,
+    /// The retry burst [`Replicator::step`] advances.
+    retry: RetryState,
+    /// When the link first fell behind (`None` while caught up).
+    behind_since: Option<Instant>,
+    /// The last lag sampled, so an idle link records no lag events.
+    last_lag: Option<u64>,
+}
+
+/// What one [`Replicator::step`] did, and when to step again.
+#[derive(Debug)]
+pub struct Step {
+    /// Events the step's poll applied (a resync polls none), or the error
+    /// that failed the step.
+    pub outcome: Result<usize>,
+    /// The step rebuilt the target from the source tables instead of
+    /// polling ([`Replicator::needs_resync`]).
+    pub resynced: bool,
+    /// `Some` while the step failed and its retry burst has attempts
+    /// left: step again at this instant, a backoff after `now`. `None`:
+    /// step again after the driver's interval.
+    pub retry_at: Option<Instant>,
 }
 
 impl Replicator {
@@ -135,10 +162,21 @@ impl Replicator {
             watermark: Arc::new(Mutex::new(LogPosition::START)),
             stats: LinkStats::default(),
             telemetry: MetricsRegistry::disabled(),
+            retry: RetryState::new(RetryPolicy::default(), &link_name),
             link_name,
             chaos: None,
             lost_records: false,
+            last_error: Arc::new(Mutex::new(None)),
+            behind_since: None,
+            last_lag: None,
         }
+    }
+
+    /// Retry failed steps under `policy` (the default is
+    /// [`RetryPolicy::default`]).
+    pub fn with_retries(mut self, policy: RetryPolicy) -> Self {
+        self.retry = RetryState::new(policy, &self.link_name);
+        self
     }
 
     /// In-place form of [`Replicator::with_chaos`], for links already
@@ -161,21 +199,12 @@ impl Replicator {
 
     /// Attach a metrics registry, labelling this link's metrics
     /// (`replication_events_*_total{link=..}`, `replication_lag_events`)
-    /// with `link`.
+    /// with `link`. The retry jitter is seeded from the same label.
     pub fn with_telemetry(mut self, telemetry: MetricsRegistry, link: &str) -> Self {
         self.telemetry = telemetry;
         self.link_name = link.to_owned();
+        self.retry = RetryState::new(self.retry.policy, link);
         self
-    }
-
-    /// The registry this link reports into.
-    pub fn telemetry(&self) -> &MetricsRegistry {
-        &self.telemetry
-    }
-
-    /// Label used on this link's metrics.
-    pub fn link_name(&self) -> &str {
-        &self.link_name
     }
 
     /// Current watermark (position of the last replicated source event).
@@ -203,9 +232,9 @@ impl Replicator {
     /// events were applied. Idempotent when the source is quiescent.
     ///
     /// With telemetry attached, each poll updates the per-link
-    /// `replication_events_{read,applied,filtered}_total` counters and the
-    /// `replication_lag_events` gauge (even on error, so a stuck link is
-    /// visible as a growing gauge).
+    /// `replication_events_{read,applied,filtered}_total` counters.
+    /// Drivers call [`Replicator::step`], which polls and records the
+    /// outcome; a bare poll records nothing else.
     pub fn poll(&mut self) -> Result<usize> {
         let before = self.stats;
         let result = self.poll_inner();
@@ -221,11 +250,109 @@ impl Replicator {
             self.telemetry
                 .counter("replication_events_filtered_total", link)
                 .add(d.events_filtered - before.events_filtered);
-            self.telemetry
-                .gauge("replication_lag_events", link)
-                .set(self.lag_events() as f64);
         }
         result
+    }
+
+    /// Drive the link once — the one operation under the live worker,
+    /// batch syncs and supervision alike. Resyncs when
+    /// [`Replicator::needs_resync`], otherwise polls once, and records
+    /// the outcome the same way whoever drives it: a failure is kept in
+    /// [`LiveReplicator::last_error`], counted in
+    /// `replication_apply_errors_total{link}`, recorded as a
+    /// `replication.error` event and advances the retry burst (see
+    /// [`RetryPolicy`]); a success clears the error and ends the burst.
+    /// Every step then samples lag in both units at `now`:
+    /// `replication_lag_events` (binlog positions behind) and
+    /// `replication_lag_seconds` (time since the link first fell behind).
+    pub fn step(&mut self, now: Instant) -> Step {
+        let resynced = self.needs_resync();
+        let outcome = if resynced {
+            self.resync_target().map(|_| 0)
+        } else {
+            self.poll()
+        };
+        let mut retry_at = None;
+        match &outcome {
+            Ok(_) => self.succeeded(),
+            Err(e) => {
+                *self.last_error.lock() = Some(e.clone());
+                let backoff = self.retry.next_backoff();
+                retry_at = backoff.map(|backoff| now + backoff);
+                self.record_failure(e, backoff);
+            }
+        }
+        self.sample_lag(now);
+        Step {
+            outcome,
+            resynced,
+            retry_at,
+        }
+    }
+
+    /// The link stands level with its source: its error is no longer
+    /// current, and any retry burst is over.
+    fn succeeded(&mut self) {
+        *self.last_error.lock() = None;
+        self.retry.reset();
+    }
+
+    /// Count and record a failed step, and the retry its burst chose.
+    fn record_failure(&self, e: &WarehouseError, backoff: Option<Duration>) {
+        if !self.telemetry.is_enabled() {
+            return;
+        }
+        let link: &[(&str, &str)] = &[("link", &self.link_name)];
+        let telemetry = &self.telemetry;
+        telemetry
+            .counter("replication_apply_errors_total", link)
+            .inc();
+        telemetry.event("replication.error", &format!("{}: {e}", self.link_name));
+        let Some(backoff) = backoff else {
+            return;
+        };
+        let (attempt, ms) = (self.retry.attempts, backoff.as_millis());
+        telemetry.counter("replication_retries_total", link).inc();
+        telemetry
+            .gauge("replication_backoff_ms", link)
+            .set(ms as f64);
+        telemetry.event_with(
+            "replication.retry",
+            &format!("{}: retry {attempt} after {ms}ms backoff", self.link_name),
+            &[("attempt", f64::from(attempt)), ("backoff_ms", ms as f64)],
+        );
+    }
+
+    /// Sample lag in both units at `now` into the link's registry.
+    fn sample_lag(&mut self, now: Instant) {
+        let lag = self.lag_events();
+        let lag_secs = if lag == 0 {
+            self.behind_since = None;
+            0.0
+        } else {
+            let since = *self.behind_since.get_or_insert(now);
+            now.saturating_duration_since(since).as_secs_f64()
+        };
+        if self.telemetry.is_enabled() {
+            let link: &[(&str, &str)] = &[("link", &self.link_name)];
+            self.telemetry
+                .gauge("replication_lag_events", link)
+                .set(lag as f64);
+            self.telemetry
+                .gauge("replication_lag_seconds", link)
+                .set(lag_secs);
+            // Record a lag-series event on every sample while behind, plus
+            // the one sample where the link returns to 0 — but not on every
+            // idle step, which would churn the event ring for nothing.
+            if lag > 0 || self.last_lag.is_some_and(|l| l != lag) {
+                self.telemetry.event_with(
+                    "replication.lag",
+                    &self.link_name,
+                    &[("lag_events", lag as f64), ("lag_seconds", lag_secs)],
+                );
+            }
+        }
+        self.last_lag = Some(lag);
     }
 
     /// Consult the fault injector at the transport point. Transient and
@@ -280,8 +407,8 @@ impl Replicator {
                 // back — the link must be rebuilt from the source's present
                 // state (snapshot + surviving tail), which is exactly what
                 // [`Replicator::resync_target`] does. Make the condition
-                // loudly visible and surface the typed error; the
-                // supervisor sees [`Replicator::needs_resync`] and resyncs.
+                // loudly visible and surface the typed error; the next
+                // step sees [`Replicator::needs_resync`] and resyncs.
                 if self.telemetry.is_enabled() {
                     self.telemetry
                         .counter(
@@ -307,7 +434,7 @@ impl Replicator {
         if repair.is_clean() {
             // Nothing on the source side to fix (e.g. the corruption the
             // read reported is a future-epoch watermark, not tail damage)
-            // — propagate so the supervisor can resync instead.
+            // — propagate so the next step can resync instead.
             return Err(WarehouseError::CorruptBinlog(detail));
         }
         self.stats.source_repairs += 1;
@@ -421,8 +548,8 @@ impl Replicator {
     /// repair or was rebuilt; such a read is a *silent* empty batch), it
     /// is below the source's compaction horizon (the read is
     /// [`WarehouseError::CompactedAway`] forever), or a source tail repair
-    /// dropped records since the last resync. The supervisor resyncs on
-    /// it.
+    /// dropped records since the last resync. [`Replicator::step`]
+    /// resyncs on it.
     pub fn needs_resync(&self) -> bool {
         let (tail, horizon) = {
             let src = self.source.read();
@@ -447,6 +574,10 @@ impl Replicator {
     /// through [`LinkConfig::route`] — so resource routing and table
     /// selection still hold — is the only operation that restores the
     /// invariant the consistency checker verifies.
+    ///
+    /// A resync that succeeds is a success of the link: it clears
+    /// [`LiveReplicator::last_error`] and ends any retry burst, as a
+    /// successful poll does.
     pub fn resync_target(&mut self) -> Result<ResyncReport> {
         // Capture the schema and the binlog head under one source read
         // lock, then release it before writing the target (same
@@ -465,6 +596,7 @@ impl Replicator {
         // resumes from the head so nothing just copied is replayed.
         self.set_position(head);
         self.lost_records = false;
+        self.succeeded();
         if self.telemetry.is_enabled() {
             self.telemetry
                 .counter("replication_resyncs_total", &[("link", &self.link_name)])
@@ -527,23 +659,24 @@ pub struct ResyncReport {
     pub rows: usize,
 }
 
-/// Retry behaviour of a [`LiveReplicator`] when a poll fails.
+/// Retry behaviour of a link when a step fails.
 ///
-/// On failure the worker enters a *retry burst*: it re-polls after an
-/// exponentially growing backoff with decorrelated jitter
-/// (`sleep = min(max_backoff, rand(base_backoff ..= prev * 3))`, the
-/// AWS-architecture-blog variant) instead of waiting the full poll
-/// interval. The burst ends on the first success — which also clears
-/// [`LiveReplicator::last_error`] — or once `max_attempts` retries are
-/// spent, after which the link falls back to ordinary interval polling
-/// with the error left visible for the supervisor. The link is never
-/// torn down by a failed poll.
+/// A failed [`Replicator::step`] starts or advances a *retry burst*: the
+/// step asks to run again after an exponentially growing backoff with
+/// decorrelated jitter (`sleep = min(max_backoff, rand(base_backoff ..=
+/// prev * 3))`, the AWS-architecture-blog variant) instead of after the
+/// driver's interval. The burst belongs to the link, not to whoever
+/// drives it: it ends on the first success — which also clears
+/// [`LiveReplicator::last_error`] — and once `max_attempts` retries are
+/// spent it stays spent until a success, the link falling back to
+/// interval steps with the error left visible for the supervisor. The
+/// link is never torn down by a failed step.
 ///
 /// Jitter is drawn from a [`DeterministicRng`] seeded from the link
 /// name, so a chaos run's retry schedule is reproducible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Fast retries per burst before falling back to interval polling.
+    /// Fast retries per burst before falling back to interval steps.
     pub max_attempts: u32,
     /// First (and minimum) backoff of a burst.
     pub base_backoff: Duration,
@@ -561,19 +694,7 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never fast-retries (every failure waits out the
-    /// full poll interval). Useful in tests and as the explicit "retries
-    /// disabled" configuration `xdmod-check` warns about (XC0010).
-    pub fn no_retries() -> Self {
-        RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::default()
-        }
-    }
-}
-
-/// Per-burst retry bookkeeping, local to the worker thread.
+/// A link's retry burst, advanced by [`Replicator::step`].
 struct RetryState {
     policy: RetryPolicy,
     rng: DeterministicRng,
@@ -598,13 +719,13 @@ impl RetryState {
         }
     }
 
-    /// A poll succeeded: the burst (if any) is over.
+    /// A step succeeded: the burst (if any) is over.
     fn reset(&mut self) {
         self.attempts = 0;
         self.prev_backoff = Duration::ZERO;
     }
 
-    /// A poll failed: the next backoff to sleep, or `None` once the
+    /// A step failed: the next backoff to wait, or `None` once the
     /// burst's attempts are exhausted.
     fn next_backoff(&mut self) -> Option<Duration> {
         if self.attempts >= self.policy.max_attempts {
@@ -623,33 +744,30 @@ impl RetryState {
 }
 
 /// One replication link for its whole life: the [`Replicator`] behind a
-/// lock, plus an optional worker thread that polls it at an interval —
+/// lock, plus an optional worker thread that steps it at an interval —
 /// "live replication to the central federation hub database".
 ///
 /// Every operation locks the replicator for its own duration, whether or
 /// not a worker runs, so a caller never holds the guard and never needs
 /// to know which mode the link is in. [`LiveReplicator::start_live`]
 /// spawns the worker; [`LiveReplicator::stop_live`] joins it and leaves
-/// the replicator — watermark, stats, chaos and telemetry — where it was,
-/// so a relaunched worker resumes from the link's own position.
+/// the replicator — watermark, stats, retry burst, chaos and telemetry —
+/// where it was, so a relaunched worker resumes from the link's own
+/// position.
 ///
-/// Each worker iteration polls (unless paused), then samples replication
-/// lag in both units into the link's registry: `replication_lag_events`
-/// (binlog positions behind) and `replication_lag_seconds` (wall-clock
-/// time since the link first fell behind). Apply errors are surfaced —
-/// counted, recorded as `replication.error` events, and kept in
-/// [`LiveReplicator::last_error`] — and the loop keeps polling: the
-/// watermark only advances past applied events, so a transient failure
-/// retries on the next iteration instead of killing the link.
+/// The worker runs [`Replicator::step`], the same step a caller drives
+/// by hand, and parks until the time it returned; while paused it only
+/// samples lag. A failed step keeps the link running: the watermark only
+/// advances past applied events, so a transient failure is retried by a
+/// later step instead of killing the link.
 pub struct LiveReplicator {
     replicator: Arc<Mutex<Replicator>>,
-    /// The replicator's source and watermark, for lag reads that do not
-    /// wait out a running poll.
+    /// The replicator's source, watermark and latest error, for reads
+    /// that do not wait out a running step.
     source: SharedDatabase,
     watermark: Arc<Mutex<LogPosition>>,
-    paused: Arc<AtomicBool>,
-    /// Last error observed by the worker, if any.
     last_error: Arc<Mutex<Option<WarehouseError>>>,
+    paused: Arc<AtomicBool>,
     /// Link label, kept outside the lock so a panicked worker can be
     /// named in the resulting [`ReplicationError`].
     link_name: String,
@@ -660,57 +778,6 @@ pub struct LiveReplicator {
 struct Worker {
     stop: Arc<AtomicBool>,
     handle: JoinHandle<()>,
-}
-
-/// Per-iteration lag sampling state, local to the worker thread.
-struct LagSampler {
-    /// When the link first fell behind (None while caught up).
-    behind_since: Option<Instant>,
-    /// Last lag value recorded as an event, for dedup while idle at 0.
-    last_recorded: Option<u64>,
-}
-
-impl LagSampler {
-    fn new() -> Self {
-        LagSampler {
-            behind_since: None,
-            last_recorded: None,
-        }
-    }
-
-    fn sample(&mut self, rep: &Replicator) {
-        let lag = rep.lag_events();
-        let lag_secs = if lag == 0 {
-            self.behind_since = None;
-            0.0
-        } else {
-            self.behind_since
-                .get_or_insert_with(Instant::now)
-                .elapsed()
-                .as_secs_f64()
-        };
-        let telemetry = rep.telemetry();
-        if telemetry.is_enabled() {
-            let link: &[(&str, &str)] = &[("link", rep.link_name())];
-            telemetry
-                .gauge("replication_lag_events", link)
-                .set(lag as f64);
-            telemetry
-                .gauge("replication_lag_seconds", link)
-                .set(lag_secs);
-            // Record a lag-series event on every sample while behind, plus
-            // the one sample where the link returns to 0 — but not on every
-            // idle iteration, which would churn the event ring for nothing.
-            if lag > 0 || self.last_recorded.is_some_and(|l| l != lag) {
-                telemetry.event_with(
-                    "replication.lag",
-                    rep.link_name(),
-                    &[("lag_events", lag as f64), ("lag_seconds", lag_secs)],
-                );
-            }
-        }
-        self.last_recorded = Some(lag);
-    }
 }
 
 /// Events between `watermark` and the head of `source`'s binlog; after
@@ -726,71 +793,28 @@ fn lag_events(source: &SharedDatabase, watermark: &Mutex<LogPosition>) -> u64 {
     }
 }
 
-fn record_err(rep: &Replicator, e: &WarehouseError) {
-    let telemetry = rep.telemetry();
-    if telemetry.is_enabled() {
-        telemetry
-            .counter(
-                "replication_apply_errors_total",
-                &[("link", rep.link_name())],
-            )
-            .inc();
-        telemetry.event("replication.error", &format!("{}: {e}", rep.link_name()));
-    }
-}
-
-fn record_retry(rep: &Replicator, attempt: u32, backoff: Duration) {
-    let telemetry = rep.telemetry();
-    if telemetry.is_enabled() {
-        let link: &[(&str, &str)] = &[("link", rep.link_name())];
-        telemetry.counter("replication_retries_total", link).inc();
-        telemetry
-            .gauge("replication_backoff_ms", link)
-            .set(backoff.as_millis() as f64);
-        telemetry.event_with(
-            "replication.retry",
-            &format!(
-                "{}: retry {attempt} after {}ms backoff",
-                rep.link_name(),
-                backoff.as_millis()
-            ),
-            &[
-                ("attempt", f64::from(attempt)),
-                ("backoff_ms", backoff.as_millis() as f64),
-            ],
-        );
-    }
-}
-
 impl LiveReplicator {
     /// Hold `replicator` as a link with no worker running.
     pub fn new(replicator: Replicator) -> Self {
         LiveReplicator {
-            link_name: replicator.link_name().to_owned(),
+            link_name: replicator.link_name.clone(),
             source: Arc::clone(&replicator.source),
             watermark: Arc::clone(&replicator.watermark),
+            last_error: Arc::clone(&replicator.last_error),
             replicator: Arc::new(Mutex::new(replicator)),
             paused: Arc::new(AtomicBool::new(false)),
-            last_error: Arc::new(Mutex::new(None)),
             worker: None,
         }
     }
 
-    /// [`Replicator::poll`], whether or not a worker runs.
-    pub fn poll(&self) -> Result<usize> {
-        self.replicator.lock().poll()
+    /// [`Replicator::step`]; a running worker waits for it.
+    pub fn step(&self, now: Instant) -> Step {
+        self.replicator.lock().step(now)
     }
 
-    /// [`Replicator::resync_target`]; a running worker waits for it. A
-    /// resync that succeeds clears [`LiveReplicator::last_error`], as a
-    /// successful poll does: the link now stands at the source head.
+    /// [`Replicator::resync_target`]; a running worker waits for it.
     pub fn resync_target(&self) -> Result<ResyncReport> {
-        // Cleared under the replicator lock, so an error the worker meets
-        // after the resync is kept.
-        let mut rep = self.replicator.lock();
-        let report = rep.resync_target()?;
-        *self.last_error.lock() = None;
-        Ok(report)
+        self.replicator.lock().resync_target()
     }
 
     /// [`Replicator::seek`].
@@ -798,14 +822,9 @@ impl LiveReplicator {
         self.replicator.lock().seek(position)
     }
 
-    /// [`Replicator::needs_resync`].
-    pub fn needs_resync(&self) -> bool {
-        self.replicator.lock().needs_resync()
-    }
-
     /// [`Replicator::lag_events`]: the link's own backlog, read whether
     /// or not telemetry is enabled. It takes no replicator lock, so it
-    /// never waits for a running worker's poll, chaos stalls included;
+    /// never waits for a running worker's step, chaos stalls included;
     /// the watermark it reads advances event by event as the poll
     /// applies them.
     pub fn lag_events(&self) -> u64 {
@@ -818,23 +837,16 @@ impl LiveReplicator {
     }
 
     /// [`Replicator::set_chaos`]; a running worker meets the injector on
-    /// its next poll.
+    /// its next step.
     pub fn set_chaos(&self, injector: FaultInjector) {
         self.replicator.lock().set_chaos(injector);
     }
 
-    /// Spawn a worker polling at `interval` under `policy`, unpaused.
+    /// Spawn a worker stepping the link, unpaused, and parking between
+    /// steps until the time each returned: a backoff while a retry burst
+    /// has attempts left (see [`RetryPolicy`]), otherwise `interval`.
     /// Returns `false`, changing nothing, when a worker already runs.
-    ///
-    /// A failed poll starts a retry burst per `policy` (see
-    /// [`RetryPolicy`]): the worker sleeps the backoff and re-polls
-    /// immediately instead of waiting out `interval`. Each retry bumps
-    /// `replication_retries_total{link}`, sets the
-    /// `replication_backoff_ms{link}` gauge to the sleep it chose, and
-    /// records a `replication.retry` event. A successful poll clears
-    /// [`LiveReplicator::last_error`] — an error is a *current*
-    /// condition, not a historical one — and resets the burst.
-    pub fn start_live(&mut self, interval: Duration, policy: RetryPolicy) -> bool {
+    pub fn start_live(&mut self, interval: Duration) -> bool {
         if self.worker.is_some() {
             return false;
         }
@@ -842,57 +854,35 @@ impl LiveReplicator {
         let stop = Arc::new(AtomicBool::new(false));
         let replicator = Arc::clone(&self.replicator);
         let paused = Arc::clone(&self.paused);
-        let last_error = Arc::clone(&self.last_error);
         let stop2 = Arc::clone(&stop);
-        let mut retry = RetryState::new(policy, &self.link_name);
         let handle = std::thread::spawn(move || {
-            let mut lag = LagSampler::new();
             while !stop2.load(Ordering::Acquire) {
-                let mut wait = interval;
-                {
-                    let rep = &mut *replicator.lock();
-                    if !paused.load(Ordering::Acquire) {
-                        match rep.poll() {
-                            Ok(_) => {
-                                // The sticky-error fix: a link that has
-                                // recovered must read as healthy.
-                                *last_error.lock() = None;
-                                retry.reset();
-                            }
-                            Err(e) => {
-                                record_err(rep, &e);
-                                *last_error.lock() = Some(e);
-                                if let Some(backoff) = retry.next_backoff() {
-                                    record_retry(rep, retry.attempts, backoff);
-                                    wait = backoff; // fast retry, skip the interval
-                                }
-                            }
-                        }
+                let now = Instant::now();
+                let retry_at = {
+                    let mut rep = replicator.lock();
+                    if paused.load(Ordering::Acquire) {
+                        rep.sample_lag(now);
+                        None
+                    } else {
+                        rep.step(now).retry_at
                     }
-                    lag.sample(rep);
-                }
-                std::thread::park_timeout(wait);
+                };
+                std::thread::park_timeout(
+                    retry_at.map_or(interval, |at| at.saturating_duration_since(Instant::now())),
+                );
             }
             // Final drain so a stop immediately after a write loses
             // nothing (even if the link was paused when stopped).
-            let rep = &mut *replicator.lock();
-            match rep.poll() {
-                Ok(_) => *last_error.lock() = None,
-                Err(e) => {
-                    record_err(rep, &e);
-                    *last_error.lock() = Some(e);
-                }
-            }
-            lag.sample(rep);
+            replicator.lock().step(Instant::now());
         });
         self.worker = Some(Worker { stop, handle });
         true
     }
 
-    /// Stop the worker: it drains outstanding events, takes a final lag
-    /// sample and exits; the replicator stays in place, and
-    /// [`LiveReplicator::last_error`] reads `None` until a worker runs
-    /// again. Returns whether a worker was running.
+    /// Stop the worker: it drains outstanding events with one more step
+    /// and exits; the replicator stays in place, and
+    /// [`LiveReplicator::last_error`] reads that step's outcome. Returns
+    /// whether a worker was running.
     ///
     /// A panicked worker surfaces as
     /// [`ReplicationError::LinkPanicked`] instead of propagating the
@@ -905,9 +895,8 @@ impl LiveReplicator {
         };
         stop.store(true, Ordering::Release);
         handle.thread().unpark();
-        let joined = handle.join();
-        *self.last_error.lock() = None;
-        joined
+        handle
+            .join()
             .map(|()| true)
             .map_err(|payload| ReplicationError::LinkPanicked {
                 link: self.link_name.clone(),
@@ -920,7 +909,7 @@ impl LiveReplicator {
         self.worker.is_some()
     }
 
-    /// Suspend the worker's polling without stopping it. Lag keeps being
+    /// Suspend the worker's steps without stopping it. Lag keeps being
     /// sampled, so a paused link under writes shows a growing
     /// `replication_lag_events` gauge — the scenario an operator dashboard
     /// must make visible.
@@ -928,7 +917,7 @@ impl LiveReplicator {
         self.paused.store(true, Ordering::Release);
     }
 
-    /// Resume polling after [`LiveReplicator::pause`].
+    /// Resume stepping after [`LiveReplicator::pause`].
     pub fn resume(&self) {
         self.paused.store(false, Ordering::Release);
         if let Some(worker) = &self.worker {
@@ -936,12 +925,13 @@ impl LiveReplicator {
         }
     }
 
-    /// True while polling is suspended.
+    /// True while stepping is suspended.
     pub fn is_paused(&self) -> bool {
         self.paused.load(Ordering::Acquire)
     }
 
-    /// Any error the worker hit on its latest poll.
+    /// The error of the link's latest step, if it failed — whoever drove
+    /// it. It takes no replicator lock.
     pub fn last_error(&self) -> Option<WarehouseError> {
         self.last_error.lock().clone()
     }
@@ -1253,7 +1243,7 @@ mod tests {
             LinkConfig::renaming("xdmod_x", "hub_x"),
         );
         let mut live = LiveReplicator::new(rep);
-        assert!(live.start_live(Duration::from_millis(1), RetryPolicy::default()));
+        assert!(live.start_live(Duration::from_millis(1)));
         for i in 0..50 {
             src.write()
                 .insert(
@@ -1290,7 +1280,7 @@ mod tests {
     }
 
     #[test]
-    fn poll_reports_per_link_counters_and_lag_gauge() {
+    fn step_reports_per_link_counters_and_lag_gauge() {
         use xdmod_telemetry::MetricsRegistry;
         let src = satellite("xdmod_x", &["comet"]);
         let dst = shared(Database::new());
@@ -1301,7 +1291,7 @@ mod tests {
             LinkConfig::renaming("xdmod_x", "hub_x"),
         )
         .with_telemetry(reg.clone(), "site-x");
-        rep.poll().unwrap();
+        rep.step(Instant::now()).outcome.unwrap();
         let snap = reg.snapshot();
         let link = &[("link", "site-x")];
         assert_eq!(
@@ -1330,7 +1320,7 @@ mod tests {
         )
         .with_telemetry(reg.clone(), "site-x");
         let mut live = LiveReplicator::new(rep);
-        live.start_live(Duration::from_millis(1), RetryPolicy::default());
+        live.start_live(Duration::from_millis(1));
         let link = &[("link", "site-x")];
 
         // Let the link catch up, then pause it.
@@ -1401,7 +1391,7 @@ mod tests {
         let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"))
             .with_telemetry(reg.clone(), "site-x");
         let mut live = LiveReplicator::new(rep);
-        live.start_live(Duration::from_millis(1), RetryPolicy::default());
+        live.start_live(Duration::from_millis(1));
         // The loop keeps retrying (counter grows past 1) instead of dying
         // on the first failure, and the error is inspectable live.
         assert!(eventually(|| reg
@@ -1467,7 +1457,7 @@ mod tests {
         let dst = shared(Database::new());
         let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"));
         let mut live = LiveReplicator::new(rep);
-        live.start_live(Duration::from_millis(1), RetryPolicy::default());
+        live.start_live(Duration::from_millis(1));
         assert!(live.is_live() && !live.is_dead());
         assert_eq!(live.stop_live(), Ok(true));
         // Nothing runs any more: a second stop is a no-op.
@@ -1495,14 +1485,14 @@ mod tests {
                 .unwrap();
         };
         for round in 0..3 {
-            assert!(live.start_live(Duration::from_millis(1), RetryPolicy::default()));
+            assert!(live.start_live(Duration::from_millis(1)));
             // A second start while the worker runs changes nothing.
-            assert!(!live.start_live(Duration::from_millis(1), RetryPolicy::default()));
+            assert!(!live.start_live(Duration::from_millis(1)));
             insert(f64::from(round));
             assert_eq!(live.stop_live(), Ok(true));
             // Between workers the link is still there to poll by hand.
             insert(f64::from(round) + 0.5);
-            assert_eq!(live.poll().unwrap(), 1);
+            assert_eq!(live.step(Instant::now()).outcome.unwrap(), 1);
         }
         // Each restart resumed from the watermark: no row replayed twice.
         assert_eq!(dst.read().table("hub_x", "jobfact").unwrap().len(), 7);
@@ -1846,6 +1836,74 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Ten fast retries with millisecond backoffs.
+    fn fast_retries() -> RetryPolicy {
+        RetryPolicy {
+            max_attempts: 10,
+            base_backoff: Duration::from_millis(1),
+            max_backoff: Duration::from_millis(5),
+        }
+    }
+
+    #[test]
+    fn a_polled_link_driven_by_step_records_its_outcome() {
+        use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
+        let src = satellite("xdmod_x", &["comet"]);
+        let dst = shared(Database::new());
+        let reg = MetricsRegistry::new();
+        // Two transient faults, then clear air; no worker ever runs.
+        let plan = FaultPlan::new().with(FaultSpec::at_ops(
+            FaultPoint::Transport,
+            FaultKind::Transient,
+            &[1, 2],
+        ));
+        let rep = Replicator::new(
+            src,
+            Arc::clone(&dst),
+            LinkConfig::renaming("xdmod_x", "hub_x"),
+        )
+        .with_telemetry(reg.clone(), "site-x")
+        .with_chaos(plan.injector(7))
+        .with_retries(fast_retries());
+        let live = LiveReplicator::new(rep);
+        let link = &[("link", "site-x")];
+        let now = Instant::now();
+        for failed in 1..=2 {
+            let step = live.step(now);
+            assert!(matches!(step.outcome, Err(WarehouseError::Io(_))));
+            assert!(!step.resynced);
+            // A failure asks for a backoff, not the interval.
+            let Some(at) = step.retry_at else {
+                panic!("step {failed} asked for no retry");
+            };
+            assert!(at > now && at <= now + Duration::from_millis(5));
+            assert!(live.last_error().is_some());
+            let snap = reg.snapshot();
+            assert_eq!(
+                snap.counter("replication_apply_errors_total", link),
+                Some(failed)
+            );
+            assert_eq!(
+                snap.counter("replication_retries_total", link),
+                Some(failed)
+            );
+        }
+        // The next success clears the error and asks for the interval.
+        let step = live.step(now);
+        assert!(step.outcome.unwrap() >= 4);
+        assert_eq!(step.retry_at, None);
+        assert_eq!(live.last_error(), None);
+        assert!(dst.read().has_schema("hub_x"));
+        // Every step sampled lag in both units.
+        let snap = reg.snapshot();
+        assert_eq!(snap.gauge("replication_lag_events", link), Some(0.0));
+        assert_eq!(snap.gauge("replication_lag_seconds", link), Some(0.0));
+        assert_eq!(reg.events_of_kind("replication.error").len(), 2);
+        assert_eq!(reg.events_of_kind("replication.retry").len(), 2);
+        // While behind, the failed steps left a lag trail.
+        assert!(!reg.events_of_kind("replication.lag").is_empty());
+    }
+
     #[test]
     fn live_link_retries_transient_faults_and_clears_last_error() {
         use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
@@ -1865,14 +1923,10 @@ mod tests {
             LinkConfig::renaming("xdmod_x", "hub_x"),
         )
         .with_telemetry(reg.clone(), "site-x")
-        .with_chaos(plan.injector(7));
-        let policy = RetryPolicy {
-            max_attempts: 10,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(5),
-        };
+        .with_chaos(plan.injector(7))
+        .with_retries(fast_retries());
         let mut live = LiveReplicator::new(rep);
-        live.start_live(Duration::from_millis(1), policy);
+        live.start_live(Duration::from_millis(1));
         // The faults were retried through, the data arrived, and — the
         // sticky-error fix — the recovered link reads as healthy again.
         assert!(eventually(|| dst.read().has_schema("hub_x")));
@@ -1912,7 +1966,11 @@ mod tests {
         let seq_c: Vec<_> = std::iter::from_fn(|| c.next_backoff()).collect();
         assert_ne!(seq_a, seq_c);
         // Zero-retry policy never fast-retries.
-        let mut z = RetryState::new(RetryPolicy::no_retries(), "site-x");
+        let none = RetryPolicy {
+            max_attempts: 0,
+            ..policy
+        };
+        let mut z = RetryState::new(none, "site-x");
         assert_eq!(z.next_backoff(), None);
     }
 

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 use std::time::Duration;
-use xdmod_replication::{LinkConfig, LiveReplicator, Replicator, RetryPolicy};
+use xdmod_replication::{LinkConfig, LiveReplicator, Replicator};
 use xdmod_warehouse::{
     shared, AggFn, Aggregate, AggregationSpec, CivilDate, ColumnType, Database, DimSpec,
     LogPosition, Period, SchemaBuilder, SharedDatabase, Value,
@@ -177,7 +177,7 @@ fn live_replicator_surfaces_worker_errors() {
     });
     let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"));
     let mut live = LiveReplicator::new(rep);
-    live.start_live(Duration::from_millis(1), RetryPolicy::default());
+    live.start_live(Duration::from_millis(1));
     // Give the worker a moment to hit the conflict.
     for _ in 0..100 {
         if live.last_error().is_some() {

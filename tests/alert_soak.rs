@@ -26,7 +26,6 @@ use xdmod::core::{
 };
 use xdmod::gateway::http::read_request;
 use xdmod::gateway::{App, GatewayConfig, Request, SESSION_COOKIE};
-use xdmod::replication::RetryPolicy;
 use xdmod::sim::{ClusterSim, ResourceProfile};
 
 fn seed() -> u64 {
@@ -46,13 +45,7 @@ fn satellite(name: &str, resource: &str, sim_seed: u64) -> XdmodInstance {
 }
 
 fn policy() -> SupervisorPolicy {
-    SupervisorPolicy::default()
-        .with_max_failures(2)
-        .with_retry(RetryPolicy {
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
-        })
+    SupervisorPolicy::default().with_max_failures(2)
 }
 
 fn find<'a>(alerts: &'a [Alert], family: &str, target: &str) -> Vec<&'a Alert> {

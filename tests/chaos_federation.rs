@@ -14,7 +14,6 @@ use xdmod::chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
 use xdmod::core::{
     Federation, FederationConfig, FederationHub, MemberHealth, SupervisorPolicy, XdmodInstance,
 };
-use xdmod::replication::RetryPolicy;
 use xdmod::sim::{ClusterSim, ResourceProfile};
 
 fn seed() -> u64 {
@@ -82,13 +81,7 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
     let injector = plan.injector(seed);
     fed.inject_chaos(&injector);
 
-    let policy = SupervisorPolicy::default()
-        .with_max_failures(2)
-        .with_retry(RetryPolicy {
-            max_attempts: 2,
-            base_backoff: std::time::Duration::from_millis(1),
-            max_backoff: std::time::Duration::from_millis(4),
-        });
+    let policy = SupervisorPolicy::default().with_max_failures(2);
     for _ in 0..4 {
         fed.supervise(&policy);
     }
@@ -170,11 +163,7 @@ fn transient_only_chaos_is_fully_absorbed_by_retries() {
     let injector = plan.injector(seed());
     fed.inject_chaos(&injector);
 
-    let policy = SupervisorPolicy::default().with_retry(RetryPolicy {
-        max_attempts: 2,
-        base_backoff: std::time::Duration::from_millis(1),
-        max_backoff: std::time::Duration::from_millis(4),
-    });
+    let policy = SupervisorPolicy::default();
     for _ in 0..4 {
         let tick = fed.supervise(&policy);
         assert!(tick.all_healthy(), "tick report: {tick}");

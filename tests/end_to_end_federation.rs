@@ -85,7 +85,7 @@ fn hub_aggregates_with_its_own_levels_losslessly() {
 #[test]
 fn live_threaded_replication_matches_polled() {
     use std::time::Duration;
-    use xdmod::replication::{LinkConfig, LiveReplicator, Replicator, RetryPolicy};
+    use xdmod::replication::{LinkConfig, LiveReplicator, Replicator};
 
     let mut inst = hpc_instance("x", "res-x", 4, 1..=1);
     let hub = xdmod::warehouse::shared(xdmod::warehouse::Database::new());
@@ -95,7 +95,7 @@ fn live_threaded_replication_matches_polled() {
         LinkConfig::renaming(&inst.schema_name(), "inst_x"),
     );
     let mut live = LiveReplicator::new(rep);
-    live.start_live(Duration::from_millis(1), RetryPolicy::default());
+    live.start_live(Duration::from_millis(1));
 
     // Keep ingesting while the replicator streams.
     let sim = ClusterSim::new(ResourceProfile::generic("res-x", 256, 48.0, 1.5), 5);
