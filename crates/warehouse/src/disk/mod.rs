@@ -13,10 +13,25 @@
 //! **Write path.** [`DiskBackend::append`] receives the exact frame the
 //! in-memory binlog is about to admit and writes it to the active segment
 //! *first* (write-ahead ordering), rotating to a new segment past
-//! [`DiskOptions::segment_max_bytes`]. Every write is optionally fsynced.
+//! [`DiskOptions::segment_max_bytes`]. Under [`DiskOptions::fsync`] on,
+//! every frame is flushed before the append returns, and a new segment's
+//! header and its directory entry are flushed before it takes a frame, so
+//! nothing acknowledged is lost at power failure. Under `fsync` off the
+//! backend flushes nothing on its own: every acknowledged frame survives
+//! a crash of the process (it is in the OS page cache), and nothing is
+//! promised across power loss. An explicit [`StorageBackend::sync`], and
+//! dropping the backend, flush in both modes: the active segment, every
+//! segment and snapshot written unflushed since the last sync, and the
+//! directory if a file appeared in it unflushed, so a bulk load at
+//! `fsync` off that ends with `sync` has every frame durable.
 //!
 //! **Snapshots & compaction.** [`DiskBackend::write_snapshot`] lands the
-//! serialized snapshot via write-temp → fsync → rename, then reclaims:
+//! serialized snapshot via write-temp → rename, so a crash mid-write never
+//! leaves half a snapshot under the final name; under `fsync` on the body
+//! is flushed before the rename and the directory after it. Every frame
+//! the snapshot covers was already flushed by its own append (`fsync` on)
+//! or is left to the OS (`fsync` off), so the snapshot flushes no segment.
+//! After publishing, the backend reclaims:
 //! the backend always retains the **two** newest snapshots and deletes
 //! segments fully covered by the *older* of the pair. That way a torn or
 //! bit-flipped newest snapshot can never strand recovery past deleted
@@ -69,8 +84,14 @@ pub struct DiskOptions {
     pub dir: PathBuf,
     /// Rotate the active segment once its size reaches this many bytes.
     pub segment_max_bytes: u64,
-    /// fsync after every append and snapshot write. Disable only for
-    /// tests/bulk loads that accept losing the tail on power failure.
+    /// Flush every acknowledged write to stable storage. On, an append or
+    /// snapshot returns only once its bytes, and the directory entry of
+    /// any file it created, survive power failure. Off, the backend issues
+    /// no flush of its own: every acknowledged write survives a crash of
+    /// the process, and none is promised to survive power loss, not even
+    /// a snapshot whose covered segments compaction already deleted,
+    /// until an explicit [`StorageBackend::sync`] (or dropping the
+    /// backend) flushes every file written since the last one.
     pub fsync: bool,
 }
 
@@ -90,7 +111,8 @@ impl DiskOptions {
         self
     }
 
-    /// Enable or disable per-write fsync.
+    /// Enable or disable flushing every acknowledged write (see
+    /// [`DiskOptions::fsync`]).
     pub fn fsync(mut self, on: bool) -> Self {
         self.fsync = on;
         self
@@ -107,6 +129,9 @@ struct Segment {
     /// make the physical file shorter).
     len: u64,
     path: PathBuf,
+    /// Written since its data was last flushed: only `fsync` off leaves
+    /// a write unflushed, and [`StorageBackend::sync`] flushes it.
+    dirty: bool,
 }
 
 /// A snapshot file the backend knows about.
@@ -115,6 +140,8 @@ struct SnapFile {
     seqno: u64,
     len: u64,
     path: PathBuf,
+    /// Written with `fsync` off and not flushed since.
+    dirty: bool,
 }
 
 /// The segmented on-disk backend. See the module docs for the format and
@@ -128,6 +155,9 @@ pub struct DiskBackend {
     active_file: Option<File>,
     /// Retained snapshots of the current epoch, ascending by seqno.
     snapshots: Vec<SnapFile>,
+    /// A file was created or renamed in the directory with `fsync` off
+    /// and the directory was not flushed since.
+    dir_dirty: bool,
     /// Set by [`StorageBackend::recover`] / [`StorageBackend::start_epoch`];
     /// appends before then are refused.
     ready: bool,
@@ -136,6 +166,42 @@ pub struct DiskBackend {
 
 fn io_err(what: &str, err: std::io::Error) -> WarehouseError {
     WarehouseError::Io(format!("{what}: {err}"))
+}
+
+/// What a flush makes durable.
+#[derive(Clone, Copy)]
+enum Flush<'a> {
+    /// A file's data: a frame, a segment header or a snapshot body.
+    Data(&'a File),
+    /// The entries of a directory: a file created or renamed in it.
+    Dir(&'a Path),
+}
+
+/// The backend's one flush rule: flush `target` when `durable` (the
+/// backend's [`DiskOptions::fsync`]) asks for it, and do nothing
+/// otherwise. Every flush the backend makes on its own comes through
+/// here; only an explicit [`StorageBackend::sync`] and `Drop` call
+/// [`flush`] whatever the option says. A free function taking the
+/// option as a value, not a method, because `append` calls it while it
+/// holds a mutable borrow of the active segment's handle.
+fn flush_if(durable: bool, target: Flush<'_>) -> Result<()> {
+    if durable {
+        flush(target)
+    } else {
+        Ok(())
+    }
+}
+
+/// Flush `target` to stable storage now.
+fn flush(target: Flush<'_>) -> Result<()> {
+    #[cfg(test)]
+    tests::observe_flush(target)?;
+    match target {
+        Flush::Data(file) => file.sync_data().map_err(|e| io_err("sync file", e)),
+        Flush::Dir(dir) => File::open(dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| io_err("sync storage dir", e)),
+    }
 }
 
 impl DiskBackend {
@@ -150,6 +216,7 @@ impl DiskBackend {
             segments: Vec::new(),
             active_file: None,
             snapshots: Vec::new(),
+            dir_dirty: false,
             ready: false,
             chaos: None,
         })
@@ -167,8 +234,6 @@ impl DiskBackend {
     }
 
     fn create_segment(&mut self, base: u64) -> Result<()> {
-        // Seal the previous active segment before abandoning its handle.
-        self.sync_active()?;
         let path = self.opts.dir.join(segment_file_name(self.epoch, base));
         // A stale same-name leftover (e.g. from an interrupted restore)
         // must not prefix the new segment; appends go to a fresh file.
@@ -181,22 +246,18 @@ impl DiskBackend {
         let header = encode_segment_header(self.epoch, base);
         file.write_all(&header)
             .map_err(|e| io_err("write segment header", e))?;
-        if self.opts.fsync {
-            file.sync_data().map_err(|e| io_err("sync segment", e))?;
-        }
+        // A frame acknowledged in this segment is durable only once the
+        // segment's directory entry is.
+        flush_if(self.opts.fsync, Flush::Data(&file))?;
+        flush_if(self.opts.fsync, Flush::Dir(&self.opts.dir))?;
+        self.dir_dirty |= !self.opts.fsync;
         self.segments.push(Segment {
             last: base,
             len: SEG_HEADER_LEN as u64,
             path,
+            dirty: !self.opts.fsync,
         });
         self.active_file = Some(file);
-        Ok(())
-    }
-
-    fn sync_active(&mut self) -> Result<()> {
-        if let Some(file) = &self.active_file {
-            file.sync_data().map_err(|e| io_err("sync segment", e))?;
-        }
         Ok(())
     }
 
@@ -387,6 +448,7 @@ impl DiskBackend {
                 seqno: *seqno,
                 len: *len,
                 path: path.clone(),
+                dirty: false,
             })
             .collect();
         self.ready = true;
@@ -448,6 +510,7 @@ fn scan_chain(
             last: *seg_base,
             len: *len,
             path: path.clone(),
+            dirty: false,
         })
         .collect();
 
@@ -600,6 +663,7 @@ fn keep_segment(
         last: scan.last_seqno(seg_base),
         len: valid_file_len,
         path: path.to_path_buf(),
+        dirty: false,
     })
 }
 
@@ -675,14 +739,13 @@ impl StorageBackend for DiskBackend {
             _ => {
                 file.write_all(frame)
                     .map_err(|e| io_err("write frame", e))?;
-                if self.opts.fsync {
-                    file.sync_data().map_err(|e| io_err("sync frame", e))?;
-                }
+                flush_if(self.opts.fsync, Flush::Data(file))?;
             }
         }
         if let Some(seg) = self.segments.last_mut() {
             seg.len += frame.len() as u64;
             seg.last = pos.seqno;
+            seg.dirty |= !self.opts.fsync;
         }
         self.last_seqno = pos.seqno;
         Ok(())
@@ -718,60 +781,72 @@ impl StorageBackend for DiskBackend {
             }
             _ => {}
         }
-        // Make everything the snapshot covers durable before the snapshot
-        // itself claims to cover it.
-        self.sync_active()?;
         let final_path = self
             .opts
             .dir
             .join(snapshot_file_name(self.epoch, pos.seqno));
-        let mut bytes = Vec::with_capacity(SNAP_HEADER_LEN + snapshot.len());
-        bytes.extend_from_slice(&encode_snapshot_header(
+        let header = encode_snapshot_header(
             self.epoch,
             pos.seqno,
             snapshot.len() as u64,
             crc32(snapshot),
-        ));
-        bytes.extend_from_slice(snapshot);
-        match fault {
-            Some(FaultKind::CorruptTailByte) => {
+        );
+        // Only the silent-damage faults build a (damaged) copy of the
+        // file; a clean write sends the header and the caller's body as
+        // they are.
+        let mut damaged = matches!(
+            fault,
+            Some(FaultKind::CorruptTailByte | FaultKind::TruncateTail { .. })
+        )
+        .then(|| [&header[..], snapshot].concat());
+        if let Some(bytes) = &mut damaged {
+            match fault {
                 // Flip a body byte: header parses, body CRC fails.
-                let idx = SNAP_HEADER_LEN + snapshot.len() / 2;
-                if idx < bytes.len() {
-                    bytes[idx] ^= 0xA5;
+                Some(FaultKind::CorruptTailByte) => {
+                    if let Some(byte) = bytes.get_mut(SNAP_HEADER_LEN + snapshot.len() / 2) {
+                        *byte ^= 0xA5;
+                    }
                 }
+                Some(FaultKind::TruncateTail { bytes: cut }) => {
+                    bytes.truncate(bytes.len().saturating_sub(cut.max(1) as usize));
+                }
+                _ => {}
             }
-            Some(FaultKind::TruncateTail { bytes: cut }) => {
-                let keep = bytes.len().saturating_sub(cut.max(1) as usize);
-                bytes.truncate(keep);
-            }
-            _ => {}
         }
-        if fault != Some(FaultKind::DropFsync) {
-            // write-temp → fsync → rename, so a crash mid-write leaves no
-            // half snapshot under the final name.
+        let len = damaged
+            .as_ref()
+            .map_or(SNAP_HEADER_LEN + snapshot.len(), Vec::len);
+        let published = fault != Some(FaultKind::DropFsync);
+        if published {
+            // write-temp → rename, so a crash mid-write leaves no half
+            // snapshot under the final name.
             let tmp = final_path.with_extension("snap.tmp");
             let mut file = File::create(&tmp).map_err(|e| io_err("create snapshot", e))?;
-            file.write_all(&bytes)
-                .map_err(|e| io_err("write snapshot", e))?;
-            if self.opts.fsync {
-                file.sync_data().map_err(|e| io_err("sync snapshot", e))?;
+            match &damaged {
+                Some(bytes) => file.write_all(bytes),
+                None => file
+                    .write_all(&header)
+                    .and_then(|()| file.write_all(snapshot)),
             }
+            .map_err(|e| io_err("write snapshot", e))?;
+            flush_if(self.opts.fsync, Flush::Data(&file))?;
             drop(file);
             fs::rename(&tmp, &final_path).map_err(|e| io_err("publish snapshot", e))?;
-            if self.opts.fsync {
-                if let Ok(dir) = File::open(&self.opts.dir) {
-                    let _ = dir.sync_all();
-                }
-            }
+            self.dir_dirty |= !self.opts.fsync;
         }
         // The backend believes the write succeeded even when a silent
-        // fault damaged it — that is the fault's point.
+        // fault damaged it — that is the fault's point. The file is
+        // tracked before its directory flush, so a failed flush still
+        // leaves it to retention.
         self.snapshots.push(SnapFile {
             seqno: pos.seqno,
-            len: bytes.len() as u64,
+            len: len as u64,
             path: final_path,
+            dirty: published && !self.opts.fsync,
         });
+        if published {
+            flush_if(self.opts.fsync, Flush::Dir(&self.opts.dir))?;
+        }
         // Compact up to the *previous* snapshot: with the two newest
         // snapshots retained, one damaged snapshot never strands recovery.
         let horizon = if self.snapshots.len() >= 2 {
@@ -815,7 +890,30 @@ impl StorageBackend for DiskBackend {
     }
 
     fn sync(&mut self) -> Result<()> {
-        self.sync_active()
+        if let Some(file) = &self.active_file {
+            flush(Flush::Data(file))?;
+        }
+        // Every other file `fsync` off left unflushed: rolled segments and
+        // snapshots, reopened by path (a flush reaches the file's data
+        // whichever handle issues it).
+        let active = self.segments.len().saturating_sub(1);
+        let rolled = self.segments[..active]
+            .iter_mut()
+            .map(|seg| (&seg.path, &mut seg.dirty));
+        let snapshots = self.snapshots.iter_mut().map(|s| (&s.path, &mut s.dirty));
+        for (path, dirty) in rolled.chain(snapshots).filter(|(_, dirty)| **dirty) {
+            let file = File::open(path).map_err(|e| io_err("open file to sync", e))?;
+            flush(Flush::Data(&file))?;
+            *dirty = false;
+        }
+        if let Some(seg) = self.segments.last_mut() {
+            seg.dirty = false;
+        }
+        if self.dir_dirty {
+            flush(Flush::Dir(&self.opts.dir))?;
+            self.dir_dirty = false;
+        }
+        Ok(())
     }
 
     fn set_chaos(&mut self, injector: FaultInjector, target: String) {
@@ -829,19 +927,45 @@ impl StorageBackend for DiskBackend {
 
 impl Drop for DiskBackend {
     fn drop(&mut self) {
-        if let Some(file) = &self.active_file {
-            let _ = file.sync_data();
-        }
+        let _ = StorageBackend::sync(self);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use xdmod_chaos::{DeterministicRng, FaultPlan, FaultSpec};
 
     static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+    thread_local! {
+        /// Flushes [`flush`] issued on this thread: (file data, directory).
+        static FLUSHES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+        /// While set, a directory flush on this thread fails.
+        static FAIL_DIR_FLUSH: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// Count `target`, and fail it if it is a directory flush while
+    /// [`FAIL_DIR_FLUSH`] is set.
+    pub(super) fn observe_flush(target: Flush<'_>) -> Result<()> {
+        FLUSHES.with(|n| {
+            let (data, dir) = n.get();
+            n.set(match target {
+                Flush::Data(_) => (data + 1, dir),
+                Flush::Dir(_) => (data, dir + 1),
+            });
+        });
+        if matches!(target, Flush::Dir(_)) && FAIL_DIR_FLUSH.with(Cell::get) {
+            return Err(WarehouseError::Io("injected: directory flush".into()));
+        }
+        Ok(())
+    }
+
+    fn flushes() -> (u64, u64) {
+        FLUSHES.with(Cell::get)
+    }
 
     fn temp_dir(tag: &str) -> PathBuf {
         let n = DIR_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -1237,6 +1361,163 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// What [`roll_and_snapshot`] did, and the flushes it issued.
+    #[derive(Debug)]
+    struct Run {
+        appends: u64,
+        rolls: u64,
+        snapshots: u64,
+        segments_deleted: u64,
+        /// (file data, directory) flushes over the run.
+        flushes: (u64, u64),
+        /// The frames past the last snapshot.
+        tail: Vec<u8>,
+    }
+
+    /// Append frames 1..=30 into 96-byte segments (a roll every three
+    /// frames) with snapshots at 10 and 20, so the second compacts.
+    fn roll_and_snapshot(be: &mut DiskBackend) -> Run {
+        let before = flushes();
+        let active = |be: &DiskBackend| be.segments.last().map(|s| s.path.clone());
+        let mut run = Run {
+            appends: 0,
+            rolls: 0,
+            snapshots: 0,
+            segments_deleted: 0,
+            flushes: (0, 0),
+            tail: Vec::new(),
+        };
+        for seqno in 1..=30 {
+            let was = active(be);
+            let f = frame(0, seqno, format!("record-{seqno}").as_bytes());
+            be.append(pos(seqno), &f).unwrap();
+            run.appends += 1;
+            run.rolls += u64::from(active(be) != was);
+            run.tail.extend_from_slice(&f);
+            if seqno % 10 == 0 && seqno < 30 {
+                let report = be
+                    .write_snapshot(pos(seqno), format!("snapshot-at-{seqno}").as_bytes())
+                    .unwrap();
+                run.snapshots += 1;
+                run.segments_deleted += report.segments_deleted;
+                run.tail.clear();
+            }
+        }
+        let after = flushes();
+        run.flushes = (after.0 - before.0, after.1 - before.1);
+        run
+    }
+
+    #[test]
+    fn fsync_off_flushes_nothing_until_an_explicit_sync_flushes_every_file_written() {
+        let dir = temp_dir("flush-off");
+        let mut be =
+            DiskBackend::open(DiskOptions::new(&dir).fsync(false).segment_max_bytes(96)).unwrap();
+        be.recover().unwrap();
+        let run = roll_and_snapshot(&mut be);
+        assert!(run.rolls >= 3 && run.snapshots == 2, "{run:?}");
+        assert!(run.segments_deleted > 0, "compaction deletes: {run:?}");
+        assert_eq!(run.flushes, (0, 0), "{run:?}");
+        // Each live segment (the active one included) and each retained
+        // snapshot was written unflushed; the directory gained entries.
+        let written = (be.segments.len() + be.snapshots.len()) as u64;
+        let before = flushes();
+        be.sync().unwrap();
+        assert_eq!(flushes(), (before.0 + written, before.1 + 1), "{run:?}");
+        // Nothing is left unflushed: a second sync flushes only the
+        // active segment, as it always does.
+        let before = flushes();
+        be.sync().unwrap();
+        assert_eq!(flushes(), (before.0 + 1, before.1));
+        // Frame 31 rolls into a fresh segment: dropping the backend
+        // flushes that segment and the directory entry it added.
+        be.append(pos(31), &frame(0, 31, b"record-31")).unwrap();
+        let before = flushes();
+        drop(be);
+        assert_eq!(flushes(), (before.0 + 1, before.1 + 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_snapshot_whose_directory_flush_fails_is_still_tracked_and_retired() {
+        let dir = temp_dir("dirflush");
+        let mut be = DiskBackend::open(DiskOptions::new(&dir)).unwrap();
+        be.recover().unwrap();
+        be.append(pos(1), &frame(0, 1, b"record")).unwrap();
+        FAIL_DIR_FLUSH.with(|f| f.set(true));
+        let failed = be.write_snapshot(pos(1), b"snapshot-at-1");
+        FAIL_DIR_FLUSH.with(|f| f.set(false));
+        assert!(failed.is_err(), "{failed:?}");
+        let first = dir.join(snapshot_file_name(0, 1));
+        assert!(first.exists(), "the rename published it");
+        assert!(be.snapshots.iter().any(|s| s.seqno == 1));
+        for seqno in 2..=3 {
+            be.append(pos(seqno), &frame(0, seqno, b"record")).unwrap();
+            let report = be.write_snapshot(pos(seqno), b"snapshot").unwrap();
+            let retired = u64::from(seqno == 3);
+            assert_eq!(report.snapshots_deleted, retired, "snapshot {seqno}");
+        }
+        assert!(!first.exists(), "two-snapshot retention deleted it");
+        drop(be);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn fsync_on_flushes_each_ack_header_and_body_with_their_dir_and_recovers() {
+        let dir = temp_dir("flush-on");
+        let opts = DiskOptions::new(&dir).segment_max_bytes(96);
+        assert!(opts.fsync, "the default is durable");
+        let mut be = DiskBackend::open(opts).unwrap();
+        be.recover().unwrap();
+        let run = roll_and_snapshot(&mut be);
+        assert!(run.rolls >= 3 && run.snapshots == 2, "{run:?}");
+        assert!(run.segments_deleted > 0, "compaction deletes: {run:?}");
+        let data = run.appends + run.rolls + run.snapshots;
+        assert_eq!(run.flushes, (data, run.rolls + run.snapshots), "{run:?}");
+        drop(be);
+
+        let mut be = DiskBackend::open(DiskOptions::new(&dir)).unwrap();
+        let rec = be.recover().unwrap();
+        let (at, body) = rec.snapshot.clone().expect("the newer snapshot validates");
+        assert_eq!(at, pos(20));
+        assert_eq!(body, b"snapshot-at-20");
+        assert_eq!(rec.tail, run.tail);
+        assert!(!rec.repaired());
+        assert_eq!(be.last_seqno, 30);
+        drop(be);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn snapshot_files_hold_header_and_body_or_the_faults_damage() {
+        let dir = temp_dir("snapbytes");
+        let at = |kind, op| FaultSpec::at_ops(FaultPoint::SnapshotWrite, kind, &[op]);
+        let plan = FaultPlan::new()
+            .with(at(FaultKind::CorruptTailByte, 2))
+            .with(at(FaultKind::TruncateTail { bytes: 0 }, 3))
+            .with(at(FaultKind::TruncateTail { bytes: 5 }, 4));
+        let mut be = fresh(&dir);
+        be.set_chaos(plan.injector(1), "wal".into());
+        for seqno in 1..=4 {
+            let f = frame(0, seqno, b"record");
+            be.append(pos(seqno), &f).unwrap();
+            let body = format!("snapshot body at {seqno}").into_bytes();
+            be.write_snapshot(pos(seqno), &body).unwrap();
+            let header = encode_snapshot_header(0, seqno, body.len() as u64, crc32(&body));
+            let mut want = [&header[..], &body].concat();
+            match seqno {
+                2 => want[SNAP_HEADER_LEN + body.len() / 2] ^= 0xA5,
+                3 => want.truncate(want.len() - 1),
+                4 => want.truncate(want.len() - 5),
+                _ => {}
+            }
+            let got = fs::read(dir.join(snapshot_file_name(0, seqno))).unwrap();
+            assert_eq!(got, want, "snapshot {seqno}");
+        }
+        drop(be);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// The sequential segment walk `recover` ran before the parallel
     /// read, kept as the oracle of the differential tests below: every
     /// segment read whole, one after another, and every stranded one read
@@ -1273,6 +1554,7 @@ mod tests {
                     last: *seg_base,
                     len: fs::metadata(path).map(|m| m.len()).unwrap_or(0),
                     path: path.clone(),
+                    dirty: false,
                 });
                 continue;
             }
@@ -1307,6 +1589,7 @@ mod tests {
                 last: chain_last,
                 len: valid_file_len,
                 path: path.clone(),
+                dirty: false,
             });
         }
         Ok(Chain {
