@@ -2123,9 +2123,17 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             &fed,
             FaultSpec::at_ops(FaultPoint::Apply, FaultKind::Transient, &[3]),
         );
+        let retries = |fed: &Federation| {
+            let snap = fed.hub().telemetry().snapshot();
+            snap.counter("replication_retries_total", &[("link", "y")])
+                .unwrap_or(0)
+        };
         assert!(fed.sync().is_err());
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 0);
+        // The failure scheduled a retry; the next sync runs it.
+        assert_eq!(retries(&fed), 0);
         assert!(fed.sync().unwrap() > 0);
+        assert_eq!(retries(&fed), 1);
         assert_eq!(
             fed.hub().federated_fact_rows(RealmKind::Jobs),
             y.fact_rows(RealmKind::Jobs).unwrap()

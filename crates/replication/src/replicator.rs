@@ -129,6 +129,9 @@ pub struct Replicator {
     last_error: Arc<Mutex<Option<WarehouseError>>>,
     /// The retry burst [`Replicator::step`] advances.
     retry: RetryState,
+    /// When the last step failed, if it scheduled a retry: the next step
+    /// is that retry.
+    retry_scheduled_at: Option<Instant>,
     /// When the link first fell behind (`None` while caught up).
     behind_since: Option<Instant>,
     /// The last lag sampled, so an idle link records no lag events.
@@ -163,6 +166,7 @@ impl Replicator {
             stats: LinkStats::default(),
             telemetry: MetricsRegistry::disabled(),
             retry: RetryState::new(RetryPolicy::default(), &link_name),
+            retry_scheduled_at: None,
             link_name,
             chaos: None,
             lost_records: false,
@@ -262,10 +266,16 @@ impl Replicator {
     /// `replication_apply_errors_total{link}`, recorded as a
     /// `replication.error` event and advances the retry burst (see
     /// [`RetryPolicy`]); a success clears the error and ends the burst.
+    /// The step after one that scheduled a retry is that retry: it counts
+    /// in `replication_retries_total{link}` and records a
+    /// `replication.retry` event with the time waited since the failure.
     /// Every step then samples lag in both units at `now`:
     /// `replication_lag_events` (binlog positions behind) and
     /// `replication_lag_seconds` (time since the link first fell behind).
     pub fn step(&mut self, now: Instant) -> Step {
+        if let Some(failed_at) = self.retry_scheduled_at.take() {
+            self.record_retry(now.saturating_duration_since(failed_at));
+        }
         let resynced = self.needs_resync();
         let outcome = if resynced {
             self.resync_target().map(|_| 0)
@@ -279,6 +289,7 @@ impl Replicator {
                 *self.last_error.lock() = Some(e.clone());
                 let backoff = self.retry.next_backoff();
                 retry_at = backoff.map(|backoff| now + backoff);
+                self.retry_scheduled_at = backoff.map(|_| now);
                 self.record_failure(e, backoff);
             }
         }
@@ -297,7 +308,8 @@ impl Replicator {
         self.retry.reset();
     }
 
-    /// Count and record a failed step, and the retry its burst chose.
+    /// Count and record a failed step, and the backoff its burst chose
+    /// for the retry.
     fn record_failure(&self, e: &WarehouseError, backoff: Option<Duration>) {
         if !self.telemetry.is_enabled() {
             return;
@@ -308,18 +320,28 @@ impl Replicator {
             .counter("replication_apply_errors_total", link)
             .inc();
         telemetry.event("replication.error", &format!("{}: {e}", self.link_name));
-        let Some(backoff) = backoff else {
+        if let Some(backoff) = backoff {
+            telemetry
+                .gauge("replication_backoff_ms", link)
+                .set(backoff.as_millis() as f64);
+        }
+    }
+
+    /// Count and record the retry this step runs, `waited` after the
+    /// failure that scheduled it.
+    fn record_retry(&self, waited: Duration) {
+        if !self.telemetry.is_enabled() {
             return;
-        };
-        let (attempt, ms) = (self.retry.attempts, backoff.as_millis());
-        telemetry.counter("replication_retries_total", link).inc();
-        telemetry
-            .gauge("replication_backoff_ms", link)
-            .set(ms as f64);
-        telemetry.event_with(
+        }
+        let link: &[(&str, &str)] = &[("link", &self.link_name)];
+        let (attempt, ms) = (self.retry.attempts, waited.as_millis());
+        self.telemetry
+            .counter("replication_retries_total", link)
+            .inc();
+        self.telemetry.event_with(
             "replication.retry",
-            &format!("{}: retry {attempt} after {ms}ms backoff", self.link_name),
-            &[("attempt", f64::from(attempt)), ("backoff_ms", ms as f64)],
+            &format!("{}: retry {attempt} after {ms}ms", self.link_name),
+            &[("attempt", f64::from(attempt)), ("waited_ms", ms as f64)],
         );
     }
 
@@ -1883,16 +1905,22 @@ mod tests {
                 snap.counter("replication_apply_errors_total", link),
                 Some(failed)
             );
+            // A retry counts when it runs: the second step is the first's.
             assert_eq!(
-                snap.counter("replication_retries_total", link),
-                Some(failed)
+                snap.counter("replication_retries_total", link).unwrap_or(0),
+                failed - 1
             );
         }
-        // The next success clears the error and asks for the interval.
+        // The next success, the second retry, clears the error and asks
+        // for the interval.
         let step = live.step(now);
         assert!(step.outcome.unwrap() >= 4);
         assert_eq!(step.retry_at, None);
         assert_eq!(live.last_error(), None);
+        assert_eq!(
+            reg.snapshot().counter("replication_retries_total", link),
+            Some(2)
+        );
         assert!(dst.read().has_schema("hub_x"));
         // Every step sampled lag in both units.
         let snap = reg.snapshot();

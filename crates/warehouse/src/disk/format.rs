@@ -7,15 +7,22 @@
 //! a fixed header:
 //!
 //! ```text
-//! +----------+---------+--------+---------+------------------------+
-//! | magic 8B | epoch   | base   | hdr crc | frame | frame | ...    |
-//! |"XDWSEG1\0"| u32 LE | u64 LE | u32 LE  |  (binlog wire format)  |
-//! +----------+---------+--------+---------+------------------------+
+//! +----------+---------+--------+---------+----------------------+-------------+-------+
+//! | magic 8B | epoch   | base   | hdr crc | frame | frame | ...  | end mark    | stale |
+//! |"XDWSEG1\0"| u32 LE | u64 LE | u32 LE  | (binlog wire format) | FF FF FF FF | bytes |
+//! +----------+---------+--------+---------+----------------------+-------------+-------+
 //! ```
 //!
 //! `base` is the seqno of the last record *before* this segment; its
 //! first frame is `base + 1`. Segments chain: the next segment's `base`
 //! equals this segment's last frame seqno.
+//!
+//! The segment being written ends in an [`END_MARK`]: a frame length of
+//! `0xFFFF_FFFF`, which no frame carries, written right after the last
+//! frame. A segment file may be a retired one recycled for its pages, so
+//! whatever follows the mark is the old file's bytes, neither data nor
+//! damage; [`scan_frames`] stops cleanly at the mark. A sealed segment (one
+//! the writer rolled past or closed) ends at its last frame, with no mark.
 //!
 //! **Snapshot files** (`snap-<epoch>-<seqno>.snap`) carry a serialized
 //! [`crate::persist::Snapshot`] body after a fixed header:
@@ -41,6 +48,9 @@ pub const SNAP_MAGIC: [u8; 8] = *b"XDWSNAP1";
 pub const SEG_HEADER_LEN: usize = 8 + 4 + 8 + 4;
 /// Snapshot header length: magic + epoch + seqno + body_len + body_crc + crc.
 pub const SNAP_HEADER_LEN: usize = 8 + 4 + 8 + 8 + 4 + 4;
+/// A frame length no frame carries: written after a segment's last frame,
+/// it marks the clean end of the segment's frames.
+pub const END_MARK: [u8; 4] = u32::MAX.to_le_bytes();
 /// Smallest possible binlog frame: 4B length prefix + 16B
 /// (epoch + seqno + crc) with an empty payload — anything shorter is torn.
 const FRAME_MIN_BODY: usize = 16;
@@ -174,7 +184,7 @@ pub struct FrameScan {
     /// Every valid frame, in order.
     pub frames: Vec<FrameInfo>,
     /// True when the region held bytes beyond the valid prefix (a torn or
-    /// corrupt tail).
+    /// corrupt tail) that an [`END_MARK`] does not end it at.
     pub damaged: bool,
 }
 
@@ -189,13 +199,20 @@ impl FrameScan {
 /// `base + 1` in `epoch` and stay contiguous. Stops at the first frame
 /// that is short, fails its CRC, carries the wrong epoch, or breaks seqno
 /// continuity — everything before the stop point is the valid prefix.
+/// An [`END_MARK`] at a frame boundary ends the region cleanly, whatever
+/// follows it.
 pub fn scan_frames(data: &[u8], epoch: u32, base: u64) -> FrameScan {
     let mut scan = FrameScan::default();
     let mut cursor = 0usize;
     let mut expect = base + 1;
+    let mut end = data.len();
     while cursor < data.len() {
         let rest = &data[cursor..];
         if rest.len() < 4 {
+            break;
+        }
+        if rest[..4] == END_MARK {
+            end = cursor;
             break;
         }
         let body_len = u32_le(&rest[..4]) as usize;
@@ -221,7 +238,7 @@ pub fn scan_frames(data: &[u8], epoch: u32, base: u64) -> FrameScan {
         expect += 1;
     }
     scan.valid_len = cursor;
-    scan.damaged = cursor < data.len();
+    scan.damaged = cursor < end;
     scan
 }
 
@@ -342,5 +359,30 @@ mod tests {
         let empty = scan_frames(&[], 0, 0);
         assert!(!empty.damaged);
         assert_eq!(empty.last_seqno(0), 0);
+
+        // An end mark right after the frames is a clean end, outside the
+        // valid prefix; so is one followed by a recycled file's old bytes.
+        let marked = [&region[..], &END_MARK].concat();
+        let marked_garbage = [&marked[..], &[0x5A; 13], &frame(0, 3, b"old")].concat();
+        for data in [&marked, &marked_garbage] {
+            let scan = scan_frames(data, 0, 5);
+            assert_eq!(scan.frames.len(), 3);
+            assert!(!scan.damaged);
+            assert_eq!(scan.valid_len, region.len());
+        }
+
+        // A mark at the start of the region is an empty, clean region.
+        let scan = scan_frames(&[&END_MARK[..], &region].concat(), 0, 5);
+        assert!(scan.frames.is_empty());
+        assert!(!scan.damaged);
+        assert_eq!(scan.valid_len, 0);
+
+        // A zero-filled tail is still damage, and so is a torn mark.
+        for tail in [&[0u8; 16][..], &END_MARK[..3]] {
+            let scan = scan_frames(&[&region[..], tail].concat(), 0, 5);
+            assert_eq!(scan.frames.len(), 3);
+            assert!(scan.damaged);
+            assert_eq!(scan.valid_len, region.len());
+        }
     }
 }

@@ -7,13 +7,18 @@
 //!   seg-0000000000-00000000000000000001.wal   ← binlog frames 1..=N₁
 //!   seg-0000000000-00000000000000000N₁+1.wal  ← frames N₁+1..  (active)
 //!   snap-0000000000-00000000000000000042.snap ← snapshot through seqno 42
+//!   seg-0000000000-00000000000000000001.wal.tmp ← retired, awaiting reuse
 //!   ...
 //! ```
 //!
 //! **Write path.** [`DiskBackend::append`] receives the exact frame the
 //! in-memory binlog is about to admit and writes it to the active segment
 //! *first* (write-ahead ordering), rotating to a new segment past
-//! [`DiskOptions::segment_max_bytes`]. Under [`DiskOptions::fsync`] on,
+//! [`DiskOptions::segment_max_bytes`]. Each append is one positioned
+//! write of the frame and a [`format::END_MARK`] at the segment's write
+//! cursor; the next append overwrites the mark. Rolling past a segment,
+//! and dropping the backend, *seals* the segment: it is truncated to its
+//! last frame. Under [`DiskOptions::fsync`] on,
 //! every frame is flushed before the append returns, and a new segment's
 //! header and its directory entry are flushed before it takes a frame, so
 //! nothing acknowledged is lost at power failure. Under `fsync` off the
@@ -24,6 +29,16 @@
 //! segment and snapshot written unflushed since the last sync, and the
 //! directory if a file appeared in it unflushed, so a bulk load at
 //! `fsync` off that ends with `sync` has every frame durable.
+//!
+//! **Segment recycling.** A new segment reuses a retired segment's file
+//! when compaction left one in the *pool*, so a roll overwrites pages and
+//! blocks the file system already holds instead of allocating fresh ones.
+//! The reused file gets the new header and an end mark at offset 0
+//! (flushed under `fsync` on) *before* it is renamed to the new segment's
+//! name, and then the directory is flushed: a crash at any point leaves
+//! either a `*.tmp` file that recovery deletes or a valid, empty segment
+//! whose old bytes past the mark are not read. Pool files are named
+//! `*.wal.tmp`, never `*.wal`; dropping the backend deletes them.
 //!
 //! **Snapshots & compaction.** [`DiskBackend::write_snapshot`] lands the
 //! serialized snapshot via write-temp → rename, so a crash mid-write never
@@ -36,7 +51,9 @@
 //! segments fully covered by the *older* of the pair. That way a torn or
 //! bit-flipped newest snapshot can never strand recovery past deleted
 //! segments — the previous snapshot plus the still-present segments after
-//! it reconstruct the same state. The returned
+//! it reconstruct the same state. A deleted segment's file moves to the
+//! pool, which never holds more files than one compaction retired; the
+//! rest are unlinked. The returned
 //! [`CompactionReport::horizon`] tells the database how far the in-memory
 //! binlog prefix may compact (the same conservative horizon).
 //!
@@ -70,7 +87,7 @@ use crate::storage::{CompactionReport, Recovery, StorageBackend};
 use format::{
     encode_segment_header, encode_snapshot_header, parse_segment_header, parse_segment_name,
     parse_snapshot_header, parse_snapshot_name, scan_frames, segment_file_name, snapshot_file_name,
-    FrameScan, SEG_HEADER_LEN, SNAP_HEADER_LEN,
+    FrameScan, END_MARK, SEG_HEADER_LEN, SNAP_HEADER_LEN,
 };
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -128,6 +145,11 @@ struct Segment {
     /// Tracked byte length (rotation accounting; silent chaos damage may
     /// make the physical file shorter).
     len: u64,
+    /// Offset the next frame is written at: the end of the last frame the
+    /// file holds, where its end mark sits. It follows the file as an
+    /// append-mode write would, so it trails `len` once a silent fault tore
+    /// or dropped a write.
+    cursor: u64,
     path: PathBuf,
     /// Written since its data was last flushed: only `fsync` off leaves
     /// a write unflushed, and [`StorageBackend::sync`] flushes it.
@@ -155,6 +177,12 @@ pub struct DiskBackend {
     active_file: Option<File>,
     /// Retained snapshots of the current epoch, ascending by seqno.
     snapshots: Vec<SnapFile>,
+    /// Retired segment files (`*.wal.tmp`) a roll reuses before it creates
+    /// a file.
+    pool: Vec<PathBuf>,
+    /// The frame being appended followed by the end mark, so both go out
+    /// in one write.
+    write_buf: Vec<u8>,
     /// A file was created or renamed in the directory with `fsync` off
     /// and the directory was not flushed since.
     dir_dirty: bool,
@@ -183,7 +211,7 @@ enum Flush<'a> {
 /// here; only an explicit [`StorageBackend::sync`] and `Drop` call
 /// [`flush`] whatever the option says. A free function taking the
 /// option as a value, not a method, because `append` calls it while it
-/// holds a mutable borrow of the active segment's handle.
+/// holds a mutable borrow of the active segment.
 fn flush_if(durable: bool, target: Flush<'_>) -> Result<()> {
     if durable {
         flush(target)
@@ -216,6 +244,8 @@ impl DiskBackend {
             segments: Vec::new(),
             active_file: None,
             snapshots: Vec::new(),
+            pool: Vec::new(),
+            write_buf: Vec::new(),
             dir_dirty: false,
             ready: false,
             chaos: None,
@@ -233,32 +263,56 @@ impl DiskBackend {
             .and_then(|(inj, target)| inj.next_fault(point, target))
     }
 
+    /// Seal the active segment (it ends at its last frame, not at its end
+    /// mark) and start the segment whose first frame is `base + 1` in a
+    /// pool file if there is one, else in a new file.
     fn create_segment(&mut self, base: u64) -> Result<()> {
+        self.seal_active()?;
+        self.active_file = None;
         let path = self.opts.dir.join(segment_file_name(self.epoch, base));
-        // A stale same-name leftover (e.g. from an interrupted restore)
-        // must not prefix the new segment; appends go to a fresh file.
-        let _ = fs::remove_file(&path);
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| io_err("create segment", e))?;
-        let header = encode_segment_header(self.epoch, base);
-        file.write_all(&header)
-            .map_err(|e| io_err("write segment header", e))?;
+        let mut start = [0u8; SEG_HEADER_LEN + END_MARK.len()];
+        start[..SEG_HEADER_LEN].copy_from_slice(&encode_segment_header(self.epoch, base));
+        start[SEG_HEADER_LEN..].copy_from_slice(&END_MARK);
+        let pooled = self.pool.pop();
+        let file = match &pooled {
+            Some(pooled) => OpenOptions::new().write(true).open(pooled),
+            // A stale same-name leftover (e.g. from an interrupted
+            // restore) must not prefix the new segment.
+            None => File::create(&path),
+        }
+        .map_err(|e| io_err("create segment", e))?;
+        write_at(&file, &start, 0).map_err(|e| io_err("write segment header", e))?;
+        // The header goes down before a pooled file takes the name: one
+        // renamed with its old header would be read as the old segment.
+        flush_if(self.opts.fsync, Flush::Data(&file))?;
+        if let Some(pooled) = pooled {
+            fs::rename(&pooled, &path).map_err(|e| io_err("reuse segment", e))?;
+        }
         // A frame acknowledged in this segment is durable only once the
         // segment's directory entry is.
-        flush_if(self.opts.fsync, Flush::Data(&file))?;
         flush_if(self.opts.fsync, Flush::Dir(&self.opts.dir))?;
         self.dir_dirty |= !self.opts.fsync;
         self.segments.push(Segment {
             last: base,
             len: SEG_HEADER_LEN as u64,
+            cursor: SEG_HEADER_LEN as u64,
             path,
             dirty: !self.opts.fsync,
         });
         self.active_file = Some(file);
         Ok(())
+    }
+
+    /// Truncate the active segment to its last frame, dropping its end
+    /// mark and whatever a recycled file held past it. The truncation is
+    /// not flushed: if it is lost, the mark still ends the frames.
+    fn seal_active(&self) -> Result<()> {
+        match (&self.active_file, self.segments.last()) {
+            (Some(file), Some(seg)) => file
+                .set_len(seg.cursor)
+                .map_err(|e| io_err("seal segment", e)),
+            _ => Ok(()),
+        }
     }
 
     fn active_len(&self) -> u64 {
@@ -270,6 +324,7 @@ impl DiskBackend {
         self.active_file = None;
         self.segments.clear();
         self.snapshots.clear();
+        self.pool.clear();
         for entry in fs::read_dir(&self.opts.dir).map_err(|e| io_err("list storage dir", e))? {
             let entry = entry.map_err(|e| io_err("list storage dir", e))?;
             let name = entry.file_name();
@@ -318,6 +373,7 @@ impl DiskBackend {
         self.active_file = None;
         self.segments.clear();
         self.snapshots.clear();
+        self.pool.clear();
 
         // Inventory the directory.
         let mut seg_files: Vec<SegFile> = Vec::new();
@@ -329,7 +385,8 @@ impl DiskBackend {
             let name = name.to_string_lossy().into_owned();
             let len = entry.metadata().map(|m| m.len()).unwrap_or(0);
             if name.ends_with(".tmp") {
-                // A crash mid-snapshot-write: never published, never valid.
+                // A crash mid-snapshot-write (never published, never
+                // valid), or a pool file of segments retired before it.
                 let _ = fs::remove_file(&path);
                 continue;
             }
@@ -432,7 +489,7 @@ impl DiskBackend {
             self.create_segment(self.last_seqno)?;
         } else if let Some(active) = surviving.last() {
             let file = OpenOptions::new()
-                .append(true)
+                .write(true)
                 .open(&active.path)
                 .map_err(|e| io_err("reopen active segment", e))?;
             self.active_file = Some(file);
@@ -509,6 +566,7 @@ fn scan_chain(
         .map(|(_, seg_base, path, len)| Segment {
             last: *seg_base,
             len: *len,
+            cursor: *len,
             path: path.clone(),
             dirty: false,
         })
@@ -640,7 +698,9 @@ fn read_past_header(path: &Path, buf: &mut [u8]) -> io::Result<usize> {
 
 /// Accept a scanned segment into the chain: physically truncate a torn
 /// tail (counting it), so the file is a clean prefix from here on, and
-/// describe the file that stays.
+/// describe the file that stays. An end mark and a recycled file's bytes
+/// past it stay: the next append overwrites the mark, and a seal drops
+/// the rest.
 fn keep_segment(
     path: &Path,
     content_len: usize,
@@ -662,9 +722,24 @@ fn keep_segment(
     Ok(Segment {
         last: scan.last_seqno(seg_base),
         len: valid_file_len,
+        cursor: valid_file_len,
         path: path.to_path_buf(),
         dirty: false,
     })
+}
+
+/// Write all of `buf` at byte `offset` of `file`, leaving the handle's
+/// own position alone.
+#[cfg(unix)]
+fn write_at(file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
+    std::os::unix::fs::FileExt::write_all_at(file, buf, offset)
+}
+
+/// Write all of `buf` at byte `offset` of `file`.
+#[cfg(not(unix))]
+fn write_at(mut file: &File, buf: &[u8], offset: u64) -> io::Result<()> {
+    file.seek(SeekFrom::Start(offset))?;
+    file.write_all(buf)
 }
 
 impl StorageBackend for DiskBackend {
@@ -702,51 +777,41 @@ impl StorageBackend for DiskBackend {
             }
             _ => {}
         }
-        let file = self
-            .active_file
-            .as_mut()
-            .ok_or_else(|| WarehouseError::Io("no active segment".into()))?;
+        let (Some(file), Some(seg)) = (&self.active_file, self.segments.last_mut()) else {
+            return Err(WarehouseError::Io("no active segment".into()));
+        };
+        let at = seg.cursor;
+        let written = at + frame.len() as u64;
+        let buf = &mut self.write_buf;
+        buf.clear();
+        buf.extend_from_slice(frame);
+        buf.extend_from_slice(&END_MARK);
+        if fault == Some(FaultKind::CorruptTailByte) {
+            buf[frame.len() / 2] ^= 0xA5;
+        }
+        write_at(file, buf, at).map_err(|e| io_err("write frame", e))?;
         // Silent-damage faults model a crash mid-write: the caller sees
-        // success, the disk does not. Recovery must repair these.
-        match fault {
-            Some(FaultKind::CorruptTailByte) => {
-                let mut damaged = frame.to_vec();
-                let mid = damaged.len() / 2;
-                damaged[mid] ^= 0xA5;
-                file.write_all(&damaged)
-                    .map_err(|e| io_err("write frame", e))?;
-            }
+        // success, the disk does not. Recovery must repair these. The
+        // cursor stays where the file's frames end.
+        seg.cursor = match fault {
             Some(FaultKind::TruncateTail { bytes }) => {
-                file.write_all(frame)
-                    .map_err(|e| io_err("write frame", e))?;
-                let cut = (bytes.max(1)).min(frame.len() as u64 - 1);
-                let physical = file
-                    .metadata()
-                    .map_err(|e| io_err("stat segment", e))?
-                    .len();
-                file.set_len(physical - cut)
-                    .map_err(|e| io_err("tear frame", e))?;
+                let torn = written - bytes.max(1).min(frame.len() as u64 - 1);
+                file.set_len(torn).map_err(|e| io_err("tear frame", e))?;
+                torn
             }
             Some(FaultKind::DropFsync) => {
-                let before = file
-                    .metadata()
-                    .map_err(|e| io_err("stat segment", e))?
-                    .len();
-                file.write_all(frame)
-                    .map_err(|e| io_err("write frame", e))?;
-                file.set_len(before).map_err(|e| io_err("drop fsync", e))?;
+                file.set_len(at).map_err(|e| io_err("drop fsync", e))?;
+                at
             }
+            Some(FaultKind::CorruptTailByte) => written,
             _ => {
-                file.write_all(frame)
-                    .map_err(|e| io_err("write frame", e))?;
                 flush_if(self.opts.fsync, Flush::Data(file))?;
+                written
             }
-        }
-        if let Some(seg) = self.segments.last_mut() {
-            seg.len += frame.len() as u64;
-            seg.last = pos.seqno;
-            seg.dirty |= !self.opts.fsync;
-        }
+        };
+        seg.len += frame.len() as u64;
+        seg.last = pos.seqno;
+        seg.dirty |= !self.opts.fsync;
         self.last_seqno = pos.seqno;
         Ok(())
     }
@@ -864,11 +929,22 @@ impl StorageBackend for DiskBackend {
             report.bytes_reclaimed += old.len;
             let _ = fs::remove_file(&old.path);
         }
-        while self.segments.len() > 1 && self.segments[0].last <= horizon {
-            let old = self.segments.remove(0);
+        let sealed = self.segments.len().saturating_sub(1);
+        let retired = self.segments[..sealed]
+            .iter()
+            .take_while(|s| s.last <= horizon)
+            .count();
+        for old in self.segments.drain(..retired) {
             report.segments_deleted += 1;
             report.bytes_reclaimed += old.len;
-            let _ = fs::remove_file(&old.path);
+            // Keep the file for a roll to overwrite; the pool holds no more
+            // files than this compaction retired.
+            let pooled = old.path.with_extension("wal.tmp");
+            if self.pool.len() < retired && fs::rename(&old.path, &pooled).is_ok() {
+                self.pool.push(pooled);
+            } else {
+                let _ = fs::remove_file(&old.path);
+            }
         }
         Ok(report)
     }
@@ -926,7 +1002,14 @@ impl StorageBackend for DiskBackend {
 }
 
 impl Drop for DiskBackend {
+    /// Seal the active segment and delete the pool, so the directory holds
+    /// only segments that end at their last frame, then flush as
+    /// [`StorageBackend::sync`] does.
     fn drop(&mut self) {
+        let _ = self.seal_active();
+        for path in self.pool.drain(..) {
+            let _ = fs::remove_file(path);
+        }
         let _ = StorageBackend::sync(self);
     }
 }
@@ -1518,6 +1601,168 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// A store of 96-byte segments (three frames each) with snapshots at
+    /// 10 and 20, so compaction pooled the three segments through frame
+    /// 9, then frames 21..=`to` appended. Returns the live backend and the
+    /// frames past the snapshot at 20.
+    fn recycled_store(dir: &Path, to: u64) -> (DiskBackend, Vec<u8>) {
+        let opts = DiskOptions::new(dir).fsync(false).segment_max_bytes(96);
+        let mut be = DiskBackend::open(opts).unwrap();
+        be.recover().unwrap();
+        drive(&mut be, 1, 10);
+        be.write_snapshot(pos(10), b"snapshot-at-10").unwrap();
+        drive(&mut be, 11, 20);
+        be.write_snapshot(pos(20), b"snapshot-at-20").unwrap();
+        assert_eq!(be.pool.len(), 3);
+        let tail = drive(&mut be, 21, to);
+        (be, tail)
+    }
+
+    /// The active segment is a recycled file: its old bytes run past the
+    /// end mark.
+    fn active_has_stale_bytes(be: &DiskBackend) -> bool {
+        let seg = be.segments.last().unwrap();
+        fs::metadata(&seg.path).unwrap().len() > seg.cursor + END_MARK.len() as u64
+    }
+
+    fn tmp_files(dir: &Path) -> Vec<String> {
+        let names = listing(dir).into_iter().map(|(name, _)| name);
+        names.filter(|name| name.ends_with(".tmp")).collect()
+    }
+
+    #[test]
+    fn a_crash_image_of_a_part_written_recycled_segment_recovers_clean() {
+        let dir = temp_dir("recycled-image");
+        let (be, tail) = recycled_store(&dir, 22);
+        // Frame 22 opened the fourth segment, in a pooled file.
+        assert_eq!(be.pool.len(), 2);
+        assert!(active_has_stale_bytes(&be));
+        let image = temp_dir("recycled-image-copy");
+        copy_dir(&dir, &image);
+        drop(be);
+
+        let mut be = DiskBackend::open(DiskOptions::new(&image).fsync(false)).unwrap();
+        let rec = be.recover().unwrap();
+        assert_eq!(rec.snapshot.as_ref().map(|(at, _)| *at), Some(pos(20)));
+        assert_eq!(rec.tail, tail);
+        assert!(!rec.repaired(), "{rec:?}");
+        assert_eq!(be.last_seqno, 22);
+        assert!(tmp_files(&image).is_empty(), "recovery deletes the pool");
+        drop(be);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&image);
+    }
+
+    #[test]
+    fn a_torn_frame_inside_a_recycled_segment_counts_one_truncated_record() {
+        let dir = temp_dir("recycled-torn");
+        let (be, tail) = recycled_store(&dir, 22);
+        assert!(active_has_stale_bytes(&be));
+        let active = be.segments.last().unwrap();
+        let (name, cursor) = (name_of(&active.path), active.cursor);
+        let image = temp_dir("recycled-torn-copy");
+        copy_dir(&dir, &image);
+        drop(be);
+        // A crash mid-write: half of frame 23 over the end mark, the old
+        // bytes still after it.
+        let torn = frame(0, 23, b"record-23");
+        let file = OpenOptions::new()
+            .write(true)
+            .open(image.join(&name))
+            .unwrap();
+        write_at(&file, &torn[..torn.len() / 2], cursor).unwrap();
+        drop(file);
+
+        let mut be = DiskBackend::open(DiskOptions::new(&image).fsync(false)).unwrap();
+        let rec = be.recover().unwrap();
+        assert_eq!(rec.tail, tail);
+        assert_eq!(rec.truncated_records, 1, "{rec:?}");
+        assert_eq!(be.last_seqno, 22);
+        assert_eq!(fs::metadata(image.join(&name)).unwrap().len(), cursor);
+        drop(be);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&image);
+    }
+
+    #[test]
+    fn a_dropped_backend_leaves_sealed_segments_and_no_pool() {
+        let dir = temp_dir("recycled-drop");
+        let (be, _) = recycled_store(&dir, 22);
+        assert!(active_has_stale_bytes(&be));
+        drop(be);
+        assert!(tmp_files(&dir).is_empty());
+        for path in segment_paths(&dir) {
+            let data = fs::read(&path).unwrap();
+            let (epoch, base) = parse_segment_header(&data).unwrap();
+            let content = &data[SEG_HEADER_LEN..];
+            let scan = scan_frames(content, epoch, base);
+            // No mark, no old bytes: the scan ends at end of file.
+            assert!(!scan.damaged, "{}", name_of(&path));
+            assert_eq!(scan.valid_len, content.len(), "{}", name_of(&path));
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_crash_right_after_a_reuse_rename_recovers_clean() {
+        let dir = temp_dir("recycled-rename");
+        let (mut be, _) = recycled_store(&dir, 20);
+        // The roll frame 21 would make: header and mark written, file
+        // renamed, no frame yet.
+        be.create_segment(20).unwrap();
+        assert_eq!(be.pool.len(), 2);
+        assert!(active_has_stale_bytes(&be));
+        let image = temp_dir("recycled-rename-copy");
+        copy_dir(&dir, &image);
+        drop(be);
+
+        let mut be = DiskBackend::open(DiskOptions::new(&image).fsync(false)).unwrap();
+        let rec = be.recover().unwrap();
+        assert_eq!(rec.snapshot.as_ref().map(|(at, _)| *at), Some(pos(20)));
+        assert!(rec.tail.is_empty());
+        assert!(!rec.repaired(), "{rec:?}");
+        // The empty segment takes the next frame.
+        let next = frame(0, 21, b"record-21");
+        be.append(pos(21), &next).unwrap();
+        drop(be);
+        let mut be = DiskBackend::open(DiskOptions::new(&image).fsync(false)).unwrap();
+        let rec = be.recover().unwrap();
+        assert_eq!(rec.tail, next);
+        assert!(!rec.repaired(), "{rec:?}");
+        drop(be);
+        let _ = fs::remove_dir_all(&dir);
+        let _ = fs::remove_dir_all(&image);
+    }
+
+    #[test]
+    fn recycling_keeps_the_directory_to_live_segments_two_snapshots_and_the_pool_bound() {
+        let dir = temp_dir("recycled-bound");
+        let opts = DiskOptions::new(&dir).fsync(false).segment_max_bytes(96);
+        let mut be = DiskBackend::open(opts).unwrap();
+        be.recover().unwrap();
+        // The pool bound: the most segments one compaction retired.
+        let (mut bound, mut reused) = (0, 0);
+        for cycle in 0..16 {
+            let pooled = be.pool.len();
+            drive(&mut be, cycle * 10 + 1, cycle * 10 + 10);
+            reused += pooled - be.pool.len();
+            let report = be
+                .write_snapshot(pos(cycle * 10 + 10), b"snapshot")
+                .unwrap();
+            bound = bound.max(report.segments_deleted as usize);
+            let files = listing(&dir).len();
+            assert!(be.pool.len() <= bound, "cycle {cycle}");
+            assert!(
+                files <= be.segments.len() + 2 + bound,
+                "cycle {cycle}: {files} files, {} segments, bound {bound}",
+                be.segments.len()
+            );
+        }
+        assert!(reused > 0, "rolls drew on the pool");
+        drop(be);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     /// The sequential segment walk `recover` ran before the parallel
     /// read, kept as the oracle of the differential tests below: every
     /// segment read whole, one after another, and every stranded one read
@@ -1550,9 +1795,11 @@ mod tests {
         for (idx, (_, seg_base, path, _)) in files.iter().enumerate() {
             let before_anchor = anchor.is_some_and(|a| idx < a);
             if before_anchor {
+                let len = fs::metadata(path).map(|m| m.len()).unwrap_or(0);
                 surviving.push(Segment {
                     last: *seg_base,
-                    len: fs::metadata(path).map(|m| m.len()).unwrap_or(0),
+                    len,
+                    cursor: len,
                     path: path.clone(),
                     dirty: false,
                 });
@@ -1588,6 +1835,7 @@ mod tests {
             surviving.push(Segment {
                 last: chain_last,
                 len: valid_file_len,
+                cursor: valid_file_len,
                 path: path.clone(),
                 dirty: false,
             });

@@ -16,7 +16,9 @@
 //!
 //! A second matrix damages snapshot writes (including a loudly-failing
 //! transient) and checks that recovery falls back to the previous
-//! snapshot plus the segment tail with no data loss.
+//! snapshot plus the segment tail with no data loss. A third runs the
+//! append matrix after two snapshot cycles, so every faulted append lands
+//! in a recycled segment file that still holds a retired segment's bytes.
 //!
 //! The run is parameterized by `CRASH_SEED` (varies payload bytes and
 //! tear sizes) and, when `CRASH_RECOVERY_REPORT` names a path, writes a
@@ -91,6 +93,35 @@ fn oracle_at(upto: u64, seed: u64) -> Database {
     db
 }
 
+/// Records the recycled-segment matrix writes before its steps.
+const PRELUDE: u64 = 32;
+
+/// Write `PRELUDE` records into schema `pre`: the schema, its table and
+/// inserts. With `snapshots`, snapshot halfway and at the end, so the
+/// second compaction retires the first half's segments to the pool.
+fn apply_prelude(db: &mut Database, seed: u64, snapshots: bool) {
+    db.create_schema("pre").expect("prelude schema");
+    db.create_table("pre", table_def()).expect("prelude table");
+    for n in 3..=PRELUDE {
+        let row = vec![Value::Int(n as i64), Value::Str(format!("pre-{seed}-{n}"))];
+        db.insert("pre", "t", vec![row]).expect("prelude insert");
+        if snapshots && (n == PRELUDE / 2 || n == PRELUDE) {
+            db.snapshot_now().expect("prelude snapshot");
+        }
+    }
+}
+
+/// Retired segment files waiting in `dir` for a roll to reuse them.
+fn pooled_files(dir: &PathBuf) -> usize {
+    std::fs::read_dir(dir)
+        .expect("list store")
+        .filter(|e| {
+            e.as_ref()
+                .is_ok_and(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+        })
+        .count()
+}
+
 /// The full pre-crash oracle: complete framed binlog bytes plus the
 /// cumulative byte length after each record (`cum[n]` = bytes of records
 /// `1..=n`), so any durable prefix can be sliced out exactly.
@@ -109,7 +140,11 @@ fn oracle_log(seed: u64) -> (Vec<u8>, Vec<usize>) {
 /// same seqno: same schemas, same tables, same order-independent content
 /// checksum and row count per table.
 fn assert_matches_oracle(recovered: &Database, upto: u64, seed: u64, ctx: &str) {
-    let oracle = oracle_at(upto, seed);
+    assert_matches(recovered, &oracle_at(upto, seed), ctx);
+}
+
+/// Assert the recovered store is content-identical to `oracle`.
+fn assert_matches(recovered: &Database, oracle: &Database, ctx: &str) {
     let mut want: Vec<String> = oracle
         .schema_names()
         .iter()
@@ -196,6 +231,79 @@ fn reopen(dir: &PathBuf) -> Database {
     let opts = DiskOptions::new(dir).fsync(false).segment_max_bytes(192);
     Database::open(Box::new(DiskBackend::open(opts).expect("reopen backend")))
         .expect("recovery must repair, not refuse")
+}
+
+#[test]
+fn append_fault_matrix_holds_in_recycled_segments() {
+    let seed = seed();
+    let kinds: [(&'static str, FaultKind); 3] = [
+        ("recycled-corrupt-tail-byte", FaultKind::CorruptTailByte),
+        (
+            "recycled-truncate-tail",
+            FaultKind::TruncateTail {
+                bytes: 1 + seed % 9,
+            },
+        ),
+        ("recycled-drop-fsync", FaultKind::DropFsync),
+    ];
+    for (name, kind) in kinds {
+        for op in 1..=STEPS {
+            let ctx = format!("fault {name} at record {op} (seed {seed})");
+            let dir = temp_dir(name);
+            // The smallest segments hold one frame each, so every append
+            // rolls, and the prelude pools `PRELUDE / 2` segments.
+            let opts = DiskOptions::new(&dir).fsync(false).segment_max_bytes(1);
+            let mut db = Database::open(Box::new(DiskBackend::open(opts).expect("open backend")))
+                .expect("open db");
+            apply_prelude(&mut db, seed, true);
+            let pooled = pooled_files(&dir);
+            assert!(pooled >= STEPS as usize, "{ctx}: {pooled} pooled files");
+            let plan =
+                FaultPlan::new().with(FaultSpec::at_ops(FaultPoint::SegmentAppend, kind, &[op]));
+            db.set_fault_injector(plan.injector(seed), "wal");
+            for step in 1..=STEPS {
+                apply_step(&mut db, step, seed);
+            }
+            // Each step's append rolled into a pooled file.
+            assert_eq!(pooled_files(&dir), pooled - STEPS as usize, "{ctx}");
+            drop(db); // crash
+
+            let mut db = reopen(&dir);
+            let recovered = db.binlog_position().seqno;
+            assert_eq!(recovered, PRELUDE + op - 1, "{ctx}: durable prefix length");
+
+            // Prefix integrity past the snapshot recovery started from.
+            let mut oracle = Database::new();
+            apply_prelude(&mut oracle, seed, false);
+            for step in 1..op {
+                apply_step(&mut oracle, step, seed);
+            }
+            let base = LogPosition {
+                epoch: 0,
+                seqno: db.compaction_horizon(),
+            };
+            let replayed = db.binlog_export(base).expect("export recovered tail");
+            let want = oracle.binlog_export(base).expect("oracle tail");
+            assert_eq!(replayed, want, "{ctx}: recovered tail bytes");
+            assert_eq!(crc32(&replayed), crc32(&want), "{ctx}: tail checksum");
+            assert_matches(&db, &oracle, &ctx);
+
+            // Liveness: the reopened database accepts new writes.
+            if op > 2 {
+                db.insert(
+                    "s",
+                    "t",
+                    vec![vec![Value::Int(999), Value::Str("post-crash".into())]],
+                )
+                .expect("post-recovery insert");
+            } else {
+                db.create_schema("post_crash").expect("post-recovery DDL");
+            }
+            record_case(name, op, recovered, crc32(&replayed));
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+    flush_report();
 }
 
 #[test]
