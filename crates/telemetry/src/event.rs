@@ -7,7 +7,10 @@
 //! detect loss.
 //!
 //! The ring holds `Arc<Event>`s, so reading it (a snapshot, `events()`)
-//! bumps reference counts instead of copying strings.
+//! bumps reference counts instead of copying strings. A full ring rewrites
+//! the event it evicts in place when nobody else holds it, reusing its
+//! allocation and its strings, so recording into a full ring allocates
+//! nothing once the shapes of its events repeat.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, OnceLock};
@@ -28,7 +31,8 @@ pub struct Event {
     /// Structured numeric payload.
     pub fields: Vec<(String, f64)>,
     /// The event's JSON object, rendered by its first JSON exposition and
-    /// copied by every later one: an event never changes once pushed.
+    /// copied by every later one: an event never changes while anyone but
+    /// its ring holds it.
     pub(crate) json: OnceLock<String>,
 }
 
@@ -46,6 +50,33 @@ impl Event {
     /// Value of a named field, if present.
     pub fn field(&self, name: &str) -> Option<f64> {
         self.fields.iter().find(|(k, _)| k == name).map(|(_, v)| *v)
+    }
+
+    /// Become a new event, reusing the strings and the field vector, and
+    /// forget the old JSON object.
+    fn overwrite(
+        &mut self,
+        seq: u64,
+        elapsed_ms: u64,
+        kind: &str,
+        message: &str,
+        fields: &[(&str, f64)],
+    ) {
+        self.seq = seq;
+        self.elapsed_ms = elapsed_ms;
+        self.kind.clear();
+        self.kind.push_str(kind);
+        self.message.clear();
+        self.message.push_str(message);
+        self.fields.truncate(fields.len());
+        for ((key, value), (k, v)) in self.fields.iter_mut().zip(fields) {
+            key.clear();
+            key.push_str(k);
+            *value = *v;
+        }
+        let more = fields[self.fields.len()..].iter();
+        self.fields.extend(more.map(|(k, v)| ((*k).to_owned(), *v)));
+        self.json = OnceLock::new();
     }
 }
 
@@ -77,9 +108,19 @@ impl EventRing {
     ) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
+        let mut evicted = None;
         if self.events.len() == self.capacity {
-            self.events.pop_front();
+            evicted = self.events.pop_front();
             self.dropped += 1;
+        }
+        // An evicted event that a snapshot or an `events()` caller still
+        // holds is theirs to read unchanged: only an unshared one is reused.
+        if let Some(mut event) = evicted {
+            if let Some(reused) = Arc::get_mut(&mut event) {
+                reused.overwrite(seq, elapsed_ms, kind, message, fields);
+                self.events.push_back(event);
+                return seq;
+            }
         }
         self.events.push_back(Arc::new(Event {
             seq,
@@ -111,6 +152,7 @@ impl EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RegistrySnapshot;
 
     #[test]
     fn ring_drops_oldest_but_keeps_sequence() {
@@ -148,6 +190,70 @@ mod tests {
         assert_eq!(e.field("lag_events"), Some(4.0));
         assert_eq!(e.field("absent"), None);
         assert_eq!(e.elapsed_ms, 7);
+    }
+
+    /// A snapshot of the ring's events, for their JSON.
+    fn snapshot(ring: &EventRing) -> RegistrySnapshot {
+        RegistrySnapshot {
+            events: ring.all(),
+            ..RegistrySnapshot::default()
+        }
+    }
+
+    #[test]
+    fn a_held_event_is_never_recycled_and_a_recycled_one_renders_anew() {
+        for capacity in [1, 3, 16] {
+            let mut ring = EventRing::new(capacity);
+            let mut expected = EventRing::new(4 * capacity);
+            let mut push = |ring: &mut EventRing, i: usize, kind: &str, fields: &[(&str, f64)]| {
+                let message = format!("link-{i}");
+                ring.push(i as u64, kind, &message, fields);
+                expected.push(i as u64, kind, &message, fields);
+            };
+            for i in 0..capacity {
+                push(
+                    &mut ring,
+                    i,
+                    "replication.lag",
+                    &[("lag_events", i as f64), ("b", 1.0)],
+                );
+            }
+            let held = snapshot(&ring);
+            let held_json = held.json();
+            let before: Vec<Event> = held.events.iter().map(|e| Event::clone(e)).collect();
+            // Evicts every held event (each push allocates afresh), then
+            // recycles those fresh ones, whose JSON the middle snapshot
+            // rendered: the shapes differ from the held events' too.
+            for i in capacity..2 * capacity {
+                push(&mut ring, i, "replication.error", &[("attempt", i as f64)]);
+            }
+            snapshot(&ring).json();
+            for i in 2 * capacity..3 * capacity {
+                let fields: &[(&str, f64)] = match i % 3 {
+                    0 => &[],
+                    1 => &[("a", 0.5)],
+                    _ => &[("attempt", -1.0), ("a\"b", 2.0), ("c", 3.0)],
+                };
+                push(&mut ring, i, "lifecycle\nnote", fields);
+            }
+            assert_eq!(held.events.len(), capacity);
+            for (e, b) in held.events.iter().zip(&before) {
+                assert_eq!(**e, *b);
+                assert_eq!((e.seq, e.kind.as_str()), (b.seq, "replication.lag"));
+            }
+            assert_eq!(held.json(), held_json, "capacity {capacity}");
+            let now = snapshot(&ring);
+            let seqs: Vec<u64> = now.events.iter().map(|e| e.seq).collect();
+            let want: Vec<u64> = (2 * capacity as u64 + 1..=3 * capacity as u64).collect();
+            assert_eq!(seqs, want);
+            let fresh = expected.all();
+            let fresh = RegistrySnapshot {
+                events: fresh[fresh.len() - capacity..].to_vec(),
+                ..RegistrySnapshot::default()
+            };
+            assert_eq!(now.events, fresh.events);
+            assert_eq!(now.json(), fresh.json(), "capacity {capacity}");
+        }
     }
 
     #[test]

@@ -6,13 +6,15 @@
 //! so test suites can snapshot the output byte-for-byte. Numbers go
 //! through the crate's own writers (`num.rs`), not `core::fmt`.
 //!
-//! Each writes into one pre-sized `String`: a series' label set is rendered
-//! once and copied into each of its lines, the 64 histogram `le` bounds
-//! (with the line's closing `"} `) once per process, and each event's JSON
-//! object once per event (events never change, and one stays in the ring
-//! across many expositions). A histogram renders `name_bucket{labels,le="`
-//! once per series, so each bucket line is that template, the bound's tail
-//! and the cumulative count.
+//! Each writes into one pre-sized `String` and renders nothing twice that
+//! does not change: a series' escaped label set and JSON head once per
+//! series (the first exposition that shows it fills its `MetricId`'s memo,
+//! and every later one copies it into each of the series' lines), the 64
+//! histogram `le` bounds (with the line's closing `"} `) once per process,
+//! and each event's JSON object once per event (an event stays in the ring
+//! across many expositions). A histogram copies `name_bucket{labels,le="`
+//! into a scratch template once per exposition, so each bucket line is
+//! that template, the bound's tail and the cumulative count.
 
 use crate::event::Event;
 use crate::histogram::{bucket_upper, HistogramSnapshot, BUCKETS};
@@ -49,19 +51,6 @@ fn push_escaped(out: &mut String, v: &str, json: bool) {
         clean = i + 1;
     }
     out.push_str(&v[clean..]);
-}
-
-/// Append `k="v",k2="v2"` (no braces) for a sorted label list.
-pub(crate) fn push_label_set(out: &mut String, labels: &[(String, String)]) {
-    for (i, (k, v)) in labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push_str("=\"");
-        push_escaped(out, v, false);
-        out.push('"');
-    }
 }
 
 /// Render a float deterministically; non-finite values (which no
@@ -105,16 +94,15 @@ fn push_sample(out: &mut String, name: &str, suffix: &str, labels: &str) {
 }
 
 /// Append a histogram's `_bucket` lines, `_sum` and `_count`. Each bucket
-/// line copies the series' template `name_bucket{labels,le="`, rendered
-/// once into `template`, then the bound's tail and the cumulative count.
+/// line copies the series' template `name_bucket{labels,le="`, copied once
+/// into `template`, then the bound's tail and the cumulative count.
 fn push_histogram(out: &mut String, template: &mut String, id: &MetricId, h: &HistogramSnapshot) {
+    let labels = id.label_set();
     template.clear();
     template.push_str(&id.name);
     template.push_str("_bucket{");
-    let labels_at = template.len();
-    push_label_set(template, &id.labels);
-    let labels_end = template.len();
-    if labels_end > labels_at {
+    template.push_str(labels);
+    if !labels.is_empty() {
         template.push(',');
     }
     template.push_str("le=\"");
@@ -130,7 +118,6 @@ fn push_histogram(out: &mut String, template: &mut String, id: &MetricId, h: &Hi
     out.push_str(INF_TAIL);
     push_u64(out, h.count);
     out.push('\n');
-    let labels = &template[labels_at..labels_end];
     push_sample(out, &id.name, "_sum", labels);
     push_f64(out, h.sum);
     out.push('\n');
@@ -150,42 +137,81 @@ fn push_type<'a>(out: &mut String, family: &mut &'a str, name: &'a str, kind: &s
     }
 }
 
-/// A series id's bytes before escaping, label punctuation included.
-fn id_bytes(id: &MetricId) -> usize {
-    let labels = id.labels.iter().map(|(k, v)| k.len() + v.len() + 6);
-    id.name.len() + labels.sum::<usize>()
-}
-
 /// Append `{"name":"…","labels":{…}` — a JSON series object up to its values.
 fn push_json_head(out: &mut String, first: bool, id: &MetricId) {
     if !first {
         out.push(',');
     }
-    out.push_str("{\"name\":\"");
-    push_escaped(out, &id.name, true);
-    out.push_str("\",\"labels\":{");
-    for (i, (k, v)) in id.labels.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('"');
-        push_escaped(out, k, true);
-        out.push_str("\":\"");
-        push_escaped(out, v, true);
-        out.push('"');
+    out.push_str(id.json_head());
+}
+
+impl MetricId {
+    /// The memo: the escaped label set `k="v",…` (no braces; empty without
+    /// labels) and the JSON head `{"name":"…","labels":{…}`, rendered on
+    /// first call and kept for the id's lifetime.
+    fn rendered(&self) -> (&str, &str) {
+        let (memo, head_at) = self.memo.get_or_init(|| {
+            let labels = self.labels.iter().map(|(k, v)| 2 * (k.len() + v.len()) + 8);
+            let mut out = String::with_capacity(2 * self.name.len() + labels.sum::<usize>() + 24);
+            for (i, (k, v)) in self.labels.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push_str(k);
+                out.push_str("=\"");
+                push_escaped(&mut out, v, false);
+                out.push('"');
+            }
+            let head_at = out.len();
+            out.push_str("{\"name\":\"");
+            push_escaped(&mut out, &self.name, true);
+            out.push_str("\",\"labels\":{");
+            for (i, (k, v)) in self.labels.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                out.push('"');
+                push_escaped(&mut out, k, true);
+                out.push_str("\":\"");
+                push_escaped(&mut out, v, true);
+                out.push('"');
+            }
+            out.push('}');
+            // Copied into an exact allocation: shrinking `out` in place
+            // would leave a hole beside each memo.
+            (Box::from(out.as_str()), head_at)
+        });
+        memo.split_at(*head_at)
     }
-    out.push('}');
+
+    /// The escaped text-format label set, `k="v",k2="v2"` without braces.
+    pub(crate) fn label_set(&self) -> &str {
+        self.rendered().0
+    }
+
+    /// `{"name":"…","labels":{…}`: the JSON series object up to its values.
+    fn json_head(&self) -> &str {
+        self.rendered().1
+    }
 }
 
 impl Event {
+    /// The length of the JSON object once rendered, else an estimate.
+    fn json_len(&self) -> usize {
+        self.json.get().map_or_else(
+            || {
+                let fields = self.fields.iter().map(|(k, _)| k.len() + 28);
+                self.kind.len() + self.message.len() + fields.sum::<usize>() + 96
+            },
+            String::len,
+        )
+    }
+
     /// `{"seq":…,"elapsed_ms":…,"kind":"…","message":"…","fields":{…}}`,
-    /// rendered on first call and kept for the event's lifetime.
+    /// rendered on first call and kept until the ring reuses the event.
     fn json_object(&self) -> &str {
         self.json.get_or_init(|| {
-            let fields = self.fields.iter().map(|(k, _)| k.len() + 28);
-            let mut out = String::with_capacity(
-                self.kind.len() + self.message.len() + fields.sum::<usize>() + 96,
-            );
+            let mut out = String::with_capacity(self.json_len());
             out.push_str("{\"seq\":");
             push_u64(&mut out, self.seq);
             out.push_str(",\"elapsed_ms\":");
@@ -232,52 +258,45 @@ impl MetricsRegistry {
 impl RegistrySnapshot {
     /// See [`MetricsRegistry::prometheus_text`].
     pub fn prometheus_text(&self) -> String {
+        let line = |id: &MetricId| id.name.len() + id.label_set().len();
         let scalars = self.counters.iter().map(|(id, _)| id);
         let scalars = scalars.chain(self.gauges.iter().map(|(id, _)| id));
         let histograms = self
             .histograms
             .iter()
-            .map(|(id, h)| (h.filled() + 3) * (id_bytes(id) + 40));
-        let capacity =
-            scalars.map(|id| id_bytes(id) + 24).sum::<usize>() + histograms.sum::<usize>();
+            .map(|(id, h)| (h.filled() + 3) * (line(id) + 48));
+        let capacity = scalars.map(|id| line(id) + 32).sum::<usize>() + histograms.sum::<usize>();
         let mut out = String::with_capacity(capacity);
-        // One series' rendered label set (a histogram's line template),
-        // copied into each of its lines.
-        let mut labels = String::new();
+        // A histogram's line template, copied into each of its bucket lines.
+        let mut template = String::new();
         let mut family = "";
         for (id, v) in &self.counters {
             push_type(&mut out, &mut family, &id.name, "counter");
-            labels.clear();
-            push_label_set(&mut labels, &id.labels);
-            push_sample(&mut out, &id.name, "", &labels);
+            push_sample(&mut out, &id.name, "", id.label_set());
             push_u64(&mut out, *v);
             out.push('\n');
         }
         for (id, v) in &self.gauges {
             push_type(&mut out, &mut family, &id.name, "gauge");
-            labels.clear();
-            push_label_set(&mut labels, &id.labels);
-            push_sample(&mut out, &id.name, "", &labels);
+            push_sample(&mut out, &id.name, "", id.label_set());
             push_f64(&mut out, *v);
             out.push('\n');
         }
         for (id, h) in &self.histograms {
             push_type(&mut out, &mut family, &id.name, "histogram");
-            push_histogram(&mut out, &mut labels, id, h);
+            push_histogram(&mut out, &mut template, id, h);
         }
         out
     }
 
     /// See [`MetricsRegistry::json`].
     pub fn json(&self) -> String {
-        let series = self.counters.iter().map(|(id, _)| id_bytes(id) + 40);
-        let series = series.chain(self.gauges.iter().map(|(id, _)| id_bytes(id) + 48));
-        let series = series.chain(self.histograms.iter().map(|(id, _)| id_bytes(id) + 160));
-        let events = self.events.iter().map(|e| {
-            let fields = e.fields.iter().map(|(k, _)| k.len() + 28).sum::<usize>();
-            e.kind.len() + e.message.len() + fields + 96
-        });
-        let mut out = String::with_capacity(80 + series.sum::<usize>() + events.sum::<usize>());
+        let head = |id: &MetricId| id.json_head().len();
+        let series = self.counters.iter().map(|(id, _)| head(id) + 32);
+        let series = series.chain(self.gauges.iter().map(|(id, _)| head(id) + 40));
+        let series = series.chain(self.histograms.iter().map(|(id, _)| head(id) + 144));
+        let events = self.events.iter().map(|e| e.json_len() + 1);
+        let mut out = String::with_capacity(64 + series.sum::<usize>() + events.sum::<usize>());
         out.push_str("{\"counters\":[");
         for (i, (id, v)) in self.counters.iter().enumerate() {
             push_json_head(&mut out, i == 0, id);
@@ -693,6 +712,7 @@ query_seconds_count{table=\"jobfact\"} 3
         MetricId {
             name: rng.pick(names).to_owned(),
             labels: labels(rng),
+            memo: OnceLock::new(),
         }
     }
 
@@ -785,5 +805,59 @@ query_seconds_count{table=\"jobfact\"} 3
         }
         assert_eq!(le[0], Some("0.000000001"));
         assert_eq!(INF_TAIL.strip_suffix("\"} "), Some("+Inf"));
+    }
+
+    #[test]
+    fn le_tails_keep_the_bytes_of_the_powi_bounds() {
+        use crate::histogram::MIN_BOUND;
+        for (i, tail) in le_tails().iter().enumerate() {
+            let powi = MIN_BOUND * 2f64.powi(i as i32);
+            assert_eq!(*tail, format!("{powi}\"}} "), "bucket {i}");
+        }
+    }
+
+    /// Every id of `snap` as a fresh clone, not yet rendered.
+    fn cloned(snap: &RegistrySnapshot) -> RegistrySnapshot {
+        let fresh = |id: &Arc<MetricId>| Arc::new(MetricId::clone(id));
+        RegistrySnapshot {
+            counters: snap
+                .counters
+                .iter()
+                .map(|(id, v)| (fresh(id), *v))
+                .collect(),
+            gauges: snap.gauges.iter().map(|(id, v)| (fresh(id), *v)).collect(),
+            histograms: snap
+                .histograms
+                .iter()
+                .map(|(id, h)| (fresh(id), h.clone()))
+                .collect(),
+            events: snap.events.clone(),
+        }
+    }
+
+    #[test]
+    fn memoized_ids_render_the_reference_bytes_on_every_exposition() {
+        for seed in 0..100 {
+            let snap = hostile_snapshot(seed);
+            let (text, json) = (reference::prometheus_text(&snap), reference::json(&snap));
+            for _ in 0..3 {
+                assert_eq!(snap.prometheus_text(), text, "seed {seed}");
+                assert_eq!(snap.json(), json, "seed {seed}");
+            }
+            let ids = snap.counters.iter().map(|(id, _)| id);
+            let ids = ids.chain(snap.gauges.iter().map(|(id, _)| id));
+            for id in ids.chain(snap.histograms.iter().map(|(id, _)| id)) {
+                assert!(id.memo.get().is_some(), "seed {seed}: {id:?} not memoized");
+                assert_eq!(id.render(), reference::render(id), "seed {seed}");
+                let clone = MetricId::clone(id);
+                assert!(clone.memo.get().is_none());
+                assert_eq!(clone.render(), reference::render(id), "seed {seed}");
+            }
+            // Clones of rendered ids, rendered in the other order.
+            let clones = cloned(&snap);
+            assert_eq!(clones.json(), json, "seed {seed}");
+            assert_eq!(clones.prometheus_text(), text, "seed {seed}");
+            assert_eq!(cloned(&clones).prometheus_text(), text, "seed {seed}");
+        }
     }
 }

@@ -19,10 +19,13 @@ pub const BUCKETS: usize = 64;
 /// timers): one nanosecond.
 pub const MIN_BOUND: f64 = 1e-9;
 
-/// Upper bound of bucket `i`.
+/// Upper bound of bucket `i`: `MIN_BOUND·2^i`, which is `MIN_BOUND` with
+/// `i` added to its binary exponent (no bound comes near the exponent's
+/// top, so the sum stays a normal float).
 #[inline]
 pub fn bucket_upper(i: usize) -> f64 {
-    MIN_BOUND * 2f64.powi(i.min(BUCKETS - 1) as i32)
+    let i = i.min(BUCKETS - 1) as u64;
+    f64::from_bits(MIN_BOUND.to_bits() + (i << 52))
 }
 
 /// Shared histogram state. All fields are atomics; `observe` is lock-free.
@@ -340,6 +343,23 @@ mod tests {
                 assert_eq!(bits(h.quantile(q)), bits(reference_quantile(h, q)));
             }
         }
+    }
+
+    #[test]
+    fn bucket_bounds_are_the_powers_of_two_of_min_bound_bit_for_bit() {
+        for i in 0..BUCKETS {
+            let want = MIN_BOUND * 2f64.powi(i as i32);
+            assert_eq!(bucket_upper(i).to_bits(), want.to_bits(), "bucket {i}");
+        }
+        // Past the top bucket, the top bound.
+        assert_eq!(
+            bucket_upper(BUCKETS).to_bits(),
+            bucket_upper(BUCKETS - 1).to_bits()
+        );
+        assert_eq!(
+            bucket_upper(usize::MAX).to_bits(),
+            bucket_upper(BUCKETS - 1).to_bits()
+        );
     }
 
     #[test]

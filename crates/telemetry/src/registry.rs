@@ -1,12 +1,16 @@
 //! The metric registry and its scalar instruments.
+//!
+//! Each instrument kind keeps its series in a `Vec` sorted by id, which
+//! snapshots copy by `Arc`, plus a hash index from a cheap key of the
+//! borrowed `(name, labels)` to the series, so a lookup of a registered
+//! series hashes once, probes once and allocates nothing.
 
 use crate::event::{Event, EventRing};
 use crate::histogram::{Histogram, HistogramCore, HistogramSnapshot};
 use crate::span::Span;
 use std::cmp::Ordering as Order;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
@@ -18,15 +22,56 @@ const DEFAULT_EVENT_CAPACITY: usize = 4096;
 ///
 /// Two instruments with the same id share state, so a component may
 /// re-request a handle instead of caching it. A re-request hashes the
-/// borrowed name and labels, takes the registry lock and finds the series
-/// with one probe of a hash index, and allocates nothing; caching still
-/// skips the hash and the lock.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+/// borrowed name and labels once, takes the registry lock and finds the
+/// series with one probe of a hash index, and allocates nothing; caching
+/// still skips the hash and the lock.
+///
+/// An id is rendered at most once: the first exposition that shows it
+/// escapes its label set and its JSON head into a memo that every later
+/// exposition, and [`render`](Self::render), copies. Comparison and
+/// ordering ignore the memo, and a clone starts without one, so change the
+/// fields of a clone, never of an id that has been rendered.
+#[derive(Debug)]
 pub struct MetricId {
     /// Metric name, e.g. `replication_events_applied_total`.
     pub name: String,
     /// Label pairs, sorted by key for a canonical identity.
     pub labels: Vec<(String, String)>,
+    /// The escaped text-format label set `k="v",…` followed by the JSON
+    /// series head `{"name":"…","labels":{…}`, and where the head starts.
+    pub(crate) memo: OnceLock<(Box<str>, usize)>,
+}
+
+impl Clone for MetricId {
+    fn clone(&self) -> Self {
+        MetricId {
+            name: self.name.clone(),
+            labels: self.labels.clone(),
+            memo: OnceLock::new(),
+        }
+    }
+}
+
+impl PartialEq for MetricId {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.labels == other.labels
+    }
+}
+
+impl Eq for MetricId {}
+
+impl PartialOrd for MetricId {
+    fn partial_cmp(&self, other: &Self) -> Option<Order> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for MetricId {
+    fn cmp(&self, other: &Self) -> Order {
+        self.name
+            .cmp(&other.name)
+            .then_with(|| self.labels.cmp(&other.labels))
+    }
 }
 
 impl MetricId {
@@ -40,6 +85,7 @@ impl MetricId {
         MetricId {
             name: name.to_owned(),
             labels,
+            memo: OnceLock::new(),
         }
     }
 
@@ -53,10 +99,12 @@ impl MetricId {
 
     /// Render as `name{k="v",...}` (or bare `name` without labels).
     pub fn render(&self) -> String {
-        let mut out = self.name.clone();
-        if !self.labels.is_empty() {
+        let labels = self.label_set();
+        let mut out = String::with_capacity(self.name.len() + labels.len() + 2);
+        out.push_str(&self.name);
+        if !labels.is_empty() {
             out.push('{');
-            crate::export::push_label_set(&mut out, &self.labels);
+            out.push_str(labels);
             out.push('}');
         }
         out
@@ -189,24 +237,84 @@ struct Series<T> {
     /// One entry per key: the first series registered under it, added
     /// after its `sorted` entry. A series whose key collides with another's
     /// is found by binary search.
-    index: HashMap<u64, (Arc<MetricId>, Arc<T>)>,
+    index: HashMap<u64, (Arc<MetricId>, Arc<T>), BuildHasherDefault<PassThrough>>,
 }
 
 impl<T> Default for Series<T> {
     fn default() -> Self {
         Series {
             sorted: Vec::new(),
-            index: HashMap::new(),
+            index: HashMap::default(),
         }
     }
 }
 
-/// The index key of `name{labels}`, `labels` sorted: std's SipHash of the
-/// borrowed pair.
+/// The index's hasher: its keys are already [`key`]s, so it hands the
+/// `u64` on instead of hashing it again.
+#[derive(Debug, Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+
+    /// Not reached: a `u64` key hashes through `write_u64`.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+}
+
+/// One round of [`key`]: fold `word` in, multiply by an odd constant and
+/// rotate the well-mixed high bits down.
+#[inline]
+fn mix(hash: u64, word: u64) -> u64 {
+    (hash ^ word)
+        .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        .rotate_left(29)
+}
+
+/// [`mix`] in `s`'s length, then its bytes eight at a time (the last word
+/// zero-padded; the length keeps that unambiguous).
+#[inline]
+fn mix_str(mut hash: u64, s: &str) -> u64 {
+    hash = mix(hash, s.len() as u64);
+    let mut words = s.as_bytes().chunks_exact(8);
+    for word in &mut words {
+        let mut bytes = [0; 8];
+        bytes.copy_from_slice(word);
+        hash = mix(hash, u64::from_le_bytes(bytes));
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut bytes = [0; 8];
+        bytes[..rest.len()].copy_from_slice(rest);
+        hash = mix(hash, u64::from_le_bytes(bytes));
+    }
+    hash
+}
+
+/// The index key of `name{labels}`, `labels` sorted: a word-at-a-time
+/// multiply-rotate hash of the name, then each label key and value, each
+/// preceded by its length, and a last round that carries the final word's
+/// high bits into the bits the index probes with.
+///
+/// The hash is unkeyed, so ids chosen to collide would all fall through
+/// to the binary search. Nobody can choose them: series ids come from code
+/// and configuration, never from request bytes (the gateway labels its
+/// series with a fixed endpoint set and status codes).
 fn key(name: &str, labels: &[(&str, &str)]) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    (name, labels).hash(&mut hasher);
-    let key = hasher.finish();
+    let mut hash = mix_str(0x243f_6a88_85a3_08d3, name);
+    for (k, v) in labels {
+        hash = mix_str(mix_str(hash, k), v);
+    }
+    let key = mix(hash, labels.len() as u64);
     #[cfg(test)]
     let key = key & tests::KEY_MASK.with(std::cell::Cell::get);
     key
@@ -661,6 +769,132 @@ mod tests {
     }
 
     #[test]
+    fn rendered_ids_equal_and_order_like_fresh_ones() {
+        let mut rng = Rng(7);
+        let pairs: Vec<(&str, Vec<(&str, &str)>)> = (0..300)
+            .map(|_| {
+                let labels = (0..rng.next() % 3)
+                    .map(|_| (rng.pick(HOSTILE), rng.pick(HOSTILE)))
+                    .collect();
+                (rng.pick(HOSTILE), labels)
+            })
+            .collect();
+        let rendered: Vec<MetricId> = pairs
+            .iter()
+            .map(|(name, labels)| {
+                let id = MetricId::new(name, labels);
+                id.render();
+                assert!(id.memo.get().is_some());
+                id
+            })
+            .collect();
+        let fresh: Vec<MetricId> = pairs
+            .iter()
+            .map(|(name, labels)| MetricId::new(name, labels))
+            .collect();
+        for (a, b) in rendered.iter().zip(&fresh) {
+            assert_eq!(a, b);
+            assert_eq!(a.cmp(b), Order::Equal);
+            assert_eq!(a.clone(), *b);
+        }
+        for (a, x) in rendered.iter().zip(&fresh) {
+            for (b, y) in rendered.iter().zip(&fresh) {
+                let derived = (&a.name, &a.labels).cmp(&(&b.name, &b.labels));
+                assert_eq!(a.cmp(b), derived, "{a:?} against {b:?}");
+                assert_eq!(x.cmp(y), derived);
+                assert_eq!(a.partial_cmp(y), x.partial_cmp(b));
+                assert_eq!(a == b, x == y);
+            }
+        }
+    }
+
+    #[test]
+    fn key_separates_pairs_whose_boundaries_shift() {
+        type Id<'a> = (&'a str, &'a [(&'a str, &'a str)]);
+        let pairs: &[[Id; 2]] = &[
+            [("ab", &[("c", "d")]), ("a", &[("bc", "d")])],
+            [("m", &[("ab", "c")]), ("m", &[("a", "bc")])],
+            [("m", &[("a", "")]), ("ma", &[])],
+            [("m", &[("", "")]), ("m", &[])],
+            [
+                ("m", &[("a", "b"), ("c", "d")]),
+                ("m", &[("a", "bc"), ("", "d")]),
+            ],
+            [("abcdefgh", &[]), ("abcdefgh\0", &[])],
+            [("abc", &[]), ("abc\0", &[])],
+            [
+                ("abcdefghijklmnop", &[("k", "v")]),
+                ("abcdefgh", &[("ijklmnopk", "v")]),
+            ],
+        ];
+        for [(a, al), (b, bl)] in pairs {
+            assert_ne!(key(a, al), key(b, bl), "{a:?}{al:?} against {b:?}{bl:?}");
+        }
+    }
+
+    /// The series of the repository benchmark's `ops_tick` workload: 14
+    /// satellites × 6 tables × 24 families.
+    fn ops_tick_ids() -> Vec<(String, [(&'static str, String); 2])> {
+        let tables = [
+            "jobfact",
+            "storagefact",
+            "cloudfact",
+            "supremm_jobfact",
+            "supremm_timeseries",
+            "cloud_reservation",
+        ];
+        let families = (0..12).map(|i| format!("xdmod_replication_{i:02}_total"));
+        let families = families.chain((0..4).map(|i| format!("xdmod_queue_{i:02}_depth")));
+        let families = families.chain((0..8).map(|i| format!("xdmod_apply_{i:02}_seconds")));
+        let families: Vec<String> = families.collect();
+        let mut ids = Vec::new();
+        for name in &families {
+            for s in 0..14 {
+                for table in tables {
+                    let labels = [
+                        ("satellite", format!("site-{s:02}")),
+                        ("table", table.into()),
+                    ];
+                    ids.push((name.clone(), labels));
+                }
+            }
+        }
+        ids
+    }
+
+    #[test]
+    fn every_ops_tick_series_has_its_own_key() {
+        let keys: Vec<u64> = ops_tick_ids()
+            .iter()
+            .map(|(name, [(k1, v1), (k2, v2)])| key(name, &[(k1, v1.as_str()), (k2, v2.as_str())]))
+            .collect();
+        assert_eq!(keys.len(), 2016);
+        let distinct: std::collections::HashSet<u64> = keys.iter().copied().collect();
+        assert_eq!(
+            distinct.len(),
+            2016,
+            "a real lookup would take the fallback"
+        );
+        // And ids that differ only in the top bytes of their last word.
+        let shifted: Vec<u64> = (0..2016)
+            .map(|i| {
+                let letter = |d: u32| char::from(b'a' + (i / d % 26) as u8);
+                let site = format!("site-{}{}{}", letter(676), letter(26), letter(1));
+                key("m", &[("satellite", &site)])
+            })
+            .collect();
+        for keys in [keys, shifted] {
+            // The index probes with the low bits and tags with the top
+            // seven: both must spread (2,016 random keys fill ~1,590 of
+            // 4,096 slots).
+            let low: std::collections::HashSet<u64> = keys.iter().map(|k| k & 0xfff).collect();
+            let top: std::collections::HashSet<u64> = keys.iter().map(|k| k >> 57).collect();
+            assert!(low.len() > 1_400, "{} of 4,096 low-bit slots", low.len());
+            assert_eq!(top.len(), 128);
+        }
+    }
+
+    #[test]
     fn span_observes_into_histogram_on_drop() {
         let reg = MetricsRegistry::new();
         {
@@ -972,5 +1206,38 @@ mod tests {
             "exposition allocations grew with the series"
         );
         assert_eq!(repeat, 1, "the second json() rendered events again");
+    }
+
+    #[test]
+    fn a_full_ring_records_without_allocating_unless_a_reader_holds_the_evicted_event() {
+        use crate::test_alloc::allocs;
+        for capacity in [1, 2, 64] {
+            let reg = MetricsRegistry::with_event_capacity(capacity);
+            let record =
+                |lag: f64| reg.event_with("replication.lag", "site-07", &[("lag_events", lag)]);
+            for i in 0..capacity + 1 {
+                record(i as f64);
+            }
+            reg.json();
+            let ((), n) = allocs(|| (0..3 * capacity).for_each(|i| record(i as f64)));
+            assert_eq!(
+                n, 0,
+                "capacity {capacity}: recording into a full ring allocated"
+            );
+            // A snapshot holds every event: the next push evicts a held one
+            // and allocates a fresh event (the Arc, kind, message, fields and
+            // one key).
+            let held = reg.snapshot();
+            let ((), n) = allocs(|| record(-1.0));
+            assert_eq!(n, 5, "capacity {capacity}");
+            assert_eq!(held.events.len(), capacity);
+            assert!(held
+                .events
+                .iter()
+                .all(|e| e.field("lag_events") != Some(-1.0)));
+            drop(held);
+            let ((), n) = allocs(|| (0..capacity).for_each(|i| record(i as f64)));
+            assert_eq!(n, 0, "capacity {capacity}: after the snapshot went");
+        }
     }
 }
