@@ -329,8 +329,9 @@ struct InjectorState {
     rng: DeterministicRng,
     /// Each spec paired with its fired-so-far count (for budgets).
     specs: Vec<(FaultSpec, u64)>,
-    /// Per-`(point, target)` operation counters.
-    counts: BTreeMap<(FaultPoint, String), u64>,
+    /// Per-`(point, target)` operation counters, keyed by point and then
+    /// by target, so a target already seen is found by `&str`.
+    counts: BTreeMap<FaultPoint, BTreeMap<String, u64>>,
     /// Targets for which a `LinkDown` has fired (permanent).
     down: BTreeSet<String>,
     /// Every fault fired, in order.
@@ -376,12 +377,17 @@ impl FaultInjector {
         if state.down.contains(target) {
             return Some(FaultKind::LinkDown);
         }
-        let count = state
-            .counts
-            .entry((point, target.to_owned()))
-            .and_modify(|c| *c += 1)
-            .or_insert(1);
-        let op = *count;
+        let targets = state.counts.entry(point).or_default();
+        let op = match targets.get_mut(target) {
+            Some(count) => {
+                *count += 1;
+                *count
+            }
+            None => {
+                targets.insert(target.to_owned(), 1);
+                1
+            }
+        };
         for idx in 0..state.specs.len() {
             let (spec, fired) = &state.specs[idx];
             let fired = *fired;
@@ -435,7 +441,8 @@ impl FaultInjector {
     pub fn op_count(&self, point: FaultPoint, target: &str) -> u64 {
         self.lock()
             .counts
-            .get(&(point, target.to_owned()))
+            .get(&point)
+            .and_then(|targets| targets.get(target))
             .copied()
             .unwrap_or(0)
     }
@@ -548,6 +555,39 @@ mod tests {
         );
         assert_eq!(inj.op_count(FaultPoint::Transport, "a"), 1);
         assert_eq!(inj.op_count(FaultPoint::Transport, "b"), 1);
+    }
+
+    #[test]
+    fn interleaved_points_and_targets_count_independently() {
+        let inj = FaultPlan::new().injector(0);
+        let points = [FaultPoint::Transport, FaultPoint::Apply];
+        let targets = ["a", "b", "ab"];
+        // Consult (point, target) pair `k` of six exactly `k + 1` times,
+        // round-robin, so every counter moves between its neighbours'.
+        for round in 0..6 {
+            for (k, (point, target)) in points
+                .iter()
+                .flat_map(|p| targets.iter().map(move |t| (*p, *t)))
+                .enumerate()
+            {
+                if round <= k {
+                    assert_eq!(inj.next_fault(point, target), None);
+                }
+            }
+        }
+        for (k, (point, target)) in points
+            .iter()
+            .flat_map(|p| targets.iter().map(move |t| (*p, *t)))
+            .enumerate()
+        {
+            assert_eq!(
+                inj.op_count(point, target),
+                k as u64 + 1,
+                "{point} {target}"
+            );
+        }
+        assert_eq!(inj.op_count(FaultPoint::BinlogRead, "a"), 0);
+        assert_eq!(inj.op_count(FaultPoint::Transport, "c"), 0);
     }
 
     #[test]

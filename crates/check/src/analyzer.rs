@@ -61,18 +61,33 @@ fn check_hub_schema_collisions(model: &FederationModel, diags: &mut Diagnostics)
 
 /// Every `(earlier, later)` pair of satellites whose `key` is equal, in
 /// all-pairs order: by the later satellite, then by the earlier one. The
-/// cost is linear in satellites plus pairs.
+/// cost is linear in satellites plus pairs: the satellites sharing a key
+/// form a chain through `next`, and the map holds each key's first and
+/// last link.
 fn same_key_pairs<'m>(
     model: &'m FederationModel,
     key: impl Fn(&'m SatelliteModel) -> &'m str,
 ) -> Vec<(&'m SatelliteModel, &'m SatelliteModel)> {
-    let mut seen: HashMap<&str, Vec<&SatelliteModel>> =
-        HashMap::with_capacity(model.satellites.len());
+    let sats = &model.satellites;
+    let mut ends: HashMap<&str, (usize, usize)> = HashMap::with_capacity(sats.len());
+    // `next[i]`: the next satellite with `i`'s key, once there is one.
+    let mut next = vec![0; sats.len()];
     let mut pairs = Vec::new();
-    for sat in &model.satellites {
-        let earlier = seen.entry(key(sat)).or_default();
-        pairs.extend(earlier.iter().map(|&other| (other, sat)));
-        earlier.push(sat);
+    for (i, sat) in sats.iter().enumerate() {
+        let (first, last) = ends.entry(key(sat)).or_insert((i, i));
+        if *last == i {
+            continue;
+        }
+        let mut other = *first;
+        loop {
+            pairs.push((&sats[other], sat));
+            if other == *last {
+                break;
+            }
+            other = next[other];
+        }
+        next[*last] = i;
+        *last = i;
     }
     pairs
 }

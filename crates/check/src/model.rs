@@ -393,28 +393,48 @@ impl From<JsonError> for ModelError {
     }
 }
 
-/// `ctx` names where `v` sits; it is formatted only when `key` is missing.
-fn required_str(v: JsonValue, key: &str, ctx: impl fmt::Display) -> Result<String, ModelError> {
-    v.get(key)
+// The readers below take a member already looked up (by
+// `JsonValue::fields`, one walk per object) and its key, which only their
+// messages use.
+
+/// A string member. `ctx` names the object it sits in; it is formatted
+/// only when the member is missing.
+fn required_str(
+    value: Option<JsonValue>,
+    key: &str,
+    ctx: impl fmt::Display,
+) -> Result<String, ModelError> {
+    value
         .and_then(JsonValue::as_str)
         .map(str::to_owned)
         .ok_or_else(|| ModelError(format!("{ctx}: missing string field \"{key}\"")))
 }
 
-fn opt_str(v: JsonValue, key: &str) -> Option<String> {
-    v.get(key).and_then(JsonValue::as_str).map(str::to_owned)
+fn opt_str(value: Option<JsonValue>) -> Option<String> {
+    value.and_then(JsonValue::as_str).map(str::to_owned)
+}
+
+/// A string member in lower case.
+fn opt_lower(value: Option<JsonValue>) -> Option<String> {
+    value
+        .and_then(JsonValue::as_str)
+        .map(str::to_ascii_lowercase)
 }
 
 /// Counts are parsed as `f64`, which holds every integer up to 2^53
 /// exactly and not all of them above.
 const MAX_COUNT: f64 = (1u64 << 53) as f64;
 
-/// A count under `key`: absent or `null` is `None`; anything present must
-/// be an integer in `0..=2^53`, or the load fails naming `key` (a `-1`
-/// or `1.5` is not silently saturated into a value nobody wrote). `ctx`
-/// is formatted only on failure.
-fn opt_u64(v: JsonValue, key: &str, ctx: impl fmt::Display) -> Result<Option<u64>, ModelError> {
-    match v.get(key).filter(|value| !value.is_null()) {
+/// A count member: absent or `null` is `None`; anything present must be
+/// an integer in `0..=2^53`, or the load fails naming `key` (a `-1` or
+/// `1.5` is not silently saturated into a value nobody wrote). `ctx` is
+/// formatted only on failure.
+fn opt_u64(
+    value: Option<JsonValue>,
+    key: &str,
+    ctx: impl fmt::Display,
+) -> Result<Option<u64>, ModelError> {
+    match value.filter(|value| !value.is_null()) {
         None => Ok(None),
         Some(value) => match value.as_f64() {
             Some(n) if (0.0..=MAX_COUNT).contains(&n) && n.fract() == 0.0 => Ok(Some(n as u64)),
@@ -425,15 +445,19 @@ fn opt_u64(v: JsonValue, key: &str, ctx: impl fmt::Display) -> Result<Option<u64
     }
 }
 
-/// Each element of the array under `key` through `build`, in order;
-/// empty when `key` is absent or not an array. The first error stops
-/// the walk.
+/// The strings of an array member, in order; empty when the member is
+/// absent or not an array. Elements that are not strings are skipped.
+fn strings(value: Option<JsonValue>) -> Vec<String> {
+    value.and_then(JsonValue::strings).unwrap_or_default()
+}
+
+/// Each element of an array member through `build`, in order; empty when
+/// the member is absent or not an array. The first error stops the walk.
 fn list_of<T>(
-    v: JsonValue,
-    key: &str,
+    value: Option<JsonValue>,
     mut build: impl FnMut(JsonValue) -> Result<T, ModelError>,
 ) -> Result<Vec<T>, ModelError> {
-    let Some(items) = v.get(key).and_then(JsonValue::as_array) else {
+    let Some(items) = value.and_then(JsonValue::as_array) else {
         return Ok(Vec::new());
     };
     let mut out = Vec::with_capacity(items.len());
@@ -456,75 +480,88 @@ impl FederationModel {
     /// `0..=2^53` are errors; everything else defaults to the workspace
     /// conventions. Unknown keys are ignored.
     pub fn from_value(doc: JsonValue) -> Result<Self, ModelError> {
-        let hub = required_str(doc, "hub", "config")?;
+        let [hub, satellites, aggregates, group_bys, aggregation, gateway, alerts, storage, telemetry] =
+            doc.fields([
+                "hub",
+                "satellites",
+                "aggregates",
+                "group_bys",
+                "aggregation",
+                "gateway",
+                "alerts",
+                "storage",
+                "telemetry",
+            ]);
+        let hub = required_str(hub, "hub", "config")?;
 
-        let satellites = list_of(doc, "satellites", Self::satellite_from_json)?;
+        let satellites = list_of(satellites, Self::satellite_from_json)?;
 
-        let aggregates = list_of(doc, "aggregates", |entry| {
-            let name = required_str(entry, "name", "aggregate")?;
+        let aggregates = list_of(aggregates, |entry| {
+            let [name, fact_table, time_column, dimensions, measures] = entry.fields([
+                "name",
+                "fact_table",
+                "time_column",
+                "dimensions",
+                "measures",
+            ]);
+            let name = required_str(name, "name", "aggregate")?;
             Ok(AggregateModel {
-                fact_table: required_str(entry, "fact_table", format_args!("aggregate {name}"))?,
-                time_column: opt_str(entry, "time_column").unwrap_or_else(|| "end_time".to_owned()),
-                dimensions: entry.string_list("dimensions"),
-                measures: entry.string_list("measures"),
+                fact_table: required_str(
+                    fact_table,
+                    "fact_table",
+                    format_args!("aggregate {name}"),
+                )?,
+                time_column: opt_str(time_column).unwrap_or_else(|| "end_time".to_owned()),
+                dimensions: strings(dimensions),
+                measures: strings(measures),
                 name,
             })
         })?;
 
-        let group_bys = list_of(doc, "group_bys", |entry| {
-            let name = required_str(entry, "name", "group_by")?;
+        let group_bys = list_of(group_bys, |entry| {
+            let [name, fact_table, columns] = entry.fields(["name", "fact_table", "columns"]);
+            let name = required_str(name, "name", "group_by")?;
             Ok(GroupByModel {
-                fact_table: required_str(entry, "fact_table", format_args!("group_by {name}"))?,
-                columns: entry.string_list("columns"),
+                fact_table: required_str(
+                    fact_table,
+                    "fact_table",
+                    format_args!("group_by {name}"),
+                )?,
+                columns: strings(columns),
                 name,
             })
         })?;
 
-        let aggregation = match doc.get("aggregation") {
-            Some(entry) => Some(AggregationPoolModel {
-                workers: opt_u64(entry, "workers", "aggregation")?,
-                shards: opt_u64(entry, "shards", "aggregation")?,
-            }),
+        let aggregation = match aggregation {
+            Some(entry) => {
+                let [workers, shards] = entry.fields(["workers", "shards"]);
+                Some(AggregationPoolModel {
+                    workers: opt_u64(workers, "workers", "aggregation")?,
+                    shards: opt_u64(shards, "shards", "aggregation")?,
+                })
+            }
             None => None,
         };
 
-        let gateway = match doc.get("gateway") {
+        let gateway = match gateway {
             Some(entry) => Some(GatewayModel {
-                workers: opt_u64(entry, "workers", "gateway")?,
+                workers: opt_u64(entry.get("workers"), "workers", "gateway")?,
             }),
             None => None,
         };
 
-        let alerts = match doc.get("alerts") {
+        let alerts = match alerts {
             Some(entry) => Some(Self::alerts_from_json(entry)?),
             None => None,
         };
 
-        let storage = match doc.get("storage") {
-            Some(entry) => Some(StorageModel {
-                backend: entry
-                    .get("backend")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_ascii_lowercase),
-                dir: opt_str(entry, "dir"),
-                segment_max_kb: opt_u64(entry, "segment_max_kb", "storage")?,
-                snapshot_every_records: opt_u64(entry, "snapshot_every_records", "storage")?,
-                fsync: entry.get("fsync").and_then(JsonValue::as_bool),
-                paging: match entry.get("paging") {
-                    Some(p) => Some(PagingModel {
-                        budget_mb: opt_u64(p, "budget_mb", "storage.paging")?,
-                        pages_per_table: opt_u64(p, "pages_per_table", "storage.paging")?,
-                        spill_dir: opt_str(p, "spill_dir"),
-                        fsync: p.get("fsync").and_then(JsonValue::as_bool),
-                    }),
-                    None => None,
-                },
-            }),
+        let storage = match storage {
+            Some(entry) => Some(Self::storage_from_json(entry)?),
             None => None,
         };
 
-        let event_capacity = match doc.get("telemetry") {
-            Some(entry) => opt_u64(entry, "event_capacity", "telemetry")?,
+        let event_capacity = match telemetry {
+            Some(entry) => opt_u64(entry.get("event_capacity"), "event_capacity", "telemetry")?,
             None => None,
         };
 
@@ -541,41 +578,109 @@ impl FederationModel {
         })
     }
 
+    /// The `storage` stanza, with its `paging` stanza.
+    fn storage_from_json(entry: JsonValue) -> Result<StorageModel, ModelError> {
+        let [backend, dir, segment_max_kb, snapshot_every_records, fsync, paging] = entry.fields([
+            "backend",
+            "dir",
+            "segment_max_kb",
+            "snapshot_every_records",
+            "fsync",
+            "paging",
+        ]);
+        Ok(StorageModel {
+            backend: opt_lower(backend),
+            dir: opt_str(dir),
+            segment_max_kb: opt_u64(segment_max_kb, "segment_max_kb", "storage")?,
+            snapshot_every_records: opt_u64(
+                snapshot_every_records,
+                "snapshot_every_records",
+                "storage",
+            )?,
+            fsync: fsync.and_then(JsonValue::as_bool),
+            paging: match paging {
+                Some(p) => {
+                    let [budget_mb, pages_per_table, spill_dir, fsync] =
+                        p.fields(["budget_mb", "pages_per_table", "spill_dir", "fsync"]);
+                    Some(PagingModel {
+                        budget_mb: opt_u64(budget_mb, "budget_mb", "storage.paging")?,
+                        pages_per_table: opt_u64(
+                            pages_per_table,
+                            "pages_per_table",
+                            "storage.paging",
+                        )?,
+                        spill_dir: opt_str(spill_dir),
+                        fsync: fsync.and_then(JsonValue::as_bool),
+                    })
+                }
+                None => None,
+            },
+        })
+    }
+
     /// The `alerts` stanza. A rule without a string `family` is skipped.
     fn alerts_from_json(entry: JsonValue) -> Result<AlertsModel, ModelError> {
+        let [rule_list, notify_capacity, notify_refill_per_sec] =
+            entry.fields(["rules", "notify_capacity", "notify_refill_per_sec"]);
         let mut rules = Vec::new();
-        for rule in entry
-            .get("rules")
+        for rule in rule_list
             .and_then(JsonValue::as_array)
             .into_iter()
             .flatten()
         {
-            let Some(family) = rule.get("family").and_then(JsonValue::as_str) else {
+            let [family, severity, debounce_ms, resolve_timeout_ms, stale_ms] = rule.fields([
+                "family",
+                "severity",
+                "debounce_ms",
+                "resolve_timeout_ms",
+                "stale_ms",
+            ]);
+            let Some(family) = family.and_then(JsonValue::as_str) else {
                 continue;
             };
-            let count = |key| opt_u64(rule, key, format_args!("alert rule {family}"));
+            let count = |value, key| opt_u64(value, key, format_args!("alert rule {family}"));
             rules.push(AlertRuleModel {
-                severity: opt_str(rule, "severity"),
-                debounce_ms: count("debounce_ms")?,
-                resolve_timeout_ms: count("resolve_timeout_ms")?,
-                stale_ms: count("stale_ms")?,
+                severity: opt_str(severity),
+                debounce_ms: count(debounce_ms, "debounce_ms")?,
+                resolve_timeout_ms: count(resolve_timeout_ms, "resolve_timeout_ms")?,
+                stale_ms: count(stale_ms, "stale_ms")?,
                 family: family.to_owned(),
             });
         }
         Ok(AlertsModel {
-            notify_capacity: opt_u64(entry, "notify_capacity", "alerts")?,
-            notify_refill_per_sec: opt_u64(entry, "notify_refill_per_sec", "alerts")?,
+            notify_capacity: opt_u64(notify_capacity, "notify_capacity", "alerts")?,
+            notify_refill_per_sec: opt_u64(
+                notify_refill_per_sec,
+                "notify_refill_per_sec",
+                "alerts",
+            )?,
             rules,
         })
     }
 
     fn satellite_from_json(entry: JsonValue) -> Result<SatelliteModel, ModelError> {
-        let name = required_str(entry, "name", "satellite")?;
+        let [name, realm_list, extra_tables, summaries, replicated, table_list, link_id, source_schema, hub_schema, mode, retries, excluded_resources, job_resources, su_factors] =
+            entry.fields([
+                "name",
+                "realms",
+                "expected_tables",
+                "supremm_summaries",
+                "replicated_tables",
+                "tables",
+                "link_id",
+                "source_schema",
+                "hub_schema",
+                "mode",
+                "retries",
+                "excluded_resources",
+                "job_resources",
+                "su_factors",
+            ]);
+        let name = required_str(name, "name", "satellite")?;
 
         let mut realms = Vec::new();
         let mut expected_tables: Vec<String> = Vec::new();
-        for realm in entry
-            .get("realms")
+        for realm in realm_list
             .and_then(JsonValue::as_array)
             .into_iter()
             .flatten()
@@ -589,42 +694,29 @@ impl FederationModel {
         }
         // Explicit expected_tables add to (or replace) the realm-derived
         // list, for configs that track custom tables.
-        expected_tables.extend(entry.string_list("expected_tables"));
+        expected_tables.extend(strings(extra_tables));
         expected_tables.sort_unstable();
         expected_tables.dedup();
 
-        let supremm_summaries = entry
-            .get("supremm_summaries")
-            .and_then(JsonValue::as_bool)
-            .unwrap_or(false);
+        let supremm_summaries = summaries.and_then(JsonValue::as_bool).unwrap_or(false);
         // An absent list is the selection build derives, not "every table".
-        let replicated_tables = entry
-            .get("replicated_tables")
-            .and_then(JsonValue::as_array)
-            .map(|items| {
-                let mut list = Vec::with_capacity(items.len());
-                list.extend(items.filter_map(JsonValue::as_str).map(str::to_owned));
-                list
-            })
+        let replicated_tables = replicated
+            .and_then(JsonValue::strings)
             .or_else(|| realm_selection(&realms, supremm_summaries));
 
-        let tables = list_of(entry, "tables", |table| {
-            let table_name = required_str(table, "name", format_args!("satellite {name}"))?;
-            let columns = list_of(table, "columns", |col| {
+        let tables = list_of(table_list, |table| {
+            let [table_name, columns] = table.fields(["name", "columns"]);
+            let table_name = required_str(table_name, "name", format_args!("satellite {name}"))?;
+            let columns = list_of(columns, |col| {
+                let [col_name, ty, nullable] = col.fields(["name", "type", "nullable"]);
                 Ok(ColumnModel {
                     name: required_str(
-                        col,
+                        col_name,
                         "name",
                         format_args!("satellite {name} table {table_name}"),
                     )?,
-                    ty: col
-                        .get("type")
-                        .and_then(JsonValue::as_str)
-                        .map_or_else(|| "str".to_owned(), str::to_ascii_lowercase),
-                    nullable: col
-                        .get("nullable")
-                        .and_then(JsonValue::as_bool)
-                        .unwrap_or(false),
+                    ty: opt_lower(ty).unwrap_or_else(|| "str".to_owned()),
+                    nullable: nullable.and_then(JsonValue::as_bool).unwrap_or(false),
                 })
             })?;
             Ok(TableModel {
@@ -635,23 +727,19 @@ impl FederationModel {
 
         Ok(SatelliteModel {
             link: LinkModel {
-                id: opt_str(entry, "link_id").unwrap_or_else(|| name.clone()),
-                source_schema: opt_str(entry, "source_schema")
+                id: opt_str(link_id).unwrap_or_else(|| name.clone()),
+                source_schema: opt_str(source_schema)
                     .unwrap_or_else(|| default_source_schema(&name)),
-                hub_schema: opt_str(entry, "hub_schema")
-                    .unwrap_or_else(|| default_hub_schema(&name)),
-                mode: entry
-                    .get("mode")
-                    .and_then(JsonValue::as_str)
-                    .map(str::to_ascii_lowercase),
-                retries: opt_u64(entry, "retries", format_args!("satellite {name}"))?,
+                hub_schema: opt_str(hub_schema).unwrap_or_else(|| default_hub_schema(&name)),
+                mode: opt_lower(mode),
+                retries: opt_u64(retries, "retries", format_args!("satellite {name}"))?,
             },
             replicated_tables,
             expected_tables,
-            excluded_resources: entry.string_list("excluded_resources"),
+            excluded_resources: strings(excluded_resources),
             tables,
-            job_resources: entry.string_list("job_resources"),
-            su_factors: entry.string_list("su_factors"),
+            job_resources: strings(job_resources),
+            su_factors: strings(su_factors),
             supremm_summaries,
             realms,
             name,

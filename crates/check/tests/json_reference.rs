@@ -740,3 +740,113 @@ fn every_truncation_is_a_typed_error() {
         }
     }
 }
+
+/// `doc` as the root, then shifted by a 0–8 byte string element before
+/// it, so every scan starts at each offset within a word.
+fn shifted(doc: &str) -> impl Iterator<Item = (Option<usize>, String)> + '_ {
+    std::iter::once((None, doc.to_owned()))
+        .chain((0..=8).map(move |k| (Some(k), format!("[\"{}\",{doc}]", "p".repeat(k)))))
+}
+
+/// The whitespace bytes, one at a time and mixed.
+const GAP_KINDS: [&[char]; 5] = [
+    &[' '],
+    &['\t'],
+    &['\n'],
+    &['\r'],
+    &['\n', ' ', '\t', ' ', '\r'],
+];
+
+/// A run of `len` whitespace bytes of `kind`, in turn.
+fn gap(kind: &[char], len: usize) -> String {
+    kind.iter().copied().cycle().take(len).collect()
+}
+
+#[test]
+fn whitespace_runs_at_every_length_and_alignment_parse_identically() {
+    // `G` marks every gap: around each token kind, before the root and
+    // after it, then documents whose error follows a gap.
+    let templates = [
+        r#"G{G"k"G:G[G1G,G-2.5e3G,G"s"G,GtrueG,GfalseG,GnullG,G{G}G,G[G]G]G,G"e\n"G:G"x"G}G"#,
+        "G[G0G]G",
+        "G",
+        "[1G2]",
+        r#"{"a"G1}"#,
+        r#"{"a":1G"b":2}"#,
+        "[1,G]",
+        "[1G",
+        r#"{"a":1}Gx"#,
+    ];
+    let mut cases = 0;
+    for template in templates {
+        for kind in GAP_KINDS {
+            for len in 0..=24 {
+                let doc = template.replace('G', &gap(kind, len));
+                for (shift, input) in shifted(&doc) {
+                    agree(&input, &format!("{doc:?} shifted {shift:?}"));
+                    cases += 1;
+                }
+            }
+        }
+    }
+    // A byte that is not JSON whitespace at each place in a run: the
+    // error names its offset.
+    for stray in ["x", "!", "\u{0}", "\u{b}", "\u{c}", "\u{a0}", "\u{2028}"] {
+        for kind in GAP_KINDS {
+            for len in 1..=24 {
+                for at in 0..len {
+                    let run = gap(kind, len);
+                    let run = format!("{}{stray}{}", &run[..at], &run[at + 1..]);
+                    let doc = format!("[1,{run}2]");
+                    for (shift, input) in shifted(&doc) {
+                        assert!(!agree(&input, &format!("{doc:?} shifted {shift:?}")));
+                        cases += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(cases > 20_000, "{cases}");
+}
+
+#[test]
+fn string_bodies_at_every_length_and_alignment_parse_identically() {
+    // What a body's scan must stop at, or must not: a quote, a backslash
+    // (alone, and opening a valid escape), a control byte and multi-byte
+    // UTF-8.
+    let pieces = [
+        "\"", "\\", "\\n", "\\u00e9", "\u{1}", "\u{1f}", "é", "€", "😀",
+    ];
+    let mut cases = 0;
+    for piece in pieces {
+        for len in 0..=24 {
+            for at in 0..=len {
+                let body = format!("{}{piece}{}", "b".repeat(at), "b".repeat(len - at));
+                let docs = [
+                    format!("\"{body}\""),
+                    format!("{{\"{body}\":\"{body}\"}}"),
+                    format!("[\"{body}\",\"{body}\"]"),
+                    // Unterminated at the end of input.
+                    format!("\"{body}"),
+                    format!("{{\"{body}"),
+                ];
+                for doc in &docs {
+                    for (shift, input) in shifted(doc) {
+                        agree(&input, &format!("{doc:?} shifted {shift:?}"));
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        // The piece alone, and plain bodies of each length.
+        for len in 0..=24 {
+            for doc in [format!("\"{}\"", "b".repeat(len)), piece.to_owned()] {
+                for (shift, input) in shifted(&doc) {
+                    agree(&input, &format!("{doc:?} shifted {shift:?}"));
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases > 100_000, "{cases}");
+}
