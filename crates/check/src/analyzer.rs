@@ -490,12 +490,12 @@ fn check_excluded_resources(model: &FederationModel, diags: &mut Diagnostics) {
 
 /// XC0010 — a tight link with retries explicitly disabled.
 ///
-/// Runtime symptom: a live (tight) link's worker surfaces every
-/// transient fault straight to `member_last_error` instead of fast
-/// retrying, so a single dropped packet marks the member failing and
+/// Runtime symptom: a live (tight) link's driver steps surface every
+/// transient fault straight to `member_last_error` instead of retrying
+/// at a backoff, so a single dropped packet marks the member failing and
 /// burns one of the supervisor's quarantine strikes. `retries: 0` is
-/// harmless on loose links, which never run a worker: `sync` and each
-/// supervision tick poll them, and a failed batch is retried on the
+/// harmless on loose links, which never go live: `sync` and each
+/// supervision pass poll them, and a failed batch is retried on the
 /// next call.
 fn check_zero_retry_tight_links(model: &FederationModel, diags: &mut Diagnostics) {
     for sat in &model.satellites {

@@ -4,28 +4,28 @@
 //! providing the ability for multiple disparate XDMoD installations to
 //! replicate their raw data to a central, federated hub server." (§I-E)
 //!
-//! A [`Federation`] owns the hub plus one link per satellite — a
-//! [`LiveReplicator`] holding the member's [`Replicator`] for life,
-//! pulling into the hub from a position the hub keeps — **tight** (tailed
-//! by a worker thread once [`Federation::go_live`] runs) or **loose** (a
-//! batch per [`Federation::sync`] or supervision tick), freely mixed
-//! (§II-C2's heterogeneous model). Its worker, `sync` and `supervise`
-//! all drive a link through the one [`Replicator::step`], under the retry
-//! policy the member joined with. Joining enforces the version gate and
-//! stores the member's `xdmod_check::SatelliteModel`, the one record its
-//! link is compiled from and pre-flight vets; a programmatic join's
-//! [`FederationConfig`] chooses which realms replicate (the initial
-//! release federates only HPC Jobs) and which resources are excluded from
-//! federation (§II-C4).
+//! A [`Federation`] owns the hub plus one link per satellite — a [`Link`]
+//! holding the member's [`Replicator`] for life, pulling into the hub
+//! from a position the hub keeps — and one schedule that steps each link
+//! through [`Replicator::step`] under its member's retry policy. Tight
+//! versus loose is only an interval: after [`Federation::go_live`], one
+//! driver thread steps each **tight** member at the live interval, while
+//! a **loose** one is stepped a batch per [`Federation::sync`] or
+//! supervision pass, freely mixed (§II-C2's heterogeneous model).
+//! Joining enforces the version gate and stores the member's
+//! `xdmod_check::SatelliteModel`, the one record its link is compiled
+//! from and pre-flight vets; a programmatic join's [`FederationConfig`]
+//! chooses which realms replicate (the initial release federates only
+//! HPC Jobs) and which resources are excluded from federation (§II-C4).
 
 use crate::hub::FederationHub;
 use crate::instance::XdmodInstance;
-use crate::supervisor::{
-    MemberHealth, MemberReport, SupervisionReport, SupervisionState, SupervisorPolicy,
-};
+use crate::supervisor::{MemberHealth, MemberReport, SupervisionReport, SupervisorPolicy};
 use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 use xdmod_alerts::{
     AckError, Alert, AlertEngine, AlertRules, FAMILY_GATEWAY_SATURATION, FAMILY_LINK_DOWN,
@@ -36,7 +36,7 @@ use xdmod_check::model::realm_selection;
 use xdmod_check::{LinkModel, SatelliteModel};
 use xdmod_realms::{cloud as cloud_realm, jobs, storage, supremm, RealmKind};
 use xdmod_replication::{
-    LinkConfig, LiveReplicator, ReplicationError, ReplicationFilter, Replicator, RetryPolicy,
+    Link, LinkConfig, ReplicationError, ReplicationFilter, Replicator, RetryPolicy, Step,
 };
 use xdmod_warehouse::sync::Mutex;
 use xdmod_warehouse::{SharedDatabase, Value, WarehouseError};
@@ -55,12 +55,12 @@ pub enum FederationError {
     DuplicateMember(String),
     /// No member with this name.
     UnknownMember(String),
-    /// The operation needs a live (background-threaded) tight link, but
-    /// this member's link is polled (a loose member's always is).
+    /// The operation needs a live tight link (see [`Federation::go_live`]),
+    /// but this member's link is polled (a loose member's always is).
     LinkNotLive(String),
     /// Static pre-flight analysis found Error-severity diagnostics;
-    /// `go_live` refuses to start replication threads over a topology
-    /// that is known to produce silent data corruption or empty reports.
+    /// `go_live` refuses to start live replication over a topology that
+    /// is known to produce silent data corruption or empty reports.
     /// Override with [`Federation::go_live_forced`].
     Preflight {
         /// Number of Error-severity diagnostics.
@@ -71,7 +71,7 @@ pub enum FederationError {
     /// The federation document could not be read (see
     /// [`Federation::from_config`]).
     Config(String),
-    /// A replication link failed (e.g. its worker thread panicked).
+    /// A replication link refused an operation (e.g. a seek past its tail).
     Replication(ReplicationError),
     /// Underlying warehouse/replication failure.
     Warehouse(WarehouseError),
@@ -236,9 +236,9 @@ fn retry_policy(model: &SatelliteModel) -> RetryPolicy {
 /// How a satellite is coupled to the hub.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FederationMode {
-    /// Live binlog replication.
+    /// Live binlog replication, stepped at the interval `go_live` sets.
     Tight,
-    /// Periodic batches: each `sync` and supervision tick steps the
+    /// Periodic batches: each `sync` and supervision pass steps the
     /// link, which never goes live.
     Loose,
 }
@@ -248,19 +248,15 @@ struct Member {
     /// The member's topology, join-time SU factors included, as
     /// [`Federation::preflight`] vets it (plus the live catalog).
     model: SatelliteModel,
-    /// The member's one link: stepped by `sync` and `supervise` or, for
-    /// a tight member after `go_live*`, by a worker thread (`sync` leaves
-    /// it alone).
-    link: LiveReplicator,
+    /// The member's one link and its schedule, shared with the driver.
+    slot: Arc<Slot>,
     /// The satellite's database handle, captured at join so pre-flight
     /// can introspect the source catalog and chaos can be wired into it
     /// without the `XdmodInstance` in hand.
     source_db: SharedDatabase,
-    /// Supervision bookkeeping (failure streak, quarantine flag).
-    supervision: SupervisionState,
-    /// The polling interval handed to `go_live*`, remembered so the
-    /// supervisor can relaunch a dead live worker at the same cadence.
-    live_interval: Option<Duration>,
+    /// Supervision passes in a row that found the link's latest step
+    /// failed (see [`Federation::supervise`]).
+    strikes: u32,
 }
 
 impl Member {
@@ -274,24 +270,128 @@ impl Member {
             _ => FederationMode::Tight,
         }
     }
+}
 
-    /// Start a worker tailing a tight member's binlog at `interval`.
-    /// Returns whether it started (loose and already-live links are left
-    /// alone).
-    fn start_live(&mut self, interval: Duration) -> bool {
-        if self.mode() == FederationMode::Loose || !self.link.start_live(interval) {
-            return false;
+/// One member's link beside its place in the schedule, shared with the
+/// driver thread, which steps it without the federation's lock.
+struct Slot {
+    link: Link,
+    schedule: Mutex<Schedule>,
+}
+
+/// When a member's link is stepped next, and how its steps went.
+struct Schedule {
+    /// The link is due at and after this instant.
+    due: Instant,
+    /// The live interval of a tight member after `go_live`; `None`
+    /// (loose, or not live): only `sync` and `supervise` step it.
+    interval: Option<Duration>,
+    /// Paused by [`Federation::pause_member`]: a due tick only samples.
+    paused: bool,
+    /// Parked by supervision: nothing steps it until reinstated.
+    quarantined: bool,
+    last_ok: Option<Instant>,
+    /// The latest step failed; `retrying` if it planned a retry.
+    failed: bool,
+    retrying: bool,
+    /// Stepped since the last supervision pass.
+    stepped: bool,
+}
+
+/// Which polled links a pass steps, beside the live links that are due:
+/// none (a tick), those due (`supervise`, so that a retry waits out its
+/// backoff), or all (`sync`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    Tick,
+    Supervise,
+    Sync,
+}
+
+/// When a link stepped at `now` is due again if its step asked for no
+/// retry: at once when polled, else an interval on (a century on, past
+/// the clock's range).
+fn due_after(now: Instant, interval: Option<Duration>) -> Instant {
+    let century = Duration::from_secs(100 * 365 * 86_400);
+    interval.map_or(now, |i| now.checked_add(i).unwrap_or(now + century))
+}
+
+impl Slot {
+    /// Take this link's turn in `pass` at `now`: step it if it is due (a
+    /// live link only when `live`, as the driver's are its alone while it
+    /// runs; a paused one is only sampled), then set when it is due next:
+    /// at the step's `retry_at`, or else an interval on.
+    fn run(&self, now: Instant, pass: Pass, live: bool) -> Option<Step> {
+        let sample = {
+            let s = self.schedule.lock();
+            let due = s.due <= now;
+            match s.interval {
+                _ if s.quarantined => return None,
+                Some(_) if live && due => s.paused,
+                None if pass == Pass::Sync || (pass == Pass::Supervise && due) => false,
+                _ => return None,
+            }
+        };
+        if sample {
+            self.link.hold(|link| link.sample_lag(now));
+            let mut s = self.schedule.lock();
+            s.due = due_after(now, s.interval);
+            return None;
         }
-        self.live_interval = Some(interval);
-        true
+        let step = self.link.step(now);
+        let mut s = self.schedule.lock();
+        s.stepped = true;
+        s.due = step.retry_at.unwrap_or_else(|| due_after(now, s.interval));
+        s.failed = step.outcome.is_err();
+        s.retrying = s.failed && step.retry_at.is_some();
+        if step.outcome.is_ok() {
+            s.last_ok = Some(now);
+        }
+        Some(step)
     }
 }
 
-/// Shared record of which members are currently serving *stale* data:
-/// paused live links and links stopped by [`Federation::quiesce`] whose
-/// backlog has not been drained by a subsequent poll.
-struct DrainState {
-    stale: Mutex<BTreeSet<String>>,
+/// Every member's slot, in join order, shared by the federation and its
+/// driver thread.
+#[derive(Default)]
+struct Roster {
+    slots: Mutex<Vec<Arc<Slot>>>,
+    /// Raised to end the driver's loop.
+    stop: AtomicBool,
+}
+
+impl Roster {
+    /// Run `pass` over every slot at `now`: per member, its step if any.
+    fn pass(&self, now: Instant, pass: Pass, live: bool) -> Vec<Option<Step>> {
+        let slots = self.slots.lock().clone();
+        slots.iter().map(|slot| slot.run(now, pass, live)).collect()
+    }
+
+    /// The driver's loop: tick at the wall clock, then park until the
+    /// earliest due live link, or until unparked, and stop once asked.
+    fn drive(&self) {
+        while !self.stop.load(Ordering::Acquire) {
+            self.pass(Instant::now(), Pass::Tick, true);
+            let slots = self.slots.lock().clone();
+            let next = slots
+                .iter()
+                .filter_map(|slot| {
+                    let s = slot.schedule.lock();
+                    s.interval.filter(|_| !s.quarantined).map(|_| s.due)
+                })
+                .min();
+            match next {
+                Some(due) => thread::park_timeout(due.saturating_duration_since(Instant::now())),
+                None => thread::park(),
+            }
+        }
+    }
+}
+
+/// The federation's one driver thread, and the interval it started with.
+struct Driver {
+    thread: JoinHandle<()>,
+    interval: Duration,
 }
 
 /// A cheap-clone, `Send + Sync` handle the serving tier holds to decide
@@ -307,19 +407,22 @@ struct DrainState {
 /// [`Federation::sync`].
 #[derive(Clone)]
 pub struct DrainNotice {
-    inner: Arc<DrainState>,
+    /// The members serving *stale* data: paused live links, and links
+    /// taken off the live interval by [`Federation::quiesce`] whose
+    /// backlog no later `sync` has drained.
+    stale: Arc<Mutex<BTreeSet<String>>>,
 }
 
 impl DrainNotice {
     /// Whether any member's replication is currently paused or stopped —
     /// i.e. whether federated answers may be stale.
     pub fn is_draining(&self) -> bool {
-        !self.inner.stale.lock().is_empty()
+        !self.stale.lock().is_empty()
     }
 
     /// The members whose links are paused/stopped, sorted by name.
     pub fn stale_members(&self) -> Vec<String> {
-        self.inner.stale.lock().iter().cloned().collect()
+        self.stale.lock().iter().cloned().collect()
     }
 }
 
@@ -335,7 +438,11 @@ impl fmt::Debug for DrainNotice {
 pub struct Federation {
     hub: FederationHub,
     members: Vec<Member>,
-    drain: Arc<DrainState>,
+    /// The members' slots again, for the driver thread.
+    roster: Arc<Roster>,
+    /// Runs between `go_live` and `quiesce`.
+    driver: Option<Driver>,
+    drain: DrainNotice,
     /// Alert-lifecycle engine fed by the supervisor and the telemetry
     /// event ring (see [`Federation::alerts`]).
     alerts: AlertEngine,
@@ -353,9 +460,11 @@ impl Federation {
         Federation {
             hub,
             members: Vec::new(),
-            drain: Arc::new(DrainState {
-                stale: Mutex::new(BTreeSet::new()),
-            }),
+            roster: Arc::default(),
+            driver: None,
+            drain: DrainNotice {
+                stale: Arc::default(),
+            },
             alerts: AlertEngine::new(AlertRules::default()),
             alert_seq: 0,
             storage: None,
@@ -365,9 +474,7 @@ impl Federation {
     /// A handle the serving tier polls to refuse queries while any
     /// member's replication is paused or quiesced (see [`DrainNotice`]).
     pub fn drain_notice(&self) -> DrainNotice {
-        DrainNotice {
-            inner: Arc::clone(&self.drain),
-        }
+        self.drain.clone()
     }
 
     /// The hub.
@@ -395,7 +502,7 @@ impl Federation {
     }
 
     /// Join a satellite with batched ("loose") replication: its link is
-    /// polled by `sync` and `supervise` and never goes live.
+    /// stepped by `sync` and `supervise` and never goes live.
     pub fn join_loose(
         &mut self,
         instance: &XdmodInstance,
@@ -406,7 +513,9 @@ impl Federation {
 
     /// Join `instance` as the member `model` describes, after the version
     /// gate and duplicate check. The instance's SU factors are captured
-    /// into the record (factors added afterwards are not seen).
+    /// into the record (factors added afterwards are not seen). Joining a
+    /// live federation puts a tight member on the live interval, as a
+    /// repeated `go_live` would.
     pub(crate) fn join(
         &mut self,
         instance: &XdmodInstance,
@@ -421,7 +530,7 @@ impl Federation {
         if self.members.iter().any(|m| m.name() == instance.name()) {
             return Err(FederationError::DuplicateMember(instance.name().to_owned()));
         }
-        let link = LiveReplicator::new(
+        let link = Link::new(
             Replicator::new(
                 instance.database(),
                 self.hub.database(),
@@ -435,14 +544,31 @@ impl Federation {
             .resources()
             .map(|(r, _)| r.to_owned())
             .collect();
+        let slot = Arc::new(Slot {
+            link,
+            schedule: Mutex::new(Schedule {
+                due: Instant::now(),
+                interval: None,
+                paused: false,
+                quarantined: false,
+                last_ok: None,
+                failed: false,
+                retrying: false,
+                stepped: false,
+            }),
+        });
         self.hub.register_satellite(instance.name());
+        self.roster.slots.lock().push(Arc::clone(&slot));
         self.members.push(Member {
             model,
-            link,
+            slot,
             source_db: instance.database(),
-            supervision: SupervisionState::default(),
-            live_interval: None,
+            strikes: 0,
         });
+        if let Some(interval) = self.driver.as_ref().map(|driver| driver.interval) {
+            self.schedule_live(interval, Instant::now());
+            self.wake();
+        }
         Ok(())
     }
 
@@ -496,38 +622,49 @@ impl Federation {
         Ok(LinkConfig::renaming(&source_schema, &hub_schema).with_filter(filter(model)))
     }
 
-    /// Step once every link with no worker running: each loose member's,
-    /// and each tight member's that is not live. Live links are skipped —
-    /// their workers are already draining the binlog — and so are
-    /// quarantined members (see [`Federation::supervise`]). A step
-    /// resyncs a link that polling cannot bring level with its source and
-    /// polls the rest ([`Replicator::step`]); a poll stops at its first
-    /// failing event, which the next call retries. The other members are
-    /// still stepped, and the first error is returned after them. Returns
-    /// total events the polls of **this** call applied at the hub.
+    /// One tick at `now`: step each live link that is due, unless paused
+    /// (then only its lag is sampled) or quarantined, and set when it is
+    /// due next ([`Replicator::step`]'s `retry_at`, or an interval on).
+    /// The driver thread ticks at the wall clock, and while it runs no
+    /// other pass steps a live link. Returns the events applied, or the
+    /// first error once every due link has been stepped.
+    pub fn tick(&mut self, now: Instant) -> Result<usize, FederationError> {
+        self.pass(now, Pass::Tick)
+    }
+
+    /// A [`Federation::tick`] at the wall clock in which every polled,
+    /// unquarantined link is due as well, whatever its backoff: each
+    /// loose member's, and each tight member's that is not live. A
+    /// member whose step succeeds is current again ([`DrainNotice`]).
     pub fn sync(&mut self) -> Result<usize, FederationError> {
+        self.pass(Instant::now(), Pass::Sync)
+    }
+
+    /// Run `pass` at `now`, marking each member it stepped successfully
+    /// current again; the applied total, or the first error.
+    fn pass(&mut self, now: Instant, pass: Pass) -> Result<usize, FederationError> {
+        let steps = self.roster.pass(now, pass, self.driver.is_none());
         let mut applied = 0;
         let mut first_err = None;
-        let now = Instant::now();
-        for member in &mut self.members {
-            if member.supervision.quarantined || member.link.is_live() {
-                continue;
-            }
-            match member.link.step(now).outcome {
-                Ok(n) => {
+        for (member, step) in self.members.iter().zip(steps) {
+            match step.map(|step| step.outcome) {
+                Some(Ok(n)) => {
                     applied += n;
-                    // A successful step drains the backlog a quiesce left
-                    // behind — the member's view is current again.
                     self.drain.stale.lock().remove(member.name());
                 }
-                Err(e) => {
+                Some(Err(e)) => {
                     first_err.get_or_insert(e);
                 }
+                None => {}
             }
         }
-        match first_err {
-            None => Ok(applied),
-            Some(e) => Err(e.into()),
+        first_err.map_or(Ok(applied), |e| Err(e.into()))
+    }
+
+    /// Unpark the driver, if one runs, to recompute when it is next due.
+    fn wake(&self) {
+        if let Some(driver) = &self.driver {
+            driver.thread.thread().unpark();
         }
     }
 
@@ -680,17 +817,18 @@ impl Federation {
         xdmod_check::analyze(&self.check_model())
     }
 
-    /// Switch every polled tight link to **live** replication: each gets a
-    /// background thread tailing its satellite's binlog at `interval` —
-    /// the paper's "live replication to the central federation hub
-    /// database". Returns how many links switched. Already-live links are
-    /// untouched, and so are loose members: their links stay polled, a
-    /// batch per [`Federation::sync`] or [`Federation::supervise`].
+    /// Switch every polled tight link to **live** replication: each is
+    /// stepped at `interval` by the federation's one driver thread,
+    /// started here if none runs — the paper's "live replication to the
+    /// central federation hub database". Returns how many links switched.
+    /// Already-live links are untouched, and so are loose members: their
+    /// links stay polled, a batch per [`Federation::sync`] or
+    /// [`Federation::supervise`].
     ///
     /// Runs [`Federation::preflight`] first and refuses with
     /// [`FederationError::Preflight`] when it reports any Error-severity
-    /// diagnostic — replication threads must not be started over a
-    /// topology known to corrupt data or produce silently-empty reports.
+    /// diagnostic — live replication must not start over a topology known
+    /// to corrupt data or produce silently-empty reports.
     /// [`Federation::go_live_forced`] skips the gate.
     pub fn go_live(&mut self, interval: Duration) -> Result<usize, FederationError> {
         let diags = self.preflight();
@@ -716,69 +854,94 @@ impl Federation {
     /// [`Federation::go_live`] without the pre-flight gate — the override
     /// for operators who have reviewed the diagnostics and accept them.
     pub fn go_live_forced(&mut self, interval: Duration) -> usize {
+        let switched = self.schedule_live(interval, Instant::now());
+        if self.driver.is_none() {
+            let roster = Arc::clone(&self.roster);
+            let thread = thread::spawn(move || roster.drive());
+            self.driver = Some(Driver { thread, interval });
+        }
+        self.wake();
+        switched
+    }
+
+    /// Put every polled, unquarantined tight link on the live `interval`,
+    /// unpaused, current and due at `now`; how many switched.
+    pub(crate) fn schedule_live(&mut self, interval: Duration, now: Instant) -> usize {
         let mut switched = 0;
-        for member in &mut self.members {
-            if !member.supervision.quarantined && member.start_live(interval) {
-                switched += 1;
-                // The fresh worker tails from the link's position; any
-                // quiesce-era backlog drains in the background.
-                self.drain.stale.lock().remove(member.name());
+        for member in &self.members {
+            let mut s = member.slot.schedule.lock();
+            if member.mode() == FederationMode::Loose || s.quarantined || s.interval.is_some() {
+                continue;
             }
+            s.due = now;
+            s.interval = Some(interval);
+            s.paused = false;
+            switched += 1;
+            self.drain.stale.lock().remove(member.name());
         }
         switched
     }
 
-    /// Stop every live link's worker: each drains any remaining events
-    /// with a final step (the lag gauges settle to 0), and the link stays
-    /// in place, stepped from its own watermark. Returns how many links
-    /// were stopped. The first panicked worker is returned as
-    /// [`FederationError::Replication`] — after stopping the rest; its
-    /// link is stepped on like any other.
-    pub fn quiesce(&mut self) -> Result<usize, FederationError> {
+    /// Take every live link off the live interval: stop and join the
+    /// driver, then drain each with one final step (paused ones too, so
+    /// the lag gauges settle to 0). Each then reads stale
+    /// ([`DrainNotice`]) until `sync` steps it. Returns how many were live.
+    pub fn quiesce(&mut self) -> usize {
+        if let Some(driver) = self.driver.take() {
+            self.roster.stop.store(true, Ordering::Release);
+            driver.thread.thread().unpark();
+            // The loop catches every step's panic, so it ends by the flag.
+            let _ = driver.thread.join();
+            self.roster.stop.store(false, Ordering::Release);
+        }
+        let now = Instant::now();
         let mut stopped = 0;
-        let mut first_err: Option<ReplicationError> = None;
-        for member in &mut self.members {
-            match member.link.stop_live() {
-                Ok(false) => continue,
-                Ok(true) => {}
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
+        for member in &self.members {
+            let (live, quarantined) = {
+                let mut s = member.slot.schedule.lock();
+                s.paused = false;
+                (s.interval.take().is_some(), s.quarantined)
+            };
+            if live && !quarantined {
+                member.slot.run(now, Pass::Sync, false);
+                self.drain.stale.lock().insert(member.name().to_owned());
+                stopped += 1;
             }
-            self.drain.stale.lock().insert(member.name().to_owned());
-            stopped += 1;
         }
-        match first_err {
-            None => Ok(stopped),
-            Some(e) => Err(e.into()),
-        }
+        stopped
     }
 
-    fn live_link(&self, name: &str) -> Result<&LiveReplicator, FederationError> {
+    /// The slot of `name`, when its link is live.
+    fn live_slot(&self, name: &str) -> Result<&Slot, FederationError> {
         let member = self
             .members
             .iter()
             .find(|m| m.name() == name)
             .ok_or_else(|| FederationError::UnknownMember(name.to_owned()))?;
-        if !member.link.is_live() {
+        if member.slot.schedule.lock().interval.is_none() {
             return Err(FederationError::LinkNotLive(name.to_owned()));
         }
-        Ok(&member.link)
+        Ok(&member.slot)
     }
 
-    /// Pause a live member's replication thread (maintenance window). The
-    /// thread keeps sampling lag, so the hub's
+    /// Pause a live member's replication (maintenance window). Its link
+    /// keeps being sampled at the live interval, so the hub's
     /// `replication_lag_events{link=..}` gauge shows the backlog growing.
     pub fn pause_member(&self, name: &str) -> Result<(), FederationError> {
-        self.live_link(name).map(LiveReplicator::pause)?;
+        self.live_slot(name)?.schedule.lock().paused = true;
         self.drain.stale.lock().insert(name.to_owned());
         Ok(())
     }
 
-    /// Resume a paused live member.
+    /// Resume a paused live member; its link is due at once.
     pub fn resume_member(&self, name: &str) -> Result<(), FederationError> {
-        self.live_link(name).map(LiveReplicator::resume)?;
+        {
+            let mut s = self.live_slot(name)?.schedule.lock();
+            s.paused = false;
+            s.due = Instant::now();
+        }
         self.drain.stale.lock().remove(name);
+        self.wake();
         Ok(())
     }
 
@@ -786,7 +949,7 @@ impl Federation {
     /// links keep running through errors and surface them here and in the
     /// hub's `replication_apply_errors_total{link=..}` counter.
     pub fn member_last_error(&self, name: &str) -> Result<Option<WarehouseError>, FederationError> {
-        self.live_link(name).map(LiveReplicator::last_error)
+        self.live_slot(name).map(|slot| slot.link.last_error())
     }
 
     /// Sync, then rebuild the hub's aggregates under its own levels — one
@@ -833,81 +996,81 @@ impl Federation {
 
     /// Regenerate a member instance's database from the hub (backup use
     /// case, §II-E4) — a resync in reverse. It refuses, touching nothing,
-    /// when the hub holds no copy of the member. Otherwise it stops a live
-    /// worker, empties the satellite (its binlog epoch rotates), rebuilds
-    /// the instance schema from the member's hub schema through a link
-    /// running the other way ([`Replicator::resync_target`]), recreates
-    /// the realm tables the federation never replicated, and re-seeds the
-    /// member's link at the satellite's new head so restored data is not
-    /// replicated again.
+    /// when the hub holds no copy of the member. Otherwise, holding the
+    /// member's link so that no step interleaves (it could replay the
+    /// restored history into the hub), it empties the satellite (its
+    /// binlog epoch rotates), rebuilds the instance schema from the
+    /// member's hub schema through a link running the other way
+    /// ([`Replicator::resync_target`]), recreates the realm tables the
+    /// federation never replicated, and re-seeds the member's link at the
+    /// satellite's new head so restored data is not replicated again.
     pub fn restore_member(&mut self, instance: &mut XdmodInstance) -> Result<(), FederationError> {
-        let idx = self
+        let member = self
             .members
             .iter()
-            .position(|m| m.name() == instance.name())
+            .find(|m| m.name() == instance.name())
             .ok_or_else(|| FederationError::UnknownMember(instance.name().to_owned()))?;
         let hub_db = self.hub.database();
         let hub_schema = FederationHub::schema_for(instance.name());
         hub_db.read().table_names(&hub_schema)?;
-        // A live worker must not race the restore (it could replay the
-        // restored history into the hub): stop it first — it drains, then
-        // the link stays polled; the caller may `go_live` again. A
-        // panicked worker still leaves a usable link behind, but aborts
-        // the restore so the operator sees the failure.
-        self.members[idx].link.stop_live()?;
-        let sat_db = instance.database();
-        sat_db.write().reset_for_restore()?;
-        let back = LinkConfig::renaming(&hub_schema, &instance.schema_name());
-        Replicator::new(hub_db, Arc::clone(&sat_db), back).resync_target()?;
-        instance.ensure_realm_tables()?;
-        // Skip the restore's replay: the hub already holds that data.
-        let position = sat_db.read().binlog_position();
-        self.members[idx].link.seek(position)?;
-        Ok(())
+        member.slot.link.hold(|link| {
+            let sat_db = instance.database();
+            sat_db.write().reset_for_restore()?;
+            let back = LinkConfig::renaming(&hub_schema, &instance.schema_name());
+            Replicator::new(hub_db, Arc::clone(&sat_db), back).resync_target()?;
+            instance.ensure_realm_tables()?;
+            let position = sat_db.read().binlog_position();
+            link.seek(position)?;
+            Ok(())
+        })
     }
 
-    // ----- supervision: restart, step, quarantine -----------------------
+    // ----- supervision: step, strike, quarantine ------------------------
 
-    /// One supervision tick: drive and police every link.
+    /// One supervision pass at the wall clock; see
+    /// [`Federation::supervise_at`].
+    pub fn supervise(&mut self, policy: &SupervisorPolicy) -> SupervisionReport {
+        self.supervise_at(policy, Instant::now())
+    }
+
+    /// One supervision pass at `now`: a [`Federation::tick`] in which the
+    /// polled links are due too once their backoff has passed (a step
+    /// resyncs a link that polling cannot bring level with its source;
+    /// see [`Replicator::needs_resync`]), then, per member in join order:
     ///
-    /// Per non-quarantined member, in join order:
-    ///
-    /// 1. a **dead live worker** (panicked thread) is detected via
-    ///    [`LiveReplicator::is_dead`] and stopped — the link keeps its
-    ///    watermark — and, if the tick's step then succeeds, relaunched
-    ///    at its original interval;
-    /// 2. a link with no worker is **stepped** ([`Replicator::step`]): it
-    ///    resyncs when polling cannot bring it level with its source
-    ///    (watermark beyond the source tail or below its compaction
-    ///    horizon, or records lost to a source tail repair since the last
-    ///    resync) and polls otherwise, and is stepped again at once, with
-    ///    no sleep, while the step reports a retry of the link's burst;
-    /// 3. a live link, which its worker steps, reports the worker's
-    ///    [`LiveReplicator::last_error`];
-    /// 4. `policy.max_failures` consecutive failed ticks **quarantine**
-    ///    the member: its link is parked, `sync`/`supervise`/`go_live*`
-    ///    skip it, and `federation_quarantines_total{link=..}` plus a
+    /// 1. a member stepped since the previous pass, by the driver or by
+    ///    this one, gets a **strike** when its latest step failed with its
+    ///    retry burst spent, and its strikes reset when that step
+    ///    succeeded. One not stepped since, or still retrying, keeps its
+    ///    count: it reads stale but raises no alert, so a transient the
+    ///    burst absorbs neither strikes nor pages;
+    /// 2. `policy.max_failures` strikes in a row **quarantine** the
+    ///    member: nothing steps its link, `go_live*` skips it, and
+    ///    `federation_quarantines_total{link=..}` plus a
     ///    `federation.quarantine` event record the decision. Recovery is
     ///    explicit, via [`Federation::reinstate_member`].
     ///
-    /// The tick is synchronous and single-threaded, so a seeded
-    /// fault-injection run ([`Federation::inject_chaos`]) meets a
-    /// deterministic operation sequence.
-    pub fn supervise(&mut self, policy: &SupervisorPolicy) -> SupervisionReport {
-        let mut out = SupervisionReport::default();
-        let hub = &self.hub;
-        for member in &mut self.members {
-            out.members
-                .push(Self::supervise_member(hub, member, policy));
-        }
-        // Every tick also feeds the alert engine: per-member health
+    /// Without a driver, passes at given instants meet a deterministic
+    /// operation sequence, so a seeded fault-injection run
+    /// ([`Federation::inject_chaos`]) is reproducible.
+    pub fn supervise_at(&mut self, policy: &SupervisorPolicy, now: Instant) -> SupervisionReport {
+        let steps = self
+            .roster
+            .pass(now, Pass::Supervise, self.driver.is_none());
+        // Every pass also feeds the alert engine: per-member health
         // becomes fault/all-clear observations (quarantine is re-observed
-        // each tick so its alert cannot quietly timeout-resolve while the
+        // each pass so its alert cannot quietly timeout-resolve while the
         // member is still parked), and freshly mined telemetry events are
-        // folded in.
+        // folded in. A member whose burst is still retrying has no verdict
+        // to observe yet.
         let now_ms = self.hub.telemetry().elapsed_ms();
-        for report in &out.members {
-            Self::feed_member_alerts(&mut self.alerts, report, now_ms);
+        let mut out = SupervisionReport::default();
+        for (member, step) in self.members.iter_mut().zip(steps) {
+            let report = Self::supervise_member(&self.hub, member, step, policy);
+            if !member.slot.schedule.lock().retrying {
+                Self::feed_member_alerts(&mut self.alerts, &report, now_ms);
+            }
+            out.members.push(report);
         }
         self.pump_alerts();
         out
@@ -994,81 +1157,41 @@ impl Federation {
     fn supervise_member(
         hub: &FederationHub,
         member: &mut Member,
+        step: Option<Step>,
         policy: &SupervisorPolicy,
     ) -> MemberReport {
         let mut report = MemberReport {
             name: member.name().to_owned(),
-            health: MemberHealth::Live,
-            restarted: false,
-            resynced: false,
+            health: MemberHealth::Quarantined,
+            resynced: step.is_some_and(|step| step.resynced),
             quarantined_now: false,
-            error: None,
+            error: member.slot.link.last_error().map(|e| e.to_string()),
         };
-        if member.supervision.quarantined {
-            report.health = MemberHealth::Quarantined;
-            return report;
-        }
-        let link = &mut member.link;
-        if link.is_dead() {
-            report.restarted = true;
-            report.error = link.stop_live().err().map(|e| e.to_string());
-            hub.telemetry().event(
-                "federation.link_restarted",
-                &format!(
-                    "{}: live worker died; link resumes from its own watermark",
-                    member.model.name
-                ),
-            );
-        }
-        let outcome = if link.is_live() {
-            link.last_error().map_or(Ok(()), Err)
-        } else {
-            let now = Instant::now();
-            let mut step = link.step(now);
-            report.resynced = step.resynced;
-            while step.retry_at.is_some() {
-                step = link.step(now);
-                report.resynced |= step.resynced;
-            }
-            step.outcome.map(|_| ())
-        };
-        let ok = match outcome {
-            Ok(()) => {
-                member.supervision.last_ok = Some(Instant::now());
-                true
-            }
-            Err(e) => {
-                report.error.get_or_insert(e.to_string());
-                false
-            }
-        };
-        // A panic is a strike even though the link steps fine — a
-        // crash-looping worker must eventually park instead of thrashing
-        // forever.
-        if ok && !report.restarted {
-            member.supervision.failures = 0;
-        } else {
-            member.supervision.failures += 1;
-            if member.supervision.failures >= policy.max_failures {
-                Self::quarantine(hub, member);
-                report.quarantined_now = true;
-                report.health = MemberHealth::Quarantined;
+        let (stepped, failed, retrying) = {
+            let mut s = member.slot.schedule.lock();
+            if s.quarantined {
                 return report;
             }
-        }
-        if let (true, Some(interval)) = (ok && report.restarted, member.live_interval) {
-            member.start_live(interval);
+            (std::mem::take(&mut s.stepped), s.failed, s.retrying)
+        };
+        if stepped && !failed {
+            member.strikes = 0;
+        } else if stepped && !retrying {
+            member.strikes += 1;
+            if member.strikes >= policy.max_failures {
+                Self::quarantine(hub, member);
+                report.quarantined_now = true;
+                return report;
+            }
         }
         report.health = Self::observed_health(member, policy);
         report
     }
 
-    /// Park a member: stop any live worker, flag it quarantined, and
+    /// Park a member: flag it quarantined, so nothing steps its link, and
     /// record the decision in the hub's telemetry.
-    fn quarantine(hub: &FederationHub, member: &mut Member) {
-        // A panicked worker is moot here: the member is parked either way.
-        let _ = member.link.stop_live();
-        member.supervision.quarantined = true;
+    fn quarantine(hub: &FederationHub, member: &Member) {
+        member.slot.schedule.lock().quarantined = true;
         hub.telemetry()
             .counter("federation_quarantines_total", &[("link", member.name())])
             .inc();
@@ -1082,31 +1205,24 @@ impl Federation {
         );
     }
 
-    fn age_secs(member: &Member) -> u64 {
-        member
-            .supervision
-            .last_ok
-            .map(|t| t.elapsed().as_secs())
-            .unwrap_or(0)
-    }
-
     /// Health of one member as observable *right now*, without driving
     /// anything.
     fn observed_health(member: &Member, policy: &SupervisorPolicy) -> MemberHealth {
-        if member.supervision.quarantined {
+        let (quarantined, last_ok) = {
+            let s = member.slot.schedule.lock();
+            (s.quarantined, s.last_ok)
+        };
+        if quarantined {
             return MemberHealth::Quarantined;
         }
-        let stale = || MemberHealth::Stale {
-            age_secs: Self::age_secs(member),
-        };
-        let link = &member.link;
-        if member.supervision.failures > 0 || link.is_dead() || link.last_error().is_some() {
-            return stale();
-        }
-        if let Some(last) = member.supervision.last_ok {
-            if last.elapsed() > policy.stale_after {
-                return stale();
-            }
+        let link = &member.slot.link;
+        if member.strikes > 0
+            || link.last_error().is_some()
+            || last_ok.is_some_and(|last| last.elapsed() > policy.stale_after)
+        {
+            return MemberHealth::Stale {
+                age_secs: last_ok.map_or(0, |last| last.elapsed().as_secs()),
+            };
         }
         let behind = link.lag_events();
         if behind > policy.lag_threshold {
@@ -1130,7 +1246,7 @@ impl Federation {
     pub fn quarantined_members(&self) -> Vec<&str> {
         self.members
             .iter()
-            .filter(|m| m.supervision.quarantined)
+            .filter(|m| m.slot.schedule.lock().quarantined)
             .map(Member::name)
             .collect()
     }
@@ -1211,20 +1327,25 @@ impl Federation {
 
     /// Lift a quarantined member back into the federation. The member
     /// may have drifted arbitrarily while parked, so its hub schema is
-    /// resynced from the source tables before stepping resumes.
+    /// resynced from the source tables; its link is due at once.
     pub fn reinstate_member(&mut self, name: &str) -> Result<(), FederationError> {
-        let Federation { hub, members, .. } = self;
-        let member = members
+        let member = self
+            .members
             .iter_mut()
             .find(|m| m.name() == name)
             .ok_or_else(|| FederationError::UnknownMember(name.to_owned()))?;
-        member.supervision.quarantined = false;
-        member.supervision.failures = 0;
-        member.link.resync_target()?;
-        hub.telemetry().event(
+        member.strikes = 0;
+        {
+            let mut s = member.slot.schedule.lock();
+            s.quarantined = false;
+            s.due = Instant::now();
+        }
+        member.slot.link.hold(Replicator::resync_target)?;
+        self.hub.telemetry().event(
             "federation.reinstated",
             &format!("{name}: reinstated into the federation"),
         );
+        self.wake();
         Ok(())
     }
 
@@ -1237,8 +1358,18 @@ impl Federation {
                 .source_db
                 .write()
                 .set_fault_injector(injector.clone(), &member.model.name);
-            member.link.set_chaos(injector.clone());
+            member
+                .slot
+                .link
+                .hold(|link| link.set_chaos(injector.clone()));
         }
+    }
+}
+
+impl Drop for Federation {
+    /// Quiesce: the driver stops, and each live link drains once.
+    fn drop(&mut self) {
+        self.quiesce();
     }
 }
 
@@ -1329,7 +1460,7 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             fed.pause_member("y"),
             Err(FederationError::LinkNotLive(_))
         ));
-        fed.quiesce().unwrap();
+        fed.quiesce();
     }
 
     /// Arm `spec` on the hub database's fault points, as target `hub`.
@@ -1525,35 +1656,29 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
     }
 
-    /// Poll `cond` for up to ~5 s; panic with `what` if it never holds.
-    fn eventually(what: &str, mut cond: impl FnMut() -> bool) {
-        for _ in 0..5000 {
-            if cond() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        panic!("timed out waiting for {what}");
-    }
-
     #[test]
     fn live_links_replicate_without_sync() {
         let mut x = instance("x", SACCT_X, "r");
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
-        assert_eq!(fed.go_live(Duration::from_millis(1)).unwrap(), 1);
-        assert_eq!(fed.go_live(Duration::from_millis(1)).unwrap(), 0); // idempotent
+        let t0 = Instant::now();
+        let hour = Duration::from_secs(3600);
+        assert_eq!(fed.schedule_live(hour, t0), 1);
+        assert_eq!(fed.schedule_live(hour, t0), 0); // idempotent
 
-        // New ingest flows to the hub with nobody calling sync().
+        // New ingest flows to the hub on the next tick, with nobody
+        // calling sync().
         x.ingest_sacct("r", SACCT_Y).unwrap();
-        eventually("live replication of 3 jobs", || {
-            fed.hub().federated_fact_rows(RealmKind::Jobs) == 3
-        });
-        // sync() leaves live links alone rather than fighting the thread.
+        assert!(fed.tick(t0).unwrap() > 0);
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
+        // sync() leaves a live link to its interval.
+        x.ingest_sacct("r", SACCT_X).unwrap();
         assert_eq!(fed.sync().unwrap(), 0);
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
 
-        assert_eq!(fed.quiesce().unwrap(), 1);
+        assert_eq!(fed.quiesce(), 1);
         // Quiescing drained the link and settled the lag gauges to zero.
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 4);
         let snap = fed.hub().telemetry().snapshot();
         assert_eq!(
             snap.gauge("replication_lag_events", &[("link", "x")]),
@@ -1567,36 +1692,120 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         // Back in polled mode, sync() drives the link again.
         x.ingest_sacct("r", SACCT_X).unwrap();
         assert!(fed.sync().unwrap() > 0);
-        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 4);
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 5);
     }
 
     #[test]
-    fn paused_member_shows_lag_on_the_hub_gauges() {
+    fn live_and_loose_members_share_one_schedule() {
+        let mut x = instance("x", SACCT_X, "r-x");
+        let mut y = instance("y", SACCT_Y, "r-y");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        fed.join_loose(&y, FederationConfig::default()).unwrap();
+        let rows = |fed: &Federation, name: &str| {
+            let hub = fed.hub().database();
+            let hub = hub.read();
+            hub.table(&FederationHub::schema_for(name), "jobfact")
+                .map_or(0, |t| t.len())
+        };
+        let t0 = Instant::now();
+        let hour = Duration::from_secs(3600);
+        assert_eq!(fed.schedule_live(hour, t0), 1);
+
+        // The tight member is stepped once per interval; ticks never step
+        // the loose one.
+        fed.tick(t0).unwrap();
+        assert_eq!((rows(&fed, "x"), rows(&fed, "y")), (1, 0));
+        x.ingest_sacct("r-x", SACCT_Y).unwrap();
+        fed.tick(t0 + hour / 2).unwrap();
+        assert_eq!((rows(&fed, "x"), rows(&fed, "y")), (1, 0));
+        fed.tick(t0 + hour).unwrap();
+        assert_eq!((rows(&fed, "x"), rows(&fed, "y")), (3, 0));
+
+        // Only sync steps the loose member, and it leaves the tight one to
+        // its interval.
+        x.ingest_sacct("r-x", SACCT_X).unwrap();
+        y.ingest_sacct("r-y", SACCT_X).unwrap();
+        fed.sync().unwrap();
+        assert_eq!((rows(&fed, "x"), rows(&fed, "y")), (3, 3));
+        fed.tick(t0 + hour * 2).unwrap();
+        assert_eq!((rows(&fed, "x"), rows(&fed, "y")), (4, 3));
+        assert_eq!(fed.quiesce(), 1);
+    }
+
+    #[test]
+    fn live_driver_restarts_resume_from_each_links_watermark() {
+        // The real driver thread: started by go_live, stopped and joined
+        // by quiesce, three times over.
+        let mut x = instance("x", SACCT_X, "r-x");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        for round in 0..3 {
+            assert_eq!(fed.go_live(Duration::from_millis(1)).unwrap(), 1);
+            // A second go_live while the driver runs switches nothing.
+            assert_eq!(fed.go_live(Duration::from_millis(1)).unwrap(), 0);
+            x.ingest_sacct("r-x", SACCT_X).unwrap();
+            // The final drain delivers whatever the driver had not.
+            assert_eq!(fed.quiesce(), 1);
+            assert_eq!(
+                fed.hub().federated_fact_rows(RealmKind::Jobs),
+                2 + round * 2
+            );
+            // Between drivers the link is still there to sync by hand.
+            x.ingest_sacct("r-x", SACCT_X).unwrap();
+            assert_eq!(fed.sync().unwrap(), 1);
+        }
+        // Each restart resumed from the watermark: no row replayed twice.
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 7);
+        assert!(fed.verify_member(&x).unwrap());
+    }
+
+    #[test]
+    fn live_driver_drains_and_stops_when_the_federation_drops() {
+        let mut x = instance("x", SACCT_X, "r-x");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        let hub = fed.hub().database();
+        fed.go_live(Duration::from_secs(3600)).unwrap();
+        x.ingest_sacct("r-x", SACCT_Y).unwrap();
+        // Dropping joins the driver after one final drain.
+        drop(fed);
+        let schema = FederationHub::schema_for("x");
+        assert_eq!(hub.read().table(&schema, "jobfact").unwrap().len(), 3);
+    }
+
+    #[test]
+    fn paused_live_member_shows_lag_on_the_hub_gauges() {
         let mut x = instance("x", SACCT_X, "r");
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
-        fed.go_live(Duration::from_millis(1)).unwrap();
-        eventually("initial drain", || {
-            fed.hub().federated_fact_rows(RealmKind::Jobs) == 1
-        });
-
-        fed.pause_member("x").unwrap();
-        x.ingest_sacct("r", SACCT_Y).unwrap();
-        eventually("lag gauge to rise while paused", || {
-            fed.hub()
-                .telemetry()
-                .snapshot()
-                .gauge("replication_lag_events", &[("link", "x")])
-                .is_some_and(|lag| lag > 0.0)
-        });
+        let t0 = Instant::now();
+        let secs = Duration::from_secs;
+        fed.schedule_live(secs(1), t0);
+        fed.tick(t0).unwrap();
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 1);
 
+        // A paused link's due ticks only sample its lag.
+        fed.pause_member("x").unwrap();
+        x.ingest_sacct("r", SACCT_Y).unwrap();
+        fed.tick(t0 + secs(1)).unwrap();
+        fed.tick(t0 + secs(2)).unwrap();
+        let snap = fed.hub().telemetry().snapshot();
+        assert!(snap
+            .gauge("replication_lag_events", &[("link", "x")])
+            .is_some_and(|lag| lag > 0.0));
+        assert_eq!(
+            snap.gauge("replication_lag_seconds", &[("link", "x")]),
+            Some(1.0)
+        );
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 1);
+
+        // Resumed, the link is due at once.
         fed.resume_member("x").unwrap();
-        eventually("backlog to drain after resume", || {
-            fed.hub().federated_fact_rows(RealmKind::Jobs) == 3
-        });
+        fed.tick(t0 + secs(3)).unwrap();
+        assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
         assert_eq!(fed.member_last_error("x").unwrap(), None);
-        fed.quiesce().unwrap();
+        fed.quiesce();
         // The maintenance window left a lag audit trail for ops_report.
         assert!(!fed
             .hub()
@@ -1626,17 +1835,17 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         assert!(!notice.is_draining());
 
         // Quiesce stops every live link: all members go stale...
-        fed.quiesce().unwrap();
+        fed.quiesce();
         assert_eq!(notice.stale_members(), vec!["x".to_owned(), "y".to_owned()]);
         // ...until a polled sync drains the backlog...
         fed.sync().unwrap();
         assert!(!notice.is_draining());
 
-        // ...or going live again hands the backlog to fresh workers.
-        fed.quiesce().unwrap_or_default();
+        // ...or going live again hands the backlog to the driver.
+        fed.quiesce();
         fed.go_live(Duration::from_millis(1)).unwrap();
         assert!(!notice.is_draining());
-        fed.quiesce().unwrap();
+        fed.quiesce();
         fed.sync().unwrap();
         assert!(!notice.is_draining());
 
@@ -1768,7 +1977,7 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
 
         // The operator override still works.
         assert_eq!(fed.go_live_forced(Duration::from_millis(1)), 2);
-        fed.quiesce().unwrap();
+        fed.quiesce();
     }
 
     #[test]
@@ -1780,7 +1989,7 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         assert!(!diags.has_errors());
         assert_eq!(diags.count(xdmod_check::Severity::Warning), 1);
         assert_eq!(fed.go_live(Duration::from_millis(1)).unwrap(), 1);
-        fed.quiesce().unwrap();
+        fed.quiesce();
     }
 
     /// Join `instance` in `mode` ("tight" or "loose") with no retries on
@@ -1910,10 +2119,12 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
         fed.sync().unwrap();
-        fed.go_live_forced(Duration::from_millis(1));
+        let t0 = Instant::now();
+        let secs = Duration::from_secs;
+        fed.schedule_live(secs(1), t0);
 
-        // The same crash as above, under a running worker: the record
-        // lands in x's table, its binlog event does not survive.
+        // The same crash as above, on a live link: the record lands in
+        // x's table, its binlog event does not survive.
         {
             let db = x.database();
             let mut db = db.write();
@@ -1926,11 +2137,12 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             db.insert(&x.schema_name(), "jobfact", vec![row]).unwrap();
             db.truncate_binlog_tail(6);
         }
-        // The worker's next step repairs the source tail and leaves the
-        // link one row behind; the step after resyncs it. No tick runs.
-        eventually("the live worker to resync its own link", || {
-            resyncs_of(&fed, "x") == Some(1)
-        });
+        // The next tick's step repairs the source tail and leaves the link
+        // one row behind; the tick after resyncs it. No supervision runs.
+        fed.tick(t0).unwrap();
+        assert_eq!(resyncs_of(&fed, "x"), None);
+        fed.tick(t0 + secs(1)).unwrap();
+        assert_eq!(resyncs_of(&fed, "x"), Some(1));
         assert!(!fed
             .hub()
             .telemetry()
@@ -1938,10 +2150,10 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             .is_empty());
         assert!(fed.verify_member(&x).unwrap());
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
-        let tick = fed.supervise(&SupervisorPolicy::default());
-        assert!(!tick.members[0].resynced, "{tick}");
-        assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
-        assert_eq!(fed.quiesce().unwrap(), 1);
+        let pass = fed.supervise_at(&SupervisorPolicy::default(), t0 + secs(2));
+        assert!(!pass.members[0].resynced, "{pass}");
+        assert_eq!(pass.health_of("x"), Some(MemberHealth::Live));
+        assert_eq!(fed.quiesce(), 1);
         assert!(fed.verify_member(&x).unwrap());
         assert_eq!(resyncs_of(&fed, "x"), Some(1));
     }
@@ -1996,39 +2208,41 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let x = compacted_instance();
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
-        fed.go_live_forced(Duration::from_millis(1));
-        // The worker's first step meets a watermark below the source's
-        // horizon and resyncs the link itself. No tick runs.
-        eventually("the live worker to resync its own link", || {
-            resyncs_of(&fed, "x") == Some(1)
-        });
+        let t0 = Instant::now();
+        let secs = Duration::from_secs;
+        fed.schedule_live(secs(1), t0);
+        // The first tick meets a watermark below the source's horizon and
+        // resyncs the link. No supervision runs.
+        fed.tick(t0).unwrap();
+        assert_eq!(resyncs_of(&fed, "x"), Some(1));
         assert!(fed.verify_member(&x).unwrap());
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 2);
-        let tick = fed.supervise(&SupervisorPolicy::default());
-        assert!(!tick.members[0].resynced, "{tick}");
-        assert_eq!(tick.health_of("x"), Some(MemberHealth::Live));
+        let pass = fed.supervise_at(&SupervisorPolicy::default(), t0 + secs(1));
+        assert!(!pass.members[0].resynced, "{pass}");
+        assert_eq!(pass.health_of("x"), Some(MemberHealth::Live));
         assert_eq!(fed.member_last_error("x").unwrap(), None);
-        assert_eq!(fed.quiesce().unwrap(), 1);
+        assert_eq!(fed.quiesce(), 1);
         assert!(fed.verify_member(&x).unwrap());
         assert_eq!(resyncs_of(&fed, "x"), Some(1));
     }
 
     #[test]
-    fn inject_chaos_reaches_a_running_live_worker() {
+    fn inject_chaos_reaches_a_live_link() {
         use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
         let x = instance("x", SACCT_X, "r-x");
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
-        fed.go_live_forced(Duration::from_millis(1));
+        let t0 = Instant::now();
+        fed.schedule_live(Duration::from_secs(1), t0);
+        fed.tick(t0).unwrap();
         assert_eq!(fed.member_last_error("x").unwrap(), None);
         let plan = FaultPlan::new().with(
             FaultSpec::at_ops(FaultPoint::Transport, FaultKind::LinkDown, &[1]).for_target("x"),
         );
         fed.inject_chaos(&plan.injector(42));
-        eventually("the injected link-down to reach the worker", || {
-            fed.member_last_error("x").unwrap().is_some()
-        });
-        fed.quiesce().unwrap();
+        assert!(fed.tick(t0 + Duration::from_secs(1)).is_err());
+        assert!(fed.member_last_error("x").unwrap().is_some());
+        fed.quiesce();
     }
 
     #[test]
@@ -2038,9 +2252,10 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         hub.set_telemetry(xdmod_telemetry::MetricsRegistry::disabled());
         let mut fed = Federation::new(hub);
         fed.join_tight(&x, FederationConfig::default()).unwrap();
-        // A long interval: after its first iteration the worker sleeps
-        // until resumed, so the backlog below stays put.
-        fed.go_live_forced(Duration::from_secs(600));
+        let t0 = Instant::now();
+        let secs = Duration::from_secs;
+        fed.schedule_live(secs(600), t0);
+        fed.tick(t0).unwrap();
         fed.pause_member("x").unwrap();
         x.ingest_sacct("r", SACCT_Y).unwrap();
         // No gauge is sampled anywhere, yet the backlog is visible.
@@ -2050,11 +2265,10 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             fed.health()
         );
         fed.resume_member("x").unwrap();
-        eventually("the resumed worker to drain the backlog", || {
-            fed.health()[0].1 == MemberHealth::Live
-        });
+        fed.tick(t0 + secs(1)).unwrap();
+        assert_eq!(fed.health()[0].1, MemberHealth::Live);
         assert_eq!(fed.hub().federated_fact_rows(RealmKind::Jobs), 3);
-        fed.quiesce().unwrap();
+        fed.quiesce();
     }
 
     #[test]
@@ -2063,11 +2277,11 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let mut x = instance("x", SACCT_X, "r");
         let mut fed = Federation::new(FederationHub::new("hub"));
         fed.join_tight(&x, FederationConfig::default()).unwrap();
-        // A long interval: the worker polls once, then sleeps until resumed.
-        fed.go_live_forced(Duration::from_secs(600));
-        eventually("the first poll to drain the join", || {
-            fed.health()[0].1 == MemberHealth::Live
-        });
+        let t0 = Instant::now();
+        let ms = Duration::from_millis;
+        fed.schedule_live(Duration::from_secs(600), t0);
+        fed.tick(t0).unwrap();
+        assert_eq!(fed.health()[0].1, MemberHealth::Live);
         fed.pause_member("x").unwrap();
         x.ingest_sacct("r", SACCT_Y).unwrap();
         let stall = FaultKind::Stall { millis: 300 };
@@ -2076,23 +2290,24 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         let injector = plan.injector(7);
         fed.inject_chaos(&injector);
         fed.resume_member("x").unwrap();
-        // The stall is logged as it fires, just before the worker sleeps
-        // in it with its replicator locked.
-        eventually("the resumed worker to enter the stall", || {
-            !injector.schedule().is_empty()
-        });
-        let started = std::time::Instant::now();
+        // The stall defers the resumed link's poll to 300 ms after the
+        // tick that met it, instead of holding the link until then.
+        let t1 = t0 + Duration::from_secs(1);
+        fed.tick(t1).unwrap();
+        assert!(!injector.schedule().is_empty());
+        let started = Instant::now();
         let health = fed.health();
         let took = started.elapsed();
-        assert!(took < Duration::from_millis(100), "health() took {took:?}");
+        assert!(took < ms(100), "health() took {took:?}");
         assert!(
             matches!(health[0].1, MemberHealth::Lagging { behind } if behind > 0),
             "{health:?}"
         );
-        eventually("the stalled poll to drain the backlog", || {
-            fed.health()[0].1 == MemberHealth::Live
-        });
-        fed.quiesce().unwrap();
+        fed.tick(t1 + ms(299)).unwrap();
+        assert_ne!(fed.health()[0].1, MemberHealth::Live);
+        fed.tick(t1 + ms(300)).unwrap();
+        assert_eq!(fed.health()[0].1, MemberHealth::Live);
+        fed.quiesce();
     }
 
     #[test]
@@ -2192,5 +2407,118 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
             snap.gauge("replication_lag_events", &[("link", "y")]),
             Some(0.0)
         );
+    }
+
+    /// Cut `name`'s transport for good.
+    fn link_down(fed: &mut Federation, name: &str) {
+        use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
+        let plan = FaultPlan::new().with(
+            FaultSpec::at_ops(FaultPoint::Transport, FaultKind::LinkDown, &[1]).for_target(name),
+        );
+        fed.inject_chaos(&plan.injector(42));
+    }
+
+    #[test]
+    fn supervise_strikes_only_members_stepped_since_the_last_pass() {
+        let x = instance("x", SACCT_X, "r-x");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        join_without_retries(&mut fed, &x, "tight");
+        link_down(&mut fed, "x");
+        let policy = SupervisorPolicy::default().with_max_failures(2);
+        let t0 = Instant::now();
+        let hour = Duration::from_secs(3600);
+        fed.schedule_live(hour, t0);
+        // Each failed step of the live link is a strike; a pass before
+        // the link is due again steps nothing and strikes nothing.
+        for at in [t0, t0 + hour / 2] {
+            let pass = fed.supervise_at(&policy, at);
+            assert_eq!(
+                pass.health_of("x"),
+                Some(MemberHealth::Stale { age_secs: 0 })
+            );
+            assert!(pass.members[0].error.is_some(), "{pass}");
+        }
+        let due = fed.supervise_at(&policy, t0 + hour);
+        assert_eq!(due.health_of("x"), Some(MemberHealth::Quarantined));
+        assert!(due.members[0].quarantined_now);
+        let errors = fed.hub().telemetry().events_of_kind("replication.error");
+        assert_eq!(errors.len(), 2);
+        fed.quiesce();
+    }
+
+    #[test]
+    fn supervise_strikes_a_failure_only_once_its_retries_are_spent() {
+        let x = instance("x", SACCT_X, "r-x");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        link_down(&mut fed, "x");
+        let policy = SupervisorPolicy::default().with_max_failures(2);
+        let t0 = Instant::now();
+        let pass = |fed: &mut Federation, n: u32| {
+            let at = t0 + Duration::from_secs(2) * n;
+            fed.supervise_at(&policy, at).health_of("x")
+        };
+        // The default burst retries five times, one retry per pass: the
+        // link reads stale, but strikes nothing and pages nobody while a
+        // retry is planned.
+        for n in 0..5 {
+            let health = pass(&mut fed, n);
+            assert!(
+                matches!(health, Some(MemberHealth::Stale { .. })),
+                "{health:?}"
+            );
+            assert!(fed.alerts().is_empty(), "{:?}", fed.alerts());
+        }
+        // The sixth failure has no retry left: a strike, then another.
+        assert!(matches!(
+            pass(&mut fed, 5),
+            Some(MemberHealth::Stale { .. })
+        ));
+        assert_eq!(fed.alerts().len(), 1);
+        assert_eq!(pass(&mut fed, 6), Some(MemberHealth::Quarantined));
+        let snap = fed.hub().telemetry().snapshot();
+        assert_eq!(
+            snap.counter("replication_retries_total", &[("link", "x")]),
+            Some(5)
+        );
+    }
+
+    #[test]
+    fn supervise_retries_no_earlier_than_its_backoff() {
+        use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
+        let x = instance("x", SACCT_X, "r-x");
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        fed.join_tight(&x, FederationConfig::default()).unwrap();
+        let plan = FaultPlan::new().with(
+            FaultSpec::at_ops(FaultPoint::Transport, FaultKind::Transient, &[1, 2]).for_target("x"),
+        );
+        fed.inject_chaos(&plan.injector(7));
+        let telemetry = fed.hub().telemetry().clone();
+        let retries = || telemetry.events_of_kind("replication.retry");
+        let policy = SupervisorPolicy::default();
+        // The first pass polls once: the transient fails it and plans a
+        // backoff, and no retry runs in the same pass.
+        let first = fed.supervise(&policy);
+        let ran: Vec<String> = retries().into_iter().map(|e| e.message.clone()).collect();
+        assert!(ran.is_empty(), "retries ran in the failing pass: {ran:?}");
+        assert!(first.members[0].error.is_some(), "{first}");
+        for attempt in 1..=2 {
+            let planned = telemetry
+                .snapshot()
+                .gauge("replication_backoff_ms", &[("link", "x")])
+                .unwrap();
+            // Wait the planned backoff out; the next pass runs the retry.
+            std::thread::sleep(Duration::from_millis(planned as u64));
+            let tick = fed.supervise(&policy);
+            let retry = &retries()[attempt - 1];
+            let waited = retry.field("waited_ms").unwrap();
+            assert!(
+                waited >= planned,
+                "retry {attempt} waited {waited} ms of {planned}"
+            );
+            assert_eq!(retries().len(), attempt, "{tick}");
+        }
+        assert_eq!(fed.health()[0].1, MemberHealth::Live);
+        assert!(fed.verify_member(&x).unwrap());
     }
 }

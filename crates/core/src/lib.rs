@@ -13,7 +13,7 @@
 //! - [`federation::Federation`] — the Federation module: tight/loose
 //!   links, the version gate, resource routing, consistency checks, and
 //!   satellite regeneration from the hub.
-//! - [`supervisor`] — tick-driven link supervision: retry, auto-restart,
+//! - [`supervisor`] — pass-driven link supervision: retry, strikes,
 //!   resync on divergence, quarantine, degraded-mode health reporting.
 //! - [`Federation::from_config`] ([`config`]) — builds the whole wiring
 //!   from the federation document `xdmod-check` vets: one parse into the

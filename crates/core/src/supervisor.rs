@@ -4,17 +4,16 @@
 //! affiliated sites drop off networks, crash mid-write, and come back
 //! with repaired (shorter) binlogs. This module defines the *vocabulary*
 //! of supervision — health states, the supervisor's policy knobs, and
-//! the per-tick report — while the mechanics live on
+//! the per-pass report — while the mechanics live on
 //! [`Federation::supervise`](crate::federation::Federation::supervise),
 //! which owns the links.
 //!
-//! Supervision is **tick-driven**, not threaded: each call to
-//! `supervise` steps every non-quarantined link that has no worker
-//! through [`Replicator::step`](xdmod_replication::Replicator::step) —
-//! the step a live worker runs too — stepping again at once, with no
-//! sleep, while the step reports a retry of the link's own burst, and
-//! reads a live link's latest error. That keeps fault-injection runs
-//! fully deterministic — the same seeded
+//! Supervision is a pass over the federation's one schedule, not a
+//! thread: it steps every due link through
+//! [`Replicator::step`](xdmod_replication::Replicator::step) — a failed
+//! one no earlier than its retry's backoff — and counts strikes from each
+//! link's latest step, whoever ran it. Passes at given instants keep
+//! fault-injection runs fully deterministic: the same seeded
 //! [`FaultPlan`](xdmod_chaos::FaultPlan) always meets the same sequence
 //! of link operations.
 //!
@@ -22,19 +21,19 @@
 //! polling cannot bring the link level with its source):
 //!
 //! ```text
-//!            step ok                      step err (failures < max)
+//!       latest step ok          latest step failed (strikes < max)
 //!   Live  ◀───────────  Stale(age)  ◀──────────────────────┐
 //!    │                      │                               │
-//!    │                      │ failures reaches              │
+//!    │                      │ strikes reach                 │
 //!    │                      ▼ max_failures                  │
 //!    │                    Quarantined ── reinstate_member ──┘
-//!    │                      (parked: sync/supervise skip it)
+//!    │                      (parked: nothing steps it)
 //!    ▼
 //!   Lagging(behind)   (healthy but behind the source binlog head)
 //! ```
 
 use std::fmt;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Health of one federation member's link, as reported by
 /// [`Federation::health`](crate::federation::Federation::health) and
@@ -55,7 +54,7 @@ pub enum MemberHealth {
         age_secs: u64,
     },
     /// The supervisor gave up on the link after repeated failures; it is
-    /// parked and skipped by `sync`/`supervise` until
+    /// parked and nothing steps it until
     /// [`reinstate_member`](crate::federation::Federation::reinstate_member).
     Quarantined,
 }
@@ -82,13 +81,14 @@ impl fmt::Display for MemberHealth {
 /// link retries under the policy its member joined with (`retries`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
-    /// Consecutive failed ticks before a member is quarantined.
+    /// Strikes in a row before a member is quarantined: passes that
+    /// found the link's latest step, run since the pass before, failed.
     pub max_failures: u32,
     /// Events of lag a link may carry and still count as
     /// [`MemberHealth::Live`]; beyond it the member reads as `Lagging`.
     pub lag_threshold: u64,
     /// A member whose last success is older than this reads as `Stale`
-    /// even if no tick has failed outright (e.g. a wedged live worker).
+    /// even if no step has failed outright (e.g. a wedged source).
     pub stale_after: Duration,
 }
 
@@ -103,33 +103,29 @@ impl Default for SupervisorPolicy {
 }
 
 impl SupervisorPolicy {
-    /// Quarantine after `n` consecutive failed ticks.
+    /// Quarantine after `n` strikes in a row.
     pub fn with_max_failures(mut self, n: u32) -> Self {
         self.max_failures = n;
         self
     }
 }
 
-/// What one supervision tick did to (and observed about) one member.
+/// What one supervision pass did to (and observed about) one member.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemberReport {
     /// Member name.
     pub name: String,
-    /// Health after this tick.
+    /// Health after this pass.
     pub health: MemberHealth,
-    /// A dead live worker was detected and stopped; the link keeps its
-    /// watermark and, once this tick's step succeeds, a fresh worker
-    /// resumes from it.
-    pub restarted: bool,
-    /// This tick's step found that polling could not bring the link level
+    /// This pass's step found that polling could not bring the link level
     /// with its source (see
     /// [`Replicator::needs_resync`](xdmod_replication::Replicator::needs_resync)),
-    /// so it resynced the hub schema from the source tables. A live link's
-    /// worker resyncs on its own, so a live member never reports it.
+    /// so it resynced the hub schema from the source tables. A step the
+    /// driver ran resyncs the same way but is not this pass's to report.
     pub resynced: bool,
-    /// This tick is the one that moved the member into quarantine.
+    /// This pass is the one that moved the member into quarantine.
     pub quarantined_now: bool,
-    /// The error that made this tick fail, if it did.
+    /// The error of the link's latest step, if it failed.
     pub error: Option<String>,
 }
 
@@ -142,7 +138,7 @@ pub struct SupervisionReport {
 }
 
 impl SupervisionReport {
-    /// Health of `name` after this tick, if it is a member.
+    /// Health of `name` after this pass, if it is a member.
     pub fn health_of(&self, name: &str) -> Option<MemberHealth> {
         self.members
             .iter()
@@ -169,9 +165,6 @@ impl fmt::Display for SupervisionReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for m in &self.members {
             write!(f, "{}: {}", m.name, m.health)?;
-            if m.restarted {
-                write!(f, " [restarted]")?;
-            }
             if m.resynced {
                 write!(f, " [resynced]")?;
             }
@@ -182,17 +175,6 @@ impl fmt::Display for SupervisionReport {
         }
         Ok(())
     }
-}
-
-/// Per-member supervision bookkeeping, owned by the federation.
-#[derive(Debug, Default)]
-pub(crate) struct SupervisionState {
-    /// Consecutive failed ticks (reset by a success).
-    pub(crate) failures: u32,
-    /// Parked by the supervisor; skipped until reinstated.
-    pub(crate) quarantined: bool,
-    /// When a tick last succeeded for this member.
-    pub(crate) last_ok: Option<Instant>,
 }
 
 #[cfg(test)]
@@ -228,7 +210,6 @@ mod tests {
                 MemberReport {
                     name: "x".into(),
                     health: MemberHealth::Live,
-                    restarted: false,
                     resynced: true,
                     quarantined_now: false,
                     error: None,
@@ -236,7 +217,6 @@ mod tests {
                 MemberReport {
                     name: "z".into(),
                     health: MemberHealth::Quarantined,
-                    restarted: false,
                     resynced: false,
                     quarantined_now: true,
                     error: Some("injected link-down".into()),

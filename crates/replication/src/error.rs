@@ -1,10 +1,8 @@
 //! Typed replication failures.
 //!
-//! The live link runs on a background thread; before this type existed a
-//! panicked worker took the *caller* down too (`join().expect(..)` in
-//! `stop()`). A federation hub must instead observe "this link died" as
-//! data — mark the member degraded, keep serving the other satellites —
-//! which is only possible if teardown returns an error value.
+//! A link's own step failures are [`WarehouseError`]s, kept as the
+//! link's latest error; this type carries what a caller of the link's
+//! control surface must handle instead, such as a refused seek.
 
 use std::fmt;
 use xdmod_warehouse::{LogPosition, WarehouseError};
@@ -12,20 +10,9 @@ use xdmod_warehouse::{LogPosition, WarehouseError};
 /// Why a replication link failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplicationError {
-    /// The background polling thread panicked; `detail` carries the
-    /// panic payload when it was a string.
-    LinkPanicked {
-        /// Label of the link whose worker died.
-        link: String,
-        /// Panic message, or a placeholder for non-string payloads.
-        detail: String,
-    },
     /// A seek asked for a watermark beyond the source binlog's current
-    /// tail. Before this variant existed the position was accepted
-    /// silently, and the link then stalled forever waiting for records
-    /// that will never exist — a divergence (e.g. a restored source, or
-    /// a tail lost to corruption) must be surfaced so the supervisor can
-    /// resync instead.
+    /// tail, where the link would wait forever for records that will
+    /// never exist: the divergence surfaces, so that the link resyncs.
     SeekBeyondTail {
         /// Label of the link whose seek was rejected.
         link: String,
@@ -41,9 +28,6 @@ pub enum ReplicationError {
 impl fmt::Display for ReplicationError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ReplicationError::LinkPanicked { link, detail } => {
-                write!(f, "replication link {link:?} panicked: {detail}")
-            }
             ReplicationError::SeekBeyondTail {
                 link,
                 requested,
@@ -67,7 +51,7 @@ impl From<WarehouseError> for ReplicationError {
     }
 }
 
-/// Render a `std::thread::JoinHandle` panic payload.
+/// Render a caught panic's payload.
 pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
@@ -81,15 +65,6 @@ pub(crate) fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_names_the_link() {
-        let e = ReplicationError::LinkPanicked {
-            link: "site-x".into(),
-            detail: "boom".into(),
-        };
-        assert_eq!(e.to_string(), "replication link \"site-x\" panicked: boom");
-    }
 
     #[test]
     fn seek_beyond_tail_names_both_positions() {

@@ -5,16 +5,16 @@
 //!
 //! - **binlog tailing** with resumable `(epoch, seqno)` watermarks
 //!   ([`replicator::Replicator`]), driven by one step that polls or
-//!   resyncs, records the outcome and retries under the link's own
-//!   policy, and held for a link's whole life by a
-//!   [`replicator::LiveReplicator`] that can run that step on a worker
-//!   thread — "tight" federation's live mode;
+//!   resyncs, records the outcome, retries under the link's own policy
+//!   and says when to run next, and held for a link's whole life by a
+//!   [`replicator::Link`] handle that whoever schedules the link steps —
+//!   "tight" federation's live mode is that step at a short interval;
 //! - **schema renaming during transfer**, so the hub holds "one schema
 //!   per XDMoD instance";
 //! - **selective replication** ([`filter::ReplicationFilter`]): realm
 //!   /table selection and per-resource routing (§II-C4);
-//! - **loose federation** (§II-C2): the same link stepped in batches and
-//!   never run live;
+//! - **loose federation** (§II-C2): the same link stepped in batches
+//!   instead of at an interval;
 //! - **consistency verification** ([`consistency`]): checksum proof that
 //!   "no data are lost or changed" in transit.
 
@@ -28,6 +28,4 @@ pub mod replicator;
 pub use consistency::{verify_schemas, TableCheck};
 pub use error::ReplicationError;
 pub use filter::ReplicationFilter;
-pub use replicator::{
-    LinkConfig, LinkStats, LiveReplicator, Replicator, ResyncReport, RetryPolicy, Step,
-};
+pub use replicator::{Link, LinkConfig, LinkStats, Replicator, ResyncReport, RetryPolicy, Step};

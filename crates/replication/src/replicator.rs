@@ -12,9 +12,11 @@
 //! selection, rename, [`ReplicationFilter`]), and applies the survivors
 //! to the target. [`Replicator::step`] is the one way a link is driven:
 //! it polls (or resyncs, when polling cannot help), records the outcome
-//! and says when to run next. [`LiveReplicator`] holds the replicator for
-//! the link's whole life and can run the same step on a background
-//! thread — the paper's "live replication".
+//! and says when to run next. A [`Link`] holds the replicator for the
+//! link's whole life: whoever schedules the link steps it through the
+//! handle, and reads its backlog and latest error without waiting for a
+//! step. Stepped at a short interval, it is the paper's "live
+//! replication".
 //!
 //! "Instead, log files or database dumps could be periodically shipped to
 //! the federation hub, and batch processed there to make their data
@@ -24,18 +26,17 @@
 //! from some member instances and tight federation from others."
 //! (§II-C2)
 //!
-//! A loose link is the same [`Replicator`], stepped in batches and never
-//! run live: it reads the framed binlog (the shipped "log files") after a
-//! position the hub keeps and advances that position only past applied
-//! events, so a batch that fails to apply is read again on the next
-//! call. A captured schema (the "database dump") is what
+//! A loose link is the same [`Replicator`], stepped in batches instead
+//! of at an interval: it reads the framed binlog (the shipped "log
+//! files") after a position the hub keeps and advances that position
+//! only past applied events, so a batch that fails to apply is read
+//! again on the next call. A captured schema (the "database dump") is what
 //! [`Replicator::resync_target`] replays.
 
 use crate::error::{panic_detail, ReplicationError};
 use crate::filter::ReplicationFilter;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use xdmod_chaos::{DeterministicRng, FaultInjector, FaultKind, FaultPoint};
 use xdmod_telemetry::MetricsRegistry;
@@ -113,8 +114,8 @@ pub struct Replicator {
     source: SharedDatabase,
     target: SharedDatabase,
     config: LinkConfig,
-    /// The watermark, shared with the link's [`LiveReplicator`] so its
-    /// lag reads never wait for this replicator's lock.
+    /// The watermark, shared with the link's [`Link`] so its lag reads
+    /// never wait for this replicator's lock.
     watermark: Arc<Mutex<LogPosition>>,
     stats: LinkStats,
     telemetry: MetricsRegistry,
@@ -124,14 +125,16 @@ pub struct Replicator {
     /// A source tail repair dropped records since the last resync: the
     /// source tables hold rows whose events no poll can deliver.
     lost_records: bool,
-    /// The error of the latest step, shared with the link's
-    /// [`LiveReplicator`] so reading it never waits for this lock.
+    /// The error of the latest step, shared with the link's [`Link`] so
+    /// reading it never waits for this lock.
     last_error: Arc<Mutex<Option<WarehouseError>>>,
     /// The retry burst [`Replicator::step`] advances.
     retry: RetryState,
     /// When the last step failed, if it scheduled a retry: the next step
     /// is that retry.
     retry_scheduled_at: Option<Instant>,
+    /// A chaos stall deferred the latest poll by this long.
+    stalled: Option<Duration>,
     /// When the link first fell behind (`None` while caught up).
     behind_since: Option<Instant>,
     /// The last lag sampled, so an idle link records no lag events.
@@ -148,8 +151,9 @@ pub struct Step {
     /// polling ([`Replicator::needs_resync`]).
     pub resynced: bool,
     /// `Some` while the step failed and its retry burst has attempts
-    /// left: step again at this instant, a backoff after `now`. `None`:
-    /// step again after the driver's interval.
+    /// left, or a transport stall deferred its poll: step again at this
+    /// instant, a backoff (or the stall) after `now`. `None`: step again
+    /// after the driver's interval.
     pub retry_at: Option<Instant>,
 }
 
@@ -167,6 +171,7 @@ impl Replicator {
             telemetry: MetricsRegistry::disabled(),
             retry: RetryState::new(RetryPolicy::default(), &link_name),
             retry_scheduled_at: None,
+            stalled: None,
             link_name,
             chaos: None,
             lost_records: false,
@@ -192,10 +197,11 @@ impl Replicator {
     /// Attach a fault injector. The injector is consulted once per poll
     /// at the [`FaultPoint::Transport`] point (target = the link label):
     /// transient and link-down faults surface as [`WarehouseError::Io`]
-    /// from the poll, stalls sleep in place, and physical binlog damage
-    /// ([`FaultKind::CorruptTailByte`], [`FaultKind::TruncateTail`]) is
-    /// executed against the *source* database — the transport is the one
-    /// place in the stack that holds write access to the source handle.
+    /// from the poll, a stall defers the poll (see [`Step::retry_at`]),
+    /// and physical binlog damage ([`FaultKind::CorruptTailByte`],
+    /// [`FaultKind::TruncateTail`]) is executed against the *source*
+    /// database — the transport is the one place in the stack that holds
+    /// write access to the source handle.
     pub fn with_chaos(mut self, injector: FaultInjector) -> Self {
         self.chaos = Some(injector);
         self
@@ -258,18 +264,20 @@ impl Replicator {
         result
     }
 
-    /// Drive the link once — the one operation under the live worker,
-    /// batch syncs and supervision alike. Resyncs when
+    /// Drive the link once — the one operation under every schedule,
+    /// live, batched or supervised. Resyncs when
     /// [`Replicator::needs_resync`], otherwise polls once, and records
     /// the outcome the same way whoever drives it: a failure is kept in
-    /// [`LiveReplicator::last_error`], counted in
+    /// [`Link::last_error`], counted in
     /// `replication_apply_errors_total{link}`, recorded as a
     /// `replication.error` event and advances the retry burst (see
     /// [`RetryPolicy`]); a success clears the error and ends the burst.
     /// The step after one that scheduled a retry is that retry: it counts
     /// in `replication_retries_total{link}` and records a
     /// `replication.retry` event with the time waited since the failure.
-    /// Every step then samples lag in both units at `now`:
+    /// A transport stall is neither: the step reads nothing and asks to
+    /// run again once the stall is over. Every step then samples lag in
+    /// both units at `now`:
     /// `replication_lag_events` (binlog positions behind) and
     /// `replication_lag_seconds` (time since the link first fell behind).
     pub fn step(&mut self, now: Instant) -> Step {
@@ -282,8 +290,9 @@ impl Replicator {
         } else {
             self.poll()
         };
-        let mut retry_at = None;
+        let mut retry_at = self.stalled.take().map(|stall| now + stall);
         match &outcome {
+            Ok(_) if retry_at.is_some() => {}
             Ok(_) => self.succeeded(),
             Err(e) => {
                 *self.last_error.lock() = Some(e.clone());
@@ -345,8 +354,10 @@ impl Replicator {
         );
     }
 
-    /// Sample lag in both units at `now` into the link's registry.
-    fn sample_lag(&mut self, now: Instant) {
+    /// Sample lag in both units at `now` into the link's registry without
+    /// stepping — what a paused link's schedule does, so its backlog shows
+    /// on the lag gauges. Every step samples too.
+    pub fn sample_lag(&mut self, now: Instant) {
         let lag = self.lag_events();
         let lag_secs = if lag == 0 {
             self.behind_since = None;
@@ -378,26 +389,23 @@ impl Replicator {
     }
 
     /// Consult the fault injector at the transport point. Transient and
-    /// link-down faults surface as errors; stalls sleep in place; binlog
-    /// damage kinds mutate the source log and let the poll proceed into
-    /// the damage (exercising the repair path).
-    fn transport_fault(&mut self) -> Result<()> {
+    /// link-down faults surface as errors; a stall comes back as the time
+    /// the poll must wait; binlog damage kinds mutate the source log and
+    /// let the poll proceed into the damage (exercising the repair path).
+    fn transport_fault(&mut self) -> Result<Option<Duration>> {
         let Some(injector) = &self.chaos else {
-            return Ok(());
+            return Ok(None);
         };
         match injector.next_fault(FaultPoint::Transport, &self.link_name) {
-            None => Ok(()),
-            Some(FaultKind::Stall { millis }) => {
-                std::thread::sleep(Duration::from_millis(millis));
-                Ok(())
-            }
+            None => Ok(None),
+            Some(FaultKind::Stall { millis }) => Ok(Some(Duration::from_millis(millis))),
             Some(FaultKind::CorruptTailByte) => {
                 self.source.write().corrupt_binlog_tail_byte();
-                Ok(())
+                Ok(None)
             }
             Some(FaultKind::TruncateTail { bytes }) => {
                 self.source.write().truncate_binlog_tail(bytes as usize);
-                Ok(())
+                Ok(None)
             }
             // A dropped fsync means nothing to a link; like the warehouse's
             // own consultation points, degrade it to a transient failure.
@@ -482,7 +490,10 @@ impl Replicator {
     }
 
     fn poll_inner(&mut self) -> Result<usize> {
-        self.transport_fault()?;
+        self.stalled = self.transport_fault()?;
+        if self.stalled.is_some() {
+            return Ok(0);
+        }
         // Read the new events under a source read lock and release it
         // before taking the target's write lock — the two databases may be
         // the same object in a loopback topology, and lock ordering must
@@ -598,7 +609,7 @@ impl Replicator {
     /// invariant the consistency checker verifies.
     ///
     /// A resync that succeeds is a success of the link: it clears
-    /// [`LiveReplicator::last_error`] and ends any retry burst, as a
+    /// [`Link::last_error`] and ends any retry burst, as a
     /// successful poll does.
     pub fn resync_target(&mut self) -> Result<ResyncReport> {
         // Capture the schema and the binlog head under one source read
@@ -689,7 +700,7 @@ pub struct ResyncReport {
 /// prev * 3))`, the AWS-architecture-blog variant) instead of after the
 /// driver's interval. The burst belongs to the link, not to whoever
 /// drives it: it ends on the first success — which also clears
-/// [`LiveReplicator::last_error`] — and once `max_attempts` retries are
+/// [`Link::last_error`] — and once `max_attempts` retries are
 /// spent it stays spent until a success, the link falling back to
 /// interval steps with the error left visible for the supervisor. The
 /// link is never torn down by a failed step.
@@ -766,40 +777,18 @@ impl RetryState {
 }
 
 /// One replication link for its whole life: the [`Replicator`] behind a
-/// lock, plus an optional worker thread that steps it at an interval —
-/// "live replication to the central federation hub database".
+/// lock, stepped by whoever schedules it — "live replication to the
+/// central federation hub database" when that is a short interval.
 ///
-/// Every operation locks the replicator for its own duration, whether or
-/// not a worker runs, so a caller never holds the guard and never needs
-/// to know which mode the link is in. [`LiveReplicator::start_live`]
-/// spawns the worker; [`LiveReplicator::stop_live`] joins it and leaves
-/// the replicator — watermark, stats, retry burst, chaos and telemetry —
-/// where it was, so a relaunched worker resumes from the link's own
-/// position.
-///
-/// The worker runs [`Replicator::step`], the same step a caller drives
-/// by hand, and parks until the time it returned; while paused it only
-/// samples lag. A failed step keeps the link running: the watermark only
-/// advances past applied events, so a transient failure is retried by a
-/// later step instead of killing the link.
-pub struct LiveReplicator {
-    replicator: Arc<Mutex<Replicator>>,
-    /// The replicator's source, watermark and latest error, for reads
-    /// that do not wait out a running step.
+/// Every operation locks the replicator for its own duration, so a
+/// caller never holds the guard. The watermark, the source handle and
+/// the latest error are shared out of the replicator, so
+/// [`Link::lag_events`] and [`Link::last_error`] never wait for a step.
+pub struct Link {
+    replicator: Mutex<Replicator>,
     source: SharedDatabase,
     watermark: Arc<Mutex<LogPosition>>,
     last_error: Arc<Mutex<Option<WarehouseError>>>,
-    paused: Arc<AtomicBool>,
-    /// Link label, kept outside the lock so a panicked worker can be
-    /// named in the resulting [`ReplicationError`].
-    link_name: String,
-    worker: Option<Worker>,
-}
-
-/// A running worker thread and its stop flag.
-struct Worker {
-    stop: Arc<AtomicBool>,
-    handle: JoinHandle<()>,
 }
 
 /// Events between `watermark` and the head of `source`'s binlog; after
@@ -815,163 +804,57 @@ fn lag_events(source: &SharedDatabase, watermark: &Mutex<LogPosition>) -> u64 {
     }
 }
 
-impl LiveReplicator {
-    /// Hold `replicator` as a link with no worker running.
+impl Link {
+    /// Hold `replicator` as a link.
     pub fn new(replicator: Replicator) -> Self {
-        LiveReplicator {
-            link_name: replicator.link_name.clone(),
+        Link {
             source: Arc::clone(&replicator.source),
             watermark: Arc::clone(&replicator.watermark),
             last_error: Arc::clone(&replicator.last_error),
-            replicator: Arc::new(Mutex::new(replicator)),
-            paused: Arc::new(AtomicBool::new(false)),
-            worker: None,
+            replicator: Mutex::new(replicator),
         }
     }
 
-    /// [`Replicator::step`]; a running worker waits for it.
+    /// [`Replicator::step`]. A panic inside the step is caught and
+    /// becomes the step's failed outcome ([`WarehouseError::Io`] naming
+    /// the link), kept in [`Link::last_error`] and recorded like any
+    /// failure but with no retry, so one broken link never takes its
+    /// driver down.
     pub fn step(&self, now: Instant) -> Step {
-        self.replicator.lock().step(now)
+        let mut replicator = self.replicator.lock();
+        let detail = match panic::catch_unwind(AssertUnwindSafe(|| replicator.step(now))) {
+            Ok(step) => return step,
+            Err(payload) => panic_detail(payload.as_ref()),
+        };
+        let link = &replicator.link_name;
+        let e = WarehouseError::Io(format!("step of link {link} panicked: {detail}"));
+        *self.last_error.lock() = Some(e.clone());
+        replicator.record_failure(&e, None);
+        Step {
+            outcome: Err(e),
+            resynced: false,
+            retry_at: None,
+        }
     }
 
-    /// [`Replicator::resync_target`]; a running worker waits for it.
-    pub fn resync_target(&self) -> Result<ResyncReport> {
-        self.replicator.lock().resync_target()
-    }
-
-    /// [`Replicator::seek`].
-    pub fn seek(&self, position: LogPosition) -> std::result::Result<(), ReplicationError> {
-        self.replicator.lock().seek(position)
+    /// Run `f` on the replicator under the link's lock, so no step runs
+    /// meanwhile: a resync, a lag sample, a new fault injector, or a
+    /// restore of the link's source that must end seeked past itself.
+    pub fn hold<T>(&self, f: impl FnOnce(&mut Replicator) -> T) -> T {
+        f(&mut self.replicator.lock())
     }
 
     /// [`Replicator::lag_events`]: the link's own backlog, read whether
-    /// or not telemetry is enabled. It takes no replicator lock, so it
-    /// never waits for a running worker's step, chaos stalls included;
-    /// the watermark it reads advances event by event as the poll
-    /// applies them.
+    /// or not telemetry is enabled. It takes no replicator lock; the
+    /// watermark it reads advances event by event as a poll applies them.
     pub fn lag_events(&self) -> u64 {
         lag_events(&self.source, &self.watermark)
-    }
-
-    /// [`Replicator::stats`].
-    pub fn stats(&self) -> LinkStats {
-        self.replicator.lock().stats()
-    }
-
-    /// [`Replicator::set_chaos`]; a running worker meets the injector on
-    /// its next step.
-    pub fn set_chaos(&self, injector: FaultInjector) {
-        self.replicator.lock().set_chaos(injector);
-    }
-
-    /// Spawn a worker stepping the link, unpaused, and parking between
-    /// steps until the time each returned: a backoff while a retry burst
-    /// has attempts left (see [`RetryPolicy`]), otherwise `interval`.
-    /// Returns `false`, changing nothing, when a worker already runs.
-    pub fn start_live(&mut self, interval: Duration) -> bool {
-        if self.worker.is_some() {
-            return false;
-        }
-        self.paused.store(false, Ordering::Release);
-        let stop = Arc::new(AtomicBool::new(false));
-        let replicator = Arc::clone(&self.replicator);
-        let paused = Arc::clone(&self.paused);
-        let stop2 = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Acquire) {
-                let now = Instant::now();
-                let retry_at = {
-                    let mut rep = replicator.lock();
-                    if paused.load(Ordering::Acquire) {
-                        rep.sample_lag(now);
-                        None
-                    } else {
-                        rep.step(now).retry_at
-                    }
-                };
-                std::thread::park_timeout(
-                    retry_at.map_or(interval, |at| at.saturating_duration_since(Instant::now())),
-                );
-            }
-            // Final drain so a stop immediately after a write loses
-            // nothing (even if the link was paused when stopped).
-            replicator.lock().step(Instant::now());
-        });
-        self.worker = Some(Worker { stop, handle });
-        true
-    }
-
-    /// Stop the worker: it drains outstanding events with one more step
-    /// and exits; the replicator stays in place, and
-    /// [`LiveReplicator::last_error`] reads that step's outcome. Returns
-    /// whether a worker was running.
-    ///
-    /// A panicked worker surfaces as
-    /// [`ReplicationError::LinkPanicked`] instead of propagating the
-    /// panic into the caller: the hub must be able to note one dead link
-    /// and keep operating the rest of the federation. The link stays
-    /// usable — its watermark only ever advanced past applied events.
-    pub fn stop_live(&mut self) -> std::result::Result<bool, ReplicationError> {
-        let Some(Worker { stop, handle }) = self.worker.take() else {
-            return Ok(false);
-        };
-        stop.store(true, Ordering::Release);
-        handle.thread().unpark();
-        handle
-            .join()
-            .map(|()| true)
-            .map_err(|payload| ReplicationError::LinkPanicked {
-                link: self.link_name.clone(),
-                detail: panic_detail(payload.as_ref()),
-            })
-    }
-
-    /// True while a worker runs (or has died without being stopped).
-    pub fn is_live(&self) -> bool {
-        self.worker.is_some()
-    }
-
-    /// Suspend the worker's steps without stopping it. Lag keeps being
-    /// sampled, so a paused link under writes shows a growing
-    /// `replication_lag_events` gauge — the scenario an operator dashboard
-    /// must make visible.
-    pub fn pause(&self) {
-        self.paused.store(true, Ordering::Release);
-    }
-
-    /// Resume stepping after [`LiveReplicator::pause`].
-    pub fn resume(&self) {
-        self.paused.store(false, Ordering::Release);
-        if let Some(worker) = &self.worker {
-            worker.handle.thread().unpark();
-        }
-    }
-
-    /// True while stepping is suspended.
-    pub fn is_paused(&self) -> bool {
-        self.paused.load(Ordering::Acquire)
     }
 
     /// The error of the link's latest step, if it failed — whoever drove
     /// it. It takes no replicator lock.
     pub fn last_error(&self) -> Option<WarehouseError> {
         self.last_error.lock().clone()
-    }
-
-    /// True when the worker thread has exited without being stopped. The
-    /// loop only returns cleanly after `stop_live` raises the flag, so a
-    /// finished thread here means the worker *panicked* — the
-    /// supervisor's cue to stop and relaunch it.
-    pub fn is_dead(&self) -> bool {
-        self.worker
-            .as_ref()
-            .is_some_and(|worker| worker.handle.is_finished())
-    }
-}
-
-impl Drop for LiveReplicator {
-    fn drop(&mut self) {
-        let _ = self.stop_live();
     }
 }
 
@@ -1255,8 +1138,19 @@ mod tests {
         );
     }
 
+    /// Insert one `comet` job row worth `v` CPU hours into `src`.
+    fn insert(src: &SharedDatabase, v: f64) {
+        src.write()
+            .insert(
+                "xdmod_x",
+                "jobfact",
+                vec![vec![Value::Str("comet".into()), Value::Float(v)]],
+            )
+            .unwrap();
+    }
+
     #[test]
-    fn live_replicator_streams_concurrent_writes() {
+    fn live_link_streams_writes_between_steps() {
         let src = satellite("xdmod_x", &["comet"]);
         let dst = shared(Database::new());
         let rep = Replicator::new(
@@ -1264,19 +1158,18 @@ mod tests {
             Arc::clone(&dst),
             LinkConfig::renaming("xdmod_x", "hub_x"),
         );
-        let mut live = LiveReplicator::new(rep);
-        assert!(live.start_live(Duration::from_millis(1)));
-        for i in 0..50 {
-            src.write()
-                .insert(
-                    "xdmod_x",
-                    "jobfact",
-                    vec![vec![Value::Str("comet".into()), Value::Float(f64::from(i))]],
-                )
-                .unwrap();
+        let link = Link::new(rep);
+        let t0 = Instant::now();
+        for i in 0..50u32 {
+            insert(&src, f64::from(i));
+            // A live interval of 1 ms, stepped every tenth write.
+            if i % 10 == 9 {
+                let step = link.step(t0 + Duration::from_millis(u64::from(i)));
+                assert_eq!(step.retry_at, None);
+            }
         }
-        assert_eq!(live.stop_live(), Ok(true));
-        assert!(live.stats().events_applied >= 52); // 50 inserts + DDL
+        assert!(link.hold(|r| r.stats()).events_applied >= 52); // 50 inserts + DDL
+        assert_eq!(link.lag_events(), 0);
         assert_eq!(dst.read().table("hub_x", "jobfact").unwrap().len(), 51);
         assert_eq!(
             src.read()
@@ -1288,17 +1181,6 @@ mod tests {
                 .unwrap()
                 .content_checksum()
         );
-    }
-
-    /// Wait (bounded) until `cond` holds, re-checking every millisecond.
-    fn eventually(mut cond: impl FnMut() -> bool) -> bool {
-        for _ in 0..5000 {
-            if cond() {
-                return true;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        false
     }
 
     #[test]
@@ -1330,7 +1212,7 @@ mod tests {
     }
 
     #[test]
-    fn paused_live_link_shows_growing_lag_then_recovers() {
+    fn live_link_sampled_but_not_stepped_shows_growing_lag_then_recovers() {
         use xdmod_telemetry::MetricsRegistry;
         let src = satellite("xdmod_x", &["comet"]);
         let dst = shared(Database::new());
@@ -1341,58 +1223,38 @@ mod tests {
             LinkConfig::renaming("xdmod_x", "hub_x"),
         )
         .with_telemetry(reg.clone(), "site-x");
-        let mut live = LiveReplicator::new(rep);
-        live.start_live(Duration::from_millis(1));
-        let link = &[("link", "site-x")];
+        let link = Link::new(rep);
+        let t0 = Instant::now();
+        let secs = Duration::from_secs;
+        let gauge = |name| reg.snapshot().gauge(name, &[("link", "site-x")]);
 
-        // Let the link catch up, then pause it.
-        assert!(eventually(|| reg
-            .snapshot()
-            .gauge("replication_lag_events", link)
-            == Some(0.0)));
-        live.pause();
-        assert!(live.is_paused());
-
-        // Writes while paused pile up as backlog...
+        // The link catches up; then, as a paused schedule does, it is only
+        // sampled while writes pile up as backlog...
+        link.step(t0).outcome.unwrap();
+        assert_eq!(gauge("replication_lag_events"), Some(0.0));
         for i in 0..5 {
-            src.write()
-                .insert(
-                    "xdmod_x",
-                    "jobfact",
-                    vec![vec![Value::Str("comet".into()), Value::Float(f64::from(i))]],
-                )
-                .unwrap();
+            insert(&src, f64::from(i));
         }
-        // ...and the sampler reports them: 5 events behind, nonzero
-        // wall-clock lag, and a replication.lag event series.
-        assert!(eventually(|| reg
-            .snapshot()
-            .gauge("replication_lag_events", link)
-            == Some(5.0)));
-        assert!(eventually(|| reg
-            .snapshot()
-            .gauge("replication_lag_seconds", link)
-            > Some(0.0)));
+        link.hold(|r| r.sample_lag(t0 + secs(1)));
+        link.hold(|r| r.sample_lag(t0 + secs(3)));
+        // ...and the samples report them: 5 events behind since the first
+        // sample, 2 s of lag at the second, and a replication.lag series.
+        assert_eq!(gauge("replication_lag_events"), Some(5.0));
+        assert_eq!(gauge("replication_lag_seconds"), Some(2.0));
         let lag_events = reg.events_of_kind("replication.lag");
-        assert!(!lag_events.is_empty());
         assert!(lag_events
             .iter()
             .any(|e| e.message == "site-x" && e.field("lag_events") == Some(5.0)));
 
-        // Resuming drains the backlog and both gauges return to zero.
-        live.resume();
-        assert!(eventually(|| {
-            let snap = reg.snapshot();
-            snap.gauge("replication_lag_events", link) == Some(0.0)
-                && snap.gauge("replication_lag_seconds", link) == Some(0.0)
-        }));
-        live.stop_live().unwrap();
-        assert!(live.stats().events_applied >= 5);
+        // The next step drains the backlog and both gauges return to zero.
+        assert_eq!(link.step(t0 + secs(4)).outcome, Ok(5));
+        assert_eq!(gauge("replication_lag_events"), Some(0.0));
+        assert_eq!(gauge("replication_lag_seconds"), Some(0.0));
         assert_eq!(dst.read().table("hub_x", "jobfact").unwrap().len(), 6);
     }
 
     #[test]
-    fn apply_errors_are_surfaced_and_do_not_kill_the_loop() {
+    fn apply_errors_are_surfaced_and_do_not_kill_the_link() {
         use xdmod_telemetry::MetricsRegistry;
         let src = satellite("xdmod_x", &["comet"]);
         // Poison the target: hub_x.jobfact exists with a different layout,
@@ -1412,21 +1274,25 @@ mod tests {
         let reg = MetricsRegistry::new();
         let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"))
             .with_telemetry(reg.clone(), "site-x");
-        let mut live = LiveReplicator::new(rep);
-        live.start_live(Duration::from_millis(1));
-        // The loop keeps retrying (counter grows past 1) instead of dying
-        // on the first failure, and the error is inspectable live.
-        assert!(eventually(|| reg
-            .snapshot()
-            .counter("replication_apply_errors_total", &[("link", "site-x")])
-            .unwrap_or(0)
-            > 1));
-        assert!(live.last_error().is_some());
+        let link = Link::new(rep);
+        // Each step at its retry fails again instead of giving up, and the
+        // error is inspectable.
+        let mut now = Instant::now();
+        for _ in 0..3 {
+            let step = link.step(now);
+            assert!(step.outcome.is_err());
+            now = step.retry_at.unwrap_or(now + Duration::from_secs(1));
+        }
+        assert_eq!(
+            reg.snapshot()
+                .counter("replication_apply_errors_total", &[("link", "site-x")]),
+            Some(3)
+        );
+        assert!(link.last_error().is_some());
         assert!(!reg.events_of_kind("replication.error").is_empty());
-        live.stop_live().unwrap();
         // The watermark never advanced past the failing event: only the
         // (idempotent) CreateSchema ahead of it ever applied.
-        assert_eq!(live.stats().events_applied, 1);
+        assert_eq!(link.hold(|r| r.stats()).events_applied, 1);
     }
 
     #[test]
@@ -1467,63 +1333,6 @@ mod tests {
             ),
             None
         );
-    }
-
-    #[test]
-    fn stop_surfaces_worker_panic_as_typed_error() {
-        // A replicator whose source handle is poisoned mid-flight is hard
-        // to arrange; instead drive the public surface: a healthy link
-        // stops cleanly (Ok), and the error type carries the link label
-        // for the panicked case (unit-tested in `error.rs`).
-        let src = satellite("xdmod_x", &["comet"]);
-        let dst = shared(Database::new());
-        let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"));
-        let mut live = LiveReplicator::new(rep);
-        live.start_live(Duration::from_millis(1));
-        assert!(live.is_live() && !live.is_dead());
-        assert_eq!(live.stop_live(), Ok(true));
-        // Nothing runs any more: a second stop is a no-op.
-        assert!(!live.is_live());
-        assert_eq!(live.stop_live(), Ok(false));
-    }
-
-    #[test]
-    fn live_worker_restarts_from_the_links_watermark() {
-        let src = satellite("xdmod_x", &["comet"]);
-        let dst = shared(Database::new());
-        let rep = Replicator::new(
-            Arc::clone(&src),
-            Arc::clone(&dst),
-            LinkConfig::renaming("xdmod_x", "hub_x"),
-        );
-        let mut live = LiveReplicator::new(rep);
-        let insert = |v: f64| {
-            src.write()
-                .insert(
-                    "xdmod_x",
-                    "jobfact",
-                    vec![vec![Value::Str("comet".into()), Value::Float(v)]],
-                )
-                .unwrap();
-        };
-        for round in 0..3 {
-            assert!(live.start_live(Duration::from_millis(1)));
-            // A second start while the worker runs changes nothing.
-            assert!(!live.start_live(Duration::from_millis(1)));
-            insert(f64::from(round));
-            assert_eq!(live.stop_live(), Ok(true));
-            // Between workers the link is still there to poll by hand.
-            insert(f64::from(round) + 0.5);
-            assert_eq!(live.step(Instant::now()).outcome.unwrap(), 1);
-        }
-        // Each restart resumed from the watermark: no row replayed twice.
-        assert_eq!(dst.read().table("hub_x", "jobfact").unwrap().len(), 7);
-        let stats = live.stats();
-        assert_eq!(
-            stats.events_read,
-            stats.events_applied + stats.events_filtered
-        );
-        assert_eq!(live.lag_events(), 0);
     }
 
     #[test]
@@ -1873,7 +1682,7 @@ mod tests {
         let src = satellite("xdmod_x", &["comet"]);
         let dst = shared(Database::new());
         let reg = MetricsRegistry::new();
-        // Two transient faults, then clear air; no worker ever runs.
+        // Two transient faults, then clear air; no schedule runs.
         let plan = FaultPlan::new().with(FaultSpec::at_ops(
             FaultPoint::Transport,
             FaultKind::Transient,
@@ -1887,7 +1696,7 @@ mod tests {
         .with_telemetry(reg.clone(), "site-x")
         .with_chaos(plan.injector(7))
         .with_retries(fast_retries());
-        let live = LiveReplicator::new(rep);
+        let live = Link::new(rep);
         let link = &[("link", "site-x")];
         let now = Instant::now();
         for failed in 1..=2 {
@@ -1953,23 +1762,58 @@ mod tests {
         .with_telemetry(reg.clone(), "site-x")
         .with_chaos(plan.injector(7))
         .with_retries(fast_retries());
-        let mut live = LiveReplicator::new(rep);
-        live.start_live(Duration::from_millis(1));
+        let link = Link::new(rep);
+        // Step as a live schedule does: at each retry's instant while the
+        // burst runs.
+        let mut now = Instant::now();
+        let mut planned = Vec::new();
+        while let Some(at) = link.step(now).retry_at {
+            planned.push(Some((at - now).as_millis() as f64));
+            now = at;
+        }
         // The faults were retried through, the data arrived, and — the
         // sticky-error fix — the recovered link reads as healthy again.
-        assert!(eventually(|| dst.read().has_schema("hub_x")));
-        assert!(eventually(|| live.last_error().is_none()));
-        live.stop_live().unwrap();
-        assert!(live.stats().events_applied >= 4);
-        let snap = reg.snapshot();
-        let retries = snap
-            .counter("replication_retries_total", &[("link", "site-x")])
-            .unwrap_or(0);
-        assert!(
-            retries >= 1,
-            "expected at least one fast retry, got {retries}"
-        );
-        assert!(!reg.events_of_kind("replication.retry").is_empty());
+        assert!(dst.read().has_schema("hub_x"));
+        assert_eq!(link.last_error(), None);
+        assert!(link.hold(|r| r.stats()).events_applied >= 4);
+        // Each of the two retries waited exactly its backoff.
+        let waited: Vec<_> = reg
+            .events_of_kind("replication.retry")
+            .iter()
+            .map(|e| e.field("waited_ms"))
+            .collect();
+        assert_eq!(waited.len(), 2);
+        assert_eq!(waited, planned);
+    }
+
+    #[test]
+    fn chaos_stall_defers_the_poll_instead_of_sleeping() {
+        use xdmod_chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
+        let src = satellite("xdmod_x", &["comet"]);
+        let dst = shared(Database::new());
+        let stall = FaultKind::Stall { millis: 300 };
+        let plan = FaultPlan::new().with(FaultSpec::at_ops(FaultPoint::Transport, stall, &[1]));
+        let injector = plan.injector(7);
+        let rep = Replicator::new(
+            src,
+            Arc::clone(&dst),
+            LinkConfig::renaming("xdmod_x", "hub_x"),
+        )
+        .with_chaos(injector.clone());
+        let link = Link::new(rep);
+        let t0 = Instant::now();
+        // The stalled step reads nothing, fails nothing, and asks to run
+        // again once the stall is over; it returns at once.
+        let step = link.step(t0);
+        assert!(t0.elapsed() < Duration::from_millis(100));
+        assert_eq!(step.outcome, Ok(0));
+        assert_eq!(step.retry_at, Some(t0 + Duration::from_millis(300)));
+        assert_eq!(link.last_error(), None);
+        assert!(link.lag_events() > 0);
+        // The deferred poll consults the injector again, and applies.
+        assert!(link.step(t0 + Duration::from_millis(300)).outcome.unwrap() >= 4);
+        assert_eq!(link.lag_events(), 0);
+        assert_eq!(injector.schedule().len(), 1);
     }
 
     #[test]

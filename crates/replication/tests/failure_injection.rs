@@ -1,10 +1,10 @@
 //! Failure-injection tests for the replication layer: corrupted streams,
 //! crashed-and-restarted replicators, epoch changes under a live link,
-//! and worker-thread error surfacing.
+//! and step error surfacing.
 
 use std::sync::Arc;
-use std::time::Duration;
-use xdmod_replication::{LinkConfig, LiveReplicator, Replicator};
+use std::time::Instant;
+use xdmod_replication::{Link, LinkConfig, Replicator};
 use xdmod_warehouse::{
     shared, AggFn, Aggregate, AggregationSpec, CivilDate, ColumnType, Database, DimSpec,
     LogPosition, Period, SchemaBuilder, SharedDatabase, Value,
@@ -157,9 +157,9 @@ fn source_epoch_rotation_is_surfaced_not_silently_reapplied() {
 }
 
 #[test]
-fn live_replicator_surfaces_worker_errors() {
+fn live_link_surfaces_step_errors() {
     // Target a database where the schema already exists with a
-    // conflicting definition: the apply side must error, and the worker
+    // conflicting definition: the apply side must error, and the link
     // must surface it rather than spin.
     let src = satellite(1);
     let dst = shared({
@@ -176,21 +176,13 @@ fn live_replicator_surfaces_worker_errors() {
         db
     });
     let rep = Replicator::new(src, dst, LinkConfig::renaming("xdmod_x", "hub_x"));
-    let mut live = LiveReplicator::new(rep);
-    live.start_live(Duration::from_millis(1));
-    // Give the worker a moment to hit the conflict.
-    for _ in 0..100 {
-        if live.last_error().is_some() {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    let err = live.last_error().expect("worker error surfaced");
+    let link = Link::new(rep);
+    assert!(link.step(Instant::now()).outcome.is_err());
+    let err = link.last_error().expect("step error surfaced");
     assert!(
         err.to_string().contains("different definition"),
         "actual: {err}"
     );
-    let _ = live.stop_live();
 }
 
 #[test]

@@ -11,9 +11,14 @@
 //!
 //! The seed is taken from `CHAOS_SEED` when set (the CI alert-soak job
 //! loops a fixed set of seeds through this test), defaulting to 42.
+//!
+//! The chaos runs supervise at explicit instants, each past the longest
+//! backoff a link can plan (the default policy's 1 s), so every pass
+//! steps every unquarantined link once and a retry runs in the pass
+//! after its failure.
 
 use std::sync::{Arc, RwLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use xdmod::alerts::{
     AlertRules, AlertSeverity, AlertState, FAMILY_GATEWAY_SATURATION, FAMILY_LINK_DOWN,
@@ -48,6 +53,12 @@ fn policy() -> SupervisorPolicy {
     SupervisorPolicy::default().with_max_failures(2)
 }
 
+/// The instant of supervision pass `n`: two seconds apart, past any
+/// backoff the default retry policy plans.
+fn pass(t0: Instant, n: u32) -> Instant {
+    t0 + Duration::from_secs(2) * n
+}
+
 fn find<'a>(alerts: &'a [Alert], family: &str, target: &str) -> Vec<&'a Alert> {
     alerts
         .iter()
@@ -70,8 +81,8 @@ fn injected_faults_fire_exactly_one_alert_each_and_auto_resolve() {
     fed.join_tight(&z, FederationConfig::default()).unwrap();
 
     let plan = FaultPlan::new()
-        // x: a budgeted burst of transient faults, absorbed by the
-        // tick's fast retries — and therefore invisible to the alert
+        // x: a budgeted burst of transient faults, each absorbed by a
+        // retry in the next pass — and therefore invisible to the alert
         // engine: no page for a self-healing hiccup.
         .with(
             FaultSpec::every(FaultPoint::Transport, FaultKind::Transient, 2)
@@ -82,8 +93,12 @@ fn injected_faults_fire_exactly_one_alert_each_and_auto_resolve() {
         .with(FaultSpec::at_ops(FaultPoint::Transport, FaultKind::LinkDown, &[1]).for_target("z"));
     fed.inject_chaos(&plan.injector(seed()));
 
-    for _ in 0..4 {
-        fed.supervise(&policy());
+    // Eight passes: z's burst retries five times, its sixth and seventh
+    // failures strike it into quarantine, and the last pass observes it
+    // parked; x's faults are each retried through in the next pass.
+    let t0 = Instant::now();
+    for n in 0..8 {
+        fed.supervise_at(&policy(), pass(t0, n));
     }
     assert_eq!(fed.quarantined_members(), vec!["z"]);
 
@@ -128,8 +143,8 @@ fn injected_faults_fire_exactly_one_alert_each_and_auto_resolve() {
     // observe health again.
     fed.inject_chaos(&FaultPlan::new().injector(seed()));
     fed.reinstate_member("z").unwrap();
-    for _ in 0..2 {
-        let report = fed.supervise(&policy());
+    for n in 8..10 {
+        let report = fed.supervise_at(&policy(), pass(t0, n));
         assert!(report.all_healthy(), "healed federation: {report}");
     }
 
@@ -163,8 +178,9 @@ fn replication_lag_alert_follows_the_link_backlog() {
     let mut fed = Federation::new(FederationHub::new("hub"));
     fed.join_tight(&x, FederationConfig::default()).unwrap();
     fed.sync().unwrap();
-    // A long interval keeps the live worker asleep after its first
-    // iteration, so the backlog below stays until quiesce drains it.
+    // A long interval keeps the driver from stepping the live link again
+    // after its first tick, so the backlog below stays until quiesce
+    // drains it.
     fed.go_live_forced(Duration::from_secs(600));
     std::thread::sleep(Duration::from_millis(30));
 
@@ -189,7 +205,7 @@ fn replication_lag_alert_follows_the_link_backlog() {
 
     // Quiesce drains the backlog: the next tick observes a healthy link
     // and resolves.
-    fed.quiesce().unwrap();
+    fed.quiesce();
     fed.supervise(&SupervisorPolicy::default());
     let alerts = fed.alerts();
     assert_eq!(
@@ -307,8 +323,9 @@ fn alerts_endpoint_revalidates_and_gates_ack_by_role() {
             )
             .injector(seed()),
     );
-    for _ in 0..4 {
-        fed.supervise(&policy());
+    let t0 = Instant::now();
+    for n in 0..8 {
+        fed.supervise_at(&policy(), pass(t0, n));
     }
     let firing_id = fed
         .alerts()

@@ -9,12 +9,24 @@
 //!
 //! The seed is taken from `CHAOS_SEED` when set (the CI chaos-soak job
 //! loops a fixed set of seeds through this test), defaulting to 42.
+//!
+//! Supervision runs at explicit instants, each past the longest backoff
+//! a link can plan (the default policy's 1 s), so every pass steps every
+//! unquarantined link once and a retry runs in the pass after its
+//! failure.
 
+use std::time::{Duration, Instant};
 use xdmod::chaos::{FaultKind, FaultPlan, FaultPoint, FaultSpec};
 use xdmod::core::{
     Federation, FederationConfig, FederationHub, MemberHealth, SupervisorPolicy, XdmodInstance,
 };
 use xdmod::sim::{ClusterSim, ResourceProfile};
+
+/// The instant of supervision pass `n`: two seconds apart, past any
+/// backoff the default retry policy plans.
+fn pass(t0: Instant, n: u32) -> Instant {
+    t0 + Duration::from_secs(2) * n
+}
 
 fn seed() -> u64 {
     std::env::var("CHAOS_SEED")
@@ -64,7 +76,7 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
 
     let plan = FaultPlan::new()
         // x: a budgeted burst of transient faults on every other
-        // transport op — each is absorbed by the tick's fast retries.
+        // transport op — each is absorbed by a retry in the next pass.
         .with(
             FaultSpec::every(FaultPoint::Transport, FaultKind::Transient, 2)
                 .for_target("x")
@@ -81,9 +93,13 @@ fn run_scenario(seed: u64) -> (String, Vec<(String, u64)>) {
     let injector = plan.injector(seed);
     fed.inject_chaos(&injector);
 
+    // Eight passes: x's three faults fail its steps in passes 1, 3 and 5,
+    // each retried through in the pass after; z's burst retries five
+    // times, and its sixth and seventh failures strike it into quarantine.
     let policy = SupervisorPolicy::default().with_max_failures(2);
-    for _ in 0..4 {
-        fed.supervise(&policy);
+    let t0 = Instant::now();
+    for n in 0..8 {
+        fed.supervise_at(&policy, pass(t0, n));
     }
 
     // The three survivors converged to checksum consistency — w by a
@@ -163,12 +179,26 @@ fn transient_only_chaos_is_fully_absorbed_by_retries() {
     let injector = plan.injector(seed());
     fed.inject_chaos(&injector);
 
+    // The faults fail x's steps in passes 1 and 3; each retry, in the
+    // pass after, succeeds. A failed pass reads stale, never quarantined.
     let policy = SupervisorPolicy::default();
-    for _ in 0..4 {
-        let tick = fed.supervise(&policy);
-        assert!(tick.all_healthy(), "tick report: {tick}");
+    let t0 = Instant::now();
+    let mut last = None;
+    for n in 0..6 {
+        let tick = fed.supervise_at(&policy, pass(t0, n));
+        assert!(tick.quarantined().is_empty(), "tick report: {tick}");
         assert!(!tick.members[0].resynced);
+        last = Some(tick);
     }
+    let last = last.unwrap();
+    assert!(last.all_healthy(), "tick report: {last}");
+    assert_eq!(
+        fed.hub()
+            .telemetry()
+            .snapshot()
+            .counter("replication_retries_total", &[("link", "x")]),
+        Some(2)
+    );
     assert!(fed.quarantined_members().is_empty());
     assert!(fed.verify_member(&x).unwrap());
 }

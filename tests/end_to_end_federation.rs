@@ -85,32 +85,37 @@ fn hub_aggregates_with_its_own_levels_losslessly() {
 #[test]
 fn live_threaded_replication_matches_polled() {
     use std::time::Duration;
-    use xdmod::replication::{LinkConfig, LiveReplicator, Replicator};
 
+    // One satellite, two hubs: one replicating live on its federation's
+    // driver thread, the other polled by sync.
     let mut inst = hpc_instance("x", "res-x", 4, 1..=1);
-    let hub = xdmod::warehouse::shared(xdmod::warehouse::Database::new());
-    let rep = Replicator::new(
-        inst.database(),
-        std::sync::Arc::clone(&hub),
-        LinkConfig::renaming(&inst.schema_name(), "inst_x"),
-    );
-    let mut live = LiveReplicator::new(rep);
-    live.start_live(Duration::from_millis(1));
+    let mut live = Federation::new(FederationHub::new("live"));
+    let mut polled = Federation::new(FederationHub::new("polled"));
+    live.join_tight(&inst, FederationConfig::default()).unwrap();
+    polled
+        .join_tight(&inst, FederationConfig::default())
+        .unwrap();
+    live.go_live(Duration::from_millis(1)).unwrap();
 
-    // Keep ingesting while the replicator streams.
+    // Keep ingesting while the driver streams.
     let sim = ClusterSim::new(ResourceProfile::generic("res-x", 256, 48.0, 1.5), 5);
     inst.ingest_sacct("res-x", &sim.sacct_log(2017, 2..=2))
         .unwrap();
     inst.ingest_sacct("res-x", &sim.sacct_log(2017, 3..=3))
         .unwrap();
 
-    live.stop_live().unwrap();
-    assert!(live.stats().events_applied > 0);
+    assert_eq!(live.quiesce(), 1);
+    polled.sync().unwrap();
     let expected = inst.fact_rows(RealmKind::Jobs).unwrap();
-    assert_eq!(
-        hub.read().table("inst_x", "jobfact").unwrap().len(),
-        expected
-    );
+    let checksum = |fed: &Federation| {
+        let hub = fed.hub().database();
+        let hub = hub.read();
+        let jobs = hub.table("inst_x", "jobfact").unwrap();
+        (jobs.len(), jobs.content_checksum())
+    };
+    assert_eq!(checksum(&live).0, expected);
+    assert_eq!(checksum(&live), checksum(&polled));
+    assert!(live.verify_member(&inst).unwrap());
 }
 
 #[test]

@@ -71,7 +71,7 @@ fn federation_self_monitoring_end_to_end() {
     eventually("x's backlog to drain", || {
         fed.hub().federated_fact_rows(RealmKind::Jobs) == x_jobs + y_jobs + backlog
     });
-    assert_eq!(fed.quiesce().unwrap(), 2);
+    assert_eq!(fed.quiesce(), 2);
 
     let snap = fed.hub().telemetry().snapshot();
     // Lag settled back to zero after quiescence.
@@ -216,7 +216,7 @@ fn preflight_refuses_go_live_and_reports_to_telemetry() {
     // An operator who has reviewed the report can still force the
     // switch; quiesce returns the links to polled mode cleanly.
     assert_eq!(fed.go_live_forced(Duration::from_millis(1)), 2);
-    assert_eq!(fed.quiesce().unwrap(), 2);
+    assert_eq!(fed.quiesce(), 2);
 }
 
 #[test]
