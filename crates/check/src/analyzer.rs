@@ -7,6 +7,7 @@
 //! check's doc comment for the concrete runtime symptom it prevents.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::diag::{Code, Diagnostic, Diagnostics, Severity, Span};
 use crate::model::{
@@ -228,7 +229,9 @@ fn check_group_by_replication(model: &FederationModel, diags: &mut Diagnostics) 
 /// replicated "successfully".
 fn check_schema_drift(model: &FederationModel, diags: &mut Diagnostics) {
     // A column layout's id: the exact `(name, ty, nullable)` sequence.
-    // `layouts[id]` is one table with it.
+    // `layouts[id]` is one table with it. A shared table (see the model's
+    // doc) is looked up by its address, so its columns are hashed once.
+    let mut shared_ids: HashMap<*const TableModel, usize> = HashMap::new();
     let mut layout_ids: HashMap<&[ColumnModel], usize> = HashMap::new();
     let mut layouts: Vec<&TableModel> = Vec::new();
     // Per table name: each distinct layout among the earlier satellites
@@ -247,10 +250,12 @@ fn check_schema_drift(model: &FederationModel, diags: &mut Diagnostics) {
         ids.clear();
         ids.extend(sat.tables.iter().map(|table| {
             sat.replicates(&table.name).then(|| {
-                let next = layouts.len();
-                *layout_ids.entry(&table.columns).or_insert_with(|| {
-                    layouts.push(table);
-                    next
+                *shared_ids.entry(Arc::as_ptr(table)).or_insert_with(|| {
+                    let next = layouts.len();
+                    *layout_ids.entry(&table.columns).or_insert_with(|| {
+                        layouts.push(table);
+                        next
+                    })
                 })
             })
         }));
@@ -1035,7 +1040,7 @@ mod tests {
             replicated_tables: Some(vec!["jobfact".into()]),
             expected_tables: vec!["jobfact".into()],
             excluded_resources: vec![],
-            tables: vec![jobfact()],
+            tables: vec![Arc::new(jobfact())],
             job_resources: vec![format!("res-{name}")],
             su_factors: vec![format!("res-{name}")],
             realms: vec!["jobs"],
@@ -1168,7 +1173,7 @@ mod tests {
                     // Absent, present, or present twice (a duplicate table).
                     for _ in 0..[0, 1, 1, 1, 1, 1, 1, 2][rng.below(8)] {
                         let pick = if rng.one_in(mixed) { rng.below(3) } else { 0 };
-                        sat.tables.push(layouts[pick].clone());
+                        sat.tables.push(Arc::new(layouts[pick].clone()));
                     }
                 }
                 sat.replicated_tables = (!rng.one_in(4)).then(|| {
@@ -1184,15 +1189,40 @@ mod tests {
         m
     }
 
+    /// `model` with each table replaced by the first equal table before
+    /// it, in its own satellite or an earlier one, so equal tables are one
+    /// `Arc`; and how many tables became another's.
+    fn shared(model: &FederationModel) -> (FederationModel, usize) {
+        let mut m = model.clone();
+        let (mut seen, mut reused): (Vec<Arc<TableModel>>, usize) = (Vec::new(), 0);
+        for table in m.satellites.iter_mut().flat_map(|sat| &mut sat.tables) {
+            *table = TableModel::clone(table).share(&seen);
+            if seen.iter().any(|t| Arc::ptr_eq(t, table)) {
+                reused += 1;
+            } else {
+                seen.push(Arc::clone(table));
+            }
+        }
+        (m, reused)
+    }
+
     #[test]
     fn keyed_checks_match_the_pairwise_reference() {
         let mut rng = Lcg(0x7863_3030_3036);
         let mut fired = [0usize; 3];
+        let mut reused = 0;
         for case in 0..500 {
             let model = seeded_model(&mut rng);
             let (got, want) = (analyze(&model), reference::analyze(&model));
             assert_eq!(got.render_text(), want.render_text(), "case {case}");
             assert_eq!(got.render_json(), want.render_json(), "case {case}");
+            // Shared tables take the identity path; nothing else changes.
+            let (twin, n) = shared(&model);
+            assert_eq!(twin, model, "case {case}");
+            reused += n;
+            let diags = analyze(&twin);
+            assert_eq!(diags.render_text(), want.render_text(), "case {case}");
+            assert_eq!(diags.render_json(), want.render_json(), "case {case}");
             for (n, code) in fired.iter_mut().zip([
                 Code::HubSchemaCollision,
                 Code::DuplicateLinkId,
@@ -1205,6 +1235,7 @@ mod tests {
         for n in fired {
             assert!((50..450).contains(&n), "{fired:?}");
         }
+        assert!(reused > 10_000, "{reused}");
     }
 
     #[test]
@@ -1221,7 +1252,7 @@ mod tests {
             sat.replicated_tables = Some(vec![]);
         }
         for sat in &mut m.satellites[500..500 + drifted] {
-            sat.tables[0].columns[2].ty = "int".into();
+            Arc::make_mut(&mut sat.tables[0]).columns[2].ty = "int".into();
         }
         let diags = analyze(&m);
         let count = |code| diags.with_code(code).len();
@@ -1601,7 +1632,7 @@ mod tests {
     #[test]
     fn schema_drift_is_caught() {
         let mut m = clean_model();
-        m.satellites[1].tables[0].columns[2].ty = "int".into();
+        Arc::make_mut(&mut m.satellites[1].tables[0]).columns[2].ty = "int".into();
         let diags = analyze(&m);
         let found = diags.with_code(Code::SchemaDrift);
         assert_eq!(found.len(), 1);
@@ -1613,7 +1644,7 @@ mod tests {
     #[test]
     fn nullability_drift_is_caught() {
         let mut m = clean_model();
-        m.satellites[0].tables[0].columns[0].nullable = true;
+        Arc::make_mut(&mut m.satellites[0].tables[0]).columns[0].nullable = true;
         let diags = analyze(&m);
         assert_eq!(diags.with_code(Code::SchemaDrift).len(), 1);
     }
@@ -1621,7 +1652,7 @@ mod tests {
     #[test]
     fn missing_column_drift_is_caught() {
         let mut m = clean_model();
-        m.satellites[1].tables[0].columns.pop(); // b lacks cpu_hours
+        Arc::make_mut(&mut m.satellites[1].tables[0]).columns.pop(); // b lacks cpu_hours
         let diags = analyze(&m);
         // Drift (a has it, b doesn't) plus b's aggregate measure dangles.
         assert_eq!(diags.with_code(Code::SchemaDrift).len(), 1);

@@ -4,7 +4,9 @@
 //! all parse with it. It has no dependency, so `xdmod-check` can be
 //! compiled and run anywhere a bare `rustc` exists (pre-flight tooling
 //! must not depend on the system it validates). It reads objects, arrays,
-//! strings (with escapes), numbers, booleans and null. A `\u` escape
+//! strings (with escapes), numbers, booleans and null. A string may not
+//! hold a raw control byte (U+0000–U+001F), which RFC 8259 §7 requires to
+//! be escaped; one is an error at its offset. A `\u` escape
 //! takes exactly four hex digits; an escaped surrogate pair decodes to its
 //! one scalar, and a lone surrogate to U+FFFD. A number must match RFC
 //! 8259's grammar and keeps its source text. Containers nest at most
@@ -25,7 +27,8 @@
 //! element count until it closes, so the stack of open containers lives
 //! in the tape: no block of its own, and no recursion for hostile input
 //! to exhaust the thread's stack with. A string without an escape is
-//! scanned eight bytes at a time for its closing `"` (or a `\`), and so
+//! scanned eight bytes at a time for its closing `"` (or a `\` or a
+//! control byte), and so
 //! is the run of spaces that indents a line; escaped strings, `\u`
 //! escapes and numbers are read a byte at a time, out of line.
 //!
@@ -105,8 +108,8 @@ impl Document<'_> {
         }
     }
 
-    /// Whether a key node spells `key`. An unescaped key is compared as
-    /// bytes, with no char-boundary checks.
+    /// Whether a string node (a key or a value) spells `key`. An
+    /// unescaped one is compared as bytes, with no char-boundary checks.
     fn is_key(&self, node: Node, key: &str) -> bool {
         match node {
             Node::Str { start, end } => {
@@ -176,12 +179,24 @@ impl<'a> JsonValue<'a> {
     /// its last value. Every entry is `None` when this is not an object.
     pub fn fields<const N: usize>(self, keys: [&str; N]) -> [Option<JsonValue<'a>>; N] {
         let mut found = [None; N];
-        for (name, value) in self.members().into_iter().flatten() {
+        let Node::Object { len, .. } = self.node() else {
+            return found;
+        };
+        let doc = self.doc;
+        // Each key is read as bytes once, with no char-boundary checks.
+        let mut at = self.at + 1;
+        for _ in 0..len {
+            let name = match doc.nodes[at] {
+                Node::Str { start, end } => &doc.text.as_bytes()[start as usize..end as usize],
+                Node::Escaped(i) => doc.strings[i as usize].as_bytes(),
+                _ => &[],
+            };
             for (slot, key) in found.iter_mut().zip(keys) {
-                if name == key {
-                    *slot = Some(value);
+                if name == key.as_bytes() {
+                    *slot = Some(JsonValue { doc, at: at + 1 });
                 }
             }
+            at = doc.skip(at + 1);
         }
         found
     }
@@ -208,6 +223,12 @@ impl<'a> JsonValue<'a> {
             }),
             _ => None,
         }
+    }
+
+    /// Whether this is the string `s`: [`JsonValue::as_str`] equal to
+    /// it, compared as bytes without slicing the input.
+    pub(crate) fn is_str(self, s: &str) -> bool {
+        self.doc.is_key(self.node(), s)
     }
 
     /// The string payload, if this is a string.
@@ -463,9 +484,12 @@ fn zero_bytes(v: u64) -> u64 {
     !(((v & LOW7) + LOW7) | v | LOW7)
 }
 
-/// 0x80 in every byte of `word` that ends a plain string run: `"` or `\`.
+/// 0x80 in every byte of `word` that ends a plain string run: `"`, `\`,
+/// or a control byte (below 0x20: its top three bits are zero).
 fn quote_mask(word: u64) -> u64 {
-    zero_bytes(word ^ (EACH * b'"' as u64)) | zero_bytes(word ^ (EACH * b'\\' as u64))
+    zero_bytes(word & (EACH * 0xe0))
+        | zero_bytes(word ^ (EACH * b'"' as u64))
+        | zero_bytes(word ^ (EACH * b'\\' as u64))
 }
 
 /// 0x80 in every byte of `word` that is not a space.
@@ -696,9 +720,9 @@ impl<'a> Parser<'a> {
         Ok(skip_ws(self.bytes, pos + 1))
     }
 
-    /// The run from `pos` up to the next `"` or `\` (or the end of
-    /// input), consumed. `pos` starts on a char boundary and the run ends
-    /// at an ASCII byte or the end, so the slice is whole UTF-8.
+    /// The run from `pos` up to the next `"`, `\` or control byte (or the
+    /// end of input), consumed. `pos` starts on a char boundary and the
+    /// run ends at an ASCII byte or the end, so the slice is whole UTF-8.
     fn plain_run(&mut self) -> &'a str {
         let start = self.pos;
         self.pos = scan(self.bytes, start, quote_mask);
@@ -728,8 +752,10 @@ impl<'a> Parser<'a> {
         Ok(self.pos)
     }
 
-    /// The rest of a string literal from its first `\` (or the end of
-    /// input) at `pos`, decoded after its plain `head`.
+    /// The rest of a string literal from its first `\` (or control byte,
+    /// or the end of input) at `pos`, decoded after its plain `head`. A
+    /// control byte must be escaped (RFC 8259 §7): one is an error at its
+    /// offset.
     #[inline(never)]
     fn escaped(&mut self, head: &str) -> Result<Node, JsonError> {
         let mut out = String::from(head);
@@ -740,6 +766,10 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                     self.strings.push(out);
                     return Ok(Node::Escaped(narrow(self.strings.len() - 1)));
+                }
+                Some(b @ 0..=0x1f) => {
+                    let message = format!("unescaped control character U+{b:04X} in string");
+                    return Err(self.err(&message));
                 }
                 Some(_) => {
                     self.pos += 1;
@@ -1114,7 +1144,8 @@ mod tests {
 
         /// `string()` as it was before the run copy: one `from_utf8` over
         /// the whole remaining input per character (quadratic), and
-        /// `from_str_radix` for `\u` digits.
+        /// `from_str_radix` for `\u` digits; since then it refuses a raw
+        /// control byte, as RFC 8259 §7 does.
         fn reference_string(&mut self) -> Result<String, JsonError> {
             self.consume(b'"')?;
             let mut out = String::new();
@@ -1124,6 +1155,11 @@ mod tests {
                     Some(b'"') => {
                         self.pos += 1;
                         return Ok(out);
+                    }
+                    Some(b) if b < 0x20 => {
+                        return Err(
+                            self.err(&format!("unescaped control character U+{b:04X} in string"))
+                        );
                     }
                     Some(b'\\') => {
                         self.pos += 1;

@@ -19,8 +19,21 @@
 //! storage stanza. The few fields only construction reads (declared
 //! realms, SUPReMM summaries, alert severities and stale ages, the
 //! telemetry event capacity) ride along here for that reason.
+//!
+//! Satellites of one federation carry the same realm schemas, so a
+//! satellite's tables are shared: each is an `Arc<TableModel>`, and a
+//! table equal to one of the previous satellite's is that satellite's
+//! `Arc`, not a copy. `from_value` reads a table document's columns once,
+//! against the previous satellite's tables of that name, and allocates
+//! only once they differ; `Federation::check_model()` shares each live
+//! table it builds by the same rule ([`TableModel::share`]). Sharing
+//! chains, so a federation of N equal satellites holds each table once.
+//! The analyzer keys column layouts by that identity first; equal tables
+//! that are not shared (a hand-built model) still compare by value, so
+//! sharing changes no diagnostic.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::json::{JsonError, JsonValue};
 
@@ -50,6 +63,15 @@ impl TableModel {
     /// Find a column by name.
     pub fn column(&self, name: &str) -> Option<&ColumnModel> {
         self.columns.iter().find(|c| c.name == name)
+    }
+
+    /// This table as the first of `previous` equal to it, shared, or else
+    /// in an `Arc` of its own.
+    pub fn share(self, previous: &[Arc<TableModel>]) -> Arc<TableModel> {
+        match previous.iter().find(|table| ***table == self) {
+            Some(table) => Arc::clone(table),
+            None => Arc::new(self),
+        }
     }
 }
 
@@ -90,8 +112,9 @@ pub struct SatelliteModel {
     pub expected_tables: Vec<String>,
     /// Resources excluded from replication (row routing).
     pub excluded_resources: Vec<String>,
-    /// Catalog of the source schema.
-    pub tables: Vec<TableModel>,
+    /// Catalog of the source schema. A table equal to one of the
+    /// previous satellite's is shared with it (see the module doc).
+    pub tables: Vec<Arc<TableModel>>,
     /// Distinct resource names appearing in job records.
     pub job_resources: Vec<String>,
     /// Resources with a configured SU conversion factor.
@@ -111,7 +134,7 @@ impl SatelliteModel {
 
     /// Find a table in the source catalog.
     pub fn table(&self, name: &str) -> Option<&TableModel> {
-        self.tables.iter().find(|t| t.name == name)
+        self.tables.iter().find(|t| t.name == name).map(Arc::as_ref)
     }
 }
 
@@ -397,17 +420,25 @@ impl From<JsonError> for ModelError {
 // `JsonValue::fields`, one walk per object) and its key, which only their
 // messages use.
 
-/// A string member. `ctx` names the object it sits in; it is formatted
-/// only when the member is missing.
+/// A string member, borrowed. `ctx` names the object it sits in; it is
+/// formatted only when the member is missing.
+fn required<'a>(
+    value: Option<JsonValue<'a>>,
+    key: &str,
+    ctx: impl fmt::Display,
+) -> Result<&'a str, ModelError> {
+    value
+        .and_then(JsonValue::as_str)
+        .ok_or_else(|| ModelError(format!("{ctx}: missing string field \"{key}\"")))
+}
+
+/// [`required`], owned.
 fn required_str(
     value: Option<JsonValue>,
     key: &str,
     ctx: impl fmt::Display,
 ) -> Result<String, ModelError> {
-    value
-        .and_then(JsonValue::as_str)
-        .map(str::to_owned)
-        .ok_or_else(|| ModelError(format!("{ctx}: missing string field \"{key}\"")))
+    required(value, key, ctx).map(str::to_owned)
 }
 
 fn opt_str(value: Option<JsonValue>) -> Option<String> {
@@ -467,6 +498,88 @@ fn list_of<T>(
     Ok(out)
 }
 
+/// Whether a column document's members `name`, `ty` and `nullable` build
+/// a column equal to `column`, read with the build's defaults and nothing
+/// allocated. A column that would fail to build reads as none.
+fn reads_as(
+    column: &ColumnModel,
+    name: Option<JsonValue>,
+    ty: Option<JsonValue>,
+    nullable: Option<JsonValue>,
+) -> bool {
+    name.is_some_and(|name| name.is_str(&column.name))
+        // The build lower-cases a type; `column.ty` is such a one.
+        && match ty.and_then(JsonValue::as_str) {
+            Some(ty) => ty.eq_ignore_ascii_case(&column.ty),
+            None => column.ty == "str",
+        }
+        && nullable.and_then(JsonValue::as_bool).unwrap_or(false) == column.nullable
+}
+
+/// A table of satellite `sat`, in one walk over its columns. While they
+/// read as the columns of a table of `previous` (the previous
+/// satellite's) with the same name and as many columns, nothing is built:
+/// a table equal to one of `previous` is that one, shared (the first
+/// such, should two be equal). Otherwise the columns matched so far are
+/// cloned and the rest built from the document. Any error is the one the
+/// build raises: a column that reads as another was built without one.
+fn table_from_json(
+    entry: JsonValue,
+    previous: &[Arc<TableModel>],
+    sat: &str,
+) -> Result<Arc<TableModel>, ModelError> {
+    let [name, columns] = entry.fields(["name", "columns"]);
+    let name = required(name, "name", format_args!("satellite {sat}"))?;
+    let columns = columns.and_then(JsonValue::as_array);
+    let len = columns.as_ref().map_or(0, ExactSizeIterator::len);
+    let fresh = |prefix: &[ColumnModel]| {
+        let mut built = Vec::with_capacity(len);
+        built.extend_from_slice(prefix);
+        built
+    };
+    let mut candidates = previous
+        .iter()
+        .filter(|t| t.name == name && t.columns.len() == len);
+    // The first candidate whose first `n` columns the document's are.
+    let mut matched = candidates.next();
+    let mut built = if matched.is_some() {
+        Vec::new()
+    } else {
+        fresh(&[])
+    };
+    for (n, col) in columns.into_iter().flatten().enumerate() {
+        let [col_name, ty, nullable] = col.fields(["name", "type", "nullable"]);
+        if let Some(table) = matched {
+            let reads_on = |t: &TableModel| reads_as(&t.columns[n], col_name, ty, nullable);
+            if reads_on(table) {
+                continue;
+            }
+            // A later one with the same first `n` columns may read on.
+            matched = candidates.find(|t| t.columns[..n] == table.columns[..n] && reads_on(t));
+            if matched.is_some() {
+                continue;
+            }
+            built = fresh(&table.columns[..n]);
+        }
+        built.push(ColumnModel {
+            name: required_str(
+                col_name,
+                "name",
+                format_args!("satellite {sat} table {name}"),
+            )?,
+            ty: opt_lower(ty).unwrap_or_else(|| "str".to_owned()),
+            nullable: nullable.and_then(JsonValue::as_bool).unwrap_or(false),
+        });
+    }
+    if let Some(table) = matched {
+        return Ok(Arc::clone(table));
+    }
+    Ok(Arc::new(TableModel {
+        name: name.to_owned(),
+        columns: built,
+    }))
+}
+
 impl FederationModel {
     /// Load from the federation document's JSON text: parse, then
     /// [`FederationModel::from_value`]. See `examples/configs/` for worked
@@ -494,7 +607,15 @@ impl FederationModel {
             ]);
         let hub = required_str(hub, "hub", "config")?;
 
-        let satellites = list_of(satellites, Self::satellite_from_json)?;
+        // As `list_of` would, each satellite seeing the one before it.
+        let entries = satellites.and_then(JsonValue::as_array);
+        let mut satellites: Vec<SatelliteModel> =
+            Vec::with_capacity(entries.as_ref().map_or(0, ExactSizeIterator::len));
+        for entry in entries.into_iter().flatten() {
+            let previous = satellites.last().map_or(&[][..], |sat| &sat.tables);
+            let sat = Self::satellite_from_json(entry, previous)?;
+            satellites.push(sat);
+        }
 
         let aggregates = list_of(aggregates, |entry| {
             let [name, fact_table, time_column, dimensions, measures] = entry.fields([
@@ -658,7 +779,12 @@ impl FederationModel {
         })
     }
 
-    fn satellite_from_json(entry: JsonValue) -> Result<SatelliteModel, ModelError> {
+    /// A satellite; each table equal to one of `previous` (the previous
+    /// satellite's) is that table, shared.
+    fn satellite_from_json(
+        entry: JsonValue,
+        previous: &[Arc<TableModel>],
+    ) -> Result<SatelliteModel, ModelError> {
         let [name, realm_list, extra_tables, summaries, replicated, table_list, link_id, source_schema, hub_schema, mode, retries, excluded_resources, job_resources, su_factors] =
             entry.fields([
                 "name",
@@ -704,26 +830,7 @@ impl FederationModel {
             .and_then(JsonValue::strings)
             .or_else(|| realm_selection(&realms, supremm_summaries));
 
-        let tables = list_of(table_list, |table| {
-            let [table_name, columns] = table.fields(["name", "columns"]);
-            let table_name = required_str(table_name, "name", format_args!("satellite {name}"))?;
-            let columns = list_of(columns, |col| {
-                let [col_name, ty, nullable] = col.fields(["name", "type", "nullable"]);
-                Ok(ColumnModel {
-                    name: required_str(
-                        col_name,
-                        "name",
-                        format_args!("satellite {name} table {table_name}"),
-                    )?,
-                    ty: opt_lower(ty).unwrap_or_else(|| "str".to_owned()),
-                    nullable: nullable.and_then(JsonValue::as_bool).unwrap_or(false),
-                })
-            })?;
-            Ok(TableModel {
-                name: table_name,
-                columns,
-            })
-        })?;
+        let tables = list_of(table_list, |table| table_from_json(table, previous, &name))?;
 
         Ok(SatelliteModel {
             link: LinkModel {
@@ -747,9 +854,15 @@ impl FederationModel {
     }
 }
 
+/// The integration tests' topologies, shared with the unit tests below.
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     const MINIMAL: &str = r#"{
         "hub": "hub",
@@ -1110,5 +1223,200 @@ mod tests {
     fn schema_defaults_sanitize_like_the_workspace() {
         assert_eq!(default_source_schema("ccr-x.y"), "xdmod_ccr_x_y");
         assert_eq!(default_hub_schema("ccr-x.y"), "inst_ccr_x_y");
+    }
+
+    /// The document `root` with its `satellites` replaced by `satellite`
+    /// alone (or by none), as compact JSON text.
+    fn with_satellites(root: JsonValue, satellite: Option<JsonValue>) -> String {
+        let mut text = String::from("{");
+        for (key, value) in root.members().into_iter().flatten() {
+            if key != "satellites" {
+                text += &format!("{}:{value},", json::escape(key));
+            }
+        }
+        let satellite = satellite.map(|s| s.to_string()).unwrap_or_default();
+        text + &format!("\"satellites\":[{satellite}]}}")
+    }
+
+    /// `text` built one satellite at a time, each from a document holding
+    /// only it, so no table is shared; errors come in the order one
+    /// document raises them.
+    fn one_at_a_time(text: &str) -> Result<FederationModel, ModelError> {
+        let doc = json::parse(text)?;
+        let root = doc.root();
+        let mut satellites = Vec::new();
+        let entries = root.get("satellites").and_then(JsonValue::as_array);
+        for entry in entries.into_iter().flatten() {
+            let one = FederationModel::from_json(&with_satellites(root, Some(entry)))?;
+            satellites.extend(one.satellites);
+        }
+        let mut model = FederationModel::from_json(&with_satellites(root, None))?;
+        model.satellites = satellites;
+        Ok(model)
+    }
+
+    /// Every table of satellite `i > 0` is the first equal table of
+    /// satellite `i - 1` when it has one, and none of its tables otherwise.
+    fn shared_with_the_predecessor(model: &FederationModel) -> usize {
+        let mut shared = 0;
+        for pair in model.satellites.windows(2) {
+            for table in &pair[1].tables {
+                let previous = &pair[0].tables;
+                match previous.iter().find(|t| t == &table) {
+                    Some(equal) => {
+                        assert!(Arc::ptr_eq(equal, table), "{table:?}");
+                        shared += 1;
+                    }
+                    None => assert!(!previous.iter().any(|t| Arc::ptr_eq(t, table))),
+                }
+            }
+        }
+        shared
+    }
+
+    /// `from_json` on `text` is, by value and by `Debug` text, the model
+    /// (or the error) built one satellite at a time, shared as the rule
+    /// says. Returns the tables shared.
+    fn builds_as_if_unshared(text: &str, what: &str) -> usize {
+        let (got, want) = (FederationModel::from_json(text), one_at_a_time(text));
+        assert_eq!(got, want, "{what}");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
+        got.map_or(0, |model| shared_with_the_predecessor(&model))
+    }
+
+    #[test]
+    fn shared_tables_build_the_model_one_satellite_documents_build() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+        let mut configs = 0;
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|ext| ext == "json") {
+                let text = std::fs::read_to_string(&path).unwrap();
+                builds_as_if_unshared(&text, &path.display().to_string());
+                configs += 1;
+            }
+        }
+        assert!(configs >= 6, "{configs}");
+        for n in [3, 30, 300] {
+            let shared = builds_as_if_unshared(&common::topology(n), &format!("topology({n})"));
+            assert_eq!(shared, 2 * (n - 1));
+        }
+        // Satellites 2..N hold satellite 1's tables.
+        let model = FederationModel::from_json(&common::topology(300)).unwrap();
+        let first = model.satellites[0].tables[0].clone();
+        assert_eq!(first.name, "jobfact");
+        assert!(model
+            .satellites
+            .iter()
+            .all(|s| Arc::ptr_eq(&s.tables[0], &first)));
+    }
+
+    /// A small seeded generator (an LCG), so the crate stays std-only.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    /// The two tables each generated satellite has, with their columns.
+    const CATALOG: [(&str, &[(&str, &str)]); 2] = [
+        (
+            "jobfact",
+            &[
+                ("resource", "str"),
+                ("end_time", "time"),
+                ("cpu_hours", "float"),
+            ],
+        ),
+        ("storagefact", &[("resource", "str"), ("bytes_used", "int")]),
+    ];
+
+    /// A table document, one mutation in two: one that builds an equal
+    /// table from other text (`"STR"`, an absent or non-string type where
+    /// `"str"` is meant, `nullable` absent or `false`) or one that builds
+    /// another table (a name, a column order, a type, `nullable: true`,
+    /// no `columns` array) or fails (a column without a name).
+    fn table_doc(rng: &mut Lcg, name: &str, columns: &[(&str, &str)]) -> String {
+        let mut cols: Vec<Vec<String>> = columns
+            .iter()
+            .map(|(n, ty)| vec![format!(r#""name": "{n}""#), format!(r#""type": "{ty}""#)])
+            .collect();
+        let mut name = name.to_owned();
+        let mut list = None;
+        let k = rng.below(cols.len());
+        match rng.below(16) {
+            0 => name.push('2'),
+            1 => cols.swap(k, rng.below(columns.len())),
+            2 => cols[k][1] = format!(r#""type": "{}""#, columns[k].1.to_uppercase()),
+            3 => drop(cols[k].remove(1)),
+            4 => {
+                cols[k][1] =
+                    [r#""type": 7"#, r#""type": null"#, r#""type": ["int"]"#][rng.below(3)].into()
+            }
+            5 => cols[k].push(
+                [
+                    r#""nullable": false"#,
+                    r#""nullable": true"#,
+                    r#""nullable": "yes""#,
+                ][rng.below(3)]
+                .into(),
+            ),
+            6 if rng.below(4) == 0 => drop(cols[k].remove(0)),
+            7 => list = Some([r#"{}"#, r#""x""#, "null", "[]"][rng.below(4)].to_owned()),
+            _ => {}
+        }
+        let list = list.unwrap_or_else(|| {
+            let cols: Vec<String> = cols
+                .iter()
+                .map(|c| format!("{{{}}}", c.join(", ")))
+                .collect();
+            format!("[{}]", cols.join(", "))
+        });
+        format!(r#"{{"name": "{name}", "columns": {list}}}"#)
+    }
+
+    #[test]
+    fn mutated_tables_share_only_what_builds_equal() {
+        let mut rng = Lcg(0x7368_6172_6564);
+        let (mut shared, mut tables, mut errors) = (0, 0, 0);
+        for case in 0..2_000 {
+            let satellites: Vec<String> = (0..1 + rng.below(8))
+                .map(|i| {
+                    let mut docs: Vec<String> = CATALOG
+                        .iter()
+                        .map(|(name, columns)| table_doc(&mut rng, name, columns))
+                        .collect();
+                    // A second table of one name, so a predecessor can
+                    // hold two tables a document may equal.
+                    if rng.below(3) == 0 {
+                        let (name, columns) = CATALOG[0];
+                        docs.insert(rng.below(3), table_doc(&mut rng, name, columns));
+                    }
+                    if rng.below(4) == 0 {
+                        docs.reverse();
+                    }
+                    tables += docs.len();
+                    format!(
+                        r#"{{"name": "s{i}", "realms": ["jobs"], "tables": [{}]}}"#,
+                        docs.join(", ")
+                    )
+                })
+                .collect();
+            let text = format!(
+                r#"{{"hub": "h", "satellites": [{}]}}"#,
+                satellites.join(", ")
+            );
+            shared += builds_as_if_unshared(&text, &format!("case {case}: {text}"));
+            errors += usize::from(FederationModel::from_json(&text).is_err());
+        }
+        // Most tables were shared, and some documents failed.
+        assert!(shared > tables / 3, "{shared} of {tables}");
+        assert!((20..400).contains(&errors), "{errors}");
     }
 }

@@ -133,10 +133,17 @@ fn building_the_model_allocates_no_more_than_it_did() {
     let (build, model) = calls(|| FederationModel::from_json(&text).unwrap());
     // The tape, one block per owned string and list of the model, and
     // the tape freed at the end: 12,890 blocks, 13 reallocations and 1
-    // free before fields were found in one walk per object.
-    assert!(build.allocs() <= 12_903, "{build:?}");
+    // free before fields were found in one walk per object; 5,716
+    // blocks once satellites shared their predecessor's equal tables
+    // instead of building the two again.
+    assert!(build.allocs() <= 5_729, "{build:?}");
     assert!(build.freed <= 1, "{build:?}");
     assert_eq!(model.satellites.len(), 300);
+    // Every block the build left is the model's, and a shared table is
+    // freed once: the drop frees exactly those.
+    let (dropped, ()) = calls(|| drop(model));
+    assert_eq!(dropped.allocs(), 0, "{dropped:?}");
+    assert_eq!(dropped.freed, build.live(), "{dropped:?}");
 }
 
 #[test]

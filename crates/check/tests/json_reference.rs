@@ -1,7 +1,8 @@
 //! `xdmod_check::json` held to the recursive tree parser it replaced.
 //!
-//! `reference` is that parser as it was (less the `push_f64` writer): a
-//! `JsonValue` enum with a `Vec` per container. On every input both parsers must agree on
+//! `reference` is that parser as it was (less the `push_f64` writer), but
+//! for one rule added since, RFC 8259 §7's: a raw control byte in a string
+//! is an error. It is a `JsonValue` enum with a `Vec` per container. On every input both parsers must agree on
 //! `Ok` or `Err`, on the error's message and byte offset, on the compact
 //! `Display` text, and on every accessor of every value. The inputs are
 //! the example configs, pre-flight-shaped topologies of 3, 30 and 300
@@ -327,15 +328,16 @@ mod reference {
             }
         }
 
-        /// The run from `pos` up to the next `"` or `\` (or the end of
-        /// input), consumed. `pos` starts on a char boundary and the run ends
-        /// at an ASCII byte or the end, so the slice is whole UTF-8.
+        /// The run from `pos` up to the next `"`, `\` or control byte (or
+        /// the end of input), consumed. `pos` starts on a char boundary and
+        /// the run ends at an ASCII byte or the end, so the slice is whole
+        /// UTF-8.
         fn plain_run(&mut self) -> &'a str {
             let start = self.pos;
             let rest = &self.bytes[start..];
             self.pos += rest
                 .iter()
-                .position(|&b| b == b'"' || b == b'\\')
+                .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                 .unwrap_or(rest.len());
             &self.text[start..self.pos]
         }
@@ -355,6 +357,12 @@ mod reference {
                     Some(b'"') => {
                         self.pos += 1;
                         return Ok(Cow::Owned(out));
+                    }
+                    // RFC 8259 §7: a control byte must be escaped.
+                    Some(b) if b < 0x20 => {
+                        return Err(
+                            self.err(&format!("unescaped control character U+{b:04X} in string"))
+                        );
                     }
                     Some(_) => {
                         self.pos += 1;
@@ -849,4 +857,77 @@ fn string_bodies_at_every_length_and_alignment_parse_identically() {
         }
     }
     assert!(cases > 100_000, "{cases}");
+}
+
+#[test]
+fn control_bytes_in_strings_follow_rfc_8259() {
+    // RFC 8259 §7: `unescaped = %x20-21 / %x23-5B / %x5D-10FFFF`, so each
+    // byte below 0x20 may appear in a string only escaped, as `\u00XX`
+    // (either case) or, for five of them, a short escape. Written out
+    // here from the grammar, not from either parser.
+    let short = [
+        (0x08, "\\b"),
+        (0x09, "\\t"),
+        (0x0a, "\\n"),
+        (0x0c, "\\f"),
+        (0x0d, "\\r"),
+    ];
+    let mut cases = 0;
+    for b in 0u8..0x20 {
+        let raw = char::from(b);
+        let mut escapes = vec![format!("\\u{:04x}", b), format!("\\u{:04X}", b)];
+        escapes.extend(
+            short
+                .iter()
+                .filter(|(c, _)| *c == b)
+                .map(|(_, e)| e.to_string()),
+        );
+        for (before, after) in [(0, 0), (1, 0), (3, 9), (7, 1), (8, 8), (15, 2)] {
+            let (head, tail) = ("h".repeat(before), "t".repeat(after));
+            let want = format!("{head}{raw}{tail}");
+            // As a value, as a key, and in an array after a shifted element.
+            for (open, close, at) in [("", "", 0), ("{", ":1}", 1), ("[\"ab\",", "]", 6)] {
+                let doc = format!("{open}\"{head}{raw}{tail}\"{close}");
+                let err = json::parse(&doc).unwrap_err();
+                let message = format!("unescaped control character U+{b:04X} in string");
+                assert_eq!(
+                    (err.message, err.offset),
+                    (message, at + 1 + before),
+                    "{doc:?}"
+                );
+                assert!(!agree(&doc, &format!("{doc:?}")));
+                for escape in &escapes {
+                    let doc = format!("{open}\"{head}{escape}{tail}\"{close}");
+                    assert!(agree(&doc, &doc), "{doc}");
+                    let parsed = json::parse(&doc).unwrap();
+                    let value = match open {
+                        "" => parsed.root().as_str().map(str::to_owned),
+                        "{" => parsed
+                            .root()
+                            .members()
+                            .and_then(|mut m| m.next())
+                            .map(|(k, _)| k.to_owned()),
+                        _ => parsed
+                            .root()
+                            .as_array()
+                            .and_then(|mut a| a.nth(1))
+                            .and_then(|v| v.as_str())
+                            .map(str::to_owned),
+                    };
+                    assert_eq!(value.as_deref(), Some(want.as_str()), "{doc}");
+                    cases += 1;
+                }
+            }
+        }
+    }
+    // The bytes just past the range, raw, are plain string bytes.
+    for raw in [" ", "!", "\u{7f}", "\u{80}", "\u{9f}"] {
+        let doc = format!("\"a{raw}b\"");
+        assert!(agree(&doc, &doc), "{doc:?}");
+        assert_eq!(
+            json::parse(&doc).unwrap().root().as_str(),
+            Some(&doc[1..doc.len() - 1])
+        );
+    }
+    assert_eq!(cases, 32 * 6 * 3 * 2 + 5 * 6 * 3);
 }

@@ -679,26 +679,32 @@ impl Federation {
     ///
     /// [`Database::describe_schema`]: xdmod_warehouse::Database::describe_schema
     pub fn check_model(&self) -> xdmod_check::FederationModel {
-        let mut satellites = Vec::with_capacity(self.members.len());
+        let mut satellites: Vec<SatelliteModel> = Vec::with_capacity(self.members.len());
         for member in &self.members {
             let mut sat = member.model.clone();
             let schema = &sat.link.source_schema;
             let db = member.source_db.read();
+            // A table equal to one of the previous member's is shared, as
+            // a document's are.
+            let previous = satellites.last().map_or(&[][..], |s| &s.tables);
             sat.tables = db
                 .describe_schema(schema)
                 .unwrap_or_default()
                 .into_iter()
-                .map(|t| xdmod_check::TableModel {
-                    name: t.name,
-                    columns: t
-                        .columns
-                        .into_iter()
-                        .map(|c| xdmod_check::ColumnModel {
-                            name: c.name,
-                            ty: c.ty.to_string(),
-                            nullable: c.nullable,
-                        })
-                        .collect(),
+                .map(|t| {
+                    xdmod_check::TableModel {
+                        name: t.name,
+                        columns: t
+                            .columns
+                            .into_iter()
+                            .map(|c| xdmod_check::ColumnModel {
+                                name: c.name,
+                                ty: c.ty.to_string(),
+                                nullable: c.nullable,
+                            })
+                            .collect(),
+                    }
+                    .share(previous)
                 })
                 .collect();
             let resources: BTreeSet<String> = db
@@ -1943,6 +1949,29 @@ JobID|User|Account|Partition|NNodes|NCPUS|Submit|Start|End|State|AllocGPUs
         assert_eq!(m.aggregates.len(), 4);
         assert_eq!(m.group_bys.len(), 1);
         assert_eq!(m.group_bys[0].fact_table, "jobfact");
+    }
+
+    #[test]
+    fn check_model_shares_equal_live_tables_with_the_previous_member() {
+        let mut fed = Federation::new(FederationHub::new("hub"));
+        for (name, sacct) in [("x", SACCT_X), ("y", SACCT_Y), ("z", SACCT_X)] {
+            fed.join_tight(&instance(name, sacct, "r"), FederationConfig::default())
+                .unwrap();
+        }
+        let m = fed.check_model();
+        let jobfact = |i: usize| {
+            let sat = &m.satellites[i];
+            let found = sat.tables.iter().find(|t| t.name == "jobfact");
+            let Some(table) = found else {
+                panic!("jobfact missing from {}'s catalog", sat.name);
+            };
+            std::sync::Arc::clone(table)
+        };
+        // One jobs schema, so one table, held by every member.
+        assert!(std::sync::Arc::ptr_eq(&jobfact(0), &jobfact(1)));
+        assert!(std::sync::Arc::ptr_eq(&jobfact(0), &jobfact(2)));
+        let diags = fed.preflight();
+        assert!(diags.with_code(xdmod_check::Code::SchemaDrift).is_empty());
     }
 
     #[test]
