@@ -7,6 +7,7 @@
 //! check's doc comment for the concrete runtime symptom it prevents.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 use crate::diag::{Code, Diagnostic, Diagnostics, Severity, Span};
@@ -18,13 +19,14 @@ use crate::model::{
 /// Run every check over the model.
 pub fn analyze(model: &FederationModel) -> Diagnostics {
     let mut diags = Diagnostics::new();
+    let tables = DistinctTables::of(model);
     check_hub_schema_collisions(model, &mut diags);
     check_self_replication(model, &mut diags);
     check_duplicate_link_ids(model, &mut diags);
     check_filtered_required_tables(model, &mut diags);
     check_group_by_replication(model, &mut diags);
-    check_schema_drift(model, &mut diags);
-    check_dangling_dimensions(model, &mut diags);
+    check_schema_drift(model, &tables, &mut diags);
+    check_dangling_dimensions(model, &tables, &mut diags);
     check_su_factors(model, &mut diags);
     check_excluded_resources(model, &mut diags);
     check_zero_retry_tight_links(model, &mut diags);
@@ -65,10 +67,10 @@ fn check_hub_schema_collisions(model: &FederationModel, diags: &mut Diagnostics)
 /// cost is linear in satellites plus pairs: the satellites sharing a key
 /// form a chain through `next`, and the map holds each key's first and
 /// last link.
-fn same_key_pairs<'m>(
-    model: &'m FederationModel,
-    key: impl Fn(&'m SatelliteModel) -> &'m str,
-) -> Vec<(&'m SatelliteModel, &'m SatelliteModel)> {
+fn same_key_pairs<'m, 'a>(
+    model: &'m FederationModel<'a>,
+    key: impl Fn(&'m SatelliteModel<'a>) -> &'m str,
+) -> Vec<(&'m SatelliteModel<'a>, &'m SatelliteModel<'a>)> {
     let sats = &model.satellites;
     let mut ends: HashMap<&str, (usize, usize)> = HashMap::with_capacity(sats.len());
     // `next[i]`: the next satellite with `i`'s key, once there is one.
@@ -145,43 +147,56 @@ fn check_duplicate_link_ids(model: &FederationModel, diags: &mut Diagnostics) {
 /// every downstream report for that realm is empty with no error
 /// anywhere.
 fn check_filtered_required_tables(model: &FederationModel, diags: &mut Diagnostics) {
+    // Per table name: the note naming its registered readers, written
+    // once however many satellites filter the table.
+    let mut notes: HashMap<&str, String> = HashMap::new();
     for sat in &model.satellites {
         for table in &sat.expected_tables {
             if !sat.replicates(table) {
-                let consumers: Vec<&str> = model
-                    .aggregates
-                    .iter()
-                    .filter(|a| &a.fact_table == table)
-                    .map(|a| a.name.as_str())
-                    .collect();
-                let consumer_note = if consumers.is_empty() {
-                    String::new()
-                } else {
-                    format!(
-                        " (read by registered aggregate(s): {})",
-                        consumers.join(", ")
-                    )
-                };
-                diags.push(
-                    Diagnostic::new(
-                        Code::FilteredRequiredTable,
-                        Span::satellite(&sat.name)
-                            .in_schema(&sat.link.source_schema)
-                            .at_table(table),
-                        format!(
-                            "satellite \"{}\" declares realms that require table \
-                             \"{table}\", but its replication filter excludes it{consumer_note}",
-                            sat.name
-                        ),
-                    )
-                    .with_help(
-                        "add the table to the filter's table list, or drop the realm \
-                         from the satellite's federation config",
-                    ),
-                );
+                let note = notes
+                    .entry(table)
+                    .or_insert_with(|| consumer_note(model, table));
+                diags.push(filtered_required_table(sat, table, note));
             }
         }
     }
+}
+
+/// What XC0004 adds about `table`'s registered aggregates, if any.
+fn consumer_note(model: &FederationModel, table: &str) -> String {
+    let consumers: Vec<&str> = model
+        .aggregates
+        .iter()
+        .filter(|a| a.fact_table == table)
+        .map(|a| &*a.name)
+        .collect();
+    if consumers.is_empty() {
+        String::new()
+    } else {
+        format!(
+            " (read by registered aggregate(s): {})",
+            consumers.join(", ")
+        )
+    }
+}
+
+/// The XC0004 finding for `table`, which `sat`'s filter excludes.
+fn filtered_required_table(sat: &SatelliteModel, table: &str, consumer_note: &str) -> Diagnostic {
+    Diagnostic::new(
+        Code::FilteredRequiredTable,
+        Span::satellite(&sat.name)
+            .in_schema(&sat.link.source_schema)
+            .at_table(table),
+        format!(
+            "satellite \"{}\" declares realms that require table \
+             \"{table}\", but its replication filter excludes it{consumer_note}",
+            sat.name
+        ),
+    )
+    .with_help(
+        "add the table to the filter's table list, or drop the realm \
+         from the satellite's federation config",
+    )
 }
 
 /// XC0005 — a hub group-by query reads a fact table no satellite
@@ -227,50 +242,70 @@ fn check_group_by_replication(model: &FederationModel, diags: &mut Diagnostics) 
 /// the realm errors with "satellite .. has an incompatible .. layout"
 /// before anything folds — at query time, long after both links
 /// replicated "successfully".
-fn check_schema_drift(model: &FederationModel, diags: &mut Diagnostics) {
-    // A column layout's id: the exact `(name, ty, nullable)` sequence.
-    // `layouts[id]` is one table with it. A shared table (see the model's
-    // doc) is looked up by its address, so its columns are hashed once.
-    let mut shared_ids: HashMap<*const TableModel, usize> = HashMap::new();
+fn check_schema_drift(model: &FederationModel, distinct: &DistinctTables, diags: &mut Diagnostics) {
+    // Per distinct table: its layout id, for the exact `(name, ty,
+    // nullable)` sequence of its columns, and its name's id. `layouts[id]`
+    // is one table with the layout. Each is hashed once per distinct
+    // table, not per satellite.
     let mut layout_ids: HashMap<&[ColumnModel], usize> = HashMap::new();
     let mut layouts: Vec<&TableModel> = Vec::new();
-    // Per table name: each distinct layout among the earlier satellites
-    // whose filter passes the table, with those satellites in ascending
-    // order. A satellite counts with its first table of the name, the one
-    // `SatelliteModel::table` returns.
-    let mut holders: HashMap<&str, Vec<(usize, Vec<usize>)>> = HashMap::new();
-    // Whether `table_drift(mine, theirs)` finds nothing, per layout pair.
+    let mut name_ids: HashMap<&str, usize> = HashMap::new();
+    let keys: Vec<(usize, usize)> = distinct
+        .tables
+        .iter()
+        .map(|&table| {
+            let next = layouts.len();
+            let layout = *layout_ids.entry(&table.columns).or_insert_with(|| {
+                layouts.push(table);
+                next
+            });
+            let next = name_ids.len();
+            (layout, *name_ids.entry(&table.name).or_insert(next))
+        })
+        .collect();
+    // Per table name id: each distinct layout among the earlier
+    // satellites whose filter passes the table, with those satellites in
+    // ascending order. A satellite counts with its first table of the
+    // name, the one `SatelliteModel::table` returns.
+    let mut holders: Vec<Vec<(usize, Vec<usize>)>> = vec![Vec::new(); name_ids.len()];
+    // Whether `table_drift(mine, theirs)` finds nothing: per layout
+    // against itself (a duplicated column name can drift), and per pair
+    // of distinct layouts.
+    let mut self_clean: Vec<Option<bool>> = vec![None; layouts.len()];
     let mut clean: HashMap<(usize, usize), bool> = HashMap::new();
-    // The layout id of each of the current satellite's tables that its
-    // filter passes.
+    let is_clean = |sat, mine: usize, theirs: usize| {
+        let mut scratch = Diagnostics::new();
+        table_drift(sat, layouts[mine], sat, layouts[theirs], &mut scratch);
+        scratch.is_empty()
+    };
+    // The distinct table of each of the current satellite's tables that
+    // its filter passes.
     let mut ids: Vec<Option<usize>> = Vec::new();
     // (earlier satellite, table of the current one) pairs that drift.
     let mut drifting: Vec<(usize, usize)> = Vec::new();
     for (i, sat) in model.satellites.iter().enumerate() {
+        let of_sat = distinct.of_satellite(i);
         ids.clear();
-        ids.extend(sat.tables.iter().map(|table| {
-            sat.replicates(&table.name).then(|| {
-                *shared_ids.entry(Arc::as_ptr(table)).or_insert_with(|| {
-                    let next = layouts.len();
-                    *layout_ids.entry(&table.columns).or_insert_with(|| {
-                        layouts.push(table);
-                        next
-                    })
-                })
-            })
-        }));
+        ids.extend(
+            sat.tables
+                .iter()
+                .zip(of_sat)
+                .map(|(table, &d)| sat.replicates(&table.name).then_some(d)),
+        );
         drifting.clear();
-        for (k, (table, id)) in sat.tables.iter().zip(&ids).enumerate() {
-            let (Some(id), Some(groups)) = (*id, holders.get(table.name.as_str())) else {
+        for (k, d) in ids.iter().enumerate() {
+            let Some((layout, name)) = d.map(|d| keys[d]) else {
                 continue;
             };
-            for (their_id, earlier) in groups {
-                let is_clean = *clean.entry((id, *their_id)).or_insert_with(|| {
-                    let mut scratch = Diagnostics::new();
-                    table_drift(sat, layouts[id], sat, layouts[*their_id], &mut scratch);
-                    scratch.is_empty()
-                });
-                if !is_clean {
+            for (theirs, earlier) in &holders[name] {
+                let clean = if layout == *theirs {
+                    *self_clean[layout].get_or_insert_with(|| is_clean(sat, layout, layout))
+                } else {
+                    *clean
+                        .entry((layout, *theirs))
+                        .or_insert_with(|| is_clean(sat, layout, *theirs))
+                };
+                if !clean {
                     drifting.extend(earlier.iter().map(|&j| (j, k)));
                 }
             }
@@ -282,19 +317,70 @@ fn check_schema_drift(model: &FederationModel, diags: &mut Diagnostics) {
                 table_drift(sat, table, other, theirs, diags);
             }
         }
-        for (k, (table, id)) in sat.tables.iter().zip(&ids).enumerate() {
-            let Some(id) = *id else {
+        for (k, d) in ids.iter().enumerate() {
+            let Some((layout, name)) = d.map(|d| keys[d]) else {
                 continue;
             };
-            if sat.tables[..k].iter().any(|t| t.name == table.name) {
+            if of_sat[..k].iter().any(|&e| keys[e].1 == name) {
                 continue;
             }
-            let groups = holders.entry(&table.name).or_default();
-            match groups.iter_mut().find(|(l, _)| *l == id) {
+            let groups = &mut holders[name];
+            match groups.iter_mut().find(|(l, _)| *l == layout) {
                 Some((_, sats)) => sats.push(i),
-                None => groups.push((id, vec![i])),
+                None => groups.push((layout, vec![i])),
             }
         }
+    }
+}
+
+/// The distinct tables of a model's satellites, told apart by `Arc`
+/// address (see the model's doc: a satellite's table equal to one of its
+/// predecessor's is that `Arc`), so a check can do its per-table work
+/// once per table rather than once per satellite.
+struct DistinctTables<'m, 'a> {
+    /// Each distinct table, in order of first appearance.
+    tables: Vec<&'m TableModel<'a>>,
+    /// Satellite `i`'s tables, in catalog order, as indices into `tables`:
+    /// `ids[starts[i]..starts[i + 1]]`.
+    ids: Vec<usize>,
+    starts: Vec<usize>,
+}
+
+impl<'m, 'a> DistinctTables<'m, 'a> {
+    fn of(model: &'m FederationModel<'a>) -> Self {
+        let mut by_address: HashMap<*const TableModel, usize> = HashMap::new();
+        let all = model.satellites.iter().map(|sat| sat.tables.len()).sum();
+        let mut this = DistinctTables {
+            tables: Vec::new(),
+            ids: Vec::with_capacity(all),
+            starts: Vec::with_capacity(model.satellites.len() + 1),
+        };
+        this.starts.push(0);
+        let mut previous: &[Arc<TableModel>] = &[];
+        let mut previous_start = 0;
+        for sat in &model.satellites {
+            let start = this.ids.len();
+            for (k, table) in sat.tables.iter().enumerate() {
+                // The predecessor's table in the same place, shared: its
+                // id, without a lookup.
+                let id = match previous.get(k) {
+                    Some(theirs) if Arc::ptr_eq(theirs, table) => this.ids[previous_start + k],
+                    _ => *by_address.entry(Arc::as_ptr(table)).or_insert_with(|| {
+                        this.tables.push(table);
+                        this.tables.len() - 1
+                    }),
+                };
+                this.ids.push(id);
+            }
+            this.starts.push(this.ids.len());
+            (previous, previous_start) = (&sat.tables, start);
+        }
+        this
+    }
+
+    /// Satellite `i`'s tables, as indices into `tables`.
+    fn of_satellite(&self, i: usize) -> &[usize] {
+        &self.ids[self.starts[i]..self.starts[i + 1]]
     }
 }
 
@@ -383,54 +469,92 @@ fn table_drift(
 /// Runtime symptom: per-satellite aggregation (or the report query)
 /// errors with "unknown column" only once that satellite has replicated
 /// data — a latent failure that preflight surfaces immediately.
-fn check_dangling_dimensions(model: &FederationModel, diags: &mut Diagnostics) {
-    // (reader description, fact table, referenced columns)
+fn check_dangling_dimensions(
+    model: &FederationModel,
+    distinct: &DistinctTables,
+    diags: &mut Diagnostics,
+) {
+    let readers = dimension_readers(model);
+    // Per distinct table and reader, when the table is the reader's fact
+    // table: the columns the reader references that the table lacks, as
+    // a range of `absent`.
+    let mut absent: Vec<&str> = Vec::new();
+    let mut lacks: Vec<Option<Range<usize>>> =
+        Vec::with_capacity(distinct.tables.len() * readers.len());
+    for table in &distinct.tables {
+        for (_, fact_table, columns) in &readers {
+            lacks.push((table.name == *fact_table).then(|| {
+                let start = absent.len();
+                absent.extend(columns.iter().filter(|c| table.column(c).is_none()));
+                start..absent.len()
+            }));
+        }
+    }
+    for (i, sat) in model.satellites.iter().enumerate() {
+        for (r, (reader, fact_table, _)) in readers.iter().enumerate() {
+            // The satellite's first table of the name, as
+            // `SatelliteModel::table` finds it; absent tables are
+            // XC0004/XC0005 territory.
+            let Some(missing) = distinct
+                .of_satellite(i)
+                .iter()
+                .find_map(|&d| lacks[d * readers.len() + r].clone())
+            else {
+                continue;
+            };
+            if missing.is_empty() || !sat.replicates(fact_table) {
+                continue;
+            }
+            for column in &absent[missing] {
+                diags.push(dangling_dimension(sat, reader, fact_table, column));
+            }
+        }
+    }
+}
+
+/// Each hub group-by and registered aggregate, as (reader description,
+/// fact table, referenced columns).
+fn dimension_readers<'m>(model: &'m FederationModel) -> Vec<(String, &'m str, Vec<&'m str>)> {
     let mut readers: Vec<(String, &str, Vec<&str>)> = Vec::new();
     for gb in &model.group_bys {
         readers.push((
             format!("group-by \"{}\"", gb.name),
             &gb.fact_table,
-            gb.columns.iter().map(String::as_str).collect(),
+            gb.columns.iter().map(|c| &**c).collect(),
         ));
     }
     for agg in &model.aggregates {
         let mut cols: Vec<&str> = vec![&agg.time_column];
-        cols.extend(agg.dimensions.iter().map(String::as_str));
-        cols.extend(agg.measures.iter().map(String::as_str));
+        cols.extend(agg.dimensions.iter().map(|c| &**c));
+        cols.extend(agg.measures.iter().map(|c| &**c));
         readers.push((format!("aggregate \"{}\"", agg.name), &agg.fact_table, cols));
     }
+    readers
+}
 
-    for sat in &model.satellites {
-        for (reader, fact_table, columns) in &readers {
-            if !sat.replicates(fact_table) {
-                continue;
-            }
-            let Some(table) = sat.table(fact_table) else {
-                continue; // absent tables are XC0004/XC0005 territory
-            };
-            for column in columns {
-                if table.column(column).is_none() {
-                    diags.push(
-                        Diagnostic::new(
-                            Code::DanglingDimension,
-                            Span::satellite(&sat.name)
-                                .at_table(fact_table)
-                                .at_column(column),
-                            format!(
-                                "{reader} references column \"{column}\", which does not \
-                                 exist in \"{fact_table}\" as replicated by \"{}\"",
-                                sat.name
-                            ),
-                        )
-                        .with_help(
-                            "fix the dimension/measure name or add the column to the \
-                             satellite's fact table",
-                        ),
-                    );
-                }
-            }
-        }
-    }
+/// The XC0007 finding for `column`, which `reader` references and
+/// `sat`'s `fact_table` lacks.
+fn dangling_dimension(
+    sat: &SatelliteModel,
+    reader: &str,
+    fact_table: &str,
+    column: &str,
+) -> Diagnostic {
+    Diagnostic::new(
+        Code::DanglingDimension,
+        Span::satellite(&sat.name)
+            .at_table(fact_table)
+            .at_column(column),
+        format!(
+            "{reader} references column \"{column}\", which does not \
+             exist in \"{fact_table}\" as replicated by \"{}\"",
+            sat.name
+        ),
+    )
+    .with_help(
+        "fix the dimension/measure name or add the column to the \
+         satellite's fact table",
+    )
 }
 
 /// XC0008 — a resource with job records but no SU conversion factor.
@@ -631,7 +755,7 @@ fn check_alert_rules(model: &FederationModel, diags: &mut Diagnostics) {
         );
     }
     for rule in &alerts.rules {
-        if !alert_families().contains(&rule.family.as_str()) {
+        if !alert_families().contains(&&*rule.family) {
             diags.push(
                 Diagnostic::new(
                     Code::AlertRuleInvalid,
@@ -847,12 +971,14 @@ fn excluded(sat: &SatelliteModel, resource: &str) -> bool {
 }
 
 /// The all-pairs XC0001, XC0003 and XC0006 checks as they were before the
-/// keyed rewrite, kept as the oracle of the differential test.
+/// keyed rewrite, and XC0004 and XC0007 as they were before they worked
+/// per distinct table name or table, kept as the oracle of the
+/// differential test.
 #[cfg(test)]
 mod reference {
     use super::*;
 
-    /// [`analyze`](super::analyze) with the three reference checks.
+    /// [`analyze`](super::analyze) with the five reference checks.
     pub(super) fn analyze(model: &FederationModel) -> Diagnostics {
         let mut diags = Diagnostics::new();
         check_hub_schema_collisions(model, &mut diags);
@@ -997,14 +1123,45 @@ mod reference {
             }
         }
     }
+
+    fn check_filtered_required_tables(model: &FederationModel, diags: &mut Diagnostics) {
+        for sat in &model.satellites {
+            for table in &sat.expected_tables {
+                if !sat.replicates(table) {
+                    let note = consumer_note(model, table);
+                    diags.push(filtered_required_table(sat, table, &note));
+                }
+            }
+        }
+    }
+
+    fn check_dangling_dimensions(model: &FederationModel, diags: &mut Diagnostics) {
+        let readers = dimension_readers(model);
+        for sat in &model.satellites {
+            for (reader, fact_table, columns) in &readers {
+                if !sat.replicates(fact_table) {
+                    continue;
+                }
+                let Some(table) = sat.table(fact_table) else {
+                    continue; // absent tables are XC0004/XC0005 territory
+                };
+                for column in columns {
+                    if table.column(column).is_none() {
+                        diags.push(dangling_dimension(sat, reader, fact_table, column));
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{AggregateModel, GroupByModel, LinkModel};
+    use std::borrow::Cow;
 
-    fn jobfact() -> TableModel {
+    fn jobfact() -> TableModel<'static> {
         TableModel {
             name: "jobfact".into(),
             columns: vec![
@@ -1027,13 +1184,13 @@ mod tests {
         }
     }
 
-    fn satellite(name: &str) -> SatelliteModel {
+    fn satellite(name: &str) -> SatelliteModel<'static> {
         SatelliteModel {
-            name: name.into(),
+            name: name.to_owned().into(),
             link: LinkModel {
-                id: name.into(),
-                source_schema: crate::model::default_source_schema(name),
-                hub_schema: crate::model::default_hub_schema(name),
+                id: name.to_owned().into(),
+                source_schema: crate::model::default_source_schema(name).into(),
+                hub_schema: crate::model::default_hub_schema(name).into(),
                 mode: None,
                 retries: None,
             },
@@ -1041,14 +1198,14 @@ mod tests {
             expected_tables: vec!["jobfact".into()],
             excluded_resources: vec![],
             tables: vec![Arc::new(jobfact())],
-            job_resources: vec![format!("res-{name}")],
-            su_factors: vec![format!("res-{name}")],
+            job_resources: vec![format!("res-{name}").into()],
+            su_factors: vec![format!("res-{name}").into()],
             realms: vec!["jobs"],
             supremm_summaries: false,
         }
     }
 
-    fn clean_model() -> FederationModel {
+    fn clean_model() -> FederationModel<'static> {
         FederationModel {
             hub: "hub".into(),
             satellites: vec![satellite("a"), satellite("b")],
@@ -1092,10 +1249,10 @@ mod tests {
     const TABLES: [&str; 3] = ["jobfact", "storagefact", "custom"];
     const TYPES: [&str; 4] = ["int", "float", "str", "time"];
 
-    fn column(name: &str, ty: &str) -> ColumnModel {
+    fn column(name: &str, ty: &str) -> ColumnModel<'static> {
         ColumnModel {
-            name: name.into(),
-            ty: ty.into(),
+            name: name.to_owned().into(),
+            ty: ty.to_owned().into(),
             nullable: false,
         }
     }
@@ -1103,15 +1260,15 @@ mod tests {
     /// Table `name`'s base layout, each drift class applied with
     /// probability `1/drift`: a type or nullability change, a missing or
     /// extra column, two columns swapped, a duplicated column name.
-    fn drifted_table(rng: &mut Lcg, name: &str, drift: usize) -> TableModel {
+    fn drifted_table(rng: &mut Lcg, name: &str, drift: usize) -> TableModel<'static> {
         let mut table = match name {
             "jobfact" => jobfact(),
             "storagefact" => TableModel {
-                name: name.into(),
+                name: "storagefact".into(),
                 columns: vec![column("resource", "str"), column("bytes_used", "int")],
             },
             _ => TableModel {
-                name: name.into(),
+                name: name.to_owned().into(),
                 columns: vec![column("id", "int")],
             },
         };
@@ -1144,9 +1301,11 @@ mod tests {
     /// A model of 1-60 satellites mixing every input the pairwise checks
     /// read: sanitization twins, shared link ids, tables in one of three
     /// layouts (the base and two drifted ones), duplicate tables, and
-    /// filters that drop tables or are absent. How often each occurs is
-    /// itself drawn per model, so some models are clean.
-    fn seeded_model(rng: &mut Lcg) -> FederationModel {
+    /// filters that drop tables or are absent, group-bys and aggregates
+    /// over columns some layouts lack, and a required table only some
+    /// satellites declare. How often each occurs is itself drawn per
+    /// model, so some models are clean.
+    fn seeded_model(rng: &mut Lcg) -> FederationModel<'static> {
         let names = [12, 100, 10_000][rng.below(3)];
         let shared_ids = [6, 60, usize::MAX][rng.below(3)];
         let mixed = [5, 20, usize::MAX][rng.below(3)];
@@ -1166,7 +1325,7 @@ mod tests {
                 let name = format!("site{}{}", ["-", ".", "_"][rng.below(3)], rng.below(names));
                 let mut sat = satellite(&name);
                 if rng.one_in(shared_ids) {
-                    sat.link.id = format!("shared-{}", rng.below(2));
+                    sat.link.id = format!("shared-{}", rng.below(2)).into();
                 }
                 sat.tables.clear();
                 for layouts in &variants {
@@ -1180,19 +1339,45 @@ mod tests {
                     TABLES
                         .iter()
                         .filter(|_| !rng.one_in(4))
-                        .map(|t| (*t).to_owned())
+                        .map(|t| Cow::Borrowed(*t))
                         .collect()
                 });
                 sat
             })
             .collect();
+        // Readers of the other two tables, over columns some variants
+        // lack: a drifted one may drop `bytes_used` or `id`, and only an
+        // extended one has `extra`.
+        if rng.one_in(2) {
+            m.group_bys.push(GroupByModel {
+                name: "usage by filesystem".into(),
+                fact_table: "storagefact".into(),
+                columns: vec!["resource".into(), "bytes_used".into()],
+            });
+        }
+        if rng.one_in(3) {
+            m.aggregates.push(AggregateModel {
+                name: "custom".into(),
+                fact_table: "custom".into(),
+                time_column: "id".into(),
+                dimensions: vec!["extra".into()],
+                measures: vec![],
+            });
+        }
+        // Some satellites also require the custom table, which another
+        // aggregate may read.
+        for sat in &mut m.satellites {
+            if rng.one_in(3) {
+                sat.expected_tables.push("custom".into());
+            }
+        }
         m
     }
 
     /// `model` with each table replaced by the first equal table before
     /// it, in its own satellite or an earlier one, so equal tables are one
     /// `Arc`; and how many tables became another's.
-    fn shared(model: &FederationModel) -> (FederationModel, usize) {
+    fn shared<'a>(model: &FederationModel<'a>) -> (FederationModel<'a>, usize) {
         let mut m = model.clone();
         let (mut seen, mut reused): (Vec<Arc<TableModel>>, usize) = (Vec::new(), 0);
         for table in m.satellites.iter_mut().flat_map(|sat| &mut sat.tables) {
@@ -1209,7 +1394,7 @@ mod tests {
     #[test]
     fn keyed_checks_match_the_pairwise_reference() {
         let mut rng = Lcg(0x7863_3030_3036);
-        let mut fired = [0usize; 3];
+        let mut fired = [0usize; 5];
         let mut reused = 0;
         for case in 0..500 {
             let model = seeded_model(&mut rng);
@@ -1227,9 +1412,16 @@ mod tests {
                 Code::HubSchemaCollision,
                 Code::DuplicateLinkId,
                 Code::SchemaDrift,
+                Code::DanglingDimension,
             ]) {
                 *n += usize::from(!got.with_code(code).is_empty());
             }
+            // XC0004 on the custom table, whose note names its reader.
+            let custom_note = got
+                .with_code(Code::FilteredRequiredTable)
+                .iter()
+                .any(|d| d.message.contains("aggregate(s): custom"));
+            fired[4] += usize::from(custom_note);
         }
         // Each check fired on many models and stayed quiet on others.
         for n in fired {

@@ -37,6 +37,7 @@
 //! of a duplicated key, and [`JsonValue::fields`] finds several members
 //! as `get` would in one walk over the object.
 
+use std::borrow::Cow;
 use std::fmt::{self, Write as _};
 
 /// A parsed JSON document, borrowing its strings from the input text.
@@ -236,6 +237,24 @@ impl<'a> JsonValue<'a> {
         self.doc.text_of(self.node())
     }
 
+    /// The string payload for as long as `text` lives, if this is a
+    /// string. `text` must be the input this value's document was parsed
+    /// from: an unescaped string is a slice of it, so it outlives the
+    /// document; an escaped one is decoded, and owned.
+    pub(crate) fn str_of<'t>(self, text: &'t str) -> Option<Cow<'t, str>> {
+        debug_assert!(std::ptr::eq(self.doc.text, text));
+        match self.node() {
+            Node::Str { start, end } => Some(Cow::Borrowed(&text[start as usize..end as usize])),
+            Node::Escaped(i) => Some(Cow::Owned(self.doc.strings[i as usize].clone())),
+            _ => None,
+        }
+    }
+
+    /// The input text this value's document was parsed from.
+    pub(crate) fn input(self) -> &'a str {
+        self.doc.text
+    }
+
     /// A number's source text, if this is a number.
     fn number(self) -> Option<&'a str> {
         match self.node() {
@@ -277,18 +296,12 @@ impl<'a> JsonValue<'a> {
     /// Convenience: an array of strings under `key`, empty when absent.
     /// Elements that are not strings are skipped.
     pub fn string_list(self, key: &str) -> Vec<String> {
-        self.get(key)
-            .and_then(JsonValue::strings)
-            .unwrap_or_default()
-    }
-
-    /// The strings of an array, owned and in order, if this is an array.
-    /// Elements that are not strings are skipped.
-    pub(crate) fn strings(self) -> Option<Vec<String>> {
-        let items = self.as_array()?;
+        let Some(items) = self.get(key).and_then(JsonValue::as_array) else {
+            return Vec::new();
+        };
         let mut out = Vec::with_capacity(items.len());
         out.extend(items.filter_map(JsonValue::as_str).map(str::to_owned));
-        Some(out)
+        out
     }
 }
 

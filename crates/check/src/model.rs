@@ -20,6 +20,18 @@
 //! realms, SUPReMM summaries, alert severities and stale ages, the
 //! telemetry event capacity) ride along here for that reason.
 //!
+//! The model borrows the document's text. Every string it reads from the
+//! document is a `Cow<'a, str>`: a string without an escape is
+//! `Borrowed`, a slice of the input that stays valid once the parsed
+//! tape is dropped; an escaped one is `Owned`, and so is a derived one
+//! (the default `xdmod_<name>` and `inst_<name>` schemas, a type, mode or
+//! backend that had to be lower-cased). Realm tables and the `"str"`
+//! default type are borrowed `'static` data, and a link id defaults to a
+//! copy of the satellite's name, borrowed when the name is.
+//! [`FederationModel::into_owned`] detaches a model from its text; that
+//! is what `xdmod-core` keeps, and `Federation::check_model()` builds
+//! owned values.
+//!
 //! Satellites of one federation carry the same realm schemas, so a
 //! satellite's tables are shared: each is an `Arc<TableModel>`, and a
 //! table equal to one of the previous satellite's is that satellite's
@@ -28,10 +40,12 @@
 //! only once they differ; `Federation::check_model()` shares each live
 //! table it builds by the same rule ([`TableModel::share`]). Sharing
 //! chains, so a federation of N equal satellites holds each table once.
-//! The analyzer keys column layouts by that identity first; equal tables
-//! that are not shared (a hand-built model) still compare by value, so
-//! sharing changes no diagnostic.
+//! The analyzer does its per-table work once per table identity; equal
+//! tables that are not shared (a hand-built model) still compare by
+//! value, so sharing changes no diagnostic.
 
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -41,89 +55,125 @@ use crate::json::{JsonError, JsonValue};
 /// carried as lower-case strings (`"int"`, `"float"`, `"str"`, `"time"`,
 /// ...) so the model does not depend on the warehouse crate.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ColumnModel {
+pub struct ColumnModel<'a> {
     /// Column name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Lower-case type name.
-    pub ty: String,
+    pub ty: Cow<'a, str>,
     /// Whether nulls are accepted.
     pub nullable: bool,
 }
 
-/// One table of a satellite's source schema.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableModel {
-    /// Table name.
-    pub name: String,
-    /// Ordered columns.
-    pub columns: Vec<ColumnModel>,
+impl ColumnModel<'_> {
+    /// This column, detached from the text it borrows.
+    fn into_owned(self) -> ColumnModel<'static> {
+        ColumnModel {
+            name: owned(self.name),
+            ty: owned(self.ty),
+            nullable: self.nullable,
+        }
+    }
 }
 
-impl TableModel {
+/// One table of a satellite's source schema.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TableModel<'a> {
+    /// Table name.
+    pub name: Cow<'a, str>,
+    /// Ordered columns.
+    pub columns: Vec<ColumnModel<'a>>,
+}
+
+impl<'a> TableModel<'a> {
     /// Find a column by name.
-    pub fn column(&self, name: &str) -> Option<&ColumnModel> {
+    pub fn column(&self, name: &str) -> Option<&ColumnModel<'a>> {
         self.columns.iter().find(|c| c.name == name)
     }
 
     /// This table as the first of `previous` equal to it, shared, or else
     /// in an `Arc` of its own.
-    pub fn share(self, previous: &[Arc<TableModel>]) -> Arc<TableModel> {
+    pub fn share(self, previous: &[Arc<TableModel<'a>>]) -> Arc<TableModel<'a>> {
         match previous.iter().find(|table| ***table == self) {
             Some(table) => Arc::clone(table),
             None => Arc::new(self),
+        }
+    }
+
+    /// This table, detached from the text it borrows.
+    fn into_owned(self) -> TableModel<'static> {
+        TableModel {
+            name: owned(self.name),
+            columns: self
+                .columns
+                .into_iter()
+                .map(ColumnModel::into_owned)
+                .collect(),
         }
     }
 }
 
 /// One replication link, satellite → hub.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LinkModel {
+pub struct LinkModel<'a> {
     /// Link id (labels metrics; must be unique across the federation).
-    pub id: String,
+    pub id: Cow<'a, str>,
     /// Satellite-side source schema.
-    pub source_schema: String,
+    pub source_schema: Cow<'a, str>,
     /// Hub-side schema the link renames into.
-    pub hub_schema: String,
+    pub hub_schema: Cow<'a, str>,
     /// Coupling mode (`"tight"` live replication / `"loose"` batched),
     /// when the producer knows it. `None` = unspecified.
-    pub mode: Option<String>,
+    pub mode: Option<Cow<'a, str>>,
     /// Configured fast-retry attempts for the link's live worker.
     /// `None` = policy default; `Some(0)` disables retries, which the
     /// analyzer flags on tight links (`XC0010`).
     pub retries: Option<u64>,
 }
 
+impl LinkModel<'_> {
+    /// This link, detached from the text it borrows.
+    fn into_owned(self) -> LinkModel<'static> {
+        LinkModel {
+            id: owned(self.id),
+            source_schema: owned(self.source_schema),
+            hub_schema: owned(self.hub_schema),
+            mode: self.mode.map(owned),
+            retries: self.retries,
+        }
+    }
+}
+
 /// One satellite member.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SatelliteModel {
+pub struct SatelliteModel<'a> {
     /// Member name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Its replication link.
-    pub link: LinkModel,
+    pub link: LinkModel<'a>,
     /// Tables the replication filter passes. `None` = no table
     /// selection (everything replicates). A document without
     /// `"replicated_tables"` reads as its [`realm_selection`].
-    pub replicated_tables: Option<Vec<String>>,
+    pub replicated_tables: Option<Vec<Cow<'a, str>>>,
     /// Declared realms, as canonical idents (`"jobs"`, `"supremm"`,
     /// `"storage"`, `"cloud"`), in document order.
     pub realms: Vec<&'static str>,
     /// Tables the satellite's *declared realm selection* requires on the
     /// hub — the set registered aggregates and reports assume.
-    pub expected_tables: Vec<String>,
+    pub expected_tables: Vec<Cow<'a, str>>,
     /// Resources excluded from replication (row routing).
-    pub excluded_resources: Vec<String>,
+    pub excluded_resources: Vec<Cow<'a, str>>,
     /// Catalog of the source schema. A table equal to one of the
     /// previous satellite's is shared with it (see the module doc).
-    pub tables: Vec<Arc<TableModel>>,
+    pub tables: Vec<Arc<TableModel<'a>>>,
     /// Distinct resource names appearing in job records.
-    pub job_resources: Vec<String>,
+    pub job_resources: Vec<Cow<'a, str>>,
     /// Resources with a configured SU conversion factor.
-    pub su_factors: Vec<String>,
+    pub su_factors: Vec<Cow<'a, str>>,
     /// Whether monthly SUPReMM summaries also replicate (§II-C5).
     pub supremm_summaries: bool,
 }
 
-impl SatelliteModel {
+impl<'a> SatelliteModel<'a> {
     /// Whether the filter lets `table` cross the link.
     pub fn replicates(&self, table: &str) -> bool {
         match &self.replicated_tables {
@@ -133,24 +183,68 @@ impl SatelliteModel {
     }
 
     /// Find a table in the source catalog.
-    pub fn table(&self, name: &str) -> Option<&TableModel> {
+    pub fn table(&self, name: &str) -> Option<&TableModel<'a>> {
         self.tables.iter().find(|t| t.name == name).map(Arc::as_ref)
+    }
+
+    /// This satellite, detached from the text it borrows. A table already
+    /// in `converted`, keyed by the address of the `Arc` it came from, is
+    /// that one; any other is converted and added.
+    fn into_owned_sharing(
+        self,
+        converted: &mut HashMap<usize, Arc<TableModel<'static>>>,
+    ) -> SatelliteModel<'static> {
+        let tables = self
+            .tables
+            .into_iter()
+            .map(|table| {
+                let converted = converted
+                    .entry(Arc::as_ptr(&table) as usize)
+                    .or_insert_with(|| Arc::new(TableModel::clone(&table).into_owned()));
+                Arc::clone(converted)
+            })
+            .collect();
+        SatelliteModel {
+            name: owned(self.name),
+            link: self.link.into_owned(),
+            replicated_tables: self.replicated_tables.map(owned_all),
+            realms: self.realms,
+            expected_tables: owned_all(self.expected_tables),
+            excluded_resources: owned_all(self.excluded_resources),
+            tables,
+            job_resources: owned_all(self.job_resources),
+            su_factors: owned_all(self.su_factors),
+            supremm_summaries: self.supremm_summaries,
+        }
     }
 }
 
 /// One registered hub aggregation pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggregateModel {
+pub struct AggregateModel<'a> {
     /// Pipeline name (e.g. the realm).
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Fact table it reads.
-    pub fact_table: String,
+    pub fact_table: Cow<'a, str>,
     /// Time column used for period binning.
-    pub time_column: String,
+    pub time_column: Cow<'a, str>,
     /// Source columns of its dimensions.
-    pub dimensions: Vec<String>,
+    pub dimensions: Vec<Cow<'a, str>>,
     /// Source columns of its measures (pure counts carry none).
-    pub measures: Vec<String>,
+    pub measures: Vec<Cow<'a, str>>,
+}
+
+impl AggregateModel<'_> {
+    /// This pipeline, detached from the text it borrows.
+    fn into_owned(self) -> AggregateModel<'static> {
+        AggregateModel {
+            name: owned(self.name),
+            fact_table: owned(self.fact_table),
+            time_column: owned(self.time_column),
+            dimensions: owned_all(self.dimensions),
+            measures: owned_all(self.measures),
+        }
+    }
 }
 
 /// The hub's aggregation worker-pool sizing, when the producer knows it.
@@ -184,11 +278,11 @@ pub struct GatewayModel {
 /// before comparing. The analyzer reads only the family and the two
 /// windows; severity and stale age are for construction.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AlertRuleModel {
+pub struct AlertRuleModel<'a> {
     /// Alert family the rule applies to.
-    pub family: String,
+    pub family: Cow<'a, str>,
     /// `info` / `warning` / `critical`, as written (`None` = default).
-    pub severity: Option<String>,
+    pub severity: Option<Cow<'a, str>>,
     /// Flap-damping window (`None` = default).
     pub debounce_ms: Option<u64>,
     /// Auto-resolve timeout (`None` = default).
@@ -202,13 +296,34 @@ pub struct AlertRuleModel {
 /// Mirrors `xdmod_alerts::AlertRules`: a per-family rule table plus the
 /// notification token-bucket sizing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct AlertsModel {
+pub struct AlertsModel<'a> {
     /// Notification bucket burst capacity (`None` = unspecified).
     pub notify_capacity: Option<u64>,
     /// Notification bucket refill per second (`None` = unspecified).
     pub notify_refill_per_sec: Option<u64>,
     /// Configured rules.
-    pub rules: Vec<AlertRuleModel>,
+    pub rules: Vec<AlertRuleModel<'a>>,
+}
+
+impl AlertsModel<'_> {
+    /// This stanza, detached from the text it borrows.
+    fn into_owned(self) -> AlertsModel<'static> {
+        AlertsModel {
+            notify_capacity: self.notify_capacity,
+            notify_refill_per_sec: self.notify_refill_per_sec,
+            rules: self
+                .rules
+                .into_iter()
+                .map(|rule| AlertRuleModel {
+                    family: owned(rule.family),
+                    severity: rule.severity.map(owned),
+                    debounce_ms: rule.debounce_ms,
+                    resolve_timeout_ms: rule.resolve_timeout_ms,
+                    stale_ms: rule.stale_ms,
+                })
+                .collect(),
+        }
+    }
 }
 
 /// The alert families any producer in the workspace emits. Mirrors
@@ -241,11 +356,11 @@ pub const DEFAULT_ALERT_RESOLVE_TIMEOUT_MS: u64 = 30_000;
 /// mean "unspecified"; the analyzer only reasons about values actually
 /// configured.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StorageModel {
+pub struct StorageModel<'a> {
     /// Backend selector (`"memory"` or `"disk"`); `None` = unspecified.
-    pub backend: Option<String>,
+    pub backend: Option<Cow<'a, str>>,
     /// Disk backend directory.
-    pub dir: Option<String>,
+    pub dir: Option<Cow<'a, str>>,
     /// Maximum binlog segment size, in KiB.
     pub segment_max_kb: Option<u64>,
     /// Auto-snapshot (and compact) every N binlog records.
@@ -253,7 +368,26 @@ pub struct StorageModel {
     /// Whether segment appends fsync.
     pub fsync: Option<bool>,
     /// Cold-shard paging stanza (`storage.paging`), when present.
-    pub paging: Option<PagingModel>,
+    pub paging: Option<PagingModel<'a>>,
+}
+
+impl StorageModel<'_> {
+    /// This stanza, detached from the text it borrows.
+    fn into_owned(self) -> StorageModel<'static> {
+        StorageModel {
+            backend: self.backend.map(owned),
+            dir: self.dir.map(owned),
+            segment_max_kb: self.segment_max_kb,
+            snapshot_every_records: self.snapshot_every_records,
+            fsync: self.fsync,
+            paging: self.paging.map(|paging| PagingModel {
+                budget_mb: paging.budget_mb,
+                pages_per_table: paging.pages_per_table,
+                spill_dir: paging.spill_dir.map(owned),
+                fsync: paging.fsync,
+            }),
+        }
+    }
 }
 
 /// Budgets at or above this many MiB are treated as "unbounded": the
@@ -268,52 +402,62 @@ pub const PAGING_UNBOUNDED_BUDGET_MB: u64 = 1 << 20;
 /// `None` fields mean "unspecified, runtime default applies"; the
 /// analyzer only reasons about values actually configured.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct PagingModel {
+pub struct PagingModel<'a> {
     /// Working-set budget in MiB.
     pub budget_mb: Option<u64>,
     /// Day-bucket pages per fact table.
     pub pages_per_table: Option<u64>,
     /// Spill directory override.
-    pub spill_dir: Option<String>,
+    pub spill_dir: Option<Cow<'a, str>>,
     /// Whether spill writes fsync.
     pub fsync: Option<bool>,
 }
 
 /// One group-by query the hub's canned reports issue.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupByModel {
+pub struct GroupByModel<'a> {
     /// Query/report section name.
-    pub name: String,
+    pub name: Cow<'a, str>,
     /// Fact table it reads (per satellite schema, then unioned).
-    pub fact_table: String,
+    pub fact_table: Cow<'a, str>,
     /// Grouping columns.
-    pub columns: Vec<String>,
+    pub columns: Vec<Cow<'a, str>>,
 }
 
 /// The whole analyzable federation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FederationModel {
+pub struct FederationModel<'a> {
     /// Hub name.
-    pub hub: String,
+    pub hub: Cow<'a, str>,
     /// Member satellites.
-    pub satellites: Vec<SatelliteModel>,
+    pub satellites: Vec<SatelliteModel<'a>>,
     /// Registered aggregation pipelines.
-    pub aggregates: Vec<AggregateModel>,
+    pub aggregates: Vec<AggregateModel<'a>>,
     /// Hub group-by query surface.
-    pub group_bys: Vec<GroupByModel>,
+    pub group_bys: Vec<GroupByModel<'a>>,
     /// Aggregation pool sizing (`None` = unspecified).
     pub aggregation: Option<AggregationPoolModel>,
     /// Serving-tier (gateway) pool sizing (`None` = no gateway).
     pub gateway: Option<GatewayModel>,
     /// Alert engine configuration (`None` = engine defaults, always
     /// valid).
-    pub alerts: Option<AlertsModel>,
+    pub alerts: Option<AlertsModel<'a>>,
     /// Durable-storage configuration (`None` = default memory backend,
     /// always valid).
-    pub storage: Option<StorageModel>,
+    pub storage: Option<StorageModel<'a>>,
     /// Telemetry event-ring capacity (`telemetry.event_capacity`;
     /// `None` = the telemetry default).
     pub event_capacity: Option<u64>,
+}
+
+/// A string detached from the text it borrows.
+fn owned(s: Cow<'_, str>) -> Cow<'static, str> {
+    Cow::Owned(s.into_owned())
+}
+
+/// Each string of a list detached from the text it borrows.
+fn owned_all(list: Vec<Cow<'_, str>>) -> Vec<Cow<'static, str>> {
+    list.into_iter().map(owned).collect()
 }
 
 /// Sanitize a name the way the workspace's schema conventions do:
@@ -384,14 +528,15 @@ pub fn realm_tables(realm: &str) -> Option<&'static [&'static str]> {
 /// (canonical idents): the realms' tables, plus
 /// [`SUPREMM_SUMMARY_TABLE`] when `supremm_summaries` is set, sorted.
 /// `None` — no selection, every table replicates — when that is empty.
-/// What an absent `"replicated_tables"` means.
-pub fn realm_selection(realms: &[&str], supremm_summaries: bool) -> Option<Vec<String>> {
-    let mut tables: Vec<String> = realms
+/// What an absent `"replicated_tables"` means. The names are borrowed
+/// `'static` data.
+pub fn realm_selection(realms: &[&str], supremm_summaries: bool) -> Option<Vec<Cow<'static, str>>> {
+    let mut tables: Vec<Cow<'static, str>> = realms
         .iter()
         .filter_map(|realm| realm_tables(realm))
         .flatten()
         .chain(supremm_summaries.then_some(&SUPREMM_SUMMARY_TABLE))
-        .map(|t| (*t).to_owned())
+        .map(|t| Cow::Borrowed(*t))
         .collect();
     tables.sort_unstable();
     tables.dedup();
@@ -414,42 +559,6 @@ impl From<JsonError> for ModelError {
     fn from(e: JsonError) -> Self {
         ModelError(format!("config is not valid JSON: {e}"))
     }
-}
-
-// The readers below take a member already looked up (by
-// `JsonValue::fields`, one walk per object) and its key, which only their
-// messages use.
-
-/// A string member, borrowed. `ctx` names the object it sits in; it is
-/// formatted only when the member is missing.
-fn required<'a>(
-    value: Option<JsonValue<'a>>,
-    key: &str,
-    ctx: impl fmt::Display,
-) -> Result<&'a str, ModelError> {
-    value
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| ModelError(format!("{ctx}: missing string field \"{key}\"")))
-}
-
-/// [`required`], owned.
-fn required_str(
-    value: Option<JsonValue>,
-    key: &str,
-    ctx: impl fmt::Display,
-) -> Result<String, ModelError> {
-    required(value, key, ctx).map(str::to_owned)
-}
-
-fn opt_str(value: Option<JsonValue>) -> Option<String> {
-    value.and_then(JsonValue::as_str).map(str::to_owned)
-}
-
-/// A string member in lower case.
-fn opt_lower(value: Option<JsonValue>) -> Option<String> {
-    value
-        .and_then(JsonValue::as_str)
-        .map(str::to_ascii_lowercase)
 }
 
 /// Counts are parsed as `f64`, which holds every integer up to 2^53
@@ -476,12 +585,6 @@ fn opt_u64(
     }
 }
 
-/// The strings of an array member, in order; empty when the member is
-/// absent or not an array. Elements that are not strings are skipped.
-fn strings(value: Option<JsonValue>) -> Vec<String> {
-    value.and_then(JsonValue::strings).unwrap_or_default()
-}
-
 /// Each element of an array member through `build`, in order; empty when
 /// the member is absent or not an array. The first error stops the walk.
 fn list_of<T>(
@@ -496,6 +599,15 @@ fn list_of<T>(
         out.push(build(item)?);
     }
     Ok(out)
+}
+
+/// `s` in ASCII lower case: itself when it has no upper-case letter.
+fn lowercase(s: Cow<'_, str>) -> Cow<'_, str> {
+    if s.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(s.to_ascii_lowercase())
+    } else {
+        s
+    }
 }
 
 /// Whether a column document's members `name`, `ty` and `nullable` build
@@ -516,83 +628,57 @@ fn reads_as(
         && nullable.and_then(JsonValue::as_bool).unwrap_or(false) == column.nullable
 }
 
-/// A table of satellite `sat`, in one walk over its columns. While they
-/// read as the columns of a table of `previous` (the previous
-/// satellite's) with the same name and as many columns, nothing is built:
-/// a table equal to one of `previous` is that one, shared (the first
-/// such, should two be equal). Otherwise the columns matched so far are
-/// cloned and the rest built from the document. Any error is the one the
-/// build raises: a column that reads as another was built without one.
-fn table_from_json(
-    entry: JsonValue,
-    previous: &[Arc<TableModel>],
-    sat: &str,
-) -> Result<Arc<TableModel>, ModelError> {
-    let [name, columns] = entry.fields(["name", "columns"]);
-    let name = required(name, "name", format_args!("satellite {sat}"))?;
-    let columns = columns.and_then(JsonValue::as_array);
-    let len = columns.as_ref().map_or(0, ExactSizeIterator::len);
-    let fresh = |prefix: &[ColumnModel]| {
-        let mut built = Vec::with_capacity(len);
-        built.extend_from_slice(prefix);
-        built
-    };
-    let mut candidates = previous
-        .iter()
-        .filter(|t| t.name == name && t.columns.len() == len);
-    // The first candidate whose first `n` columns the document's are.
-    let mut matched = candidates.next();
-    let mut built = if matched.is_some() {
-        Vec::new()
-    } else {
-        fresh(&[])
-    };
-    for (n, col) in columns.into_iter().flatten().enumerate() {
-        let [col_name, ty, nullable] = col.fields(["name", "type", "nullable"]);
-        if let Some(table) = matched {
-            let reads_on = |t: &TableModel| reads_as(&t.columns[n], col_name, ty, nullable);
-            if reads_on(table) {
-                continue;
-            }
-            // A later one with the same first `n` columns may read on.
-            matched = candidates.find(|t| t.columns[..n] == table.columns[..n] && reads_on(t));
-            if matched.is_some() {
-                continue;
-            }
-            built = fresh(&table.columns[..n]);
-        }
-        built.push(ColumnModel {
-            name: required_str(
-                col_name,
-                "name",
-                format_args!("satellite {sat} table {name}"),
-            )?,
-            ty: opt_lower(ty).unwrap_or_else(|| "str".to_owned()),
-            nullable: nullable.and_then(JsonValue::as_bool).unwrap_or(false),
-        });
-    }
-    if let Some(table) = matched {
-        return Ok(Arc::clone(table));
-    }
-    Ok(Arc::new(TableModel {
-        name: name.to_owned(),
-        columns: built,
-    }))
+/// The reader of one federation document: `text` is the input its values
+/// were parsed from, which the model's strings borrow. The readers take a
+/// member already looked up (by `JsonValue::fields`, one walk per object)
+/// and its key, which only their messages use.
+#[derive(Clone, Copy)]
+struct Reader<'t> {
+    text: &'t str,
 }
 
-impl FederationModel {
-    /// Load from the federation document's JSON text: parse, then
-    /// [`FederationModel::from_value`]. See `examples/configs/` for worked
-    /// documents.
-    pub fn from_json(text: &str) -> Result<Self, ModelError> {
-        Self::from_value(crate::json::parse(text)?.root())
+impl<'t> Reader<'t> {
+    /// A string member: borrowed from the text unless it has an escape.
+    fn string(self, value: Option<JsonValue>) -> Option<Cow<'t, str>> {
+        value.and_then(|value| value.str_of(self.text))
     }
 
-    /// Load from a parsed federation document. Unknown realm names,
-    /// structurally missing fields and counts that are not integers in
-    /// `0..=2^53` are errors; everything else defaults to the workspace
-    /// conventions. Unknown keys are ignored.
-    pub fn from_value(doc: JsonValue) -> Result<Self, ModelError> {
+    /// A string member that must be there. `ctx` names the object it
+    /// sits in; it is formatted only when the member is missing.
+    fn required(
+        self,
+        value: Option<JsonValue>,
+        key: &str,
+        ctx: impl fmt::Display,
+    ) -> Result<Cow<'t, str>, ModelError> {
+        self.string(value)
+            .ok_or_else(|| ModelError(format!("{ctx}: missing string field \"{key}\"")))
+    }
+
+    /// A string member in lower case.
+    fn lower(self, value: Option<JsonValue>) -> Option<Cow<'t, str>> {
+        self.string(value).map(lowercase)
+    }
+
+    /// The strings of an array, in order, if this is an array. Elements
+    /// that are not strings are skipped.
+    fn string_list(self, value: JsonValue) -> Option<Vec<Cow<'t, str>>> {
+        let items = value.as_array()?;
+        let mut out = Vec::with_capacity(items.len());
+        out.extend(items.filter_map(|item| item.str_of(self.text)));
+        Some(out)
+    }
+
+    /// The strings of an array member, in order; empty when the member is
+    /// absent or not an array.
+    fn strings(self, value: Option<JsonValue>) -> Vec<Cow<'t, str>> {
+        value
+            .and_then(|value| self.string_list(value))
+            .unwrap_or_default()
+    }
+
+    /// The whole document; see [`FederationModel::from_value`].
+    fn federation(self, doc: JsonValue) -> Result<FederationModel<'t>, ModelError> {
         let [hub, satellites, aggregates, group_bys, aggregation, gateway, alerts, storage, telemetry] =
             doc.fields([
                 "hub",
@@ -605,7 +691,7 @@ impl FederationModel {
                 "storage",
                 "telemetry",
             ]);
-        let hub = required_str(hub, "hub", "config")?;
+        let hub = self.required(hub, "hub", "config")?;
 
         // As `list_of` would, each satellite seeing the one before it.
         let entries = satellites.and_then(JsonValue::as_array);
@@ -613,7 +699,7 @@ impl FederationModel {
             Vec::with_capacity(entries.as_ref().map_or(0, ExactSizeIterator::len));
         for entry in entries.into_iter().flatten() {
             let previous = satellites.last().map_or(&[][..], |sat| &sat.tables);
-            let sat = Self::satellite_from_json(entry, previous)?;
+            let sat = self.satellite(entry, previous)?;
             satellites.push(sat);
         }
 
@@ -625,30 +711,32 @@ impl FederationModel {
                 "dimensions",
                 "measures",
             ]);
-            let name = required_str(name, "name", "aggregate")?;
+            let name = self.required(name, "name", "aggregate")?;
             Ok(AggregateModel {
-                fact_table: required_str(
+                fact_table: self.required(
                     fact_table,
                     "fact_table",
                     format_args!("aggregate {name}"),
                 )?,
-                time_column: opt_str(time_column).unwrap_or_else(|| "end_time".to_owned()),
-                dimensions: strings(dimensions),
-                measures: strings(measures),
+                time_column: self
+                    .string(time_column)
+                    .unwrap_or(Cow::Borrowed("end_time")),
+                dimensions: self.strings(dimensions),
+                measures: self.strings(measures),
                 name,
             })
         })?;
 
         let group_bys = list_of(group_bys, |entry| {
             let [name, fact_table, columns] = entry.fields(["name", "fact_table", "columns"]);
-            let name = required_str(name, "name", "group_by")?;
+            let name = self.required(name, "name", "group_by")?;
             Ok(GroupByModel {
-                fact_table: required_str(
+                fact_table: self.required(
                     fact_table,
                     "fact_table",
                     format_args!("group_by {name}"),
                 )?,
-                columns: strings(columns),
+                columns: self.strings(columns),
                 name,
             })
         })?;
@@ -672,12 +760,12 @@ impl FederationModel {
         };
 
         let alerts = match alerts {
-            Some(entry) => Some(Self::alerts_from_json(entry)?),
+            Some(entry) => Some(self.alerts(entry)?),
             None => None,
         };
 
         let storage = match storage {
-            Some(entry) => Some(Self::storage_from_json(entry)?),
+            Some(entry) => Some(self.storage(entry)?),
             None => None,
         };
 
@@ -700,7 +788,7 @@ impl FederationModel {
     }
 
     /// The `storage` stanza, with its `paging` stanza.
-    fn storage_from_json(entry: JsonValue) -> Result<StorageModel, ModelError> {
+    fn storage(self, entry: JsonValue) -> Result<StorageModel<'t>, ModelError> {
         let [backend, dir, segment_max_kb, snapshot_every_records, fsync, paging] = entry.fields([
             "backend",
             "dir",
@@ -710,8 +798,8 @@ impl FederationModel {
             "paging",
         ]);
         Ok(StorageModel {
-            backend: opt_lower(backend),
-            dir: opt_str(dir),
+            backend: self.lower(backend),
+            dir: self.string(dir),
             segment_max_kb: opt_u64(segment_max_kb, "segment_max_kb", "storage")?,
             snapshot_every_records: opt_u64(
                 snapshot_every_records,
@@ -730,7 +818,7 @@ impl FederationModel {
                             "pages_per_table",
                             "storage.paging",
                         )?,
-                        spill_dir: opt_str(spill_dir),
+                        spill_dir: self.string(spill_dir),
                         fsync: fsync.and_then(JsonValue::as_bool),
                     })
                 }
@@ -740,7 +828,7 @@ impl FederationModel {
     }
 
     /// The `alerts` stanza. A rule without a string `family` is skipped.
-    fn alerts_from_json(entry: JsonValue) -> Result<AlertsModel, ModelError> {
+    fn alerts(self, entry: JsonValue) -> Result<AlertsModel<'t>, ModelError> {
         let [rule_list, notify_capacity, notify_refill_per_sec] =
             entry.fields(["rules", "notify_capacity", "notify_refill_per_sec"]);
         let mut rules = Vec::new();
@@ -756,16 +844,16 @@ impl FederationModel {
                 "resolve_timeout_ms",
                 "stale_ms",
             ]);
-            let Some(family) = family.and_then(JsonValue::as_str) else {
+            let Some(family) = self.string(family) else {
                 continue;
             };
             let count = |value, key| opt_u64(value, key, format_args!("alert rule {family}"));
             rules.push(AlertRuleModel {
-                severity: opt_str(severity),
+                severity: self.string(severity),
                 debounce_ms: count(debounce_ms, "debounce_ms")?,
                 resolve_timeout_ms: count(resolve_timeout_ms, "resolve_timeout_ms")?,
                 stale_ms: count(stale_ms, "stale_ms")?,
-                family: family.to_owned(),
+                family,
             });
         }
         Ok(AlertsModel {
@@ -781,10 +869,11 @@ impl FederationModel {
 
     /// A satellite; each table equal to one of `previous` (the previous
     /// satellite's) is that table, shared.
-    fn satellite_from_json(
+    fn satellite(
+        self,
         entry: JsonValue,
-        previous: &[Arc<TableModel>],
-    ) -> Result<SatelliteModel, ModelError> {
+        previous: &[Arc<TableModel<'t>>],
+    ) -> Result<SatelliteModel<'t>, ModelError> {
         let [name, realm_list, extra_tables, summaries, replicated, table_list, link_id, source_schema, hub_schema, mode, retries, excluded_resources, job_resources, su_factors] =
             entry.fields([
                 "name",
@@ -802,10 +891,10 @@ impl FederationModel {
                 "job_resources",
                 "su_factors",
             ]);
-        let name = required_str(name, "name", "satellite")?;
+        let name = self.required(name, "name", "satellite")?;
 
         let mut realms = Vec::new();
-        let mut expected_tables: Vec<String> = Vec::new();
+        let mut expected_tables: Vec<Cow<'t, str>> = Vec::new();
         for realm in realm_list
             .and_then(JsonValue::as_array)
             .into_iter()
@@ -816,41 +905,162 @@ impl FederationModel {
                 ModelError(format!("satellite {name}: unknown realm \"{realm}\""))
             })?;
             realms.push(ident);
-            expected_tables.extend(tables.iter().map(|t| (*t).to_owned()));
+            expected_tables.extend(tables.iter().map(|t| Cow::Borrowed(*t)));
         }
         // Explicit expected_tables add to (or replace) the realm-derived
         // list, for configs that track custom tables.
-        expected_tables.extend(strings(extra_tables));
+        expected_tables.extend(self.strings(extra_tables));
         expected_tables.sort_unstable();
         expected_tables.dedup();
 
         let supremm_summaries = summaries.and_then(JsonValue::as_bool).unwrap_or(false);
         // An absent list is the selection build derives, not "every table".
         let replicated_tables = replicated
-            .and_then(JsonValue::strings)
+            .and_then(|list| self.string_list(list))
             .or_else(|| realm_selection(&realms, supremm_summaries));
 
-        let tables = list_of(table_list, |table| table_from_json(table, previous, &name))?;
+        let tables = list_of(table_list, |table| self.table(table, previous, &name))?;
 
         Ok(SatelliteModel {
             link: LinkModel {
-                id: opt_str(link_id).unwrap_or_else(|| name.clone()),
-                source_schema: opt_str(source_schema)
-                    .unwrap_or_else(|| default_source_schema(&name)),
-                hub_schema: opt_str(hub_schema).unwrap_or_else(|| default_hub_schema(&name)),
-                mode: opt_lower(mode),
+                id: self.string(link_id).unwrap_or_else(|| name.clone()),
+                source_schema: self
+                    .string(source_schema)
+                    .unwrap_or_else(|| Cow::Owned(default_source_schema(&name))),
+                hub_schema: self
+                    .string(hub_schema)
+                    .unwrap_or_else(|| Cow::Owned(default_hub_schema(&name))),
+                mode: self.lower(mode),
                 retries: opt_u64(retries, "retries", format_args!("satellite {name}"))?,
             },
             replicated_tables,
             expected_tables,
-            excluded_resources: strings(excluded_resources),
+            excluded_resources: self.strings(excluded_resources),
             tables,
-            job_resources: strings(job_resources),
-            su_factors: strings(su_factors),
+            job_resources: self.strings(job_resources),
+            su_factors: self.strings(su_factors),
             supremm_summaries,
             realms,
             name,
         })
+    }
+
+    /// A table of satellite `sat`, in one walk over its columns. While
+    /// they read as the columns of a table of `previous` (the previous
+    /// satellite's) with the same name and as many columns, nothing is
+    /// built: a table equal to one of `previous` is that one, shared (the
+    /// first such, should two be equal). Otherwise the columns matched so
+    /// far are cloned and the rest built from the document. Any error is
+    /// the one the build raises: a column that reads as another was built
+    /// without one.
+    fn table(
+        self,
+        entry: JsonValue,
+        previous: &[Arc<TableModel<'t>>],
+        sat: &str,
+    ) -> Result<Arc<TableModel<'t>>, ModelError> {
+        let [name, columns] = entry.fields(["name", "columns"]);
+        let name = self.required(name, "name", format_args!("satellite {sat}"))?;
+        let columns = columns.and_then(JsonValue::as_array);
+        let len = columns.as_ref().map_or(0, ExactSizeIterator::len);
+        let fresh = |prefix: &[ColumnModel<'t>]| {
+            let mut built = Vec::with_capacity(len);
+            built.extend_from_slice(prefix);
+            built
+        };
+        let mut candidates = previous
+            .iter()
+            .filter(|t| t.name == name && t.columns.len() == len);
+        // The first candidate whose first `n` columns the document's are.
+        let mut matched = candidates.next();
+        let mut built = if matched.is_some() {
+            Vec::new()
+        } else {
+            fresh(&[])
+        };
+        for (n, col) in columns.into_iter().flatten().enumerate() {
+            let [col_name, ty, nullable] = col.fields(["name", "type", "nullable"]);
+            if let Some(table) = matched {
+                let reads_on = |t: &TableModel| reads_as(&t.columns[n], col_name, ty, nullable);
+                if reads_on(table) {
+                    continue;
+                }
+                // A later one with the same first `n` columns may read on.
+                matched = candidates.find(|t| t.columns[..n] == table.columns[..n] && reads_on(t));
+                if matched.is_some() {
+                    continue;
+                }
+                built = fresh(&table.columns[..n]);
+            }
+            built.push(ColumnModel {
+                name: self.required(
+                    col_name,
+                    "name",
+                    format_args!("satellite {sat} table {name}"),
+                )?,
+                ty: self.lower(ty).unwrap_or(Cow::Borrowed("str")),
+                nullable: nullable.and_then(JsonValue::as_bool).unwrap_or(false),
+            });
+        }
+        if let Some(table) = matched {
+            return Ok(Arc::clone(table));
+        }
+        Ok(Arc::new(TableModel {
+            name,
+            columns: built,
+        }))
+    }
+}
+
+impl<'a> FederationModel<'a> {
+    /// Load from the federation document's JSON text: parse, then
+    /// [`FederationModel::from_value`]. The model borrows `text`, not the
+    /// parsed document, which is dropped before this returns. See
+    /// `examples/configs/` for worked documents.
+    pub fn from_json(text: &'a str) -> Result<Self, ModelError> {
+        Reader { text }.federation(crate::json::parse(text)?.root())
+    }
+
+    /// Load from a parsed federation document, borrowing its input text.
+    /// Unknown realm names, structurally missing fields and counts that
+    /// are not integers in `0..=2^53` are errors; everything else
+    /// defaults to the workspace conventions. Unknown keys are ignored.
+    pub fn from_value(doc: JsonValue<'a>) -> Result<Self, ModelError> {
+        Reader { text: doc.input() }.federation(doc)
+    }
+
+    /// This model, detached from the text it borrows: every string owned.
+    /// A table shared by several satellites is converted once and stays
+    /// shared.
+    pub fn into_owned(self) -> FederationModel<'static> {
+        let mut converted = HashMap::new();
+        FederationModel {
+            hub: owned(self.hub),
+            satellites: self
+                .satellites
+                .into_iter()
+                .map(|sat| sat.into_owned_sharing(&mut converted))
+                .collect(),
+            aggregates: self
+                .aggregates
+                .into_iter()
+                .map(AggregateModel::into_owned)
+                .collect(),
+            group_bys: self
+                .group_bys
+                .into_iter()
+                .map(|gb| GroupByModel {
+                    name: owned(gb.name),
+                    fact_table: owned(gb.fact_table),
+                    columns: owned_all(gb.columns),
+                })
+                .collect(),
+            aggregation: self.aggregation,
+            gateway: self.gateway,
+            alerts: self.alerts.map(AlertsModel::into_owned),
+            storage: self.storage.map(StorageModel::into_owned),
+            event_capacity: self.event_capacity,
+        }
     }
 }
 
@@ -885,7 +1095,7 @@ mod tests {
         assert_eq!(s.link.retries, None);
         assert_eq!(s.expected_tables, vec!["jobfact"]);
         // No list: the realms' selection, as build replicates it.
-        assert_eq!(s.replicated_tables, Some(vec!["jobfact".to_owned()]));
+        assert_eq!(s.replicated_tables, Some(vec!["jobfact".into()]));
         assert!(s.replicates("jobfact"));
         assert!(!s.replicates("anything"));
     }
@@ -897,27 +1107,24 @@ mod tests {
                 r#"{{"hub": "h", "satellites": [{{"name": "x", "realms": [{realms}],
                     "supremm_summaries": {summaries}}}]}}"#
             );
-            FederationModel::from_json(&doc).unwrap().satellites[0]
-                .replicated_tables
-                .clone()
+            let model = FederationModel::from_json(&doc).unwrap();
+            let list = model.satellites[0].replicated_tables.as_ref();
+            list.map(|tables| tables.iter().map(|t| t.to_string()).collect::<Vec<_>>())
         };
         assert_eq!(tables("", false), None);
-        assert_eq!(
-            tables("", true),
-            Some(vec![SUPREMM_SUMMARY_TABLE.to_owned()])
-        );
+        assert_eq!(tables("", true), Some(vec![SUPREMM_SUMMARY_TABLE.into()]));
         assert_eq!(
             tables(r#""cloud", "jobs", "Jobs""#, true),
             Some(vec![
-                "cloud_reservation".to_owned(),
-                "cloudfact".to_owned(),
-                "jobfact".to_owned(),
-                "supremm_summary_by_month".to_owned(),
+                "cloud_reservation".into(),
+                "cloudfact".into(),
+                "jobfact".into(),
+                "supremm_summary_by_month".into(),
             ])
         );
         assert_eq!(
             realm_selection(&["storage"], false),
-            Some(vec!["storagefact".to_owned()])
+            Some(vec!["storagefact".into()])
         );
     }
 
@@ -963,7 +1170,7 @@ mod tests {
         assert_eq!(s.link.retries, Some(0));
         assert!(s.replicates("jobfact"));
         assert!(!s.replicates("supremm_jobfact"));
-        assert!(s.expected_tables.contains(&"supremm_timeseries".to_owned()));
+        assert!(s.expected_tables.contains(&"supremm_timeseries".into()));
         let t = s.table("jobfact").unwrap();
         assert_eq!(t.column("resource").unwrap().ty, "str");
         assert!(t.column("cpu_hours").unwrap().nullable);
@@ -1241,16 +1448,16 @@ mod tests {
     /// `text` built one satellite at a time, each from a document holding
     /// only it, so no table is shared; errors come in the order one
     /// document raises them.
-    fn one_at_a_time(text: &str) -> Result<FederationModel, ModelError> {
+    fn one_at_a_time(text: &str) -> Result<FederationModel<'static>, ModelError> {
         let doc = json::parse(text)?;
         let root = doc.root();
         let mut satellites = Vec::new();
         let entries = root.get("satellites").and_then(JsonValue::as_array);
         for entry in entries.into_iter().flatten() {
-            let one = FederationModel::from_json(&with_satellites(root, Some(entry)))?;
+            let one = FederationModel::from_json(&with_satellites(root, Some(entry)))?.into_owned();
             satellites.extend(one.satellites);
         }
-        let mut model = FederationModel::from_json(&with_satellites(root, None))?;
+        let mut model = FederationModel::from_json(&with_satellites(root, None))?.into_owned();
         model.satellites = satellites;
         Ok(model)
     }
@@ -1276,12 +1483,141 @@ mod tests {
 
     /// `from_json` on `text` is, by value and by `Debug` text, the model
     /// (or the error) built one satellite at a time, shared as the rule
-    /// says. Returns the tables shared.
+    /// says, and its detached twin. Returns the tables shared.
     fn builds_as_if_unshared(text: &str, what: &str) -> usize {
         let (got, want) = (FederationModel::from_json(text), one_at_a_time(text));
         assert_eq!(got, want, "{what}");
         assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}");
-        got.map_or(0, |model| shared_with_the_predecessor(&model))
+        got.map_or(0, |model| {
+            detaches_unchanged(&model, text, what);
+            shared_with_the_predecessor(&model)
+        })
+    }
+
+    /// Every string of `model` read from a document or derived from one,
+    /// in a fixed order.
+    fn strings<'m, 'a>(model: &'m FederationModel<'a>) -> Vec<&'m Cow<'a, str>> {
+        let mut out = vec![&model.hub];
+        for sat in &model.satellites {
+            let link = &sat.link;
+            out.extend([&sat.name, &link.id, &link.source_schema, &link.hub_schema]);
+            out.extend(&link.mode);
+            out.extend(sat.replicated_tables.iter().flatten());
+            out.extend(&sat.expected_tables);
+            out.extend(&sat.excluded_resources);
+            for table in &sat.tables {
+                out.push(&table.name);
+                out.extend(table.columns.iter().flat_map(|c| [&c.name, &c.ty]));
+            }
+            out.extend(&sat.job_resources);
+            out.extend(&sat.su_factors);
+        }
+        for agg in &model.aggregates {
+            out.extend([&agg.name, &agg.fact_table, &agg.time_column]);
+            out.extend(&agg.dimensions);
+            out.extend(&agg.measures);
+        }
+        for gb in &model.group_bys {
+            out.extend([&gb.name, &gb.fact_table]);
+            out.extend(&gb.columns);
+        }
+        for rule in model.alerts.iter().flat_map(|a| &a.rules) {
+            out.push(&rule.family);
+            out.extend(&rule.severity);
+        }
+        if let Some(storage) = &model.storage {
+            out.extend(&storage.backend);
+            out.extend(&storage.dir);
+            out.extend(storage.paging.iter().flat_map(|p| &p.spill_dir));
+        }
+        out
+    }
+
+    /// Whether `s` is a slice of `text`: an owned string never is.
+    fn borrows(s: &str, text: &str) -> bool {
+        text.as_bytes().as_ptr_range().contains(&s.as_ptr())
+    }
+
+    /// `model`, built from `text`, and `model.into_owned()` are equal by
+    /// value and by `Debug` text; the twin owns every string and shares
+    /// each table as `model` does.
+    fn detaches_unchanged(model: &FederationModel, text: &str, what: &str) {
+        let twin = model.clone().into_owned();
+        assert_eq!(&twin, model, "{what}");
+        assert_eq!(format!("{twin:?}"), format!("{model:?}"), "{what}");
+        let strings = strings(&twin);
+        assert!(strings.iter().all(|s| matches!(s, Cow::Owned(_))), "{what}");
+        assert!(strings.iter().all(|s| !borrows(s, text)), "{what}");
+        let tables = |m: &FederationModel| -> Vec<*const ()> {
+            let all = m.satellites.iter().flat_map(|s| &s.tables);
+            all.map(|t| Arc::as_ptr(t).cast()).collect()
+        };
+        let (theirs, mine) = (tables(model), tables(&twin));
+        for (i, j) in (0..mine.len()).flat_map(|i| (0..i).map(move |j| (i, j))) {
+            assert_eq!(mine[i] == mine[j], theirs[i] == theirs[j], "{what}");
+        }
+    }
+
+    #[test]
+    fn an_escape_free_topology_borrows_all_but_the_derived_schemas() {
+        let text = common::topology(30);
+        let model = FederationModel::from_json(&text).unwrap();
+        for s in strings(&model) {
+            // The realm tables the expected lists name are `'static`.
+            let derived = s.starts_with("xdmod_") || s.starts_with("inst_");
+            assert_eq!(matches!(s, Cow::Borrowed(_)), !derived, "{s:?}");
+        }
+        for sat in &model.satellites {
+            assert!(borrows(&sat.name, &text) && borrows(&sat.link.id, &text));
+            assert!(sat.job_resources.iter().all(|r| borrows(r, &text)));
+        }
+        // The parsed tape is gone; the text outlives the model.
+        drop(text);
+    }
+
+    #[test]
+    fn escaped_strings_build_the_model_their_unescaped_twin_builds() {
+        // `-` written as `\u002d` and `/` as `\/` in names, link ids,
+        // resources, table and column names and column types.
+        let twin = r#"{"hub": "hub-1", "satellites": [
+            {"name": "site-a", "link_id": "link/a", "realms": ["jobs"],
+             "replicated_tables": ["job-fact"], "excluded_resources": ["res/x"],
+             "job_resources": ["res-1", "res/x"], "su_factors": ["res-1"],
+             "tables": [{"name": "job-fact", "columns": [
+                 {"name": "res-ource", "type": "time/zone"},
+                 {"name": "end_time", "type": "t-ime"}]}]},
+            {"name": "site-b", "realms": ["jobs"],
+             "tables": [{"name": "job-fact", "columns": [
+                 {"name": "res-ource", "type": "time/zone"},
+                 {"name": "end_time", "type": "t-ime"}]}]}],
+            "group_bys": [{"name": "by res-ource", "fact_table": "job-fact",
+                           "columns": ["res-ource"]}]}"#;
+        let escaped = twin.replace('-', r"\u002d").replace('/', r"\/");
+        let (want, got) = (
+            FederationModel::from_json(twin).unwrap(),
+            FederationModel::from_json(&escaped).unwrap(),
+        );
+        assert_eq!(got, want);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        assert_eq!(got.satellites[1].link.id, "site-b");
+        assert!(Arc::ptr_eq(
+            &got.satellites[0].tables[0],
+            &got.satellites[1].tables[0]
+        ));
+        let (mine, theirs) = (strings(&got), strings(&want));
+        let mut escapes = 0;
+        for (mine, theirs) in mine.into_iter().zip(theirs) {
+            let derived = theirs.starts_with("xdmod_") || theirs.starts_with("inst_");
+            if theirs.contains(['-', '/']) && !derived {
+                assert!(matches!(mine, Cow::Owned(_)), "{mine:?}");
+                assert!(borrows(theirs, twin), "{theirs:?}");
+                escapes += 1;
+            } else if !derived {
+                assert!(matches!(mine, Cow::Borrowed(_)), "{mine:?}");
+            }
+        }
+        assert_eq!(escapes, 21);
+        detaches_unchanged(&got, &escaped, "escaped");
     }
 
     #[test]
@@ -1302,7 +1638,8 @@ mod tests {
             assert_eq!(shared, 2 * (n - 1));
         }
         // Satellites 2..N hold satellite 1's tables.
-        let model = FederationModel::from_json(&common::topology(300)).unwrap();
+        let text = common::topology(300);
+        let model = FederationModel::from_json(&text).unwrap();
         let first = model.satellites[0].tables[0].clone();
         assert_eq!(first.name, "jobfact");
         assert!(model

@@ -61,13 +61,15 @@ impl Federation {
 
     /// The build half of [`Federation::from_config`].
     pub(crate) fn from_model(
-        model: FederationModel,
+        model: FederationModel<'_>,
         levels: AggregationLevelsConfig,
         instances: &BTreeMap<String, &XdmodInstance>,
     ) -> Result<Federation, FederationError> {
+        // The federation outlives the document text the model borrows.
+        let model = model.into_owned();
         let mut members = Vec::with_capacity(model.satellites.len());
         for sat in model.satellites {
-            let inst = instances.get(&sat.name).ok_or_else(|| {
+            let inst = instances.get(&*sat.name).ok_or_else(|| {
                 FederationError::UnknownMember(format!(
                     "{} listed in config but no such instance was provided",
                     sat.name
@@ -98,7 +100,7 @@ impl Federation {
             // preflight pass, and the hub stays on the memory backend so a
             // forced build still works.
             if storage.backend.as_deref() == Some("disk") {
-                if let Some(dir) = &storage.dir {
+                if let Some(dir) = storage.dir.as_deref() {
                     let mut opts = xdmod_warehouse::DiskOptions::new(dir);
                     if let Some(kb) = storage.segment_max_kb {
                         opts = opts.segment_max_bytes(kb.saturating_mul(1024));
@@ -115,8 +117,8 @@ impl Federation {
                     if let Some(paging) = &storage.paging {
                         let spill = paging
                             .spill_dir
-                            .clone()
-                            .unwrap_or_else(|| format!("{dir}/paging"));
+                            .as_deref()
+                            .map_or_else(|| format!("{dir}/paging"), str::to_owned);
                         let mut cfg = xdmod_warehouse::PagingConfig::new(spill);
                         if let Some(mb) = paging.budget_mb {
                             cfg = cfg.budget_bytes(mb.saturating_mul(1024 * 1024));
@@ -238,11 +240,13 @@ mod tests {
     /// document's storage stanza: one parse, one topology.
     fn assert_builds_what_check_reads(text: &str) -> Federation {
         let model = FederationModel::from_json(text).unwrap();
-        let names: Vec<&str> = model.satellites.iter().map(|s| s.name.as_str()).collect();
+        let names: Vec<&str> = model.satellites.iter().map(|s| &*s.name).collect();
         let fed = build(text, &names).unwrap();
         let built = fed.check_model();
         assert_eq!(built.hub, model.hub);
-        let instance_fields_cleared = |sats: &[xdmod_check::SatelliteModel]| {
+        fn instance_fields_cleared<'a>(
+            sats: &[xdmod_check::SatelliteModel<'a>],
+        ) -> Vec<xdmod_check::SatelliteModel<'a>> {
             let mut sats = sats.to_vec();
             for s in &mut sats {
                 s.tables.clear();
@@ -250,7 +254,7 @@ mod tests {
                 s.su_factors.clear();
             }
             sats
-        };
+        }
         assert_eq!(
             instance_fields_cleared(&built.satellites),
             instance_fields_cleared(&model.satellites)

@@ -21,6 +21,7 @@
 use crate::hub::FederationHub;
 use crate::instance::XdmodInstance;
 use crate::supervisor::{MemberHealth, MemberReport, SupervisionReport, SupervisorPolicy};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -179,26 +180,30 @@ impl FederationConfig {
 
     /// The member record a join with this intent stores: the instance's
     /// own schemas and name, and the table selection the realms imply.
-    fn into_model(self, instance: &XdmodInstance, mode: &str) -> SatelliteModel {
+    fn into_model(self, instance: &XdmodInstance, mode: &str) -> SatelliteModel<'static> {
         let name = instance.name().to_owned();
         let realms: Vec<_> = self.realms.iter().map(|r| r.ident()).collect();
         SatelliteModel {
             link: LinkModel {
-                id: name.clone(),
-                source_schema: instance.schema_name(),
-                hub_schema: FederationHub::schema_for(&name),
-                mode: Some(mode.to_owned()),
+                id: name.clone().into(),
+                source_schema: instance.schema_name().into(),
+                hub_schema: FederationHub::schema_for(&name).into(),
+                mode: Some(mode.to_owned().into()),
                 retries: None,
             },
             replicated_tables: realm_selection(&realms, self.supremm_summaries),
             expected_tables: realm_selection(&realms, false).unwrap_or_default(),
             realms,
-            excluded_resources: self.excluded_resources,
+            excluded_resources: self
+                .excluded_resources
+                .into_iter()
+                .map(Cow::Owned)
+                .collect(),
             tables: Vec::new(),
             job_resources: Vec::new(),
             su_factors: Vec::new(),
             supremm_summaries: self.supremm_summaries,
-            name,
+            name: name.into(),
         }
     }
 }
@@ -247,7 +252,7 @@ pub enum FederationMode {
 struct Member {
     /// The member's topology, join-time SU factors included, as
     /// [`Federation::preflight`] vets it (plus the live catalog).
-    model: SatelliteModel,
+    model: SatelliteModel<'static>,
     /// The member's one link and its schedule, shared with the driver.
     slot: Arc<Slot>,
     /// The satellite's database handle, captured at join so pre-flight
@@ -451,7 +456,7 @@ pub struct Federation {
     alert_seq: u64,
     /// The document's `storage` stanza the hub was built from, which
     /// pre-flight vets (XC0014, XC0015); `None` when built in code.
-    pub(crate) storage: Option<xdmod_check::model::StorageModel>,
+    pub(crate) storage: Option<xdmod_check::model::StorageModel<'static>>,
 }
 
 impl Federation {
@@ -519,7 +524,7 @@ impl Federation {
     pub(crate) fn join(
         &mut self,
         instance: &XdmodInstance,
-        mut model: SatelliteModel,
+        mut model: SatelliteModel<'static>,
     ) -> Result<(), FederationError> {
         if !instance.version().federates_with(self.hub.version()) {
             return Err(FederationError::VersionMismatch {
@@ -542,7 +547,7 @@ impl Federation {
         model.su_factors = instance
             .su_converter()
             .resources()
-            .map(|(r, _)| r.to_owned())
+            .map(|(r, _)| Cow::Owned(r.to_owned()))
             .collect();
         let slot = Arc::new(Slot {
             link,
@@ -608,7 +613,7 @@ impl Federation {
         }
         if let Some(declared) = &model.replicated_tables {
             let runs = realm_selection(&model.realms, model.supremm_summaries);
-            let same = |r: &Vec<String>| {
+            let same = |r: &Vec<Cow<str>>| {
                 declared.iter().all(|t| r.contains(t)) && r.iter().all(|t| declared.contains(t))
             };
             if !runs.as_ref().is_some_and(same) {
@@ -678,8 +683,8 @@ impl Federation {
     /// report section it will never render.
     ///
     /// [`Database::describe_schema`]: xdmod_warehouse::Database::describe_schema
-    pub fn check_model(&self) -> xdmod_check::FederationModel {
-        let mut satellites: Vec<SatelliteModel> = Vec::with_capacity(self.members.len());
+    pub fn check_model(&self) -> xdmod_check::FederationModel<'static> {
+        let mut satellites: Vec<SatelliteModel<'static>> = Vec::with_capacity(self.members.len());
         for member in &self.members {
             let mut sat = member.model.clone();
             let schema = &sat.link.source_schema;
@@ -693,13 +698,13 @@ impl Federation {
                 .into_iter()
                 .map(|t| {
                     xdmod_check::TableModel {
-                        name: t.name,
+                        name: t.name.into(),
                         columns: t
                             .columns
                             .into_iter()
                             .map(|c| xdmod_check::ColumnModel {
-                                name: c.name,
-                                ty: c.ty.to_string(),
+                                name: c.name.into(),
+                                ty: c.ty.to_string().into(),
                                 nullable: c.nullable,
                             })
                             .collect(),
@@ -717,7 +722,7 @@ impl Federation {
                     _ => None,
                 })
                 .collect();
-            sat.job_resources = resources.into_iter().collect();
+            sat.job_resources = resources.into_iter().map(Cow::Owned).collect();
             satellites.push(sat);
         }
 
@@ -731,14 +736,18 @@ impl Federation {
         let aggregates = specs
             .into_iter()
             .map(|(name, spec)| xdmod_check::AggregateModel {
-                name: name.to_owned(),
-                fact_table: spec.fact_table.clone(),
-                time_column: spec.time_column.clone(),
-                dimensions: spec.dims.iter().map(|d| d.column().to_owned()).collect(),
+                name: name.into(),
+                fact_table: spec.fact_table.clone().into(),
+                time_column: spec.time_column.clone().into(),
+                dimensions: spec
+                    .dims
+                    .iter()
+                    .map(|d| Cow::Owned(d.column().to_owned()))
+                    .collect(),
                 measures: spec
                     .measures
                     .iter()
-                    .filter_map(|m| m.column.clone())
+                    .filter_map(|m| m.column.clone().map(Cow::Owned))
                     .collect(),
             })
             .collect();
@@ -751,23 +760,23 @@ impl Federation {
         let mut group_bys = Vec::new();
         if declares(RealmKind::Jobs) {
             group_bys.push(xdmod_check::GroupByModel {
-                name: "hpc usage by resource".to_owned(),
-                fact_table: jobs::FACT_TABLE.to_owned(),
-                columns: vec!["resource".to_owned()],
+                name: "hpc usage by resource".into(),
+                fact_table: jobs::FACT_TABLE.into(),
+                columns: vec!["resource".into()],
             });
         }
         if declares(RealmKind::Storage) {
             group_bys.push(xdmod_check::GroupByModel {
-                name: "storage usage".to_owned(),
-                fact_table: storage::FACT_TABLE.to_owned(),
+                name: "storage usage".into(),
+                fact_table: storage::FACT_TABLE.into(),
                 columns: Vec::new(),
             });
         }
         if declares(RealmKind::Cloud) {
             group_bys.push(xdmod_check::GroupByModel {
-                name: "cloud core hours by project".to_owned(),
-                fact_table: cloud_realm::FACT_TABLE.to_owned(),
-                columns: vec!["project".to_owned()],
+                name: "cloud core hours by project".into(),
+                fact_table: cloud_realm::FACT_TABLE.into(),
+                columns: vec!["project".into()],
             });
         }
 
@@ -789,8 +798,8 @@ impl Federation {
             rules: alert_rules
                 .entries()
                 .map(|(family, rule)| xdmod_check::AlertRuleModel {
-                    family: family.to_owned(),
-                    severity: Some(rule.severity.as_str().to_owned()),
+                    family: family.to_owned().into(),
+                    severity: Some(rule.severity.as_str().to_owned().into()),
                     debounce_ms: Some(rule.debounce_ms),
                     resolve_timeout_ms: Some(rule.resolve_timeout_ms),
                     stale_ms: Some(rule.stale_ms),
@@ -799,7 +808,7 @@ impl Federation {
         });
 
         xdmod_check::FederationModel {
-            hub: self.hub.name().to_owned(),
+            hub: self.hub.name().to_owned().into(),
             satellites,
             aggregates,
             group_bys,
@@ -1363,7 +1372,7 @@ impl Federation {
             member
                 .source_db
                 .write()
-                .set_fault_injector(injector.clone(), &member.model.name);
+                .set_fault_injector(injector.clone(), member.name());
             member
                 .slot
                 .link
